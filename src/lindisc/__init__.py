@@ -3,6 +3,7 @@ certificates for power-series dynamics over Laurent series fields of
 prime characteristic."""
 
 from .errors import (
+    CertificateError,
     FieldConstructionError,
     HypothesisError,
     IncompatibleFieldError,
@@ -19,6 +20,7 @@ from .powerseries import (
     Gauge,
     PowerSeriesMap,
     binomial_mod_p,
+    eval_table,
     ps_compose,
     ps_derivative_at,
     ps_eval,
@@ -44,7 +46,6 @@ from .schroder import (
     check_bkprime_zero_extension,
     check_coefficient_bound,
     check_structural_zeros,
-    eval_table,
     full_conjugacy_residual,
     invert_at_point,
     semiconjugacy_residual,

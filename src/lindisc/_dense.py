@@ -54,14 +54,6 @@ class DensePoly:
         self.prec = np.full(D + 1, INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
 
-    def copy(self):
-        out = DensePoly.__new__(DensePoly)
-        out.field, out.ram, out.D, out.W = self.field, self.ram, self.D, self.W
-        out.base = self.base.copy()
-        out.prec = self.prec.copy()
-        out.data = self.data.copy()
-        return out
-
     # -- column access ---------------------------------------------------------
 
     def set_column(self, d, series):

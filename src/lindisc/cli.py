@@ -3,7 +3,8 @@
 Commands read a self-describing JSON job file and write data to stdout
 (or --out); diagnostics go to stderr.  Exit codes: 0 success, 2 parse
 error, 3 mathematical error (root of unity, precision exhausted,
-hypothesis violation), 4 certified-bound violation.
+hypothesis violation), 4 certified-bound violation or failed internal
+self-check.
 
 The --display-epsilon flag is presentation only: it adds absolute-value
 renderings |x| = eps^v next to exact valuations and never enters any
@@ -15,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import LindiscError, ParseError
+from .errors import CertificateError, LindiscError, ParseError, PrecisionError
 from .field import FieldParams
 from .laurent import LaurentSeries, PrecisionPolicy, parse_series
 from .multiplier import disc_profile, mult_profile
@@ -32,10 +33,6 @@ from .discs import classify_linearization_disc
 EXIT_PARSE = 2
 EXIT_MATH = 3
 EXIT_BOUND = 4
-
-
-class BoundViolation(Exception):
-    """A certified inequality failed on computed data."""
 
 
 def load_job(path):
@@ -112,8 +109,6 @@ def _epsilon_note(eps, valuation_str):
 def _with_retries(policy, run):
     """Run a pipeline at growing horizons per the precision policy."""
     last = None
-    from .errors import PrecisionError
-
     for horizon in policy.horizons():
         try:
             return run(horizon)
@@ -171,10 +166,10 @@ def cmd_solve(job, args, out):
     out.write(g.csv())
     if zeros.applicable and zeros.violations:
         print(f"structural zero violations at {zeros.violations}", file=sys.stderr)
-        raise BoundViolation("structural zeros")
+        raise CertificateError("structural zeros")
     if bounds is not None and bounds.applicable and bounds.violations:
         print(f"coefficient bound violations at {bounds.violations}", file=sys.stderr)
-        raise BoundViolation("coefficient bound")
+        raise CertificateError("coefficient bound")
     return 0
 
 
@@ -299,10 +294,10 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
+    except CertificateError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (LindiscError, AssertionError) as exc:
+    except LindiscError as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return EXIT_MATH
 

@@ -16,17 +16,27 @@ field, and Hensel-lifting simple residue roots by Newton iteration.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisError, PrecisionError
+from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import BUILTIN_MODULI, FieldParams
 from .laurent import LaurentSeries, Valuation
 from .multiplier import count_resonant, disc_profile, mult_profile
-from .powerseries import PowerSeriesMap, ps_derivative_at, ps_eval, ps_gauge, _table_mul
+from .powerseries import (
+    PowerSeriesMap,
+    _table_add,
+    _table_derivative,
+    eval_table,
+    newton_root,
+    ps_derivative_at,
+    ps_eval,
+    ps_gauge,
+    ps_iterate,
+    table_compose,
+)
 from .schroder import (
     NONZERO,
     STRUCTURAL,
     check_coefficient_bound,
     check_structural_zeros,
-    eval_table,
     solve_sfe,
 )
 
@@ -137,7 +147,7 @@ def degree_on_sigma(g, dp, gauge):
         )
     wd = weierstrass_data(dict(g.coeffs), dp.v_sigma, _bound_tail(profile, gauge))
     if not wd.certified_tail:
-        raise AssertionError("sigma-disc tail bound failed to certify")
+        raise CertificateError("sigma-disc tail bound failed to certify")
     deg_open, deg_closed = wd.d_prime, wd.d
     # cross-check against the coefficient criterion at k'
     kp = profile.k_prime
@@ -149,7 +159,7 @@ def degree_on_sigma(g, dp, gauge):
     )
     expected_closed = kp if saturated else 1
     if (deg_open, deg_closed) != (1, expected_closed):
-        raise AssertionError(
+        raise CertificateError(
             f"degree pattern ({deg_open}, {deg_closed}) contradicts the "
             f"coefficient criterion (expected (1, {expected_closed}))"
         )
@@ -251,9 +261,8 @@ def find_periodic_point(f, kappa_max, sphere, tower=(4, 1), horizon=128):
         for res_field in _tower_fields(f.field, r_max):
             fe = _embed_map(f, res_field, e)
             pi = LaurentSeries.monomial(res_field, exponent, 1, ram=e)
-            found = _periodic_in_tower(fe, kappa, pi, horizon * e)
-            if found is not None:
-                u_hat = found
+            u_hat = _periodic_in_tower(fe, kappa, pi, horizon * e)
+            if u_hat is not None:
                 x_hat = pi * u_hat
                 mult = _orbit_multiplier(fe, x_hat, kappa)
                 return PeriodicPoint(x_hat, kappa, mult, (res_field.r, e))
@@ -263,81 +272,30 @@ def find_periodic_point(f, kappa_max, sphere, tower=(4, 1), horizon=128):
 def _periodic_in_tower(f, kappa, pi, horizon):
     """Root u (a unit) of f^∘κ(π·u) − π·u = 0, or None."""
     field_ = f.field
-    # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients
+    # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients;
+    # f^∘κ has degree <= degree_bound^κ, so nothing is truncated
     x_table = {1: pi}
     for _ in range(kappa):
-        new = {}
-        power = {0: LaurentSeries.constant(field_, 1, pi.ram)}
-        deg = 0
-        for i in sorted(f.coeffs):
-            while deg < i:
-                power = _table_mul(power, x_table, 10**9)
-                deg += 1
-            for d, s in power.items():
-                term = f.coeffs[i] * s
-                new[d] = new[d] + term if d in new else term
-        x_table = {d: s for d, s in new.items() if not s.is_zero_as_known}
-    g_table = dict(x_table)
-    g_table[1] = g_table[1] - pi if 1 in g_table else -pi
+        x_table = table_compose(f.coeffs, x_table, f.degree_bound**kappa)
+    g_table = _table_add(x_table, {1: -pi})
     g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
     if not g_table:
         return None
+    dtable = _table_derivative(g_table, field_.p)
     mu = min(s.lead for s in g_table.values())
-    residue_poly = {}
-    for d, s in g_table.items():
-        shifted = s.shift(-mu)
-        residue_poly[d] = shifted.residue()
-    dpoly = {
-        d - 1: c * (d % field_.p)
-        for d, c in residue_poly.items()
-        if d >= 1 and d % field_.p
-    }
+    residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
+    dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
     for u_bar in field_.elements():
         if u_bar.is_zero:
             continue
-        if _eval_fq_poly(residue_poly, u_bar).is_zero:
-            if _eval_fq_poly(dpoly, u_bar).is_zero:
+        if eval_table(residue_poly, u_bar).is_zero:
+            if not dpoly or eval_table(dpoly, u_bar).is_zero:
                 continue  # multiple residue root: lifting not certified
-            lifted = _hensel_lift(g_table, u_bar, pi.field, pi.ram, horizon)
+            u = LaurentSeries.constant(field_, u_bar, pi.ram, prec=horizon, exact=False)
+            lifted = newton_root(g_table, dtable, u, 2 * horizon.bit_length() + 8)
             if lifted is not None:
                 return lifted
     return None
-
-
-def _eval_fq_poly(poly, x):
-    acc = x.params.zero()
-    prev = None
-    for d in sorted(poly, reverse=True):
-        if prev is not None:
-            acc = acc * x ** (prev - d)
-        acc = acc + poly[d]
-        prev = d
-    if prev is None:
-        return acc
-    return acc * x**prev
-
-
-def _hensel_lift(g_table, u_bar, field_, ram, horizon):
-    """Newton iteration from a simple residue root to the horizon."""
-    p = field_.p
-    dtable = {}
-    for d, s in g_table.items():
-        factor = d % p
-        if d >= 1 and factor:
-            dtable[d - 1] = s.scale(factor) if factor != 1 else s
-    u = LaurentSeries.constant(field_, u_bar, ram, prec=horizon, exact=False)
-    for _ in range(2 * horizon.bit_length() + 8):
-        resid = eval_table(g_table, u)
-        if resid.is_zero_as_known:
-            return u
-        deriv = eval_table(dtable, u)
-        if deriv.is_zero_as_known or deriv.lead != 0:
-            return None  # derivative not a unit: simple-root criterion failed
-        step = resid * deriv.inverse()
-        if step.lead <= 0:
-            return None  # not converging inside the unit sphere
-        u = u - step
-    raise PrecisionError("periodic-point lifting did not converge")
 
 
 def _orbit_multiplier(f, x_hat, kappa):
@@ -353,10 +311,7 @@ def _orbit_multiplier(f, x_hat, kappa):
 
 def verify_indifferent(f, point, kappa):
     """Residual valuation of periodicity and the orbit multiplier."""
-    orbit_end = point
-    for _ in range(kappa):
-        orbit_end = ps_eval(f, orbit_end)
-    residual = (orbit_end - point).valuation()
+    residual = (ps_iterate(f, kappa, point) - point).valuation()
     mult = _orbit_multiplier(f, point, kappa)
     return residual, mult
 
@@ -387,10 +342,10 @@ def classify_linearization_disc(
     notes = []
     zeros = check_structural_zeros(g, f)
     if zeros.violations:
-        raise AssertionError(f"structural zero violations at {zeros.violations}")
+        raise CertificateError(f"structural zero violations at {zeros.violations}")
     bounds = check_coefficient_bound(g, gauge, f)
     if bounds.violations:
-        raise AssertionError(f"coefficient bound violations at {bounds.violations}")
+        raise CertificateError(f"coefficient bound violations at {bounds.violations}")
     deg_open, deg_closed = degree_on_sigma(g, dp, gauge)
     b_kp = g.coeffs[kp]
     periodic = None
@@ -414,7 +369,7 @@ def classify_linearization_disc(
                 periodic.kappa,
             )
             if not residual.is_infinite or mult.lead != 0:
-                raise AssertionError("periodic point failed verification")
+                raise CertificateError("periodic point failed verification")
     elif b_kp.is_exact_zero and g.zero_kind[kp] == STRUCTURAL:
         level = LEVEL_EXTENDED
         disc = make_disc(dp.v_rho, "open")

@@ -48,3 +48,8 @@ class RootOfUnityError(LindiscError):
 
 class HypothesisError(LindiscError):
     """A lemma-specific operation was invoked outside its hypotheses."""
+
+
+class CertificateError(LindiscError):
+    """An internal self-check or certified bound failed on computed data:
+    a bug in the package, never a property of the input."""

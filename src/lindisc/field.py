@@ -111,6 +111,10 @@ class FieldParams:
     def __init__(self, p, r=1, modulus=None):
         if not _is_prime(p):
             raise FieldConstructionError(f"p = {p} is not prime")
+        # int64 sums in _convolve/mul_by_map/add_scaled take r·(rows of one operand)
+        # products < p² < 2³², so overflow needs an operand of 2³¹ entries (16 GB)
+        if p >= 2**16:
+            raise FieldConstructionError(f"p = {p} is too large: need p < 2^16")
         if r < 1:
             raise FieldConstructionError(f"extension degree r = {r} must be >= 1")
         if modulus is None:

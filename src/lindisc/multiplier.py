@@ -13,7 +13,7 @@ merely zero to the justified horizon.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisError, PrecisionError, RootOfUnityError
+from .errors import CertificateError, HypothesisError, PrecisionError, RootOfUnityError
 from .laurent import LaurentSeries, Valuation
 
 
@@ -23,17 +23,12 @@ class MultiplierProfile:
 
     m is the least n >= 1 with v(1 - λ^n) > 0 (the multiplicative order
     of the reduction λ̄); k' the least k with p | k and m | k - 1.
-    Over a finite residue field every unit non-root-of-unity multiplier
-    falls into category 2 (some power is congruent to 1), so category is
-    always 2 here; the field is kept for API totality.
     """
 
     lam: LaurentSeries
-    category: int
     m: int
     v_m: Valuation
     k_prime: int
-    root_of_unity_flag: str
 
     @property
     def p(self):
@@ -73,9 +68,8 @@ def screen_root_of_unity(lam):
     precision (flag ``undetermined``)."""
     if lam.is_zero_as_known or lam.lead != 0:
         raise HypothesisError(f"multiplier must be a unit, got v = {lam.valuation()}")
-    nonconstant = lam.coeffs.shape[0] > 1
-    if nonconstant:
-        return "no"
+    if lam.coeffs.shape[0] > 1:
+        return
     if lam.exact:
         raise RootOfUnityError(
             "multiplier is a nonzero constant, hence a root of unity"
@@ -89,7 +83,7 @@ def screen_root_of_unity(lam):
 
 def mult_profile(lam):
     """Resonance profile of the multiplier λ (valuation 0 required)."""
-    flag = screen_root_of_unity(lam)
+    screen_root_of_unity(lam)
     p = lam.field.p
     m = lam.residue().multiplicative_order()
     if m % p == 0:
@@ -108,7 +102,7 @@ def mult_profile(lam):
             break
     if k_prime is None or not k_prime - 1 < m * p:
         raise HypothesisError("no resonant degree k <= mp; impossible when p does not divide m")
-    return MultiplierProfile(lam, 2, m, v_m, k_prime, flag)
+    return MultiplierProfile(lam, m, v_m, k_prime)
 
 
 def small_divisor_valuation(profile, n):
@@ -159,7 +153,7 @@ def product_small_divisors(profile, N):
         total += v1 * p**j
     closed = v1 * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
     if total != closed:
-        raise AssertionError(
+        raise CertificateError(
             f"product formula mismatch at N={N}: terms {total} != closed {closed}"
         )
     return Valuation(closed)
@@ -174,7 +168,7 @@ def disc_profile(profile, gauge):
     v_rho = Fraction(v_m, profile.m * profile.p) - A
     v_sigma = Fraction(v_m, profile.k_prime - 1) - A
     if not (v_sigma > v_rho > -A):
-        raise AssertionError(
+        raise CertificateError(
             f"radius ordering violated: v_sigma={v_sigma}, v_rho={v_rho}, -A={-A}"
         )
     return DiscProfile(Valuation(A), Valuation(v_rho), Valuation(v_sigma))

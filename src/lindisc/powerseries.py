@@ -2,6 +2,10 @@
 coefficients: evaluation, iteration, composition, derivative,
 compositional inversion, and the contraction gauge.
 
+The one Horner evaluation (``eval_table``), derivative table
+(``_table_derivative``) and Newton root (``newton_root``) of the
+package live here too, shared by every polynomial-in-x caller.
+
 Input maps are finite coefficient tables (polynomials), so the gauge
 minimum min_{i>=2} v(a_i)/(i-1) is always attained.  Integer factors
 (derivative multipliers, binomials) are reduced through the prime field,
@@ -13,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._dense import DensePoly
-from .errors import HypothesisError, IncompatibleFieldError
+from .errors import HypothesisError, IncompatibleFieldError, PrecisionError
 from .laurent import LaurentSeries, Valuation
 
 
@@ -118,13 +122,22 @@ def ps_gauge(f):
     return Gauge(best, witness)
 
 
-def ps_eval(f, x):
-    """Σ a_i x^i by sparse Horner over the supported degrees."""
-    degs = sorted(f.coeffs, reverse=True)
-    acc = f.coeffs[degs[0]]
+def eval_table(table, x):
+    """Evaluate a coefficient table (a polynomial in x) at a point by
+    sparse Horner over the supported degrees.  Coefficients and point
+    are LaurentSeries, or FqElement for a nonempty residue table."""
+    degs = sorted(table, reverse=True)
+    if not degs:
+        return LaurentSeries.zero(x.field, x.ram, x.prec)
+    acc = table[degs[0]]
     for prev, nxt in zip(degs, degs[1:]):
-        acc = acc * (x ** (prev - nxt)) + f.coeffs[nxt]
+        acc = acc * (x ** (prev - nxt)) + table[nxt]
     return acc * (x ** degs[-1])
+
+
+def ps_eval(f, x):
+    """Σ a_i x^i."""
+    return eval_table(f.coeffs, x)
 
 
 def ps_iterate(f, n, x):
@@ -139,33 +152,15 @@ def ps_iterate(f, n, x):
 def ps_derivative_at(f, x):
     """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p."""
     acc = None
-    for i, a in sorted(f.coeffs.items()):
-        factor = i % f.field.p
-        if factor == 0:
-            continue
-        term = a.scale(factor) if factor != 1 else a
-        if i > 1:
-            term = term * (x ** (i - 1))
+    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
+        term = a * (x ** d) if d else a
         acc = term if acc is None else acc + term
     if acc is None:
         return LaurentSeries.zero(f.field, f.ram, x.prec)
     return acc
 
 
-def default_window(tables, minimum=8):
-    """Window width covering the known spans of all given coefficient
-    tables (iterables of LaurentSeries)."""
-    w = minimum
-    for table in tables:
-        for s in table:
-            if s.is_zero_as_known:
-                continue
-            span = s.coeffs.shape[0] if s.exact else s.prec - s.lead
-            w = max(w, int(span))
-    return w
-
-
-def ps_compose(outer, inner, D, window=None):
+def ps_compose(outer, inner, D, window):
     """Coefficient table of g(f(x)) for degrees <= D.
 
     ``outer`` is a table degree -> LaurentSeries (degrees >= 0 allowed),
@@ -173,8 +168,6 @@ def ps_compose(outer, inner, D, window=None):
     dense engine, so precision follows the pessimistic minimum rule.
     """
     field, ram = inner.field, inner.ram
-    if window is None:
-        window = default_window([outer.values(), inner.coeffs.values()])
     acc = DensePoly(field, ram, D, window)
     fpow = DensePoly(field, ram, D, window)
     fpow.set_column(0, LaurentSeries.constant(field, 1, ram))
@@ -233,6 +226,7 @@ def _table_neg(a):
 
 
 def _table_derivative(a, p):
+    """Derivative of an x-polynomial, the integer factors reduced mod p."""
     out = {}
     for d, s in a.items():
         if d == 0:
@@ -242,6 +236,28 @@ def _table_derivative(a, p):
             continue
         out[d - 1] = s.scale(factor) if factor != 1 else s
     return out
+
+
+def newton_root(table, dtable, y, max_iter):
+    """Root of the x-polynomial ``table`` (derivative table ``dtable``)
+    by Newton iteration from y, once its value is zero to precision.
+
+    None when the derivative is not a unit or a step is not smaller than
+    the iterate: the start is not in the root's basin.  Raises
+    PrecisionError after max_iter steps.
+    """
+    for _ in range(max_iter):
+        resid = eval_table(table, y)
+        if resid.is_zero_as_known:
+            return y
+        deriv = eval_table(dtable, y)
+        if deriv.is_zero_as_known or deriv.lead != 0:
+            return None
+        step = resid * deriv.inverse()
+        if step.lead <= y.lead:
+            return None
+        y = y - step
+    raise PrecisionError(f"Newton iteration did not converge in {max_iter} steps")
 
 
 def _table_inverse_unit(u, D):

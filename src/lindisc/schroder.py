@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._dense import DensePoly
-from .errors import HypothesisError, PrecisionError
+from .errors import CertificateError, HypothesisError, PrecisionError
 from .laurent import LaurentSeries, Valuation
 from .multiplier import (
     count_resonant,
@@ -24,7 +24,13 @@ from .multiplier import (
     product_small_divisors,
     small_divisor_valuation,
 )
-from .powerseries import binomial_mod_p, ps_eval
+from .powerseries import (
+    _table_derivative,
+    binomial_mod_p,
+    eval_table,
+    newton_root,
+    ps_eval,
+)
 
 STRUCTURAL = "structural"
 COMPUTED_ZERO = "computed-zero"
@@ -74,7 +80,7 @@ def _divisor_series(lam_pow, lam, profile, k, ram):
     if div.is_zero_as_known:
         raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
     if Fraction(div.lead, ram) != expected.value:
-        raise AssertionError(
+        raise CertificateError(
             f"divisor valuation {Fraction(div.lead, ram)} != closed form "
             f"{expected} at k = {k}"
         )
@@ -109,7 +115,7 @@ def solve_sfe(f, D, window=32):
         s_k = acc.column(k)
         if family and k % p != 0:
             if not s_k.is_zero_as_known:
-                raise AssertionError(
+                raise CertificateError(
                     f"degree {k} should vanish for p-divisible maps, got {s_k}"
                 )
             b_k, kind = exact_zero, STRUCTURAL
@@ -131,6 +137,8 @@ def solve_sfe(f, D, window=32):
 
 def _multinomial_mod_p(l, alphas, p):
     """l! / Π α_i! mod p via iterated Lucas binomials."""
+    if sum(alphas) != l:
+        raise CertificateError(f"multiplicities {alphas} do not sum to {l}")
     result = 1
     s = 0
     for a in alphas:
@@ -138,7 +146,6 @@ def _multinomial_mod_p(l, alphas, p):
         result = result * binomial_mod_p(s, a, p) % p
         if result == 0:
             return 0
-    assert s == l
     return result
 
 
@@ -416,7 +423,7 @@ def certify_divergence(f, Nmax, window=32):
             predicted = j * v_a - divisor_sum
             closed = j * v_a - product_small_divisors(profile, N).value
             if not (computed == predicted == closed):
-                raise AssertionError(
+                raise CertificateError(
                     f"divergence valuation mismatch at N={N}: computed {computed}, "
                     f"term sum {predicted}, closed form {closed}"
                 )
@@ -425,22 +432,11 @@ def certify_divergence(f, Nmax, window=32):
     if not conjectural:
         for prev, nxt in zip(slopes, slopes[1:]):
             if not nxt < prev:
-                raise AssertionError("divergence slope failed to decrease")
+                raise CertificateError("divergence slope failed to decrease")
         verdict = "diverges"
     else:
         verdict = "conjectural"
     return DivergenceCertificate(entries, slopes, verdict, conjectural, profile)
-
-
-def eval_table(table, x):
-    """Evaluate a coefficient table (a polynomial in x) at a point."""
-    degs = sorted(table, reverse=True)
-    if not degs:
-        return LaurentSeries.zero(x.field, x.ram, x.prec)
-    acc = table[degs[0]]
-    for prev, nxt in zip(degs, degs[1:]):
-        acc = acc * (x ** (prev - nxt)) + table[nxt]
-    return acc * (x ** degs[-1])
 
 
 def semiconjugacy_residual(f, g, x, dp=None):
@@ -460,20 +456,10 @@ def invert_at_point(g, x, max_iter=64):
     """Solve g(y) = x by Newton iteration from y = x (g is tangent to the
     identity, so convergence is quadratic inside the linearization disc)."""
     table = g.table()
-    p = x.field.p
-    dtable = {}
-    for d, s in table.items():
-        factor = d % p
-        if d >= 1 and factor:
-            dtable[d - 1] = s.scale(factor) if factor != 1 else s
-    y = x
-    for _ in range(max_iter):
-        resid = eval_table(table, y) - x
-        if resid.is_zero_as_known:
-            return y
-        deriv = eval_table(dtable, y)
-        y = y - resid * deriv.inverse()
-    raise PrecisionError("point inversion of the conjugacy did not converge")
+    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x, max_iter)
+    if y is None:
+        raise PrecisionError("point inversion of the conjugacy did not converge")
+    return y
 
 
 def full_conjugacy_residual(f, g, x, dp=None):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import lindisc.discs
 from lindisc.cli import main
+from lindisc.schroder import ZeroReport
 
 
 def write_job(tmp_path, name, payload):
@@ -101,6 +103,17 @@ def test_disc_report(tmp_path, capsys):
     assert report["certificate"] == "EXACT-SIGMA"
     assert report["degree_closed_sigma"] == 2
     assert report["periodic_point"]["kappa"] == 1
+
+
+def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        lindisc.discs, "check_structural_zeros", lambda g, f: ZeroReport(True, [3])
+    )
+    job = write_job(tmp_path, "q.json", QUADRATIC)
+    code, out, err = run(capsys, ["disc", "--job", job])
+    assert code == 4
+    assert out == ""
+    assert "structural zero violations at [3]" in err
 
 
 def test_sweep(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lindisc import FieldParams, FqElement
+from lindisc import FieldParams, FqElement, parse_series
 from lindisc.errors import (
     FieldConstructionError,
     IncompatibleFieldError,
@@ -116,6 +116,18 @@ def test_field_construction_errors():
         FieldParams(2, 2, [1, 1])  # wrong degree
     with pytest.raises(ZeroDivisionFieldError):
         FieldParams(2).zero().inverse()
+
+
+def test_primes_beyond_the_int64_safe_range_rejected():
+    """Squaring -(1+T+...+T^4) sums up to five products (p-1)² in int64:
+    that overflowed silently at p = 2^31 - 1 and is exact at p = 65521."""
+    with pytest.raises(FieldConstructionError):
+        FieldParams(2147483647, 1, [0, 1])
+    field = FieldParams(65521, 1, [0, 1])
+    x = -parse_series("1+T+T^2+T^3+T^4", field)
+    square = x * x
+    assert square.lead == 0
+    assert [int(c) for c in square.coeffs[:, 0]] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
 
 
 def test_cross_field_operations_rejected():

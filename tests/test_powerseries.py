@@ -11,6 +11,7 @@ from lindisc import (
     LaurentSeries,
     PowerSeriesMap,
     binomial_mod_p,
+    eval_table,
     parse_series,
     ps_compose,
     ps_derivative_at,
@@ -77,6 +78,9 @@ def test_eval_char3_cubic():
     f = PowerSeriesMap({1: series("1+T", F3), 3: series("1", F3)})
     got = ps_eval(f, series("T", F3, prec=20))
     assert got.agrees_with(series("T+T^2+T^3", F3, prec=20))
+    # the same Horner evaluates residue-field tables: b + b^3 = b + 1 in F_4
+    b = F4.gen()
+    assert eval_table({1: F4.one(), 3: F4.one()}, b) == b + F4.one()
 
 
 def test_eval_at_zero():

@@ -24,8 +24,8 @@ from lindisc import (
     solve_sfe_multinomial,
     solve_specialized_p_plus_1,
 )
-from lindisc.errors import HypothesisError, RootOfUnityError
-from lindisc.schroder import COMPUTED_ZERO, NONZERO, STRUCTURAL
+from lindisc.errors import HypothesisError, PrecisionError, RootOfUnityError
+from lindisc.schroder import COMPUTED_ZERO, NONZERO, STRUCTURAL, invert_at_point
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -262,6 +262,17 @@ def test_residual_rejects_points_outside_disc():
         semiconjugacy_residual(f, g, x, dp)
     with pytest.raises(HypothesisError):
         full_conjugacy_residual(f, g, x, dp)
+
+
+def test_point_inversion_outside_the_disc_raises():
+    # v_sigma = 1: the sphere v = 1 and the unit circle lie outside D_sigma,
+    # where Newton's method from y = x stops instead of running on
+    lam = parse_series("1+T", F2)
+    f = PowerSeriesMap({1: lam, 2: parse_series("1", F2)})
+    g = solve_sfe(f, 12)
+    for lit in ("T+O(T^20)", "1+O(T^20)"):
+        with pytest.raises(PrecisionError):
+            invert_at_point(g, parse_series(lit, F2))
 
 
 def test_residual_linear_map_is_exact_zero():
