@@ -21,7 +21,6 @@ from .powerseries import (
     PowerSeriesMap,
     binomial_mod_p,
     eval_table,
-    ps_compose,
     ps_derivative_at,
     ps_eval,
     ps_gauge,

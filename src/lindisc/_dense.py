@@ -1,5 +1,6 @@
 """Internal dense engine for polynomials in x with Laurent-series
-coefficients, used by composition and the conjugacy solver.
+coefficients.  It serves the term-matching solver ``solve_sfe`` only;
+composition of coefficient tables is ``powerseries.table_compose``.
 
 A ``DensePoly`` holds, per x-degree d <= D, a window of W consecutive
 U-coefficients starting at ``base[d]`` together with the justified horizon
@@ -12,36 +13,52 @@ Precision bookkeeping is the pessimistic minimum rule of
 :mod:`lindisc.laurent`: an operation's horizon is the minimum horizon its
 operands justify, and entries at or beyond a column's horizon are zeroed.
 Columns never touched by any contribution stay exactly zero (sentinel
-horizon INF).
+horizon INF).  Every finite column has ``prec <= base + W``, and columns
+with an INF base hold zeros.
 """
 
 import numpy as np
 
 from .errors import PrecisionError
+from .field import FqElement
 from .laurent import LaurentSeries
 
 INF = np.int64(2**62)
 _INF_CUT = np.int64(2**61)
 
 
-def _series_terms(series):
-    """(U-exponent, coefficient) pairs of the known support of a series."""
-    terms = []
-    for j in range(series.coeffs.shape[0]):
+def _terms(field, series):
+    """(U-exponent, coefficient) per nonzero row of a series, the
+    coefficient ready for vectorised scaling: an int for r = 1, a
+    multiplication matrix for r > 1."""
+    for j in np.flatnonzero(series.coeffs.any(axis=1)):
         row = series.coeffs[j]
-        if row.any():
-            terms.append((series.lead + j, row.copy()))
-    return terms
+        if field.r == 1:
+            yield series.lead + int(j), int(row[0])
+        else:
+            yield series.lead + int(j), FqElement(field, list(row)).mul_matrix()
 
 
-def _coeff_op(field, row):
-    """Prepare a coefficient for vectorised scaling: an int for r = 1,
-    a multiplication matrix for r > 1."""
-    if field.r == 1:
-        return int(row[0])
-    from .field import FqElement
+def _realigned(data, base, new_base):
+    """Column windows of ``data`` starting at ``base``, re-read from
+    ``new_base``: entries shifted out of the window, and columns where
+    either base is INF, read as zero."""
+    W = data.shape[1]
+    idx = np.arange(W)[None, :] - (base - new_base)[:, None]
+    finite = (base < _INF_CUT) & (new_base < _INF_CUT)
+    valid = (idx >= 0) & (idx < W) & finite[:, None]
+    gathered = np.take_along_axis(data, np.clip(idx, 0, W - 1)[:, :, None], axis=1)
+    return np.where(valid[:, :, None], gathered, 0)
 
-    return FqElement(field, list(row)).mul_matrix()
+
+def _accumulate(acc, field, series, data, base, new_base):
+    """acc += series * (data, base), each term re-read from new_base."""
+    for s, op in _terms(field, series):
+        gathered = _realigned(data, base + s, new_base)
+        if field.r == 1:
+            acc += gathered * op
+        else:
+            acc += gathered @ op.T
 
 
 class DensePoly:
@@ -58,25 +75,18 @@ class DensePoly:
 
     def set_column(self, d, series):
         """Install a series as the coefficient of x^d (window-clamped)."""
+        self.data[d] = 0
         if series.is_zero_as_known:
             self.base[d] = INF
             self.prec[d] = INF if series.exact else min(series.prec, INF)
-            self.data[d] = 0
             return
         lead = series.lead
         eff = lead + self.W if series.exact else min(series.prec, lead + self.W)
         self.base[d] = lead
         self.prec[d] = eff
         rows = series.coeffs[: self.W]
-        self.data[d] = 0
         self.data[d, : rows.shape[0]] = rows
-        self._mask_column(d)
-
-    def _mask_column(self, d):
-        if self.base[d] >= _INF_CUT:
-            return
-        exps = self.base[d] + np.arange(self.W)
-        self.data[d][exps >= self.prec[d]] = 0
+        self.data[d][lead + np.arange(self.W) >= eff] = 0
 
     def column(self, d):
         """Coefficient of x^d as a LaurentSeries."""
@@ -91,11 +101,12 @@ class DensePoly:
         )
 
     def _leads(self):
-        """True lead per column (INF where no nonzero data)."""
+        """Valuation bound per column: the true lead, or the horizon where
+        no nonzero data is known (INF for an exact zero)."""
         nonzero = self.data.any(axis=2)
         has = nonzero.any(axis=1)
         first = np.argmax(nonzero, axis=1)
-        leads = np.where(has, self.base + first, INF)
+        leads = np.where(has, self.base + first, self.prec)
         return np.minimum(leads, INF)
 
     # -- bulk operations ---------------------------------------------------------
@@ -105,42 +116,24 @@ class DensePoly:
 
         ``f`` is a PowerSeriesMap with exact coefficients of degree >= 1.
         """
-        D, W, r = self.D, self.W, self.field.r
+        D, W = self.D, self.W
         out = DensePoly(self.field, self.ram, D, W)
-        degs = [(i, a) for i, a in sorted(f.coeffs.items()) if not a.is_zero_as_known]
+        # degrees above D only contribute above x^D
+        degs = [
+            (i, a)
+            for i, a in sorted(f.coeffs.items())
+            if i <= D and not a.is_zero_as_known
+        ]
         # window bases and horizons by the minimum rule
         for i, a in degs:
-            lead_i = a.lead
-            shifted_base = np.full(D + 1, INF, dtype=np.int64)
-            shifted_prec = np.full(D + 1, INF, dtype=np.int64)
-            shifted_base[i:] = np.minimum(self.base[: D + 1 - i] + lead_i, INF)
-            shifted_prec[i:] = np.minimum(self.prec[: D + 1 - i] + lead_i, INF)
-            out.base = np.minimum(out.base, shifted_base)
-            out.prec = np.minimum(out.prec, shifted_prec)
+            out.base[i:] = np.minimum(out.base[i:], self.base[: D + 1 - i] + a.lead)
+            out.prec[i:] = np.minimum(out.prec[i:], self.prec[: D + 1 - i] + a.lead)
         out.base[out.base >= _INF_CUT] = INF
         out.prec[out.prec >= _INF_CUT] = INF
         acc = np.zeros_like(out.data)
-        arange_w = np.arange(W)
         for i, a in degs:
-            for s, row in _series_terms(a):
-                src = self.data[: D + 1 - i]
-                src_base = self.base[: D + 1 - i]
-                off = src_base + s - out.base[i:]
-                idx = arange_w[None, :] - off[:, None]
-                valid = (
-                    (idx >= 0)
-                    & (idx < W)
-                    & (src_base[:, None] < _INF_CUT)
-                    & (out.base[i:, None] < _INF_CUT)
-                )
-                idxc = np.clip(idx, 0, W - 1)
-                gathered = np.take_along_axis(src, idxc[:, :, None], axis=1)
-                gathered = np.where(valid[:, :, None], gathered, 0)
-                op = _coeff_op(self.field, row)
-                if r == 1:
-                    acc[i:] += gathered * op
-                else:
-                    acc[i:] += gathered @ op.T
+            n = D + 1 - i
+            _accumulate(acc[i:], self.field, a, self.data[:n], self.base[:n], out.base[i:])
         out.data = acc % self.field.p
         out._mask_all()
         return out
@@ -151,7 +144,6 @@ class DensePoly:
         A zero-to-precision series contributes no data but still caps the
         horizons of the affected columns.
         """
-        D, W = self.D, self.W
         other_leads = other._leads()
         if series.is_zero_as_known:
             if series.exact:
@@ -170,44 +162,17 @@ class DensePoly:
         new_base[new_base >= _INF_CUT] = INF
         new_prec[new_prec >= _INF_CUT] = INF
         self._realign(new_base)
-        arange_w = np.arange(W)
         acc = self.data.astype(np.int64)
-        for s, row in _series_terms(series):
-            off = other.base + s - new_base
-            idx = arange_w[None, :] - off[:, None]
-            valid = (
-                (idx >= 0)
-                & (idx < W)
-                & (other.base[:, None] < _INF_CUT)
-                & (new_base[:, None] < _INF_CUT)
-            )
-            idxc = np.clip(idx, 0, W - 1)
-            gathered = np.take_along_axis(other.data, idxc[:, :, None], axis=1)
-            gathered = np.where(valid[:, :, None], gathered, 0)
-            op = _coeff_op(self.field, row)
-            if self.field.r == 1:
-                acc += gathered * op
-            else:
-                acc += gathered @ op.T
+        _accumulate(acc, self.field, series, other.data, other.base, new_base)
         self.data = acc % self.field.p
         self.prec = new_prec
         self._mask_all()
 
     def _realign(self, new_base):
         """Shift every column window to start at new_base (<= base)."""
-        W = self.W
-        off = self.base - new_base
-        moved = (off != 0) & (self.base < _INF_CUT) & (new_base < _INF_CUT)
-        if not moved.any():
-            self.base = new_base
-            return
-        idx = np.arange(W)[None, :] - off[:, None]
-        valid = (idx >= 0) & (idx < W) & moved[:, None]
-        idxc = np.clip(idx, 0, W - 1)
-        gathered = np.take_along_axis(self.data, idxc[:, :, None], axis=1)
-        self.data = np.where(
-            moved[:, None, None], np.where(valid[:, :, None], gathered, 0), self.data
-        )
+        moved = (self.base != new_base) & (self.base < _INF_CUT) & (new_base < _INF_CUT)
+        if moved.any():
+            self.data = _realigned(self.data, self.base, new_base)
         self.base = new_base
 
     def _mask_all(self):

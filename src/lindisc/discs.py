@@ -223,6 +223,10 @@ def _embed_map(f, target_field, e):
     return PowerSeriesMap(coeffs)
 
 
+# largest residue extension degree the periodic-point search tries
+_R_MAX = 4
+
+
 def _tower_fields(base, r_max):
     """Residue fields reachable from the map's: extensions of a prime
     field, or only the field itself when it is already an extension."""
@@ -237,7 +241,7 @@ def _tower_fields(base, r_max):
     return fields
 
 
-def find_periodic_point(f, kappa_max, sphere, tower=(4, 1), horizon=128):
+def find_periodic_point(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
     """Search the sphere for a periodic point of period κ <= kappa_max.
 
     ``tower`` caps the residue extension degree r and fixes the
@@ -316,9 +320,7 @@ def verify_indifferent(f, point, kappa):
     return residual, mult
 
 
-def classify_linearization_disc(
-    f, D=None, window=32, kappa_max=None, r_max=4, horizon=128
-):
+def classify_linearization_disc(f, D=None, window=32, kappa_max=None, horizon=128):
     """Full certification pipeline for a p-divisible map.
 
     GENERIC-SIGMA: full conjugacy certified on the open disc of radius σ.
@@ -355,12 +357,12 @@ def classify_linearization_disc(
         e = dp.v_sigma.value.denominator * f.ram
         sphere = make_disc(dp.v_sigma, "closed")
         periodic = find_periodic_point(
-            f, kappa_max or kp, sphere, tower=(r_max, e), horizon=horizon
+            f, kappa_max or kp, sphere, tower=(_R_MAX, e), horizon=horizon
         )
         if periodic is None:
             notes.append(
                 "periodic point exists in the completed algebraic closure "
-                f"but was not found in towers up to r={r_max}, e={e}"
+                f"but was not found in towers up to r={_R_MAX}, e={e}"
             )
         else:
             residual, mult = verify_indifferent(

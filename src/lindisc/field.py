@@ -58,18 +58,6 @@ def _is_prime(n):
     return True
 
 
-def _poly_mod(num, den, p):
-    """Remainder of num modulo den over F_p (coefficient lists, monic den)."""
-    num = list(num)
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c:
-            for j, dc in enumerate(den):
-                num[i - dd + j] = (num[i - dd + j] - c * dc) % p
-    return [c % p for c in num[:dd]]
-
-
 def _monic_polys(degree, p):
     """All monic polynomials of the given degree over F_p."""
     if degree == 0:
@@ -94,7 +82,7 @@ def _is_irreducible(modulus, p):
         return True
     for d in range(1, r // 2 + 1):
         for cand in _monic_polys(d, p):
-            if not any(_poly_mod(modulus, cand, p)):
+            if not any(_poly_divmod(modulus, cand, p)[1]):
                 return False
     return True
 
@@ -117,6 +105,11 @@ class FieldParams:
             raise FieldConstructionError(f"p = {p} is too large: need p < 2^16")
         if r < 1:
             raise FieldConstructionError(f"extension degree r = {r} must be >= 1")
+        # the irreducibility test tries all ~q^(1/2) factors of degree <= r/2
+        # and multiplicative_order factors q - 1 by trial division; p >= 2,
+        # so r >= 32 alone settles it without computing p^r
+        if r >= 32 or p**r >= 2**32:
+            raise FieldConstructionError(f"q = {p}^{r} is too large: need q < 2^32")
         if modulus is None:
             try:
                 modulus = BUILTIN_MODULI[(p, r)]
@@ -141,7 +134,7 @@ class FieldParams:
         rows = []
         power = [0] * r + [1]
         for _ in range(max(r - 1, 0)):
-            row = _poly_mod(power, modulus, p)
+            row = _poly_divmod(power, modulus, p)[1]
             rows.append(row)
             power = [0] + power
         object.__setattr__(

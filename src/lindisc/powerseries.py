@@ -2,6 +2,10 @@
 coefficients: evaluation, iteration, composition, derivative,
 compositional inversion, and the contraction gauge.
 
+Composition of coefficient tables is ``table_compose``, in full
+LaurentSeries arithmetic with no window; the windowed dense engine of
+:mod:`lindisc._dense` serves the solver only.
+
 The one Horner evaluation (``eval_table``), derivative table
 (``_table_derivative``) and Newton root (``newton_root``) of the
 package live here too, shared by every polynomial-in-x caller.
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._dense import DensePoly
 from .errors import HypothesisError, IncompatibleFieldError, PrecisionError
 from .laurent import LaurentSeries, Valuation
 
@@ -160,38 +163,11 @@ def ps_derivative_at(f, x):
     return acc
 
 
-def ps_compose(outer, inner, D, window):
-    """Coefficient table of g(f(x)) for degrees <= D.
-
-    ``outer`` is a table degree -> LaurentSeries (degrees >= 0 allowed),
-    ``inner`` a PowerSeriesMap.  Powers of the inner map accumulate in the
-    dense engine, so precision follows the pessimistic minimum rule.
-    """
-    field, ram = inner.field, inner.ram
-    acc = DensePoly(field, ram, D, window)
-    fpow = DensePoly(field, ram, D, window)
-    fpow.set_column(0, LaurentSeries.constant(field, 1, ram))
-    level = 0
-    for l in sorted(outer):
-        if l > D:
-            break
-        while level < l:
-            fpow = fpow.mul_by_map(inner)
-            level += 1
-        acc.add_scaled(outer[l], fpow)
-    result = {}
-    for d in range(D + 1):
-        col = acc.column(d)
-        if not col.is_exact_zero:
-            result[d] = col
-    return result
-
-
 def table_compose(outer, inner, D):
     """g(h(x)) for two coefficient tables (h(0) = 0), truncated at degree D.
 
-    Plain Horner over LaurentSeries polynomials; slower than ps_compose
-    but accepts an inexact inner table.
+    Horner over LaurentSeries polynomials, so precision follows the
+    pessimistic minimum rule; the inner table may be inexact.
     """
     acc = {}
     for l in range(max(outer), -1, -1):

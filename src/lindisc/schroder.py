@@ -452,11 +452,11 @@ def semiconjugacy_residual(f, g, x, dp=None):
     return (lhs - rhs).valuation()
 
 
-def invert_at_point(g, x, max_iter=64):
+def invert_at_point(g, x):
     """Solve g(y) = x by Newton iteration from y = x (g is tangent to the
     identity, so convergence is quadratic inside the linearization disc)."""
     table = g.table()
-    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x, max_iter)
+    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x, 64)
     if y is None:
         raise PrecisionError("point inversion of the conjugacy did not converge")
     return y

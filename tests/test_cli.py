@@ -153,6 +153,18 @@ def test_determinism(tmp_path, capsys):
     assert len(outputs) == 1
 
 
+def test_solve_map_degree_above_solve_degree(tmp_path, capsys):
+    """A term of f above the solve degree only reaches degrees above it."""
+    job = write_job(
+        tmp_path, "q14.json", {"p": 2, "lambda": "1+T", "f": {"2": "1", "14": "1"}}
+    )
+    code, out, err = run(capsys, ["solve", "--job", job, "--degree", "10"])
+    assert code == 0, err
+    plain = write_job(tmp_path, "q.json", QUADRATIC)
+    _, expected, _ = run(capsys, ["solve", "--job", plain, "--degree", "10"])
+    assert out == expected
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     job = write_job(tmp_path, "q.json", QUADRATIC)
     target = tmp_path / "result.csv"

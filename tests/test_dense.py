@@ -1,0 +1,96 @@
+"""The dense engine against LaurentSeries table arithmetic, with its
+window invariant checked after every seeded random operation."""
+
+import random
+
+import numpy as np
+
+from lindisc import FieldParams, LaurentSeries, PowerSeriesMap
+from lindisc._dense import _INF_CUT, DensePoly
+from lindisc.powerseries import _table_add, _table_mul
+
+
+def assert_invariant(poly):
+    finite = poly.base < _INF_CUT
+    assert (poly.prec[finite] <= poly.base[finite] + poly.W).all()
+    exps = poly.base[:, None] + np.arange(poly.W)[None, :]
+    beyond = (exps >= poly.prec[:, None]) & finite[:, None]
+    assert not poly.data[beyond].any()
+    assert not poly.data[~finite].any()
+
+
+def assert_agrees(poly, table):
+    """Every column is the table's value on the column's horizon, and
+    that horizon is no further than the table's."""
+    zero = LaurentSeries.zero(poly.field, poly.ram, 0, exact=True)
+    for d in range(poly.D + 1):
+        column, exact = poly.column(d), table.get(d, zero)
+        assert column.agrees_with(exact), d
+        assert column._effective_prec() <= exact._effective_prec(), d
+
+
+def known(table):
+    """A table without exact zeros.  LaurentSeries gives 0·s the horizon
+    of s; the engine keeps 0·s exact, which is also sound."""
+    return {d: s for d, s in table.items() if not s.is_exact_zero}
+
+
+def random_rows(field, rng, n):
+    return [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(n)]
+
+
+def random_series(field, ram, rng):
+    """Exact or inexact, zero or not: every kind of series the engine takes."""
+    kind = rng.choice(["exact", "inexact", "exact-zero", "inexact-zero"])
+    lead = rng.randrange(-2, 4)
+    if kind == "exact-zero":
+        return LaurentSeries.zero(field, ram, 0, exact=True)
+    if kind == "inexact-zero":
+        return LaurentSeries.zero(field, ram, lead + rng.randrange(0, 6))
+    rows = random_rows(field, rng, rng.randrange(1, 16))
+    rows[0] = [rng.randrange(1, field.p)] + rows[0][1:]
+    if kind == "exact":
+        return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
+    return LaurentSeries(field, ram, lead, rows, lead + rng.randrange(1, 16))
+
+
+def random_map(field, ram, rng, D):
+    """Two nonlinear terms up to degree D and one above it."""
+    lam = [[rng.randrange(1, field.p)] + [0] * (field.r - 1)] + random_rows(field, rng, 2)
+    coeffs = {1: LaurentSeries(field, ram, 0, lam, 3, exact=True)}
+    for d in rng.sample(range(2, D + 1), 2) + [rng.randrange(D + 1, 2 * D + 2)]:
+        lead = rng.randrange(-1, 3)
+        rows = random_rows(field, rng, 2)
+        coeffs[d] = LaurentSeries(field, ram, lead, rows, lead + 2, exact=True)
+    return PowerSeriesMap(coeffs)
+
+
+def test_invariant_and_values_after_every_operation():
+    rng = random.Random(31)
+    D, W = 10, 12
+    fields = (FieldParams(2), FieldParams(3), FieldParams(2, 2), FieldParams(2, 4))
+    for field in fields:
+        for ram in (1, 2):
+            f = random_map(field, ram, rng, D)
+            poly = DensePoly(field, ram, D, W)
+            table = {}
+            for d in rng.sample(range(D + 1), 4):
+                table[d] = random_series(field, ram, rng)
+                poly.set_column(d, table[d])
+            table = known(table)
+            assert_invariant(poly)
+            assert_agrees(poly, table)
+            acc = DensePoly(field, ram, D, W)
+            acc_table = {}
+            for _ in range(5):
+                scalar = random_series(field, ram, rng)
+                acc.add_scaled(scalar, poly)
+                if not scalar.is_exact_zero:
+                    scaled = known({d: scalar * s for d, s in table.items()})
+                    acc_table = known(_table_add(acc_table, scaled))
+                assert_invariant(acc)
+                assert_agrees(acc, acc_table)
+                poly = poly.mul_by_map(f)
+                table = known(_table_mul(table, f.coeffs, D))
+                assert_invariant(poly)
+                assert_agrees(poly, table)

@@ -1,6 +1,7 @@
 """Finite-field arithmetic against a brute-force polynomial oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_primes_beyond_the_int64_safe_range_rejected():
     square = x * x
     assert square.lead == 0
     assert [int(c) for c in square.coeffs[:, 0]] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+
+
+def test_fields_of_order_2_32_and_above_rejected():
+    """The irreducibility test is trial division by every factor of degree
+    <= r/2, so q = 65521^4 never finished; it is rejected before that."""
+    t0 = time.perf_counter()
+    with pytest.raises(FieldConstructionError):
+        FieldParams(65521, 4, [3, 1, 0, 0, 1])
+    assert time.perf_counter() - t0 < 5
+    field = FieldParams(65521, 2, [17, 0, 1])
+    b = field.gen()
+    assert b * b == field.element(-17)
 
 
 def test_cross_field_operations_rejected():

@@ -8,6 +8,7 @@ import pytest
 
 from lindisc import (
     FieldParams,
+    LaurentSeries,
     PowerSeriesMap,
     certify_divergence,
     check_bkprime_zero_extension,
@@ -17,12 +18,12 @@ from lindisc import (
     full_conjugacy_residual,
     mult_profile,
     parse_series,
-    ps_compose,
     ps_gauge,
     semiconjugacy_residual,
     solve_sfe,
     solve_sfe_multinomial,
     solve_specialized_p_plus_1,
+    table_compose,
 )
 from lindisc.errors import HypothesisError, PrecisionError, RootOfUnityError
 from lindisc.schroder import COMPUTED_ZERO, NONZERO, STRUCTURAL, invert_at_point
@@ -103,6 +104,39 @@ def test_term_matching_equals_multinomial():
         assert conjugacies_agree(g1, g2, D)
 
 
+def random_unit(field, rng):
+    return [rng.randrange(1, field.p)] + [rng.randrange(field.p) for _ in range(field.r - 1)]
+
+
+def tower_map(field, ram, rng, max_degree=6):
+    """A seeded map over F_{p^r}((U)) with U^ram = T, whose coefficients
+    use every coordinate of the residue field."""
+    r = field.r
+    j = rng.randrange(1, 3)
+    rows = [random_unit(field, rng)] + [[0] * r] * (j - 1) + [random_unit(field, rng)]
+    coeffs = {1: LaurentSeries(field, ram, 0, rows, j + 1, exact=True)}
+    family = rng.random() < 0.5
+    degrees = list(range(field.p if family else 2, max_degree + 1, field.p if family else 1))
+    for d in rng.sample(degrees, min(3, len(degrees))):
+        lead = rng.randrange(0, 2 * ram)
+        rows = [[rng.randrange(field.p) for _ in range(r)] for _ in range(2)]
+        coeffs[d] = LaurentSeries(field, ram, lead, rows, lead + 2, exact=True)
+    return PowerSeriesMap(coeffs)
+
+
+def test_term_matching_equals_multinomial_in_towers():
+    """Residue extensions (r = 2, 4) and ramified towers (e = 2)."""
+    rng = random.Random(23)
+    D = 12
+    for field in (F4, FieldParams(3, 2), FieldParams(2, 4), FieldParams(3, 4)):
+        for ram in (1, 2):
+            for _ in range(4):
+                f = tower_map(field, ram, rng)
+                g1 = solve_sfe(f, D, window=24)
+                g2 = solve_sfe_multinomial(f, D, window=24)
+                assert conjugacies_agree(g1, g2, D), (field, ram, f)
+
+
 def test_specialized_matches_term_matching():
     for field, a_lit in [(F2, "1"), (F3, "2"), (F2, "T")]:
         p = field.p
@@ -130,7 +164,7 @@ def test_sfe_defect_is_zero_to_precision():
         D = 12
         g = solve_sfe(f, D, window=24)
         table = {k: s for k, s in g.coeffs.items() if not s.is_zero_as_known}
-        gof = ps_compose(table, f, D, window=24)
+        gof = table_compose(table, f.coeffs, D)
         lam = f.multiplier
         for k in range(1, D + 1):
             lhs = gof.get(k)
