@@ -15,7 +15,7 @@ from .errors import (
     ZeroDivisionFieldError,
 )
 from .field import FieldParams, FqElement
-from .laurent import LaurentSeries, PrecisionPolicy, Valuation, parse_series
+from .laurent import LaurentSeries, Valuation, parse_series
 from .powerseries import (
     Gauge,
     PowerSeriesMap,

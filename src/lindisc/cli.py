@@ -2,9 +2,17 @@
 
 Commands read a self-describing JSON job file and write data to stdout
 (or --out); diagnostics go to stderr.  Exit codes: 0 success, 2 parse
-error, 3 mathematical error (root of unity, precision exhausted,
-hypothesis violation), 4 certified-bound violation or failed internal
-self-check.
+error (including a malformed or out-of-range job value), 3 mathematical
+error (root of unity, precision exhausted, hypothesis violation), 4
+certified-bound violation or failed internal self-check.
+
+Job keys: ``p``, ``r``, ``modulus`` and ``e`` fix the field F_{p^r}((T^(1/e)));
+``lambda`` and ``f`` give the map; ``degree``, ``Nmax``, ``tail``,
+``kappa_max`` and ``instances`` are per command.  Integers are JSON
+integers or decimal strings.  The one precision setting is the working
+precision W: every command runs through ``_job_runner``, which parses
+the map and runs the pipeline at W = ``precision.initial`` (default 32)
+and retries at doubled W, up to MAX_WINDOW, while precision is exhausted.
 
 The --display-epsilon flag is presentation only: it adds absolute-value
 renderings |x| = eps^v next to exact valuations and never enters any
@@ -13,12 +21,13 @@ computation.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .errors import CertificateError, LindiscError, ParseError, PrecisionError
 from .field import FieldParams
-from .laurent import LaurentSeries, PrecisionPolicy, parse_series
+from .laurent import parse_series
 from .multiplier import disc_profile, mult_profile
 from .powerseries import PowerSeriesMap, ps_gauge
 from .schroder import (
@@ -33,6 +42,9 @@ from .discs import classify_linearization_disc
 EXIT_PARSE = 2
 EXIT_MATH = 3
 EXIT_BOUND = 4
+
+# largest working precision W the retry schedule reaches
+MAX_WINDOW = 1024
 
 
 def load_job(path):
@@ -50,25 +62,71 @@ def load_job(path):
     return raw
 
 
+def _int_of(value, name, low=1, high=None):
+    """A JSON integer or decimal string in [low, high]; None stays None."""
+    if value is None:
+        return None
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        value = int(value)
+    if type(value) is not int:
+        raise ParseError(f"'{name}' must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f"between {low} and {high}" if high is not None else f">= {low}"
+        raise ParseError(f"'{name}' must be {bounds}, got {value}")
+    return value
+
+
 def _job_field(job):
-    try:
-        p = int(job["p"])
-    except KeyError:
-        raise ParseError("job is missing the residue characteristic 'p'") from None
-    r = int(job.get("r", 1))
+    if "p" not in job:
+        raise ParseError("job is missing the residue characteristic 'p'")
+    p = _int_of(job["p"], "p", low=2)
+    r = _int_of(job.get("r", 1), "r")
     modulus = job.get("modulus")
+    if modulus is not None:
+        if not isinstance(modulus, list):
+            raise ParseError("'modulus' must be a list of coefficients")
+        modulus = [_int_of(c, "modulus", low=0) for c in modulus]
     return FieldParams(p, r, modulus)
 
 
-def _job_policy(job):
-    spec = job.get("precision", {})
-    if not isinstance(spec, dict):
+def _windows(initial):
+    """Working precisions W of successive attempts: initial, doubled up
+    to MAX_WINDOW."""
+    W = initial
+    while W < MAX_WINDOW:
+        yield W
+        W *= 2
+    yield MAX_WINDOW
+
+
+def _job_runner(job):
+    """The one job path.  Reads the job's field, ``e`` and initial working
+    precision; the returned ``run(pipeline, spec=job)`` parses spec's map
+    at each W of the retry schedule and returns ``pipeline(f, W)`` of the
+    first W that does not exhaust precision."""
+    field = _job_field(job)
+    ram = _int_of(job.get("e", 1), "e")
+    precision = job.get("precision", {})
+    if not isinstance(precision, dict):
         raise ParseError("'precision' must be an object")
-    return PrecisionPolicy(
-        initial=int(spec.get("initial", 32)),
-        maximum=int(spec.get("maximum", 1024)),
-        auto_retry=bool(spec.get("auto_retry", True)),
-    )
+    unknown = sorted(set(precision) - {"initial"})
+    if unknown:
+        raise ParseError(f"'precision' takes only 'initial', got {unknown}")
+    initial = _int_of(precision.get("initial", 32), "precision.initial", high=MAX_WINDOW)
+
+    def run(pipeline, spec=job):
+        return _with_retries(
+            _windows(initial), lambda W: pipeline(_job_map(spec, field, ram, W), W)
+        )
+
+    return run
+
+
+def _degree(job, args, default):
+    """The solve degree: --degree, else the job's 'degree', else default."""
+    if args.degree is not None:
+        return _int_of(args.degree, "--degree")
+    return _int_of(job.get("degree", default), "degree")
 
 
 def _job_map(job, field, ram, prec):
@@ -107,62 +165,50 @@ def _epsilon_note(eps, valuation_str):
 
 
 def _with_retries(policy, run):
-    """Run a pipeline at growing horizons per the precision policy."""
+    """run(W) for each working precision W of the schedule ``policy``
+    until one does not exhaust precision."""
     last = None
-    for horizon in policy.horizons():
+    for W in policy:
         try:
-            return run(horizon)
+            return run(W)
         except PrecisionError as exc:
             last = exc
-            print(
-                f"precision {horizon} exhausted ({exc}); retrying",
-                file=sys.stderr,
-            )
+            print(f"precision {W} exhausted ({exc}); retrying", file=sys.stderr)
     raise last
 
 
 def cmd_analyze(job, args, out):
-    field = _job_field(job)
-    ram = int(job.get("e", 1))
-    policy = _job_policy(job)
-
-    def run(horizon):
-        f = _job_map(job, field, ram, horizon)
+    def analyze(f, W):
         profile = mult_profile(f.multiplier)
         report = dict(profile.report_dict())
         if not f.is_linear:
-            gauge = ps_gauge(f)
-            dp = disc_profile(profile, gauge)
-            report.update(dp.report_dict())
-        if args.display_epsilon:
-            eps = _parse_rational(args.display_epsilon)
-            report["display_epsilon"] = str(eps)
-            for key in ("v_m", "v_rho", "v_sigma"):
-                if key in report:
-                    report[f"abs_{key[2:]}"] = _epsilon_note(eps, report[key])
+            report.update(disc_profile(profile, ps_gauge(f)).report_dict())
         return report
 
-    report = _with_retries(policy, run)
+    report = _job_runner(job)(analyze)
+    if args.display_epsilon:
+        eps = _parse_rational(args.display_epsilon)
+        report["display_epsilon"] = str(eps)
+        for key in ("v_m", "v_rho", "v_sigma"):
+            if key in report:
+                report[f"abs_{key[2:]}"] = _epsilon_note(eps, report[key])
     json.dump(report, out, indent=2, sort_keys=True)
     out.write("\n")
     return 0
 
 
 def cmd_solve(job, args, out):
-    field = _job_field(job)
-    ram = int(job.get("e", 1))
-    policy = _job_policy(job)
-    D = args.degree or int(job.get("degree", 64))
+    run = _job_runner(job)
+    D = _degree(job, args, 64)
 
-    def run(horizon):
-        f = _job_map(job, field, ram, horizon)
-        g = solve_sfe(f, D, window=horizon)
+    def solve(f, W):
+        g = solve_sfe(f, D, window=W)
         zeros = check_structural_zeros(g, f)
         bounds = check_coefficient_bound(g, ps_gauge(f), f) if not f.is_linear \
             else None
         return g, zeros, bounds
 
-    g, zeros, bounds = _with_retries(policy, run)
+    g, zeros, bounds = run(solve)
     out.write(g.csv())
     if zeros.applicable and zeros.violations:
         print(f"structural zero violations at {zeros.violations}", file=sys.stderr)
@@ -174,16 +220,9 @@ def cmd_solve(job, args, out):
 
 
 def cmd_certify_divergence(job, args, out):
-    field = _job_field(job)
-    ram = int(job.get("e", 1))
-    policy = _job_policy(job)
-    nmax = int(job.get("Nmax", 4))
-
-    def run(horizon):
-        f = _job_map(job, field, ram, horizon)
-        return certify_divergence(f, nmax, window=horizon)
-
-    cert = _with_retries(policy, run)
+    run = _job_runner(job)
+    nmax = _int_of(job.get("Nmax", 4), "Nmax")
+    cert = run(lambda f, W: certify_divergence(f, nmax, window=W))
     header = {
         "verdict": cert.verdict,
         "m": cert.profile.m,
@@ -196,23 +235,12 @@ def cmd_certify_divergence(job, args, out):
 
 
 def cmd_disc(job, args, out):
-    field = _job_field(job)
-    ram = int(job.get("e", 1))
-    policy = _job_policy(job)
-    kappa_max = job.get("kappa_max")
-    D = args.degree or job.get("degree")
-
-    def run(horizon):
-        f = _job_map(job, field, ram, horizon)
-        return classify_linearization_disc(
-            f,
-            D=int(D) if D else None,
-            window=horizon,
-            kappa_max=int(kappa_max) if kappa_max else None,
-            horizon=max(horizon, 128),
-        )
-
-    report = _with_retries(policy, run).report_dict()
+    run = _job_runner(job)
+    D = _degree(job, args, None)
+    kappa_max = _int_of(job.get("kappa_max"), "kappa_max")
+    report = run(
+        lambda f, W: classify_linearization_disc(f, D=D, window=W, kappa_max=kappa_max)
+    ).report_dict()
     if args.display_epsilon:
         eps = _parse_rational(args.display_epsilon)
         report["display_epsilon"] = str(eps)
@@ -223,29 +251,20 @@ def cmd_disc(job, args, out):
 
 
 def cmd_sweep(job, args, out):
-    field = _job_field(job)
-    ram = int(job.get("e", 1))
-    policy = _job_policy(job)
-    D = args.degree or int(job.get("degree", 64))
-    tail = int(job.get("tail", 8))
+    run = _job_runner(job)
+    D = _degree(job, args, 64)
+    tail = _int_of(job.get("tail", 8), "tail")
     instances = job.get("instances", [])
-    if not isinstance(instances, list):
+    if not isinstance(instances, list) or not all(isinstance(i, dict) for i in instances):
         raise ParseError("'instances' must be a list of {lambda, f} objects")
     out.write("instance,k,slope_num,slope_den\n")
     for idx, inst in enumerate(instances):
-        merged = dict(job)
-        merged.update(inst)
-
-        def run(horizon, merged=merged):
-            f = _job_map(merged, field, ram, horizon)
-            return solve_sfe(f, D, window=horizon)
-
-        g = _with_retries(policy, run)
+        g = run(lambda f, W: solve_sfe(f, D, window=W), {**job, **inst})
         reported = 0
         for k in range(D, 1, -1):
             if g.zero_kind[k] != NONZERO:
                 continue
-            slope = Fraction(g.coeffs[k].lead, ram * k)
+            slope = g.valuation(k).value / k
             out.write(f"{idx},{k},{slope.numerator},{slope.denominator}\n")
             reported += 1
             if reported >= tail:
@@ -270,7 +289,7 @@ def build_parser():
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--job", required=True, help="path to a JSON job file")
-    parser.add_argument("--degree", type=int, default=None, help="override solve degree D")
+    parser.add_argument("--degree", default=None, help="override solve degree D")
     parser.add_argument("--out", default=None, help="write data to this file instead of stdout")
     parser.add_argument(
         "--display-epsilon",

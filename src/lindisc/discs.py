@@ -34,7 +34,6 @@ from .powerseries import (
 )
 from .schroder import (
     NONZERO,
-    STRUCTURAL,
     check_coefficient_bound,
     check_structural_zeros,
     solve_sfe,
@@ -320,8 +319,10 @@ def verify_indifferent(f, point, kappa):
     return residual, mult
 
 
-def classify_linearization_disc(f, D=None, window=32, kappa_max=None, horizon=128):
-    """Full certification pipeline for a p-divisible map.
+def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
+    """Full certification pipeline for a p-divisible map.  The conjugacy
+    is solved at the working precision ``window``; a boundary periodic
+    point is lifted to the horizon 4·window.
 
     GENERIC-SIGMA: full conjugacy certified on the open disc of radius σ.
     EXTENDED-RHO:  b_{k'} proven zero, one-to-one radius extends to ρ.
@@ -357,7 +358,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None, horizon=12
         e = dp.v_sigma.value.denominator * f.ram
         sphere = make_disc(dp.v_sigma, "closed")
         periodic = find_periodic_point(
-            f, kappa_max or kp, sphere, tower=(_R_MAX, e), horizon=horizon
+            f, kappa_max or kp, sphere, tower=(_R_MAX, e), horizon=4 * window
         )
         if periodic is None:
             notes.append(
@@ -372,7 +373,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None, horizon=12
             )
             if not residual.is_infinite or mult.lead != 0:
                 raise CertificateError("periodic point failed verification")
-    elif b_kp.is_exact_zero and g.zero_kind[kp] == STRUCTURAL:
+    elif b_kp.is_exact_zero:
         level = LEVEL_EXTENDED
         disc = make_disc(dp.v_rho, "open")
         notes.append("b_{k'} = 0: full conjugacy extends to the semi-disc")

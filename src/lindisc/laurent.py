@@ -20,7 +20,6 @@ result's horizon is the minimum horizon its inputs justify.
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -114,28 +113,6 @@ class Valuation:
         if self.value is None:
             return "inf"
         return f"{self.value.numerator}/{self.value.denominator}"
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Initial horizon, cap, and whether pipelines may retry at doubled
-    horizons after a precision failure."""
-
-    initial: int = 32
-    maximum: int = 1024
-    auto_retry: bool = True
-
-    def __post_init__(self):
-        if not (0 < self.initial <= self.maximum):
-            raise ValueError("require 0 < initial horizon <= max horizon")
-
-    def horizons(self):
-        m = self.initial
-        while True:
-            yield m
-            if m >= self.maximum or not self.auto_retry:
-                return
-            m = min(2 * m, self.maximum)
 
 
 def _convolve(params, a, b):
@@ -327,11 +304,11 @@ class LaurentSeries:
             return self.scale(self.field.element(other))
         self._check(other)
         if self.is_zero_as_known or other.is_zero_as_known:
+            if self.is_exact_zero or other.is_exact_zero:
+                return LaurentSeries.zero(self.field, self.ram, 0, exact=True)
             prec = min(
                 self._effective_prec() + other.lead, other._effective_prec() + self.lead
             )
-            if math.isinf(prec):
-                return LaurentSeries.zero(self.field, self.ram, 0, exact=True)
             return LaurentSeries.zero(self.field, self.ram, int(prec))
         prec = min(
             self._effective_prec() + other.lead, other._effective_prec() + self.lead

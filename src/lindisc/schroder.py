@@ -14,6 +14,7 @@ valuation is asserted against the closed form each time.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
@@ -37,16 +38,27 @@ COMPUTED_ZERO = "computed-zero"
 NONZERO = "nonzero"
 
 
+def _zero_kind(series):
+    """How a coefficient's vanishing (or not) is known: an exact zero is
+    structural, a zero to precision is computed."""
+    if not series.is_zero_as_known:
+        return NONZERO
+    return STRUCTURAL if series.exact else COMPUTED_ZERO
+
+
 @dataclass(frozen=True)
 class Conjugacy:
-    """Coefficients b_k of the normalized formal conjugacy up to degree D,
-    each tagged with how its vanishing (or not) is known."""
+    """Coefficients b_k of the normalized formal conjugacy up to degree D."""
 
     coeffs: dict
-    zero_kind: dict
     profile: object
     source: str
     D: int
+
+    @cached_property
+    def zero_kind(self):
+        """Degree -> STRUCTURAL, COMPUTED_ZERO or NONZERO."""
+        return {k: _zero_kind(s) for k, s in self.coeffs.items()}
 
     def coefficient(self, k):
         if k > self.D:
@@ -103,7 +115,6 @@ def solve_sfe(f, D, window=32):
     family = f.divisible_degrees() and not f.is_linear
 
     coeffs = {1: one}
-    kinds = {1: NONZERO}
     acc = DensePoly(field_, ram, D, window)
     fpow = DensePoly(field_, ram, D, window)
     for i, a in f.coeffs.items():
@@ -113,26 +124,22 @@ def solve_sfe(f, D, window=32):
     lam_pow = lam  # λ^{k-1}
     for k in range(2, D + 1):
         s_k = acc.column(k)
-        if family and k % p != 0:
-            if not s_k.is_zero_as_known:
-                raise CertificateError(
-                    f"degree {k} should vanish for p-divisible maps, got {s_k}"
-                )
-            b_k, kind = exact_zero, STRUCTURAL
-        elif s_k.is_exact_zero:
-            b_k, kind = exact_zero, STRUCTURAL
+        structural = family and k % p != 0
+        if structural and not s_k.is_zero_as_known:
+            raise CertificateError(
+                f"degree {k} should vanish for p-divisible maps, got {s_k}"
+            )
+        if structural or s_k.is_exact_zero:
+            b_k = exact_zero
         else:
             div = _divisor_series(lam_pow, lam, profile, k, ram)
-            inv = div.truncate_relative(window).inverse()
-            b_k = s_k * inv
-            kind = COMPUTED_ZERO if b_k.is_zero_as_known else NONZERO
+            b_k = s_k * div.truncate_relative(window).inverse()
         coeffs[k] = b_k
-        kinds[k] = kind
         if k < D:
             fpow = fpow.mul_by_map(f)
             acc.add_scaled(b_k, fpow)
             lam_pow = lam_pow * lam
-    return Conjugacy(coeffs, kinds, profile, "term-matching", D)
+    return Conjugacy(coeffs, profile, "term-matching", D)
 
 
 def _multinomial_mod_p(l, alphas, p):
@@ -200,7 +207,6 @@ def solve_sfe_multinomial(f, D, window=32):
         return power_cache[key]
 
     coeffs = {1: one}
-    kinds = {1: NONZERO}
     lam_pow = lam
     for k in range(2, D + 1):
         total = None
@@ -221,15 +227,12 @@ def solve_sfe_multinomial(f, D, window=32):
                 term = term * b_l
                 total = term if total is None else total + term
         if total is None or total.is_exact_zero:
-            b_k, kind = exact_zero, STRUCTURAL
+            coeffs[k] = exact_zero
         else:
             div = _divisor_series(lam_pow, lam, profile, k, ram)
-            b_k = total * div.truncate_relative(window).inverse()
-            kind = COMPUTED_ZERO if b_k.is_zero_as_known else NONZERO
-        coeffs[k] = b_k
-        kinds[k] = kind
+            coeffs[k] = total * div.truncate_relative(window).inverse()
         lam_pow = lam_pow * lam
-    return Conjugacy(coeffs, kinds, profile, "multinomial", D)
+    return Conjugacy(coeffs, profile, "multinomial", D)
 
 
 def _p_plus_1_shape(f):
@@ -288,22 +291,10 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
             continue
         div = _divisor_series(lam_power(j * p), lam, profile, j * p + 1, ram)
         b[j] = total * div.truncate_relative(window).inverse()
-    coeffs = {}
-    kinds = {}
-    for k in range(1, D + 1):
-        if (k - 1) % p == 0:
-            j = (k - 1) // p
-            coeffs[k] = b[j]
-            if b[j].is_exact_zero:
-                kinds[k] = STRUCTURAL
-            elif b[j].is_zero_as_known:
-                kinds[k] = COMPUTED_ZERO
-            else:
-                kinds[k] = NONZERO
-        else:
-            coeffs[k] = exact_zero
-            kinds[k] = STRUCTURAL
-    return Conjugacy(coeffs, kinds, profile, "specialized", D)
+    coeffs = {
+        k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
+    }
+    return Conjugacy(coeffs, profile, "specialized", D)
 
 
 @dataclass(frozen=True)

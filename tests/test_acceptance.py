@@ -13,6 +13,7 @@ import pytest
 
 from lindisc import (
     FieldParams,
+    LaurentSeries,
     PowerSeriesMap,
     certify_divergence,
     check_bkprime_zero_extension,
@@ -35,7 +36,7 @@ from lindisc import (
     solve_specialized_p_plus_1,
 )
 from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED
-from lindisc.schroder import STRUCTURAL
+from lindisc.schroder import NONZERO, STRUCTURAL
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -218,9 +219,11 @@ def test_criterion_7():
                 ), (lam.render(), n)
 
 
-def classify_char2_quadratic(window=32, horizon=128):
+def classify_char2_quadratic(window=32):
+    """The periodic point is lifted to the horizon 4·window."""
+    horizon = 4 * window
     f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
-    report = classify_linearization_disc(f, window=window, horizon=horizon)
+    report = classify_linearization_disc(f, window=window)
     assert report.level == LEVEL_EXACT
     assert report.disc_profile.v_sigma.value == 1
     assert (report.degree_open, report.degree_closed) == (1, 2)
@@ -290,9 +293,53 @@ def test_criterion_11():
         baseline = divergence_values_p2(window=32)
         doubled = divergence_values_p2(window=64)
         assert baseline == doubled == [-2, -6, -16, -40, -96, -224, -512, -1152]
-        r1 = classify_char2_quadratic(window=32, horizon=128)
-        r2 = classify_char2_quadratic(window=64, horizon=256)
+        r1 = classify_char2_quadratic(window=32)
+        r2 = classify_char2_quadratic(window=64)
         assert r1.level == r2.level
         assert r1.disc.v_radius == r2.disc.v_radius
         assert (r1.degree_open, r1.degree_closed) == (r2.degree_open, r2.degree_closed)
         assert r2.periodic_point.point.agrees_with(r1.periodic_point.point)
+        rng = random.Random(1111)
+        for p in (2, 3, 5):
+            for r in (1, 2):
+                field = FieldParams(p, r)
+                for ram in (1, 2):
+                    for family in (True, False):
+                        f = tower_corpus_map(field, ram, family, rng)
+                        assert_stable_under_doubling(f, D=24, window=16)
+
+
+def tower_corpus_map(field, ram, family, rng):
+    """lambda = unit + unit*U^j and three monomial-like terms, over
+    F_{p^r}((U)) with U^ram = T; the degrees are multiples of p when
+    ``family``."""
+    p, r = field.p, field.r
+
+    def unit():
+        return [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(r - 1)]
+
+    j = rng.randrange(1, 3)
+    lam_rows = [unit()] + [[0] * r] * (j - 1) + [unit()]
+    coeffs = {1: LaurentSeries(field, ram, 0, lam_rows, j + 1, exact=True)}
+    degrees = range(p, 4 * p + 1, p) if family else range(2, 13)
+    for d in rng.sample(list(degrees), 3):
+        lead = rng.randrange(0, 2 * ram)
+        rows = [unit(), [rng.randrange(p) for _ in range(r)]]
+        coeffs[d] = LaurentSeries(field, ram, lead, rows, lead + 2, exact=True)
+    return PowerSeriesMap(coeffs)
+
+
+def assert_stable_under_doubling(f, D, window):
+    """Solving at 2·window changes no known digit: every b_k agrees on the
+    common horizon, keeps its zero kind when exact zero, keeps its lead
+    when nonzero, and loses no known digit (prec - lead)."""
+    g1 = solve_sfe(f, D, window=window)
+    g2 = solve_sfe(f, D, window=2 * window)
+    for k in range(1, D + 1):
+        a, b = g1.coeffs[k], g2.coeffs[k]
+        assert b.agrees_with(a), k
+        if g1.zero_kind[k] == STRUCTURAL:
+            assert g2.zero_kind[k] == STRUCTURAL, k
+        if g1.zero_kind[k] == NONZERO:
+            assert g2.zero_kind[k] == NONZERO and b.lead == a.lead, k
+            assert b.prec - b.lead >= a.prec - a.lead, k

@@ -54,3 +54,21 @@ def test_tracer_and_capture_wrap_a_job_and_undo(tmp_path, capsys):
         patcher.undo()
     assert entry_points() == originals
     capsys.readouterr()
+
+
+def test_capture_records_the_disc_periodic_point(tmp_path, capsys):
+    """``Capture`` reads ``periodic_point`` off what ``_with_retries``
+    returns, so the disc pipeline must return the report object."""
+    harness = load("harness")
+    job = tmp_path / "q.json"
+    job.write_text(json.dumps({"p": 2, "lambda": "1+T", "f": {"2": "1"}}))
+    patcher = harness.Patcher()
+    try:
+        capture = harness.Capture(patcher)
+        assert cli.main(["disc", "--job", str(job)]) == 0
+        _, points = capture.take()
+        assert [pp.kappa for pp in points] == [1]
+        assert points[0].point.prec >= 128
+    finally:
+        patcher.undo()
+    capsys.readouterr()

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import lindisc.cli
 import lindisc.discs
 from lindisc.cli import main
-from lindisc.schroder import ZeroReport
+from lindisc.errors import PrecisionError
+from lindisc.schroder import ZeroReport, solve_sfe
 
 
 def write_job(tmp_path, name, payload):
@@ -184,3 +186,85 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
         assert decorated_report[key] == value
     assert decorated_report["display_epsilon"] == "1/2"
     assert decorated_report["abs_sigma"] == "1/2^(1/1)"
+
+
+@pytest.mark.parametrize(
+    "command, change, key",
+    [
+        ("analyze", {"precision": {"initial": 0}}, "precision.initial"),
+        ("analyze", {"precision": {"initial": 2000}}, "precision.initial"),
+        ("analyze", {"precision": {"initial": 32, "maximum": 64}}, "maximum"),
+        ("analyze", {"precision": {"auto_retry": False}}, "auto_retry"),
+        ("analyze", {"e": 0}, "e"),
+        ("analyze", {"p": "two"}, "p"),
+        ("analyze", {"p": 2.0}, "p"),
+        ("analyze", {"r": True}, "r"),
+        ("solve", {"degree": "x"}, "degree"),
+        ("solve", {"degree": -3}, "degree"),
+        ("solve", {"degree": 3.7}, "degree"),
+        ("certify-divergence", {"Nmax": 0}, "Nmax"),
+        ("sweep", {"tail": "1.5", "instances": []}, "tail"),
+        ("disc", {"kappa_max": 0}, "kappa_max"),
+        ("sweep", {"instances": [3]}, "instances"),
+        ("analyze", {"r": 2, "modulus": "x^2+x+1"}, "modulus"),
+        ("analyze", {"r": 2, "modulus": [1, 1.5, 1]}, "modulus"),
+    ],
+)
+def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
+    base = {"p": 2, "lambda": "1+T", "f": {"3" if command == "certify-divergence" else "2": "1"}}
+    job = write_job(tmp_path, "bad.json", {**base, **change})
+    code, out, err = run(capsys, [command, "--job", job])
+    assert code == 2, err
+    assert out == "" and key in err
+
+
+def test_malformed_degree_flag_exits_2(tmp_path, capsys):
+    job = write_job(tmp_path, "q.json", QUADRATIC)
+    code, _, err = run(capsys, ["solve", "--job", job, "--degree", "0"])
+    assert code == 2 and "--degree" in err
+
+
+def test_decimal_strings_read_as_integers(tmp_path, capsys):
+    job = write_job(tmp_path, "q.json", {**QUADRATIC, "p": "2", "degree": "4"})
+    code, out, _ = run(capsys, ["solve", "--job", job])
+    assert code == 0 and len(out.strip().splitlines()) == 5
+
+
+def test_supplied_modulus(tmp_path, capsys):
+    payload = {"p": 2, "r": 2, "modulus": [1, "1", 1], "lambda": "b+T", "f": {"4": "1"}}
+    code, out, _ = run(capsys, ["analyze", "--job", write_job(tmp_path, "m.json", payload)])
+    assert code == 0 and json.loads(out)["k_prime"] == 4
+
+
+def solve_needing(monkeypatch, least_window):
+    """solve_sfe as seen by the CLI, failing below ``least_window``; returns
+    the working precisions it was called at."""
+    windows = []
+
+    def solver(f, D, window=32):
+        windows.append(window)
+        if window < least_window:
+            raise PrecisionError(f"needs W >= {least_window}")
+        return solve_sfe(f, D, window)
+
+    monkeypatch.setattr(lindisc.cli, "solve_sfe", solver)
+    return windows
+
+
+def test_retry_doubles_the_working_precision(tmp_path, capsys, monkeypatch):
+    windows = solve_needing(monkeypatch, 64)
+    job = write_job(tmp_path, "q.json", QUADRATIC)
+    code, out, err = run(capsys, ["solve", "--job", job, "--degree", "4"])
+    assert code == 0
+    assert windows == [32, 64]
+    assert "precision 32 exhausted" in err
+    assert out.splitlines()[2] == "2,-1,1,nonzero"
+
+
+def test_retry_stops_at_the_largest_working_precision(tmp_path, capsys, monkeypatch):
+    windows = solve_needing(monkeypatch, 2048)
+    job = write_job(tmp_path, "q.json", {**QUADRATIC, "precision": {"initial": 1024}})
+    code, out, err = run(capsys, ["solve", "--job", job, "--degree", "4"])
+    assert code == 3
+    assert windows == [1024]
+    assert out == "" and "needs W >= 2048" in err

@@ -29,12 +29,6 @@ def assert_agrees(poly, table):
         assert column._effective_prec() <= exact._effective_prec(), d
 
 
-def known(table):
-    """A table without exact zeros.  LaurentSeries gives 0·s the horizon
-    of s; the engine keeps 0·s exact, which is also sound."""
-    return {d: s for d, s in table.items() if not s.is_exact_zero}
-
-
 def random_rows(field, rng, n):
     return [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(n)]
 
@@ -77,7 +71,6 @@ def test_invariant_and_values_after_every_operation():
             for d in rng.sample(range(D + 1), 4):
                 table[d] = random_series(field, ram, rng)
                 poly.set_column(d, table[d])
-            table = known(table)
             assert_invariant(poly)
             assert_agrees(poly, table)
             acc = DensePoly(field, ram, D, W)
@@ -85,12 +78,10 @@ def test_invariant_and_values_after_every_operation():
             for _ in range(5):
                 scalar = random_series(field, ram, rng)
                 acc.add_scaled(scalar, poly)
-                if not scalar.is_exact_zero:
-                    scaled = known({d: scalar * s for d, s in table.items()})
-                    acc_table = known(_table_add(acc_table, scaled))
+                acc_table = _table_add(acc_table, {d: scalar * s for d, s in table.items()})
                 assert_invariant(acc)
                 assert_agrees(acc, acc_table)
                 poly = poly.mul_by_map(f)
-                table = known(_table_mul(table, f.coeffs, D))
+                table = _table_mul(table, f.coeffs, D)
                 assert_invariant(poly)
                 assert_agrees(poly, table)

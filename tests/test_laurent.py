@@ -66,6 +66,16 @@ def test_multiplication_precision_rule():
     assert prod.lead == 3
 
 
+def test_exact_zero_times_inexact_series_is_exact_zero():
+    zero = LaurentSeries.zero(F2, exact=True)
+    s = parse_series("T^3+T^4+O(T^13)", F2)
+    for prod in (zero * s, s * zero):
+        assert prod.is_exact_zero
+    # a zero known only to O(T^5) still caps the product's horizon: 5 + 3
+    prod = LaurentSeries.zero(F2, prec=5) * s
+    assert prod.is_zero_as_known and not prod.exact and prod.prec == 8
+
+
 def test_exact_series_survive_arithmetic():
     a = parse_series("1+T", F2)
     b = parse_series("T^3", F2)
