@@ -167,14 +167,15 @@ def _epsilon_note(eps, valuation_str):
 def _with_retries(policy, run):
     """run(W) for each working precision W of the schedule ``policy``
     until one does not exhaust precision."""
-    last = None
-    for W in policy:
+    windows = list(policy)
+    for n, W in enumerate(windows, 1):
         try:
             return run(W)
         except PrecisionError as exc:
-            last = exc
+            if n == len(windows):
+                print(f"precision {W} exhausted ({exc})", file=sys.stderr)
+                raise
             print(f"precision {W} exhausted ({exc}); retrying", file=sys.stderr)
-    raise last
 
 
 def cmd_analyze(job, args, out):

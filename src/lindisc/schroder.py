@@ -104,7 +104,11 @@ def solve_sfe(f, D, window=32):
     divided by λ(1 − λ^{k-1}).
 
     When every nonlinear degree of f is divisible by p, coefficients of
-    degree k > 1 with p ∤ k are proven zero and short-circuited.
+    degree k > 1 with p ∤ k are proven zero and short-circuited, so only
+    the powers f^{pj} enter the sum: f^p is formed by p − 1 products by f,
+    and each later f^{p(j+1)} as f^{pj}·f^p.  Other maps form every f^k
+    as f^{k-1}·f.  The sum is read at every degree, so the proven zeros
+    are checked against the computed products.
     """
     lam = f.multiplier
     profile = mult_profile(lam)
@@ -113,14 +117,16 @@ def solve_sfe(f, D, window=32):
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     p = field_.p
     family = f.divisible_degrees() and not f.is_linear
+    step = p if family else 1
 
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
-    fpow = DensePoly(field_, ram, D, window)
+    fpow = DensePoly(field_, ram, D, window)  # the highest power of f formed
     for i, a in f.coeffs.items():
         if i <= D:
             fpow.set_column(i, a)
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
+    stride = None  # factor table of f^p for p-divisible maps
     lam_pow = lam  # λ^{k-1}
     for k in range(2, D + 1):
         s_k = acc.column(k)
@@ -135,10 +141,16 @@ def solve_sfe(f, D, window=32):
             div = _divisor_series(lam_pow, lam, profile, k, ram)
             b_k = s_k * div.truncate_relative(window).inverse()
         coeffs[k] = b_k
-        if k < D:
-            fpow = fpow.mul_by_map(f)
+        if k < D and k % step == 0:
+            if family and k > p:
+                fpow = fpow.mul_factors(stride)
+            else:  # f^{k-1}·f, or f^p from f when k = p
+                for _ in range(k - 1 if family else 1):
+                    fpow = fpow.mul_by_map(f)
+                if family:
+                    stride = fpow.factors()
             acc.add_scaled(b_k, fpow)
-            lam_pow = lam_pow * lam
+        lam_pow = lam_pow * lam
     return Conjugacy(coeffs, profile, "term-matching", D)
 
 

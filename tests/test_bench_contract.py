@@ -33,11 +33,13 @@ def entry_points():
     )
 
 
-def test_tracer_and_capture_wrap_a_job_and_undo(tmp_path, capsys):
+def traced_solve(tmp_path, f):
+    """Run one ``solve`` job over F_2 at degree 6 through the tracer and
+    the capture, check both wrapped the entry points and undo them."""
     harness = load("harness")
     tracer_module = load("tracer")
     job = tmp_path / "q.json"
-    job.write_text(json.dumps({"p": 2, "lambda": "1+T", "f": {"2": "1"}}))
+    job.write_text(json.dumps({"p": 2, "lambda": "1+T", "f": f}))
     originals = entry_points()
     patcher = harness.Patcher()
     try:
@@ -47,12 +49,28 @@ def test_tracer_and_capture_wrap_a_job_and_undo(tmp_path, capsys):
         assert cli.main(["solve", "--job", str(job), "--degree", "6"]) == 0
         results, _ = capture.take()
         assert [g.D for _, _, g in results] == [6]
-        assert tracer.stats["dense.mul_by_map"][0] > 0
-        assert tracer.stats["dense.add_scaled"][0] > 0
-        assert tracer.counts["dense.bytes_computed"] > 0
     finally:
         patcher.undo()
     assert entry_points() == originals
+    return tracer
+
+
+def test_tracer_and_capture_wrap_a_job_and_undo(tmp_path, capsys):
+    """A p-divisible map: one product by f builds f^2, later powers are
+    products by f^2."""
+    tracer = traced_solve(tmp_path, {"2": "1"})
+    assert tracer.stats["dense.mul_by_map"][0] == 1
+    assert tracer.stats["dense.add_scaled"][0] > 0
+    assert tracer.counts["dense.bytes_computed"] > 0
+    capsys.readouterr()
+
+
+def test_tracer_reads_a_map_of_degree_prime_to_p(tmp_path, capsys):
+    """Every power f^2 .. f^5 is a product by f, so the tracer reads
+    ``f.coeffs`` on the one-step path too."""
+    tracer = traced_solve(tmp_path, {"3": "1"})
+    assert tracer.stats["dense.mul_by_map"][0] == 4
+    assert tracer.counts["dense.bytes_computed"] > 0
     capsys.readouterr()
 
 

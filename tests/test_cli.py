@@ -257,7 +257,7 @@ def test_retry_doubles_the_working_precision(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["solve", "--job", job, "--degree", "4"])
     assert code == 0
     assert windows == [32, 64]
-    assert "precision 32 exhausted" in err
+    assert "precision 32 exhausted" in err and "retrying" in err
     assert out.splitlines()[2] == "2,-1,1,nonzero"
 
 
@@ -268,3 +268,4 @@ def test_retry_stops_at_the_largest_working_precision(tmp_path, capsys, monkeypa
     assert code == 3
     assert windows == [1024]
     assert out == "" and "needs W >= 2048" in err
+    assert "precision 1024 exhausted" in err and "retrying" not in err

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from lindisc import FieldParams, LaurentSeries, PowerSeriesMap
+from lindisc import FieldParams, LaurentSeries, PowerSeriesMap, parse_series
 from lindisc._dense import _INF_CUT, DensePoly
 from lindisc.powerseries import _table_add, _table_mul
 
@@ -59,11 +59,24 @@ def random_map(field, ram, rng, D):
     return PowerSeriesMap(coeffs)
 
 
+FIELDS = (FieldParams(2), FieldParams(3), FieldParams(2, 2), FieldParams(2, 4))
+
+
+def random_poly(field, ram, rng, D, W):
+    """A DensePoly and its table: leading exact-zero columns, then
+    columns of every kind, some left exactly zero."""
+    poly, table = DensePoly(field, ram, D, W), {}
+    for d in range(rng.randrange(0, D // 2), D + 1):
+        if rng.random() < 0.6:
+            table[d] = random_series(field, ram, rng)
+            poly.set_column(d, table[d])
+    return poly, table
+
+
 def test_invariant_and_values_after_every_operation():
     rng = random.Random(31)
     D, W = 10, 12
-    fields = (FieldParams(2), FieldParams(3), FieldParams(2, 2), FieldParams(2, 4))
-    for field in fields:
+    for field in FIELDS:
         for ram in (1, 2):
             f = random_map(field, ram, rng, D)
             poly = DensePoly(field, ram, D, W)
@@ -85,3 +98,43 @@ def test_invariant_and_values_after_every_operation():
                 table = _table_mul(table, f.coeffs, D)
                 assert_invariant(poly)
                 assert_agrees(poly, table)
+
+
+def test_products_of_dense_polynomials():
+    """The product kernel on a factor table read off another DensePoly."""
+    rng = random.Random(37)
+    D, W = 10, 12
+    for field in FIELDS:
+        for ram in (1, 2):
+            for _ in range(4):
+                a, a_table = random_poly(field, ram, rng, D, W)
+                b, b_table = random_poly(field, ram, rng, D, W)
+                product = a.mul_factors(b.factors())
+                assert_invariant(product)
+                assert_agrees(product, _table_mul(a_table, b_table, D))
+
+
+def test_zero_to_precision_columns_are_live():
+    """A column known only to be O(T^2), below the first finite base,
+    still caps the horizons of products and sums."""
+    field, D, W = FieldParams(3), 6, 8
+    a, a_table = DensePoly(field, 1, D, W), {0: LaurentSeries.zero(field, 1, 2)}
+    a_table[3] = parse_series("1+T", field)
+    for d, s in a_table.items():
+        a.set_column(d, s)
+    b, b_table = DensePoly(field, 1, D, W), {1: parse_series("2+T^2", field)}
+    b.set_column(1, b_table[1])
+    f = PowerSeriesMap({1: b_table[1]})
+    for product, table in (
+        (a.mul_factors(b.factors()), _table_mul(a_table, b_table, D)),
+        (a.mul_by_map(f), _table_mul(a_table, f.coeffs, D)),
+        (b.mul_factors(a.factors()), _table_mul(b_table, a_table, D)),
+    ):
+        assert product.column(1).prec == 2
+        assert_invariant(product)
+        assert_agrees(product, table)
+    acc = DensePoly(field, 1, D, W)
+    acc.add_scaled(b_table[1], a)
+    assert acc.column(0).prec == 2
+    assert_invariant(acc)
+    assert_agrees(acc, {d: b_table[1] * s for d, s in a_table.items()})

@@ -25,8 +25,15 @@ from lindisc import (
     solve_specialized_p_plus_1,
     table_compose,
 )
+from lindisc._dense import DensePoly
 from lindisc.errors import HypothesisError, PrecisionError, RootOfUnityError
-from lindisc.schroder import COMPUTED_ZERO, NONZERO, STRUCTURAL, invert_at_point
+from lindisc.schroder import (
+    COMPUTED_ZERO,
+    NONZERO,
+    STRUCTURAL,
+    _divisor_series,
+    invert_at_point,
+)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -135,6 +142,73 @@ def test_term_matching_equals_multinomial_in_towers():
                 g1 = solve_sfe(f, D, window=24)
                 g2 = solve_sfe_multinomial(f, D, window=24)
                 assert conjugacies_agree(g1, g2, D), (field, ram, f)
+
+
+def one_step_solve(f, D, window):
+    """``solve_sfe``'s term matching with every power f^k formed as
+    f^{k-1}·f, the chain the stride by f^p must reproduce."""
+    field, ram, lam = f.field, f.ram, f.multiplier
+    profile = mult_profile(lam)
+    one = LaurentSeries.constant(field, 1, ram)
+    family = f.divisible_degrees() and not f.is_linear
+    acc, fpow = DensePoly(field, ram, D, window), DensePoly(field, ram, D, window)
+    for i, a in f.coeffs.items():
+        if i <= D:
+            fpow.set_column(i, a)
+    acc.add_scaled(one, fpow)
+    coeffs, lam_pow = {1: one}, lam
+    for k in range(2, D + 1):
+        s_k = acc.column(k)
+        if family and k % field.p:
+            assert s_k.is_zero_as_known, k
+            b_k = LaurentSeries.zero(field, ram, 0, exact=True)
+        elif s_k.is_exact_zero:
+            b_k = s_k
+        else:
+            div = _divisor_series(lam_pow, lam, profile, k, ram)
+            b_k = s_k * div.truncate_relative(window).inverse()
+        coeffs[k] = b_k
+        fpow = fpow.mul_by_map(f)
+        acc.add_scaled(b_k, fpow)
+        lam_pow = lam_pow * lam
+    return coeffs
+
+
+def family_map(field, ram, rng, degrees):
+    """A seeded map with nonlinear terms at the given degrees, each
+    coefficient using every coordinate of the residue field."""
+    r = field.r
+    rows = [random_unit(field, rng), random_unit(field, rng)]  # not a root of unity
+    coeffs = {1: LaurentSeries(field, ram, 0, rows, 2, exact=True)}
+    for d in degrees:
+        lead = rng.randrange(-ram, 2 * ram)
+        rows = [random_unit(field, rng)]
+        rows += [[rng.randrange(field.p) for _ in range(r)] for _ in range(2)]
+        coeffs[d] = LaurentSeries(field, ram, lead, rows, lead + 3, exact=True)
+    return PowerSeriesMap(coeffs)
+
+
+def test_stride_chain_equals_one_step_chain():
+    """For p-divisible maps ``solve_sfe`` forms f^{p(j+1)} as f^{pj}·f^p;
+    every coefficient is the one-step chain's, to the byte."""
+    rng = random.Random(41)
+    D, W = 26, 20
+    maps = []
+    for p in (2, 3, 5):
+        for r in (1, 2):
+            field = FieldParams(p, r)
+            for ram in (1, 2):
+                multiples = range(p, 3 * p + 1, p)
+                maps.append(family_map(field, ram, rng, rng.sample(multiples, 2)))
+    maps.append(family_map(F3, 1, rng, [3, 3 * D]))  # a degree above D
+    for f in maps:
+        assert f.divisible_degrees()
+        g = solve_sfe(f, D, window=W)
+        reference = one_step_solve(f, D, W)
+        for k in range(1, D + 1):
+            a, b = g.coefficient(k), reference[k]
+            assert (a.lead, a.prec, a.exact) == (b.lead, b.prec, b.exact), (f, k)
+            assert a.coeffs.tobytes() == b.coeffs.tobytes(), (f, k)
 
 
 def test_specialized_matches_term_matching():
