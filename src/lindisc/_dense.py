@@ -4,17 +4,23 @@ composition of coefficient tables is ``powerseries.table_compose``.
 
 A ``DensePoly`` holds, per x-degree d <= D, a window of W consecutive
 U-coefficients starting at ``base[d]`` together with the justified horizon
-``prec[d]``.  Both bulk operations are realignment gathers over whole
-column ranges, so the per-degree Python cost is constant:
+``prec[d]``.  Both bulk operations are one batched ``laurent._convolve``
+over a whole column range and one realignment gather into the result's
+windows, so the per-degree Python cost is constant:
 
-* the product by a *factor table*, one row ``(degree, valuation bound,
-  horizon, nonzero terms)`` per nonzero coefficient of the other factor.
-  ``mul_by_map`` builds the table from a map's exact coefficients,
-  ``factors`` from the columns of another ``DensePoly``, where a
-  column's base (or its horizon, where that is lower) bounds its
-  valuation;
+* ``mul``, the product by another ``DensePoly``: per live column of the
+  other factor, trimmed to its nonzero rows, one convolution with every
+  live column of self.  ``mul_by_map`` installs a map's exact
+  coefficients as the columns of a ``DensePoly`` and multiplies by it;
 * ``add_scaled``, the accumulation of a scalar multiple of another
-  polynomial.
+  polynomial: one convolution of its columns with the scalar.
+
+``set_column`` clamps a map coefficient to its first W digits, and that
+loses nothing.  A digit of f at ``lead + W`` or beyond reaches the
+product at x^(i+j) at ``base[j] + lead + W`` or beyond, which is at or
+past that column's horizon ``prec[j] + lead``, because ``prec[j] <=
+base[j] + W``; so is the horizon ``lead + W`` the clamped column carries,
+which therefore never lowers a product's horizon.
 
 Both skip the leading exact-zero columns (base and horizon INF) of the
 polynomial they read.  A column that is zero only to precision is live.
@@ -37,48 +43,10 @@ or f^{k-p}·f^p) gives the same bases, horizons and data.
 import numpy as np
 
 from .errors import PrecisionError
-from .field import FqElement
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, _convolve
 
 INF = np.int64(2**62)
 _INF_CUT = np.int64(2**61)
-
-
-def _terms(field, lead, rows):
-    """(U-exponent, coefficient) per nonzero row of coefficient rows
-    starting at U^lead, the coefficient ready for vectorised scaling: an
-    int for r = 1, a multiplication matrix for r > 1."""
-    out = []
-    for j in np.flatnonzero(rows.any(axis=1)):
-        row = rows[j]
-        if field.r == 1:
-            out.append((int(lead) + int(j), int(row[0])))
-        else:
-            out.append((int(lead) + int(j), FqElement(field, list(row)).mul_matrix()))
-    return out
-
-
-def _realigned(data, base, new_base):
-    """Column windows of ``data`` starting at ``base``, re-read from
-    ``new_base``: entries shifted out of the window, and columns where
-    either base is INF, read as zero."""
-    W = data.shape[1]
-    idx = np.arange(W)[None, :] - (base - new_base)[:, None]
-    finite = (base < _INF_CUT) & (new_base < _INF_CUT)
-    valid = (idx >= 0) & (idx < W) & finite[:, None]
-    gathered = np.take_along_axis(data, np.clip(idx, 0, W - 1)[:, :, None], axis=1)
-    return np.where(valid[:, :, None], gathered, 0)
-
-
-def _accumulate(acc, field, terms, data, base, new_base):
-    """acc += Σ c·U^s · (data, base) over the terms (s, c), each product
-    re-read from new_base."""
-    for s, op in terms:
-        gathered = _realigned(data, base + s, new_base)
-        if field.r == 1:
-            acc += gathered * op
-        else:
-            acc += gathered @ op.T
 
 
 def _clamp(values):
@@ -140,17 +108,18 @@ class DensePoly:
         leads = np.where(has, self.base[lo:] + first, self.prec[lo:])
         return np.minimum(leads, INF)
 
-    def factors(self):
-        """This polynomial as a factor table for ``mul_factors``."""
-        return [
-            (
-                int(d),
-                int(min(self.base[d], self.prec[d])),
-                int(self.prec[d]),
-                _terms(self.field, self.base[d], self.data[d]),
-            )
-            for d in np.flatnonzero(self.prec < _INF_CUT)
-        ]
+    def _realigned(self, data, base, new_base):
+        """Windows of W entries starting at ``new_base``, read from rows of
+        ``data`` (as wide as W or wider) starting at ``base``: entries
+        outside the rows, and columns where either base is INF, read as
+        zero."""
+        width = data.shape[1]
+        idx = np.arange(self.W)[None, :] - (base - new_base)[:, None]
+        finite = (base < _INF_CUT) & (new_base < _INF_CUT)
+        valid = (idx >= 0) & (idx < width) & finite[:, None]
+        clipped = np.clip(idx, 0, width - 1)[:, :, None]
+        gathered = np.take_along_axis(data, clipped, axis=1)
+        return np.where(valid[:, :, None], gathered, 0)
 
     # -- bulk operations ---------------------------------------------------------
 
@@ -160,48 +129,46 @@ class DensePoly:
         ``f`` is a PowerSeriesMap with exact coefficients of degree >= 1;
         its degrees above D only reach x-degrees above D.
         """
-        return self.mul_factors(
-            [
-                (i, a.lead, INF, _terms(self.field, a.lead, a.coeffs))
-                for i, a in sorted(f.coeffs.items())
-                if i <= self.D
-            ]
-        )
+        g = DensePoly(self.field, self.ram, self.D, self.W)
+        for i, a in f.coeffs.items():
+            if i <= self.D:
+                g.set_column(i, a)
+        return self.mul(g)
 
-    def mul_factors(self, factors):
-        """Return self times the polynomial of a factor table, truncated
-        to x-degree D.
+    def mul(self, other):
+        """Return self * other, truncated to x-degree D.
 
-        The columns at x^j of self and at x^i of the factor contribute
+        The columns at x^j of self and at x^i of other contribute
         ``base[j] + v`` to the base at x^(i+j) and ``min(prec[j] + v,
-        b + h)`` to its horizon: v and h are the factor column's
-        valuation bound and horizon, b = min(base[j], prec[j]) bounds the
-        valuation of self's column.
+        b + h)`` to its horizon: v = min(base[i], prec[i]) bounds the
+        valuation of other's column and h = prec[i] is its horizon;
+        b = min(base[j], prec[j]) bounds the valuation of self's column.
         """
         D, W = self.D, self.W
         out = DensePoly(self.field, self.ram, D, W)
         lo = self._live()
-        factors = [row for row in factors if lo + row[0] <= D]
-        if not factors:
+        cols = np.flatnonzero(other.prec[: D + 1 - lo] < _INF_CUT)
+        if not cols.size:
             return out
         bounds = np.minimum(self.base, self.prec)
-        for i, v, h, _ in factors:
-            n = D + 1 - i
+        for i in cols:
+            v, h, n = min(other.base[i], other.prec[i]), other.prec[i], D + 1 - i
             out.base[lo + i :] = np.minimum(out.base[lo + i :], self.base[lo:n] + v)
-            cap = self.prec[lo:n] + v
-            if h < _INF_CUT:
-                cap = np.minimum(cap, bounds[lo:n] + h)
+            cap = np.minimum(self.prec[lo:n] + v, bounds[lo:n] + h)
             out.prec[lo + i :] = np.minimum(out.prec[lo + i :], cap)
         _clamp(out.base)
         _clamp(out.prec)
-        start = lo + min(row[0] for row in factors)
+        start = lo + cols[0]
         acc = np.zeros_like(out.data[start:])
-        for i, _, _, terms in factors:
+        for i in cols:
+            rows = np.flatnonzero(other.data[i].any(axis=1))
+            if not rows.size:
+                continue
             n = D + 1 - i
-            _accumulate(
-                acc[lo + i - start :], self.field, terms,
-                self.data[lo:n], self.base[lo:n], out.base[lo + i :],
-            )
+            column = other.data[i, rows[0] : rows[-1] + 1]
+            prod = _convolve(self.field, self.data[lo:n], column)
+            shifted = self.base[lo:n] + (other.base[i] + rows[0])
+            acc[lo + i - start :] += self._realigned(prod, shifted, out.base[lo + i :])
         out.data[start:] = acc % self.field.p
         out._mask_all()
         return out
@@ -223,15 +190,14 @@ class DensePoly:
         if not series.exact:
             # the scalar's unknown tail also caps the result horizon
             new_prec = np.minimum(new_prec, other._leads(lo) + series.prec)
-        terms = _terms(self.field, series.lead, series.coeffs)
-        if terms:
+        if not series.is_zero_as_known:
             data = self.data[lo:]
             moved = (base != new_base) & (base < _INF_CUT) & (new_base < _INF_CUT)
             if moved.any():
-                data = _realigned(data, base, new_base)
-            acc = data.astype(np.int64)
-            _accumulate(acc, self.field, terms, other.data[lo:], other.base[lo:], new_base)
-            self.data[lo:] = acc % self.field.p
+                data = self._realigned(data, base, new_base)
+            prod = _convolve(self.field, other.data[lo:], series.coeffs)
+            prod = self._realigned(prod, other.base[lo:] + series.lead, new_base)
+            self.data[lo:] = (data + prod) % self.field.p
             self.base[lo:] = new_base
         self.prec[lo:] = _clamp(new_prec)
         self._mask_all()

@@ -258,6 +258,10 @@ def cmd_sweep(job, args, out):
     instances = job.get("instances", [])
     if not isinstance(instances, list) or not all(isinstance(i, dict) for i in instances):
         raise ParseError("'instances' must be a list of {lambda, f} objects")
+    for inst in instances:
+        unknown = sorted(set(inst) - {"lambda", "f"})
+        if unknown:
+            raise ParseError(f"an instance takes only 'lambda' and 'f', got {unknown}")
     out.write("instance,k,slope_num,slope_den\n")
     for idx, inst in enumerate(instances):
         g = run(lambda f, W: solve_sfe(f, D, window=W), {**job, **inst})

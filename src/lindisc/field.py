@@ -99,8 +99,9 @@ class FieldParams:
     def __init__(self, p, r=1, modulus=None):
         if not _is_prime(p):
             raise FieldConstructionError(f"p = {p} is not prime")
-        # int64 sums in _convolve/mul_by_map/add_scaled take r·(rows of one operand)
-        # products < p² < 2³², so overflow needs an operand of 2³¹ entries (16 GB)
+        # only laurent._convolve accumulates in int64: each output entry
+        # sums at most r·min(La, Lb) products < p², and r·p² < 2³³ because
+        # p < 2¹⁶ and q < 2³², so overflow needs both operands of 2³⁰ rows
         if p >= 2**16:
             raise FieldConstructionError(f"p = {p} is too large: need p < 2^16")
         if r < 1:

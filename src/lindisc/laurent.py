@@ -116,30 +116,44 @@ class Valuation:
 
 
 def _convolve(params, a, b):
-    """Convolution of two coefficient arrays of shape (La, r), (Lb, r),
-    multiplying coefficients in F_{p^r}."""
+    """Convolution of coefficient arrays of shape (..., La, r) and (Lb, r),
+    multiplying coefficients in F_{p^r}; the result has shape
+    (..., La + Lb - 1, r).
+
+    Leading axes of ``a`` are a batch, served by one ``np.convolve`` per
+    coordinate pair (Kronecker substitution): each slice is followed by
+    Lb - 1 zero rows, which keep the slices' products apart.
+    """
     p, r = params.p, params.r
+    batch = a.shape[:-2]
+    la, lb = a.shape[-2], b.shape[0]
+    if batch:
+        padded = np.zeros(batch + (la + lb - 1, r), dtype=np.int64)
+        padded[..., :la, :] = a
+        a = padded.reshape(-1, r)
     if r == 1:
-        out = np.convolve(a[:, 0], b[:, 0]) % p
-        return out.reshape(-1, 1)
-    la, lb = a.shape[0], b.shape[0]
-    raw = np.zeros((la + lb - 1, 2 * r - 1), dtype=np.int64)
-    for s1 in range(r):
-        col = a[:, s1]
-        if not col.any():
-            continue
-        for s2 in range(r):
-            if not b[:, s2].any():
+        out = (np.convolve(a[:, 0], b[:, 0]) % p).reshape(-1, 1)
+    else:
+        raw = np.zeros((a.shape[0] + lb - 1, 2 * r - 1), dtype=np.int64)
+        for s1 in range(r):
+            col = a[:, s1]
+            if not col.any():
                 continue
-            raw[:, s1 + s2] += np.convolve(col, b[:, s2])
-    raw %= p
-    out = raw[:, :r].copy()
-    rows = params._reduction_rows
-    for t in range(r - 1):
-        c = raw[:, r + t]
-        if c.any():
-            out += c[:, None] * rows[t][None, :]
-    return out % p
+            for s2 in range(r):
+                if not b[:, s2].any():
+                    continue
+                raw[:, s1 + s2] += np.convolve(col, b[:, s2])
+        raw %= p
+        out = raw[:, :r].copy()
+        rows = params._reduction_rows
+        for t in range(r - 1):
+            c = raw[:, r + t]
+            if c.any():
+                out += c[:, None] * rows[t][None, :]
+        out %= p
+    if batch:
+        out = out[: a.shape[0]].reshape(batch + (la + lb - 1, r))
+    return out
 
 
 class LaurentSeries:

@@ -126,7 +126,7 @@ def solve_sfe(f, D, window=32):
         if i <= D:
             fpow.set_column(i, a)
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
-    stride = None  # factor table of f^p for p-divisible maps
+    stride = None  # f^p, for p-divisible maps
     lam_pow = lam  # λ^{k-1}
     for k in range(2, D + 1):
         s_k = acc.column(k)
@@ -143,12 +143,12 @@ def solve_sfe(f, D, window=32):
         coeffs[k] = b_k
         if k < D and k % step == 0:
             if family and k > p:
-                fpow = fpow.mul_factors(stride)
+                fpow = fpow.mul(stride)
             else:  # f^{k-1}·f, or f^p from f when k = p
                 for _ in range(k - 1 if family else 1):
                     fpow = fpow.mul_by_map(f)
                 if family:
-                    stride = fpow.factors()
+                    stride = fpow
             acc.add_scaled(b_k, fpow)
         lam_pow = lam_pow * lam
     return Conjugacy(coeffs, profile, "term-matching", D)

@@ -208,6 +208,18 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
         ("sweep", {"instances": [3]}, "instances"),
         ("analyze", {"r": 2, "modulus": "x^2+x+1"}, "modulus"),
         ("analyze", {"r": 2, "modulus": [1, 1.5, 1]}, "modulus"),
+        (
+            "sweep",
+            {
+                "degree": 8,
+                "tail": 2,
+                "instances": [
+                    {"f": {"3": "1"}, "p": 3, "degree": 4, "precision": {"initial": 0}}
+                ],
+            },
+            "['degree', 'p', 'precision']",
+        ),
+        ("sweep", {"instances": [{"lambda": "1+T"}, {"f": {"4": "1"}, "e": 2}]}, "['e']"),
     ],
 )
 def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 
 from lindisc import FieldParams, LaurentSeries, PowerSeriesMap, parse_series
-from lindisc._dense import _INF_CUT, DensePoly
+from lindisc._dense import _INF_CUT, INF, DensePoly
 from lindisc.powerseries import _table_add, _table_mul
 
 
@@ -101,7 +101,7 @@ def test_invariant_and_values_after_every_operation():
 
 
 def test_products_of_dense_polynomials():
-    """The product kernel on a factor table read off another DensePoly."""
+    """The product of two DensePolys, columns of every kind on both sides."""
     rng = random.Random(37)
     D, W = 10, 12
     for field in FIELDS:
@@ -109,9 +109,84 @@ def test_products_of_dense_polynomials():
             for _ in range(4):
                 a, a_table = random_poly(field, ram, rng, D, W)
                 b, b_table = random_poly(field, ram, rng, D, W)
-                product = a.mul_factors(b.factors())
+                product = a.mul(b)
                 assert_invariant(product)
                 assert_agrees(product, _table_mul(a_table, b_table, D))
+
+
+def sparse_series(field, ram, rng):
+    """A column like those of the Frobenius power f^p: a monomial, or
+    digits every p-th row with zero rows between them, sometimes known
+    to be followed by zero rows."""
+    lead = rng.randrange(-2, 4)
+    rows = [[0] * field.r for _ in range(field.p * rng.randrange(0, 3) + 1)]
+    for j in range(0, len(rows), field.p):
+        rows[j] = [rng.randrange(1, field.p)] + random_rows(field, rng, 1)[0][1:]
+    if rng.random() < 0.5:
+        return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
+    return LaurentSeries(field, ram, lead, rows, lead + len(rows) + rng.randrange(0, 4))
+
+
+def times_uniformizer(poly, table):
+    """U·poly formed as poly + (U − 1)·poly: each window keeps its base
+    and now starts with a zero row."""
+    field, ram = poly.field, poly.ram
+    unit = [1] + [0] * (field.r - 1)
+    rows = [[field.p - 1] + unit[1:], unit]
+    u_minus_one = LaurentSeries(field, ram, 0, rows, 2, exact=True)
+    out = DensePoly(field, ram, poly.D, poly.W)
+    out.add_scaled(LaurentSeries.constant(field, 1, ram), poly)
+    out.add_scaled(u_minus_one, poly)
+    assert not out.data[out.base < _INF_CUT, 0].any()
+    u = LaurentSeries.monomial(field, 1, ram=ram)
+    return out, {d: u * s for d, s in table.items()}
+
+
+def test_products_by_sparse_and_monomial_columns():
+    """Factor columns are trimmed to their nonzero rows, and what lies
+    before, between and beyond those rows still counts."""
+    rng = random.Random(47)
+    D, W = 10, 12
+    for field in FIELDS:
+        for ram in (1, 2):
+            for _ in range(3):
+                a, a_table = random_poly(field, ram, rng, D, W)
+                b, b_table = DensePoly(field, ram, D, W), {}
+                for d in rng.sample(range(D + 1), 5):
+                    b_table[d] = sparse_series(field, ram, rng)
+                    b.set_column(d, b_table[d])
+                c, c_table = times_uniformizer(b, b_table)
+                for x, y, x_table, y_table in (
+                    (a, b, a_table, b_table),
+                    (b, a, b_table, a_table),
+                    (a, c, a_table, c_table),
+                ):
+                    product = x.mul(y)
+                    assert_invariant(product)
+                    assert_agrees(product, _table_mul(x_table, y_table, D))
+
+
+def test_map_coefficients_longer_than_the_window():
+    """``mul_by_map`` keeps only the first W digits of a map coefficient.
+    No product digit below the horizon needs the rest, and the horizons
+    are the minimum rule's over the whole map, prec[j] + lead."""
+    rng = random.Random(43)
+    D, W = 8, 6
+    for field in FIELDS:
+        for ram in (1, 2):
+            a, a_table = random_poly(field, ram, rng, D, W)
+            f = random_map(field, ram, rng, D)
+            rows = random_rows(field, rng, 3 * W)
+            rows[0] = rows[-1] = [1] + rows[0][1:]
+            long = LaurentSeries(field, ram, -1, rows, 3 * W - 1, exact=True)
+            f = PowerSeriesMap({**f.coeffs, rng.randrange(2, D + 1): long})
+            product = a.mul_by_map(f)
+            assert_invariant(product)
+            assert_agrees(product, _table_mul(a_table, f.coeffs, D))
+            for d in range(D + 1):
+                caps = [a.prec[d - i] + c.lead for i, c in f.coeffs.items() if i <= d]
+                expected = min(caps, default=INF)
+                assert product.prec[d] == (INF if expected >= _INF_CUT else expected), d
 
 
 def test_zero_to_precision_columns_are_live():
@@ -126,9 +201,9 @@ def test_zero_to_precision_columns_are_live():
     b.set_column(1, b_table[1])
     f = PowerSeriesMap({1: b_table[1]})
     for product, table in (
-        (a.mul_factors(b.factors()), _table_mul(a_table, b_table, D)),
+        (a.mul(b), _table_mul(a_table, b_table, D)),
         (a.mul_by_map(f), _table_mul(a_table, f.coeffs, D)),
-        (b.mul_factors(a.factors()), _table_mul(b_table, a_table, D)),
+        (b.mul(a), _table_mul(b_table, a_table, D)),
     ):
         assert product.column(1).prec == 2
         assert_invariant(product)

@@ -14,6 +14,7 @@ from lindisc.errors import (
     PrecisionError,
     ZeroDivisionFieldError,
 )
+from lindisc.laurent import _convolve
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -206,3 +207,48 @@ def test_valuation_comparisons():
     assert Valuation(2) + Valuation(3) == 5
     assert str(Valuation(Fraction(-3, 2))) == "-3/2"
     assert str(Valuation.infinite()) == "inf"
+
+
+@pytest.mark.parametrize("field", [F3, F4, FieldParams(2, 4)], ids=["r1", "r2", "r4"])
+def test_batched_convolution_is_one_convolution_per_slice(field):
+    """Each slice of a batched product is the unbatched product: the zero
+    rows between slices keep them apart, at every length down to 1."""
+    rng = random.Random(field.q)
+    for la, lb in [(1, 1), (1, 5), (6, 1), (7, 4), (3, 9)]:
+        a = np.array(
+            [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(6 * la)]
+        ).reshape(2, 3, la, field.r)
+        b = np.array([[rng.randrange(field.p) for _ in range(field.r)] for _ in range(lb)])
+        batched = _convolve(field, a, b)
+        assert batched.shape == (2, 3, la + lb - 1, field.r)
+        for i in range(2):
+            for j in range(3):
+                assert (batched[i, j] == _convolve(field, a[i, j], b)).all()
+
+
+def int_convolve(field, a, b):
+    """The product of two coefficient arrays in Python ints, reduced by
+    the modulus and by p only at the end."""
+    p, r, modulus = field.p, field.r, list(field.modulus)
+    a, b = a.astype(object), b.astype(object)
+    raw = np.zeros((a.shape[0] + b.shape[0] - 1, 2 * r - 1), dtype=object)
+    for s1 in range(r):
+        for s2 in range(r):
+            raw[:, s1 + s2] += np.convolve(a[:, s1], b[:, s2])
+    for t in range(2 * r - 2, r - 1, -1):
+        for j in range(r + 1):
+            raw[:, t - r + j] -= raw[:, t] * modulus[j]
+    return raw[:, :r] % p
+
+
+@pytest.mark.parametrize(
+    "field", [FieldParams(65521, 1, [0, 1]), FieldParams(65521, 2, [17, 0, 1])],
+    ids=["r1", "r2"],
+)
+def test_convolution_at_the_largest_prime_is_exact(field):
+    """1024 rows of p - 1 at p = 65521: the int64 sums of products
+    (p - 1)² match Python integers, batched or not."""
+    a = np.full((1024, field.r), field.p - 1, dtype=np.int64)
+    expected = int_convolve(field, a, a).astype(np.int64)
+    assert (_convolve(field, a, a) == expected).all()
+    assert (_convolve(field, np.stack([a, a]), a) == expected).all()
