@@ -1,14 +1,17 @@
 """Batch command-line front-end.
 
-Commands read a self-describing JSON job file and write data to stdout
-(or --out); diagnostics go to stderr.  Exit codes: 0 success, 2 parse
-error (including a malformed or out-of-range job value), 3 mathematical
-error (root of unity, precision exhausted, hypothesis violation), 4
-certified-bound violation or failed internal self-check.
+Commands read a self-describing JSON job file and write data to stdout,
+or to --out once the command has succeeded; diagnostics go to stderr.
+Exit codes: 0 success, 2 parse error (including a malformed or
+out-of-range job value, an unknown job key, or an --out that cannot be
+written), 3 mathematical error (root of unity, precision exhausted,
+hypothesis violation), 4 certified-bound violation or failed internal
+self-check.
 
 Job keys: ``p``, ``r``, ``modulus`` and ``e`` fix the field F_{p^r}((T^(1/e)));
 ``lambda`` and ``f`` give the map; ``degree``, ``Nmax``, ``tail``,
-``kappa_max`` and ``instances`` are per command.  Integers are JSON
+``kappa_max`` and ``instances`` are per command; ``precision`` is below.
+Any other top-level key is a parse error.  Integers are JSON
 integers or decimal strings.  The one precision setting is the working
 precision W: every command runs through ``_job_runner``, which parses
 the map and runs the pipeline at W = ``precision.initial`` (default 32)
@@ -20,6 +23,7 @@ computation.
 """
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -46,6 +50,12 @@ EXIT_BOUND = 4
 # largest working precision W the retry schedule reaches
 MAX_WINDOW = 1024
 
+# every top-level key some command reads: one job file may serve several
+# commands (``analyze`` then ``disc`` on a file that sets ``kappa_max``)
+JOB_KEYS = frozenset(
+    "p r modulus e lambda f degree Nmax tail kappa_max instances precision".split()
+)
+
 
 def load_job(path):
     try:
@@ -59,6 +69,9 @@ def load_job(path):
         ) from exc
     if not isinstance(raw, dict):
         raise ParseError("job file must contain a JSON object")
+    unknown = sorted(set(raw) - JOB_KEYS)
+    if unknown:
+        raise ParseError(f"unknown job keys {unknown}; a job takes {sorted(JOB_KEYS)}")
     return raw
 
 
@@ -304,16 +317,23 @@ def build_parser():
     return parser
 
 
+def _write_out(path, text):
+    """Write a successful command's output to --out."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {path}: {exc}") from exc
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         job = load_job(args.job)
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
-            code = COMMANDS[args.command](job, args, sink)
-        finally:
-            if args.out:
-                sink.close()
+        sink = io.StringIO() if args.out else sys.stdout
+        code = COMMANDS[args.command](job, args, sink)
+        if args.out:
+            _write_out(args.out, sink.getvalue())
         return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,13 +12,16 @@ exact and its reciprocal is expanded to the full working width; its
 valuation is asserted against the closed form each time.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .laurent import LaurentSeries, Valuation
+from .laurent import LaurentSeries, Valuation, _convolve
 from .multiplier import (
     count_resonant,
     mult_profile,
@@ -267,6 +270,20 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
 
     with binomials mod p by Lucas.  All other degrees are structural
     zeros.  Solves up to degree D = Jmax·p + 1.
+
+    The sum is formed on coefficient windows, not on series.  λ is an
+    exact unit (``mult_profile`` rejects any other) and a is exact, so
+    the term of b_i has lead L(b_i) + n·L(a) and keeps the digits of b_i:
+    the horizon ``laurent``'s pessimistic rule gives the product.  The
+    sum is known below H, the least term horizon.  Row k of a product
+    depends only on rows <= k of its factors, so reading each factor to
+    H − lead rows loses nothing the sum knows.  The exact b_0 = 1 enters
+    only at j = 1, read to ``window`` digits: the divisor's inverse has
+    ``window`` digits, which caps b_1 there anyway.  A b_i that is zero
+    to precision caps H and adds no rows.  The term i = j − 1 has
+    C((j−1)p+1, 1) ≡ 1, so no sum is empty and no b_j is an exact zero.
+    The int64 window takes at most j addends c·prod, each below
+    p² < 2^32, so it cannot overflow for j < 2^31.
     """
     a = _p_plus_1_shape(f)
     lam = f.multiplier
@@ -291,16 +308,25 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
     for j in range(1, Jmax + 1):
-        total = None
+        terms, H = [], math.inf
         for i in range((j - 1 + p) // (p + 1), j):
             c = binomial_mod_p(i * p + 1, j - i, p)
             if c == 0:
                 continue
-            term = b[i].scale(c) * lam_power(i * p + 1 - (j - i)) * a_power(j - i)
-            total = term if total is None else total + term
-        if total is None:
-            b[j] = exact_zero
-            continue
+            e, n = i * p + 1 - (j - i), j - i
+            lead = b[i].lead + n * a.lead
+            H = min(H, lead + (window if b[i].exact else b[i].prec - b[i].lead))
+            terms.append((lead, c, b[i].coeffs, e, n))
+        lo = min(t[0] for t in terms)
+        acc = np.zeros((H - lo, field_.r), dtype=np.int64)
+        for lead, c, coeffs, e, n in terms:
+            rows = H - lead
+            if rows <= 0:
+                continue
+            prod = _convolve(field_, coeffs[:rows], lam_power(e).coeffs[:rows])
+            prod = _convolve(field_, prod[:rows], a_power(n).coeffs[:rows])[:rows]
+            acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
+        total = LaurentSeries(field_, ram, lo, acc, H)
         div = _divisor_series(lam_power(j * p), lam, profile, j * p + 1, ram)
         b[j] = total * div.truncate_relative(window).inverse()
     coeffs = {

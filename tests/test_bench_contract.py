@@ -27,6 +27,8 @@ def load(name):
 def entry_points():
     return (
         schroder.solve_sfe,
+        schroder.solve_specialized_p_plus_1,
+        schroder.certify_divergence,
         cli._with_retries,
         DensePoly.__dict__["mul_by_map"],
         DensePoly.__dict__["add_scaled"],
@@ -71,6 +73,31 @@ def test_tracer_reads_a_map_of_degree_prime_to_p(tmp_path, capsys):
     tracer = traced_solve(tmp_path, {"3": "1"})
     assert tracer.stats["dense.mul_by_map"][0] == 4
     assert tracer.counts["dense.bytes_computed"] > 0
+    capsys.readouterr()
+
+
+def test_tracer_and_capture_wrap_certify_divergence(tmp_path, capsys):
+    """``certify-divergence`` reaches the specialised solver through the
+    names the tracer and the capture wrap."""
+    harness = load("harness")
+    tracer_module = load("tracer")
+    job = tmp_path / "d.json"
+    job.write_text(json.dumps({"p": 2, "lambda": "1+T", "f": {"3": "1"}, "Nmax": 3}))
+    originals = entry_points()
+    patcher = harness.Patcher()
+    try:
+        tracer = tracer_module.Tracer(patcher)
+        capture = harness.Capture(patcher)
+        assert cli.main(["certify-divergence", "--job", str(job)]) == 0
+        results, _ = capture.take()
+    finally:
+        patcher.undo()
+    assert entry_points() == originals
+    spans = [s for s in tracer.spans if s[3] == "schroder.solve_specialized"]
+    assert len(spans) == 1
+    assert tracer.stats["schroder.certify_divergence"][0] == 1
+    assert [g.source for _, _, g in results] == ["specialized"]
+    assert results[0][2].D == 2**2 * 2 + 1
     capsys.readouterr()
 
 

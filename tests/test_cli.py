@@ -174,6 +174,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("k,v_num,v_den,zero_kind")
+    _, stdout, _ = run(capsys, ["solve", "--job", job, "--degree", "3"])
+    assert target.read_text() == stdout
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    job = write_job(tmp_path, "d.json", {"p": 2, "lambda": "1+T", "f": {"3": "1"}})
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, ["certify-divergence", "--job", job, "--out", str(target)])
+    assert code == 2 and out == ""
+    assert "--out" in err and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_failed_command_leaves_out_file_alone(tmp_path, capsys):
+    """A job that exits 3 (λ = 1 is a root of unity) writes nothing."""
+    job = write_job(tmp_path, "rou.json", {"p": 2, "lambda": "1", "f": {"3": "1"}})
+    keep = tmp_path / "keep.txt"
+    keep.write_text("earlier results\n")
+    code, out, _ = run(capsys, ["certify-divergence", "--job", job, "--out", str(keep)])
+    assert code == 3 and out == ""
+    assert keep.read_text() == "earlier results\n"
 
 
 def test_display_epsilon_is_presentation_only(tmp_path, capsys):
@@ -220,6 +241,12 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
             "['degree', 'p', 'precision']",
         ),
         ("sweep", {"instances": [{"lambda": "1+T"}, {"f": {"4": "1"}, "e": 2}]}, "['e']"),
+        (
+            "certify-divergence",
+            {"nmax": 2, "Precision": {"initial": 8}},
+            "['Precision', 'nmax']",
+        ),
+        ("solve", {"Degree": 4}, "['Degree']"),
     ],
 )
 def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
@@ -228,6 +255,15 @@ def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
     code, out, err = run(capsys, [command, "--job", job])
     assert code == 2, err
     assert out == "" and key in err
+
+
+def test_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    """One job file may serve several commands: ``analyze`` ignores the
+    keys ``disc``, ``solve`` and ``certify-divergence`` read."""
+    job = write_job(tmp_path, "q.json", {**QUADRATIC, "kappa_max": 2, "degree": 5, "Nmax": 3})
+    code, out, err = run(capsys, ["analyze", "--job", job])
+    assert code == 0, err
+    assert json.loads(out)["k_prime"] == 2
 
 
 def test_malformed_degree_flag_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Conjugacy solvers, structural lemmas on their coefficients,
 divergence certificates, and residual checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from lindisc.schroder import (
     _divisor_series,
     invert_at_point,
 )
+from oracles import solve_specialized_per_term
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -221,6 +223,40 @@ def test_specialized_matches_term_matching():
         g1 = solve_sfe(f, D)
         g2 = solve_specialized_p_plus_1(f, 3)
         assert conjugacies_agree(g1, g2, D)
+
+
+def _oracle_cases():
+    """(p, r, e, v(a), W, λ) covering every value of each axis; the last
+    case has a b_{jp+1} that is zero to precision, so later sums take a
+    term that caps the horizon and adds no rows."""
+    other = {2: "1", 3: "2", 5: "2", 7: "3"}  # of order m > 1 for p > 2
+    cases = []
+    for idx, (p, r) in enumerate(itertools.product((2, 3, 5, 7), (1, 2, 4))):
+        residue = ("1", "b" if p == 2 and r > 1 else other[p])[idx % 2]
+        lam = f"{residue}+T+{idx % p}*T^2"
+        cases.append((p, r, 1 + idx % 2, idx % 4 - 1, (8, 32, 64)[idx % 3], lam))
+    cases.append((5, 2, 1, 0, 8, "b+T^2"))
+    return cases
+
+
+@pytest.mark.parametrize("p, r, e, v_a, W, lam", _oracle_cases())
+def test_specialized_equals_per_term_oracle(p, r, e, v_a, W, lam):
+    """The windowed sum gives every b_k exactly as the per-term series
+    recurrence does: lead, horizon, exactness and coefficients."""
+    field = FieldParams(p, r)
+    a = f"T^{v_a}+{p - 1}*T^{v_a + 1}" + (f"+U^{2 * v_a + 1}" if e == 2 else "")
+    f = PowerSeriesMap(
+        {1: parse_series(lam, field, e, W), p + 1: parse_series(a, field, e, W)}
+    )
+    J = {2: 16, 3: 12, 5: 10, 7: 8}[p]
+    g, oracle = solve_specialized_p_plus_1(f, J, W), solve_specialized_per_term(f, J, W)
+    assert g.D == oracle.D and g.source == oracle.source
+    for k in range(1, g.D + 1):
+        x, y = g.coefficient(k), oracle.coefficient(k)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
+    if lam == "b+T^2":
+        assert g.zero_kind[31] == COMPUTED_ZERO
 
 
 def test_specialized_requires_shape():
