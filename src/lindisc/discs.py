@@ -16,15 +16,16 @@ field, and Hensel-lifting simple residue roots by Newton iteration.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .field import BUILTIN_MODULI, FieldParams
+from .field import BUILTIN_MODULI, FieldParams, FqElement
 from .laurent import LaurentSeries, Valuation
 from .multiplier import count_resonant, disc_profile, mult_profile
 from .powerseries import (
     PowerSeriesMap,
     _table_add,
     _table_derivative,
-    eval_table,
     newton_root,
     ps_derivative_at,
     ps_eval,
@@ -224,6 +225,10 @@ def _embed_map(f, target_field, e):
 
 # largest residue extension degree the periodic-point search tries
 _R_MAX = 4
+# largest degree of f^∘κ the periodic-point search composes
+_DEG_CAP = 4096
+# residue-field elements evaluated at once: memory stays bounded whatever q is
+_CHUNK = 1024
 
 
 def _tower_fields(base, r_max):
@@ -247,6 +252,10 @@ def find_periodic_point(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
     ramification e; the sphere radius must be integral in that tower.
     Returns a PeriodicPoint or None (not-found-in-tower: existence in
     the completed algebraic closure is not decided by this search).
+
+    f^∘κ(π·u) is composed once per κ over the map's own residue field:
+    its coefficients are exact, so extending them into a tower field
+    gives the composition over that field.
     """
     r_max, e = tower
     v_radius = sphere.v_radius.value
@@ -257,48 +266,113 @@ def find_periodic_point(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
             f"with e = {e}"
         )
     exponent = int(exponent)
-    deg_cap = 4096
+    base = f.field
+    x_table = None
     for kappa in range(1, kappa_max + 1):
-        if f.degree_bound**kappa > deg_cap:
+        deg = f.degree_bound**kappa
+        if deg > _DEG_CAP:
             break
-        for res_field in _tower_fields(f.field, r_max):
-            fe = _embed_map(f, res_field, e)
-            pi = LaurentSeries.monomial(res_field, exponent, 1, ram=e)
-            u_hat = _periodic_in_tower(fe, kappa, pi, horizon * e)
+        if x_table is None:
+            f_e = _embed_map(f, base, e)
+            pi = LaurentSeries.monomial(base, exponent, 1, ram=e)
+            x_table = {1: pi}
+        # x_κ = f^∘κ(π u) = f(x_{κ-1}) has degree <= deg, so nothing is truncated
+        x_table = table_compose(f_e.coeffs, x_table, deg)
+        # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients
+        g_table = _table_add(x_table, {1: -pi})
+        g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
+        if not g_table:
+            continue
+        dtable = _table_derivative(g_table, base.p)
+        mu = min(s.lead for s in g_table.values())
+        residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
+        dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
+        for res_field in _tower_fields(base, r_max):
+            u_hat = _periodic_in_tower(
+                res_field, g_table, dtable, residue_poly, dpoly, e, horizon * e
+            )
             if u_hat is not None:
-                x_hat = pi * u_hat
-                mult = _orbit_multiplier(fe, x_hat, kappa)
+                x_hat = LaurentSeries.monomial(res_field, exponent, 1, ram=e) * u_hat
+                mult = _orbit_multiplier(_embed_map(f, res_field, e), x_hat, kappa)
                 return PeriodicPoint(x_hat, kappa, mult, (res_field.r, e))
     return None
 
 
-def _periodic_in_tower(f, kappa, pi, horizon):
-    """Root u (a unit) of f^∘κ(π·u) − π·u = 0, or None."""
-    field_ = f.field
-    # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients;
-    # f^∘κ has degree <= degree_bound^κ, so nothing is truncated
-    x_table = {1: pi}
-    for _ in range(kappa):
-        x_table = table_compose(f.coeffs, x_table, f.degree_bound**kappa)
-    g_table = _table_add(x_table, {1: -pi})
-    g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
-    if not g_table:
-        return None
-    dtable = _table_derivative(g_table, field_.p)
-    mu = min(s.lead for s in g_table.values())
-    residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
-    dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
-    for u_bar in field_.elements():
-        if u_bar.is_zero:
-            continue
-        if eval_table(residue_poly, u_bar).is_zero:
-            if not dpoly or eval_table(dpoly, u_bar).is_zero:
-                continue  # multiple residue root: lifting not certified
-            u = LaurentSeries.constant(field_, u_bar, pi.ram, prec=horizon, exact=False)
-            lifted = newton_root(g_table, dtable, u, 2 * horizon.bit_length() + 8)
+def _periodic_in_tower(field_, g_table, dtable, residue_poly, dpoly, ram, horizon):
+    """Unit root u over ``field_`` of G(u) = f^∘κ(π·u) − π·u, or None.
+
+    G, its derivative and their residue polynomials have coefficients in
+    the map's field.  Both residue polynomials are evaluated on blocks of
+    ``_CHUNK`` elements in ``field_.elements()`` order; the simple roots
+    (nonzero u, residue value 0, derivative value nonzero) are Newton-
+    lifted in that order and the first lift that succeeds is returned.
+    """
+    poly = _residue_rows(field_, residue_poly)
+    dpoly = _residue_rows(field_, dpoly)
+    lift_tables = None
+    q = field_.q
+    for start in range(0, q, _CHUNK):
+        xs = field_.element_rows(start, min(start + _CHUNK, q))
+        roots = xs[xs.any(axis=1) & ~_eval_rows(field_, poly, xs).any(axis=1)]
+        # a multiple residue root is skipped: lifting it is not certified
+        simple = roots[_eval_rows(field_, dpoly, roots).any(axis=1)]
+        for row in simple:
+            if lift_tables is None:
+                lift_tables = [
+                    {d: s.extend_residue_field(field_) for d, s in table.items()}
+                    for table in (g_table, dtable)
+                ]
+            u_bar = FqElement(field_, row)
+            u = LaurentSeries.constant(field_, u_bar, ram, prec=horizon, exact=False)
+            lifted = newton_root(*lift_tables, u, 2 * horizon.bit_length() + 8)
             if lifted is not None:
                 return lifted
     return None
+
+
+def _residue_rows(field_, poly):
+    """Nonzero coefficients of a residue polynomial over a subfield of
+    ``field_``, as coordinate rows of ``field_`` (the canonical embedding)."""
+    rows = {}
+    for d, c in poly.items():
+        if not c.is_zero:
+            row = np.zeros(field_.r, dtype=np.int64)
+            row[: len(c.coeffs)] = c.coeffs
+            rows[d] = row
+    return rows
+
+
+def _eval_rows(field_, poly, xs):
+    """Values of a residue polynomial {degree: row} at each row of xs by
+    sparse Horner; each power x^gap is formed once, by square-and-multiply."""
+    degs = sorted(poly, reverse=True)
+    if not degs:
+        return np.zeros_like(xs)
+    powers = {}
+
+    def power(n):
+        if n not in powers:
+            powers[n] = _pow_rows(field_, xs, n)
+        return powers[n]
+
+    acc = np.broadcast_to(poly[degs[0]], xs.shape)
+    for prev, nxt in zip(degs, degs[1:]):
+        acc = (field_.mul_rows(acc, power(prev - nxt)) + poly[nxt]) % field_.p
+    if degs[-1]:
+        acc = field_.mul_rows(acc, power(degs[-1]))
+    return acc
+
+
+def _pow_rows(field_, xs, n):
+    """xs^n entry by entry for n >= 1, by square-and-multiply."""
+    result = None
+    while True:
+        if n & 1:
+            result = xs if result is None else field_.mul_rows(result, xs)
+        n >>= 1
+        if not n:
+            return result
+        xs = field_.mul_rows(xs, xs)
 
 
 def _orbit_multiplier(f, x_hat, kappa):

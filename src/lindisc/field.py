@@ -99,9 +99,12 @@ class FieldParams:
     def __init__(self, p, r=1, modulus=None):
         if not _is_prime(p):
             raise FieldConstructionError(f"p = {p} is not prime")
-        # only laurent._convolve accumulates in int64: each output entry
-        # sums at most r·min(La, Lb) products < p², and r·p² < 2³³ because
-        # p < 2¹⁶ and q < 2³², so overflow needs both operands of 2³⁰ rows
+        # two kernels accumulate in int64.  laurent._convolve: each output
+        # entry sums at most r·min(La, Lb) products < p², and r·p² < 2³³
+        # because p < 2¹⁶ and q < 2³², so overflow needs both operands of
+        # 2³⁰ rows.  mul_rows: each entry sums at most r products < p²
+        # before its reduction mod p, and p - 1 plus r - 1 products < p²
+        # in the fold, so both stay below r·p² < 2³³
         if p >= 2**16:
             raise FieldConstructionError(f"p = {p} is too large: need p < 2^16")
         if r < 1:
@@ -202,6 +205,26 @@ class FieldParams:
                 vec.append(t % self.p)
                 t //= self.p
             yield FqElement(self, vec)
+
+    def element_rows(self, start, stop):
+        """Coordinates of the elements at positions start .. stop-1 of
+        ``elements()``, as a (stop - start, r) int64 array."""
+        idx = np.arange(start, stop, dtype=np.int64)
+        digits = self.p ** np.arange(self.r, dtype=np.int64)
+        return (idx[:, None] // digits[None, :]) % self.p
+
+    def mul_rows(self, a, b):
+        """Entry-by-entry product of two (n, r) int64 coordinate arrays:
+        the schoolbook products reduced mod p, then the high part folded
+        through the reduction rows, as ``FqElement.__mul__`` does."""
+        p, r = self.p, self.r
+        if r == 1:
+            return a * b % p
+        prod = np.zeros((a.shape[0], 2 * r - 1), dtype=np.int64)
+        for i in range(r):
+            prod[:, i : i + r] += a[:, i : i + 1] * b
+        prod %= p
+        return (prod[:, :r] + prod[:, r:] @ self._reduction_rows) % p
 
     def parse_element(self, text):
         """Parse an element literal: an integer for r = 1, a polynomial in

@@ -8,7 +8,9 @@ LaurentSeries arithmetic with no window; the windowed dense engine of
 
 The one Horner evaluation (``eval_table``), derivative table
 (``_table_derivative``) and Newton root (``newton_root``) of the
-package live here too, shared by every polynomial-in-x caller.
+package live here too, shared by every polynomial-in-x caller.  Only
+the residue-root search of :mod:`lindisc.discs` evaluates elsewhere:
+on blocks of residue-field elements at once, as coordinate arrays.
 
 Input maps are finite coefficient tables (polynomials), so the gauge
 minimum min_{i>=2} v(a_i)/(i-1) is always attained.  Integer factors

@@ -4,9 +4,24 @@ Each one is the straightforward form of a computation the package does
 faster; tests require the package's results to equal them exactly.
 """
 
+from lindisc.discs import (
+    _R_MAX,
+    PeriodicPoint,
+    _embed_map,
+    _orbit_multiplier,
+    _tower_fields,
+)
+from lindisc.errors import HypothesisError
 from lindisc.laurent import LaurentSeries
 from lindisc.multiplier import mult_profile
-from lindisc.powerseries import binomial_mod_p
+from lindisc.powerseries import (
+    _table_add,
+    _table_derivative,
+    binomial_mod_p,
+    eval_table,
+    newton_root,
+    table_compose,
+)
 from lindisc.schroder import Conjugacy, _divisor_series, _p_plus_1_shape
 
 
@@ -53,3 +68,60 @@ def solve_specialized_per_term(f, Jmax, window=32):
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }
     return Conjugacy(coeffs, profile, "specialized", D)
+
+
+def find_periodic_point_per_element(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
+    """The boundary periodic-point search of ``find_periodic_point`` with
+    f^∘κ recomposed for every κ and every tower field, and the residue
+    polynomial evaluated one ``FqElement`` at a time."""
+    r_max, e = tower
+    v_radius = sphere.v_radius.value
+    exponent = v_radius * e
+    if exponent.denominator != 1:
+        raise HypothesisError(
+            f"sphere radius valuation {v_radius} is not integral in a tower "
+            f"with e = {e}"
+        )
+    exponent = int(exponent)
+    deg_cap = 4096
+    for kappa in range(1, kappa_max + 1):
+        if f.degree_bound**kappa > deg_cap:
+            break
+        for res_field in _tower_fields(f.field, r_max):
+            fe = _embed_map(f, res_field, e)
+            pi = LaurentSeries.monomial(res_field, exponent, 1, ram=e)
+            u_hat = _periodic_in_tower_per_element(fe, kappa, pi, horizon * e)
+            if u_hat is not None:
+                x_hat = pi * u_hat
+                mult = _orbit_multiplier(fe, x_hat, kappa)
+                return PeriodicPoint(x_hat, kappa, mult, (res_field.r, e))
+    return None
+
+
+def _periodic_in_tower_per_element(f, kappa, pi, horizon):
+    """Root u (a unit) of f^∘κ(π·u) − π·u = 0, or None."""
+    field_ = f.field
+    # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients;
+    # f^∘κ has degree <= degree_bound^κ, so nothing is truncated
+    x_table = {1: pi}
+    for _ in range(kappa):
+        x_table = table_compose(f.coeffs, x_table, f.degree_bound**kappa)
+    g_table = _table_add(x_table, {1: -pi})
+    g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
+    if not g_table:
+        return None
+    dtable = _table_derivative(g_table, field_.p)
+    mu = min(s.lead for s in g_table.values())
+    residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
+    dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
+    for u_bar in field_.elements():
+        if u_bar.is_zero:
+            continue
+        if eval_table(residue_poly, u_bar).is_zero:
+            if not dpoly or eval_table(dpoly, u_bar).is_zero:
+                continue  # multiple residue root: lifting not certified
+            u = LaurentSeries.constant(field_, u_bar, pi.ram, prec=horizon, exact=False)
+            lifted = newton_root(g_table, dtable, u, 2 * horizon.bit_length() + 8)
+            if lifted is not None:
+                return lifted
+    return None

@@ -11,8 +11,10 @@ import json
 from pathlib import Path
 
 import lindisc.cli as cli
+import lindisc.discs as discs
 import lindisc.schroder as schroder
 from lindisc._dense import DensePoly
+from lindisc.field import FqElement
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -30,8 +32,14 @@ def entry_points():
         schroder.solve_specialized_p_plus_1,
         schroder.certify_divergence,
         cli._with_retries,
+        discs.find_periodic_point,
+        discs.weierstrass_data,
+        discs.classify_linearization_disc,
         DensePoly.__dict__["mul_by_map"],
         DensePoly.__dict__["add_scaled"],
+        FqElement.__dict__["__mul__"],
+        FqElement.__dict__["__pow__"],
+        FqElement.__dict__["inverse"],
     )
 
 
@@ -116,4 +124,31 @@ def test_capture_records_the_disc_periodic_point(tmp_path, capsys):
         assert points[0].point.prec >= 128
     finally:
         patcher.undo()
+    capsys.readouterr()
+
+
+def test_tracer_wraps_the_disc_periodic_point_search(tmp_path, capsys):
+    """``disc`` on an EXACT-SIGMA map runs the boundary search once, under
+    the name the tracer wraps, and the tracer counts the point it found."""
+    harness = load("harness")
+    tracer_module = load("tracer")
+    job = tmp_path / "q.json"
+    job.write_text(json.dumps({"p": 2, "lambda": "1+T", "f": {"2": "1"}}))
+    originals = entry_points()
+    patcher = harness.Patcher()
+    try:
+        tracer = tracer_module.Tracer(patcher)
+        capture = harness.Capture(patcher)
+        assert all(a is not b for a, b in zip(entry_points(), originals))
+        assert cli.main(["disc", "--job", str(job)]) == 0
+        _, points = capture.take()
+    finally:
+        patcher.undo()
+    assert entry_points() == originals
+    spans = [s for s in tracer.spans if s[3] == "discs.find_periodic_point"]
+    assert len(spans) == 1
+    assert tracer.counts["discs.periodic_found"] == 1
+    assert [pp.kappa for pp in points] == [1]
+    assert tracer.stats["discs.classify"][0] == 1
+    assert tracer.stats["discs.weierstrass_data"][0] >= 1
     capsys.readouterr()

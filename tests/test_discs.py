@@ -1,10 +1,12 @@
 """Weierstrass data, linearization-disc certificates, boundary periodic
 points, and the resonance-exponent maximization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import lindisc.discs as discs
 from lindisc import (
     FieldParams,
     LaurentSeries,
@@ -13,6 +15,7 @@ from lindisc import (
     degree_on_sigma,
     delta_exponent,
     disc_profile,
+    eval_table,
     find_periodic_point,
     make_disc,
     mult_profile,
@@ -25,6 +28,7 @@ from lindisc import (
 )
 from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED, LEVEL_GENERIC
 from lindisc.errors import HypothesisError, PrecisionError
+from oracles import find_periodic_point_per_element
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -201,3 +205,132 @@ def test_disc_rationality_bookkeeping():
     assert make_disc(Fraction(1, 3), "closed").rationality == "rational-in-extension(3)"
     with pytest.raises(HypothesisError):
         make_disc(LaurentSeries.zero(F2, 1, 4).valuation(), "open")
+
+
+# -- the batched tower search against the per-element oracle -----------------
+
+
+def _map(field, lam, terms):
+    coeffs = {1: parse_series(lam, field)}
+    coeffs.update({d: parse_series(a, field) for d, a in terms.items()})
+    return PowerSeriesMap(coeffs)
+
+
+def _random_series(rng, field, lead, n):
+    rows = [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(n)]
+    rows[0][0] = rows[0][0] or 1
+    return LaurentSeries(field, 1, lead, rows, lead + n, exact=True)
+
+
+def _random_search_cases():
+    """Per (p, r, e): a map near the identity on the unit sphere, whose
+    residue polynomial is a random one with unit coefficients (Hensel
+    lifting applies), and a random map on a sphere of positive radius."""
+    cases = []
+    for p in (2, 3, 5, 7):
+        for r in (1, 2):
+            field = FieldParams(p, r)
+            for e in (1, 2, 3):
+                rng = random.Random(1000 * p + 10 * r + e)
+                one = LaurentSeries.constant(field, 1)
+                for unit_sphere in (True, False):
+                    if unit_sphere:
+                        lam, v, leads = one + _random_series(rng, field, 1, 2), 0, [0]
+                    else:
+                        lam = _random_series(rng, field, 0, 2)
+                        v, leads = Fraction(rng.choice([1, e]), e), [-1, 0, 1]
+                    coeffs = {1: lam}
+                    for d in rng.sample([2, 3, p, p + 1], 2):
+                        coeffs[d] = _random_series(rng, field, rng.choice(leads), 2)
+                    kappa_max = 2 if p <= 3 else 1
+                    case_id = f"p{p}r{r}e{e}-{'unit' if unit_sphere else 'v' + str(v)}"
+                    cases.append((case_id, PowerSeriesMap(coeffs), v, e, kappa_max))
+    return cases
+
+
+def _sigma_sphere_case(case_id, field, lam, kp, kappa_max):
+    """λx + x^{k'} on the boundary of its σ-disc, as classification searches it."""
+    f = _map(field, lam, {kp: "1"})
+    dp = disc_profile(mult_profile(f.multiplier), ps_gauge(f))
+    return (case_id, f, dp.v_sigma.value, dp.v_sigma.value.denominator, kappa_max)
+
+
+SEARCH_CASES = _random_search_cases() + [
+    # u(u^3 + u + 1): the residue root lies in F_8 only
+    ("root-only-in-r3", _map(F2, "1+T", {2: "1", 4: "T^-2"}), 1, 1, 1),
+    # u(u^4 + u + 1): the residue root lies in F_16 only
+    ("root-only-in-r4", _map(F2, "1+T", {2: "1", 5: "T^-3"}), 1, 2, 1),
+    # u(u^5 + u^2 + 1): no nonzero residue root in F_{2^r}, r <= 4
+    ("no-residue-root", _map(F2, "1+T", {3: "T^-1", 6: "T^-4"}), 1, 1, 2),
+    ("linear-map", _map(F3, "2+T", {}), 1, 1, 3),
+    # G = T^2 u(u+1) over F_7: the root 6 is the last of the first block of 7
+    ("root-at-block-end", _map(FieldParams(7), "1+T", {2: "1"}), 1, 1, 1),
+    # G = T^2 u(u-1)^2(u-2) over F_3: the double root 1 is skipped, 2 lifts
+    ("double-root-skipped", _map(F3, "1+T", {2: "2", 3: "2*T^-1", 4: "T^-2"}), 1, 1, 1),
+    # G = T^2 u(u-1)(u-2) + T^3 u(u-2) over F_5: the simple root 1 fails
+    # to lift (G' is not a unit), the exact root 2 lifts
+    ("simple-root-fails", _map(FieldParams(5), "1+2*T+3*T^2", {2: "2+T", 3: "T^-1"}), 1, 1, 1),
+    _sigma_sphere_case("sigma-f5-k2", FieldParams(5), "2+3*T", 5, 2),
+    _sigma_sphere_case("sigma-f9", FieldParams(3, 2), "b+T", 9, 3),
+]
+
+
+def _search_result(pp):
+    if pp is None:
+        return None
+    return pp.point.render(), pp.kappa, pp.multiplier.render(), pp.tower
+
+
+def _check_against_oracle(case):
+    _, f, v, e, kappa_max = case
+    sphere = make_disc(Fraction(v), "closed")
+    got = find_periodic_point(f, kappa_max, sphere, tower=(4, e), horizon=24)
+    want = find_periodic_point_per_element(f, kappa_max, sphere, tower=(4, e), horizon=24)
+    assert _search_result(got) == _search_result(want)
+    return got
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_tower_search_equals_per_element_oracle(case):
+    _check_against_oracle(case)
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_tower_search_equals_oracle_across_small_blocks(case, monkeypatch):
+    """Blocks of 7 elements put roots past a block boundary."""
+    monkeypatch.setattr(discs, "_CHUNK", 7)
+    _check_against_oracle(case)
+
+
+def test_designed_tower_search_cases_land_where_built():
+    cases = {c[0]: c for c in SEARCH_CASES}
+    assert _check_against_oracle(cases["root-only-in-r3"]).tower == (3, 1)
+    assert _check_against_oracle(cases["root-only-in-r4"]).tower == (4, 2)
+    for name in ("no-residue-root", "linear-map"):
+        assert _check_against_oracle(cases[name]) is None
+    for name, root in [
+        ("double-root-skipped", 2),
+        ("simple-root-fails", 2),
+        ("root-at-block-end", 6),
+    ]:
+        pp = _check_against_oracle(cases[name])
+        assert pp.tower == (1, 1)
+        assert pp.point.coefficient(1) == pp.point.field.element(root)
+
+
+@pytest.mark.parametrize("field", [FieldParams(3, 2), FieldParams(2, 4), FieldParams(5)], ids=str)
+def test_block_evaluation_equals_horner_on_elements(field):
+    """``_eval_rows`` gives the value of a sparse residue polynomial, not
+    only its zeros, at every element."""
+    rng = random.Random(field.q)
+    elements = list(field.elements())
+    for _ in range(5):
+        poly = {}
+        for d in rng.sample(range(12), 4):
+            c = field.element([rng.randrange(field.p) for _ in range(field.r)])
+            poly[d] = c or field.one()
+        got = discs._eval_rows(
+            field, discs._residue_rows(field, poly), field.element_rows(0, field.q)
+        )
+        want = [eval_table(poly, x).coeffs for x in elements]
+        assert [tuple(int(c) for c in row) for row in got] == want

@@ -3,9 +3,11 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from lindisc import FieldParams, FqElement, parse_series
+from lindisc.field import BUILTIN_MODULI
 from lindisc.errors import (
     FieldConstructionError,
     IncompatibleFieldError,
@@ -94,6 +96,62 @@ def test_mul_matrix_consistency():
             int(v) for v in (np.array(b.coeffs) @ a.mul_matrix().T) % 3
         )
         assert via_matrix == (a * b).coeffs
+
+
+SMALL_BUILTIN = [FieldParams(p, r) for (p, r) in BUILTIN_MODULI if p**r <= 125]
+
+
+@pytest.mark.parametrize("field", SMALL_BUILTIN, ids=lambda f: f"p{f.p}r{f.r}")
+def test_mul_rows_matches_element_product_on_every_pair(field):
+    elements = list(field.elements())
+    rows = field.element_rows(0, field.q)
+    a = np.repeat(rows, field.q, axis=0)
+    b = np.tile(rows, (field.q, 1))
+    got = field.mul_rows(a, b)
+    want = [(x * y).coeffs for x in elements for y in elements]
+    assert [tuple(int(c) for c in row) for row in got] == want
+
+
+def test_mul_rows_matches_element_product_on_a_sample_of_f_7_4():
+    field = FieldParams(7, 4)
+    rng = np.random.default_rng(74)
+    a = rng.integers(0, 7, size=(4096, 4), dtype=np.int64)
+    b = rng.integers(0, 7, size=(4096, 4), dtype=np.int64)
+    got = field.mul_rows(a, b)
+    for x, y, z in zip(a, b, got):
+        assert (field.element(list(x)) * field.element(list(y))).coeffs == tuple(
+            int(c) for c in z
+        )
+
+
+def test_mul_rows_stays_exact_at_the_largest_prime():
+    """p = 65521 is the largest prime below 2^16; with every coordinate
+    p - 1 each schoolbook entry is near 2·p², the int64 worst case."""
+    p = 65521
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    field = FieldParams(p, 2, [-n % p, 0, 1])  # x^2 - n, n a non-residue
+    rng = random.Random(65521)
+    pairs = [([p - 1, p - 1], [p - 1, p - 1])] + [
+        ([rng.randrange(p) for _ in range(2)], [rng.randrange(p) for _ in range(2)])
+        for _ in range(64)
+    ]
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    got = field.mul_rows(a, b)
+    for (x, y), z in zip(pairs, got):
+        assert tuple(int(c) for c in z) == naive_mul(x, y, field)
+
+
+@pytest.mark.parametrize(
+    "field", [FieldParams(5, 3), FieldParams(3, 4), FieldParams(7, 2)], ids=str
+)
+def test_element_rows_follow_elements_order(field):
+    q = field.q
+    listed = [x.coeffs for x in field.elements()]
+    for start, stop in [(0, q), (0, 7), (5, 17), (7, 14), (q - 3, q), (4, 4)]:
+        got = field.element_rows(start, stop)
+        assert got.shape == (stop - start, field.r)
+        assert [tuple(int(c) for c in row) for row in got] == listed[start:stop]
 
 
 def test_parse_and_render_round_trip():
