@@ -231,13 +231,13 @@ _DEG_CAP = 4096
 _CHUNK = 1024
 
 
-def _tower_fields(base, r_max):
-    """Residue fields reachable from the map's: extensions of a prime
-    field, or only the field itself when it is already an extension."""
+def _tower_fields(base):
+    """Residue fields searched: F_{p^r} for r <= _R_MAX over a prime
+    field, or the map's own field alone when it is an extension."""
     if base.r != 1:
         return [base]
     fields = []
-    for r in range(1, r_max + 1):
+    for r in range(1, _R_MAX + 1):
         if r == 1:
             fields.append(base)
         elif (base.p, r) in BUILTIN_MODULI:
@@ -245,11 +245,11 @@ def _tower_fields(base, r_max):
     return fields
 
 
-def find_periodic_point(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
+def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
     """Search the sphere for a periodic point of period κ <= kappa_max.
 
-    ``tower`` caps the residue extension degree r and fixes the
-    ramification e; the sphere radius must be integral in that tower.
+    The residue fields are those of ``_tower_fields`` and ``e`` fixes the
+    ramification; the sphere radius must be integral in that tower.
     Returns a PeriodicPoint or None (not-found-in-tower: existence in
     the completed algebraic closure is not decided by this search).
 
@@ -257,7 +257,6 @@ def find_periodic_point(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
     its coefficients are exact, so extending them into a tower field
     gives the composition over that field.
     """
-    r_max, e = tower
     v_radius = sphere.v_radius.value
     exponent = v_radius * e
     if exponent.denominator != 1:
@@ -287,7 +286,7 @@ def find_periodic_point(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
         mu = min(s.lead for s in g_table.values())
         residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
         dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
-        for res_field in _tower_fields(base, r_max):
+        for res_field in _tower_fields(base):
             u_hat = _periodic_in_tower(
                 res_field, g_table, dtable, residue_poly, dpoly, e, horizon * e
             )
@@ -432,7 +431,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
         e = dp.v_sigma.value.denominator * f.ram
         sphere = make_disc(dp.v_sigma, "closed")
         periodic = find_periodic_point(
-            f, kappa_max or kp, sphere, tower=(_R_MAX, e), horizon=4 * window
+            f, kappa_max or kp, sphere, e=e, horizon=4 * window
         )
         if periodic is None:
             notes.append(

@@ -48,14 +48,7 @@ BUILTIN_MODULI = {
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == (n,)
 
 
 def _monic_polys(degree, p):
@@ -97,16 +90,17 @@ class FieldParams:
     __slots__ = ("p", "r", "modulus", "_reduction_rows")
 
     def __init__(self, p, r=1, modulus=None):
-        if not _is_prime(p):
-            raise FieldConstructionError(f"p = {p} is not prime")
         # two kernels accumulate in int64.  laurent._convolve: each output
         # entry sums at most r·min(La, Lb) products < p², and r·p² < 2³³
         # because p < 2¹⁶ and q < 2³², so overflow needs both operands of
         # 2³⁰ rows.  mul_rows: each entry sums at most r products < p²
-        # before its reduction mod p, and p - 1 plus r - 1 products < p²
-        # in the fold, so both stay below r·p² < 2³³
+        # before its reduction mod p.  Both fold the high part alike, by
+        # ``@ _reduction_rows``: p - 1 plus r - 1 products < p², below
+        # r·p² < 2³³.  Checked before primality, whose trial division runs to √p
         if p >= 2**16:
             raise FieldConstructionError(f"p = {p} is too large: need p < 2^16")
+        if not _is_prime(p):
+            raise FieldConstructionError(f"p = {p} is not prime")
         if r < 1:
             raise FieldConstructionError(f"extension degree r = {r} must be >= 1")
         # the irreducibility test tries all ~q^(1/2) factors of degree <= r/2
@@ -367,23 +361,10 @@ class FqElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse by extended Euclid on polynomials."""
+        """Multiplicative inverse x^(q-2): x^(q-1) = 1 for nonzero x."""
         if self.is_zero:
             raise ZeroDivisionFieldError("inversion of zero field element")
-        p = self.params.p
-        # extended Euclid over F_p[X] between the modulus and this element
-        r0, r1 = list(self.params.modulus), list(self.coeffs)
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        # r0 is now a nonzero constant gcd
-        c = next(x for x in r0 if x)
-        cinv = pow(c, p - 2, p)
-        vec = [(cinv * x) % p for x in s0]
-        vec = (vec + [0] * self.params.r)[: self.params.r]
-        return FqElement(self.params, vec)
+        return self ** (self.params.q - 2)
 
     def __truediv__(self, other):
         self._check(other)
@@ -410,18 +391,6 @@ class FqElement:
             while n % prime == 0 and (self ** (n // prime)) == self.params.one():
                 n //= prime
         return n
-
-    def mul_matrix(self):
-        """r x r integer matrix M with (vec @ M.T) % p = coordinates of
-        self * element(vec); used for vectorised series arithmetic."""
-        params = self.params
-        r = params.r
-        cols = []
-        for j in range(r):
-            basis = [0] * r
-            basis[j] = 1
-            cols.append((self * FqElement(params, basis)).coeffs)
-        return np.array(cols, dtype=np.int64).T
 
     def __repr__(self):
         return f"FqElement({self.params!r}, {self})"
@@ -461,22 +430,6 @@ def _poly_degree(poly):
         if poly[i]:
             return i
     return 0
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=None)

@@ -144,13 +144,7 @@ def _convolve(params, a, b):
                     continue
                 raw[:, s1 + s2] += np.convolve(col, b[:, s2])
         raw %= p
-        out = raw[:, :r].copy()
-        rows = params._reduction_rows
-        for t in range(r - 1):
-            c = raw[:, r + t]
-            if c.any():
-                out += c[:, None] * rows[t][None, :]
-        out %= p
+        out = (raw[:, :r] + raw[:, r:] @ params._reduction_rows) % p
     if batch:
         out = out[: a.shape[0]].reshape(batch + (la + lb - 1, r))
     return out
@@ -339,14 +333,12 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def scale(self, coeff):
-        """Multiply by a field scalar."""
+        """Multiply by a field scalar: a convolution by one row."""
         coeff = self.field.element(coeff)
-        if coeff.is_zero:
+        if coeff.is_zero or self.is_zero_as_known:
             return LaurentSeries.zero(self.field, self.ram, self.prec, self.exact)
-        if self.field.r == 1:
-            out = (self.coeffs * coeff.coeffs[0]) % self.field.p
-        else:
-            out = (self.coeffs @ coeff.mul_matrix().T) % self.field.p
+        row = np.array([coeff.coeffs], dtype=np.int64)
+        out = _convolve(self.field, self.coeffs, row)
         return LaurentSeries(self.field, self.ram, self.lead, out, self.prec, self.exact)
 
     def shift(self, exponent):

@@ -155,7 +155,11 @@ def ps_iterate(f, n, x):
 
 
 def ps_derivative_at(f, x):
-    """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p."""
+    """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p.
+
+    Summed term by term, not by Horner (``eval_table``): Horner's partial
+    sums carry other horizons, which would move the horizon of a periodic
+    point's multiplier and so the ``disc`` report bytes."""
     acc = None
     for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
         term = a * (x ** d) if d else a

@@ -87,10 +87,11 @@ class Conjugacy:
         return "\n".join(lines) + "\n"
 
 
-def _divisor_series(lam_pow, lam, profile, k, ram):
-    """λ(1 − λ^{k-1}) exactly, with the closed-form valuation assert."""
-    one = LaurentSeries.constant(lam.field, 1, ram)
-    div = (one - lam_pow) * lam
+def _divisor_series(lam_k, lam, profile, k, ram):
+    """The small divisor λ(1 − λ^{k-1}) = λ − λ^k, exactly, from the
+    power λ^k the caller's chain already holds; its valuation is checked
+    against the closed form v(1 − λ^{k-1})."""
+    div = lam - lam_k
     expected = small_divisor_valuation(profile, k - 1)
     if div.is_zero_as_known:
         raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
@@ -130,8 +131,9 @@ def solve_sfe(f, D, window=32):
             fpow.set_column(i, a)
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     stride = None  # f^p, for p-divisible maps
-    lam_pow = lam  # λ^{k-1}
+    lam_pow = lam
     for k in range(2, D + 1):
+        lam_pow = lam_pow * lam  # λ^k
         s_k = acc.column(k)
         structural = family and k % p != 0
         if structural and not s_k.is_zero_as_known:
@@ -153,7 +155,6 @@ def solve_sfe(f, D, window=32):
                 if family:
                     stride = fpow
             acc.add_scaled(b_k, fpow)
-        lam_pow = lam_pow * lam
     return Conjugacy(coeffs, profile, "term-matching", D)
 
 
@@ -224,6 +225,7 @@ def solve_sfe_multinomial(f, D, window=32):
     coeffs = {1: one}
     lam_pow = lam
     for k in range(2, D + 1):
+        lam_pow = lam_pow * lam  # λ^k
         total = None
         for l in range(1, k):
             b_l = coeffs[l]
@@ -246,7 +248,6 @@ def solve_sfe_multinomial(f, D, window=32):
         else:
             div = _divisor_series(lam_pow, lam, profile, k, ram)
             coeffs[k] = total * div.truncate_relative(window).inverse()
-        lam_pow = lam_pow * lam
     return Conjugacy(coeffs, profile, "multinomial", D)
 
 
@@ -327,7 +328,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
             prod = _convolve(field_, prod[:rows], a_power(n).coeffs[:rows])[:rows]
             acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
         total = LaurentSeries(field_, ram, lo, acc, H)
-        div = _divisor_series(lam_power(j * p), lam, profile, j * p + 1, ram)
+        div = _divisor_series(lam_power(j * p + 1), lam, profile, j * p + 1, ram)
         b[j] = total * div.truncate_relative(window).inverse()
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)

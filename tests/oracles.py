@@ -5,7 +5,6 @@ faster; tests require the package's results to equal them exactly.
 """
 
 from lindisc.discs import (
-    _R_MAX,
     PeriodicPoint,
     _embed_map,
     _orbit_multiplier,
@@ -62,7 +61,7 @@ def solve_specialized_per_term(f, Jmax, window=32):
         if total is None:
             b[j] = exact_zero
             continue
-        div = _divisor_series(lam_power(j * p), lam, profile, j * p + 1, ram)
+        div = _divisor_series(lam_power(j * p + 1), lam, profile, j * p + 1, ram)
         b[j] = total * div.truncate_relative(window).inverse()
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
@@ -70,11 +69,10 @@ def solve_specialized_per_term(f, Jmax, window=32):
     return Conjugacy(coeffs, profile, "specialized", D)
 
 
-def find_periodic_point_per_element(f, kappa_max, sphere, tower=(_R_MAX, 1), horizon=128):
+def find_periodic_point_per_element(f, kappa_max, sphere, e=1, horizon=128):
     """The boundary periodic-point search of ``find_periodic_point`` with
     f^∘κ recomposed for every κ and every tower field, and the residue
     polynomial evaluated one ``FqElement`` at a time."""
-    r_max, e = tower
     v_radius = sphere.v_radius.value
     exponent = v_radius * e
     if exponent.denominator != 1:
@@ -87,7 +85,7 @@ def find_periodic_point_per_element(f, kappa_max, sphere, tower=(_R_MAX, 1), hor
     for kappa in range(1, kappa_max + 1):
         if f.degree_bound**kappa > deg_cap:
             break
-        for res_field in _tower_fields(f.field, r_max):
+        for res_field in _tower_fields(f.field):
             fe = _embed_map(f, res_field, e)
             pi = LaurentSeries.monomial(res_field, exponent, 1, ram=e)
             u_hat = _periodic_in_tower_per_element(fe, kappa, pi, horizon * e)

@@ -55,6 +55,15 @@ def test_analyze_root_of_unity_exits_3(tmp_path, capsys):
     assert "root of unity" in err
 
 
+def test_huge_prime_exits_3_at_once(tmp_path, capsys):
+    """p = 2^61 - 1 is prime, but the p < 2^16 bound rejects it before a
+    trial division to √p is started."""
+    job = write_job(tmp_path, "big.json", {**QUADRATIC, "p": 2305843009213693951})
+    code, out, err = run(capsys, ["analyze", "--job", job])
+    assert code == 3 and out == ""
+    assert "too large" in err
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

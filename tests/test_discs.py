@@ -176,7 +176,7 @@ def test_periodic_point_fixed_point_algebra():
 def test_periodic_point_not_found_for_linear_map():
     f = PowerSeriesMap({1: parse_series("1+T", F2)})
     sphere = make_disc(Fraction(1), "closed")
-    assert find_periodic_point(f, 3, sphere, tower=(2, 1)) is None
+    assert find_periodic_point(f, 3, sphere) is None
 
 
 def test_verify_indifferent_detects_wrong_point():
@@ -284,8 +284,8 @@ def _search_result(pp):
 def _check_against_oracle(case):
     _, f, v, e, kappa_max = case
     sphere = make_disc(Fraction(v), "closed")
-    got = find_periodic_point(f, kappa_max, sphere, tower=(4, e), horizon=24)
-    want = find_periodic_point_per_element(f, kappa_max, sphere, tower=(4, e), horizon=24)
+    got = find_periodic_point(f, kappa_max, sphere, e=e, horizon=24)
+    want = find_periodic_point_per_element(f, kappa_max, sphere, e=e, horizon=24)
     assert _search_result(got) == _search_result(want)
     return got
 

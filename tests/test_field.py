@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from lindisc import FieldParams, FqElement, parse_series
+from lindisc import FieldParams, FqElement, LaurentSeries, parse_series
+import lindisc.field as field_module
 from lindisc.field import BUILTIN_MODULI
 from lindisc.errors import (
     FieldConstructionError,
@@ -84,18 +85,28 @@ def test_known_orders():
     assert F5.element(4).multiplicative_order() == 2
 
 
-def test_mul_matrix_consistency():
-    field = FieldParams(3, 2)
-    rng = random.Random(11)
-    for _ in range(50):
-        a = field.element([rng.randrange(3), rng.randrange(3)])
-        b = field.element([rng.randrange(3), rng.randrange(3)])
-        import numpy as np
+@pytest.mark.parametrize("field", [FieldParams(3, 2), FieldParams(2, 4)], ids=repr)
+def test_scale_matches_element_product_row_by_row(field):
+    """``LaurentSeries.scale`` is a one-row convolution; every row of the
+    result is the ``FqElement`` product, for every scalar of the field."""
+    rng = random.Random(field.q)
+    rows = [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(12)]
+    series = LaurentSeries(field, 1, -3, rows, 20, exact=False)
+    for c in field.elements():
+        scaled = series.scale(c)
+        want = [c * FqElement(field, row) for row in rows]
+        got = [scaled.coefficient(-3 + j) for j in range(len(rows))]
+        assert got == want, c
+        assert scaled.prec == series.prec
 
-        via_matrix = tuple(
-            int(v) for v in (np.array(b.coeffs) @ a.mul_matrix().T) % 3
-        )
-        assert via_matrix == (a * b).coeffs
+
+def test_fermat_inverse_at_the_largest_prime():
+    """x^(q-2) with a 32-bit exponent q - 2 (q = 65521²), on seeded units."""
+    field = FieldParams(65521, 2, [17, 0, 1])
+    rng = random.Random(65521)
+    for _ in range(64):
+        x = field.element([rng.randrange(1, field.p), rng.randrange(field.p)])
+        assert x * x.inverse() == field.one(), x
 
 
 SMALL_BUILTIN = [FieldParams(p, r) for (p, r) in BUILTIN_MODULI if p**r <= 125]
@@ -187,6 +198,19 @@ def test_primes_beyond_the_int64_safe_range_rejected():
     square = x * x
     assert square.lead == 0
     assert [int(c) for c in square.coeffs[:, 0]] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+
+
+def test_prime_bound_checked_before_primality(monkeypatch):
+    """Trial division to √p would run for minutes at p = 2^61 - 1: the
+    p < 2^16 bound rejects such a p before primality is tested."""
+    calls = []
+    monkeypatch.setattr(field_module, "_is_prime", lambda n: calls.append(n) or True)
+    for p in (2**16, 65537, 2**61 - 1):
+        with pytest.raises(FieldConstructionError, match="too large"):
+            FieldParams(p)
+    assert calls == []
+    FieldParams(65521, 1, [0, 1])
+    assert calls == [65521]
 
 
 def test_fields_of_order_2_32_and_above_rejected():

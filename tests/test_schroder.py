@@ -160,6 +160,7 @@ def one_step_solve(f, D, window):
     acc.add_scaled(one, fpow)
     coeffs, lam_pow = {1: one}, lam
     for k in range(2, D + 1):
+        lam_pow = lam_pow * lam  # λ^k
         s_k = acc.column(k)
         if family and k % field.p:
             assert s_k.is_zero_as_known, k
@@ -172,7 +173,6 @@ def one_step_solve(f, D, window):
         coeffs[k] = b_k
         fpow = fpow.mul_by_map(f)
         acc.add_scaled(b_k, fpow)
-        lam_pow = lam_pow * lam
     return coeffs
 
 
