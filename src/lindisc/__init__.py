@@ -24,7 +24,6 @@ from .powerseries import (
     ps_derivative_at,
     ps_eval,
     ps_gauge,
-    ps_invert,
     ps_iterate,
     table_compose,
 )

@@ -3,10 +3,10 @@
 Commands read a self-describing JSON job file and write data to stdout,
 or to --out once the command has succeeded; diagnostics go to stderr.
 Exit codes: 0 success, 2 parse error (including a malformed or
-out-of-range job value, an unknown job key, or an --out that cannot be
-written), 3 mathematical error (root of unity, precision exhausted,
-hypothesis violation), 4 certified-bound violation or failed internal
-self-check.
+out-of-range job value, such as a solve degree above MAX_DEGREE, an
+unknown job key, or an --out that cannot be written), 3 mathematical
+error (root of unity, precision exhausted, hypothesis violation), 4
+certified-bound violation or failed internal self-check.
 
 Job keys: ``p``, ``r``, ``modulus`` and ``e`` fix the field F_{p^r}((T^(1/e)));
 ``lambda`` and ``f`` give the map; ``degree``, ``Nmax``, ``tail``,
@@ -49,6 +49,9 @@ EXIT_BOUND = 4
 
 # largest working precision W the retry schedule reaches
 MAX_WINDOW = 1024
+# largest solve degree D: one DensePoly holds (D + 1)·W·r int64 entries,
+# 32·r MB at D = MAX_DEGREE and W = MAX_WINDOW
+MAX_DEGREE = 4096
 
 # every top-level key some command reads: one job file may serve several
 # commands (``analyze`` then ``disc`` on a file that sets ``kappa_max``)
@@ -138,8 +141,20 @@ def _job_runner(job):
 def _degree(job, args, default):
     """The solve degree: --degree, else the job's 'degree', else default."""
     if args.degree is not None:
-        return _int_of(args.degree, "--degree")
-    return _int_of(job.get("degree", default), "degree")
+        return _int_of(args.degree, "--degree", high=MAX_DEGREE)
+    return _int_of(job.get("degree", default), "degree", high=MAX_DEGREE)
+
+
+def _nmax(job):
+    """The ladder length Nmax, whose solve degree p^Nmax + 1 is at most
+    MAX_DEGREE; p >= 2, so Nmax >= 13 is too long whatever p is."""
+    nmax = _int_of(job.get("Nmax", 4), "Nmax")
+    p = _int_of(job["p"], "p", low=2)
+    if nmax >= MAX_DEGREE.bit_length() or p**nmax + 1 > MAX_DEGREE:
+        raise ParseError(
+            f"'Nmax' = {nmax} needs degree {p}^{nmax} + 1 > {MAX_DEGREE}"
+        )
+    return nmax
 
 
 def _job_map(job, field, ram, prec):
@@ -235,7 +250,7 @@ def cmd_solve(job, args, out):
 
 def cmd_certify_divergence(job, args, out):
     run = _job_runner(job)
-    nmax = _int_of(job.get("Nmax", 4), "Nmax")
+    nmax = _nmax(job)
     cert = run(lambda f, W: certify_divergence(f, nmax, window=W))
     header = {
         "verdict": cert.verdict,

@@ -19,12 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .field import BUILTIN_MODULI, FieldParams, FqElement
+from .field import BUILTIN_MODULI, FieldParams
 from .laurent import LaurentSeries, Valuation
 from .multiplier import count_resonant, disc_profile, mult_profile
 from .powerseries import (
     PowerSeriesMap,
-    _table_add,
     _table_derivative,
     newton_root,
     ps_derivative_at,
@@ -278,18 +277,17 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
         # x_κ = f^∘κ(π u) = f(x_{κ-1}) has degree <= deg, so nothing is truncated
         x_table = table_compose(f_e.coeffs, x_table, deg)
         # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients
-        g_table = _table_add(x_table, {1: -pi})
+        g_table = {**x_table, 1: x_table[1] - pi}
         g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
         if not g_table:
             continue
-        dtable = _table_derivative(g_table, base.p)
+        # G/T^μ, μ the least coefficient valuation: its residues are not
+        # all zero, and a simple residue root has a unit derivative there
         mu = min(s.lead for s in g_table.values())
-        residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
-        dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
+        g_table = {d: s.shift(-mu) for d, s in g_table.items()}
+        dtable = _table_derivative(g_table, base.p)
         for res_field in _tower_fields(base):
-            u_hat = _periodic_in_tower(
-                res_field, g_table, dtable, residue_poly, dpoly, e, horizon * e
-            )
+            u_hat = _periodic_in_tower(res_field, g_table, dtable, e, horizon * e)
             if u_hat is not None:
                 x_hat = LaurentSeries.monomial(res_field, exponent, 1, ram=e) * u_hat
                 mult = _orbit_multiplier(_embed_map(f, res_field, e), x_hat, kappa)
@@ -297,31 +295,33 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
     return None
 
 
-def _periodic_in_tower(field_, g_table, dtable, residue_poly, dpoly, ram, horizon):
+def _periodic_in_tower(field_, g_table, dtable, ram, horizon):
     """Unit root u over ``field_`` of G(u) = f^∘κ(π·u) − π·u, or None.
 
-    G, its derivative and their residue polynomials have coefficients in
-    the map's field.  Both residue polynomials are evaluated on blocks of
-    ``_CHUNK`` elements in ``field_.elements()`` order; the simple roots
-    (nonzero u, residue value 0, derivative value nonzero) are Newton-
-    lifted in that order and the first lift that succeeds is returned.
+    ``g_table`` is G/T^μ with its least coefficient valuation μ divided
+    out and ``dtable`` its derivative, both with integral coefficients
+    in the map's field.  Their residue polynomials are evaluated on
+    blocks of ``_CHUNK`` elements in ``field_.elements()`` order; the
+    simple roots (nonzero u, residue value 0, derivative value nonzero)
+    are Newton-lifted in that order and the first lift that succeeds is
+    returned.
     """
-    poly = _residue_rows(field_, residue_poly)
-    dpoly = _residue_rows(field_, dpoly)
+    g_rows = _residue_rows(field_, g_table)
+    d_rows = _residue_rows(field_, dtable)
     lift_tables = None
     q = field_.q
     for start in range(0, q, _CHUNK):
         xs = field_.element_rows(start, min(start + _CHUNK, q))
-        roots = xs[xs.any(axis=1) & ~_eval_rows(field_, poly, xs).any(axis=1)]
+        roots = xs[xs.any(axis=1) & ~_eval_rows(field_, g_rows, xs).any(axis=1)]
         # a multiple residue root is skipped: lifting it is not certified
-        simple = roots[_eval_rows(field_, dpoly, roots).any(axis=1)]
+        simple = roots[_eval_rows(field_, d_rows, roots).any(axis=1)]
         for row in simple:
             if lift_tables is None:
                 lift_tables = [
                     {d: s.extend_residue_field(field_) for d, s in table.items()}
                     for table in (g_table, dtable)
                 ]
-            u_bar = FqElement(field_, row)
+            u_bar = field_.element(row)
             u = LaurentSeries.constant(field_, u_bar, ram, prec=horizon, exact=False)
             lifted = newton_root(*lift_tables, u, 2 * horizon.bit_length() + 8)
             if lifted is not None:
@@ -329,15 +329,14 @@ def _periodic_in_tower(field_, g_table, dtable, residue_poly, dpoly, ram, horizo
     return None
 
 
-def _residue_rows(field_, poly):
-    """Nonzero coefficients of a residue polynomial over a subfield of
+def _residue_rows(field_, table):
+    """Nonzero residues of a table of integral series over a subfield of
     ``field_``, as coordinate rows of ``field_`` (the canonical embedding)."""
     rows = {}
-    for d, c in poly.items():
-        if not c.is_zero:
-            row = np.zeros(field_.r, dtype=np.int64)
-            row[: len(c.coeffs)] = c.coeffs
-            rows[d] = row
+    for d, s in table.items():
+        if s.lead == 0 and not s.is_zero_as_known:
+            rows[d] = np.zeros(field_.r, dtype=np.int64)
+            rows[d][: s.field.r] = s.coeffs[0]
     return rows
 
 
@@ -351,7 +350,7 @@ def _eval_rows(field_, poly, xs):
 
     def power(n):
         if n not in powers:
-            powers[n] = _pow_rows(field_, xs, n)
+            powers[n] = field_.pow_rows(xs, n)
         return powers[n]
 
     acc = np.broadcast_to(poly[degs[0]], xs.shape)
@@ -360,18 +359,6 @@ def _eval_rows(field_, poly, xs):
     if degs[-1]:
         acc = field_.mul_rows(acc, power(degs[-1]))
     return acc
-
-
-def _pow_rows(field_, xs, n):
-    """xs^n entry by entry for n >= 1, by square-and-multiply."""
-    result = None
-    while True:
-        if n & 1:
-            result = xs if result is None else field_.mul_rows(result, xs)
-        n >>= 1
-        if not n:
-            return result
-        xs = field_.mul_rows(xs, xs)
 
 
 def _orbit_multiplier(f, x_hat, kappa):

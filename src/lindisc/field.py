@@ -51,19 +51,11 @@ def _is_prime(n):
     return n >= 2 and _prime_factors(n) == (n,)
 
 
-def _monic_polys(degree, p):
-    """All monic polynomials of the given degree over F_p."""
-    if degree == 0:
-        yield [1]
-        return
-    for idx in range(p**degree):
-        coeffs = []
-        t = idx
-        for _ in range(degree):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
-        yield coeffs
+def _digit_rows(p, r, start, stop):
+    """Base-p digits, least significant first, of the integers start ..
+    stop-1, as a (stop - start, r) int64 array."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return (idx[:, None] // p ** np.arange(r, dtype=np.int64)) % p
 
 
 def _is_irreducible(modulus, p):
@@ -74,8 +66,8 @@ def _is_irreducible(modulus, p):
     if r == 1:
         return True
     for d in range(1, r // 2 + 1):
-        for cand in _monic_polys(d, p):
-            if not any(_poly_divmod(modulus, cand, p)[1]):
+        for digits in _digit_rows(p, d, 0, p**d):
+            if not any(_poly_divmod(modulus, [*digits.tolist(), 1], p)[1]):
                 return False
     return True
 
@@ -93,10 +85,11 @@ class FieldParams:
         # two kernels accumulate in int64.  laurent._convolve: each output
         # entry sums at most r·min(La, Lb) products < p², and r·p² < 2³³
         # because p < 2¹⁶ and q < 2³², so overflow needs both operands of
-        # 2³⁰ rows.  mul_rows: each entry sums at most r products < p²
-        # before its reduction mod p.  Both fold the high part alike, by
-        # ``@ _reduction_rows``: p - 1 plus r - 1 products < p², below
-        # r·p² < 2³³.  Checked before primality, whose trial division runs to √p
+        # 2³⁰ rows.  mul_rows, which FqElement multiplies through: each
+        # entry sums at most r products < p² before its reduction mod p.
+        # Both fold the high part alike, by ``@ _reduction_rows``: p - 1
+        # plus r - 1 products < p², below r·p² < 2³³.  Checked before
+        # primality, whose trial division runs to √p
         if p >= 2**16:
             raise FieldConstructionError(f"p = {p} is too large: need p < 2^16")
         if not _is_prime(p):
@@ -191,26 +184,22 @@ class FieldParams:
         return FqElement(self, vec)
 
     def elements(self):
-        """All q elements, in lexicographic coordinate order."""
-        for idx in range(self.q):
-            vec = []
-            t = idx
-            for _ in range(self.r):
-                vec.append(t % self.p)
-                t //= self.p
-            yield FqElement(self, vec)
+        """All q elements, in lexicographic coordinate order: element n
+        has the base-p digits of n as coordinates."""
+        for start in range(0, self.q, 1024):  # memory bounded whatever q is
+            for row in self.element_rows(start, min(start + 1024, self.q)):
+                yield FqElement(self, row)
 
     def element_rows(self, start, stop):
         """Coordinates of the elements at positions start .. stop-1 of
         ``elements()``, as a (stop - start, r) int64 array."""
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = self.p ** np.arange(self.r, dtype=np.int64)
-        return (idx[:, None] // digits[None, :]) % self.p
+        return _digit_rows(self.p, self.r, start, stop)
 
     def mul_rows(self, a, b):
         """Entry-by-entry product of two (n, r) int64 coordinate arrays:
         the schoolbook products reduced mod p, then the high part folded
-        through the reduction rows, as ``FqElement.__mul__`` does."""
+        through the reduction rows.  The one F_q product: ``FqElement``
+        multiplies through it on one-row arrays."""
         p, r = self.p, self.r
         if r == 1:
             return a * b % p
@@ -219,6 +208,20 @@ class FieldParams:
             prod[:, i : i + r] += a[:, i : i + 1] * b
         prod %= p
         return (prod[:, :r] + prod[:, r:] @ self._reduction_rows) % p
+
+    def pow_rows(self, xs, n):
+        """xs^n entry by entry for n >= 0, by square-and-multiply."""
+        result = None
+        while n:
+            if n & 1:
+                result = xs if result is None else self.mul_rows(result, xs)
+            n >>= 1
+            if n:
+                xs = self.mul_rows(xs, xs)
+        if result is None:
+            result = np.zeros_like(xs)
+            result[:, 0] = 1
+        return result
 
     def parse_element(self, text):
         """Parse an element literal: an integer for r = 1, a polynomial in
@@ -337,26 +340,15 @@ class FqElement:
     def __sub__(self, other):
         return self + (-other)
 
+    def _row(self):
+        return np.array([self.coeffs], dtype=np.int64)
+
     def __mul__(self, other):
-        if isinstance(other, int):
-            p = self.params.p
-            c = other % p
-            return FqElement(self.params, [(a * c) % p for a in self.coeffs])
-        self._check(other)
         params = self.params
-        p, r = params.p, params.r
-        prod = [0] * (2 * r - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        vec = prod[:r]
-        for t in range(r - 1):
-            c = prod[r + t]
-            if c:
-                row = params._reduction_rows[t]
-                vec = [(v + c * int(w)) % p for v, w in zip(vec, row)]
-        return FqElement(params, vec)
+        if isinstance(other, int):
+            other = params.element(other)
+        self._check(other)
+        return FqElement(params, params.mul_rows(self._row(), other._row())[0])
 
     __rmul__ = __mul__
 
@@ -373,14 +365,7 @@ class FqElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.params.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return FqElement(self.params, self.params.pow_rows(self._row(), n)[0])
 
     def multiplicative_order(self):
         """Least n >= 1 with self^n = 1; divides q - 1."""

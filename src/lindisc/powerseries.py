@@ -1,6 +1,6 @@
 """Power-series maps f(x) = λx + Σ a_i x^i with Laurent-series
-coefficients: evaluation, iteration, composition, derivative,
-compositional inversion, and the contraction gauge.
+coefficients: evaluation, iteration, composition, derivative and the
+contraction gauge.
 
 Composition of coefficient tables is ``table_compose``, in full
 LaurentSeries arithmetic with no window; the windowed dense engine of
@@ -196,17 +196,6 @@ def _table_mul(a, b, D):
     return out
 
 
-def _table_add(a, b):
-    out = dict(a)
-    for d, s in b.items():
-        out[d] = out[d] + s if d in out else s
-    return out
-
-
-def _table_neg(a):
-    return {d: -s for d, s in a.items()}
-
-
 def _table_derivative(a, p):
     """Derivative of an x-polynomial, the integer factors reduced mod p."""
     out = {}
@@ -240,50 +229,6 @@ def newton_root(table, dtable, y, max_iter):
             return None
         y = y - step
     raise PrecisionError(f"Newton iteration did not converge in {max_iter} steps")
-
-
-def _table_inverse_unit(u, D):
-    """Reciprocal of an x-polynomial with unit constant coefficient,
-    truncated at degree D (back-substitution in x)."""
-    v0 = u[0].inverse()
-    v = {0: v0}
-    for k in range(1, D + 1):
-        s = None
-        for j, uj in u.items():
-            if 1 <= j <= k and (k - j) in v:
-                term = uj * v[k - j]
-                s = term if s is None else s + term
-        if s is None:
-            continue
-        v[k] = -(v0 * s)
-    return v
-
-
-def ps_invert(g, D):
-    """Compositional inverse of a table with g(0) = 0 and unit linear
-    coefficient: returns h with g(h(x)) ≡ x mod x^(D+1).
-
-    Newton iteration doubling the trusted degree each step:
-    h <- h - (g∘h - x) / (g'∘h).
-    """
-    g = {d: s for d, s in g.items() if d >= 1 and not s.is_exact_zero}
-    if 1 not in g or g[1].is_zero_as_known or g[1].lead != 0:
-        raise HypothesisError("compositional inversion needs a unit linear term")
-    field = g[1].field
-    p = field.p
-    h = {1: g[1].inverse()}
-    gprime = _table_derivative(g, p)
-    trusted = 1
-    while trusted < D:
-        trusted = min(2 * trusted, D)
-        goh = table_compose(g, h, trusted)
-        goh[1] = goh[1] - LaurentSeries.constant(field, 1, g[1].ram)
-        gpoh = table_compose(gprime, h, trusted)
-        inv = _table_inverse_unit(gpoh, trusted)
-        corr = _table_mul(goh, inv, trusted)
-        h = _table_add(h, _table_neg(corr))
-        h = {d: s for d, s in h.items() if d <= trusted and not s.is_exact_zero}
-    return h
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ from lindisc.errors import HypothesisError
 from lindisc.laurent import LaurentSeries
 from lindisc.multiplier import mult_profile
 from lindisc.powerseries import (
-    _table_add,
     _table_derivative,
     binomial_mod_p,
     eval_table,
@@ -104,14 +103,16 @@ def _periodic_in_tower_per_element(f, kappa, pi, horizon):
     x_table = {1: pi}
     for _ in range(kappa):
         x_table = table_compose(f.coeffs, x_table, f.degree_bound**kappa)
-    g_table = _table_add(x_table, {1: -pi})
+    g_table = {**x_table, 1: x_table[1] - pi}
     g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
     if not g_table:
         return None
-    dtable = _table_derivative(g_table, field_.p)
+    # lift G/T^μ, whose derivative is a unit at a simple residue root
     mu = min(s.lead for s in g_table.values())
-    residue_poly = {d: s.shift(-mu).residue() for d, s in g_table.items()}
-    dpoly = {d: s.shift(-mu).residue() for d, s in dtable.items()}
+    g_table = {d: s.shift(-mu) for d, s in g_table.items()}
+    dtable = _table_derivative(g_table, field_.p)
+    residue_poly = {d: s.residue() for d, s in g_table.items()}
+    dpoly = {d: s.residue() for d, s in dtable.items()}
     for u_bar in field_.elements():
         if u_bar.is_zero:
             continue

@@ -256,6 +256,10 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
             "['Precision', 'nmax']",
         ),
         ("solve", {"Degree": 4}, "['Degree']"),
+        # D above MAX_DEGREE: the dense arrays alone would need 7.28 TiB
+        ("solve", {"degree": 1000000000000}, "degree"),
+        # Jmax = 2^39: the solve degree p^Nmax + 1 is far above MAX_DEGREE
+        ("certify-divergence", {"Nmax": 40}, "Nmax"),
     ],
 )
 def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
@@ -278,6 +282,8 @@ def test_keys_of_other_commands_are_accepted(tmp_path, capsys):
 def test_malformed_degree_flag_exits_2(tmp_path, capsys):
     job = write_job(tmp_path, "q.json", QUADRATIC)
     code, _, err = run(capsys, ["solve", "--job", job, "--degree", "0"])
+    assert code == 2 and "--degree" in err
+    code, _, err = run(capsys, ["solve", "--job", job, "--degree", "4097"])
     assert code == 2 and "--degree" in err
 
 

@@ -267,8 +267,9 @@ SEARCH_CASES = _random_search_cases() + [
     ("root-at-block-end", _map(FieldParams(7), "1+T", {2: "1"}), 1, 1, 1),
     # G = T^2 u(u-1)^2(u-2) over F_3: the double root 1 is skipped, 2 lifts
     ("double-root-skipped", _map(F3, "1+T", {2: "2", 3: "2*T^-1", 4: "T^-2"}), 1, 1, 1),
-    # G = T^2 u(u-1)(u-2) + T^3 u(u-2) over F_5: the simple root 1 fails
-    # to lift (G' is not a unit), the exact root 2 lifts
+    # G = T^2 u(u-1)(u-2) + T^3 u(u-2) over F_5: G' has valuation 2 at the
+    # simple root 1, so it lifts only as a root of G/T^2, to u = 1 - T
+    # after a Newton step
     ("simple-root-fails", _map(FieldParams(5), "1+2*T+3*T^2", {2: "2+T", 3: "T^-1"}), 1, 1, 1),
     _sigma_sphere_case("sigma-f5-k2", FieldParams(5), "2+3*T", 5, 2),
     _sigma_sphere_case("sigma-f9", FieldParams(3, 2), "b+T", 9, 3),
@@ -310,12 +311,31 @@ def test_designed_tower_search_cases_land_where_built():
         assert _check_against_oracle(cases[name]) is None
     for name, root in [
         ("double-root-skipped", 2),
-        ("simple-root-fails", 2),
+        ("simple-root-fails", 1),
         ("root-at-block-end", 6),
     ]:
         pp = _check_against_oracle(cases[name])
         assert pp.tower == (1, 1)
         assert pp.point.coefficient(1) == pp.point.field.element(root)
+    pp = _check_against_oracle(cases["simple-root-fails"])
+    assert pp.point.render() == "T + 4*T^2 + O(T^25)"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["p3r1e1-v1", "p3r2e1-v1", "p3r2e2-v1/2", "p7r2e2-v1", "simple-root-fails"],
+)
+def test_roots_needing_newton_steps_lift_to_indifferent_points(name):
+    """On a sphere of positive radius G's coefficients all have positive
+    valuation; the search lifts G/T^μ, so these simple residue roots,
+    which need Newton steps, lift to verified periodic points."""
+    _, f, v, e, kappa_max = {c[0]: c for c in SEARCH_CASES}[name]
+    pp = find_periodic_point(f, kappa_max, make_disc(Fraction(v), "closed"), e=e, horizon=24)
+    assert pp is not None
+    fe = discs._embed_map(f, pp.point.field, pp.point.ram)
+    residual, mult = verify_indifferent(fe, pp.point, pp.kappa)
+    assert residual.is_infinite
+    assert mult.lead == 0
 
 
 @pytest.mark.parametrize("field", [FieldParams(3, 2), FieldParams(2, 4), FieldParams(5)], ids=str)
@@ -329,8 +349,9 @@ def test_block_evaluation_equals_horner_on_elements(field):
         for d in rng.sample(range(12), 4):
             c = field.element([rng.randrange(field.p) for _ in range(field.r)])
             poly[d] = c or field.one()
+        constants = {d: LaurentSeries.constant(field, c) for d, c in poly.items()}
         got = discs._eval_rows(
-            field, discs._residue_rows(field, poly), field.element_rows(0, field.q)
+            field, discs._residue_rows(field, constants), field.element_rows(0, field.q)
         )
         want = [eval_table(poly, x).coeffs for x in elements]
         assert [tuple(int(c) for c in row) for row in got] == want

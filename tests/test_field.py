@@ -112,15 +112,17 @@ def test_fermat_inverse_at_the_largest_prime():
 SMALL_BUILTIN = [FieldParams(p, r) for (p, r) in BUILTIN_MODULI if p**r <= 125]
 
 
+def as_tuples(rows):
+    return [tuple(int(c) for c in row) for row in rows]
+
+
 @pytest.mark.parametrize("field", SMALL_BUILTIN, ids=lambda f: f"p{f.p}r{f.r}")
 def test_mul_rows_matches_element_product_on_every_pair(field):
-    elements = list(field.elements())
     rows = field.element_rows(0, field.q)
     a = np.repeat(rows, field.q, axis=0)
     b = np.tile(rows, (field.q, 1))
     got = field.mul_rows(a, b)
-    want = [(x * y).coeffs for x in elements for y in elements]
-    assert [tuple(int(c) for c in row) for row in got] == want
+    assert as_tuples(got) == [naive_mul(x, y, field) for x, y in zip(a, b)]
 
 
 def test_mul_rows_matches_element_product_on_a_sample_of_f_7_4():
@@ -129,10 +131,41 @@ def test_mul_rows_matches_element_product_on_a_sample_of_f_7_4():
     a = rng.integers(0, 7, size=(4096, 4), dtype=np.int64)
     b = rng.integers(0, 7, size=(4096, 4), dtype=np.int64)
     got = field.mul_rows(a, b)
-    for x, y, z in zip(a, b, got):
-        assert (field.element(list(x)) * field.element(list(y))).coeffs == tuple(
-            int(c) for c in z
-        )
+    assert as_tuples(got) == [naive_mul(x, y, field) for x, y in zip(a, b)]
+
+
+def naive_pow(x, n, field):
+    """x^n as n - 1 schoolbook products (x^0 is 1)."""
+    result = (1,) + (0,) * (field.r - 1)
+    for _ in range(n):
+        result = naive_mul(result, x, field)
+    return result
+
+
+LARGEST_PRIME_FIELD = FieldParams(65521, 2, [17, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "field", SMALL_BUILTIN + [LARGEST_PRIME_FIELD], ids=lambda f: f"p{f.p}r{f.r}"
+)
+def test_pow_rows_matches_repeated_products(field):
+    if field.q <= 125:
+        rows = field.element_rows(0, field.q)
+    else:
+        rng = np.random.default_rng(field.p)
+        rows = rng.integers(0, field.p, size=(64, field.r), dtype=np.int64)
+        rows[:, 0] |= rows[:, 0] == 0  # units only, for the Fermat inverse
+    for n in (0, 1, 2, 3):
+        got = field.pow_rows(rows, n)
+        assert as_tuples(got) == [naive_pow(x, n, field) for x in rows], n
+    # x^(q-2) is the inverse of each unit; at q = 65521² it is checked
+    # through one product instead of q - 2 of them
+    units = rows[rows.any(axis=1)]
+    got = field.pow_rows(units, field.q - 2)
+    if field.q <= 125:
+        assert as_tuples(got) == [naive_pow(x, field.q - 2, field) for x in units]
+    one = naive_pow(units[0], 0, field)
+    assert [naive_mul(y, x, field) for x, y in zip(units, got)] == [one] * len(units)
 
 
 def test_mul_rows_stays_exact_at_the_largest_prime():
@@ -157,12 +190,23 @@ def test_mul_rows_stays_exact_at_the_largest_prime():
     "field", [FieldParams(5, 3), FieldParams(3, 4), FieldParams(7, 2)], ids=str
 )
 def test_element_rows_follow_elements_order(field):
-    q = field.q
-    listed = [x.coeffs for x in field.elements()]
+    """Element n has the base-p digits of n, least significant first, as
+    its coordinates, in ``element_rows`` and in ``elements()`` alike."""
+    q, p = field.q, field.p
+
+    def digits(n):
+        out = []
+        for _ in range(field.r):
+            n, d = divmod(n, p)
+            out.append(d)
+        return tuple(out)
+
+    listed = [digits(n) for n in range(q)]
+    assert [x.coeffs for x in field.elements()] == listed
     for start, stop in [(0, q), (0, 7), (5, 17), (7, 14), (q - 3, q), (4, 4)]:
         got = field.element_rows(start, stop)
         assert got.shape == (stop - start, field.r)
-        assert [tuple(int(c) for c in row) for row in got] == listed[start:stop]
+        assert as_tuples(got) == listed[start:stop]
 
 
 def test_parse_and_render_round_trip():

@@ -1,5 +1,5 @@
-"""Power-series maps: gauge, evaluation, iteration, composition,
-derivative, and compositional inversion against a naive oracle."""
+"""Power-series maps: gauge, evaluation, iteration, composition and
+derivative."""
 
 import random
 from fractions import Fraction
@@ -16,12 +16,10 @@ from lindisc import (
     ps_derivative_at,
     ps_eval,
     ps_gauge,
-    ps_invert,
     ps_iterate,
     table_compose,
 )
 from lindisc.errors import HypothesisError
-from lindisc.powerseries import _table_mul
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -159,74 +157,6 @@ def test_derivative_examples():
     # p-divisible degrees never contribute: derivative is λ at any point
     fam = PowerSeriesMap({1: series("1+T"), 4: series("1"), 6: series("T")})
     assert ps_derivative_at(fam, series("T+T^2", prec=16)).agrees_with(series("1+T"))
-
-
-def naive_inverse(g, D):
-    """Independent back-substitution oracle: solve [x^k](g(h)) = [k = 1]
-    degree by degree, recomputing powers of h naively each step."""
-    field = g[1].field
-    one = LaurentSeries.constant(field, 1)
-    g1_inv = g[1].inverse()
-    h = {1: g1_inv}
-    for k in range(2, D + 1):
-        # coefficient of x^k in g(h) with the current partial h
-        total = None
-        hpow = dict(h)
-        for l in range(1, k + 1):
-            if l in g and k in hpow:
-                term = g[l] * hpow[k]
-                total = term if total is None else total + term
-            hpow = _table_mul(hpow, h, k)
-        if total is None or total.is_zero_as_known:
-            continue
-        h[k] = -(g1_inv * total)
-    return h
-
-
-def test_invert_against_back_substitution_oracle():
-    rng = random.Random(13)
-    for field in (F2, F3, F4):
-        g = {1: parse_series("1", field, prec=24)}
-        for d in rng.sample(range(2, 8), 3):
-            c = rng.randrange(1, field.p)
-            g[d] = parse_series(f"{c}*T^{rng.randrange(0, 3)}", field)
-        D = 10
-        h = ps_invert(g, D)
-        oracle = naive_inverse(g, D)
-        for d in range(1, D + 1):
-            a, b = h.get(d), oracle.get(d)
-            if a is None or b is None:
-                assert (a is None or a.is_zero_as_known) and (
-                    b is None or b.is_zero_as_known
-                )
-            else:
-                assert a.agrees_with(b)
-
-
-def test_invert_round_trips():
-    g = {1: parse_series("1", F4, prec=30), 2: parse_series("b", F4)}
-    D = 8
-    h = ps_invert(g, D)
-    composed = table_compose(g, h, D)
-    assert composed[1].agrees_with(parse_series("1", F4, prec=20))
-    for d in range(2, D + 1):
-        if d in composed:
-            assert composed[d].is_zero_as_known
-    again = ps_invert(h, D)
-    for d in range(1, D + 1):
-        a, b = again.get(d), g.get(d)
-        if a is not None and b is not None:
-            assert a.agrees_with(b)
-        elif a is not None:
-            assert a.is_zero_as_known
-
-
-def test_invert_identity_and_errors():
-    ident = {1: series("1", prec=16)}
-    h = ps_invert(ident, 5)
-    assert h[1].agrees_with(series("1", prec=16))
-    with pytest.raises(HypothesisError):
-        ps_invert({1: series("T")}, 5)
 
 
 def test_lucas_binomials():

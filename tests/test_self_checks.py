@@ -32,19 +32,20 @@ def test_no_assert_statements_or_assertion_errors():
 
 
 # where each arithmetic kernel may live: a second product or fold of F_q
-# coordinates would have to name one of these and so shows up here
+# coordinates would have to name one of these and so shows up here, and
+# a second square-and-multiply would have to halve its exponent
 CONVOLVE_HOMES = {"laurent._convolve"}
 FOLD_HOMES = {
     "field.FieldParams.__init__",
     "field.FieldParams.mul_rows",
-    "field.FqElement.__mul__",
     "laurent._convolve",
 }
+POWER_HOMES = {"field.FieldParams.pow_rows", "laurent.LaurentSeries.__pow__"}
 
 
 def _kernel_uses(module, source):
-    """(qualified scope, kind) for every ``np.convolve`` call and every
-    read of ``_reduction_rows`` in the source of ``module``."""
+    """(qualified scope, kind) for every ``np.convolve`` call, every read
+    of ``_reduction_rows`` and every ``n >>= 1`` in the source of ``module``."""
     uses = []
 
     def visit(node, scope):
@@ -60,6 +61,13 @@ def _kernel_uses(module, source):
             uses.append((scope, "convolve"))
         if isinstance(node, ast.Attribute) and node.attr == "_reduction_rows":
             uses.append((scope, "fold"))
+        if (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.RShift)
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == 1
+        ):
+            uses.append((scope, "power"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -68,7 +76,7 @@ def _kernel_uses(module, source):
 
 
 def _misplaced(uses):
-    homes = {"convolve": CONVOLVE_HOMES, "fold": FOLD_HOMES}
+    homes = {"convolve": CONVOLVE_HOMES, "fold": FOLD_HOMES, "power": POWER_HOMES}
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
 
@@ -78,9 +86,10 @@ def test_one_convolution_and_one_fold():
         uses = _kernel_uses(path.stem, path.read_text(encoding="utf-8"))
         seen.update(uses)
         offenders += _misplaced(uses)
-    assert not offenders, f"a second F_q product or fold: {offenders}"
+    assert not offenders, f"a second F_q product, fold or power: {offenders}"
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "fold") in seen
+    assert ("field.FieldParams.pow_rows", "power") in seen
 
 
 def test_kernel_walk_flags_a_second_product():
@@ -89,8 +98,12 @@ def test_kernel_walk_flags_a_second_product():
         "class LaurentSeries:\n"
         "    def scale(self, c):\n"
         "        return np.convolve(self.coeffs, c) @ self.field._reduction_rows\n"
+        "    def power(self, n):\n"
+        "        while n:\n"
+        "            n >>= 1\n"
     )
     assert _misplaced(_kernel_uses("laurent", source)) == [
         ("laurent.LaurentSeries.scale", "convolve"),
         ("laurent.LaurentSeries.scale", "fold"),
+        ("laurent.LaurentSeries.power", "power"),
     ]
