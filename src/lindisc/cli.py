@@ -4,9 +4,9 @@ Commands read a self-describing JSON job file and write data to stdout,
 or to --out once the command has succeeded; diagnostics go to stderr.
 Exit codes: 0 success, 2 parse error (including a malformed or
 out-of-range job value, such as a solve degree above MAX_DEGREE, an
-unknown job key, or an --out that cannot be written), 3 mathematical
-error (root of unity, precision exhausted, hypothesis violation), 4
-certified-bound violation or failed internal self-check.
+unknown or repeated job key, or an --out that cannot be written), 3
+mathematical error (root of unity, precision exhausted, hypothesis
+violation), 4 certified-bound violation or failed internal self-check.
 
 Job keys: ``p``, ``r``, ``modulus`` and ``e`` fix the field F_{p^r}((T^(1/e)));
 ``lambda`` and ``f`` give the map; ``degree``, ``Nmax``, ``tail``,
@@ -41,7 +41,7 @@ from .schroder import (
     check_structural_zeros,
     solve_sfe,
 )
-from .discs import classify_linearization_disc
+from .discs import classify_linearization_disc, default_degree
 
 EXIT_PARSE = 2
 EXIT_MATH = 3
@@ -52,6 +52,8 @@ MAX_WINDOW = 1024
 # largest solve degree D: one DensePoly holds (D + 1)·W·r int64 entries,
 # 32·r MB at D = MAX_DEGREE and W = MAX_WINDOW
 MAX_DEGREE = 4096
+# largest ramification index e: a literal T^n holds n·e + 1 rows
+MAX_RAMIFICATION = 64
 
 # every top-level key some command reads: one job file may serve several
 # commands (``analyze`` then ``disc`` on a file that sets ``kappa_max``)
@@ -63,7 +65,7 @@ JOB_KEYS = frozenset(
 def load_job(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read job file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -76,6 +78,14 @@ def load_job(path):
     if unknown:
         raise ParseError(f"unknown job keys {unknown}; a job takes {sorted(JOB_KEYS)}")
     return raw
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key is a parse error, not last-wins."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ParseError(f"repeated JSON keys {sorted({k for k in keys if keys.count(k) > 1})}")
+    return dict(pairs)
 
 
 def _int_of(value, name, low=1, high=None):
@@ -121,7 +131,7 @@ def _job_runner(job):
     at each W of the retry schedule and returns ``pipeline(f, W)`` of the
     first W that does not exhaust precision."""
     field = _job_field(job)
-    ram = _int_of(job.get("e", 1), "e")
+    ram = _int_of(job.get("e", 1), "e", high=MAX_RAMIFICATION)
     precision = job.get("precision", {})
     if not isinstance(precision, dict):
         raise ParseError("'precision' must be an object")
@@ -177,6 +187,8 @@ def _job_map(job, field, ram, prec):
             )
         if degree < 2:
             raise ParseError(f"degree {degree} in 'f' must be >= 2")
+        if degree in coeffs:
+            raise ParseError(f"degree {degree} is given twice in 'f' (key {key!r})")
         coeffs[degree] = parse_series(str(literal), field, ram, prec)
     return PowerSeriesMap(coeffs)
 
@@ -267,9 +279,14 @@ def cmd_disc(job, args, out):
     run = _job_runner(job)
     D = _degree(job, args, None)
     kappa_max = _int_of(job.get("kappa_max"), "kappa_max")
-    report = run(
-        lambda f, W: classify_linearization_disc(f, D=D, window=W, kappa_max=kappa_max)
-    ).report_dict()
+
+    def disc(f, W):
+        degree = D or default_degree(f, mult_profile(f.multiplier))
+        if degree > MAX_DEGREE:
+            raise ParseError(f"'disc' derives degree {degree} > MAX_DEGREE = {MAX_DEGREE}")
+        return classify_linearization_disc(f, D=degree, window=W, kappa_max=kappa_max)
+
+    report = run(disc).report_dict()
     if args.display_epsilon:
         eps = _parse_rational(args.display_epsilon)
         report["display_epsilon"] = str(eps)

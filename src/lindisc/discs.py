@@ -11,6 +11,8 @@ certifies the whole tail.
 Periodic points on a sphere are found by scaling the sphere to the unit
 circle in a ramified tower F_{p^r}((T^{1/e})), reducing to the residue
 field, and Hensel-lifting simple residue roots by Newton iteration.
+One walk along the lifted orbit (``verify_indifferent``) both certifies
+the point periodic to its horizon and gives its multiplier.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ from .powerseries import (
     ps_derivative_at,
     ps_eval,
     ps_gauge,
-    ps_iterate,
     table_compose,
 )
 from .schroder import (
@@ -211,15 +212,12 @@ class LinearizationReport:
 
 def _embed_map(f, target_field, e):
     """Re-coefficient f into the tower F_{p^r}((T^(1/e))) (series ram e)."""
-    if e % f.ram:
-        raise HypothesisError("tower ramification must extend the map's")
-    coeffs = {}
-    for i, a in f.coeffs.items():
-        s = a if a.ram == e else a.ramify(e // f.ram) if f.ram == 1 else None
-        if s is None:
-            raise HypothesisError("cannot re-ramify an already ramified map")
-        coeffs[i] = s.extend_residue_field(target_field)
-    return PowerSeriesMap(coeffs)
+    if f.ram not in (1, e):
+        raise HypothesisError(f"cannot re-ramify a map with e = {f.ram} to e = {e}")
+    return PowerSeriesMap({
+        i: (a if f.ram == e else a.ramify(e)).extend_residue_field(target_field)
+        for i, a in f.coeffs.items()
+    })
 
 
 # largest residue extension degree the periodic-point search tries
@@ -235,13 +233,9 @@ def _tower_fields(base):
     field, or the map's own field alone when it is an extension."""
     if base.r != 1:
         return [base]
-    fields = []
-    for r in range(1, _R_MAX + 1):
-        if r == 1:
-            fields.append(base)
-        elif (base.p, r) in BUILTIN_MODULI:
-            fields.append(FieldParams(base.p, r))
-    return fields
+    return [base] + [
+        FieldParams(base.p, r) for r in range(2, _R_MAX + 1) if (base.p, r) in BUILTIN_MODULI
+    ]
 
 
 def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
@@ -251,29 +245,30 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
     ramification; the sphere radius must be integral in that tower.
     Returns a PeriodicPoint or None (not-found-in-tower: existence in
     the completed algebraic closure is not decided by this search).
+    A lifted root that is not κ-periodic to its horizon is a
+    CertificateError; the multiplier is not checked, since off the
+    p-divisible family the point may be attracting.
 
-    f^∘κ(π·u) is composed once per κ over the map's own residue field:
-    its coefficients are exact, so extending them into a tower field
-    gives the composition over that field.
+    The tower fields, f in each and π are built once per search, and
+    f^∘κ(π·u) once per κ over f's own field: its coefficients are exact,
+    so extending them into a tower field composes over that field.
     """
-    v_radius = sphere.v_radius.value
-    exponent = v_radius * e
+    exponent = sphere.v_radius.value * e
     if exponent.denominator != 1:
         raise HypothesisError(
-            f"sphere radius valuation {v_radius} is not integral in a tower "
-            f"with e = {e}"
+            f"sphere radius valuation {sphere.v_radius} is not integral in a tower with e = {e}"
         )
     exponent = int(exponent)
-    base = f.field
-    x_table = None
+    towers = [
+        (field_, _embed_map(f, field_, e), LaurentSeries.monomial(field_, exponent, 1, ram=e))
+        for field_ in _tower_fields(f.field)
+    ]
+    _, f_e, pi = towers[0]  # the map's own residue field comes first
+    x_table = {1: pi}
     for kappa in range(1, kappa_max + 1):
         deg = f.degree_bound**kappa
         if deg > _DEG_CAP:
             break
-        if x_table is None:
-            f_e = _embed_map(f, base, e)
-            pi = LaurentSeries.monomial(base, exponent, 1, ram=e)
-            x_table = {1: pi}
         # x_κ = f^∘κ(π u) = f(x_{κ-1}) has degree <= deg, so nothing is truncated
         x_table = table_compose(f_e.coeffs, x_table, deg)
         # G(u) = f^∘κ(π u) − π u as a polynomial in u with exact coefficients
@@ -285,13 +280,15 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
         # all zero, and a simple residue root has a unit derivative there
         mu = min(s.lead for s in g_table.values())
         g_table = {d: s.shift(-mu) for d, s in g_table.items()}
-        dtable = _table_derivative(g_table, base.p)
-        for res_field in _tower_fields(base):
-            u_hat = _periodic_in_tower(res_field, g_table, dtable, e, horizon * e)
+        dtable = _table_derivative(g_table, f.field.p)
+        for field_, f_tower, pi_tower in towers:
+            u_hat = _periodic_in_tower(field_, g_table, dtable, e, horizon * e)
             if u_hat is not None:
-                x_hat = LaurentSeries.monomial(res_field, exponent, 1, ram=e) * u_hat
-                mult = _orbit_multiplier(_embed_map(f, res_field, e), x_hat, kappa)
-                return PeriodicPoint(x_hat, kappa, mult, (res_field.r, e))
+                x_hat = pi_tower * u_hat
+                residual, mult = verify_indifferent(f_tower, x_hat, kappa)
+                if not residual.is_infinite:
+                    raise CertificateError(f"lifted root is not {kappa}-periodic: {residual}")
+                return PeriodicPoint(x_hat, kappa, mult, (field_.r, e))
     return None
 
 
@@ -361,22 +358,23 @@ def _eval_rows(field_, poly, xs):
     return acc
 
 
-def _orbit_multiplier(f, x_hat, kappa):
-    """(f^∘κ)'(x̂) = Π f'(f^∘i(x̂)) along the orbit."""
-    mult = None
-    point = x_hat
-    for _ in range(kappa):
-        d = ps_derivative_at(f, point)
-        mult = d if mult is None else mult * d
-        point = ps_eval(f, point)
-    return mult
-
-
 def verify_indifferent(f, point, kappa):
-    """Residual valuation of periodicity and the orbit multiplier."""
-    residual = (ps_iterate(f, kappa, point) - point).valuation()
-    mult = _orbit_multiplier(f, point, kappa)
-    return residual, mult
+    """Residual valuation v(f^∘κ(x) − x) of periodicity and the orbit
+    multiplier (f^∘κ)'(x) = Π f'(f^∘i(x)), from one walk along the orbit."""
+    mult = None
+    x = point
+    for _ in range(kappa):
+        d = ps_derivative_at(f, x)
+        mult = d if mult is None else mult * d
+        x = ps_eval(f, x)
+    return (x - point).valuation(), mult
+
+
+def default_degree(f, profile):
+    """The solve degree of ``classify_linearization_disc`` when none is
+    given: four resonance steps mp past k', at least 4k', 2·deg f and 16."""
+    kp = profile.k_prime
+    return max(4 * kp, kp + 4 * profile.m * profile.p, 2 * f.degree_bound, 16)
 
 
 def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
@@ -387,8 +385,9 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     GENERIC-SIGMA: full conjugacy certified on the open disc of radius σ.
     EXTENDED-RHO:  b_{k'} proven zero, one-to-one radius extends to ρ.
     EXACT-SIGMA:   deg(g, closed σ-disc) = k'; D_σ is the linearization
-                   disc and the boundary sphere is searched for an
-                   indifferent periodic point of period κ <= k'.
+                   disc and the boundary sphere is searched for a
+                   periodic point of period κ <= k', which the search
+                   certifies periodic and this checks indifferent.
     """
     if not f.divisible_degrees() or f.is_linear:
         raise HypothesisError(
@@ -398,9 +397,8 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     gauge = ps_gauge(f)
     dp = disc_profile(profile, gauge)
     kp = profile.k_prime
-    step = profile.m * profile.p
     if D is None:
-        D = max(4 * kp, kp + 4 * step, 2 * f.degree_bound, 16)
+        D = default_degree(f, profile)
     g = solve_sfe(f, D, window)
     notes = []
     zeros = check_structural_zeros(g, f)
@@ -425,14 +423,8 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
                 "periodic point exists in the completed algebraic closure "
                 f"but was not found in towers up to r={_R_MAX}, e={e}"
             )
-        else:
-            residual, mult = verify_indifferent(
-                _embed_map(f, periodic.point.field, periodic.point.ram),
-                periodic.point,
-                periodic.kappa,
-            )
-            if not residual.is_infinite or mult.lead != 0:
-                raise CertificateError("periodic point failed verification")
+        elif periodic.multiplier.valuation() != 0:
+            raise CertificateError("boundary periodic point is not indifferent")
     elif b_kp.is_exact_zero:
         level = LEVEL_EXTENDED
         disc = make_disc(dp.v_rho, "open")

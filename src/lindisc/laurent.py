@@ -517,6 +517,10 @@ def _invert_unit(params, unit, digits):
 
 # -- parsing ---------------------------------------------------------------------
 
+# largest |n| of a literal's T^n, U^n or O(T^n): an exact literal stores
+# a row for every exponent between its lowest and its highest
+MAX_EXPONENT = 4096
+
 _TERM_RE = re.compile(
     r"""^\s*
     (?:
@@ -534,6 +538,7 @@ def parse_series(text, field, ram=1, prec=16):
 
     Exponents are in T-units (scaled by the ramification index
     internally); ``U`` is accepted for ram > 1 with exponents in U-units.
+    An exponent above MAX_EXPONENT in absolute value is a ParseError.
     The result is exact with the given horizon.
     """
     coeffs = {}
@@ -544,7 +549,7 @@ def parse_series(text, field, ram=1, prec=16):
             raise ParseError("empty term", pos)
         om = re.match(r"^O\(\s*([TU])\^?(-?\d+)?\s*\)$", term)
         if om:
-            exp = int(om.group(2)) if om.group(2) else 1
+            exp = _literal_exponent(om.group(2), pos) if om.group(2) else 1
             if om.group(1) == "T":
                 exp *= ram
             declared_prec = exp
@@ -608,6 +613,12 @@ def _split_terms(text):
         raise ParseError("unbalanced parenthesis", len(text))
 
 
+def _literal_exponent(text, pos):
+    if abs(int(text)) > MAX_EXPONENT:
+        raise ParseError(f"exponent {text} is above MAX_EXPONENT = {MAX_EXPONENT}", pos)
+    return int(text)
+
+
 def _parse_series_term(term, field, ram, pos):
     m = _TERM_RE.match(term)
     if not m or (m.group("coeff") is None and m.group("var") is None):
@@ -624,7 +635,7 @@ def _parse_series_term(term, field, ram, pos):
     if var is None:
         exponent = 0
     else:
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        exp = _literal_exponent(m.group("exp"), pos) if m.group("exp") is not None else 1
         if var == "U":
             if ram == 1:
                 raise ParseError("U is only valid in a ramified tower (ram > 1)", pos)

@@ -1,19 +1,20 @@
-"""Arithmetic of the multiplier λ: root-of-unity screening, the order m
+"""Arithmetic of the multiplier λ: the root-of-unity screen, the order m
 of its reduction, the resonance threshold k', closed-form small-divisor
 valuations, the geometric product formula, and the radii ρ and σ.
 
 In characteristic p the roots of unity of F_q((T)) are exactly the
 nonzero constants: any root of unity is integral, and u = λ/λ̄ with
 constant term 1 satisfies u^{n·p^s} = 1 for suitable s, forcing
-(u − 1)^{n·p^s} = 0 by Frobenius, so u = 1.  The screen therefore checks
-the non-constant part of λ, with a tri-state answer when that part is
-merely zero to the justified horizon.
+(u − 1)^{n·p^s} = 0 by Frobenius, so u = 1.  The screen and v_m are
+therefore one series, the non-constant part t = λ − λ̄: λ is a root of
+unity when t = 0 (undetermined when t is zero only to the justified
+horizon), and otherwise v_m = v(1 − λ^m) = v(t).  No power of λ is formed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, HypothesisError, PrecisionError, RootOfUnityError
+from .errors import CertificateError, HypothesisError, RootOfUnityError
 from .laurent import LaurentSeries, Valuation
 
 
@@ -62,47 +63,25 @@ class DiscProfile:
         }
 
 
-def screen_root_of_unity(lam):
-    """Raise RootOfUnityError when λ is a root of unity (it equals its
-    constant term) or cannot be distinguished from one at the available
-    precision (flag ``undetermined``)."""
+def mult_profile(lam):
+    """Resonance profile of the unit multiplier λ from t = λ − λ̄.  The
+    order m of λ̄ divides q − 1, so p ∤ m and 1 − λ^m = −(m·t/λ̄ + O(t²)):
+    v_m = v(t) > 0.  k' = p·j with p·j ≡ 1 (mod m), 1 <= j <= m."""
     if lam.is_zero_as_known or lam.lead != 0:
         raise HypothesisError(f"multiplier must be a unit, got v = {lam.valuation()}")
-    if lam.coeffs.shape[0] > 1:
-        return
-    if lam.exact:
+    residue = lam.residue()
+    t = lam - LaurentSeries.constant(lam.field, residue, lam.ram)
+    if t.is_zero_as_known:
         raise RootOfUnityError(
-            "multiplier is a nonzero constant, hence a root of unity"
+            "multiplier is a nonzero constant, hence a root of unity" if t.exact
+            else f"non-constant part of the multiplier is zero to O(U^{t.prec}); "
+            "cannot rule out a root of unity",
+            undetermined=not t.exact,
         )
-    raise RootOfUnityError(
-        f"non-constant part of the multiplier is zero to O(U^{lam.prec}); "
-        "cannot rule out a root of unity",
-        undetermined=True,
-    )
-
-
-def mult_profile(lam):
-    """Resonance profile of the multiplier λ (valuation 0 required)."""
-    screen_root_of_unity(lam)
     p = lam.field.p
-    m = lam.residue().multiplicative_order()
-    if m % p == 0:
-        raise HypothesisError("order of the reduction cannot be divisible by p")
-    v_m = small_divisor_direct(lam, m)
-    if v_m.is_infinite:
-        raise PrecisionError(
-            f"v(1 - lambda^{m}) exceeds the horizon; raise the working precision"
-        )
-    if not v_m > 0:
-        raise HypothesisError("reduction order m must make |1 - lambda^m| < 1")
-    k_prime = None
-    for k in range(p, m * p + 1, p):
-        if (k - 1) % m == 0:
-            k_prime = k
-            break
-    if k_prime is None or not k_prime - 1 < m * p:
-        raise HypothesisError("no resonant degree k <= mp; impossible when p does not divide m")
-    return MultiplierProfile(lam, m, v_m, k_prime)
+    m = residue.multiplicative_order()
+    k_prime = p * pow(p, -1, m) if m > 1 else p
+    return MultiplierProfile(lam, m, t.valuation(), k_prime)
 
 
 def small_divisor_valuation(profile, n):

@@ -4,12 +4,7 @@ Each one is the straightforward form of a computation the package does
 faster; tests require the package's results to equal them exactly.
 """
 
-from lindisc.discs import (
-    PeriodicPoint,
-    _embed_map,
-    _orbit_multiplier,
-    _tower_fields,
-)
+from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import HypothesisError
 from lindisc.laurent import LaurentSeries
 from lindisc.multiplier import mult_profile
@@ -90,7 +85,7 @@ def find_periodic_point_per_element(f, kappa_max, sphere, e=1, horizon=128):
             u_hat = _periodic_in_tower_per_element(fe, kappa, pi, horizon * e)
             if u_hat is not None:
                 x_hat = pi * u_hat
-                mult = _orbit_multiplier(fe, x_hat, kappa)
+                _, mult = verify_indifferent(fe, x_hat, kappa)
                 return PeriodicPoint(x_hat, kappa, mult, (res_field.r, e))
     return None
 

@@ -8,6 +8,8 @@ benchmark.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import lindisc.cli as cli
@@ -152,3 +154,14 @@ def test_tracer_wraps_the_disc_periodic_point_search(tmp_path, capsys):
     assert tracer.stats["discs.classify"][0] == 1
     assert tracer.stats["discs.weierstrass_data"][0] >= 1
     capsys.readouterr()
+
+
+def test_bench_gate_selftest_passes():
+    """``bench/selftest.py`` shows the exact-output gate catches a changed
+    byte, a lost digit and a changed coefficient."""
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest: PASS" in done.stdout

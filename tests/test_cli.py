@@ -1,11 +1,14 @@
 """Command-line front-end: commands, exit codes, determinism."""
 
 import json
+import signal
 
 import pytest
 
 import lindisc.cli
 import lindisc.discs
+import lindisc.powerseries
+from lindisc import FieldParams, PeriodicPoint, parse_series
 from lindisc.cli import main
 from lindisc.errors import PrecisionError
 from lindisc.schroder import ZeroReport, solve_sfe
@@ -18,6 +21,8 @@ def write_job(tmp_path, name, payload):
 
 
 QUADRATIC = {"p": 2, "lambda": "1+T", "f": {"2": "1"}}
+# λ = b + 1 + T over F_{65521^2}: the residue order m is 20,639,430
+LARGE_ORDER = {"p": 65521, "r": 2, "modulus": [17, 0, 1], "lambda": "b+1+T", "f": {"65521": "1"}}
 
 
 def run(capsys, argv):
@@ -46,6 +51,26 @@ def test_analyze_f4_quartic(tmp_path, capsys):
     report = json.loads(out)
     assert report["m"] == 3 and report["k_prime"] == 4
     assert report["v_rho"] == "1/6"
+
+
+def test_analyze_large_residue_order_within_budget(tmp_path, capsys):
+    """v_m and k' are closed forms in m: analyze forms no power λ^m, so it
+    answers within the budget instead of running until killed."""
+
+    def over_budget(signum, frame):
+        raise TimeoutError("analyze took longer than 20 s")
+
+    job = write_job(tmp_path, "big.json", LARGE_ORDER)
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(20)
+    try:
+        code, out, err = run(capsys, ["analyze", "--job", job])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["m"], report["v_m"], report["k_prime"]) == (20639430, "1/1", 4293001441)
 
 
 def test_analyze_root_of_unity_exits_3(tmp_path, capsys):
@@ -125,6 +150,38 @@ def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "structural zero violations at [3]" in err
+
+
+def test_non_indifferent_boundary_point_exits_4(tmp_path, capsys, monkeypatch):
+    """``disc`` checks that the multiplier the search returns is a unit."""
+    F2 = FieldParams(2)
+
+    def search(f, kappa_max, sphere, e=1, horizon=128):
+        return PeriodicPoint(parse_series("T", F2), 1, parse_series("T", F2), (1, 1))
+
+    monkeypatch.setattr(lindisc.discs, "find_periodic_point", search)
+    code, out, err = run(capsys, ["disc", "--job", write_job(tmp_path, "q.json", QUADRATIC)])
+    assert code == 4
+    assert out == "" and "not indifferent" in err
+
+
+def test_disc_walks_the_periodic_orbit_once(tmp_path, capsys, monkeypatch):
+    """λx + x^4 over F_4 with λ = b + T has a boundary point of period 3;
+    certifying it and taking its multiplier evaluate f three times."""
+    calls = []
+    ps_eval = lindisc.powerseries.ps_eval
+
+    def counted(f, x):
+        calls.append(x)
+        return ps_eval(f, x)
+
+    for module in (lindisc.discs, lindisc.powerseries):
+        monkeypatch.setattr(module, "ps_eval", counted)
+    payload = {"p": 2, "r": 2, "lambda": "b+T", "f": {"4": "1"}}
+    code, out, err = run(capsys, ["disc", "--job", write_job(tmp_path, "f4.json", payload)])
+    assert code == 0, err
+    assert json.loads(out)["periodic_point"]["kappa"] == 3
+    assert len(calls) == 3
 
 
 def test_sweep(tmp_path, capsys):
@@ -260,11 +317,33 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
         ("solve", {"degree": 1000000000000}, "degree"),
         # Jmax = 2^39: the solve degree p^Nmax + 1 is far above MAX_DEGREE
         ("certify-divergence", {"Nmax": 40}, "Nmax"),
+        # values that size arrays: 44.7 GiB for the default degree 2·deg f,
+        # 22.4 GiB for the literal U^3000000000 or T^3000000000
+        ("disc", {"f": {"3000000000": "T"}}, "6000000000"),
+        ("disc", {"e": 3000000000}, "3000000000"),
+        ("disc", {"lambda": "1+T^3000000000"}, "3000000000"),
+        # k' = 65521^2 gives the default degree 5413557373561
+        ("disc", LARGE_ORDER, "5413557373561"),
+        # one degree named twice, and JSON keys given twice (a string is
+        # raw JSON members, since a dict cannot repeat a key)
+        ("disc", {"f": {"2": "1", "02": "T^5"}}, "'02'"),
+        pytest.param("disc", '"lambda": "1+T^2"', "['lambda']", id="disc-repeated-lambda"),
+        pytest.param(
+            "solve",
+            '"precision": {"initial": 8, "initial": 16}',
+            "['initial']",
+            id="solve-repeated-nested-key",
+        ),
     ],
 )
 def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
     base = {"p": 2, "lambda": "1+T", "f": {"3" if command == "certify-divergence" else "2": "1"}}
-    job = write_job(tmp_path, "bad.json", {**base, **change})
+    if isinstance(change, str):
+        job = tmp_path / "bad.json"
+        job.write_text(json.dumps(base)[:-1] + ", " + change + "}")
+        job = str(job)
+    else:
+        job = write_job(tmp_path, "bad.json", {**base, **change})
     code, out, err = run(capsys, [command, "--job", job])
     assert code == 2, err
     assert out == "" and key in err

@@ -27,7 +27,7 @@ from lindisc import (
     weierstrass_data,
 )
 from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED, LEVEL_GENERIC
-from lindisc.errors import HypothesisError, PrecisionError
+from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from oracles import find_periodic_point_per_element
 
 F2 = FieldParams(2)
@@ -177,6 +177,16 @@ def test_periodic_point_not_found_for_linear_map():
     f = PowerSeriesMap({1: parse_series("1+T", F2)})
     sphere = make_disc(Fraction(1), "closed")
     assert find_periodic_point(f, 3, sphere) is None
+
+
+def test_search_rejects_a_lift_that_is_not_periodic(monkeypatch):
+    """A Newton lift that is not a root of G is caught by the walk along
+    its orbit: f(x) - x = T^3 + ... at x = T + T^2."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    one_t = LaurentSeries.monomial(F2, 1)
+    monkeypatch.setattr(discs, "newton_root", lambda table, dtable, y, max_iter: y + one_t)
+    with pytest.raises(CertificateError, match="not 1-periodic"):
+        find_periodic_point(f, 1, make_disc(Fraction(1), "closed"))
 
 
 def test_verify_indifferent_detects_wrong_point():

@@ -8,6 +8,7 @@ import pytest
 
 from lindisc import (
     FieldParams,
+    LaurentSeries,
     PowerSeriesMap,
     count_resonant,
     disc_profile,
@@ -19,6 +20,7 @@ from lindisc import (
     small_divisor_valuation,
 )
 from lindisc.errors import HypothesisError, RootOfUnityError
+from lindisc.field import BUILTIN_MODULI
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -35,21 +37,54 @@ def test_profile_examples():
     assert (pr.m, pr.v_m.value, pr.k_prime) == (2, 1, 3)
 
 
-def test_profile_invariants():
+def _k_prime_scan(p, m):
+    """k' as the least k in p, 2p, ..., mp with m | k - 1, by scanning."""
+    return next(k for k in range(p, m * p + 1, p) if (k - 1) % m == 0)
+
+
+def _random_multipliers(rng, field, e, count):
+    """Unit multipliers c_0 + Σ c_j V^j over ``field`` with ramification e
+    (V = T, or U = T^(1/e)): one to three tail terms, and every other
+    literal known only to O(V^n)."""
+    var = "T" if e == 1 else "U"
+    units = [c for c in field.elements() if not c.is_zero]
+    for i in range(count):
+        terms = [f"({rng.choice(units)})"]
+        exps = sorted(rng.sample(range(1, 6), rng.randrange(1, 4)))
+        terms += [f"({rng.choice(units)})*{var}^{j}" for j in exps]
+        if i % 2:
+            terms.append(f"O({var}^{exps[-1] + rng.randrange(1, 4)})")
+        yield parse_series("+".join(terms), field, ram=e)
+
+
+def test_profile_invariants(monkeypatch):
+    """Over every built-in field and e in {1, 2, 3}: m, v_m and k' agree
+    with v(1 - λ^m) by series arithmetic and with the k' scan, and
+    mult_profile forms no power of λ."""
     rng = random.Random(31)
-    fields = [F2, F3, F4, F5, FieldParams(3, 2)]
-    for _ in range(40):
-        field = rng.choice(fields)
-        c0 = rng.choice([e for e in field.elements() if not e.is_zero])
-        j = rng.randrange(1, 4)
-        lam = parse_series("1", field).scale(c0) + parse_series(f"T^{j}", field)
-        pr = mult_profile(lam)
+    lams = [
+        lam
+        for p, r in sorted(BUILTIN_MODULI)
+        for e in (1, 2, 3)
+        for lam in _random_multipliers(rng, FieldParams(p, r), e, 2)
+    ]
+    powers = []
+    pow_ = LaurentSeries.__pow__
+    monkeypatch.setattr(LaurentSeries, "__pow__", lambda s, n: powers.append(n) or pow_(s, n))
+    profiles = [mult_profile(lam) for lam in lams]
+    assert powers == []
+    for lam, pr in zip(lams, profiles):
+        field = lam.field
         assert pr.m % field.p != 0
+        assert (field.q - 1) % pr.m == 0
+        assert lam.residue() ** pr.m == field.one()
+        assert pr.v_m > 0
+        assert pr.v_m == small_divisor_direct(lam, pr.m), lam.render()
+        assert pr.k_prime == _k_prime_scan(field.p, pr.m)
         assert pr.k_prime % field.p == 0
         assert (pr.k_prime - 1) % pr.m == 0
         assert pr.k_prime - 1 < pr.m * field.p
-        assert pr.v_m > 0
-        assert (field.q - 1) % pr.m == 0
+    assert powers  # the recorder sees the oracle's powers
 
 
 def test_root_of_unity_screening_tri_state():
@@ -62,8 +97,19 @@ def test_root_of_unity_screening_tri_state():
     with pytest.raises(RootOfUnityError) as exc:
         mult_profile(parse_series("1+O(T^8)", F2))
     assert exc.value.undetermined
+    # the same screen in ramified towers and residue extensions
+    for literal, field, e, undetermined in [
+        ("b+1", F4, 2, False),
+        ("2*b+1", FieldParams(3, 2), 3, False),
+        ("3+O(U^5)", F5, 2, True),
+        ("(b^2+1)+O(T^3)", FieldParams(2, 3), 3, True),
+    ]:
+        with pytest.raises(RootOfUnityError) as exc:
+            mult_profile(parse_series(literal, field, ram=e))
+        assert exc.value.undetermined == undetermined, literal
     # a known non-constant part settles the question
     mult_profile(parse_series("1+T+O(T^8)", F2))
+    assert mult_profile(parse_series("3+U^4+O(U^5)", F5, ram=3)).v_m.value == Fraction(4, 3)
 
 
 def test_non_unit_multiplier_rejected():
@@ -96,6 +142,12 @@ def test_closed_form_matches_direct_oracle():
         parse_series("2+T", F3),
         parse_series("1+2*T^2", F3),
         parse_series("2+T", F5),
+        # tails of several terms, in towers and residue extensions
+        parse_series("1+T+T^3", F2),
+        parse_series("b+T^2+b*T^3", F4),
+        parse_series("2+U+2*U^3", F3, ram=2),
+        parse_series("(b+1)+b*U^2+U^5", FieldParams(2, 3), ram=3),
+        parse_series("3+2*U^2+U^4", F5, ram=3),
     ]
     for lam in profiles:
         pr = mult_profile(lam)
