@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CertificateError, LindiscError, ParseError, PrecisionError
-from .field import FieldParams
+from .field import FieldParams, _integer
 from .laurent import parse_series
 from .multiplier import disc_profile, mult_profile
 from .powerseries import PowerSeriesMap, ps_gauge
@@ -72,6 +72,8 @@ def load_job(path):
         raise ParseError(
             f"job file {path} is not valid JSON: {exc.msg}", exc.pos
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer int() will not convert
+        raise ParseError(f"job file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("job file must contain a JSON object")
     unknown = sorted(set(raw) - JOB_KEYS)
@@ -93,7 +95,7 @@ def _int_of(value, name, low=1, high=None):
     if value is None:
         return None
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        value = int(value)
+        value = _integer(value)
     if type(value) is not int:
         raise ParseError(f"'{name}' must be an integer, got {value!r}")
     if value < low or (high is not None and value > high):
@@ -176,17 +178,7 @@ def _job_map(job, field, ram, prec):
         raise ParseError("'f' must map degrees to series literals")
     coeffs = {1: lam}
     for key, literal in table.items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise ParseError(f"bad degree key {key!r} in 'f'") from None
-        if degree == 1:
-            raise ParseError(
-                "degree 1 is the multiplier and must be given as 'lambda', "
-                "not inside 'f'"
-            )
-        if degree < 2:
-            raise ParseError(f"degree {degree} in 'f' must be >= 2")
+        degree = _int_of(key, "f degree", low=2)  # degree 1 is 'lambda'
         if degree in coeffs:
             raise ParseError(f"degree {degree} is given twice in 'f' (key {key!r})")
         coeffs[degree] = parse_series(str(literal), field, ram, prec)

@@ -224,8 +224,6 @@ def _embed_map(f, target_field, e):
 _R_MAX = 4
 # largest degree of f^∘κ the periodic-point search composes
 _DEG_CAP = 4096
-# residue-field elements evaluated at once: memory stays bounded whatever q is
-_CHUNK = 1024
 
 
 def _tower_fields(base):
@@ -297,8 +295,8 @@ def _periodic_in_tower(field_, g_table, dtable, ram, horizon):
 
     ``g_table`` is G/T^μ with its least coefficient valuation μ divided
     out and ``dtable`` its derivative, both with integral coefficients
-    in the map's field.  Their residue polynomials are evaluated on
-    blocks of ``_CHUNK`` elements in ``field_.elements()`` order; the
+    in the map's field.  Their residue polynomials are evaluated on the
+    blocks of ``field_.element_blocks()``, in ``elements()`` order; the
     simple roots (nonzero u, residue value 0, derivative value nonzero)
     are Newton-lifted in that order and the first lift that succeeds is
     returned.
@@ -306,9 +304,7 @@ def _periodic_in_tower(field_, g_table, dtable, ram, horizon):
     g_rows = _residue_rows(field_, g_table)
     d_rows = _residue_rows(field_, dtable)
     lift_tables = None
-    q = field_.q
-    for start in range(0, q, _CHUNK):
-        xs = field_.element_rows(start, min(start + _CHUNK, q))
+    for xs in field_.element_blocks():
         roots = xs[xs.any(axis=1) & ~_eval_rows(field_, g_rows, xs).any(axis=1)]
         # a multiple residue root is skipped: lifting it is not certified
         simple = roots[_eval_rows(field_, d_rows, roots).any(axis=1)]

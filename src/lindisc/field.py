@@ -12,6 +12,7 @@ by :mod:`lindisc.laurent`; elements are immutable value types and safe to
 share.
 """
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +46,9 @@ BUILTIN_MODULI = {
     (7, 3): [4, 0, 6, 1],
     (7, 4): [3, 4, 5, 0, 1],
 }
+
+# elements enumerated at once: memory stays bounded whatever q is
+ELEMENT_BLOCK = 1024
 
 
 def _is_prime(n):
@@ -186,9 +190,15 @@ class FieldParams:
     def elements(self):
         """All q elements, in lexicographic coordinate order: element n
         has the base-p digits of n as coordinates."""
-        for start in range(0, self.q, 1024):  # memory bounded whatever q is
-            for row in self.element_rows(start, min(start + 1024, self.q)):
+        for block in self.element_blocks():
+            for row in block:
                 yield FqElement(self, row)
+
+    def element_blocks(self):
+        """``element_rows`` of all q elements, in ``elements()`` order and
+        in blocks of at most ELEMENT_BLOCK rows."""
+        for start in range(0, self.q, ELEMENT_BLOCK):
+            yield self.element_rows(start, min(start + ELEMENT_BLOCK, self.q))
 
     def element_rows(self, start, stop):
         """Coordinates of the elements at positions start .. stop-1 of
@@ -224,66 +234,77 @@ class FieldParams:
         return result
 
     def parse_element(self, text):
-        """Parse an element literal: an integer for r = 1, a polynomial in
-        the generator ``b`` (e.g. ``b+1``, ``2*b^2+b``) for r > 1."""
-        s = text.strip()
-        if not s:
-            raise ParseError("empty element literal")
+        """Parse an element literal, element terms joined by + and - (see
+        the literal grammar below): ``2*b^2+b`` is an element of F_8.  The
+        generator ``b`` needs r > 1."""
         vec = [0] * self.r
-        pos = 0
-        sign = 1
-        if s[0] in "+-":
-            sign = -1 if s[0] == "-" else 1
-            pos = 1
-        while pos <= len(s):
-            # find the end of this term
-            end = pos
-            while end < len(s) and s[end] not in "+-":
-                end += 1
-            term = s[pos:end].strip()
-            if not term:
-                raise ParseError("empty term in element literal", pos)
-            coeff, power = _parse_element_term(term, pos)
-            if power >= self.r:
-                raise ParseError(
-                    f"power b^{power} exceeds field degree r = {self.r}", pos
-                )
-            vec[power] = (vec[power] + sign * coeff) % self.p
-            if end >= len(s):
-                break
-            sign = -1 if s[end] == "-" else 1
-            pos = end + 1
+        self._add_element(vec, 1, text, 0)
         return FqElement(self, vec)
 
+    def _add_element(self, vec, sign, text, offset):
+        """Add sign times the element literal ``text`` to the coordinate
+        list ``vec``; positions in errors are offset by ``offset``."""
+        for term_sign, term, pos in _split_terms(text):
+            m = _ELEMENT_TERM.fullmatch(term)
+            if m is None:
+                raise ParseError(f"bad element term {term!r}", offset + pos)
+            self._add_term(vec, sign * term_sign, m, offset + pos)
 
-def _parse_element_term(term, pos):
-    """Split one element term into (integer coefficient, power of b)."""
-    term = term.replace(" ", "")
-    if "b" not in term:
-        try:
-            return int(term), 0
-        except ValueError:
-            raise ParseError(f"bad coefficient {term!r}", pos) from None
-    head, _, tail = term.partition("b")
-    head = head.rstrip("*")
-    coeff = 1 if head == "" else None
-    if coeff is None:
-        try:
-            coeff = int(head)
-        except ValueError:
-            raise ParseError(f"bad coefficient {head!r}", pos) from None
-    if tail == "":
-        power = 1
-    elif tail.startswith("^"):
-        try:
-            power = int(tail[1:])
-        except ValueError:
-            raise ParseError(f"bad exponent {tail[1:]!r}", pos) from None
-    else:
-        raise ParseError(f"unexpected trailing {tail!r}", pos)
-    if power < 0:
-        raise ParseError("negative powers of b are not field elements", pos)
-    return coeff, power
+    def _add_term(self, vec, sign, m, pos):
+        """Add sign·c·b^k, for an element term matched by ``m``, to the
+        coordinate list ``vec``.  Absent c and k are 1; absent b is b^0."""
+        c, b, k = m.group("c", "b", "k")
+        power = 0 if b is None else 1 if k is None else _integer(k, pos)
+        if power >= self.r:
+            raise ParseError(f"power b^{power} exceeds field degree r = {self.r}", pos)
+        vec[power] = (vec[power] + sign * (1 if c is None else _integer(c, pos))) % self.p
+
+
+# -- the literal grammar -------------------------------------------------------
+# A literal is terms joined by + and -, split by _split_terms.  An element
+# term is c, b, b^k or c*b^k, the * optional; a series term
+# (laurent.parse_series) is [coeff [*]] V[^n] or O(V[^n]).  An integer is a
+# run of ASCII digits, [0-9]+: never a Unicode digit, an underscore or a
+# space.  Whitespace may separate two tokens but never joins them.
+_ELEMENT_TERM = re.compile(
+    r"(?=[0-9b])(?P<c>[0-9]+)?"
+    r"(?:\s*(?:\*\s*)?(?P<b>b)(?:\s*\^\s*(?P<k>[0-9]+))?)?"
+)
+
+
+def _integer(text, pos=None):
+    """int(text) of text the integer rule matched; past the 4300 digits
+    int() converts by default, a ParseError instead of a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long", pos) from None
+
+
+def _split_terms(text):
+    """Yield (sign, stripped term, position) for the top-level terms of a
+    literal.  A + or - separates two terms or leads the first; one right
+    after ``^`` is an exponent's.  Parentheses are never split.  An empty
+    term (two signs in a row, a trailing sign) is a ParseError."""
+    depth, sign, start = 0, 1, 0
+    for i, ch in enumerate(text + "+"):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parenthesis", i)
+        elif ch in "+-" and depth == 0:
+            term = text[start:i].strip()
+            if term.endswith("^") and i < len(text):
+                continue
+            if term:  # at the position of its first character
+                yield sign, term, i - len(text[start:i].lstrip())
+            elif start or i == len(text):
+                raise ParseError("empty term", i)
+            sign, start = -1 if ch == "-" else 1, i + 1
+    if depth:
+        raise ParseError("unbalanced parenthesis", len(text))
 
 
 class FqElement:

@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
     ZeroDivisionFieldError,
 )
-from .field import FieldParams, FqElement
+from .field import _ELEMENT_TERM, FqElement, _integer, _split_terms
 
 
 class Valuation:
@@ -500,8 +500,7 @@ def _invert_unit(params, unit, digits):
     """Inverse of a unit-part coefficient array to the given number of
     digits, by Newton doubling: the error 1 - u*v squares each step."""
     p = params.p
-    c0 = FqElement(params, list(unit[0]))
-    v = np.array([c0.inverse().coeffs], dtype=np.int64)
+    v = params.pow_rows(unit[:1], params.q - 2)  # c^(q-2) = 1/c in F_q
     k = 1
     while k < digits:
         k = min(2 * k, digits)
@@ -521,125 +520,58 @@ def _invert_unit(params, unit, digits):
 # a row for every exponent between its lowest and its highest
 MAX_EXPONENT = 4096
 
-_TERM_RE = re.compile(
-    r"""^\s*
-    (?:
-        (?P<coeff>\([^()]*\)|[0-9]+|b(?:\^\d+)?(?:\s*\*\s*)?|[0-9]+\s*\*\s*b(?:\^\d+)?)
-        \s*\*?\s*
-    )?
-    (?:(?P<var>[TU])(?:\^(?P<exp>-?\d+))?)?
-    \s*$""",
-    re.VERBOSE,
+# one series term (see field's literal grammar): a coefficient, which is a
+# parenthesised element literal or an element term, and/or V^n; or O(V^n)
+_SERIES_TERM = re.compile(
+    r"(?:O\s*\(\s*(?P<O>)(?=[TU])"
+    rf"|(?:\((?P<paren>[^()]*)\)|{_ELEMENT_TERM.pattern})(?:\s*\*?\s*(?=[TU]))?)?"
+    r"(?:(?P<var>[TU])(?:\s*\^\s*(?P<exp>-?[0-9]+))?)?(?(O)\s*\))"
 )
 
 
 def parse_series(text, field, ram=1, prec=16):
-    """Parse a series literal such as ``1+T``, ``T^-1+1``, ``(b+1)*T^2``.
-
-    Exponents are in T-units (scaled by the ramification index
-    internally); ``U`` is accepted for ram > 1 with exponents in U-units.
-    An exponent above MAX_EXPONENT in absolute value is a ParseError.
-    The result is exact with the given horizon.
+    """Parse a series literal such as ``1+T``, ``T^-1+1``, ``(b+1)*T^2``
+    (field's literal grammar).  Exponents of ``T`` are in T-units, of
+    ``U`` (ram > 1 only) in U-units; |n| <= MAX_EXPONENT.  At most one
+    ``O(V^n)`` term, signed or not, declares the horizon; without one
+    the result is exact with horizon ``prec`` T-units.
     """
-    coeffs = {}
-    declared_prec = None
+    rows, horizon = {}, None
     for sign, term, pos in _split_terms(text):
-        term = term.strip()
-        if not term:
-            raise ParseError("empty term", pos)
-        om = re.match(r"^O\(\s*([TU])\^?(-?\d+)?\s*\)$", term)
-        if om:
-            exp = _literal_exponent(om.group(2), pos) if om.group(2) else 1
-            if om.group(1) == "T":
-                exp *= ram
-            declared_prec = exp
+        m = _SERIES_TERM.fullmatch(term)
+        if m is None:
+            raise ParseError(f"cannot parse term {term!r}", pos)
+        exponent = _exponent(m, ram, pos)
+        if m["O"] is not None:
+            if horizon is not None:
+                raise ParseError("a series literal takes at most one O-term", pos)
+            horizon = exponent
             continue
-        coeff, exponent = _parse_series_term(term, field, ram, pos)
-        if sign < 0:
-            coeff = -coeff
-        if exponent in coeffs:
-            coeffs[exponent] = coeffs[exponent] + coeff
+        row = rows.setdefault(exponent, [0] * field.r)
+        if m["paren"] is None:
+            field._add_term(row, sign, m, pos)
         else:
-            coeffs[exponent] = coeff
+            field._add_element(row, sign, m["paren"], pos + m.start("paren"))
     # an explicit O(...) term declares an unknown tail; otherwise the
     # literal is a finite table known in full
-    exact = declared_prec is None
-    prec_u = declared_prec if declared_prec is not None else prec * ram
-    coeffs = {e: c for e, c in coeffs.items() if not c.is_zero}
-    if not coeffs:
-        return LaurentSeries.zero(field, ram, prec_u, exact=exact)
-    lead = min(coeffs)
-    top = max(coeffs)
-    arr = np.zeros((top - lead + 1, field.r), dtype=np.int64)
-    for e, c in coeffs.items():
-        arr[e - lead] = c.coeffs
-    return LaurentSeries(field, ram, lead, arr, prec_u, exact=exact)
+    lead = min(rows, default=0)
+    arr = np.zeros((max(rows, default=lead - 1) - lead + 1, field.r), dtype=np.int64)
+    for e, row in rows.items():
+        arr[e - lead] = row
+    prec_u = prec * ram if horizon is None else horizon
+    return LaurentSeries(field, ram, lead, arr, prec_u, exact=horizon is None)
 
 
-def _split_terms(text):
-    """Yield (sign, term, position) for top-level +/- separated terms."""
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    if not text.strip():
-        raise ParseError("empty series literal")
-    while i <= len(text):
-        ch = text[i] if i < len(text) else "+"
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parenthesis", i)
-        elif ch in "+-" and depth == 0:
-            # a sign directly after '^' or at the very start of a term is
-            # part of an exponent / leading sign, not a separator
-            prev = text[start:i].strip()
-            if prev == "":
-                if ch == "-":
-                    sign = -sign
-                start = i + 1
-                i += 1
-                continue
-            if prev.endswith("^"):
-                i += 1
-                continue
-            yield sign, text[start:i], start
-            sign = -1 if ch == "-" else 1
-            start = i + 1
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced parenthesis", len(text))
-
-
-def _literal_exponent(text, pos):
-    if abs(int(text)) > MAX_EXPONENT:
-        raise ParseError(f"exponent {text} is above MAX_EXPONENT = {MAX_EXPONENT}", pos)
-    return int(text)
-
-
-def _parse_series_term(term, field, ram, pos):
-    m = _TERM_RE.match(term)
-    if not m or (m.group("coeff") is None and m.group("var") is None):
-        raise ParseError(f"cannot parse term {term!r}", pos)
-    coeff_text = m.group("coeff")
-    if coeff_text is None:
-        coeff = field.one()
-    else:
-        coeff_text = coeff_text.strip().rstrip("*").strip()
-        if coeff_text.startswith("("):
-            coeff_text = coeff_text[1:-1]
-        coeff = field.parse_element(coeff_text)
-    var = m.group("var")
-    if var is None:
-        exponent = 0
-    else:
-        exp = _literal_exponent(m.group("exp"), pos) if m.group("exp") is not None else 1
-        if var == "U":
-            if ram == 1:
-                raise ParseError("U is only valid in a ramified tower (ram > 1)", pos)
-            exponent = exp
-        else:
-            exponent = exp * ram
-    return coeff, exponent
+def _exponent(m, ram, pos):
+    """The exponent in U-units of the V^n that a series term or an O-term
+    matched (0 for no V): n, times ram when V = T."""
+    if m["var"] is None:
+        return 0
+    n = 1 if m["exp"] is None else _integer(m["exp"], pos)
+    if abs(n) > MAX_EXPONENT:
+        raise ParseError(f"exponent {n} is above MAX_EXPONENT = {MAX_EXPONENT}", pos)
+    if m["var"] == "T":
+        return n * ram
+    if ram == 1:
+        raise ParseError("U is only valid in a ramified tower (ram > 1)", pos)
+    return n

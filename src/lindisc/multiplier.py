@@ -115,22 +115,18 @@ def count_resonant(profile, k):
 
 
 def product_small_divisors(profile, N):
-    """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1, both term by term and
-    via the closed form v_1 · p^N · ((p-1)(N-1)/p + 1); asserts equality."""
+    """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1, both term by term
+    through ``small_divisor_valuation`` and via the closed form
+    v_1 · p^N · ((p-1)(N-1)/p + 1); a mismatch is a CertificateError."""
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
     if N < 1:
         raise HypothesisError("N must be >= 1")
     p = profile.p
-    v1 = profile.v_m.value
-    total = Fraction(0)
-    for i in range(1, p ** (N - 1) + 1):
-        j = 1
-        while i % p == 0:
-            i //= p
-            j += 1
-        total += v1 * p**j
-    closed = v1 * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
+    total = sum(
+        small_divisor_valuation(profile, i * p).value for i in range(1, p ** (N - 1) + 1)
+    )
+    closed = profile.v_m.value * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
     if total != closed:
         raise CertificateError(
             f"product formula mismatch at N={N}: terms {total} != closed {closed}"

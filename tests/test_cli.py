@@ -334,6 +334,15 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
             "['initial']",
             id="solve-repeated-nested-key",
         ),
+        # degree keys of f follow the integer rule: no underscore, no space
+        ("analyze", {"f": {"1_0": "1"}}, "'1_0'"),
+        ("analyze", {"f": {" 10": "1"}}, "' 10'"),
+        # a space never joins two digits; a Unicode digit is no digit
+        ("analyze", {"p": 5, "lambda": "1+(1 2)*T"}, "'1 2'"),
+        ("analyze", {"lambda": "1+T^\u0663"}, "T^\u0663"),
+        # more digits than int() converts: a ParseError, not a traceback
+        pytest.param("solve", '"degree": 1' + "0" * 5000, "4300", id="solve-huge-json-integer"),
+        pytest.param("solve", {"degree": "1" + "0" * 5000}, "5001", id="solve-huge-decimal-string"),
     ],
 )
 def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
@@ -347,6 +356,14 @@ def test_malformed_job_values_exit_2(tmp_path, capsys, command, change, key):
     code, out, err = run(capsys, [command, "--job", job])
     assert code == 2, err
     assert out == "" and key in err
+
+
+def test_job_file_not_utf8_exits_2(tmp_path, capsys):
+    job = tmp_path / "latin1.json"
+    job.write_bytes(b'{"p": 2, "lambda": "1+T\xff"}')
+    code, out, err = run(capsys, ["analyze", "--job", str(job)])
+    assert code == 2 and out == ""
+    assert "not valid JSON" in err and "utf-8" in err
 
 
 def test_keys_of_other_commands_are_accepted(tmp_path, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lindisc.discs as discs
+import lindisc.field
 from lindisc import (
     FieldParams,
     LaurentSeries,
@@ -309,7 +310,7 @@ def test_tower_search_equals_per_element_oracle(case):
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
 def test_tower_search_equals_oracle_across_small_blocks(case, monkeypatch):
     """Blocks of 7 elements put roots past a block boundary."""
-    monkeypatch.setattr(discs, "_CHUNK", 7)
+    monkeypatch.setattr(lindisc.field, "ELEMENT_BLOCK", 7)
     _check_against_oracle(case)
 
 

@@ -1,6 +1,7 @@
 """Truncated Laurent series: valuation axioms, precision propagation,
 parsing, and ramified towers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,12 +22,12 @@ F3 = FieldParams(3)
 F4 = FieldParams(2, 2)
 
 
-def random_series(field, rng, prec=24, exact=False):
+def random_series(field, rng, prec=24, exact=False, ram=1):
     lead = rng.randrange(-5, 6)
     length = rng.randrange(1, 10)
     coeffs = [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(length)]
     coeffs[0] = [1] + [0] * (field.r - 1)  # nonzero lead
-    return LaurentSeries(field, 1, lead, coeffs, lead + length if exact else prec, exact)
+    return LaurentSeries(field, ram, lead, coeffs, lead + length if exact else prec, exact)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
@@ -94,6 +95,17 @@ def test_inverse_round_trip():
         assert (a * inv).agrees_with(one)
 
 
+@pytest.mark.parametrize("field", [F3, FieldParams(5), F4, FieldParams(3, 2), FieldParams(2, 4)])
+def test_inverse_with_every_leading_coefficient(field):
+    rng = random.Random(field.q)
+    one = LaurentSeries.constant(field, 1)
+    for c in field.elements():
+        if c.is_zero:
+            continue
+        a = random_series(field, rng).scale(c)
+        assert (a * a.inverse()).agrees_with(one)
+
+
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionFieldError):
         parse_series("0", F2).inverse()
@@ -147,11 +159,16 @@ def test_residue_field_extension():
 
 
 def test_parse_render_round_trip():
+    """Over F_p, F_{p^r} for r in {2, 3, 4}, and in towers e in {2, 3}:
+    a rendering in U and O(U^n) parses back to the same series."""
     rng = random.Random(17)
-    for field in (F2, F3, F4):
+    fields = (F2, F3, F4, FieldParams(2, 3), FieldParams(3, 3), FieldParams(3, 4))
+    for field, ram in itertools.product(fields, (1, 2, 3)):
         for _ in range(40):
-            a = random_series(field, rng, exact=rng.random() < 0.5)
-            again = parse_series(a.render(), field)
+            a = random_series(field, rng, exact=rng.random() < 0.5, ram=ram)
+            text = a.render()
+            assert ("U" in text) == (ram > 1)
+            again = parse_series(text, field, ram)
             assert again.lead == a.lead
             assert np.array_equal(again.coeffs, a.coeffs)
             assert again.prec == a.prec
@@ -169,6 +186,81 @@ def test_parse_examples():
         parse_series("", F2)
     with pytest.raises(ParseError):
         parse_series("U^2", F2)  # U needs a ramified tower
+
+
+F5 = FieldParams(5)
+F9 = FieldParams(3, 2)
+
+
+def _series(field, ram=1):
+    return lambda text: parse_series(text, field, ram).render()
+
+
+def _element(field):
+    return lambda text: str(field.parse_element(text))
+
+
+# (parse, literal, rendering or None for a ParseError).  The rows marked
+# "changed" had another outcome before field elements and series terms
+# shared one term splitter and one integer rule
+LITERALS = [
+    # changed: two O-terms, the last one won
+    pytest.param(_series(F2), "1+O(T^3)+O(T^5)", None, id="two-O-terms"),
+    # changed: O(T5) read as O(T^5), and O(U^3) as O(T^3) at e = 1
+    pytest.param(_series(F2), "1+O(T5)", None, id="O-term-without-caret"),
+    pytest.param(_series(F2), "O(U^3)+1", None, id="O-term-U-at-e-1"),
+    pytest.param(_series(F2), "O(T^)", None, id="O-term-empty-exponent"),
+    # changed: a space joined the digits 1 and 2 into 12
+    pytest.param(_series(F5), "1+(1 2)*T", None, id="space-joins-digits"),
+    pytest.param(_element(F5), "1 2", None, id="element-space-joins-digits"),
+    # changed: int() read 1_0 as 10 and an Arabic-Indic digit as 3
+    pytest.param(_element(F5), "1_0", None, id="element-underscore"),
+    pytest.param(_series(F2), "1+T^\u0663", None, id="unicode-digit-exponent"),
+    pytest.param(_element(F5), "\u0663", None, id="element-unicode-digit"),
+    # changed: a series took two signs in a row, and a trailing sign,
+    # a trailing ^ or a trailing * dropped what followed
+    pytest.param(_series(F2), "--1", None, id="two-leading-signs"),
+    pytest.param(_series(F2), "1+-T", None, id="two-signs-between-terms"),
+    pytest.param(_series(F2), "1+", None, id="trailing-sign"),
+    pytest.param(_series(F2), "1+T^", None, id="trailing-caret"),
+    pytest.param(_series(F3), "2*", None, id="star-without-variable"),
+    pytest.param(_element(F4), "*b", None, id="element-star-without-coefficient"),
+    # changed: int() raised ValueError past 4300 digits
+    pytest.param(_series(F2), "T^" + "1" * 5000, None, id="exponent-of-5000-digits"),
+    # changed: 2b was an element but not a bare series coefficient
+    pytest.param(_series(F4), "b+2b*T", "b + O(T^16)", id="bare-2b-coefficient"),
+    pytest.param(_series(F9), "b+2b*T", "b + 2*b*T + O(T^16)", id="bare-2b-over-F9"),
+    pytest.param(_series(F9), "b+(2b)*T", "b + 2*b*T + O(T^16)", id="parenthesised-2b"),
+    pytest.param(_element(F9), "2b", "2*b", id="element-2b"),
+    # changed: whitespace may separate any two tokens
+    pytest.param(_series(F2), "T ^ 2", "T^2 + O(T^16)", id="spaced-caret"),
+    pytest.param(_series(F2), "T^ -1", "T^-1 + O(T^16)", id="spaced-negative-exponent"),
+    pytest.param(_series(F2), "O (T^3)", "O(T^3)", id="spaced-O-term"),
+    # unchanged
+    pytest.param(_element(F5), "--1", None, id="element-two-leading-signs"),
+    pytest.param(_element(F4), "1+-b", None, id="element-two-signs-between-terms"),
+    pytest.param(_series(F2), "-O(T^3)+1", "1 + O(T^3)", id="signed-O-term"),
+    pytest.param(_series(F5), "T^02 + 0003", "3 + T^2 + O(T^16)", id="leading-zeros"),
+    pytest.param(_series(F5, 2), "2 T + U^-1 + O(U^5)", "U^-1 + 2*U^2 + O(U^5)", id="tower"),
+    pytest.param(_series(F4), "(b+1)T - bT^2", "(b+1)*T + b*T^2 + O(T^16)", id="coefficients"),
+    pytest.param(_element(F9), " -2 * b ^ 1 + 1 ", "b+1", id="element-spaced"),
+    pytest.param(_element(F4), "+b^0", "1", id="element-b0"),
+    pytest.param(_series(F2), "1+(1)", "O(T^16)", id="cancelling-terms"),
+    pytest.param(_series(F2), "T^-4097", None, id="exponent-above-maximum"),
+    pytest.param(_element(F4), "b^2", None, id="element-power-above-r"),
+    pytest.param(_series(F2), "U", None, id="U-at-e-1"),
+    pytest.param(_series(F2), "1 + (1", None, id="unbalanced"),
+    pytest.param(_series(F2), " ", None, id="blank"),
+]
+
+
+@pytest.mark.parametrize("parse, text, want", LITERALS)
+def test_literal_grammar(parse, text, want):
+    if want is None:
+        with pytest.raises(ParseError):
+            parse(text)
+    else:
+        assert parse(text) == want
 
 
 def test_parse_in_tower():

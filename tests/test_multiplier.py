@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import lindisc.multiplier
 from lindisc import (
     FieldParams,
     LaurentSeries,
@@ -19,7 +20,7 @@ from lindisc import (
     small_divisor_direct,
     small_divisor_valuation,
 )
-from lindisc.errors import HypothesisError, RootOfUnityError
+from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI
 
 F2 = FieldParams(2)
@@ -177,6 +178,21 @@ def test_product_formula_matches_direct_series():
                 for i in range(1, p ** (N - 1) + 1)
             )
             assert product_small_divisors(pr, N) == direct
+
+
+def test_product_formula_sums_the_closed_form_terms(monkeypatch):
+    """The term sum goes through small_divisor_valuation; one term off
+    breaks its agreement with the closed form."""
+    pr = mult_profile(parse_series("1+T", F3))
+    true_term = lindisc.multiplier.small_divisor_valuation
+    monkeypatch.setattr(
+        lindisc.multiplier,
+        "small_divisor_valuation",
+        lambda profile, n: true_term(profile, n) + (n == 6),
+    )
+    assert product_small_divisors(pr, 1) == 3
+    with pytest.raises(CertificateError, match="N=2"):
+        product_small_divisors(pr, 2)
 
 
 def test_product_formula_requires_m_one():

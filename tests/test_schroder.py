@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import lindisc.schroder
 from lindisc import (
     FieldParams,
     LaurentSeries,
@@ -27,7 +28,12 @@ from lindisc import (
     table_compose,
 )
 from lindisc._dense import DensePoly
-from lindisc.errors import HypothesisError, PrecisionError, RootOfUnityError
+from lindisc.errors import (
+    CertificateError,
+    HypothesisError,
+    PrecisionError,
+    RootOfUnityError,
+)
 from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
@@ -354,6 +360,20 @@ def test_divergence_certificate_p3():
         (1, 4, Fraction(-3)),
         (2, 10, Fraction(-15)),
     ]
+
+
+def test_divergence_certificate_checks_the_predicted_valuation(monkeypatch):
+    """A product of small divisors one off the true one: the computed
+    v(b_k) no longer equals the predicted one."""
+    true_product = lindisc.schroder.product_small_divisors
+    monkeypatch.setattr(
+        lindisc.schroder,
+        "product_small_divisors",
+        lambda profile, N: true_product(profile, N) + 1,
+    )
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    with pytest.raises(CertificateError, match="N=1"):
+        certify_divergence(f, 2)
 
 
 def test_divergence_conjectural_for_m_greater_one():

@@ -107,3 +107,74 @@ def test_kernel_walk_flags_a_second_product():
         ("laurent.LaurentSeries.scale", "fold"),
         ("laurent.LaurentSeries.power", "power"),
     ]
+
+
+# the regular-expression calls whose patterns the walk below reads
+RE_CALLS = {"compile", "match", "fullmatch", "search"}
+
+
+def _re_patterns(source):
+    """(line, pattern text) for every ``re.compile``, ``re.match``,
+    ``re.fullmatch`` and ``re.search`` call in ``source``.  A pattern is
+    read through string literals, f-strings, ``+`` and module-level names
+    bound to those; any other part reads as empty."""
+    tree = ast.parse(source)
+    names = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    }
+
+    def text(node, outer=()):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.JoinedStr):
+            return "".join(text(part, outer) for part in node.values)
+        if isinstance(node, ast.FormattedValue):
+            return text(node.value, outer)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return text(node.left, outer) + text(node.right, outer)
+        if isinstance(node, ast.Name) and node.id in names and node.id not in outer:
+            return text(names[node.id], outer + (node.id,))
+        return ""
+
+    return sorted(
+        (node.lineno, text(node.args[0]))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in RE_CALLS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+        and node.args
+    )
+
+
+def _unicode_classes(patterns):
+    """Lines whose pattern uses \\d or \\w: both match non-ASCII digits,
+    which the literal grammar's integer rule, [0-9]+, excludes."""
+    return [line for line, pattern in patterns if "\\d" in pattern or "\\w" in pattern]
+
+
+def test_no_unicode_digit_classes_in_patterns():
+    offenders, seen = [], 0
+    for path in SOURCES:
+        patterns = _re_patterns(path.read_text(encoding="utf-8"))
+        seen += len(patterns)
+        offenders += [f"{path.name}:{line}" for line in _unicode_classes(patterns)]
+    assert not offenders, f"use [0-9], not \\d or \\w: {offenders}"
+    assert seen >= 3  # the element term, the series term and cli._int_of
+
+
+def test_pattern_walk_flags_unicode_classes():
+    source = (
+        "import re\n"
+        'WORD = r"(?P<name>\\w+)"\n'
+        'INT = re.compile(r"-?\\d+")\n'
+        'TERM = re.compile(rf"{WORD}\\s*=\\s*[0-9]+")\n'
+        "def parse(text):\n"
+        '    return re.fullmatch("[0-9]+" + WORD, text), re.match(r"[0-9]+", text)\n'
+    )
+    assert _unicode_classes(_re_patterns(source)) == [3, 4, 6]
