@@ -237,8 +237,7 @@ def cmd_solve(job, args, out):
     def solve(f, W):
         g = solve_sfe(f, D, window=W)
         zeros = check_structural_zeros(g, f)
-        bounds = check_coefficient_bound(g, ps_gauge(f), f) if not f.is_linear \
-            else None
+        bounds = check_coefficient_bound(g, ps_gauge(f), f)
         return g, zeros, bounds
 
     g, zeros, bounds = run(solve)
@@ -246,7 +245,7 @@ def cmd_solve(job, args, out):
     if zeros.applicable and zeros.violations:
         print(f"structural zero violations at {zeros.violations}", file=sys.stderr)
         raise CertificateError("structural zeros")
-    if bounds is not None and bounds.applicable and bounds.violations:
+    if bounds.applicable and bounds.violations:
         print(f"coefficient bound violations at {bounds.violations}", file=sys.stderr)
         raise CertificateError("coefficient bound")
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import BUILTIN_MODULI, FieldParams
 from .laurent import LaurentSeries, Valuation
-from .multiplier import count_resonant, disc_profile, mult_profile
+from .multiplier import count_resonant, disc_profile, lemma_bound, mult_profile
 from .powerseries import (
     PowerSeriesMap,
     _table_derivative,
@@ -35,6 +35,7 @@ from .powerseries import (
 )
 from .schroder import (
     NONZERO,
+    check_bkprime_zero_extension,
     check_coefficient_bound,
     check_structural_zeros,
     solve_sfe,
@@ -128,12 +129,7 @@ def weierstrass_data(coeffs, v_r, tail_bound=None):
 
 def _bound_tail(profile, gauge):
     """Lemma bound on v(b_k) as a tail-bound pair for weierstrass_data."""
-    A = gauge.A
-
-    def fn(k):
-        return (k - 1) * A - profile.v_m.value * count_resonant(profile, k)
-
-    return fn, profile.m * profile.p
+    return (lambda k: lemma_bound(profile, gauge.A, k)), profile.m * profile.p
 
 
 def degree_on_sigma(g, dp, gauge):
@@ -154,8 +150,7 @@ def degree_on_sigma(g, dp, gauge):
     b_kp = g.coeffs[kp]
     saturated = (
         not b_kp.is_zero_as_known
-        and Fraction(b_kp.lead, b_kp.ram)
-        == (kp - 1) * gauge.A - profile.v_m.value
+        and Fraction(b_kp.lead, b_kp.ram) == lemma_bound(profile, gauge.A, kp)
     )
     expected_closed = kp if saturated else 1
     if (deg_open, deg_closed) != (1, expected_closed):
@@ -316,7 +311,7 @@ def _periodic_in_tower(field_, g_table, dtable, ram, horizon):
                 ]
             u_bar = field_.element(row)
             u = LaurentSeries.constant(field_, u_bar, ram, prec=horizon, exact=False)
-            lifted = newton_root(*lift_tables, u, 2 * horizon.bit_length() + 8)
+            lifted = newton_root(*lift_tables, u)
             if lifted is not None:
                 return lifted
     return None
@@ -379,13 +374,15 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     point is lifted to the horizon 4·window.
 
     GENERIC-SIGMA: full conjugacy certified on the open disc of radius σ.
-    EXTENDED-RHO:  b_{k'} proven zero, one-to-one radius extends to ρ.
+    EXTENDED-RHO:  b_{k'} proven zero and v(b_k) + k·v_ρ > v_ρ checked
+                   for every computed k >= 2 (``check_bkprime_zero_extension``):
+                   the one-to-one radius extends to ρ.
     EXACT-SIGMA:   deg(g, closed σ-disc) = k'; D_σ is the linearization
                    disc and the boundary sphere is searched for a
                    periodic point of period κ <= k', which the search
                    certifies periodic and this checks indifferent.
     """
-    if not f.divisible_degrees() or f.is_linear:
+    if not f.divisible_degrees():
         raise HypothesisError(
             "classification requires every nonlinear degree divisible by p"
         )
@@ -422,6 +419,10 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
         elif periodic.multiplier.valuation() != 0:
             raise CertificateError("boundary periodic point is not indifferent")
     elif b_kp.is_exact_zero:
+        if not check_bkprime_zero_extension(g, dp).holds:
+            raise CertificateError(
+                "b_{k'} = 0 but v(b_k) + k*v_rho > v_rho fails: no extension to rho"
+            )
         level = LEVEL_EXTENDED
         disc = make_disc(dp.v_rho, "open")
         notes.append("b_{k'} = 0: full conjugacy extends to the semi-disc")

@@ -433,23 +433,7 @@ class LaurentSeries:
 
     def agrees_with(self, other):
         """True when the two series coincide on their common horizon."""
-        self._check(other)
-        horizon = min(self._effective_prec(), other._effective_prec())
-        if math.isinf(horizon):
-            return self.lead == other.lead and np.array_equal(self.coeffs, other.coeffs)
-        horizon = int(horizon)
-        a = self._window(horizon)
-        b = other._window(horizon)
-        return a == b
-
-    def _window(self, horizon):
-        rows = {}
-        for j in range(self.coeffs.shape[0]):
-            if self.lead + j >= horizon:
-                break
-            if self.coeffs[j].any():
-                rows[self.lead + j] = tuple(int(c) for c in self.coeffs[j])
-        return rows
+        return (self - other).is_zero_as_known
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -467,7 +451,7 @@ class LaurentSeries:
     def __str__(self):
         return self.render()
 
-    def render(self, horizon=True):
+    def render(self):
         var = "T" if self.ram == 1 else "U"
         terms = []
         for j in range(self.coeffs.shape[0]):
@@ -476,11 +460,8 @@ class LaurentSeries:
                 continue
             c = FqElement(self.field, list(row))
             terms.append(_render_term(c, self.lead + j, var))
-        body = " + ".join(terms) if terms else ""
-        if horizon:
-            tail = f"O({var}^{self.prec})"
-            body = f"{body} + {tail}" if body else tail
-        return body if body else "0"
+        terms.append(f"O({var}^{self.prec})")
+        return " + ".join(terms)
 
 
 def _render_term(coeff, exponent, var):

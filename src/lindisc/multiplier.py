@@ -1,6 +1,7 @@
 """Arithmetic of the multiplier λ: the root-of-unity screen, the order m
 of its reduction, the resonance threshold k', closed-form small-divisor
-valuations, the geometric product formula, and the radii ρ and σ.
+valuations, the Lemma bound on v(b_k), the geometric product formula,
+and the radii ρ and σ.
 
 In characteristic p the roots of unity of F_q((T)) are exactly the
 nonzero constants: any root of unity is integral, and u = λ/λ̄ with
@@ -112,6 +113,13 @@ def count_resonant(profile, k):
     if k < profile.k_prime:
         return 0
     return (k - profile.k_prime) // (profile.m * profile.p) + 1
+
+
+def lemma_bound(profile, A, k):
+    """The Lemma bound (k-1)·A − v_m·count_resonant(k) on v(b_k), for a
+    map whose nonlinear degrees are all divisible by p and whose gauge
+    is A."""
+    return (k - 1) * A - profile.v_m.value * count_resonant(profile, k)
 
 
 def product_small_divisors(profile, N):

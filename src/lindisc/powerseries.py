@@ -81,10 +81,11 @@ class PowerSeriesMap:
         return not self.nonlinear_degrees
 
     def divisible_degrees(self):
-        """True when every nonlinear degree is divisible by p (the family
-        whose conjugacies converge)."""
+        """True when f is not linear and every nonlinear degree is
+        divisible by p (the family whose conjugacies converge)."""
         p = self.field.p
-        return all(i % p == 0 for i in self.nonlinear_degrees)
+        degs = self.nonlinear_degrees
+        return bool(degs) and all(i % p == 0 for i in degs)
 
     def coefficient(self, i):
         return self.coeffs.get(
@@ -209,14 +210,16 @@ def _table_derivative(a, p):
     return out
 
 
-def newton_root(table, dtable, y, max_iter):
+def newton_root(table, dtable, y):
     """Root of the x-polynomial ``table`` (derivative table ``dtable``)
     by Newton iteration from y, once its value is zero to precision.
 
     None when the derivative is not a unit or a step is not smaller than
-    the iterate: the start is not in the root's basin.  Raises
-    PrecisionError after max_iter steps.
+    the iterate: the start is not in the root's basin.  Each step at
+    least doubles the known digits, so 2·bit_length(prec of y) + 8 steps
+    reach the horizon; raises PrecisionError after that many.
     """
+    max_iter = 2 * y.prec.bit_length() + 8
     for _ in range(max_iter):
         resid = eval_table(table, y)
         if resid.is_zero_as_known:

@@ -1,15 +1,19 @@
 """Formal solutions g of g∘f = λ·g (normalized g(0) = 0, g'(0) = 1),
 their structural and valuation properties, divergence certificates for
-the degree-(p+1) family, and conjugacy residual checks at sample points.
+the degree-(p+1) family, the extension check for b_{k'} = 0, and
+conjugacy residual checks at sample points.
 
 Three independent solvers are provided: term matching against the
 accumulated powers of f (the workhorse), the multinomial recurrence
 (partition enumeration, small degrees), and the specialized recurrence
 for f = λx + a_{p+1} x^{p+1} whose conjugacy is supported on degrees
-j·p + 1.  Dividing by the small divisor 1 − λ^{k-1} never destroys the
-justified horizon: the multiplier is an exact literal, so the divisor is
-exact and its reciprocal is expanded to the full working width; its
-valuation is asserted against the closed form each time.
+j·p + 1.  All three take exact powers from one table (``_powers``) and
+divide by the small divisor λ(1 − λ^{k-1}) in one place
+(``_over_small_divisor``).  The division never destroys the justified
+horizon: the multiplier is an exact literal, so the divisor is exact and
+its reciprocal is expanded to the full working width.  Each time, a
+divisor that vanishes raises PrecisionError and one whose valuation is
+not the closed form v(1 − λ^{k-1}) raises CertificateError.
 """
 
 import math
@@ -23,7 +27,7 @@ from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .laurent import LaurentSeries, Valuation, _convolve
 from .multiplier import (
-    count_resonant,
+    lemma_bound,
     mult_profile,
     product_small_divisors,
     small_divisor_valuation,
@@ -87,20 +91,33 @@ class Conjugacy:
         return "\n".join(lines) + "\n"
 
 
-def _divisor_series(lam_k, lam, profile, k, ram):
-    """The small divisor λ(1 − λ^{k-1}) = λ − λ^k, exactly, from the
-    power λ^k the caller's chain already holds; its valuation is checked
-    against the closed form v(1 − λ^{k-1})."""
-    div = lam - lam_k
-    expected = small_divisor_valuation(profile, k - 1)
+def _powers(x):
+    """The exact power table n -> x^n of a series, each power formed
+    once, as x^(n-1)·x, when first asked for."""
+    table = [LaurentSeries.constant(x.field, 1, x.ram), x]
+
+    def power(n):
+        while len(table) <= n:
+            table.append(table[-1] * x)
+        return table[n]
+
+    return power
+
+
+def _over_small_divisor(s, lam_power, profile, k, window):
+    """s / (λ − λ^k), the small divisor λ(1 − λ^{k-1}) formed exactly from
+    the power table ``lam_power`` of λ and inverted to ``window`` digits.
+    Its valuation is checked against the closed form v(1 − λ^{k-1})."""
+    div = lam_power(1) - lam_power(k)
     if div.is_zero_as_known:
         raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
-    if Fraction(div.lead, ram) != expected.value:
+    expected = small_divisor_valuation(profile, k - 1)
+    if Fraction(div.lead, div.ram) != expected.value:
         raise CertificateError(
-            f"divisor valuation {Fraction(div.lead, ram)} != closed form "
+            f"divisor valuation {Fraction(div.lead, div.ram)} != closed form "
             f"{expected} at k = {k}"
         )
-    return div
+    return s * div.truncate_relative(window).inverse()
 
 
 def solve_sfe(f, D, window=32):
@@ -116,11 +133,12 @@ def solve_sfe(f, D, window=32):
     """
     lam = f.multiplier
     profile = mult_profile(lam)
+    lam_power = _powers(lam)
     field_, ram = f.field, f.ram
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     p = field_.p
-    family = f.divisible_degrees() and not f.is_linear
+    family = f.divisible_degrees()
     step = p if family else 1
 
     coeffs = {1: one}
@@ -131,9 +149,7 @@ def solve_sfe(f, D, window=32):
             fpow.set_column(i, a)
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     stride = None  # f^p, for p-divisible maps
-    lam_pow = lam
     for k in range(2, D + 1):
-        lam_pow = lam_pow * lam  # λ^k
         s_k = acc.column(k)
         structural = family and k % p != 0
         if structural and not s_k.is_zero_as_known:
@@ -143,8 +159,7 @@ def solve_sfe(f, D, window=32):
         if structural or s_k.is_exact_zero:
             b_k = exact_zero
         else:
-            div = _divisor_series(lam_pow, lam, profile, k, ram)
-            b_k = s_k * div.truncate_relative(window).inverse()
+            b_k = _over_small_divisor(s_k, lam_power, profile, k, window)
         coeffs[k] = b_k
         if k < D and k % step == 0:
             if family and k > p:
@@ -205,27 +220,16 @@ def solve_sfe_multinomial(f, D, window=32):
     Exponential in the support size; intended for small D as a
     cross-oracle of solve_sfe.
     """
-    lam = f.multiplier
-    profile = mult_profile(lam)
+    profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     p = field_.p
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     degrees = sorted(f.coeffs)
-    power_cache = {}
-
-    def a_power(i, n):
-        if n == 0:
-            return one
-        key = (i, n)
-        if key not in power_cache:
-            power_cache[key] = f.coeffs[i] ** n
-        return power_cache[key]
+    a_power = {i: _powers(a) for i, a in f.coeffs.items()}  # a_1 = λ
 
     coeffs = {1: one}
-    lam_pow = lam
     for k in range(2, D + 1):
-        lam_pow = lam_pow * lam  # λ^k
         total = None
         for l in range(1, k):
             b_l = coeffs[l]
@@ -240,14 +244,13 @@ def solve_sfe_multinomial(f, D, window=32):
                 term = one.scale(mult)
                 for i in degrees:
                     if alpha.get(i, 0):
-                        term = term * a_power(i, alpha[i])
+                        term = term * a_power[i](alpha[i])
                 term = term * b_l
                 total = term if total is None else total + term
         if total is None or total.is_exact_zero:
             coeffs[k] = exact_zero
         else:
-            div = _divisor_series(lam_pow, lam, profile, k, ram)
-            coeffs[k] = total * div.truncate_relative(window).inverse()
+            coeffs[k] = _over_small_divisor(total, a_power[1], profile, k, window)
     return Conjugacy(coeffs, profile, "multinomial", D)
 
 
@@ -294,18 +297,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     D = Jmax * p + 1
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-
-    lam_powers = [one]  # λ^n, built incrementally as needed
-    def lam_power(n):
-        while len(lam_powers) <= n:
-            lam_powers.append(lam_powers[-1] * lam)
-        return lam_powers[n]
-
-    a_powers = [one]
-    def a_power(n):
-        while len(a_powers) <= n:
-            a_powers.append(a_powers[-1] * a)
-        return a_powers[n]
+    lam_power, a_power = _powers(lam), _powers(a)
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
     for j in range(1, Jmax + 1):
@@ -328,8 +320,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
             prod = _convolve(field_, prod[:rows], a_power(n).coeffs[:rows])[:rows]
             acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
         total = LaurentSeries(field_, ram, lo, acc, H)
-        div = _divisor_series(lam_power(j * p + 1), lam, profile, j * p + 1, ram)
-        b[j] = total * div.truncate_relative(window).inverse()
+        b[j] = _over_small_divisor(total, lam_power, profile, j * p + 1, window)
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }
@@ -344,7 +335,7 @@ class ZeroReport:
 
 def check_structural_zeros(g, f):
     """For p-divisible maps, every b_k with k > 1 and p ∤ k must vanish."""
-    if not f.divisible_degrees() or f.is_linear:
+    if not f.divisible_degrees():
         return ZeroReport(False, [])
     p = f.field.p
     violations = [
@@ -363,19 +354,15 @@ class BoundReport:
     indeterminate: list  # zero-to-precision entries whose horizon is too low
 
 
-def check_coefficient_bound(g, gauge, f=None):
-    """v(b_k) >= (k-1)·A − v_m·count_resonant(k) for p-divisible maps."""
-    if gauge.is_linear:
+def check_coefficient_bound(g, gauge, f):
+    """The Lemma bound v(b_k) >= (k-1)·A − v_m·count_resonant(k)
+    (``lemma_bound``) for p-divisible maps f with gauge A."""
+    if not f.divisible_degrees():
         return BoundReport(False, {}, [], [])
-    if f is not None and not f.divisible_degrees():
-        return BoundReport(False, {}, [], [])
-    profile = g.profile
-    A = gauge.A
-    v_m = profile.v_m.value
     ram = g.coeffs[1].ram
     margins, violations, indeterminate = {}, [], []
     for k in range(2, g.D + 1):
-        bound = (k - 1) * A - v_m * count_resonant(profile, k)
+        bound = lemma_bound(g.profile, gauge.A, k)
         b_k = g.coeffs[k]
         if b_k.is_zero_as_known:
             if not b_k.exact and Fraction(b_k.prec, ram) < bound:
@@ -483,7 +470,7 @@ def invert_at_point(g, x):
     """Solve g(y) = x by Newton iteration from y = x (g is tangent to the
     identity, so convergence is quadratic inside the linearization disc)."""
     table = g.table()
-    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x, 64)
+    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x)
     if y is None:
         raise PrecisionError("point inversion of the conjugacy did not converge")
     return y

@@ -15,7 +15,7 @@ from lindisc.powerseries import (
     newton_root,
     table_compose,
 )
-from lindisc.schroder import Conjugacy, _divisor_series, _p_plus_1_shape
+from lindisc.schroder import Conjugacy, _over_small_divisor, _p_plus_1_shape, _powers
 
 
 def solve_specialized_per_term(f, Jmax, window=32):
@@ -30,18 +30,7 @@ def solve_specialized_per_term(f, Jmax, window=32):
     D = Jmax * p + 1
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-
-    lam_powers = [one]  # λ^n, built incrementally as needed
-    def lam_power(n):
-        while len(lam_powers) <= n:
-            lam_powers.append(lam_powers[-1] * lam)
-        return lam_powers[n]
-
-    a_powers = [one]
-    def a_power(n):
-        while len(a_powers) <= n:
-            a_powers.append(a_powers[-1] * a)
-        return a_powers[n]
+    lam_power, a_power = _powers(lam), _powers(a)
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
     for j in range(1, Jmax + 1):
@@ -55,8 +44,7 @@ def solve_specialized_per_term(f, Jmax, window=32):
         if total is None:
             b[j] = exact_zero
             continue
-        div = _divisor_series(lam_power(j * p + 1), lam, profile, j * p + 1, ram)
-        b[j] = total * div.truncate_relative(window).inverse()
+        b[j] = _over_small_divisor(total, lam_power, profile, j * p + 1, window)
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }
@@ -115,7 +103,7 @@ def _periodic_in_tower_per_element(f, kappa, pi, horizon):
             if not dpoly or eval_table(dpoly, u_bar).is_zero:
                 continue  # multiple residue root: lifting not certified
             u = LaurentSeries.constant(field_, u_bar, pi.ram, prec=horizon, exact=False)
-            lifted = newton_root(g_table, dtable, u, 2 * horizon.bit_length() + 8)
+            lifted = newton_root(g_table, dtable, u)
             if lifted is not None:
                 return lifted
     return None

@@ -11,7 +11,7 @@ import lindisc.powerseries
 from lindisc import FieldParams, PeriodicPoint, parse_series
 from lindisc.cli import main
 from lindisc.errors import PrecisionError
-from lindisc.schroder import ZeroReport, solve_sfe
+from lindisc.schroder import ExtensionVerdict, ZeroReport, solve_sfe
 
 
 def write_job(tmp_path, name, payload):
@@ -163,6 +163,22 @@ def test_non_indifferent_boundary_point_exits_4(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["disc", "--job", write_job(tmp_path, "q.json", QUADRATIC)])
     assert code == 4
     assert out == "" and "not indifferent" in err
+
+
+def test_extension_that_fails_its_check_exits_4(tmp_path, capsys, monkeypatch):
+    """λx + x^4 over F_2 with λ = 1 + T has b_{k'} = 0; ``disc`` reports
+    EXTENDED-RHO only when ``check_bkprime_zero_extension`` holds."""
+    job = write_job(tmp_path, "ext.json", {"p": 2, "lambda": "1+T", "f": {"4": "1"}})
+    code, out, _ = run(capsys, ["disc", "--job", job])
+    assert code == 0 and json.loads(out)["certificate"] == "EXTENDED-RHO"
+    monkeypatch.setattr(
+        lindisc.discs,
+        "check_bkprime_zero_extension",
+        lambda g, dp: ExtensionVerdict(True, False, g.D, 0),
+    )
+    code, out, err = run(capsys, ["disc", "--job", job])
+    assert code == 4
+    assert out == "" and "no extension to rho" in err
 
 
 def test_disc_walks_the_periodic_orbit_once(tmp_path, capsys, monkeypatch):

@@ -185,7 +185,7 @@ def test_search_rejects_a_lift_that_is_not_periodic(monkeypatch):
     its orbit: f(x) - x = T^3 + ... at x = T + T^2."""
     f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
     one_t = LaurentSeries.monomial(F2, 1)
-    monkeypatch.setattr(discs, "newton_root", lambda table, dtable, y, max_iter: y + one_t)
+    monkeypatch.setattr(discs, "newton_root", lambda table, dtable, y: y + one_t)
     with pytest.raises(CertificateError, match="not 1-periodic"):
         find_periodic_point(f, 1, make_disc(Fraction(1), "closed"))
 

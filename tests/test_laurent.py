@@ -84,6 +84,12 @@ def test_exact_series_survive_arithmetic():
     assert (a * b).exact
     assert (a + b).exact
     assert (a**5).exact
+    # exact zeros agree whatever horizon they were declared with
+    c = parse_series("1+T", FieldParams(5))
+    zero = LaurentSeries.zero(FieldParams(5), 1, 0, exact=True)
+    for exact_zero in (c - c, c.scale(0)):
+        assert exact_zero.is_exact_zero
+        assert exact_zero.agrees_with(zero) and zero.agrees_with(exact_zero)
 
 
 def test_inverse_round_trip():

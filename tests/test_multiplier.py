@@ -22,6 +22,7 @@ from lindisc import (
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI
+from lindisc.multiplier import lemma_bound
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -218,6 +219,10 @@ def test_count_resonant_against_brute_force():
         assert count_resonant(pr, pr.k_prime - 1) == 0
         assert count_resonant(pr, pr.k_prime) == 1
         assert count_resonant(pr, pr.k_prime + m * p) == 2
+        # the Lemma bound drops by v_m at each resonant degree
+        kp, v_m, A = pr.k_prime, pr.v_m.value, Fraction(-1, 3)
+        assert lemma_bound(pr, A, kp) == (kp - 1) * A - v_m
+        assert lemma_bound(pr, A, kp + m * p) == (kp + m * p - 1) * A - 2 * v_m
 
 
 def test_disc_profile_examples():

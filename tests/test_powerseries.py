@@ -51,6 +51,13 @@ def test_gauge_examples():
     assert linear.is_linear
 
 
+def test_linear_map_is_not_p_divisible():
+    """A linear map is not in the p-divisible family, so the solver and
+    the structural checks take their generic path for it."""
+    assert not PowerSeriesMap({1: series("1+T")}).divisible_degrees()
+    assert PowerSeriesMap({1: series("1+T"), 4: series("1")}).divisible_degrees()
+
+
 def test_gauge_bound_holds_for_all_degrees():
     rng = random.Random(5)
     for _ in range(20):

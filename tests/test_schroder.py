@@ -12,6 +12,7 @@ from lindisc import (
     FieldParams,
     LaurentSeries,
     PowerSeriesMap,
+    Valuation,
     certify_divergence,
     check_bkprime_zero_extension,
     check_coefficient_bound,
@@ -38,7 +39,8 @@ from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
     STRUCTURAL,
-    _divisor_series,
+    _over_small_divisor,
+    _powers,
     invert_at_point,
 )
 from oracles import solve_specialized_per_term
@@ -158,15 +160,14 @@ def one_step_solve(f, D, window):
     field, ram, lam = f.field, f.ram, f.multiplier
     profile = mult_profile(lam)
     one = LaurentSeries.constant(field, 1, ram)
-    family = f.divisible_degrees() and not f.is_linear
+    family = f.divisible_degrees()
     acc, fpow = DensePoly(field, ram, D, window), DensePoly(field, ram, D, window)
     for i, a in f.coeffs.items():
         if i <= D:
             fpow.set_column(i, a)
     acc.add_scaled(one, fpow)
-    coeffs, lam_pow = {1: one}, lam
+    coeffs, lam_power = {1: one}, _powers(lam)
     for k in range(2, D + 1):
-        lam_pow = lam_pow * lam  # λ^k
         s_k = acc.column(k)
         if family and k % field.p:
             assert s_k.is_zero_as_known, k
@@ -174,8 +175,7 @@ def one_step_solve(f, D, window):
         elif s_k.is_exact_zero:
             b_k = s_k
         else:
-            div = _divisor_series(lam_pow, lam, profile, k, ram)
-            b_k = s_k * div.truncate_relative(window).inverse()
+            b_k = _over_small_divisor(s_k, lam_power, profile, k, window)
         coeffs[k] = b_k
         fpow = fpow.mul_by_map(f)
         acc.add_scaled(b_k, fpow)
@@ -263,6 +263,22 @@ def test_specialized_equals_per_term_oracle(p, r, e, v_a, W, lam):
         assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
     if lam == "b+T^2":
         assert g.zero_kind[31] == COMPUTED_ZERO
+
+
+@pytest.mark.parametrize(
+    "solve, degree",
+    [(solve_sfe, 4), (solve_sfe_multinomial, 4), (solve_specialized_p_plus_1, 2)],
+    ids=["term-matching", "multinomial", "specialized"],
+)
+def test_divisor_valuation_off_the_closed_form_is_caught(monkeypatch, solve, degree):
+    """Every solver divides through ``_over_small_divisor``, which checks
+    the divisor against ``small_divisor_valuation``."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    monkeypatch.setattr(
+        lindisc.schroder, "small_divisor_valuation", lambda profile, n: Valuation(99)
+    )
+    with pytest.raises(CertificateError, match="closed form"):
+        solve(f, degree)
 
 
 def test_specialized_requires_shape():

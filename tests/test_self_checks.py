@@ -41,12 +41,27 @@ FOLD_HOMES = {
     "laurent._convolve",
 }
 POWER_HOMES = {"field.FieldParams.pow_rows", "laurent.LaurentSeries.__pow__"}
+# where each resonance rule may live: a second division by a small
+# divisor would invert a ``truncate_relative(...)`` result, and a second
+# Lemma bound (or any other formula in the resonance count) would call
+# ``count_resonant``
+DIVIDE_HOMES = {"schroder._over_small_divisor"}
+LEMMA_HOMES = {"multiplier.lemma_bound", "discs.delta_exponent"}
 
 
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
-    of ``_reduction_rows`` and every ``n >>= 1`` in the source of ``module``."""
+    of ``_reduction_rows``, every ``n >>= 1``, every ``.inverse()`` of a
+    ``truncate_relative(...)`` call and every ``count_resonant(...)`` call
+    in the source of ``module``."""
     uses = []
+
+    def method_call(node, name):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+        )
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -68,6 +83,14 @@ def _kernel_uses(module, source):
             and node.value.value == 1
         ):
             uses.append((scope, "power"))
+        if method_call(node, "inverse") and method_call(node.func.value, "truncate_relative"):
+            uses.append((scope, "divide"))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "count_resonant"
+        ):
+            uses.append((scope, "lemma"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -76,7 +99,13 @@ def _kernel_uses(module, source):
 
 
 def _misplaced(uses):
-    homes = {"convolve": CONVOLVE_HOMES, "fold": FOLD_HOMES, "power": POWER_HOMES}
+    homes = {
+        "convolve": CONVOLVE_HOMES,
+        "fold": FOLD_HOMES,
+        "power": POWER_HOMES,
+        "divide": DIVIDE_HOMES,
+        "lemma": LEMMA_HOMES,
+    }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
 
@@ -86,10 +115,15 @@ def test_one_convolution_and_one_fold():
         uses = _kernel_uses(path.stem, path.read_text(encoding="utf-8"))
         seen.update(uses)
         offenders += _misplaced(uses)
-    assert not offenders, f"a second F_q product, fold or power: {offenders}"
+    assert not offenders, (
+        f"a second F_q product, fold or power, small-divisor quotient or "
+        f"Lemma bound: {offenders}"
+    )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "fold") in seen
     assert ("field.FieldParams.pow_rows", "power") in seen
+    assert ("schroder._over_small_divisor", "divide") in seen
+    assert ("multiplier.lemma_bound", "lemma") in seen
 
 
 def test_kernel_walk_flags_a_second_product():
@@ -106,6 +140,20 @@ def test_kernel_walk_flags_a_second_product():
         ("laurent.LaurentSeries.scale", "convolve"),
         ("laurent.LaurentSeries.scale", "fold"),
         ("laurent.LaurentSeries.power", "power"),
+    ]
+
+
+def test_kernel_walk_flags_a_second_quotient_and_bound():
+    source = (
+        "def solve(s, div, window, profile, A, k):\n"
+        "    b = s * div.truncate_relative(window).inverse()\n"
+        "    return b, (k - 1) * A - profile.v_m.value * count_resonant(profile, k)\n"
+        "def _over_small_divisor(s, div, window):\n"
+        "    return s * div.inverse(), div.truncate_relative(window)\n"
+    )
+    assert _misplaced(_kernel_uses("schroder", source)) == [
+        ("schroder.solve", "divide"),
+        ("schroder.solve", "lemma"),
     ]
 
 
