@@ -23,6 +23,7 @@ import re
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     IncompatibleFieldError,
@@ -116,38 +117,62 @@ class Valuation:
 
 
 def _convolve(params, a, b):
-    """Convolution of coefficient arrays of shape (..., La, r) and (Lb, r),
-    multiplying coefficients in F_{p^r}; the result has shape
-    (..., La + Lb - 1, r).
+    """Convolution of coefficient arrays of shape (..., La, r) and
+    (Lb, r) or (..., Lb, r), multiplying coefficients in F_{p^r}; the
+    result has shape (..., La + Lb - 1, r).
 
-    Leading axes of ``a`` are a batch, served by one ``np.convolve`` per
-    coordinate pair (Kronecker substitution): each slice is followed by
-    Lb - 1 zero rows, which keep the slices' products apart.
+    When only ``a`` has leading axes they are a batch, served by one
+    ``np.convolve`` per coordinate pair (Kronecker substitution): each
+    slice is followed by Lb - 1 zero rows, which keep the slices'
+    products apart.  When ``b`` has them too, the two batches multiply
+    pair by pair: one matrix product of a sliding window of ``a``, a
+    strided view, by ``b`` reversed, so memory stays linear in the batch.
+
+    Both paths accumulate in int64.  An entry sums at most r·min(La, Lb)
+    products < p² before the fold below, so W·r·p² < 2^63 bounds the
+    width W of the operands: W < 2^30 at p < 2^16 and q < 2^32.
     """
     p, r = params.p, params.r
     batch = a.shape[:-2]
-    la, lb = a.shape[-2], b.shape[0]
-    if batch:
-        padded = np.zeros(batch + (la + lb - 1, r), dtype=np.int64)
-        padded[..., :la, :] = a
-        a = padded.reshape(-1, r)
-    if r == 1:
-        out = (np.convolve(a[:, 0], b[:, 0]) % p).reshape(-1, 1)
+    if b.ndim > 2:
+        la, lb = a.shape[-2], b.shape[-2]
+        padded = np.zeros(batch + (la + 2 * (lb - 1), r), dtype=np.int64)
+        padded[..., lb - 1 : lb - 1 + la, :] = a
+        step = padded.strides
+        windows = as_strided(  # (..., la+lb-1, r, lb): row i holds a[i-lb+1 .. i]
+            padded, batch + (la + lb - 1, r, lb), step + step[-2:-1]
+        )
+        pairs = windows @ b[..., None, ::-1, :]  # (..., la+lb-1, r, r)
+        if r == 1:
+            raw = pairs.reshape(batch + (la + lb - 1, 1))
+        else:
+            raw = np.zeros(batch + (la + lb - 1, 2 * r - 1), dtype=np.int64)
+            for s1 in range(r):
+                raw[..., s1 : s1 + r] += pairs[..., s1, :]
     else:
-        raw = np.zeros((a.shape[0] + lb - 1, 2 * r - 1), dtype=np.int64)
-        for s1 in range(r):
-            col = a[:, s1]
-            if not col.any():
-                continue
-            for s2 in range(r):
-                if not b[:, s2].any():
+        if batch:
+            la, lb = a.shape[-2], b.shape[0]
+            padded = np.zeros(batch + (la + lb - 1, r), dtype=np.int64)
+            padded[..., :la, :] = a
+            a = padded.reshape(-1, r)
+        if r == 1:
+            raw = np.convolve(a[:, 0], b[:, 0]).reshape(-1, 1)
+        else:
+            raw = np.zeros((a.shape[0] + b.shape[0] - 1, 2 * r - 1), dtype=np.int64)
+            for s1 in range(r):
+                col = a[:, s1]
+                if not col.any():
                     continue
-                raw[:, s1 + s2] += np.convolve(col, b[:, s2])
-        raw %= p
-        out = (raw[:, :r] + raw[:, r:] @ params._reduction_rows) % p
-    if batch:
-        out = out[: a.shape[0]].reshape(batch + (la + lb - 1, r))
-    return out
+                for s2 in range(r):
+                    if not b[:, s2].any():
+                        continue
+                    raw[:, s1 + s2] += np.convolve(col, b[:, s2])
+        if batch:
+            raw = raw[: a.shape[0]].reshape(batch + (la + lb - 1, 2 * r - 1))
+    raw %= p
+    if r == 1:
+        return raw
+    return (raw[..., :r] + raw[..., r:] @ params._reduction_rows) % p
 
 
 class LaurentSeries:
@@ -477,22 +502,27 @@ def _render_term(coeff, exponent, var):
     return f"{cs}*{vs}"
 
 
-def _invert_unit(params, unit, digits):
-    """Inverse of a unit-part coefficient array to the given number of
-    digits, by Newton doubling: the error 1 - u*v squares each step."""
-    p = params.p
-    v = params.pow_rows(unit[:1], params.q - 2)  # c^(q-2) = 1/c in F_q
+def _invert_unit(params, units, digits):
+    """Inverses of a stack (..., L, r) of unit-part coefficient arrays to
+    the given number of digits, by Newton doubling: the error 1 - u*v
+    squares each step.  Each unit starts from its own c^(q-2) = 1/c, and
+    the products pair each unit with its own inverse (``_convolve``'s
+    pairwise batch).  A single (L, r) unit has no leading axes and takes
+    ``_convolve``'s unbatched path."""
+    p, r = params.p, params.r
+    batch = units.shape[:-2]
+    v = params.pow_rows(units[..., 0, :].reshape(-1, r), params.q - 2)
+    v = v.reshape(batch + (1, r))
     k = 1
     while k < digits:
         k = min(2 * k, digits)
-        uv = _convolve(params, unit[:k], v)[:k]
-        correction = _convolve(params, v, uv)[:k]
-        width = max(v.shape[0], correction.shape[0], k)
-        out = np.zeros((width, params.r), dtype=np.int64)
-        out[: v.shape[0]] += 2 * v
-        out[: correction.shape[0]] -= correction
-        v = out[:k] % p
-    return v[:digits]
+        uv = _convolve(params, units[..., :k, :], v)[..., :k, :]
+        correction = _convolve(params, v, uv)[..., :k, :]
+        out = np.zeros(batch + (k, r), dtype=np.int64)
+        out[..., : v.shape[-2], :] += 2 * v
+        out[..., : correction.shape[-2], :] -= correction
+        v = out % p
+    return v[..., :digits, :]
 
 
 # -- parsing ---------------------------------------------------------------------

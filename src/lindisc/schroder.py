@@ -7,13 +7,19 @@ Three independent solvers are provided: term matching against the
 accumulated powers of f (the workhorse), the multinomial recurrence
 (partition enumeration, small degrees), and the specialized recurrence
 for f = λx + a_{p+1} x^{p+1} whose conjugacy is supported on degrees
-j·p + 1.  All three take exact powers from one table (``_powers``) and
-divide by the small divisor λ(1 − λ^{k-1}) in one place
-(``_over_small_divisor``).  The division never destroys the justified
-horizon: the multiplier is an exact literal, so the divisor is exact and
-its reciprocal is expanded to the full working width.  Each time, a
-divisor that vanishes raises PrecisionError and one whose valuation is
-not the closed form v(1 − λ^{k-1}) raises CertificateError.
+j·p + 1.  All three divide by the small divisors λ − λ^k = λ(1 − λ^{k-1})
+through one table (``_small_divisors``), built once per solve: the
+window-digit inverse of every divisor the solver meets, from windowed
+powers of λ (``_powers``) and one batched Newton inverse.  The division
+never destroys the justified horizon: the multiplier is an exact
+literal, so each divisor is known to any number of digits and its
+reciprocal is expanded to the full working width.  Only those digits
+are formed.  In characteristic p, 1 − λ^{p^s·u} is the s-th Frobenius
+image of 1 − λ^u, and for p ∤ u the valuation of 1 − λ^u is 0 or v_m,
+so λ^u is read modulo U^(v_m·e + window) and never beyond.  Each time,
+a divisor that vanishes to that window raises PrecisionError and one
+whose valuation is not the closed form v(1 − λ^{k-1}) raises
+CertificateError.
 """
 
 import math
@@ -25,7 +31,7 @@ import numpy as np
 
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .laurent import LaurentSeries, Valuation, _convolve
+from .laurent import LaurentSeries, Valuation, _convolve, _invert_unit
 from .multiplier import (
     lemma_bound,
     mult_profile,
@@ -91,33 +97,90 @@ class Conjugacy:
         return "\n".join(lines) + "\n"
 
 
-def _powers(x):
-    """The exact power table n -> x^n of a series, each power formed
-    once, as x^(n-1)·x, when first asked for."""
-    table = [LaurentSeries.constant(x.field, 1, x.ram), x]
+def _powers(x, width):
+    """The windowed power table of a series x: ``power(n, rows)`` is the
+    first ``rows`` rows of x^n past its lead n·x.lead, for rows <= width.
+    Each power is kept to ``width`` rows, zero rows included, and formed
+    once, as x^(n-1)·x on those rows, when first asked for.  Row j of a
+    product depends only on rows <= j of its factors, so every stored row
+    is a row of the exact x^n.  A read past the width raises
+    CertificateError; it never returns fewer rows than asked for."""
+    field_ = x.field
+    base = x.coeffs[:width]
+    one = np.zeros((width, field_.r), dtype=np.int64)
+    one[0, 0] = 1
+    table = [one]
 
-    def power(n):
+    def power(n, rows):
+        if rows > width:
+            raise CertificateError(
+                f"read of {rows} rows of a power past its table's width {width}"
+            )
         while len(table) <= n:
-            table.append(table[-1] * x)
-        return table[n]
+            table.append(_convolve(field_, table[-1], base)[:width])
+        return table[n][:rows]
 
     return power
 
 
-def _over_small_divisor(s, lam_power, profile, k, window):
-    """s / (λ − λ^k), the small divisor λ(1 − λ^{k-1}) formed exactly from
-    the power table ``lam_power`` of λ and inverted to ``window`` digits.
-    Its valuation is checked against the closed form v(1 − λ^{k-1})."""
-    div = lam_power(1) - lam_power(k)
-    if div.is_zero_as_known:
-        raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
-    expected = small_divisor_valuation(profile, k - 1)
-    if Fraction(div.lead, div.ram) != expected.value:
-        raise CertificateError(
-            f"divisor valuation {Fraction(div.lead, div.ram)} != closed form "
-            f"{expected} at k = {k}"
-        )
-    return s * div.truncate_relative(window).inverse()
+def _small_divisors(profile, ks, window):
+    """k -> 1/(λ − λ^k) to ``window`` digits for every k in ``ks``: the
+    table all three solvers divide by, equal in lead, rows and horizon to
+    the inverse of λ − λ^k formed exactly and truncated to ``window``
+    digits.
+
+    Write k − 1 = p^s·u with p ∤ u.  Then 1 − λ^{k-1} = Frob^s(1 − λ^u):
+    row i with coefficient c goes to row i·p^s with coefficient c^(p^s),
+    and c^(p^s) = c^(p^(s mod r)) in F_q.  For p ∤ u, v(1 − λ^u) is 0
+    when m ∤ u and v_m otherwise, so the ``window`` digits past the lead
+    read λ^u only modulo U^(v_m·e + window).  Each valuation p^s·v(1 − λ^u)
+    is checked against the closed form ``small_divisor_valuation``
+    (CertificateError), and one that vanishes to the window raises
+    PrecisionError.  The ``window`` rows of each λ(1 − λ^{k-1}) past its
+    lead are stacked and inverted by one batched Newton run.
+    """
+    if not ks:
+        return {}
+    lam = profile.lam
+    field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
+    width = int(profile.v_m.value * ram) + window
+    lam_power = _powers(lam, width)
+
+    def one_minus(u, rows):  # rows of 1 − λ^u
+        d = -lam_power(u, rows) % p
+        d[0, 0] = (d[0, 0] + 1) % p
+        return d
+
+    leads, units = [], np.zeros((len(ks), window, r), dtype=np.int64)
+    for unit, k in zip(units, ks):
+        s, u = 0, k - 1
+        while u % p == 0:
+            s, u = s + 1, u // p
+        step = p**s
+        nonzero = np.flatnonzero(one_minus(u, width).any(axis=1))
+        if nonzero.size == 0:
+            raise PrecisionError(
+                f"divisor 1 - lambda^{k-1} vanished to O(U^{step * width}); "
+                "root of unity?"
+            )
+        first = int(nonzero[0])
+        lead = step * first
+        expected = small_divisor_valuation(profile, k - 1)
+        if Fraction(lead, ram) != expected.value:
+            raise CertificateError(
+                f"divisor valuation {Fraction(lead, ram)} != closed form "
+                f"{expected} at k = {k}"
+            )
+        count = -(-window // step)  # rows of 1 − λ^u that reach the window
+        rows = one_minus(u, first + count)[first:]
+        unit[::step] = field_.pow_rows(rows, p ** (s % r))
+        leads.append(lead)
+    units = _convolve(field_, units, lam.coeffs[:window])[:, :window]
+    inverses = _invert_unit(field_, units, window)
+    return {
+        k: LaurentSeries(field_, ram, -lead, inv, window - lead)
+        for k, lead, inv in zip(ks, leads, inverses)
+    }
 
 
 def solve_sfe(f, D, window=32):
@@ -131,15 +194,16 @@ def solve_sfe(f, D, window=32):
     as f^{k-1}·f.  The sum is read at every degree, so the proven zeros
     are checked against the computed products.
     """
-    lam = f.multiplier
-    profile = mult_profile(lam)
-    lam_power = _powers(lam)
+    profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     p = field_.p
     family = f.divisible_degrees()
     step = p if family else 1
+    divisor = _small_divisors(
+        profile, [k for k in range(2, D + 1) if not (family and k % p)], window
+    )
 
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
@@ -159,7 +223,7 @@ def solve_sfe(f, D, window=32):
         if structural or s_k.is_exact_zero:
             b_k = exact_zero
         else:
-            b_k = _over_small_divisor(s_k, lam_power, profile, k, window)
+            b_k = s_k * divisor[k]
         coeffs[k] = b_k
         if k < D and k % step == 0:
             if family and k > p:
@@ -226,7 +290,7 @@ def solve_sfe_multinomial(f, D, window=32):
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     degrees = sorted(f.coeffs)
-    a_power = {i: _powers(a) for i, a in f.coeffs.items()}  # a_1 = λ
+    divisor = _small_divisors(profile, range(2, D + 1), window)
 
     coeffs = {1: one}
     for k in range(2, D + 1):
@@ -244,13 +308,13 @@ def solve_sfe_multinomial(f, D, window=32):
                 term = one.scale(mult)
                 for i in degrees:
                     if alpha.get(i, 0):
-                        term = term * a_power[i](alpha[i])
+                        term = term * f.coeffs[i] ** alpha[i]
                 term = term * b_l
                 total = term if total is None else total + term
         if total is None or total.is_exact_zero:
             coeffs[k] = exact_zero
         else:
-            coeffs[k] = _over_small_divisor(total, a_power[1], profile, k, window)
+            coeffs[k] = total * divisor[k]
     return Conjugacy(coeffs, profile, "multinomial", D)
 
 
@@ -275,16 +339,20 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     with binomials mod p by Lucas.  All other degrees are structural
     zeros.  Solves up to degree D = Jmax·p + 1.
 
-    The sum is formed on coefficient windows, not on series.  λ is an
-    exact unit (``mult_profile`` rejects any other) and a is exact, so
-    the term of b_i has lead L(b_i) + n·L(a) and keeps the digits of b_i:
-    the horizon ``laurent``'s pessimistic rule gives the product.  The
-    sum is known below H, the least term horizon.  Row k of a product
-    depends only on rows <= k of its factors, so reading each factor to
-    H − lead rows loses nothing the sum knows.  The exact b_0 = 1 enters
-    only at j = 1, read to ``window`` digits: the divisor's inverse has
-    ``window`` digits, which caps b_1 there anyway.  A b_i that is zero
-    to precision caps H and adds no rows.  The term i = j − 1 has
+    The sum is formed on coefficient windows, not on series.  λ is a
+    unit (``mult_profile`` rejects any other), and λ and a are exact
+    (``PowerSeriesMap`` takes no other coefficients), so the term of b_i
+    has lead L(b_i) + n·L(a) and keeps the digits of b_i: the horizon
+    ``laurent``'s pessimistic rule gives the product.  The sum is known
+    below H, the least term horizon.  Row k of a product depends only on
+    rows <= k of its factors, so reading each factor to H − lead rows
+    loses nothing the sum knows.  No b_i knows more than ``window``
+    digits past its lead: the exact b_0 = 1 is read to ``window``
+    digits, and every later b_i is a sum times a ``window``-digit
+    inverse.  So H − lead <= ``window`` for every term, and λ^e and a^n
+    are read from ``_powers`` tables kept to ``window`` rows past their
+    leads, never from exact powers of e·deg λ + 1 rows.  A b_i that is
+    zero to precision caps H and adds no rows.  The term i = j − 1 has
     C((j−1)p+1, 1) ≡ 1, so no sum is empty and no b_j is an exact zero.
     The int64 window takes at most j addends c·prod, each below
     p² < 2^32, so it cannot overflow for j < 2^31.
@@ -297,7 +365,8 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     D = Jmax * p + 1
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-    lam_power, a_power = _powers(lam), _powers(a)
+    lam_power, a_power = _powers(lam, window), _powers(a, window)
+    divisor = _small_divisors(profile, [j * p + 1 for j in range(1, Jmax + 1)], window)
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
     for j in range(1, Jmax + 1):
@@ -316,11 +385,11 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
             rows = H - lead
             if rows <= 0:
                 continue
-            prod = _convolve(field_, coeffs[:rows], lam_power(e).coeffs[:rows])
-            prod = _convolve(field_, prod[:rows], a_power(n).coeffs[:rows])[:rows]
+            prod = _convolve(field_, coeffs[:rows], lam_power(e, rows))
+            prod = _convolve(field_, prod[:rows], a_power(n, rows))[:rows]
             acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
         total = LaurentSeries(field_, ram, lo, acc, H)
-        b[j] = _over_small_divisor(total, lam_power, profile, j * p + 1, window)
+        b[j] = total * divisor[j * p + 1]
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }

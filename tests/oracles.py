@@ -4,10 +4,12 @@ Each one is the straightforward form of a computation the package does
 faster; tests require the package's results to equal them exactly.
 """
 
+from fractions import Fraction
+
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
-from lindisc.errors import HypothesisError
+from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.laurent import LaurentSeries
-from lindisc.multiplier import mult_profile
+from lindisc.multiplier import mult_profile, small_divisor_valuation
 from lindisc.powerseries import (
     _table_derivative,
     binomial_mod_p,
@@ -15,7 +17,37 @@ from lindisc.powerseries import (
     newton_root,
     table_compose,
 )
-from lindisc.schroder import Conjugacy, _over_small_divisor, _p_plus_1_shape, _powers
+from lindisc.schroder import Conjugacy, _p_plus_1_shape
+
+
+def exact_powers(x):
+    """The exact power table n -> x^n of a series, each power formed
+    once, as x^(n-1)·x, when first asked for."""
+    table = [LaurentSeries.constant(x.field, 1, x.ram), x]
+
+    def power(n):
+        while len(table) <= n:
+            table.append(table[-1] * x)
+        return table[n]
+
+    return power
+
+
+def over_small_divisor(s, lam_power, profile, k, window):
+    """s / (λ − λ^k), the small divisor λ(1 − λ^{k-1}) formed exactly from
+    the exact power table ``lam_power`` of λ and inverted to ``window``
+    digits: the quotient that ``schroder._small_divisors`` tabulates.
+    Its valuation is checked against the closed form v(1 − λ^{k-1})."""
+    div = lam_power(1) - lam_power(k)
+    if div.is_zero_as_known:
+        raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
+    expected = small_divisor_valuation(profile, k - 1)
+    if Fraction(div.lead, div.ram) != expected.value:
+        raise CertificateError(
+            f"divisor valuation {Fraction(div.lead, div.ram)} != closed form "
+            f"{expected} at k = {k}"
+        )
+    return s * div.truncate_relative(window).inverse()
 
 
 def solve_specialized_per_term(f, Jmax, window=32):
@@ -30,7 +62,7 @@ def solve_specialized_per_term(f, Jmax, window=32):
     D = Jmax * p + 1
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-    lam_power, a_power = _powers(lam), _powers(a)
+    lam_power, a_power = exact_powers(lam), exact_powers(a)
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
     for j in range(1, Jmax + 1):
@@ -44,7 +76,7 @@ def solve_specialized_per_term(f, Jmax, window=32):
         if total is None:
             b[j] = exact_zero
             continue
-        b[j] = _over_small_divisor(total, lam_power, profile, j * p + 1, window)
+        b[j] = over_small_divisor(total, lam_power, profile, j * p + 1, window)
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }

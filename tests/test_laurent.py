@@ -2,7 +2,9 @@
 parsing, and ramified towers."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ from lindisc.errors import (
     PrecisionError,
     ZeroDivisionFieldError,
 )
-from lindisc.laurent import _convolve
+from lindisc.laurent import _convolve, _invert_unit
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -324,6 +326,30 @@ def test_batched_convolution_is_one_convolution_per_slice(field):
                 assert (batched[i, j] == _convolve(field, a[i, j], b)).all()
 
 
+@pytest.mark.parametrize("field", [F3, F4, FieldParams(2, 4)], ids=["r1", "r2", "r4"])
+def test_pairwise_convolution_is_one_convolution_per_pair(field):
+    """When both operands carry the batch, slice (i, j) of the product is
+    the unbatched product of the two (i, j) slices, at every length down
+    to 1, and a batch of one is the unbatched product too."""
+    rng = random.Random(field.q)
+
+    def rows(*shape):
+        return np.array(
+            [rng.randrange(field.p) for _ in range(field.r * math.prod(shape))],
+            dtype=np.int64,
+        ).reshape(*shape, field.r)
+
+    for la, lb in [(1, 1), (1, 5), (6, 1), (7, 4), (3, 9)]:
+        a, b = rows(2, 3, la), rows(2, 3, lb)
+        paired = _convolve(field, a, b)
+        assert paired.shape == (2, 3, la + lb - 1, field.r)
+        for i in range(2):
+            for j in range(3):
+                assert (paired[i, j] == _convolve(field, a[i, j], b[i, j])).all()
+        one = _convolve(field, a[:1, :1], b[:1, :1])
+        assert (one[0, 0] == _convolve(field, a[0, 0], b[0, 0])).all()
+
+
 def int_convolve(field, a, b):
     """The product of two coefficient arrays in Python ints, reduced by
     the modulus and by p only at the end."""
@@ -350,3 +376,81 @@ def test_convolution_at_the_largest_prime_is_exact(field):
     expected = int_convolve(field, a, a).astype(np.int64)
     assert (_convolve(field, a, a) == expected).all()
     assert (_convolve(field, np.stack([a, a]), a) == expected).all()
+    assert (_convolve(field, np.stack([a, a]), np.stack([a, a])) == expected).all()
+
+
+def _unit_stack(field, rng, digits):
+    """One unit per nonzero element of the field, that element leading,
+    with random rows after it."""
+    leads = [row for row in field.element_rows(1, field.q)]
+    tail = [
+        [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(digits - 1)]
+        for _ in leads
+    ]
+    return np.array([[lead, *rows] for lead, rows in zip(leads, tail)], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [F3, F4, FieldParams(3, 2), FieldParams(2, 4)],
+    ids=["F3", "F4", "F9", "F16"],
+)
+def test_batched_inverse_pairs_each_unit_with_its_own_inverse(field):
+    """A stack of units with every leading coefficient of the field: each
+    batched inverse times its own unit is 1 to the digits asked for, and
+    equals the inverse of that unit alone.  A kernel that started the
+    whole stack from the first unit's c^(q-2) fails here."""
+    rng = random.Random(field.q)
+    for digits in (1, 2, 13, 32):
+        units = _unit_stack(field, rng, digits)
+        inverses = _invert_unit(field, units, digits)
+        assert inverses.shape == units.shape
+        one = np.zeros((digits, field.r), dtype=np.int64)
+        one[0, 0] = 1
+        for unit, inv in zip(units, inverses):
+            assert (_convolve(field, unit, inv)[:digits] == one).all()
+            assert (_invert_unit(field, unit[None], digits)[0] == inv).all()
+
+
+@pytest.mark.parametrize(
+    "field", [FieldParams(65521, 1, [0, 1]), FieldParams(65521, 2, [17, 0, 1])],
+    ids=["r1", "r2"],
+)
+def test_batched_inverse_at_the_largest_prime_is_exact(field):
+    """The pairwise products of the batched Newton run stay inside int64
+    at p = 65521 (W·r·p² < 2^63): units of 256 rows, checked in Python
+    integers."""
+    rng = random.Random(7)
+    digits = 256
+    units = np.array(
+        [
+            [[rng.choice((1, field.p - 1, rng.randrange(field.p))) for _ in range(field.r)]
+             for _ in range(digits)]
+            for _ in range(3)
+        ],
+        dtype=np.int64,
+    )
+    units[:, 0] = [[field.p - 1] + [0] * (field.r - 1)]
+    units[1, 0, -1] = 3
+    inverses = _invert_unit(field, units, digits)
+    one = np.zeros((digits, field.r), dtype=object)
+    one[0, 0] = 1
+    for unit, inv in zip(units, inverses):
+        assert (int_convolve(field, unit, inv)[:digits] == one).all()
+
+
+def test_batched_inverse_memory_is_linear_in_the_stack():
+    """The batched Newton run keeps O(K·W·r) integers: its peak stays a
+    small multiple of the stack, far below a K×W×W Toeplitz (W = 64
+    times the stack)."""
+    rng = np.random.default_rng(3)
+    units = rng.integers(0, 5, size=(256, 64, 1))
+    units[:, 0, 0] = 1
+    field = FieldParams(5)
+    tracemalloc.start()
+    try:
+        _invert_unit(field, units, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * units.nbytes, (peak, units.nbytes)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import lindisc._dense
+import lindisc.laurent
 import lindisc.schroder
 from lindisc import (
     FieldParams,
@@ -39,11 +41,11 @@ from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
     STRUCTURAL,
-    _over_small_divisor,
     _powers,
+    _small_divisors,
     invert_at_point,
 )
-from oracles import solve_specialized_per_term
+from oracles import exact_powers, over_small_divisor, solve_specialized_per_term
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -166,7 +168,7 @@ def one_step_solve(f, D, window):
         if i <= D:
             fpow.set_column(i, a)
     acc.add_scaled(one, fpow)
-    coeffs, lam_power = {1: one}, _powers(lam)
+    coeffs, lam_power = {1: one}, exact_powers(lam)
     for k in range(2, D + 1):
         s_k = acc.column(k)
         if family and k % field.p:
@@ -175,7 +177,7 @@ def one_step_solve(f, D, window):
         elif s_k.is_exact_zero:
             b_k = s_k
         else:
-            b_k = _over_small_divisor(s_k, lam_power, profile, k, window)
+            b_k = over_small_divisor(s_k, lam_power, profile, k, window)
         coeffs[k] = b_k
         fpow = fpow.mul_by_map(f)
         acc.add_scaled(b_k, fpow)
@@ -271,14 +273,123 @@ def test_specialized_equals_per_term_oracle(p, r, e, v_a, W, lam):
     ids=["term-matching", "multinomial", "specialized"],
 )
 def test_divisor_valuation_off_the_closed_form_is_caught(monkeypatch, solve, degree):
-    """Every solver divides through ``_over_small_divisor``, which checks
-    the divisor against ``small_divisor_valuation``."""
+    """Every solver divides through ``_small_divisors``, which checks each
+    divisor against ``small_divisor_valuation``."""
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     monkeypatch.setattr(
         lindisc.schroder, "small_divisor_valuation", lambda profile, n: Valuation(99)
     )
     with pytest.raises(CertificateError, match="closed form"):
         solve(f, degree)
+
+
+# a residue of multiplicative order m > 1 for each p
+RESIDUE_OF_ORDER_ABOVE_1 = {2: "b", 3: "2", 5: "2", 7: "3", 65521: "65520"}
+
+
+def _divisor_cases():
+    """(p, r, e, λ, W, exponents k − 1) for the divisor-table oracle test:
+    p ∈ {2, 3, 5, 7, 65521}, r ∈ {1, 2, 3}, e ∈ {1, 2, 3}, m = 1 and m > 1,
+    v_m·e ∈ {1, 2}, 1-3 tail terms and W ∈ {8, 32, 64}.  The exponents are
+    1..8 and p^s·u for u ∈ {1, m} and s <= 4, as far as the exact chain
+    (k·deg λ + 1 rows per power) stays cheap: to p^4·u at p <= 3 and at
+    p ∈ {5, 7} when r = e = 1, and below p at p = 65521."""
+    combos = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)]
+    combos += [(65521, 1), (65521, 2)]
+    cases = []
+    for idx, (p, r) in enumerate(combos):
+        e = 1 + idx % 3
+        var = "T" if e == 1 else "U"
+        high_order = idx % 2 == 1 and not (p == 2 and r == 1)
+        residue = RESIDUE_OF_ORDER_ABOVE_1[p] if high_order else "1"
+        m = {"1": 1, "b": 2**r - 1, "2": p - 1, "3": 6, "65520": 2}[residue]
+        first = 1 + (idx // 2) % 2
+        tail = ["1", "b" if r > 1 else str(p - 1), "1"][: 1 + idx % 3]
+        lam = residue + "".join(
+            f"+{c}*{var}^{first + t}" for t, c in enumerate(tail)
+        )
+        W = 64 if p > 7 else (8, 32, 64)[idx % 3]
+        limit = 500 if p <= 3 else 2500 // (r * e)
+        exps = set(range(1, 9)) | {
+            p**s * u for s in range(5) for u in (1, m) if p**s * u <= limit
+        }
+        cases.append((p, r, e, lam, W, sorted(exps)))
+    return cases
+
+
+def _field(p, r):
+    if p == 65521:
+        return FieldParams(p, r, [0, 1] if r == 1 else [17, 0, 1])
+    return FieldParams(p, r)
+
+
+@pytest.mark.parametrize("p, r, e, lam, W, exps", _divisor_cases())
+def test_divisor_table_equals_the_exact_quotient(p, r, e, lam, W, exps):
+    """Each entry of the divisor table is the exact quotient's inverse of
+    λ − λ^k to W digits, formed from the exact chain λ^k: the same lead,
+    rows, horizon and exactness."""
+    field = _field(p, r)
+    lam = parse_series(lam, field, e)
+    profile = mult_profile(lam)
+    one = LaurentSeries.constant(field, 1, e)
+    ks = [n + 1 for n in exps]
+    table = _small_divisors(profile, ks, W)
+    assert sorted(table) == ks
+    lam_power = exact_powers(lam)
+    for k in ks:
+        x, y = table[k], over_small_divisor(one, lam_power, profile, k, W)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
+
+
+def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
+    """λ = 1 + T^4096 has v_m = 4096, so each divisor reads λ^u only
+    modulo T^(4096 + W).  No product the solve makes has an operand
+    longer than that; the exact λ^k has 4096·k + 1 rows, and forming
+    it made the solve's time grow as D².  The coefficients are those of
+    the exact quotient."""
+    lam = parse_series("1+T^4096", F2)
+    f = PowerSeriesMap({1: lam, 2: parse_series("1", F2)})
+    D, W = 9, 32
+    real, longest = lindisc.laurent._convolve, []
+
+    def spy(params, a, b):
+        longest.append(max(a.shape[-2], b.shape[-2]))
+        return real(params, a, b)
+
+    for module in (lindisc.laurent, lindisc.schroder, lindisc._dense):
+        monkeypatch.setattr(module, "_convolve", spy)
+    g = solve_sfe(f, D, window=W)
+    assert max(longest) <= 4096 + W
+    monkeypatch.undo()
+    reference = one_step_solve(f, D, W)
+    for k in range(1, D + 1):
+        a, b = g.coefficient(k), reference[k]
+        assert (a.lead, a.prec, a.exact) == (b.lead, b.prec, b.exact), k
+        assert a.coeffs.tobytes() == b.coeffs.tobytes(), k
+
+
+def test_power_table_read_past_its_width_raises(monkeypatch):
+    """A read past a power table's width raises CertificateError; it never
+    returns a shorter slice.  With every table one row short, the
+    divisor table and the p+1 recurrence's window both run into it."""
+    power = _powers(parse_series("1+T", F3), 4)
+    assert power(3, 4).tolist() == [[1], [0], [0], [1]]
+    assert power(0, 2).tolist() == [[1], [0]]
+    with pytest.raises(CertificateError, match="width 4"):
+        power(3, 5)
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    real = lindisc.schroder._powers
+    for short, solves in [
+        (lambda width: width - 1, [(solve_sfe, 6), (solve_sfe_multinomial, 6)]),
+        (lambda width: width - (width == 32), [(solve_specialized_p_plus_1, 3)]),
+    ]:
+        monkeypatch.setattr(
+            lindisc.schroder, "_powers", lambda x, width: real(x, short(width))
+        )
+        for solve, degree in solves:
+            with pytest.raises(CertificateError, match="past its table's width"):
+                solve(f, degree)
 
 
 def test_specialized_requires_shape():

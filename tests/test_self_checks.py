@@ -42,18 +42,18 @@ FOLD_HOMES = {
 }
 POWER_HOMES = {"field.FieldParams.pow_rows", "laurent.LaurentSeries.__pow__"}
 # where each resonance rule may live: a second division by a small
-# divisor would invert a ``truncate_relative(...)`` result, and a second
-# Lemma bound (or any other formula in the resonance count) would call
-# ``count_resonant``
-DIVIDE_HOMES = {"schroder._over_small_divisor"}
+# divisor would call ``.inverse()`` or ``_invert_unit`` in the solvers'
+# module, and a second Lemma bound (or any other formula in the
+# resonance count) would call ``count_resonant``
+DIVIDE_HOMES = {"schroder._small_divisors"}
 LEMMA_HOMES = {"multiplier.lemma_bound", "discs.delta_exponent"}
 
 
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
-    of ``_reduction_rows``, every ``n >>= 1``, every ``.inverse()`` of a
-    ``truncate_relative(...)`` call and every ``count_resonant(...)`` call
-    in the source of ``module``."""
+    of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
+    call and, in ``schroder``, every ``.inverse()`` and ``_invert_unit(...)``
+    call in the source of ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -61,6 +61,13 @@ def _kernel_uses(module, source):
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == name
+        )
+
+    def function_call(node, name):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
         )
 
     def visit(node, scope):
@@ -83,13 +90,11 @@ def _kernel_uses(module, source):
             and node.value.value == 1
         ):
             uses.append((scope, "power"))
-        if method_call(node, "inverse") and method_call(node.func.value, "truncate_relative"):
-            uses.append((scope, "divide"))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "count_resonant"
+        if module == "schroder" and (
+            method_call(node, "inverse") or function_call(node, "_invert_unit")
         ):
+            uses.append((scope, "divide"))
+        if function_call(node, "count_resonant"):
             uses.append((scope, "lemma"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -122,7 +127,7 @@ def test_one_convolution_and_one_fold():
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "fold") in seen
     assert ("field.FieldParams.pow_rows", "power") in seen
-    assert ("schroder._over_small_divisor", "divide") in seen
+    assert ("schroder._small_divisors", "divide") in seen
     assert ("multiplier.lemma_bound", "lemma") in seen
 
 
@@ -147,14 +152,18 @@ def test_kernel_walk_flags_a_second_quotient_and_bound():
     source = (
         "def solve(s, div, window, profile, A, k):\n"
         "    b = s * div.truncate_relative(window).inverse()\n"
-        "    return b, (k - 1) * A - profile.v_m.value * count_resonant(profile, k)\n"
-        "def _over_small_divisor(s, div, window):\n"
-        "    return s * div.inverse(), div.truncate_relative(window)\n"
+        "    c = s * _invert_unit(div.field, div.coeffs[None], window)[0]\n"
+        "    return b, c, (k - 1) * A - profile.v_m.value * count_resonant(profile, k)\n"
+        "def _small_divisors(profile, ks, window):\n"
+        "    return _invert_unit(profile.lam.field, ks, window), profile.lam.inverse()\n"
     )
     assert _misplaced(_kernel_uses("schroder", source)) == [
         ("schroder.solve", "divide"),
+        ("schroder.solve", "divide"),
         ("schroder.solve", "lemma"),
     ]
+    # the same calls outside the solvers' module are not quotients
+    assert _misplaced(_kernel_uses("laurent", source)) == [("laurent.solve", "lemma")]
 
 
 # the regular-expression calls whose patterns the walk below reads
