@@ -185,17 +185,6 @@ def _job_map(job, field, ram, prec):
     return PowerSeriesMap(coeffs)
 
 
-def _parse_rational(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
-
-
-def _epsilon_note(eps, valuation_str):
-    return f"{eps}^({valuation_str})"
-
-
 def _with_retries(policy, run):
     """run(W) for each working precision W of the schedule ``policy``
     until one does not exhaust precision."""
@@ -219,15 +208,8 @@ def cmd_analyze(job, args, out):
         return report
 
     report = _job_runner(job)(analyze)
-    if args.display_epsilon:
-        eps = _parse_rational(args.display_epsilon)
-        report["display_epsilon"] = str(eps)
-        for key in ("v_m", "v_rho", "v_sigma"):
-            if key in report:
-                report[f"abs_{key[2:]}"] = _epsilon_note(eps, report[key])
-    json.dump(report, out, indent=2, sort_keys=True)
-    out.write("\n")
-    return 0
+    valuations = {key[2:]: report[key] for key in ("v_m", "v_rho", "v_sigma") if key in report}
+    return _write_report(report, valuations, args, out)
 
 
 def cmd_solve(job, args, out):
@@ -278,10 +260,21 @@ def cmd_disc(job, args, out):
         return classify_linearization_disc(f, D=degree, window=W, kappa_max=kappa_max)
 
     report = run(disc).report_dict()
+    return _write_report(report, {"radius": report["disc"]["v_radius"]}, args, out)
+
+
+def _write_report(report, valuations, args, out):
+    """Write a JSON report.  With --display-epsilon eps it first gains
+    ``display_epsilon`` and, for each name -> valuation string v of
+    ``valuations``, ``abs_<name>`` = eps^(v): presentation only."""
     if args.display_epsilon:
-        eps = _parse_rational(args.display_epsilon)
+        try:
+            eps = Fraction(args.display_epsilon)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational literal {args.display_epsilon!r}") from exc
         report["display_epsilon"] = str(eps)
-        report["abs_radius"] = _epsilon_note(eps, report["disc"]["v_radius"])
+        for name, v in valuations.items():
+            report[f"abs_{name}"] = f"{eps}^({v})"
     json.dump(report, out, indent=2, sort_keys=True)
     out.write("\n")
     return 0

@@ -15,6 +15,7 @@ One walk along the lifted orbit (``verify_indifferent``) both certifies
 the point periodic to its horizon and gives its multiplier.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,13 +207,11 @@ class LinearizationReport:
 
 
 def _embed_map(f, target_field, e):
-    """Re-coefficient f into the tower F_{p^r}((T^(1/e))) (series ram e)."""
-    if f.ram not in (1, e):
-        raise HypothesisError(f"cannot re-ramify a map with e = {f.ram} to e = {e}")
-    return PowerSeriesMap({
-        i: (a if f.ram == e else a.ramify(e)).extend_residue_field(target_field)
-        for i, a in f.coeffs.items()
-    })
+    """Re-coefficient f into the tower F_{p^r}((T^(1/e))) (series ram e),
+    for any multiple e of f.ram: ``ramify``, then ``extend_residue_field``."""
+    return PowerSeriesMap(
+        {i: a.ramify(e).extend_residue_field(target_field) for i, a in f.coeffs.items()}
+    )
 
 
 # largest residue extension degree the periodic-point search tries
@@ -234,8 +233,8 @@ def _tower_fields(base):
 def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
     """Search the sphere for a periodic point of period κ <= kappa_max.
 
-    The residue fields are those of ``_tower_fields`` and ``e`` fixes the
-    ramification; the sphere radius must be integral in that tower.
+    The residue fields are those of ``_tower_fields`` and ``e``, a multiple
+    of f.ram, fixes the ramification; the sphere radius is integral there.
     Returns a PeriodicPoint or None (not-found-in-tower: existence in
     the completed algebraic closure is not decided by this search).
     A lifted root that is not κ-periodic to its horizon is a
@@ -380,7 +379,9 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     EXACT-SIGMA:   deg(g, closed σ-disc) = k'; D_σ is the linearization
                    disc and the boundary sphere is searched for a
                    periodic point of period κ <= k', which the search
-                   certifies periodic and this checks indifferent.
+                   certifies periodic and this checks indifferent.  The
+                   search runs in the least tower holding both the map
+                   and the sphere: e = lcm(denominator of v_σ, f.ram).
     """
     if not f.divisible_degrees():
         raise HypothesisError(
@@ -406,7 +407,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     if deg_closed == kp and kp > 1:
         level = LEVEL_EXACT
         disc = make_disc(dp.v_sigma, "open")
-        e = dp.v_sigma.value.denominator * f.ram
+        e = math.lcm(dp.v_sigma.value.denominator, f.ram)
         sphere = make_disc(dp.v_sigma, "closed")
         periodic = find_periodic_point(
             f, kappa_max or kp, sphere, e=e, horizon=4 * window

@@ -428,18 +428,15 @@ class LaurentSeries:
         return FqElement(self.field, list(self.coeffs[0]))
 
     def ramify(self, e):
-        """Reinterpret in the tower with U^e = T (only from ram = 1)."""
-        if e < 1:
-            raise ValueError("ramification index must be >= 1")
-        if self.ram != 1:
-            raise IncompatibleFieldError("ramify expects a base-field series (ram 1)")
-        if e == 1:
-            return self
-        if self.is_zero_as_known:
-            return LaurentSeries.zero(self.field, e, self.prec * e, self.exact)
-        out = np.zeros(((self.coeffs.shape[0] - 1) * e + 1, self.field.r), dtype=np.int64)
-        out[::e] = self.coeffs
-        return LaurentSeries(self.field, e, self.lead * e, out, self.prec * e, self.exact)
+        """Reinterpret in the tower with U^e = T, for any multiple e of the
+        series' own index ram: row i goes to row i·e/ram.  Any other e
+        raises IncompatibleFieldError."""
+        if e < 1 or e % self.ram:
+            raise IncompatibleFieldError(f"cannot ramify from index {self.ram} to {e}")
+        step = e // self.ram
+        out = np.zeros((self.coeffs.shape[0] * step, self.field.r), dtype=np.int64)
+        out[::step] = self.coeffs
+        return LaurentSeries(self.field, e, self.lead * step, out, self.prec * step, self.exact)
 
     def extend_residue_field(self, target):
         """Re-coefficient over a residue extension.  Only the canonical

@@ -87,17 +87,20 @@ def mult_profile(lam):
 
 def small_divisor_valuation(profile, n):
     """Closed-form v(1 - λ^n): 0 when m does not divide n, otherwise
-    v_m · p^j where p^j is the largest power of p dividing n."""
+    v_m · p^s where n = p^s·u with p ∤ u."""
+    s = p_split(n, profile.p)[0]
+    return Valuation(0 if n % profile.m else profile.v_m.value * profile.p**s)
+
+
+def p_split(n, p):
+    """(s, u) with n = p^s·u and p ∤ u: the one p-adic split of an exponent."""
     if n < 1:
-        raise HypothesisError("exponent must be >= 1")
-    if n % profile.m:
-        return Valuation(0)
-    p = profile.p
-    j = 0
+        raise HypothesisError(f"exponent must be >= 1, got {n}")
+    s = 0
     while n % p == 0:
         n //= p
-        j += 1
-    return Valuation(profile.v_m.value * p**j)
+        s += 1
+    return s, n
 
 
 def small_divisor_direct(lam, n):

@@ -2,13 +2,11 @@
 coefficients: evaluation, iteration, composition, derivative and the
 contraction gauge.
 
-Composition of coefficient tables is ``table_compose``, in full
-LaurentSeries arithmetic with no window; the windowed dense engine of
-:mod:`lindisc._dense` serves the solver only.
-
-The one Horner evaluation (``eval_table``), derivative table
-(``_table_derivative``) and Newton root (``newton_root``) of the
-package live here too, shared by every polynomial-in-x caller.  Only
+Composition of coefficient tables is ``table_compose``, by p-th powers
+in full LaurentSeries arithmetic; the windowed dense engine of
+:mod:`lindisc._dense` serves the solver only.  ``eval_table`` is the one
+Horner over series; it, the derivative table (``_table_derivative``) and
+the Newton root (``newton_root``) serve every polynomial-in-x caller.  Only
 the residue-root search of :mod:`lindisc.discs` evaluates elsewhere:
 on blocks of residue-field elements at once, as coordinate arrays.
 
@@ -23,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import HypothesisError, IncompatibleFieldError, PrecisionError
-from .laurent import LaurentSeries, Valuation
+from .laurent import LaurentSeries
+from .multiplier import p_split
 
 
 class PowerSeriesMap:
@@ -112,9 +111,6 @@ class Gauge:
     def is_linear(self):
         return self.A is None
 
-    def valuation(self):
-        return Valuation(self.A) if self.A is not None else Valuation.infinite()
-
 
 def ps_gauge(f):
     """Contraction gauge of the map: guarantees v(a_i) >= (i-1)A for all i."""
@@ -171,17 +167,28 @@ def ps_derivative_at(f, x):
 
 
 def table_compose(outer, inner, D):
-    """g(h(x)) for two coefficient tables (h(0) = 0), truncated at degree D.
+    """g(h(x)) = Σ_d a_d·h^d for two coefficient tables, truncated at
+    degree D; the inner table may be inexact.  By p-th powers: for
+    d = p^s·m with p ∤ m, h^d is h^m with each coefficient c of x^e
+    replaced by c ** p^s at x^(e·p^s), so only the h^m with p ∤ m are
+    table products, each formed once, as Frob^s(h^u)·h for m − 1 = p^s·u."""
+    p = next(iter(outer.values())).field.p
+    powers = {1: inner}  # h^m for p ∤ m
 
-    Horner over LaurentSeries polynomials, so precision follows the
-    pessimistic minimum rule; the inner table may be inexact.
-    """
-    acc = {}
-    for l in range(max(outer), -1, -1):
-        acc = _table_mul(acc, inner, D)
-        if l in outer:
-            acc[0] = acc[0] + outer[l] if 0 in acc else outer[l]
-    return {d: s for d, s in acc.items() if not s.is_exact_zero}
+    def power(s, m):  # h^(p^s·m)
+        chain = [m]
+        while chain[-1] not in powers:
+            chain.append(p_split(chain[-1] - 1, p)[1])
+        for n in reversed(chain[:-1]):
+            powers[n] = _table_mul(power(*p_split(n - 1, p)), inner, D)
+        q = p**s
+        return {e * q: c**q for e, c in powers[m].items() if e * q <= D} if s else powers[m]
+
+    acc = {0: outer[0]} if 0 in outer else {}
+    for d, a in outer.items():
+        for e, c in power(*p_split(d, p)).items() if d else ():
+            acc[e] = acc[e] + a * c if e in acc else a * c
+    return {e: t for e, t in acc.items() if not t.is_exact_zero}
 
 
 def _table_mul(a, b, D):

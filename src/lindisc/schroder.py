@@ -35,6 +35,7 @@ from .laurent import LaurentSeries, Valuation, _convolve, _invert_unit
 from .multiplier import (
     lemma_bound,
     mult_profile,
+    p_split,
     product_small_divisors,
     small_divisor_valuation,
 )
@@ -153,9 +154,7 @@ def _small_divisors(profile, ks, window):
 
     leads, units = [], np.zeros((len(ks), window, r), dtype=np.int64)
     for unit, k in zip(units, ks):
-        s, u = 0, k - 1
-        while u % p == 0:
-            s, u = s + 1, u // p
+        s, u = p_split(k - 1, p)
         step = p**s
         nonzero = np.flatnonzero(one_minus(u, width).any(axis=1))
         if nonzero.size == 0:

@@ -6,16 +6,17 @@ faster; tests require the package's results to equal them exactly.
 
 from fractions import Fraction
 
+import lindisc.discs as discs
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.laurent import LaurentSeries
 from lindisc.multiplier import mult_profile, small_divisor_valuation
 from lindisc.powerseries import (
     _table_derivative,
+    _table_mul,
     binomial_mod_p,
     eval_table,
     newton_root,
-    table_compose,
 )
 from lindisc.schroder import Conjugacy, _p_plus_1_shape
 
@@ -83,10 +84,23 @@ def solve_specialized_per_term(f, Jmax, window=32):
     return Conjugacy(coeffs, profile, "specialized", D)
 
 
+def table_compose_horner(outer, inner, D):
+    """g(h(x)) for two coefficient tables, truncated at degree D, by
+    Horner over x-polynomials with series coefficients: one table product
+    per degree below max(outer), where ``table_compose`` composes by
+    p-th powers."""
+    acc = {}
+    for l in range(max(outer), -1, -1):
+        acc = _table_mul(acc, inner, D)
+        if l in outer:
+            acc[0] = acc[0] + outer[l] if 0 in acc else outer[l]
+    return {d: s for d, s in acc.items() if not s.is_exact_zero}
+
+
 def find_periodic_point_per_element(f, kappa_max, sphere, e=1, horizon=128):
     """The boundary periodic-point search of ``find_periodic_point`` with
-    f^∘κ recomposed for every κ and every tower field, and the residue
-    polynomial evaluated one ``FqElement`` at a time."""
+    f^∘κ recomposed by Horner for every κ and every tower field, and the
+    residue polynomial evaluated one ``FqElement`` at a time."""
     v_radius = sphere.v_radius.value
     exponent = v_radius * e
     if exponent.denominator != 1:
@@ -95,9 +109,8 @@ def find_periodic_point_per_element(f, kappa_max, sphere, e=1, horizon=128):
             f"with e = {e}"
         )
     exponent = int(exponent)
-    deg_cap = 4096
     for kappa in range(1, kappa_max + 1):
-        if f.degree_bound**kappa > deg_cap:
+        if f.degree_bound**kappa > discs._DEG_CAP:
             break
         for res_field in _tower_fields(f.field):
             fe = _embed_map(f, res_field, e)
@@ -117,7 +130,7 @@ def _periodic_in_tower_per_element(f, kappa, pi, horizon):
     # f^∘κ has degree <= degree_bound^κ, so nothing is truncated
     x_table = {1: pi}
     for _ in range(kappa):
-        x_table = table_compose(f.coeffs, x_table, f.degree_bound**kappa)
+        x_table = table_compose_horner(f.coeffs, x_table, f.degree_bound**kappa)
     g_table = {**x_table, 1: x_table[1] - pi}
     g_table = {d: s for d, s in g_table.items() if not s.is_zero_as_known}
     if not g_table:

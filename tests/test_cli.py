@@ -8,7 +8,7 @@ import pytest
 import lindisc.cli
 import lindisc.discs
 import lindisc.powerseries
-from lindisc import FieldParams, PeriodicPoint, parse_series
+from lindisc import FieldParams, PeriodicPoint, PowerSeriesMap, parse_series, verify_indifferent
 from lindisc.cli import main
 from lindisc.errors import PrecisionError
 from lindisc.schroder import ExtensionVerdict, ZeroReport, solve_sfe
@@ -139,6 +139,37 @@ def test_disc_report(tmp_path, capsys):
     assert report["certificate"] == "EXACT-SIGMA"
     assert report["degree_closed_sigma"] == 2
     assert report["periodic_point"]["kappa"] == 1
+
+
+@pytest.mark.parametrize(
+    "job, tower",
+    [
+        ({"p": 3, "e": 2, "lambda": "2+U", "f": {"3": "1"}}, (2, 4, 2)),
+        ({"p": 3, "e": 3, "lambda": "2+U^2", "f": {"3": "U"}}, (2, 6, 2)),
+        ({"p": 2, "r": 2, "e": 2, "lambda": "b+U", "f": {"4": "1"}}, (2, 6, 3)),
+    ],
+)
+def test_disc_on_a_ramified_map(tmp_path, capsys, job, tower):
+    """The search runs in the tower of index lcm(e, denominator of v_σ),
+    which holds both the map and the sphere; the printed point, read
+    back, is κ-periodic with a unit multiplier."""
+    code, out, err = run(capsys, ["disc", "--job", write_job(tmp_path, "r.json", job)])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["certificate"] == "EXACT-SIGMA"
+    pp = report["periodic_point"]
+    assert (pp["tower_r"], pp["tower_e"], pp["kappa"]) == tower
+    base = FieldParams(job["p"], job.get("r", 1))
+    f = PowerSeriesMap({
+        1: parse_series(job["lambda"], base, job["e"]),
+        **{int(d): parse_series(a, base, job["e"]) for d, a in job["f"].items()},
+    })
+    tower_field = FieldParams(job["p"], pp["tower_r"])
+    point = parse_series(pp["point"], tower_field, pp["tower_e"])
+    fe = lindisc.discs._embed_map(f, tower_field, pp["tower_e"])
+    residual, mult = verify_indifferent(fe, point, pp["kappa"])
+    assert residual.is_infinite
+    assert mult.lead == 0 and not mult.is_zero_as_known
 
 
 def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
@@ -289,6 +320,16 @@ def test_display_epsilon_is_presentation_only(tmp_path, capsys):
         assert decorated_report[key] == value
     assert decorated_report["display_epsilon"] == "1/2"
     assert decorated_report["abs_sigma"] == "1/2^(1/1)"
+
+
+def test_disc_display_epsilon_is_presentation_only(tmp_path, capsys):
+    job = write_job(tmp_path, "q.json", QUADRATIC)
+    _, plain, _ = run(capsys, ["disc", "--job", job])
+    _, decorated, _ = run(capsys, ["disc", "--job", job, "--display-epsilon", "1/3"])
+    decorated_report = json.loads(decorated)
+    assert decorated_report.pop("display_epsilon") == "1/3"
+    assert decorated_report.pop("abs_radius") == "1/3^(1/1)"
+    assert decorated_report == json.loads(plain)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Weierstrass data, linearization-disc certificates, boundary periodic
 points, and the resonance-exponent maximization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -221,9 +222,9 @@ def test_disc_rationality_bookkeeping():
 # -- the batched tower search against the per-element oracle -----------------
 
 
-def _map(field, lam, terms):
-    coeffs = {1: parse_series(lam, field)}
-    coeffs.update({d: parse_series(a, field) for d, a in terms.items()})
+def _map(field, lam, terms, ram=1):
+    coeffs = {1: parse_series(lam, field, ram)}
+    coeffs.update({d: parse_series(a, field, ram) for d, a in terms.items()})
     return PowerSeriesMap(coeffs)
 
 
@@ -259,11 +260,11 @@ def _random_search_cases():
     return cases
 
 
-def _sigma_sphere_case(case_id, field, lam, kp, kappa_max):
+def _sigma_sphere_case(case_id, field, lam, kp, kappa_max, ram=1):
     """λx + x^{k'} on the boundary of its σ-disc, as classification searches it."""
-    f = _map(field, lam, {kp: "1"})
+    f = _map(field, lam, {kp: "1"}, ram)
     dp = disc_profile(mult_profile(f.multiplier), ps_gauge(f))
-    return (case_id, f, dp.v_sigma.value, dp.v_sigma.value.denominator, kappa_max)
+    return (case_id, f, dp.v_sigma.value, math.lcm(dp.v_sigma.value.denominator, ram), kappa_max)
 
 
 SEARCH_CASES = _random_search_cases() + [
@@ -284,6 +285,8 @@ SEARCH_CASES = _random_search_cases() + [
     ("simple-root-fails", _map(FieldParams(5), "1+2*T+3*T^2", {2: "2+T", 3: "T^-1"}), 1, 1, 1),
     _sigma_sphere_case("sigma-f5-k2", FieldParams(5), "2+3*T", 5, 2),
     _sigma_sphere_case("sigma-f9", FieldParams(3, 2), "b+T", 9, 3),
+    # a map over F_3((T^(1/2))) with v_σ = 1/4, searched at e = 4
+    _sigma_sphere_case("sigma-f3-ram2", F3, "2+U", 3, 2, ram=2),
 ]
 
 
@@ -330,6 +333,8 @@ def test_designed_tower_search_cases_land_where_built():
         assert pp.point.coefficient(1) == pp.point.field.element(root)
     pp = _check_against_oracle(cases["simple-root-fails"])
     assert pp.point.render() == "T + 4*T^2 + O(T^25)"
+    pp = _check_against_oracle(cases["sigma-f3-ram2"])
+    assert (pp.tower, pp.kappa) == ((2, 4), 2)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 
 from lindisc import FieldParams, LaurentSeries, Valuation, parse_series
 from lindisc.errors import (
+    IncompatibleFieldError,
     NotIntegralError,
     ParseError,
     PrecisionError,
@@ -157,6 +158,26 @@ def test_ramify_preserves_valuation():
     assert b.coefficient(-3) == a.coefficient(-1)
     assert b.coefficient(6) == a.coefficient(2)
     assert b.coefficient(1) == F4.zero()
+
+
+@pytest.mark.parametrize("field", [F2, F4], ids=str)
+def test_ramify_composes_through_any_multiple(field):
+    """x.ramify(2).ramify(6) == x.ramify(6) in lead, rows, horizon and
+    exactness, for exact, inexact and zero series."""
+    rng = random.Random(field.q)
+    cases = [random_series(field, rng, exact=exact) for exact in (True, False)] + [
+        LaurentSeries.zero(field, 1, 5, exact=exact) for exact in (True, False)
+    ]
+    for x in cases:
+        two_steps, one_step = x.ramify(2).ramify(6), x.ramify(6)
+        assert two_steps.ram == one_step.ram == 6
+        assert two_steps.lead == one_step.lead == 6 * x.lead
+        assert np.array_equal(two_steps.coeffs, one_step.coeffs)
+        assert two_steps.prec == one_step.prec == 6 * x.prec
+        assert two_steps.exact == one_step.exact == x.exact
+        for e in (3, 5):
+            with pytest.raises(IncompatibleFieldError):
+                x.ramify(2).ramify(e)
 
 
 def test_residue_field_extension():

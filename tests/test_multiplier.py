@@ -22,7 +22,7 @@ from lindisc import (
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI
-from lindisc.multiplier import lemma_bound
+from lindisc.multiplier import lemma_bound, p_split
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -117,6 +117,17 @@ def test_root_of_unity_screening_tri_state():
 def test_non_unit_multiplier_rejected():
     with pytest.raises(HypothesisError):
         mult_profile(parse_series("T", F2))
+
+
+def test_p_split_against_brute_force():
+    for p in (2, 3, 5, 7, 65521):
+        for n in list(range(1, 300)) + [p**4, 3 * p**5, 65521**2 * 7]:
+            s, u = p_split(n, p)
+            assert n == p**s * u and u % p
+            assert max(t for t in range(40) if n % p**t == 0) == s
+    for n in (0, -4):
+        with pytest.raises(HypothesisError):
+            p_split(n, 2)
 
 
 def test_small_divisor_closed_form_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import lindisc.powerseries
 from lindisc import (
     FieldParams,
     LaurentSeries,
@@ -20,6 +21,7 @@ from lindisc import (
     table_compose,
 )
 from lindisc.errors import HypothesisError
+from oracles import table_compose_horner
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -150,6 +152,79 @@ def test_compose_associativity():
             )
         else:
             assert a.agrees_with(b)
+
+
+COMPOSE_FIELDS = [F2, F3, F4, FieldParams(5), FieldParams(3, 2)]
+
+
+def _random_table(rng, field, ram, degrees, exact):
+    """Random nonzero series at each degree; an inexact one knows 0-2
+    digits past its last stored row."""
+    table = {}
+    for d in degrees:
+        n, lead = rng.randrange(1, 4), rng.randrange(-2, 3)
+        rows = [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(n)]
+        rows[0][0] = rows[0][0] or 1
+        prec = lead + n + (0 if exact else rng.randrange(3))
+        table[d] = LaurentSeries(field, ram, lead, rows, prec, exact)
+    return table
+
+
+def _check_against_horner(outer, inner, D):
+    """Every coefficient agrees with the Horner oracle on the common
+    horizon; with an exact inner table none has a lower horizon; exact
+    tables in give exact tables out, equal in lead and rows."""
+    got, want = table_compose(outer, inner, D), table_compose_horner(outer, inner, D)
+    some = next(iter(outer.values()))
+    zero = LaurentSeries.zero(some.field, some.ram, 0, exact=True)
+    inner_exact = all(c.exact for c in inner.values())
+    all_exact = inner_exact and all(a.exact for a in outer.values())
+    for d in set(got) | set(want):
+        a, b = got.get(d, zero), want.get(d, zero)
+        assert a.agrees_with(b), d
+        if inner_exact:
+            assert a._effective_prec() >= b._effective_prec(), d
+        if all_exact:
+            assert a.exact and b.exact and a == b, d
+    return got
+
+
+@pytest.mark.parametrize("field", COMPOSE_FIELDS, ids=str)
+@pytest.mark.parametrize("ram", [1, 2])
+@pytest.mark.parametrize("outer_exact", [True, False])
+@pytest.mark.parametrize("inner_exact", [True, False])
+def test_table_compose_equals_horner_oracle(field, ram, outer_exact, inner_exact):
+    """At the outer degrees 1, 2, p, p², 2p, 5 and 6, alone and together
+    with a constant term, over a random inner table and the empty one."""
+    p = field.p
+    rng = random.Random(f"{field}-{ram}-{outer_exact}-{inner_exact}")
+    degrees = sorted({1, 2, p, p * p, 2 * p, 5, 6})
+    for inner_degrees in ([1, 2], [1, 3], []):
+        inner = _random_table(rng, field, ram, inner_degrees, inner_exact)
+        D = 2 * max(degrees) - 1  # truncates the top of h^(p²)
+        for outer_degrees in [[d] for d in degrees] + [[0] + degrees]:
+            outer = _random_table(rng, field, ram, outer_degrees, outer_exact)
+            got = _check_against_horner(outer, inner, D)
+            if not inner:
+                assert set(got) <= {0}
+
+
+@pytest.mark.parametrize("field", COMPOSE_FIELDS, ids=str)
+def test_composing_by_a_power_of_p_makes_no_table_product(field, monkeypatch):
+    """λx + c·x^(p^s) composes by Frobenius alone: h^(p^s) is h with its
+    coefficients raised to p^s, so ``_table_mul`` is never called."""
+    calls = []
+    mul = lindisc.powerseries._table_mul
+    monkeypatch.setattr(
+        lindisc.powerseries, "_table_mul", lambda *a: calls.append(a) or mul(*a)
+    )
+    rng = random.Random(str(field))
+    for s in (1, 2):
+        q = field.p**s
+        outer = _random_table(rng, field, 1, [1, q], True)
+        inner = _random_table(rng, field, 1, [1, 2, q], True)
+        _check_against_horner(outer, inner, q * q)
+    assert calls == []
 
 
 def test_derivative_examples():

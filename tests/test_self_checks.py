@@ -47,13 +47,28 @@ POWER_HOMES = {"field.FieldParams.pow_rows", "laurent.LaurentSeries.__pow__"}
 # resonance count) would call ``count_resonant``
 DIVIDE_HOMES = {"schroder._small_divisors"}
 LEMMA_HOMES = {"multiplier.lemma_bound", "discs.delta_exponent"}
+# the one p-adic split n = p^s·u: a second one would loop while p | n
+SPLIT_HOMES = {"multiplier.p_split"}
+
+
+def _divisible_by_p(test):
+    """True for a test ``… % p == 0`` (``p`` a name or an attribute)."""
+    return (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.BinOp)
+        and isinstance(test.left.op, ast.Mod)
+        and getattr(test.left.right, "id", getattr(test.left.right, "attr", None)) == "p"
+        and [type(op) for op in test.ops] == [ast.Eq]
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value == 0
+    )
 
 
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
-    call and, in ``schroder``, every ``.inverse()`` and ``_invert_unit(...)``
-    call in the source of ``module``."""
+    call, every ``while … % p == 0`` loop and, in ``schroder``, every
+    ``.inverse()`` and ``_invert_unit(...)`` call in the source of ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -96,6 +111,8 @@ def _kernel_uses(module, source):
             uses.append((scope, "divide"))
         if function_call(node, "count_resonant"):
             uses.append((scope, "lemma"))
+        if isinstance(node, ast.While) and _divisible_by_p(node.test):
+            uses.append((scope, "split"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -110,6 +127,7 @@ def _misplaced(uses):
         "power": POWER_HOMES,
         "divide": DIVIDE_HOMES,
         "lemma": LEMMA_HOMES,
+        "split": SPLIT_HOMES,
     }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
@@ -121,14 +139,15 @@ def test_one_convolution_and_one_fold():
         seen.update(uses)
         offenders += _misplaced(uses)
     assert not offenders, (
-        f"a second F_q product, fold or power, small-divisor quotient or "
-        f"Lemma bound: {offenders}"
+        f"a second F_q product, fold or power, small-divisor quotient, "
+        f"Lemma bound or p-adic split: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "fold") in seen
     assert ("field.FieldParams.pow_rows", "power") in seen
     assert ("schroder._small_divisors", "divide") in seen
     assert ("multiplier.lemma_bound", "lemma") in seen
+    assert ("multiplier.p_split", "split") in seen
 
 
 def test_kernel_walk_flags_a_second_product():
@@ -164,6 +183,26 @@ def test_kernel_walk_flags_a_second_quotient_and_bound():
     ]
     # the same calls outside the solvers' module are not quotients
     assert _misplaced(_kernel_uses("laurent", source)) == [("laurent.solve", "lemma")]
+
+
+def test_kernel_walk_flags_a_second_p_split():
+    source = (
+        "def p_split(n, p):\n"
+        "    while n % p == 0:\n"
+        "        n //= p\n"
+        "def small_divisor_valuation(profile, n):\n"
+        "    p = profile.p\n"
+        "    while n % p == 0:\n"
+        "        n //= p\n"
+        "    while n % profile.p == 0:\n"
+        "        n //= profile.p\n"
+        "    while n % 2 == 0 or n % p:\n"
+        "        n //= 2\n"
+    )
+    assert _misplaced(_kernel_uses("multiplier", source)) == [
+        ("multiplier.small_divisor_valuation", "split"),
+        ("multiplier.small_divisor_valuation", "split"),
+    ]
 
 
 # the regular-expression calls whose patterns the walk below reads
