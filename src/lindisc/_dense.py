@@ -4,16 +4,30 @@ composition of coefficient tables is ``powerseries.table_compose``.
 
 A ``DensePoly`` holds, per x-degree d <= D, a window of W consecutive
 U-coefficients starting at ``base[d]`` together with the justified horizon
-``prec[d]``.  Both bulk operations are one batched ``laurent._convolve``
-over a whole column range and one realignment gather into the result's
-windows, so the per-degree Python cost is constant:
+``prec[d]``.  Both bulk operations convolve only the columns that hold
+data, in one batched ``laurent._convolve`` and one realignment gather
+into the result's windows, so the per-degree Python cost is constant:
 
-* ``mul``, the product by another ``DensePoly``: per live column of the
-  other factor, trimmed to its nonzero rows, one convolution with every
-  live column of self.  ``mul_by_map`` installs a map's exact
-  coefficients as the columns of a ``DensePoly`` and multiplies by it;
+* ``mul``, the product by another ``DensePoly``, makes two passes.  The
+  horizon pass takes one broadcast minimum over a grid of (live column
+  of the other factor) × (x-degree) for the bases and horizons.  The
+  data pass stacks the pairs of columns that both hold data, self's
+  column j against the other's column i trimmed to its nonzero rows,
+  convolves them pair by pair in batches of at most (D + 1) // r pairs
+  (no larger than one column's product by a whole factor), and adds
+  each realigned product into x^(i+j).  ``mul_by_map`` installs a map's
+  exact coefficients as the columns of a ``DensePoly`` and multiplies
+  by it;
 * ``add_scaled``, the accumulation of a scalar multiple of another
-  polynomial: one convolution of its columns with the scalar.
+  polynomial: one convolution of its data columns with the scalar.
+
+A column without data still counts in the horizon pass and in the
+horizons of ``add_scaled``.  If it is zero only to precision, O(U^h),
+its product with anything is known only below that horizon, so it caps
+the horizons of the columns it reaches; only its convolution, which
+would add zeros, is skipped.  By the structural zeros of p-divisible
+maps and the window W, most columns of f^k and of the running sum hold
+no data.
 
 ``set_column`` clamps a map coefficient to its first W digits, and that
 loses nothing.  A digit of f at ``lead + W`` or beyond reaches the
@@ -114,12 +128,13 @@ class DensePoly:
         outside the rows, and columns where either base is INF, read as
         zero."""
         width = data.shape[1]
-        idx = np.arange(self.W)[None, :] - (base - new_base)[:, None]
+        idx = np.arange(self.W) - (base - new_base)[:, None]
         finite = (base < _INF_CUT) & (new_base < _INF_CUT)
-        valid = (idx >= 0) & (idx < width) & finite[:, None]
-        clipped = np.clip(idx, 0, width - 1)[:, :, None]
-        gathered = np.take_along_axis(data, clipped, axis=1)
-        return np.where(valid[:, :, None], gathered, 0)
+        outside = (idx < 0) | (idx >= width) | ~finite[:, None]
+        idx[outside] = 0
+        gathered = data[np.arange(data.shape[0])[:, None], idx]
+        gathered[outside] = 0
+        return gathered
 
     # -- bulk operations ---------------------------------------------------------
 
@@ -143,6 +158,8 @@ class DensePoly:
         b + h)`` to its horizon: v = min(base[i], prec[i]) bounds the
         valuation of other's column and h = prec[i] is its horizon;
         b = min(base[j], prec[j]) bounds the valuation of self's column.
+        Every live column counts there; only the pairs of columns that
+        both hold data are convolved.
         """
         D, W = self.D, self.W
         out = DensePoly(self.field, self.ram, D, W)
@@ -150,26 +167,52 @@ class DensePoly:
         cols = np.flatnonzero(other.prec[: D + 1 - lo] < _INF_CUT)
         if not cols.size:
             return out
-        bounds = np.minimum(self.base, self.prec)
-        for i in cols:
-            v, h, n = min(other.base[i], other.prec[i]), other.prec[i], D + 1 - i
-            out.base[lo + i :] = np.minimum(out.base[lo + i :], self.base[lo:n] + v)
-            cap = np.minimum(self.prec[lo:n] + v, bounds[lo:n] + h)
-            out.prec[lo + i :] = np.minimum(out.prec[lo + i :], cap)
+        # horizon pass: row c of the grid is other's column cols[c] against
+        # self's column d - cols[c] at x^d (INF before x^cols[c]); W·r rows
+        # at a time keep each grid within one data array
+        pad = np.full(D + 1, INF)
+        bases = np.concatenate([pad, self.base])
+        precs = np.concatenate([pad, self.prec])
+        bounds = np.minimum(bases, precs)
+        v = np.minimum(other.base[cols], other.prec[cols])[:, None]
+        h = other.prec[cols][:, None]
+        step = W * self.field.r
+        for c in range(0, cols.size, step):
+            grid = np.arange(D + 1) + (D + 1) - cols[c : c + step, None]
+            vc = v[c : c + step]
+            np.minimum(out.base, (bases[grid] + vc).min(axis=0), out=out.base)
+            cap = np.minimum(precs[grid] + vc, bounds[grid] + h[c : c + step])
+            np.minimum(out.prec, cap.min(axis=0), out=out.prec)
         _clamp(out.base)
         _clamp(out.prec)
-        start = lo + cols[0]
-        acc = np.zeros_like(out.data[start:])
-        for i in cols:
-            rows = np.flatnonzero(other.data[i].any(axis=1))
-            if not rows.size:
-                continue
-            n = D + 1 - i
-            column = other.data[i, rows[0] : rows[-1] + 1]
-            prod = _convolve(self.field, self.data[lo:n], column)
-            shifted = self.base[lo:n] + (other.base[i] + rows[0])
-            acc[lo + i - start :] += self._realigned(prod, shifted, out.base[lo + i :])
-        out.data[start:] = acc % self.field.p
+        # data pass: self's data columns j against other's data columns i,
+        # trimmed to their nonzero rows, for every pair with i + j <= D
+        js = np.flatnonzero(self.data[lo:].any(axis=(1, 2))) + lo
+        nonzero = other.data[cols].any(axis=2)
+        held = nonzero.any(axis=1)
+        if not js.size or not held.any():
+            return out
+        cols, nonzero = cols[held], nonzero[held]
+        first = np.argmax(nonzero, axis=1)
+        length = W - np.argmax(nonzero[:, ::-1], axis=1) - first
+        rows = first[:, None] + np.arange(length.max())
+        trimmed = other.data[cols[:, None], np.minimum(rows, W - 1)]
+        trimmed[rows >= W] = 0
+        pj, pi = np.nonzero(js[:, None] + cols[None, :] <= D)
+        pj, at = js[pj], cols[pi]
+        shifts = self.base[pj] + other.base[at] + first[pi]
+        at += pj
+        # a batch of n pairs holds n·(W + L - 1) rows of r × r coordinate
+        # products, L the longest trimmed column; n <= (D + 1) // r keeps it
+        # within the (D + 1)·(W + L - 1) rows of r coordinates of one
+        # column's product by a whole factor
+        step = max(1, (D + 1) // self.field.r)
+        for c in range(0, pj.size, step):
+            batch = slice(c, c + step)
+            prod = _convolve(self.field, self.data[pj[batch]], trimmed[pi[batch]])
+            gathered = self._realigned(prod, shifts[batch], out.base[at[batch]])
+            np.add.at(out.data, at[batch], gathered)
+        out.data %= self.field.p
         out._mask_all()
         return out
 
@@ -177,7 +220,8 @@ class DensePoly:
         """self += series * other (series is a scalar Laurent series).
 
         A zero-to-precision series contributes no data but still caps the
-        horizons of the affected columns.
+        horizons of the affected columns, and so does every live column
+        of other; only the columns of other that hold data are convolved.
         """
         lo = other._live()
         if series.is_exact_zero or lo > self.D:
@@ -195,9 +239,12 @@ class DensePoly:
             moved = (base != new_base) & (base < _INF_CUT) & (new_base < _INF_CUT)
             if moved.any():
                 data = self._realigned(data, base, new_base)
-            prod = _convolve(self.field, other.data[lo:], series.coeffs)
-            prod = self._realigned(prod, other.base[lo:] + series.lead, new_base)
-            self.data[lo:] = (data + prod) % self.field.p
+            cols = np.flatnonzero(other.data[lo:].any(axis=(1, 2)))
+            if cols.size:
+                prod = _convolve(self.field, other.data[lo + cols], series.coeffs)
+                shifts = other.base[lo + cols] + series.lead
+                data[cols] += self._realigned(prod, shifts, new_base[cols])
+            self.data[lo:] = data % self.field.p
             self.base[lo:] = new_base
         self.prec[lo:] = _clamp(new_prec)
         self._mask_all()

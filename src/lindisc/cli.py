@@ -360,6 +360,11 @@ def main(argv=None):
     except LindiscError as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except MemoryError:
+        # MAX_DEGREE and the other size limits bound a job's arrays, not
+        # the memory the host has left: a job within them can exceed it
+        print("job too large for available memory", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ import re
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     IncompatibleFieldError,
@@ -139,8 +138,12 @@ def _convolve(params, a, b):
         padded = np.zeros(batch + (la + 2 * (lb - 1), r), dtype=np.int64)
         padded[..., lb - 1 : lb - 1 + la, :] = a
         step = padded.strides
-        windows = as_strided(  # (..., la+lb-1, r, lb): row i holds a[i-lb+1 .. i]
-            padded, batch + (la + lb - 1, r, lb), step + step[-2:-1]
+        # (..., la+lb-1, r, lb): row i holds a[i-lb+1 .. i].  A view built by
+        # the ndarray constructor, which checks it against the buffer;
+        # ``as_strided`` goes through ``__array_interface__``, whose dict
+        # keys churn the interpreter's table of interned strings
+        windows = np.ndarray(
+            batch + (la + lb - 1, r, lb), np.int64, padded, 0, step + step[-2:-1]
         )
         pairs = windows @ b[..., None, ::-1, :]  # (..., la+lb-1, r, r)
         if r == 1:

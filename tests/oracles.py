@@ -6,10 +6,13 @@ faster; tests require the package's results to equal them exactly.
 
 from fractions import Fraction
 
+import numpy as np
+
 import lindisc.discs as discs
+from lindisc._dense import _INF_CUT, DensePoly, _clamp
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
-from lindisc.laurent import LaurentSeries
+from lindisc.laurent import LaurentSeries, _convolve
 from lindisc.multiplier import mult_profile, small_divisor_valuation
 from lindisc.powerseries import (
     _table_derivative,
@@ -152,3 +155,73 @@ def _periodic_in_tower_per_element(f, kappa, pi, horizon):
             if lifted is not None:
                 return lifted
     return None
+
+
+def _realigned_by_take(W, data, base, new_base):
+    """Windows of W entries starting at ``new_base``, read from rows of
+    ``data`` starting at ``base``: entries outside the rows, and columns
+    where either base is INF, read as zero."""
+    width = data.shape[1]
+    idx = np.arange(W)[None, :] - (base - new_base)[:, None]
+    finite = (base < _INF_CUT) & (new_base < _INF_CUT)
+    valid = (idx >= 0) & (idx < width) & finite[:, None]
+    clipped = np.clip(idx, 0, width - 1)[:, :, None]
+    gathered = np.take_along_axis(data, clipped, axis=1)
+    return np.where(valid[:, :, None], gathered, 0)
+
+
+def dense_mul_per_column(a, b):
+    """a * b for two ``DensePoly``s, one live column of b at a time: its
+    horizons against every live column of a, then its nonzero rows
+    convolved with every live column of a, data or not."""
+    D, W, field = a.D, a.W, a.field
+    out = DensePoly(field, a.ram, D, W)
+    lo = a._live()
+    cols = np.flatnonzero(b.prec[: D + 1 - lo] < _INF_CUT)
+    if not cols.size:
+        return out
+    bounds = np.minimum(a.base, a.prec)
+    for i in cols:
+        v, h, n = min(b.base[i], b.prec[i]), b.prec[i], D + 1 - i
+        out.base[lo + i :] = np.minimum(out.base[lo + i :], a.base[lo:n] + v)
+        cap = np.minimum(a.prec[lo:n] + v, bounds[lo:n] + h)
+        out.prec[lo + i :] = np.minimum(out.prec[lo + i :], cap)
+    _clamp(out.base)
+    _clamp(out.prec)
+    start = lo + cols[0]
+    acc = np.zeros_like(out.data[start:])
+    for i in cols:
+        rows = np.flatnonzero(b.data[i].any(axis=1))
+        if not rows.size:
+            continue
+        n = D + 1 - i
+        column = b.data[i, rows[0] : rows[-1] + 1]
+        prod = _convolve(field, a.data[lo:n], column)
+        shifted = a.base[lo:n] + (b.base[i] + rows[0])
+        acc[lo + i - start :] += _realigned_by_take(W, prod, shifted, out.base[lo + i :])
+    out.data[start:] = acc % field.p
+    out._mask_all()
+    return out
+
+
+def dense_add_scaled_all_columns(acc, series, other):
+    """acc += series * other, with every live column of other convolved
+    by the scalar, data or not."""
+    lo = other._live()
+    if series.is_exact_zero or lo > acc.D:
+        return
+    base, prec = acc.base[lo:], acc.prec[lo:]
+    new_base, new_prec = base, prec
+    if not series.is_zero_as_known:
+        new_base = _clamp(np.minimum(base, other.base[lo:] + series.lead))
+        new_prec = np.minimum(prec, other.prec[lo:] + series.lead)
+    if not series.exact:
+        new_prec = np.minimum(new_prec, other._leads(lo) + series.prec)
+    if not series.is_zero_as_known:
+        data = _realigned_by_take(acc.W, acc.data[lo:], base, new_base)
+        prod = _convolve(acc.field, other.data[lo:], series.coeffs)
+        prod = _realigned_by_take(acc.W, prod, other.base[lo:] + series.lead, new_base)
+        acc.data[lo:] = (data + prod) % acc.field.p
+        acc.base[lo:] = new_base
+    acc.prec[lo:] = _clamp(new_prec)
+    acc._mask_all()

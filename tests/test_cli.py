@@ -485,3 +485,20 @@ def test_retry_stops_at_the_largest_working_precision(tmp_path, capsys, monkeypa
     assert windows == [1024]
     assert out == "" and "needs W >= 2048" in err
     assert "precision 1024 exhausted" in err and "retrying" not in err
+
+
+def test_job_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """A job within every size limit can still exceed the memory left on
+    the host; it exits 2 with one line, not a traceback, and writes no
+    output file."""
+
+    def solver(f, D, window=32):
+        raise MemoryError("Unable to allocate 256. MiB for an array")
+
+    monkeypatch.setattr(lindisc.cli, "solve_sfe", solver)
+    job = write_job(tmp_path, "q.json", QUADRATIC)
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, ["solve", "--job", job, "--out", str(target)])
+    assert code == 2
+    assert out == "" and err == "job too large for available memory\n"
+    assert not target.exists()

@@ -1,13 +1,18 @@
 """The dense engine against LaurentSeries table arithmetic, with its
 window invariant checked after every seeded random operation."""
 
+import math
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 
+import lindisc._dense
 from lindisc import FieldParams, LaurentSeries, PowerSeriesMap, parse_series
 from lindisc._dense import _INF_CUT, INF, DensePoly
 from lindisc.powerseries import _table_mul
+from oracles import dense_add_scaled_all_columns, dense_mul_per_column
 
 
 def assert_invariant(poly):
@@ -215,3 +220,123 @@ def test_zero_to_precision_columns_are_live():
     assert acc.column(0).prec == 2
     assert_invariant(acc)
     assert_agrees(acc, {d: b_table[1] * s for d, s in a_table.items()})
+
+
+def mixed_column(field, ram, rng, W):
+    """One column of a kind the data pass sees: zero to precision (no
+    data, a finite horizon), a monomial, a sparse column, a column longer
+    than the window, or a random one."""
+    kind = rng.choice(["zero", "monomial", "sparse", "long", "random"])
+    lead = rng.randrange(-2, 4)
+    if kind == "zero":
+        return LaurentSeries.zero(field, ram, lead + rng.randrange(0, 6))
+    if kind == "monomial":
+        return LaurentSeries.monomial(field, lead, rng.randrange(1, field.p), ram=ram)
+    if kind == "sparse":
+        return sparse_series(field, ram, rng)
+    if kind == "long":
+        rows = random_rows(field, rng, 2 * W + rng.randrange(1, W + 1))
+        rows[0] = rows[-1] = [1] + rows[0][1:]
+        return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
+    return random_series(field, ram, rng)
+
+
+def mixed_poly(field, ram, rng, D, W):
+    """Columns of every kind, a zero-to-precision one every fourth degree
+    among them, some left exactly zero."""
+    poly = DensePoly(field, ram, D, W)
+    start = rng.randrange(0, 4)
+    for d in range(start, D + 1):
+        if (d - start) % 4 == 2:
+            poly.set_column(d, LaurentSeries.zero(field, ram, rng.randrange(-2, 6)))
+        elif rng.random() < 0.7:
+            poly.set_column(d, mixed_column(field, ram, rng, W))
+    return poly
+
+
+def copied(poly):
+    out = DensePoly(poly.field, poly.ram, poly.D, poly.W)
+    out.base[:], out.prec[:], out.data[:] = poly.base, poly.prec, poly.data
+    return out
+
+
+def assert_same(poly, expected):
+    assert (poly.base == expected.base).all()
+    assert (poly.prec == expected.prec).all()
+    assert (poly.data == expected.data).all()
+
+
+@pytest.mark.parametrize("W", [4, 12, 32])
+def test_products_and_sums_equal_the_per_column_oracle(W):
+    """Convolving only the pairs of data columns gives the same bases,
+    horizons and digits as convolving every live column, and the
+    columns without data still cap the horizons."""
+    rng = random.Random(53 + W)
+    D = 24
+    for field in FIELDS:
+        for ram in (1, 2):
+            for _ in range(3):
+                a = mixed_poly(field, ram, rng, D, W)
+                b = mixed_poly(field, ram, rng, D, W)
+                zero_to_precision = (b.base >= _INF_CUT) & (b.prec < _INF_CUT)
+                assert zero_to_precision.any() and (b.base < _INF_CUT).any()
+                for x, y in ((a, b), (b, a)):
+                    assert_same(x.mul(y), dense_mul_per_column(x, y))
+                    series = mixed_column(field, ram, rng, W)
+                    acc, expected = copied(a), copied(a)
+                    acc.add_scaled(series, y)
+                    dense_add_scaled_all_columns(expected, series, y)
+                    assert_same(acc, expected)
+
+
+def data_columns(field, rng, D, W, degrees):
+    poly = DensePoly(field, 1, D, W)
+    for d in degrees:
+        rows = random_rows(field, rng, W)
+        rows[0] = [1] + rows[0][1:]
+        poly.set_column(d, LaurentSeries(field, 1, rng.randrange(-2, 3), rows, W, exact=True))
+    return poly
+
+
+@pytest.mark.parametrize("field", [FieldParams(3), FieldParams(2, 2)])
+def test_products_convolve_one_batch_per_chunk(monkeypatch, field):
+    """A product whose second factor has 12 data columns convolves one
+    batch of column pairs per chunk of (D + 1) // r pairs, not one
+    column at a time; a sum convolves once."""
+    rng = random.Random(59)
+    D, W = 40, 8
+    a = data_columns(field, rng, D, W, [0, 2, 5])
+    b = data_columns(field, rng, D, W, range(1, 36, 3))
+    zero = LaurentSeries.zero(field, 1, 3)
+    for d in (0, 3, 6):  # zero-to-precision columns are never convolved
+        b.set_column(d, zero)
+    pairs = sum(i + j <= D for j in (0, 2, 5) for i in range(1, 36, 3))
+    calls, real = [], lindisc._dense._convolve
+    monkeypatch.setattr(
+        lindisc._dense, "_convolve", lambda *args: calls.append(args) or real(*args)
+    )
+    a.mul(b)
+    assert len(calls) == math.ceil(pairs / ((D + 1) // field.r))
+    assert sum(len(args[1]) for args in calls) == pairs
+    calls.clear()
+    acc = DensePoly(field, 1, D, W)
+    acc.add_scaled(parse_series("1+T", field), b)
+    assert len(calls) == 1 and len(calls[0][1]) == 12
+
+
+def test_product_memory_is_bounded_by_the_chunk():
+    """Each batch of column pairs is no larger than one column's product
+    by a whole factor, so the traced peak of a product with 40 data
+    columns in each factor stays within a fixed multiple of one data
+    array.  Convolving all 1,600 pairs at once would take about 65 of them."""
+    field, D, W = FieldParams(2, 2), 400, 64
+    rng = random.Random(61)
+    a = data_columns(field, rng, D, W, rng.sample(range(D // 2), 40))
+    b = data_columns(field, rng, D, W, rng.sample(range(D // 2), 40))
+    tracemalloc.start()
+    try:
+        a.mul(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * a.data.nbytes
