@@ -24,7 +24,6 @@ from .powerseries import (
     ps_derivative_at,
     ps_eval,
     ps_gauge,
-    ps_iterate,
     table_compose,
 )
 from .multiplier import (
@@ -34,14 +33,12 @@ from .multiplier import (
     disc_profile,
     mult_profile,
     product_small_divisors,
-    small_divisor_direct,
     small_divisor_valuation,
 )
 from .schroder import (
     Conjugacy,
     DivergenceCertificate,
     certify_divergence,
-    check_bkprime_zero_extension,
     check_coefficient_bound,
     check_structural_zeros,
     full_conjugacy_residual,
@@ -56,9 +53,9 @@ from .discs import (
     LinearizationReport,
     PeriodicPoint,
     WeierstrassData,
+    check_bkprime_zero_extension,
     classify_linearization_disc,
     degree_on_sigma,
-    delta_exponent,
     find_periodic_point,
     make_disc,
     verify_indifferent,

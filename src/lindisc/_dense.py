@@ -15,9 +15,8 @@ into the result's windows, so the per-degree Python cost is constant:
   column j against the other's column i trimmed to its nonzero rows,
   convolves them pair by pair in batches of at most (D + 1) // r pairs
   (no larger than one column's product by a whole factor), and adds
-  each realigned product into x^(i+j).  ``mul_by_map`` installs a map's
-  exact coefficients as the columns of a ``DensePoly`` and multiplies
-  by it;
+  each realigned product into x^(i+j).  ``mul_by_map`` multiplies by a
+  map's exact coefficients, installed as columns by ``of_map``;
 * ``add_scaled``, the accumulation of a scalar multiple of another
   polynomial: one convolution of its data columns with the scalar.
 
@@ -77,6 +76,16 @@ class DensePoly:
         self.base = np.full(D + 1, INF, dtype=np.int64)
         self.prec = np.full(D + 1, INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
+
+    @classmethod
+    def of_map(cls, f, D, W):
+        """The coefficients of a PowerSeriesMap ``f`` (exact, of degree >=
+        1) as columns; its degrees above D only reach x-degrees above D."""
+        poly = cls(f.field, f.ram, D, W)
+        for i, a in f.coeffs.items():
+            if i <= D:
+                poly.set_column(i, a)
+        return poly
 
     # -- column access ---------------------------------------------------------
 
@@ -139,16 +148,8 @@ class DensePoly:
     # -- bulk operations ---------------------------------------------------------
 
     def mul_by_map(self, f):
-        """Return self * f, truncated to x-degree D.
-
-        ``f`` is a PowerSeriesMap with exact coefficients of degree >= 1;
-        its degrees above D only reach x-degrees above D.
-        """
-        g = DensePoly(self.field, self.ram, self.D, self.W)
-        for i, a in f.coeffs.items():
-            if i <= self.D:
-                g.set_column(i, a)
-        return self.mul(g)
+        """Return self * f, truncated to x-degree D."""
+        return self.mul(DensePoly.of_map(f, self.D, self.W))
 
     def mul(self, other):
         """Return self * other, truncated to x-degree D.

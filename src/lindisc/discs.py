@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import BUILTIN_MODULI, FieldParams
 from .laurent import LaurentSeries, Valuation
-from .multiplier import count_resonant, disc_profile, lemma_bound, mult_profile
+from .multiplier import disc_profile, lemma_bound, mult_profile
 from .powerseries import (
     PowerSeriesMap,
     _table_derivative,
@@ -36,7 +36,6 @@ from .powerseries import (
 )
 from .schroder import (
     NONZERO,
-    check_bkprime_zero_extension,
     check_coefficient_bound,
     check_structural_zeros,
     solve_sfe,
@@ -160,6 +159,30 @@ def degree_on_sigma(g, dp, gauge):
             f"coefficient criterion (expected (1, {expected_closed}))"
         )
     return deg_open, deg_closed
+
+
+@dataclass(frozen=True)
+class ExtensionVerdict:
+    applicable: bool
+    holds: bool
+    checked_through: int
+    first_resonant_after: int
+
+
+def check_bkprime_zero_extension(g, dp):
+    """When b_{k'} vanishes, the one-to-one radius of g extends from σ to
+    ρ if v(b_k) + k·v_ρ > v_ρ for every computed k >= 2.  b_1 = 1 gives
+    v_ρ, so that holds exactly when 1 is the only minimiser of
+    ``weierstrass_data`` at v_ρ: its largest minimiser d is 1.  A
+    coefficient zero only to precision that could reach the minimum
+    raises PrecisionError there."""
+    profile = g.profile
+    kp = profile.k_prime
+    k_second = kp + profile.m * profile.p
+    if kp > g.D or not g.coeffs[kp].is_zero_as_known:
+        return ExtensionVerdict(False, False, g.D, k_second)
+    holds = weierstrass_data(g.coeffs, dp.v_rho).d == 1
+    return ExtensionVerdict(True, holds, g.D, k_second)
 
 
 @dataclass(frozen=True)
@@ -439,9 +462,3 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
         level, disc, deg_open, deg_closed, periodic, tuple(notes), profile, dp
     )
 
-
-def delta_exponent(profile, k):
-    """δ(k) = count_resonant(k)/(k−1); maximal exactly at k = k'."""
-    if k < 2:
-        raise HypothesisError("delta is defined for k >= 2")
-    return Fraction(count_resonant(profile, k), k - 1)

@@ -354,13 +354,6 @@ class FqElement:
             self.params, [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self):
-        p = self.params.p
-        return FqElement(self.params, [(-a) % p for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def _row(self):
         return np.array([self.coeffs], dtype=np.int64)
 
@@ -378,10 +371,6 @@ class FqElement:
         if self.is_zero:
             raise ZeroDivisionFieldError("inversion of zero field element")
         return self ** (self.params.q - 2)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
 
     def __pow__(self, n):
         if n < 0:

@@ -115,49 +115,39 @@ class Valuation:
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
+# most bytes of r × r coordinate products that one matrix product of
+# ``_convolve``'s batched path forms; a larger stack goes in chunks
+_STACK_BYTES = 32 << 20
+
+
 def _convolve(params, a, b):
     """Convolution of coefficient arrays of shape (..., La, r) and
     (Lb, r) or (..., Lb, r), multiplying coefficients in F_{p^r}; the
     result has shape (..., La + Lb - 1, r).
 
-    When only ``a`` has leading axes they are a batch, served by one
-    ``np.convolve`` per coordinate pair (Kronecker substitution): each
-    slice is followed by Lb - 1 zero rows, which keep the slices'
-    products apart.  When ``b`` has them too, the two batches multiply
-    pair by pair: one matrix product of a sliding window of ``a``, a
-    strided view, by ``b`` reversed, so memory stays linear in the batch.
+    Two paths.  Without leading axes: one ``np.convolve`` per pair of
+    nonzero coordinate columns.  With them, the leading axes of ``a``
+    are a stack, and ``b`` is one array for the whole stack or a stack
+    of the same shape, multiplied slice by slice.  Each slice of ``a``,
+    padded by Lb - 1 zero rows at both ends, is read as its sliding
+    windows of Lb rows, a strided view, and one matrix product of the
+    windows by ``b`` reversed gives every r × r coordinate product:
+    window i against ``b`` reversed is row i of the product.  A 2-D
+    ``b`` enters that matrix product as a stack of one and broadcasts
+    over the slices, so a stack times one array needs no path of its
+    own and ``b`` is never copied per slice.
+
+    The matrix product holds (La + Lb - 1)·r² integers per slice.  A
+    stack whose products would exceed ``_STACK_BYTES`` is convolved in
+    chunks within it (at least one slice each), written into one result;
+    a stack that fits is one matrix product, returned without a copy.
 
     Both paths accumulate in int64.  An entry sums at most r·min(La, Lb)
     products < p² before the fold below, so W·r·p² < 2^63 bounds the
     width W of the operands: W < 2^30 at p < 2^16 and q < 2^32.
     """
     p, r = params.p, params.r
-    batch = a.shape[:-2]
-    if b.ndim > 2:
-        la, lb = a.shape[-2], b.shape[-2]
-        padded = np.zeros(batch + (la + 2 * (lb - 1), r), dtype=np.int64)
-        padded[..., lb - 1 : lb - 1 + la, :] = a
-        step = padded.strides
-        # (..., la+lb-1, r, lb): row i holds a[i-lb+1 .. i].  A view built by
-        # the ndarray constructor, which checks it against the buffer;
-        # ``as_strided`` goes through ``__array_interface__``, whose dict
-        # keys churn the interpreter's table of interned strings
-        windows = np.ndarray(
-            batch + (la + lb - 1, r, lb), np.int64, padded, 0, step + step[-2:-1]
-        )
-        pairs = windows @ b[..., None, ::-1, :]  # (..., la+lb-1, r, r)
-        if r == 1:
-            raw = pairs.reshape(batch + (la + lb - 1, 1))
-        else:
-            raw = np.zeros(batch + (la + lb - 1, 2 * r - 1), dtype=np.int64)
-            for s1 in range(r):
-                raw[..., s1 : s1 + r] += pairs[..., s1, :]
-    else:
-        if batch:
-            la, lb = a.shape[-2], b.shape[0]
-            padded = np.zeros(batch + (la + lb - 1, r), dtype=np.int64)
-            padded[..., :la, :] = a
-            a = padded.reshape(-1, r)
+    if a.ndim == 2:
         if r == 1:
             raw = np.convolve(a[:, 0], b[:, 0]).reshape(-1, 1)
         else:
@@ -170,8 +160,39 @@ def _convolve(params, a, b):
                     if not b[:, s2].any():
                         continue
                     raw[:, s1 + s2] += np.convolve(col, b[:, s2])
-        if batch:
-            raw = raw[: a.shape[0]].reshape(batch + (la + lb - 1, 2 * r - 1))
+    else:
+        batch, la, lb = a.shape[:-2], a.shape[-2], b.shape[-2]
+        rows = la + lb - 1
+        a = a.reshape(-1, la, r)
+        if b.ndim > 2:
+            b = b.reshape(-1, lb, r)
+        n = a.shape[0]
+        chunk = max(1, _STACK_BYTES // (rows * r * r * 8))
+        if n > chunk:
+            out = np.empty((n, rows, r), dtype=np.int64)
+            for c in range(0, n, chunk):
+                part = b if b.ndim == 2 else b[c : c + chunk]
+                out[c : c + chunk] = _convolve(params, a[c : c + chunk], part)
+            return out.reshape(batch + (rows, r))
+        padded = np.zeros((n, la + 2 * (lb - 1), r), dtype=np.int64)
+        padded[:, lb - 1 : lb - 1 + la] = a
+        strides = padded.strides
+        # (n, r, rows, lb): [.., s, i, :] is coordinate s of a[i-lb+1 .. i].
+        # A view built by the ndarray constructor, which checks it against
+        # the buffer; ``as_strided`` goes through ``__array_interface__``,
+        # whose dict keys churn the interpreter's table of interned strings
+        windows = np.ndarray(
+            (n, r, rows, lb), np.int64, padded, 0,
+            (strides[0], strides[2], strides[1], strides[1]),
+        )
+        pairs = windows @ b[..., None, ::-1, :]  # (n, r, rows, r)
+        if r == 1:
+            raw = pairs.reshape(batch + (rows, 1))
+        else:
+            raw = np.zeros((n, rows, 2 * r - 1), dtype=np.int64)
+            for s1 in range(r):
+                raw[..., s1 : s1 + r] += pairs[:, s1]
+            raw = raw.reshape(batch + (rows, 2 * r - 1))
     raw %= p
     if r == 1:
         return raw
@@ -507,8 +528,8 @@ def _invert_unit(params, units, digits):
     the given number of digits, by Newton doubling: the error 1 - u*v
     squares each step.  Each unit starts from its own c^(q-2) = 1/c, and
     the products pair each unit with its own inverse (``_convolve``'s
-    pairwise batch).  A single (L, r) unit has no leading axes and takes
-    ``_convolve``'s unbatched path."""
+    batched path, which caps each chunk of the stack).  A single (L, r)
+    unit has no leading axes and takes ``_convolve``'s unbatched path."""
     p, r = params.p, params.r
     batch = units.shape[:-2]
     v = params.pow_rows(units[..., 0, :].reshape(-1, r), params.q - 2)

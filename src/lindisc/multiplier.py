@@ -103,13 +103,6 @@ def p_split(n, p):
     return s, n
 
 
-def small_divisor_direct(lam, n):
-    """v(1 - λ^n) by square-and-multiply in the series field: the
-    independent oracle for the closed form."""
-    one = LaurentSeries.constant(lam.field, 1, lam.ram)
-    return (one - lam**n).valuation()
-
-
 def count_resonant(profile, k):
     """Number of l <= k with p | l and m | l - 1 (an arithmetic
     progression of step mp starting at k')."""

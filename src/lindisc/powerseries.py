@@ -86,11 +86,6 @@ class PowerSeriesMap:
         degs = self.nonlinear_degrees
         return bool(degs) and all(i % p == 0 for i in degs)
 
-    def coefficient(self, i):
-        return self.coeffs.get(
-            i, LaurentSeries.zero(self.field, self.ram, 0, exact=True)
-        )
-
     def __repr__(self):
         parts = [f"x^{i}: {a}" for i, a in sorted(self.coeffs.items())]
         return "PowerSeriesMap({" + ", ".join(parts) + "})"
@@ -140,15 +135,6 @@ def eval_table(table, x):
 def ps_eval(f, x):
     """Σ a_i x^i."""
     return eval_table(f.coeffs, x)
-
-
-def ps_iterate(f, n, x):
-    """n-fold iterate f(f(...f(x)...))."""
-    if n < 0:
-        raise HypothesisError("iteration count must be >= 0")
-    for _ in range(n):
-        x = ps_eval(f, x)
-    return x
 
 
 def ps_derivative_at(f, x):

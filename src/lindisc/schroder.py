@@ -1,7 +1,6 @@
 """Formal solutions g of g∘f = λ·g (normalized g(0) = 0, g'(0) = 1),
 their structural and valuation properties, divergence certificates for
-the degree-(p+1) family, the extension check for b_{k'} = 0, and
-conjugacy residual checks at sample points.
+the degree-(p+1) family, and conjugacy residual checks at sample points.
 
 Three independent solvers are provided: term matching against the
 accumulated powers of f (the workhorse), the multinomial recurrence
@@ -206,10 +205,7 @@ def solve_sfe(f, D, window=32):
 
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
-    fpow = DensePoly(field_, ram, D, window)  # the highest power of f formed
-    for i, a in f.coeffs.items():
-        if i <= D:
-            fpow.set_column(i, a)
+    fpow = DensePoly.of_map(f, D, window)  # the highest power of f formed
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     stride = None  # f^p, for p-divisible maps
     for k in range(2, D + 1):
@@ -251,16 +247,13 @@ def _multinomial_mod_p(l, alphas, p):
 
 
 def _index_solutions(degrees, l, k):
-    """All maps degree -> multiplicity with Σα = l and Σ(degree·α) = k."""
+    """All maps degree -> multiplicity with Σα = l and Σ(degree·α) = k.
+    A map's degrees include 1, which comes last."""
     degrees = sorted(degrees, reverse=True)
 
     def rec(idx, rem_l, rem_k, current):
-        if idx == len(degrees):
-            if rem_l == 0 and rem_k == 0:
-                yield dict(current)
-            return
         d = degrees[idx]
-        if idx == len(degrees) - 1 and d == 1:
+        if d == 1:
             # degree 1 absorbs the remainder when consistent
             if rem_l == rem_k and rem_l >= 0:
                 current[d] = rem_l
@@ -554,30 +547,3 @@ def full_conjugacy_residual(f, g, x, dp=None):
     y = invert_at_point(g, x)
     value = eval_table(g.table(), ps_eval(f, y))
     return (value - f.multiplier * x).valuation()
-
-
-@dataclass(frozen=True)
-class ExtensionVerdict:
-    applicable: bool
-    holds: bool
-    checked_through: int
-    first_resonant_after: int
-
-
-def check_bkprime_zero_extension(g, dp):
-    """When b_{k'} vanishes, the one-to-one radius of g extends from σ to
-    ρ: verify v(b_k) + k·v_rho > v_rho strictly for every computed k >= 2."""
-    profile = g.profile
-    kp = profile.k_prime
-    k_second = kp + profile.m * profile.p
-    if kp > g.D or not g.coeffs[kp].is_zero_as_known:
-        return ExtensionVerdict(False, False, g.D, k_second)
-    v_rho = dp.v_rho.value
-    ram = g.coeffs[1].ram
-    for k in range(2, g.D + 1):
-        b_k = g.coeffs[k]
-        if b_k.is_zero_as_known:
-            continue
-        if not Fraction(b_k.lead, ram) + k * v_rho > v_rho:
-            return ExtensionVerdict(True, False, g.D, k_second)
-    return ExtensionVerdict(True, True, g.D, k_second)

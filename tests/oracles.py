@@ -1,7 +1,10 @@
-"""Reference implementations that only tests run.
+"""Reference implementations and helpers that only tests run.
 
-Each one is the straightforward form of a computation the package does
-faster; tests require the package's results to equal them exactly.
+Each reference implementation is the straightforward form of a
+computation the package does faster; tests require the package's
+results to equal them exactly.  The helpers at the end
+(``delta_exponent``, ``ps_iterate``) are formulas the package itself
+has no use for.
 """
 
 from fractions import Fraction
@@ -13,13 +16,14 @@ from lindisc._dense import _INF_CUT, DensePoly, _clamp
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.laurent import LaurentSeries, _convolve
-from lindisc.multiplier import mult_profile, small_divisor_valuation
+from lindisc.multiplier import count_resonant, mult_profile, small_divisor_valuation
 from lindisc.powerseries import (
     _table_derivative,
     _table_mul,
     binomial_mod_p,
     eval_table,
     newton_root,
+    ps_eval,
 )
 from lindisc.schroder import Conjugacy, _p_plus_1_shape
 
@@ -225,3 +229,26 @@ def dense_add_scaled_all_columns(acc, series, other):
         acc.base[lo:] = new_base
     acc.prec[lo:] = _clamp(new_prec)
     acc._mask_all()
+
+
+def small_divisor_direct(lam, n):
+    """v(1 - λ^n) by square-and-multiply in the series field: the
+    independent oracle for the closed form."""
+    one = LaurentSeries.constant(lam.field, 1, lam.ram)
+    return (one - lam**n).valuation()
+
+
+def delta_exponent(profile, k):
+    """δ(k) = count_resonant(k)/(k−1); maximal exactly at k = k'."""
+    if k < 2:
+        raise HypothesisError("delta is defined for k >= 2")
+    return Fraction(count_resonant(profile, k), k - 1)
+
+
+def ps_iterate(f, n, x):
+    """n-fold iterate f(f(...f(x)...))."""
+    if n < 0:
+        raise HypothesisError("iteration count must be >= 0")
+    for _ in range(n):
+        x = ps_eval(f, x)
+    return x

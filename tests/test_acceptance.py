@@ -16,7 +16,6 @@ from lindisc import (
     LaurentSeries,
     PowerSeriesMap,
     certify_divergence,
-    check_bkprime_zero_extension,
     check_coefficient_bound,
     check_structural_zeros,
     classify_linearization_disc,
@@ -29,14 +28,14 @@ from lindisc import (
     ps_eval,
     ps_gauge,
     semiconjugacy_residual,
-    small_divisor_direct,
     small_divisor_valuation,
     solve_sfe,
     solve_sfe_multinomial,
     solve_specialized_p_plus_1,
 )
-from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED
+from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED, check_bkprime_zero_extension
 from lindisc.schroder import NONZERO, STRUCTURAL
+from oracles import small_divisor_direct
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)

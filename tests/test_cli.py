@@ -11,7 +11,8 @@ import lindisc.powerseries
 from lindisc import FieldParams, PeriodicPoint, PowerSeriesMap, parse_series, verify_indifferent
 from lindisc.cli import main
 from lindisc.errors import PrecisionError
-from lindisc.schroder import ExtensionVerdict, ZeroReport, solve_sfe
+from lindisc.discs import ExtensionVerdict
+from lindisc.schroder import ZeroReport, solve_sfe
 
 
 def write_job(tmp_path, name, payload):

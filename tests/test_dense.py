@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import lindisc._dense
+import lindisc.laurent
 from lindisc import FieldParams, LaurentSeries, PowerSeriesMap, parse_series
 from lindisc._dense import _INF_CUT, INF, DensePoly
+from lindisc.laurent import _convolve
 from lindisc.powerseries import _table_mul
 from oracles import dense_add_scaled_all_columns, dense_mul_per_column
 
@@ -340,3 +342,77 @@ def test_product_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * a.data.nbytes
+
+
+def coordinate_stack(field, rng, *shape):
+    """Random coordinate rows of shape (*shape, r): every third row zero,
+    a stack's last slice all zero, and for r > 1 the last coordinate
+    zero throughout (in every slice of a stack, its second slice)."""
+    size = math.prod(shape) * field.r
+    a = np.array([rng.randrange(field.p) for _ in range(size)], dtype=np.int64)
+    a = a.reshape(*shape, field.r)
+    a[..., 1::3, :] = 0
+    if len(shape) > 1:
+        a[-1] = 0
+    if field.r > 1:
+        (a[1] if len(shape) > 1 else a)[..., -1] = 0
+    return a
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F_{f.q}")
+def test_batched_convolution_equals_one_call_per_slice(field):
+    """``_convolve``'s one batched path against its unbatched path, slice
+    by slice: a stack times one array (La < Lb, La > Lb, Lb = 1) and a
+    stack of pairs, with zero rows, an all-zero slice and an all-zero
+    coordinate column."""
+    rng = random.Random(field.q)
+    for la, lb in [(3, 8), (8, 3), (5, 1), (1, 1)]:
+        a = coordinate_stack(field, rng, 5, la)
+        for b in (coordinate_stack(field, rng, lb), coordinate_stack(field, rng, 5, lb)):
+            got = _convolve(field, a, b)
+            assert got.shape == (5, la + lb - 1, field.r)
+            for i in range(5):
+                assert (got[i] == _convolve(field, a[i], b if b.ndim == 2 else b[i])).all()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F_{f.q}")
+def test_chunked_convolution_is_unchanged(monkeypatch, field):
+    """With the batched path's cap set to a few slices' products, a stack
+    of n slices is convolved in ⌈n / chunk⌉ chunks, each a call of its
+    own, and the result is unchanged; a cap below one slice's products
+    convolves slice by slice."""
+    rng = random.Random(field.q + 1)
+    n, la, lb = 7, 6, 4
+    a = coordinate_stack(field, rng, n, la)
+    cases = [coordinate_stack(field, rng, lb), coordinate_stack(field, rng, n, lb)]
+    whole = [_convolve(field, a, b) for b in cases]
+    slice_bytes = (la + lb - 1) * field.r**2 * 8
+    calls, real = [], lindisc.laurent._convolve
+    monkeypatch.setattr(
+        lindisc.laurent, "_convolve", lambda *args: calls.append(len(args[1])) or real(*args)
+    )
+    for cap, chunk in [(3 * slice_bytes, 3), (3 * slice_bytes - 1, 2), (1, 1)]:
+        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", cap)
+        for b, want in zip(cases, whole):
+            calls.clear()
+            assert (lindisc.laurent._convolve(field, a, b) == want).all()
+            # the call itself, then one call per chunk
+            assert calls == [n] + [min(chunk, n - c) for c in range(0, n, chunk)]
+
+
+def test_batched_convolution_memory_is_bounded_by_the_cap(monkeypatch):
+    """One batched call holds its result and one chunk's temporaries at a
+    time, so its traced peak stays below cap + operands + result.  The
+    r × r products of the whole stack alone are r = 4 times the result."""
+    field, cap = FieldParams(2, 4), 32 << 10
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 2, size=(64, 64, 4))
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", cap)
+    for b in (rng.integers(0, 2, size=(64, 4)), rng.integers(0, 2, size=(64, 64, 4))):
+        tracemalloc.start()
+        try:
+            result = _convolve(field, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap + a.nbytes + b.nbytes + result.nbytes, (peak, result.nbytes)

@@ -10,12 +10,12 @@ import pytest
 import lindisc.discs as discs
 import lindisc.field
 from lindisc import (
+    Conjugacy,
     FieldParams,
     LaurentSeries,
     PowerSeriesMap,
     classify_linearization_disc,
     degree_on_sigma,
-    delta_exponent,
     disc_profile,
     eval_table,
     find_periodic_point,
@@ -30,7 +30,7 @@ from lindisc import (
 )
 from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED, LEVEL_GENERIC
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
-from oracles import find_periodic_point_per_element
+from oracles import delta_exponent, find_periodic_point_per_element
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -125,6 +125,30 @@ def test_classify_extended_rho():
     assert report.level == LEVEL_EXTENDED
     assert report.disc.v_radius.value == Fraction(1, 2)
     assert report.degree_closed == 1
+
+
+def test_extension_check_reads_zero_to_precision_coefficients():
+    """``check_bkprime_zero_extension`` reads its verdict off
+    ``weierstrass_data`` at v_ρ.  A coefficient known only to be O(T^h)
+    whose horizon could reach the minimum v_ρ raises PrecisionError
+    instead of being skipped; one whose horizon lies above the minimum
+    leaves the verdict as it was."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 4: parse_series("1", F2)})
+    g = solve_sfe(f, 40)
+    dp = disc_profile(g.profile, ps_gauge(f))
+    assert dp.v_rho.value == Fraction(1, 2) and g.coeffs[2].is_exact_zero
+
+    def planted(k, h):
+        coeffs = {**g.coeffs, k: LaurentSeries.zero(F2, 1, h)}
+        return Conjugacy(coeffs, g.profile, g.source, g.D)
+
+    # h + k·v_ρ > v_ρ
+    for k, h in [(3, 0), (5, -1)]:
+        assert discs.check_bkprime_zero_extension(planted(k, h), dp).holds
+    # h + k·v_ρ <= v_ρ
+    for k, h in [(3, -1), (5, -2)]:
+        with pytest.raises(PrecisionError):
+            discs.check_bkprime_zero_extension(planted(k, h), dp)
 
 
 def test_classify_generic_sigma():

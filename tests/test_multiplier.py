@@ -17,12 +17,12 @@ from lindisc import (
     parse_series,
     product_small_divisors,
     ps_gauge,
-    small_divisor_direct,
     small_divisor_valuation,
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI
 from lindisc.multiplier import lemma_bound, p_split
+from oracles import small_divisor_direct
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)

@@ -17,11 +17,10 @@ from lindisc import (
     ps_derivative_at,
     ps_eval,
     ps_gauge,
-    ps_iterate,
     table_compose,
 )
 from lindisc.errors import HypothesisError
-from oracles import table_compose_horner
+from oracles import ps_iterate, table_compose_horner
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)

@@ -16,7 +16,6 @@ from lindisc import (
     PowerSeriesMap,
     Valuation,
     certify_divergence,
-    check_bkprime_zero_extension,
     check_coefficient_bound,
     check_structural_zeros,
     disc_profile,
@@ -31,6 +30,7 @@ from lindisc import (
     table_compose,
 )
 from lindisc._dense import DensePoly
+from lindisc.discs import check_bkprime_zero_extension
 from lindisc.errors import (
     CertificateError,
     HypothesisError,

@@ -41,12 +41,15 @@ FOLD_HOMES = {
     "laurent._convolve",
 }
 POWER_HOMES = {"field.FieldParams.pow_rows", "laurent.LaurentSeries.__pow__"}
+# where a strided view of sliding windows may be built: the batched path
+# of ``_convolve``.  A second windowed product would build one too
+WINDOW_HOMES = {"laurent._convolve"}
 # where each resonance rule may live: a second division by a small
 # divisor would call ``.inverse()`` or ``_invert_unit`` in the solvers'
 # module, and a second Lemma bound (or any other formula in the
 # resonance count) would call ``count_resonant``
 DIVIDE_HOMES = {"schroder._small_divisors"}
-LEMMA_HOMES = {"multiplier.lemma_bound", "discs.delta_exponent"}
+LEMMA_HOMES = {"multiplier.lemma_bound"}
 # the one p-adic split n = p^s·u: a second one would loop while p | n
 SPLIT_HOMES = {"multiplier.p_split"}
 
@@ -67,7 +70,9 @@ def _divisible_by_p(test):
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
-    call, every ``while … % p == 0`` loop and, in ``schroder``, every
+    call, every ``while … % p == 0`` loop, every strided view (an
+    ``np.ndarray(...)`` call given strides, an ``as_strided`` or
+    ``sliding_window_view`` call) and, in ``schroder``, every
     ``.inverse()`` and ``_invert_unit(...)`` call in the source of ``module``."""
     uses = []
 
@@ -85,17 +90,29 @@ def _kernel_uses(module, source):
             and node.func.id == name
         )
 
+    def numpy_call(node, name):
+        return (
+            method_call(node, name)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        )
+
+    def strided_view(node):
+        # np.ndarray(shape, dtype, buffer, offset, strides, ...)
+        if numpy_call(node, "ndarray"):
+            return len(node.args) >= 5 or any(k.arg == "strides" for k in node.keywords)
+        return any(
+            method_call(node, name) or function_call(node, name)
+            for name in ("as_strided", "sliding_window_view")
+        )
+
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "convolve"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy")
-        ):
+        if numpy_call(node, "convolve"):
             uses.append((scope, "convolve"))
+        if strided_view(node):
+            uses.append((scope, "window"))
         if isinstance(node, ast.Attribute) and node.attr == "_reduction_rows":
             uses.append((scope, "fold"))
         if (
@@ -125,6 +142,7 @@ def _misplaced(uses):
         "convolve": CONVOLVE_HOMES,
         "fold": FOLD_HOMES,
         "power": POWER_HOMES,
+        "window": WINDOW_HOMES,
         "divide": DIVIDE_HOMES,
         "lemma": LEMMA_HOMES,
         "split": SPLIT_HOMES,
@@ -139,10 +157,11 @@ def test_one_convolution_and_one_fold():
         seen.update(uses)
         offenders += _misplaced(uses)
     assert not offenders, (
-        f"a second F_q product, fold or power, small-divisor quotient, "
-        f"Lemma bound or p-adic split: {offenders}"
+        f"a second F_q product, fold, power or windowed view, small-divisor "
+        f"quotient, Lemma bound or p-adic split: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
+    assert ("laurent._convolve", "window") in seen
     assert ("laurent._convolve", "fold") in seen
     assert ("field.FieldParams.pow_rows", "power") in seen
     assert ("schroder._small_divisors", "divide") in seen
@@ -165,6 +184,30 @@ def test_kernel_walk_flags_a_second_product():
         ("laurent.LaurentSeries.scale", "fold"),
         ("laurent.LaurentSeries.power", "power"),
     ]
+
+
+def test_kernel_walk_flags_a_second_windowed_product():
+    source = (
+        "import numpy as np\n"
+        "from numpy.lib.stride_tricks import as_strided, sliding_window_view\n"
+        "def _convolve(params, a, b):\n"
+        "    return np.ndarray((2, 3), np.int64, a, 0, (8, 8)) @ b\n"
+        "class DensePoly:\n"
+        "    def mul(self, other):\n"
+        "        w = np.ndarray(shape=(2, 3), dtype=np.int64, buffer=self.data, strides=(8, 8))\n"
+        "        x = np.lib.stride_tricks.as_strided(self.data, (2, 3), (8, 8))\n"
+        "        y = as_strided(self.data, (2, 3), (8, 8))\n"
+        "        z = sliding_window_view(self.data, 3)\n"
+        "        return np.ndarray((2, 3), np.int64), np.ndarray((2,), np.int64, self.data)\n"
+    )
+    assert _misplaced(_kernel_uses("laurent", source)) == [
+        ("laurent.DensePoly.mul", "window"),
+        ("laurent.DensePoly.mul", "window"),
+        ("laurent.DensePoly.mul", "window"),
+        ("laurent.DensePoly.mul", "window"),
+    ]
+    # in another module the one home is not a home
+    assert _misplaced(_kernel_uses("_dense", source))[0] == ("_dense._convolve", "window")
 
 
 def test_kernel_walk_flags_a_second_quotient_and_bound():
