@@ -21,6 +21,7 @@ result's horizon is the minimum horizon its inputs justify.
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,8 +116,8 @@ class Valuation:
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
-# most bytes of r × r coordinate products that one matrix product of
-# ``_convolve``'s batched path forms; a larger stack goes in chunks
+# most bytes of temporaries that one chunk of ``_convolve``'s batched
+# path holds; a larger stack goes in chunks
 _STACK_BYTES = 32 << 20
 
 
@@ -132,13 +133,17 @@ def _convolve(params, a, b):
     padded by Lb - 1 zero rows at both ends, is read as its sliding
     windows of Lb rows, a strided view, and one matrix product of the
     windows by ``b`` reversed gives every r × r coordinate product:
-    window i against ``b`` reversed is row i of the product.  A 2-D
-    ``b`` enters that matrix product as a stack of one and broadcasts
-    over the slices, so a stack times one array needs no path of its
-    own and ``b`` is never copied per slice.
+    window i against ``b`` reversed is row i of the product.  A second,
+    by the 0/1 matrix ``_coordinate_sums``, adds them up into the 2r - 1
+    raw coordinates of each row.  A 2-D ``b`` enters the first matrix
+    product as a stack of one and broadcasts over the slices, so a stack
+    times one array needs no path of its own and ``b`` is never copied
+    per slice.
 
-    The matrix product holds (La + Lb - 1)·r² integers per slice.  A
-    stack whose products would exceed ``_STACK_BYTES`` is convolved in
+    Per slice of R = La + Lb - 1 rows, the path holds the padded slice
+    ((La + 2Lb - 2)·r integers), the matrix product (R·r²), the 2r - 1
+    raw coordinates (R·(2r - 1)) and the folded result (R·r).  A stack
+    whose temporaries would exceed ``_STACK_BYTES`` is convolved in
     chunks within it (at least one slice each), written into one result;
     a stack that fits is one matrix product, returned without a copy.
 
@@ -160,6 +165,7 @@ def _convolve(params, a, b):
                     if not b[:, s2].any():
                         continue
                     raw[:, s1 + s2] += np.convolve(col, b[:, s2])
+            low, high = raw[:, :r], raw[:, r:]
     else:
         batch, la, lb = a.shape[:-2], a.shape[-2], b.shape[-2]
         rows = la + lb - 1
@@ -167,7 +173,8 @@ def _convolve(params, a, b):
         if b.ndim > 2:
             b = b.reshape(-1, lb, r)
         n = a.shape[0]
-        chunk = max(1, _STACK_BYTES // (rows * r * r * 8))
+        slice_bytes = 8 * ((la + 2 * lb - 2) * r + rows * (r * r + 3 * r - 1))
+        chunk = max(1, _STACK_BYTES // slice_bytes)
         if n > chunk:
             out = np.empty((n, rows, r), dtype=np.int64)
             for c in range(0, n, chunk):
@@ -176,27 +183,48 @@ def _convolve(params, a, b):
             return out.reshape(batch + (rows, r))
         padded = np.zeros((n, la + 2 * (lb - 1), r), dtype=np.int64)
         padded[:, lb - 1 : lb - 1 + la] = a
-        strides = padded.strides
-        # (n, r, rows, lb): [.., s, i, :] is coordinate s of a[i-lb+1 .. i].
-        # A view built by the ndarray constructor, which checks it against
-        # the buffer; ``as_strided`` goes through ``__array_interface__``,
-        # whose dict keys churn the interpreter's table of interned strings
-        windows = np.ndarray(
-            (n, r, rows, lb), np.int64, padded, 0,
-            (strides[0], strides[2], strides[1], strides[1]),
-        )
-        pairs = windows @ b[..., None, ::-1, :]  # (n, r, rows, r)
+        slab, row, coordinate = padded.strides
+        # [.., i, s, :] (at r = 1, [.., 0, i, :]) is coordinate s of
+        # a[i-lb+1 .. i].  At r = 1 the rows are the matrix product's rows,
+        # one product per slice; at r > 1 each row's r × r products come
+        # out contiguous for the sum below.  A view built by the ndarray
+        # constructor, which checks it
+        # against the buffer; ``as_strided`` goes through
+        # ``__array_interface__``, whose dict keys churn the interpreter's
+        # table of interned strings
         if r == 1:
-            raw = pairs.reshape(batch + (rows, 1))
+            view = (n, 1, rows, lb), (slab, coordinate, row, row)
         else:
-            raw = np.zeros((n, rows, 2 * r - 1), dtype=np.int64)
-            for s1 in range(r):
-                raw[..., s1 : s1 + r] += pairs[:, s1]
-            raw = raw.reshape(batch + (rows, 2 * r - 1))
-    raw %= p
+            view = (n, rows, r, lb), (slab, row, coordinate, row)
+        windows = np.ndarray(view[0], np.int64, padded, 0, view[1])
+        # (..., rows, r·r): [.., i, s1·r + s2] is the product of coordinate
+        # s1 of a by coordinate s2 of b at row i
+        pairs = (windows @ b[..., None, ::-1, :]).reshape(batch + (rows, r * r))
+        if r == 1:
+            raw = pairs
+        else:  # coordinates 0 .. r-1 and r .. 2r-2 of the raw product
+            sums = _coordinate_sums(r)
+            low, high = pairs @ sums[:, :r], pairs @ sums[:, r:]
     if r == 1:
+        raw %= p
         return raw
-    return (raw[..., :r] + raw[..., r:] @ params._reduction_rows) % p
+    # in the batched path every operand below is contiguous, so no ufunc
+    # copies one into a buffer that the chunk sizing does not count
+    low %= p
+    high %= p
+    folded = high @ params._reduction_rows
+    folded += low
+    folded %= p
+    return folded
+
+
+@lru_cache(maxsize=None)
+def _coordinate_sums(r):
+    """The (r·r, 2r - 1) 0/1 matrix taking the r × r coordinate products
+    (s1, s2) of two elements to coordinate s1 + s2 of their raw product."""
+    sums = np.zeros((r * r, 2 * r - 1), dtype=np.int64)
+    sums[np.arange(r * r), (np.arange(r)[:, None] + np.arange(r)).ravel()] = 1
+    return sums
 
 
 class LaurentSeries:
@@ -538,7 +566,7 @@ def _invert_unit(params, units, digits):
     while k < digits:
         k = min(2 * k, digits)
         uv = _convolve(params, units[..., :k, :], v)[..., :k, :]
-        correction = _convolve(params, v, uv)[..., :k, :]
+        correction = _convolve(params, uv, v)[..., :k, :]  # windows of the shorter v
         out = np.zeros(batch + (k, r), dtype=np.int64)
         out[..., : v.shape[-2], :] += 2 * v
         out[..., : correction.shape[-2], :] -= correction

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import HypothesisError, IncompatibleFieldError, PrecisionError
+from .field import _prime_factors
 from .laurent import LaurentSeries
 from .multiplier import p_split
 
@@ -228,8 +231,30 @@ def newton_root(table, dtable, y):
 
 
 @lru_cache(maxsize=None)
+def _log_factorials(p):
+    """Discrete-log tables mod p for Lucas' theorem: ``log_fact[a]`` is
+    the logarithm of a! mod p (a < p) to a primitive root g, and
+    ``power[e]`` is g^e mod p (e < p − 1)."""
+    order = p - 1
+    primes = _prime_factors(order)
+    g = next(g for g in range(1, p) if all(pow(g, order // q, p) != 1 for q in primes))
+    power, log = [1] * order, [0] * p
+    for e in range(1, order):
+        power[e] = power[e - 1] * g % p
+        log[power[e]] = e
+    log_fact = [0] * p
+    for a in range(2, p):
+        log_fact[a] = (log_fact[a - 1] + log[a]) % order
+    return np.array(log_fact, dtype=np.int64), np.array(power, dtype=np.int64)
+
+
 def binomial_mod_p(n, k, p):
-    """Binomial coefficient mod p by Lucas' theorem."""
+    """Binomial coefficient mod p by Lucas' theorem.  ``n`` and ``k`` are
+    ints, or integer arrays that broadcast together; for arrays the
+    result is the int64 array of the binomials, elementwise (``_lucas``)."""
+    if isinstance(n, np.ndarray) or isinstance(k, np.ndarray):
+        n, k = np.asarray(n, dtype=np.int64), np.asarray(k, dtype=np.int64)
+        return _lucas(*np.broadcast_arrays(n, k), p)
     if k < 0 or k > n:
         return 0
     result = 1
@@ -245,3 +270,21 @@ def binomial_mod_p(n, k, p):
         n //= p
         k //= p
     return result
+
+
+def _lucas(n, k, p):
+    """Lucas' theorem on int64 arrays of one shape: C(n, k) ≡ Π_t C(n_t, k_t)
+    over the base-p digits n_t, k_t, and 0 when k < 0 or k > n.  When
+    every k_t ≤ n_t, n − k has the digits n_t − k_t, so the product is
+    g^(Σ_t log n_t! − log k_t! − log (n_t − k_t)!), a sum that never
+    overflows.  A digit k_t > n_t makes the binomial 0; its negative
+    index into ``log_fact`` reads a value that this zero then masks."""
+    log_fact, power = _log_factorials(p)
+    top, digits = int(n.max(initial=0)), 1
+    while p**digits <= top:
+        digits += 1
+    places = p ** np.arange(digits, dtype=np.int64).reshape((digits,) + (1,) * n.ndim)
+    dn, dk = n // places % p, k // places % p  # digit t along axis 0
+    dm = dn - dk
+    e = (log_fact[dn] - log_fact[dk] - log_fact[dm]).sum(axis=0) % (p - 1)
+    return power[e] * ((0 <= k) & (k <= n) & (dm.min(axis=0) >= 0))

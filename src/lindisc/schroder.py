@@ -6,22 +6,24 @@ Three independent solvers are provided: term matching against the
 accumulated powers of f (the workhorse), the multinomial recurrence
 (partition enumeration, small degrees), and the specialized recurrence
 for f = λx + a_{p+1} x^{p+1} whose conjugacy is supported on degrees
-j·p + 1.  All three divide by the small divisors λ − λ^k = λ(1 − λ^{k-1})
-through one table (``_small_divisors``), built once per solve: the
-window-digit inverse of every divisor the solver meets, from windowed
-powers of λ (``_powers``) and one batched Newton inverse.  The division
-never destroys the justified horizon: the multiplier is an exact
-literal, so each divisor is known to any number of digits and its
-reciprocal is expanded to the full working width.  Only those digits
-are formed.  In characteristic p, 1 − λ^{p^s·u} is the s-th Frobenius
-image of 1 − λ^u, and for p ∤ u the valuation of 1 − λ^u is 0 or v_m,
-so λ^u is read modulo U^(v_m·e + window) and never beyond.  Each time,
-a divisor that vanishes to that window raises PrecisionError and one
-whose valuation is not the closed form v(1 − λ^{k-1}) raises
-CertificateError.
+j·p + 1.  All three divide through one table (``_small_divisors``),
+built once per solve: the window-digit inverse of every divisor the
+solver meets, from windowed powers of λ (``_powers``) and one batched
+Newton inverse.  The first two divide by λ − λ^k = λ(1 − λ^{k-1}); the
+specialized recurrence folds λ^{(p+1)i}·a^{-i} into its coefficients,
+so each of its sums is one F_p dot product, and divides by
+λ^j − λ^{(p+1)j} = λ^j(1 − λ^{pj}).  The division never destroys the
+justified horizon: the multiplier is an exact literal, so each divisor
+is known to any number of digits and its reciprocal is expanded to the
+full working width.  Only those digits are formed.  In characteristic
+p, 1 − λ^{p^s·u} is the s-th Frobenius image of 1 − λ^u, and for p ∤ u
+the valuation of 1 − λ^u is 0 or v_m, so λ^u is read modulo
+U^(v_m·e + window) and never beyond.  Each time, a divisor that
+vanishes to that window raises PrecisionError and one whose valuation
+is not the closed form v(1 − λ^n) raises CertificateError.
 """
 
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -123,62 +125,86 @@ def _powers(x, width):
     return power
 
 
-def _small_divisors(profile, ks, window):
-    """k -> 1/(λ − λ^k) to ``window`` digits for every k in ``ks``: the
-    table all three solvers divide by, equal in lead, rows and horizon to
-    the inverse of λ − λ^k formed exactly and truncated to ``window``
-    digits.
+class _DivisorTable(Mapping):
+    """k -> 1/(λ^i − λ^k) to ``window`` digits, as ``_small_divisors``
+    tabulates it.  The n-th divisor has valuation ``leads[n]`` (U-units)
+    and ``rows[n]`` holds the ``window`` rows of its reciprocal past that
+    reciprocal's lead −leads[n].  An entry's LaurentSeries is built when
+    a solver reads it."""
 
-    Write k − 1 = p^s·u with p ∤ u.  Then 1 − λ^{k-1} = Frob^s(1 − λ^u):
-    row i with coefficient c goes to row i·p^s with coefficient c^(p^s),
-    and c^(p^s) = c^(p^(s mod r)) in F_q.  For p ∤ u, v(1 − λ^u) is 0
-    when m ∤ u and v_m otherwise, so the ``window`` digits past the lead
-    read λ^u only modulo U^(v_m·e + window).  Each valuation p^s·v(1 − λ^u)
-    is checked against the closed form ``small_divisor_valuation``
+    def __init__(self, field_, ram, ks, leads, rows, window, lam_power):
+        self.field, self.ram, self.window = field_, ram, window
+        self.index = {k: n for n, k in enumerate(ks)}
+        self.leads, self.rows, self.lam_power = leads, rows, lam_power
+
+    def __getitem__(self, k):
+        n = self.index[k]
+        lead = int(self.leads[n])
+        return LaurentSeries(self.field, self.ram, -lead, self.rows[n], self.window - lead)
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+
+def _small_divisors(profile, ks, window, lows=None):
+    """k -> 1/(λ^i − λ^k) to ``window`` digits for every k in ``ks``,
+    where i = 1, or i = lows[n] for the n-th k: the table all three
+    solvers divide by, equal in lead, rows and horizon to the inverse of
+    λ^i − λ^k formed exactly and truncated to ``window`` digits.
+
+    λ^i − λ^k = λ^i(1 − λ^{k-i}), and λ^i is a unit.  Write k − i = p^s·u
+    with p ∤ u.  Then 1 − λ^{k-i} = Frob^s(1 − λ^u): row t with
+    coefficient c goes to row t·p^s with coefficient c^(p^s), and
+    c^(p^s) = c^(p^(s mod r)) in F_q.  For p ∤ u, v(1 − λ^u) is 0 when
+    m ∤ u and v_m otherwise, so the ``window`` digits past the lead read
+    λ^u only modulo U^(v_m·e + window).  Each valuation p^s·v(1 − λ^u) is
+    checked against the closed form ``small_divisor_valuation``
     (CertificateError), and one that vanishes to the window raises
-    PrecisionError.  The ``window`` rows of each λ(1 − λ^{k-1}) past its
-    lead are stacked and inverted by one batched Newton run.
+    PrecisionError.  The ``window`` rows of each unit (1 − λ^{k-i})/U^lead
+    are multiplied by λ^i (one batched product), stacked and inverted by
+    one batched Newton run.
     """
-    if not ks:
-        return {}
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
     width = int(profile.v_m.value * ram) + window
     lam_power = _powers(lam, width)
 
-    def one_minus(u, rows):  # rows of 1 − λ^u
-        d = -lam_power(u, rows) % p
-        d[0, 0] = (d[0, 0] + 1) % p
-        return d
-
-    leads, units = [], np.zeros((len(ks), window, r), dtype=np.int64)
-    for unit, k in zip(units, ks):
-        s, u = p_split(k - 1, p)
+    leads = np.zeros(len(ks), dtype=np.int64)
+    units = np.zeros((len(ks), window, r), dtype=np.int64)
+    for n, (k, i) in enumerate(zip(ks, [1] * len(ks) if lows is None else lows)):
+        s, u = p_split(k - i, p)
         step = p**s
-        nonzero = np.flatnonzero(one_minus(u, width).any(axis=1))
+        d = -lam_power(u, width) % p  # rows of 1 − λ^u
+        d[0, 0] = (d[0, 0] + 1) % p
+        nonzero = np.flatnonzero(d.any(axis=1))
         if nonzero.size == 0:
             raise PrecisionError(
-                f"divisor 1 - lambda^{k-1} vanished to O(U^{step * width}); "
+                f"divisor 1 - lambda^{k-i} vanished to O(U^{step * width}); "
                 "root of unity?"
             )
         first = int(nonzero[0])
         lead = step * first
-        expected = small_divisor_valuation(profile, k - 1)
+        expected = small_divisor_valuation(profile, k - i)
         if Fraction(lead, ram) != expected.value:
             raise CertificateError(
                 f"divisor valuation {Fraction(lead, ram)} != closed form "
                 f"{expected} at k = {k}"
             )
         count = -(-window // step)  # rows of 1 − λ^u that reach the window
-        rows = one_minus(u, first + count)[first:]
-        unit[::step] = field_.pow_rows(rows, p ** (s % r))
-        leads.append(lead)
-    units = _convolve(field_, units, lam.coeffs[:window])[:, :window]
+        units[n, ::step] = field_.pow_rows(d[first : first + count], p ** (s % r))
+        leads[n] = lead
+    if lows is None:
+        scale = lam.coeffs[:window]
+    else:
+        scale = np.zeros((len(ks), window, r), dtype=np.int64)
+        for row, i in zip(scale, lows):
+            row[:] = lam_power(i, window)
+    units = _convolve(field_, units, scale)[:, :window]
     inverses = _invert_unit(field_, units, window)
-    return {
-        k: LaurentSeries(field_, ram, -lead, inv, window - lead)
-        for k, lead, inv in zip(ks, leads, inverses)
-    }
+    return _DivisorTable(field_, ram, ks, leads, inverses, window, lam_power)
 
 
 def solve_sfe(f, D, window=32):
@@ -321,67 +347,120 @@ def _p_plus_1_shape(f):
     return f.coeffs[p + 1]
 
 
+# rows j of binomials C(ip+1, j-i) that ``solve_specialized_p_plus_1``
+# forms in one call of ``binomial_mod_p``
+_BINOMIAL_ROWS = 32
+
+
 def solve_specialized_p_plus_1(f, Jmax, window=32):
     """Conjugacy of f = λx + a x^{p+1} via the closed recurrence on the
-    supported degrees jp + 1:
+    supported degrees jp + 1 (b_j stands for b_{jp+1} here):
 
-    b_{jp+1} = (Σ_{i=⌈(j-1)/(p+1)⌉}^{j-1} b_{ip+1}·C(ip+1, j-i)·
-               λ^{ip+1-(j-i)}·a^{j-i}) / (λ(1 − λ^{jp}))
+    b_j = (Σ_{i=⌈(j-1)/(p+1)⌉}^{j-1} b_i·C(ip+1, j-i)·λ^{ip+1-(j-i)}·a^{j-i})
+          / (λ(1 − λ^{jp}))
 
     with binomials mod p by Lucas.  All other degrees are structural
     zeros.  Solves up to degree D = Jmax·p + 1.
 
-    The sum is formed on coefficient windows, not on series.  λ is a
-    unit (``mult_profile`` rejects any other), and λ and a are exact
-    (``PowerSeriesMap`` takes no other coefficients), so the term of b_i
-    has lead L(b_i) + n·L(a) and keeps the digits of b_i: the horizon
-    ``laurent``'s pessimistic rule gives the product.  The sum is known
-    below H, the least term horizon.  Row k of a product depends only on
-    rows <= k of its factors, so reading each factor to H − lead rows
-    loses nothing the sum knows.  No b_i knows more than ``window``
-    digits past its lead: the exact b_0 = 1 is read to ``window``
-    digits, and every later b_i is a sum times a ``window``-digit
-    inverse.  So H − lead <= ``window`` for every term, and λ^e and a^n
-    are read from ``_powers`` tables kept to ``window`` rows past their
-    leads, never from exact powers of e·deg λ + 1 rows.  A b_i that is
-    zero to precision caps H and adds no rows.  The term i = j − 1 has
+    The fold.  The term of b_i is C(ip+1, j-i)·B_i·λ^{1-j}·a^j with
+    B_i = b_i·λ^{(p+1)i}·a^{-i}, so with T_j = 1/(λ^j − λ^{(p+1)j}) and
+    S_j = Σ_i C(ip+1, j-i)·B_i,
+
+        b_j = S_j·a^j·T_j,    B_j = S_j·λ^{(p+1)j}·T_j,
+
+    and no inverse of a or λ is formed.  T_j comes from the divisor
+    table, whose Newton run inverts the unit of λ^j(1 − λ^{pj}), and
+    λ^{(p+1)j}·T_j = λ^{pj}/(1 − λ^{pj}) = λ^j·T_j − 1.  Both factor
+    stacks, a^j·T_j and λ^j·T_j − 1, are one batched product each, of
+    ``window`` rows of powers read from ``_powers`` tables.  S_j is an
+    F_p-linear combination of the rows of the B_i, aligned by lead: one
+    integer dot product of the j-th row of binomials against the
+    gathered rows, reduced mod p.  Per j that and the product
+    B_j = S_j·(λ^{(p+1)j}·T_j) are the only work; the b_j are read out
+    by one batched product after the loop.  The rows of each B_i are
+    stored past its lead, ``window`` + 1 of them with the last always
+    zero, and the gather reads row t − lead(B_i) at each exponent t,
+    the zero row where that is negative.
+
+    The horizon.  λ is a unit (``mult_profile`` rejects any other), and
+    λ and a are exact (``PowerSeriesMap`` takes no other coefficients),
+    so B_i has the digits of b_i at lead L(b_i) − i·L(a), and S_j is
+    known below H_S, the least L(B_i) + digits(B_i) over the nonzero
+    binomials (a B_i that is zero to precision caps H_S and adds no
+    rows).  The term sum of the recurrence, S_j·λ^{1-j}·a^j, is known
+    below H = H_S + j·L(a), and L(S_j) and L(sum) differ by that same
+    j·L(a).  So b_j = S_j·(a^j·T_j), with a^j·T_j known to ``window``
+    digits like the table entry 1/(λ − λ^{jp+1}) the sum would be
+    divided by, gets the lead, horizon, rows and exactness that
+    quotient gets.  Row k of a product depends only on rows <= k of its
+    factors, so ``window`` rows of each power lose nothing: no B_i
+    knows more than ``window`` digits (the exact b_0 = 1 is read to
+    ``window`` digits, every later one is a sum times a ``window``-digit
+    factor), so H_S − min L(B_i) <= ``window``.  The term i = j − 1 has
     C((j−1)p+1, 1) ≡ 1, so no sum is empty and no b_j is an exact zero.
-    The int64 window takes at most j addends c·prod, each below
-    p² < 2^32, so it cannot overflow for j < 2^31.
+
+    The binomials come ``_BINOMIAL_ROWS`` rows j at a time from the array
+    form of ``binomial_mod_p``; below i = ⌈(j−1)/(p+1)⌉, j − i > ip + 1
+    and the binomial is 0.  The dot product sums at most j addends
+    c·x with c, x < p, below j·p² < 2^63 for j < 2^31 (p < 2^16).
     """
     a = _p_plus_1_shape(f)
     lam = f.multiplier
     profile = mult_profile(lam)
     field_, ram = f.field, f.ram
-    p = field_.p
+    p, r, W = field_.p, field_.r, window
     D = Jmax * p + 1
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-    lam_power, a_power = _powers(lam, window), _powers(a, window)
-    divisor = _small_divisors(profile, [j * p + 1 for j in range(1, Jmax + 1)], window)
+    js = range(1, Jmax + 1)
+    T = _small_divisors(profile, [(p + 1) * j for j in js], W, lows=js)
+    lam_rows = np.zeros((Jmax, W, r), dtype=np.int64)
+    a_rows = np.zeros((Jmax, W, r), dtype=np.int64)
+    a_power = _powers(a, W)
+    for n, j in enumerate(js):
+        lam_rows[n], a_rows[n] = T.lam_power(j, W), a_power(j, W)
+    lead_T = T.leads  # T_j has lead −lead_T[j-1], and U^0 sits at row lead_T
+    G = _convolve(field_, lam_rows, T.rows)[:, :W]  # λ^j·T_j
+    inside = np.flatnonzero(lead_T < W)
+    G[inside, lead_T[inside], 0] -= 1
+    G %= p  # λ^{(p+1)j}·T_j, lead −lead_T
+    F = _convolve(field_, a_rows, T.rows)[:, :W]  # a^j·T_j, lead j·L(a) − lead_T
 
-    b = {0: one}  # indexed by j: b[j] = b_{jp+1}
-    for j in range(1, Jmax + 1):
-        terms, H = [], math.inf
-        for i in range((j - 1 + p) // (p + 1), j):
-            c = binomial_mod_p(i * p + 1, j - i, p)
-            if c == 0:
-                continue
-            e, n = i * p + 1 - (j - i), j - i
-            lead = b[i].lead + n * a.lead
-            H = min(H, lead + (window if b[i].exact else b[i].prec - b[i].lead))
-            terms.append((lead, c, b[i].coeffs, e, n))
-        lo = min(t[0] for t in terms)
-        acc = np.zeros((H - lo, field_.r), dtype=np.int64)
-        for lead, c, coeffs, e, n in terms:
-            rows = H - lead
-            if rows <= 0:
-                continue
-            prod = _convolve(field_, coeffs[:rows], lam_power(e, rows))
-            prod = _convolve(field_, prod[:rows], a_power(n, rows))[:rows]
-            acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
-        total = LaurentSeries(field_, ram, lo, acc, H)
-        b[j] = total * divisor[j * p + 1]
+    B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
+    B[0, 0, 0] = 1
+    B_lead = np.zeros(Jmax + 1, dtype=np.int64)
+    B_top = np.zeros(Jmax + 1, dtype=np.int64)  # lead + digits
+    B_top[0] = W
+    S = np.zeros((Jmax, W, r), dtype=np.int64)
+    S_lead = np.zeros(Jmax, dtype=np.int64)
+    S_digits = np.zeros(Jmax, dtype=np.int64)
+    for j in js:
+        if (j - 1) % _BINOMIAL_ROWS == 0:  # rows j .. top - 1
+            top = min(j + _BINOMIAL_ROWS, Jmax + 1)
+            cols = np.arange((j - 1 + p) // (p + 1), top - 1)
+            block = binomial_mod_p(cols * p + 1, np.arange(j, top)[:, None] - cols, p)
+        row = block[(j - 1) % _BINOMIAL_ROWS, : j - cols[0]]
+        live = np.flatnonzero(row)
+        i, c = cols[live], row[live]
+        lead = B_lead[i]
+        lo, H = int(lead.min()), int(B_top[i].min())
+        at = np.maximum(np.arange(lo, H) - lead[:, None], -1)
+        s = (c @ B[i[:, None], at].reshape(c.size, -1)).reshape(-1, r) % p
+        nonzero = np.flatnonzero(s.any(axis=1))
+        first = lo + int(nonzero[0]) if nonzero.size else H
+        digits = H - first
+        S[j - 1, :digits] = s[first - lo :]
+        S_lead[j - 1], S_digits[j - 1] = first, digits
+        if digits:
+            B[j, :digits] = _convolve(field_, S[j - 1, :digits], G[j - 1, :digits])[:digits]
+        B_lead[j] = first - lead_T[j - 1]
+        B_top[j] = B_lead[j] + digits
+    rows = _convolve(field_, S, F)
+    leads = S_lead + np.arange(1, Jmax + 1) * a.lead - lead_T
+    b = [one] + [
+        LaurentSeries(field_, ram, lead, x[:n], lead + n)
+        for lead, x, n in zip(leads.tolist(), rows, S_digits.tolist())
+    ]
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }

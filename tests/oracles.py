@@ -7,6 +7,7 @@ results to equal them exactly.  The helpers at the end
 has no use for.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from lindisc.powerseries import (
     newton_root,
     ps_eval,
 )
-from lindisc.schroder import Conjugacy, _p_plus_1_shape
+from lindisc.schroder import Conjugacy, _p_plus_1_shape, _powers, _small_divisors
 
 
 def exact_powers(x):
@@ -85,6 +86,53 @@ def solve_specialized_per_term(f, Jmax, window=32):
             b[j] = exact_zero
             continue
         b[j] = over_small_divisor(total, lam_power, profile, j * p + 1, window)
+    coeffs = {
+        k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
+    }
+    return Conjugacy(coeffs, profile, "specialized", D)
+
+
+def solve_specialized_windowed_terms(f, Jmax, window=32):
+    """The p+1 recurrence of ``solve_specialized_p_plus_1`` term by term
+    on coefficient windows: each term b_i·C(ip+1, j-i)·λ^e·a^n is two
+    windowed products, read to the sum's horizon H (the least term
+    horizon) from ``_powers`` tables of λ and a, and each sum is divided
+    by the table entry 1/(λ − λ^{jp+1}).  Fast enough for every
+    ``divergence-ladder`` size, where ``solve_specialized_per_term``'s
+    exact powers are not."""
+    a = _p_plus_1_shape(f)
+    lam = f.multiplier
+    profile = mult_profile(lam)
+    field_, ram = f.field, f.ram
+    p = field_.p
+    D = Jmax * p + 1
+    one = LaurentSeries.constant(field_, 1, ram)
+    exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
+    lam_power, a_power = _powers(lam, window), _powers(a, window)
+    divisor = _small_divisors(profile, [j * p + 1 for j in range(1, Jmax + 1)], window)
+
+    b = {0: one}  # indexed by j: b[j] = b_{jp+1}
+    for j in range(1, Jmax + 1):
+        terms, H = [], math.inf
+        for i in range((j - 1 + p) // (p + 1), j):
+            c = binomial_mod_p(i * p + 1, j - i, p)
+            if c == 0:
+                continue
+            e, n = i * p + 1 - (j - i), j - i
+            lead = b[i].lead + n * a.lead
+            H = min(H, lead + (window if b[i].exact else b[i].prec - b[i].lead))
+            terms.append((lead, c, b[i].coeffs, e, n))
+        lo = min(t[0] for t in terms)
+        acc = np.zeros((H - lo, field_.r), dtype=np.int64)
+        for lead, c, coeffs, e, n in terms:
+            rows = H - lead
+            if rows <= 0:
+                continue
+            prod = _convolve(field_, coeffs[:rows], lam_power(e, rows))
+            prod = _convolve(field_, prod[:rows], a_power(n, rows))[:rows]
+            acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
+        total = LaurentSeries(field_, ram, lo, acc, H)
+        b[j] = total * divisor[j * p + 1]
     coeffs = {
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }

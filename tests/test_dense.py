@@ -386,7 +386,9 @@ def test_chunked_convolution_is_unchanged(monkeypatch, field):
     a = coordinate_stack(field, rng, n, la)
     cases = [coordinate_stack(field, rng, lb), coordinate_stack(field, rng, n, lb)]
     whole = [_convolve(field, a, b) for b in cases]
-    slice_bytes = (la + lb - 1) * field.r**2 * 8
+    r, rows = field.r, la + lb - 1
+    # the padded slice, the r × r products, the raw coordinates, the fold
+    slice_bytes = 8 * ((la + 2 * lb - 2) * r + rows * (r * r + (2 * r - 1) + r))
     calls, real = [], lindisc.laurent._convolve
     monkeypatch.setattr(
         lindisc.laurent, "_convolve", lambda *args: calls.append(len(args[1])) or real(*args)
@@ -398,6 +400,30 @@ def test_chunked_convolution_is_unchanged(monkeypatch, field):
             assert (lindisc.laurent._convolve(field, a, b) == want).all()
             # the call itself, then one call per chunk
             assert calls == [n] + [min(chunk, n - c) for c in range(0, n, chunk)]
+
+
+def test_chunk_temporaries_at_r_8_stay_within_the_cap(monkeypatch):
+    """At r = 8 a chunk holds, besides its r × r products, a padded slice,
+    23 raw and folded coordinates per row and its result; chunk sizing
+    counts them all, so a chunked call's traced peak stays within the
+    cap plus the result it returns (0.94 of the cap past the result).
+    Sized by the products alone, a chunk took 16 slices, and its
+    temporaries peaked at 1.75 times the cap."""
+    field = FieldParams(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 2, size=(64, 16, 8))
+    _convolve(field, a[:1], a[0])  # the coordinate-sum matrix is cached
+    cap = 256 << 10
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", cap)
+    for b in (rng.integers(0, 2, size=(16, 8)), rng.integers(0, 2, size=(64, 16, 8))):
+        tracemalloc.start()
+        try:
+            result = _convolve(field, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (64, 31, 8)
+        assert peak <= cap + result.nbytes, (peak, cap + result.nbytes)
 
 
 def test_batched_convolution_memory_is_bounded_by_the_cap(monkeypatch):

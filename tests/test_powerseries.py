@@ -4,6 +4,7 @@ derivative."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lindisc.powerseries
@@ -247,3 +248,21 @@ def test_lucas_binomials():
         for n in range(0, 40):
             for k in range(0, n + 1):
                 assert binomial_mod_p(n, k, p) == comb(n, k) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lucas_array_form_equals_the_scalar_form(p):
+    """The array form of ``binomial_mod_p`` on a broadcast grid of n
+    (a column) against k (a row) equals the scalar form at every pair
+    0 <= k <= n < p^4, and is 0, as the scalar form is, at k = -2, -1
+    and n < k <= n + 2."""
+    top = p**4
+    ks = np.arange(-2, top + 2)
+    for start in range(0, top, 256):
+        ns = np.arange(start, min(start + 256, top))
+        grid = binomial_mod_p(ns[:, None], ks, p)
+        assert grid.shape == (ns.size, ks.size) and grid.dtype == np.int64
+        for n, row in zip(ns.tolist(), grid):
+            want = [binomial_mod_p(n, k, p) for k in range(-2, n + 3)]
+            assert row[: n + 5].tolist() == want, n
+            assert not row[n + 5 :].any(), n

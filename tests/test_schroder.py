@@ -45,7 +45,12 @@ from lindisc.schroder import (
     _small_divisors,
     invert_at_point,
 )
-from oracles import exact_powers, over_small_divisor, solve_specialized_per_term
+from oracles import (
+    exact_powers,
+    over_small_divisor,
+    solve_specialized_per_term,
+    solve_specialized_windowed_terms,
+)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -265,6 +270,61 @@ def test_specialized_equals_per_term_oracle(p, r, e, v_a, W, lam):
         assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
     if lam == "b+T^2":
         assert g.zero_kind[31] == COMPUTED_ZERO
+
+
+# the shape of each ``divergence-ladder`` stratum: (p, r, λ, a, Nmax) with
+# λ = residue + c·T (m = 1, or m > 1 in the -conj strata) and a unit a
+LADDER_SHAPES = {
+    "p2-N8": (2, 1, "1+T", "1", 8),
+    "p3-N5": (3, 1, "1+2*T", "2", 5),
+    "p5-N4": (5, 1, "1+3*T", "4", 4),
+    "p7-N3": (7, 1, "1+5*T", "3", 3),
+    "f4-conj": (2, 2, "b+(b+1)*T", "b", 7),
+    "p3-conj": (3, 1, "2+T", "1", 5),
+    "p5-conj": (5, 1, "3+2*T", "2", 4),
+}
+
+
+@pytest.mark.parametrize("W", [4, 8, 32])
+@pytest.mark.parametrize("shape", LADDER_SHAPES)
+def test_specialized_equals_windowed_terms_at_ladder_sizes(shape, W):
+    """At the full Jmax = p^(Nmax-1) of each ladder stratum, the one dot
+    product per coefficient gives every b_k exactly as the term-by-term
+    windowed sum does: lead, horizon, exactness and coefficients."""
+    p, r, lam, a, nmax = LADDER_SHAPES[shape]
+    field = FieldParams(p, r)
+    f = PowerSeriesMap(
+        {1: parse_series(lam, field, prec=W), p + 1: parse_series(a, field, prec=W)}
+    )
+    J = p ** (nmax - 1)
+    g, oracle = solve_specialized_p_plus_1(f, J, W), solve_specialized_windowed_terms(f, J, W)
+    assert g.D == oracle.D == J * p + 1
+    for k in range(1, g.D + 1):
+        x, y = g.coefficient(k), oracle.coefficient(k)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
+
+
+def test_specialized_makes_o_jmax_convolutions(monkeypatch):
+    """The p+1 recurrence makes one windowed product per coefficient, not
+    two per term.  Over F_2 at Jmax = 64 and W = 32 it makes at most
+    3·Jmax + 32 calls of ``_convolve``: the powers λ^j and a^j (one
+    product each), one product B_j per j, and a fixed number of batched
+    ones (the divisor table's Newton run among them).  The term-by-term
+    sum makes 605 here, two per term."""
+    f = PowerSeriesMap({1: parse_series("1+T+T^3", F2), 3: parse_series("1+T^2", F2)})
+    real, calls = lindisc.laurent._convolve, []
+
+    def spy(params, a, b):
+        calls.append(a.shape)
+        return real(params, a, b)
+
+    for module in (lindisc.laurent, lindisc.schroder, lindisc._dense):
+        monkeypatch.setattr(module, "_convolve", spy)
+    g = solve_specialized_p_plus_1(f, 64)
+    assert 64 <= len(calls) <= 3 * 64 + 32, len(calls)
+    monkeypatch.undo()
+    assert conjugacies_agree(g, solve_specialized_windowed_terms(f, 64), g.D)
 
 
 @pytest.mark.parametrize(
