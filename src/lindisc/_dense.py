@@ -16,7 +16,8 @@ into the result's windows, so the per-degree Python cost is constant:
   convolves them pair by pair in batches of at most (D + 1) // r pairs
   (no larger than one column's product by a whole factor), and adds
   each realigned product into x^(i+j).  ``mul_by_map`` multiplies by a
-  map's exact coefficients, installed as columns by ``of_map``;
+  map's exact coefficients, installed as columns by ``of_map`` once per
+  chain of products: each product carries them to the next;
 * ``add_scaled``, the accumulation of a scalar multiple of another
   polynomial: one convolution of its data columns with the scalar.
 
@@ -76,6 +77,8 @@ class DensePoly:
         self.base = np.full(D + 1, INF, dtype=np.int64)
         self.prec = np.full(D + 1, INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
+        # (f, f's columns) of the map this polynomial is a product by
+        self.map_columns = None
 
     @classmethod
     def of_map(cls, f, D, W):
@@ -148,8 +151,15 @@ class DensePoly:
     # -- bulk operations ---------------------------------------------------------
 
     def mul_by_map(self, f):
-        """Return self * f, truncated to x-degree D."""
-        return self.mul(DensePoly.of_map(f, self.D, self.W))
+        """Return self * f, truncated to x-degree D.  The product carries
+        the columns of f it was multiplied by, so a chain of products by
+        one map installs them once."""
+        factor = self.map_columns
+        if factor is None or factor[0] is not f:
+            factor = (f, DensePoly.of_map(f, self.D, self.W))
+        out = self.mul(factor[1])
+        out.map_columns = factor
+        return out
 
     def mul(self, other):
         """Return self * other, truncated to x-degree D.

@@ -122,20 +122,33 @@ def product_small_divisors(profile, N):
     """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1, both term by term
     through ``small_divisor_valuation`` and via the closed form
     v_1 · p^N · ((p-1)(N-1)/p + 1); a mismatch is a CertificateError."""
+    *_, total = product_small_divisor_sums(profile, N)
+    return total
+
+
+def product_small_divisor_sums(profile, Nmax):
+    """The sums of ``product_small_divisors`` for N = 1 .. Nmax in turn,
+    each term evaluated once: the sum for N extends the sum for N - 1 by
+    the terms p^{N-2} < i <= p^{N-1}, and each sum is checked against its
+    closed form as it is yielded."""
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
-    if N < 1:
+    if Nmax < 1:
         raise HypothesisError("N must be >= 1")
     p = profile.p
-    total = sum(
-        small_divisor_valuation(profile, i * p).value for i in range(1, p ** (N - 1) + 1)
-    )
-    closed = profile.v_m.value * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
-    if total != closed:
-        raise CertificateError(
-            f"product formula mismatch at N={N}: terms {total} != closed {closed}"
+    total, done = 0, 0
+    for N in range(1, Nmax + 1):
+        top = p ** (N - 1)
+        total += sum(
+            small_divisor_valuation(profile, i * p).value for i in range(done + 1, top + 1)
         )
-    return Valuation(closed)
+        done = top
+        closed = profile.v_m.value * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
+        if total != closed:
+            raise CertificateError(
+                f"product formula mismatch at N={N}: terms {total} != closed {closed}"
+            )
+        yield Valuation(closed)
 
 
 def disc_profile(profile, gauge):

@@ -18,11 +18,13 @@ is known to any number of digits and its reciprocal is expanded to the
 full working width.  Only those digits are formed.  In characteristic
 p, 1 − λ^{p^s·u} is the s-th Frobenius image of 1 − λ^u, and for p ∤ u
 the valuation of 1 − λ^u is 0 or v_m, so λ^u is read modulo
-U^(v_m·e + window) and never beyond.  Each time, a divisor that
-vanishes to that window raises PrecisionError and one whose valuation
-is not the closed form v(1 − λ^n) raises CertificateError.
+U^(v_m·e + window) and never beyond, from one table of powers grown
+by doubling (``_PowerTable``).  Each time, a divisor that vanishes to
+that window raises PrecisionError and one whose valuation is not the
+closed form v(1 − λ^n) raises CertificateError.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +34,12 @@ import numpy as np
 
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .laurent import LaurentSeries, Valuation, _convolve, _invert_unit
+from .laurent import _STACK_BYTES, LaurentSeries, Valuation, _convolve, _invert_unit
 from .multiplier import (
     lemma_bound,
     mult_profile,
     p_split,
-    product_small_divisors,
+    product_small_divisor_sums,
     small_divisor_valuation,
 )
 from .powerseries import (
@@ -61,11 +63,34 @@ def _zero_kind(series):
     return STRUCTURAL if series.exact else COMPUTED_ZERO
 
 
+class _Coefficients(Mapping):
+    """Degree k = 1 .. D -> b_k, each built by ``build(k)`` when first
+    read and kept: a reader of a few coefficients builds only those."""
+
+    def __init__(self, D, build):
+        self.D, self.build, self.built = D, build, {}
+
+    def __getitem__(self, k):
+        if k not in self.built:
+            if not 1 <= k <= self.D:
+                raise KeyError(k)
+            self.built[k] = self.build(k)
+        return self.built[k]
+
+    def __iter__(self):
+        return iter(range(1, self.D + 1))
+
+    def __len__(self):
+        return self.D
+
+
 @dataclass(frozen=True)
 class Conjugacy:
-    """Coefficients b_k of the normalized formal conjugacy up to degree D."""
+    """Coefficients b_k of the normalized formal conjugacy up to degree D:
+    ``coeffs`` maps each k = 1 .. D to b_k, a dict or a mapping that
+    builds b_k when first read (``solve_specialized_p_plus_1``)."""
 
-    coeffs: dict
+    coeffs: Mapping
     profile: object
     source: str
     D: int
@@ -99,30 +124,78 @@ class Conjugacy:
         return "\n".join(lines) + "\n"
 
 
+# most r × r coordinate products per slice of one batched product that
+# grows a power table: about the time of one ``_convolve`` call's fixed cost
+_SLICE_PRODUCTS = 1 << 14
+
+
 def _powers(x, width):
-    """The windowed power table of a series x: ``power(n, rows)`` is the
-    first ``rows`` rows of x^n past its lead n·x.lead, for rows <= width.
-    Each power is kept to ``width`` rows, zero rows included, and formed
-    once, as x^(n-1)·x on those rows, when first asked for.  Row j of a
-    product depends only on rows <= j of its factors, so every stored row
-    is a row of the exact x^n.  A read past the width raises
-    CertificateError; it never returns fewer rows than asked for."""
-    field_ = x.field
-    base = x.coeffs[:width]
-    one = np.zeros((width, field_.r), dtype=np.int64)
-    one[0, 0] = 1
-    table = [one]
+    """The windowed power table of a series x to ``width`` rows
+    (``_PowerTable``)."""
+    return _PowerTable(x, width)
 
-    def power(n, rows):
-        if rows > width:
+
+class _PowerTable:
+    """Windowed powers of a series x: ``table(n, rows)`` is the first
+    ``rows`` rows of x^n past its lead n·x.lead, and ``table.upto(n,
+    rows)`` stacks them for x^0 .. x^n, for rows <= width.
+
+    The powers are one array of ``width`` rows each, zero rows included.
+    With x^0 .. x^(L-1) stored, one batched product of x^(L-c) .. x^(L-1)
+    by x^c adds x^L .. x^(L+c-1); c = L - 1 doubles the table, so n
+    powers cost ⌈log2 n⌉ products.  A slice of it costs (width + l - 1)·l
+    coordinate products, l the rows of x^c, so c is capped where that
+    passes ``_SLICE_PRODUCTS``: a short x in a wide window grows by one
+    product by x per power.  Row j of a product depends only on rows <= j
+    of its factors, so every stored row is a row of the exact x^n.  A
+    read past the width raises CertificateError."""
+
+    def __init__(self, x, width):
+        self.field, self.width = x.field, width
+        base = x.coeffs[:width]
+        self.rows = np.zeros((2, width, x.field.r), dtype=np.int64)
+        self.rows[0, 0, 0] = 1
+        self.rows[1, : base.shape[0]] = base
+        self.count = 2  # x^0 .. x^(count-1) are formed
+        # x^c has min(width, c·degree + 1) rows; ``span`` is the most rows
+        # a factor may have for a slice within ``_SLICE_PRODUCTS``
+        nonzero = np.flatnonzero(base.any(axis=1))
+        self.degree = int(nonzero[-1]) if nonzero.size else 0
+        budget = _SLICE_PRODUCTS // x.field.r**2
+        span = (math.isqrt((width - 1) ** 2 + 4 * budget) - (width - 1)) // 2
+        if self.degree == 0 or span >= width:
+            self.most = None  # any c
+        else:
+            self.most = max(1, (span - 1) // self.degree)
+
+    def __call__(self, n, rows):
+        return self.upto(n, rows)[n]
+
+    def upto(self, n, rows):
+        if rows > self.width:
             raise CertificateError(
-                f"read of {rows} rows of a power past its table's width {width}"
+                f"read of {rows} rows of a power past its table's width {self.width}"
             )
-        while len(table) <= n:
-            table.append(_convolve(field_, table[-1], base)[:width])
-        return table[n][:rows]
-
-    return power
+        have = self.count
+        if n >= have:
+            if n >= self.rows.shape[0]:  # room for n + 1 powers, at least double
+                grown = np.empty(
+                    (max(n + 1, 2 * have),) + self.rows.shape[1:], dtype=np.int64
+                )
+                grown[:have] = self.rows[:have]
+                self.rows = grown
+            while have <= n:
+                c = min(have - 1, n + 1 - have)
+                if self.most is not None:
+                    c = min(c, self.most)
+                # one power takes the unbatched path, which skips zero coordinates
+                stack = self.rows[have - 1] if c == 1 else self.rows[have - c : have]
+                rows_c = min(self.width, c * self.degree + 1)
+                step = _convolve(self.field, stack, self.rows[c, :rows_c])
+                self.rows[have : have + c] = step[..., : self.width, :]
+                have += c
+            self.count = have
+        return self.rows[: n + 1, :rows]
 
 
 class _DivisorTable(Mapping):
@@ -160,48 +233,76 @@ def _small_divisors(profile, ks, window, lows=None):
     coefficient c goes to row t·p^s with coefficient c^(p^s), and
     c^(p^s) = c^(p^(s mod r)) in F_q.  For p ∤ u, v(1 − λ^u) is 0 when
     m ∤ u and v_m otherwise, so the ``window`` digits past the lead read
-    λ^u only modulo U^(v_m·e + window).  Each valuation p^s·v(1 − λ^u) is
-    checked against the closed form ``small_divisor_valuation``
-    (CertificateError), and one that vanishes to the window raises
-    PrecisionError.  The ``window`` rows of each unit (1 − λ^{k-i})/U^lead
-    are multiplied by λ^i (one batched product), stacked and inverted by
-    one batched Newton run.
+    λ^u only modulo U^(v_m·e + window).
+
+    The powers λ^0 .. λ^u for the largest u (and i) are one read of a
+    ``_powers`` table, and the first nonzero row of every 1 − λ^u is one
+    array pass over it.  Then, entry by entry in the order of ``ks``, a
+    divisor that vanishes to the window raises PrecisionError and a
+    valuation p^s·v(1 − λ^u) off the closed form ``small_divisor_valuation``
+    raises CertificateError.  The ``window`` rows of the units
+    (1 − λ^{k-i})/U^lead are gathered from the table for all entries with
+    one s at once, only the rows each keeps and in chunks within
+    ``_STACK_BYTES``, with one ``pow_rows`` per chunk; they are multiplied
+    by λ^i (one batched product), stacked and inverted by one batched
+    Newton run.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
     width = int(profile.v_m.value * ram) + window
     lam_power = _powers(lam, width)
+    scaled = lows is not None  # each unit times its own λ^i, else all times λ
+    lows = list(lows) if scaled else [1] * len(ks)
+    splits = [p_split(k - i, p) for k, i in zip(ks, lows)]
+    us = [u for _, u in splits]
+    powers = lam_power.upto(max(us + (lows if scaled else []), default=0), width)
+    # rows of 1 − λ^u that are nonzero: those of λ^u, but row 0 is
+    # nonzero where λ^u's differs from 1
+    one = np.zeros(r, dtype=np.int64)
+    one[0] = 1
+    nonzero = powers.any(axis=2)
+    nonzero[:, 0] = (powers[:, 0] != one).any(axis=1)
+    firsts = nonzero.argmax(axis=1)
+    vanished = (~nonzero.any(axis=1)).tolist()
+    first_of = firsts.tolist()
 
     leads = np.zeros(len(ks), dtype=np.int64)
-    units = np.zeros((len(ks), window, r), dtype=np.int64)
-    for n, (k, i) in enumerate(zip(ks, [1] * len(ks) if lows is None else lows)):
-        s, u = p_split(k - i, p)
-        step = p**s
-        d = -lam_power(u, width) % p  # rows of 1 − λ^u
-        d[0, 0] = (d[0, 0] + 1) % p
-        nonzero = np.flatnonzero(d.any(axis=1))
-        if nonzero.size == 0:
+    for n, (k, i, (s, u)) in enumerate(zip(ks, lows, splits)):
+        if vanished[u]:
             raise PrecisionError(
-                f"divisor 1 - lambda^{k-i} vanished to O(U^{step * width}); "
+                f"divisor 1 - lambda^{k-i} vanished to O(U^{p**s * width}); "
                 "root of unity?"
             )
-        first = int(nonzero[0])
-        lead = step * first
-        expected = small_divisor_valuation(profile, k - i)
-        if Fraction(lead, ram) != expected.value:
+        lead = p**s * first_of[u]
+        expected = small_divisor_valuation(profile, k - i).value
+        if lead * expected.denominator != expected.numerator * ram:
             raise CertificateError(
                 f"divisor valuation {Fraction(lead, ram)} != closed form "
                 f"{expected} at k = {k}"
             )
-        count = -(-window // step)  # rows of 1 − λ^u that reach the window
-        units[n, ::step] = field_.pow_rows(d[first : first + count], p ** (s % r))
         leads[n] = lead
-    if lows is None:
-        scale = lam.coeffs[:window]
+
+    units = np.zeros((len(ks), window, r), dtype=np.int64)
+    us = np.array(us, dtype=np.int64)
+    ss = np.array([s for s, _ in splits], dtype=np.int64)
+    for s in sorted(set(ss.tolist())):
+        step = p**s
+        count = -(-window // step)  # rows of 1 − λ^u that reach the window
+        entries = np.flatnonzero(ss == s)
+        chunk = max(1, _STACK_BYTES // (8 * count * (r + 1)))
+        for c in range(0, entries.size, chunk):
+            part = entries[c : c + chunk]
+            at = firsts[us[part], None] + np.arange(count)
+            d = powers[us[part, None], at]
+            np.negative(d, out=d)
+            d[..., 0] += at == 0
+            d %= p
+            d = field_.pow_rows(d.reshape(-1, r), p ** (s % r))
+            units[part, ::step] = d.reshape(part.size, count, r)
+    if scaled:
+        scale = powers[np.array(lows, dtype=np.int64), :window]
     else:
-        scale = np.zeros((len(ks), window, r), dtype=np.int64)
-        for row, i in zip(scale, lows):
-            row[:] = lam_power(i, window)
+        scale = lam.coeffs[:window]
     units = _convolve(field_, units, scale)[:, :window]
     inverses = _invert_unit(field_, units, window)
     return _DivisorTable(field_, ram, ks, leads, inverses, window, lam_power)
@@ -232,19 +333,21 @@ def solve_sfe(f, D, window=32):
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
     fpow = DensePoly.of_map(f, D, window)  # the highest power of f formed
+    fpow.map_columns = (f, fpow)  # f^1, never modified: products by f reuse it
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     stride = None  # f^p, for p-divisible maps
     for k in range(2, D + 1):
-        s_k = acc.column(k)
-        structural = family and k % p != 0
-        if structural and not s_k.is_zero_as_known:
-            raise CertificateError(
-                f"degree {k} should vanish for p-divisible maps, got {s_k}"
-            )
-        if structural or s_k.is_exact_zero:
+        if family and k % p != 0:
+            # columns are reduced and zero past their horizon, so the sum
+            # is zero as known exactly when its column holds no data
+            if acc.data[k].any():
+                raise CertificateError(
+                    f"degree {k} should vanish for p-divisible maps, got {acc.column(k)}"
+                )
             b_k = exact_zero
         else:
-            b_k = s_k * divisor[k]
+            s_k = acc.column(k)
+            b_k = exact_zero if s_k.is_exact_zero else s_k * divisor[k]
         coeffs[k] = b_k
         if k < D and k % step == 0:
             if family and k > p:
@@ -372,12 +475,15 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     table, whose Newton run inverts the unit of λ^j(1 − λ^{pj}), and
     λ^{(p+1)j}·T_j = λ^{pj}/(1 − λ^{pj}) = λ^j·T_j − 1.  Both factor
     stacks, a^j·T_j and λ^j·T_j − 1, are one batched product each, of
-    ``window`` rows of powers read from ``_powers`` tables.  S_j is an
+    ``window`` rows of λ^1 .. λ^Jmax and a^1 .. a^Jmax, each one slice of
+    a ``_powers`` table (λ's is the divisor table's).  S_j is an
     F_p-linear combination of the rows of the B_i, aligned by lead: one
     integer dot product of the j-th row of binomials against the
     gathered rows, reduced mod p.  Per j that and the product
-    B_j = S_j·(λ^{(p+1)j}·T_j) are the only work; the b_j are read out
-    by one batched product after the loop.  The rows of each B_i are
+    B_j = S_j·(λ^{(p+1)j}·T_j) are the only work.  The returned
+    ``Conjugacy`` keeps S_j and a^j·T_j and forms b_j = S_j·(a^j·T_j),
+    one product, when b_{jp+1} is first read: ``certify_divergence``
+    reads Nmax of the Jmax coefficients.  The rows of each B_i are
     stored past its lead, ``window`` + 1 of them with the last always
     zero, and the gather reads row t − lead(B_i) at each exponent t,
     the zero row where that is negative.
@@ -414,11 +520,8 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     js = range(1, Jmax + 1)
     T = _small_divisors(profile, [(p + 1) * j for j in js], W, lows=js)
-    lam_rows = np.zeros((Jmax, W, r), dtype=np.int64)
-    a_rows = np.zeros((Jmax, W, r), dtype=np.int64)
-    a_power = _powers(a, W)
-    for n, j in enumerate(js):
-        lam_rows[n], a_rows[n] = T.lam_power(j, W), a_power(j, W)
+    lam_rows = T.lam_power.upto(Jmax, W)[1:]
+    a_rows = _powers(a, W).upto(Jmax, W)[1:]
     lead_T = T.leads  # T_j has lead −lead_T[j-1], and U^0 sits at row lead_T
     G = _convolve(field_, lam_rows, T.rows)[:, :W]  # λ^j·T_j
     inside = np.flatnonzero(lead_T < W)
@@ -455,16 +558,20 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
             B[j, :digits] = _convolve(field_, S[j - 1, :digits], G[j - 1, :digits])[:digits]
         B_lead[j] = first - lead_T[j - 1]
         B_top[j] = B_lead[j] + digits
-    rows = _convolve(field_, S, F)
-    leads = S_lead + np.arange(1, Jmax + 1) * a.lead - lead_T
-    b = [one] + [
-        LaurentSeries(field_, ram, lead, x[:n], lead + n)
-        for lead, x, n in zip(leads.tolist(), rows, S_digits.tolist())
-    ]
-    coeffs = {
-        k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
-    }
-    return Conjugacy(coeffs, profile, "specialized", D)
+    leads = (S_lead + np.arange(1, Jmax + 1) * a.lead - lead_T).tolist()
+    digits = S_digits.tolist()
+
+    def coefficient(k):  # b_k = S_j·(a^j·T_j) for k = jp + 1, on its digits
+        j, rest = divmod(k - 1, p)
+        if rest:
+            return exact_zero
+        if j == 0:
+            return one
+        lead, n = leads[j - 1], digits[j - 1]
+        rows = _convolve(field_, S[j - 1, :n], F[j - 1, :n])[:n] if n else S[j - 1, :0]
+        return LaurentSeries(field_, ram, lead, rows, lead + n)
+
+    return Conjugacy(_Coefficients(D, coefficient), profile, "specialized", D)
 
 
 @dataclass(frozen=True)
@@ -564,6 +671,8 @@ def certify_divergence(f, Nmax, window=32):
     v_a = Fraction(a.lead, ram)
     entries, slopes = [], []
     conjectural = profile.m != 1
+    # each sum checks its terms against the closed form
+    products = None if conjectural else product_small_divisor_sums(profile, Nmax)
     for N in range(1, Nmax + 1):
         j = p ** (N - 1)
         k = j * p + 1
@@ -574,8 +683,7 @@ def certify_divergence(f, Nmax, window=32):
         if conjectural:
             predicted = None
         else:
-            # product_small_divisors checks its term sum against the closed form
-            predicted = j * v_a - product_small_divisors(profile, N).value
+            predicted = j * v_a - next(products).value
             if computed != predicted:
                 raise CertificateError(
                     f"divergence valuation mismatch at N={N}: computed {computed}, "

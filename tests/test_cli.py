@@ -1,7 +1,11 @@
 """Command-line front-end: commands, exit codes, determinism."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -503,3 +507,59 @@ def test_job_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == "" and err == "job too large for available memory\n"
     assert not target.exists()
+
+
+# one job of each command: an F_9 solve, and the maps the tests above use
+COMMAND_JOBS = {
+    "analyze": QUADRATIC,
+    "solve": {"p": 3, "r": 2, "lambda": "b+T", "f": {"3": "1", "6": "T"}, "degree": 20},
+    "certify-divergence": {"p": 2, "lambda": "1+T", "f": {"3": "1"}, "Nmax": 5},
+    "disc": QUADRATIC,
+    "sweep": {
+        "p": 2,
+        "lambda": "1+T",
+        "degree": 12,
+        "tail": 2,
+        "instances": [{"f": {"2": "1"}}, {"f": {"3": "1"}}],
+    },
+}
+
+# run in a fresh interpreter: the numpy submodules loaded after
+# ``import lindisc``, by importing the CLI and running one job of each
+# command, printed as a JSON list
+NUMPY_SUBMODULES_SCRIPT = """
+import contextlib, io, json, sys
+import lindisc
+numpy_modules = lambda: {m for m in sys.modules if m == "numpy" or m.startswith("numpy.")}
+before = numpy_modules()
+import lindisc.cli
+codes = []
+for command, path in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(lindisc.cli.main([command, "--job", path]))
+print(json.dumps([codes, sorted(numpy_modules() - before)]))
+"""
+
+
+def test_commands_load_no_numpy_submodule_beyond_the_package(tmp_path):
+    """A numpy submodule first loaded by a job costs every job's process
+    its memory: one ``np.unique`` call loads ``numpy.ma``, about 1.7 MB
+    of resident memory.  After ``import lindisc``, one job of each
+    command loads none."""
+    jobs = [
+        [command, write_job(tmp_path, f"{command}.json", job)]
+        for command, job in COMMAND_JOBS.items()
+    ]
+    src = str(Path(lindisc.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_SUBMODULES_SCRIPT, json.dumps(jobs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(COMMAND_JOBS)
+    assert loaded == []

@@ -442,3 +442,48 @@ def test_batched_convolution_memory_is_bounded_by_the_cap(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < cap + a.nbytes + b.nbytes + result.nbytes, (peak, result.nbytes)
+
+
+def test_a_chain_of_products_by_one_map_installs_its_columns_once(monkeypatch):
+    """``solve_sfe`` multiplies by f once per degree through
+    ``mul_by_map``; f's columns are installed once per solve, and each
+    product carries them to the next."""
+    import lindisc.schroder
+
+    F2 = FieldParams(2)
+    f = PowerSeriesMap({
+        1: parse_series("1+T", F2), 2: parse_series("1", F2), 3: parse_series("T", F2)
+    })
+    real_of_map, real_mul_by_map = DensePoly.__dict__["of_map"], DensePoly.mul_by_map
+    calls = {"of_map": 0, "mul_by_map": 0}
+
+    def of_map(cls, *args):
+        calls["of_map"] += 1
+        return real_of_map.__func__(cls, *args)
+
+    def mul_by_map(self, g):
+        calls["mul_by_map"] += 1
+        return real_mul_by_map(self, g)
+
+    monkeypatch.setattr(DensePoly, "of_map", classmethod(of_map))
+    monkeypatch.setattr(DensePoly, "mul_by_map", mul_by_map)
+    lindisc.schroder.solve_sfe(f, 20)
+    assert calls == {"of_map": 1, "mul_by_map": 18}
+
+
+def test_a_product_by_another_map_uses_that_maps_columns():
+    """A product carries the columns of the map it was multiplied by; a
+    product by a different map installs that map's columns instead."""
+    rng = random.Random(47)
+    D, W = 10, 8
+    for field in FIELDS:
+        a, _ = random_poly(field, 1, rng, D, W)
+        f, h = random_map(field, 1, rng, D), random_map(field, 1, rng, D)
+        by_f = a.mul_by_map(f)
+        for x, y in [
+            (by_f.mul_by_map(h), by_f.mul(DensePoly.of_map(h, D, W))),
+            (by_f.mul_by_map(f), by_f.mul(DensePoly.of_map(f, D, W))),
+        ]:
+            assert np.array_equal(x.base, y.base)
+            assert np.array_equal(x.prec, y.prec)
+            assert np.array_equal(x.data, y.data)

@@ -2,9 +2,11 @@
 divergence certificates, and residual checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lindisc._dense
@@ -452,6 +454,172 @@ def test_power_table_read_past_its_width_raises(monkeypatch):
                 solve(f, degree)
 
 
+# fields and towers of the doubled power table's oracle test: F_2, F_3,
+# F_4 and F_9, and a ramified tower e = 2
+POWER_CASES = [
+    (F2, 1, "1+T+T^3"),
+    (F3, 1, "2+T+2*T^2"),
+    (F4, 1, "b+T+(b+1)*T^2"),
+    (FieldParams(3, 2), 1, "b+(b+2)*T"),
+    (F3, 2, "1+U+2*U^3"),
+]
+
+
+@pytest.mark.parametrize("field, e, lit", POWER_CASES)
+@pytest.mark.parametrize("width", [8, 40, 200])
+def test_power_table_equals_the_exact_powers(field, e, lit, width):
+    """The table grows by doubling (capped at wide windows over large
+    fields, where it grows a few powers per product); whatever the
+    growth, every read equals the exact chain's x^n on its first rows,
+    across the doubling boundaries n = 2^s and 2^s + 1, both read at once
+    and one power after another."""
+    x = parse_series(lit, field, e)
+    exact = exact_powers(x)
+    top = 40
+
+    def rows(n):
+        coeffs = exact(n).coeffs[:width]
+        out = np.zeros((width, field.r), dtype=np.int64)
+        out[: coeffs.shape[0]] = coeffs
+        return out
+
+    expected = np.stack([rows(n) for n in range(top + 1)])
+    for n in sorted({1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, top}):
+        assert np.array_equal(_powers(x, width).upto(n, width), expected[: n + 1]), n
+    one_by_one = _powers(x, width)
+    for n in range(top + 1):
+        assert np.array_equal(one_by_one(n, width), expected[n]), n
+    assert np.array_equal(one_by_one.upto(top, width // 2), expected[:, : width // 2])
+
+
+def test_power_table_slice_read_past_its_width_raises():
+    table = _powers(parse_series("1+T", F3), 4)
+    assert table.upto(3, 4).shape == (4, 4, 1)
+    with pytest.raises(CertificateError, match="width 4"):
+        table.upto(3, 5)
+    with pytest.raises(CertificateError, match="width 4"):
+        table.upto(0, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100, 128, 129])
+def test_power_table_makes_log_many_products(monkeypatch, n):
+    """n powers cost at most ⌈log2 n⌉ + 1 products, not one per power of a
+    chain x^(k-1)·x.  λ = 1 + T + T^3 over F_2 at the ladder's width."""
+    real, calls = lindisc.schroder._convolve, []
+
+    def spy(params, a, b):
+        calls.append(a.shape)
+        return real(params, a, b)
+
+    monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
+    table = _powers(parse_series("1+T+T^3", F2), 33)
+    table(n, 33)
+    assert len(calls) <= math.ceil(math.log2(n)) + 1, (n, len(calls))
+
+
+def test_power_table_keeps_each_slice_within_its_cost_cap(monkeypatch):
+    """Over F_27 at width 300 a window-wide product of two powers costs
+    far more than a product by λ = 1 + T, so the table adds only as many
+    powers per product as keep each slice within ``_SLICE_PRODUCTS``
+    coordinate products, or one power by the unbatched path."""
+    field = FieldParams(3, 3)
+    lam = parse_series("1+T", field)
+    real, slices = lindisc.schroder._convolve, []
+
+    def spy(params, a, b):
+        slices.append((a.ndim, a.shape[-2], b.shape[0]))
+        return real(params, a, b)
+
+    monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
+    table = _powers(lam, 300).upto(100, 300)
+    monkeypatch.undo()
+    budget = lindisc.schroder._SLICE_PRODUCTS
+    for ndim, la, lb in slices:
+        assert ndim == 2 or (la + lb - 1) * lb * field.r**2 <= budget, (la, lb)
+    assert any(ndim == 3 for ndim, _, _ in slices)
+    exact = exact_powers(lam)
+    for n in (1, 2, 5, 17, 64, 100):
+        coeffs = exact(n).coeffs
+        assert np.array_equal(table[n, : coeffs.shape[0]], coeffs), n
+        assert not table[n, coeffs.shape[0] :].any(), n
+
+
+def _planted_powers(monkeypatch, u0):
+    """Every power table of ``_small_divisors`` reads λ^u0 as 1, so the
+    divisor 1 − λ^u0 vanishes to the window."""
+    real = lindisc.schroder._powers
+
+    def planted(x, width):
+        table = real(x, width)
+        upto = table.upto
+
+        def planted_upto(n, rows):
+            out = upto(n, rows)
+            if n >= u0:
+                out = out.copy()
+                out[u0] = 0
+                out[u0, 0, 0] = 1
+            return out
+
+        table.upto = planted_upto
+        return table
+
+    monkeypatch.setattr(lindisc.schroder, "_powers", planted)
+
+
+def _planted_valuation(monkeypatch, n0):
+    """``small_divisor_valuation`` one off at exponent n0 only."""
+    real = lindisc.schroder.small_divisor_valuation
+    monkeypatch.setattr(
+        lindisc.schroder,
+        "small_divisor_valuation",
+        lambda profile, n: real(profile, n) + (n == n0),
+    )
+
+
+@pytest.mark.parametrize(
+    "vanish, wrong, error, match",
+    [
+        (5, 9, PrecisionError, r"lambda\^5 vanished"),  # k = 6 comes before k = 10
+        (5, 3, CertificateError, r"at k = 4$"),  # k = 4 comes before k = 6
+        (None, 18, CertificateError, r"at k = 19$"),
+        (9, None, PrecisionError, r"lambda\^9 vanished"),
+    ],
+)
+def test_small_divisors_raise_at_the_first_faulty_entry(
+    monkeypatch, vanish, wrong, error, match
+):
+    """Entries are checked in the order of ``ks``, as one entry at a time
+    would: the first entry whose divisor vanishes to the window raises
+    PrecisionError, the first whose valuation is off the closed form
+    raises CertificateError, whichever comes first.  Here k runs over
+    2 .. 20 with i = 1 (exponents 1 .. 19), so 1 − λ^u0 first appears
+    at k = u0 + 1."""
+    profile = mult_profile(parse_series("1+T+T^2", F2))
+    if vanish is not None:
+        _planted_powers(monkeypatch, vanish)
+    if wrong is not None:
+        _planted_valuation(monkeypatch, wrong)
+    with pytest.raises(error, match=match):
+        _small_divisors(profile, list(range(2, 21)), 16)
+
+
+def test_small_divisors_check_the_p_plus_1_entries_in_order(monkeypatch):
+    """With lows, as the p+1 recurrence reads it: k = 3j, i = j over F_2,
+    so exponent 2j = 2·u; a divisor vanishing at u = 3 raises at j = 3
+    (exponent 6), before a valuation planted wrong at j = 5 (exponent 10)."""
+    profile = mult_profile(parse_series("1+T", F2))
+    js = list(range(1, 9))
+    _planted_powers(monkeypatch, 3)
+    _planted_valuation(monkeypatch, 10)
+    with pytest.raises(PrecisionError, match=r"lambda\^6 vanished"):
+        _small_divisors(profile, [3 * j for j in js], 16, lows=js)
+    monkeypatch.undo()
+    _planted_valuation(monkeypatch, 10)
+    with pytest.raises(CertificateError, match=r"at k = 15$"):
+        _small_divisors(profile, [3 * j for j in js], 16, lows=js)
+
+
 def test_specialized_requires_shape():
     f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
     with pytest.raises(HypothesisError):
@@ -489,6 +657,37 @@ def test_structural_zeros_family():
     for k in range(2, 101):
         if k % 2:
             assert g.zero_kind[k] == STRUCTURAL
+
+
+def test_structural_zero_check_builds_no_series(monkeypatch):
+    """``solve_sfe`` checks the degrees p ∤ k of a p-divisible map on the
+    dense columns: it reads a column as a series only at p | k."""
+    f = PowerSeriesMap({1: parse_series("1+T", F3), 3: parse_series("1+T", F3)})
+    real, read = DensePoly.column, []
+
+    def column(self, d):
+        read.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(DensePoly, "column", column)
+    solve_sfe(f, 30)
+    assert read == list(range(3, 31, 3))
+
+
+def test_structural_zero_check_catches_a_planted_column(monkeypatch):
+    """A nonzero digit in a column p ∤ k of the running sum is a
+    CertificateError naming the degree and the column's series."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    real = DensePoly.add_scaled
+
+    def add_scaled(self, series, other):
+        real(self, series, other)
+        self.base[5], self.prec[5] = 3, 3 + self.W
+        self.data[5, 1, 0] = 1
+
+    monkeypatch.setattr(DensePoly, "add_scaled", add_scaled)
+    with pytest.raises(CertificateError, match=r"degree 5 should vanish.*T\^4"):
+        solve_sfe(f, 8)
 
 
 def test_structural_zeros_not_applicable_outside_family():
@@ -552,15 +751,53 @@ def test_divergence_certificate_p3():
 def test_divergence_certificate_checks_the_predicted_valuation(monkeypatch):
     """A product of small divisors one off the true one: the computed
     v(b_k) no longer equals the predicted one."""
-    true_product = lindisc.schroder.product_small_divisors
+    true_sums = lindisc.schroder.product_small_divisor_sums
     monkeypatch.setattr(
         lindisc.schroder,
-        "product_small_divisors",
-        lambda profile, N: true_product(profile, N) + 1,
+        "product_small_divisor_sums",
+        lambda profile, Nmax: (v + 1 for v in true_sums(profile, Nmax)),
     )
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     with pytest.raises(CertificateError, match="N=1"):
         certify_divergence(f, 2)
+
+
+def test_divergence_certificate_builds_only_the_series_it_reads(monkeypatch):
+    """``certify_divergence(f, 8)`` over F_2 solves to Jmax = 128 but reads
+    only b_{2^N + 1}, N = 1 .. 8: at most 8 of the 128 series b_{2j+1}
+    exist when it returns.  The others are built when read, and equal
+    the windowed term-by-term oracle's."""
+    made = []
+    real_init = LaurentSeries.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    solved = []
+    real_solve = lindisc.schroder.solve_specialized_p_plus_1
+
+    def solve(f, Jmax, window=32):
+        solved.append(real_solve(f, Jmax, window))
+        return solved[-1]
+
+    monkeypatch.setattr(LaurentSeries, "__init__", init)
+    monkeypatch.setattr(lindisc.schroder, "solve_specialized_p_plus_1", solve)
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    cert = certify_divergence(f, 8)
+    before = {id(x) for x in made}
+    (g,) = solved
+    series = [g.coefficient(2 * j + 1) for j in range(1, 129)]
+    assert sum(id(b) in before for b in series) <= 8
+    assert [g.coefficient(k).lead for _, k, _, _ in cert.entries] == [
+        int(c) for _, _, c, _ in cert.entries
+    ]
+    monkeypatch.undo()
+    oracle = solve_specialized_windowed_terms(f, 128)
+    for k in range(1, g.D + 1):
+        x, y = g.coefficient(k), oracle.coefficient(k)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
 
 
 def test_divergence_conjectural_for_m_greater_one():
