@@ -17,7 +17,8 @@ into the result's windows, so the per-degree Python cost is constant:
   (no larger than one column's product by a whole factor), and adds
   each realigned product into x^(i+j).  ``mul_by_map`` multiplies by a
   map's exact coefficients, installed as columns by ``of_map`` once per
-  chain of products: each product carries them to the next;
+  chain of products: each product carries them to the next, and
+  ``of_map(f)`` serves as f's columns itself until it is modified;
 * ``add_scaled``, the accumulation of a scalar multiple of another
   polynomial: one convolution of its data columns with the scalar.
 
@@ -77,7 +78,9 @@ class DensePoly:
         self.base = np.full(D + 1, INF, dtype=np.int64)
         self.prec = np.full(D + 1, INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
-        # (f, f's columns) of the map this polynomial is a product by
+        # the map whose columns these are (``of_map``, until modified), and
+        # those columns of the map this polynomial is a product by
+        self.map_of = None
         self.map_columns = None
 
     @classmethod
@@ -88,12 +91,14 @@ class DensePoly:
         for i, a in f.coeffs.items():
             if i <= D:
                 poly.set_column(i, a)
+        poly.map_of = f
         return poly
 
     # -- column access ---------------------------------------------------------
 
     def set_column(self, d, series):
         """Install a series as the coefficient of x^d (window-clamped)."""
+        self.map_of = None
         self.data[d] = 0
         if series.is_zero_as_known:
             self.base[d] = INF
@@ -153,12 +158,12 @@ class DensePoly:
     def mul_by_map(self, f):
         """Return self * f, truncated to x-degree D.  The product carries
         the columns of f it was multiplied by, so a chain of products by
-        one map installs them once."""
-        factor = self.map_columns
-        if factor is None or factor[0] is not f:
-            factor = (f, DensePoly.of_map(f, self.D, self.W))
-        out = self.mul(factor[1])
-        out.map_columns = factor
+        one map, from ``of_map(f)`` or from any start, installs them once."""
+        columns = self if self.map_of is f else self.map_columns
+        if columns is None or columns.map_of is not f:
+            columns = DensePoly.of_map(f, self.D, self.W)
+        out = self.mul(columns)
+        out.map_columns = columns
         return out
 
     def mul(self, other):
@@ -234,6 +239,7 @@ class DensePoly:
         horizons of the affected columns, and so does every live column
         of other; only the columns of other that hold data are convolved.
         """
+        self.map_of = None
         lo = other._live()
         if series.is_exact_zero or lo > self.D:
             return

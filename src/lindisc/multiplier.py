@@ -122,15 +122,21 @@ def product_small_divisors(profile, N):
     """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1, both term by term
     through ``small_divisor_valuation`` and via the closed form
     v_1 · p^N · ((p-1)(N-1)/p + 1); a mismatch is a CertificateError."""
-    *_, total = product_small_divisor_sums(profile, N)
-    return total
+    *_, total = _product_term_sums(profile, N)
+    return _checked_product(profile, N, total)
 
 
 def product_small_divisor_sums(profile, Nmax):
     """The sums of ``product_small_divisors`` for N = 1 .. Nmax in turn,
-    each term evaluated once: the sum for N extends the sum for N - 1 by
-    the terms p^{N-2} < i <= p^{N-1}, and each sum is checked against its
-    closed form as it is yielded."""
+    each term evaluated once and each sum checked against its closed
+    form as it is yielded."""
+    for N, total in enumerate(_product_term_sums(profile, Nmax), 1):
+        yield _checked_product(profile, N, total)
+
+
+def _product_term_sums(profile, Nmax):
+    """The term-by-term sums for N = 1 .. Nmax, unchecked: the sum for N
+    extends the sum for N - 1 by the terms p^{N-2} < i <= p^{N-1}."""
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
     if Nmax < 1:
@@ -143,12 +149,19 @@ def product_small_divisor_sums(profile, Nmax):
             small_divisor_valuation(profile, i * p).value for i in range(done + 1, top + 1)
         )
         done = top
-        closed = profile.v_m.value * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
-        if total != closed:
-            raise CertificateError(
-                f"product formula mismatch at N={N}: terms {total} != closed {closed}"
-            )
-        yield Valuation(closed)
+        yield total
+
+
+def _checked_product(profile, N, total):
+    """The closed form of the product formula at N, if the term-by-term
+    sum ``total`` equals it; else a CertificateError."""
+    p = profile.p
+    closed = profile.v_m.value * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
+    if total != closed:
+        raise CertificateError(
+            f"product formula mismatch at N={N}: terms {total} != closed {closed}"
+        )
+    return Valuation(closed)
 
 
 def disc_profile(profile, gauge):

@@ -125,7 +125,11 @@ class Conjugacy:
 
 
 # most r × r coordinate products per slice of one batched product that
-# grows a power table: about the time of one ``_convolve`` call's fixed cost
+# grows a power table: the fixed cost of one ``_convolve`` call in units
+# of its time per coordinate product.  Batching c powers saves c - 1
+# calls and pays for every slice's products, so it gains only while a
+# slice costs less than one call.  Measured at 2^13.8 .. 2^14.8 for
+# r = 1, 2, 3, 8 (Xeon, numpy 2.4; integer matrix products use one core)
 _SLICE_PRODUCTS = 1 << 14
 
 
@@ -145,28 +149,30 @@ class _PowerTable:
     by x^c adds x^L .. x^(L+c-1); c = L - 1 doubles the table, so n
     powers cost ⌈log2 n⌉ products.  A slice of it costs (width + l - 1)·l
     coordinate products, l the rows of x^c, so c is capped where that
-    passes ``_SLICE_PRODUCTS``: a short x in a wide window grows by one
-    product by x per power.  Row j of a product depends only on rows <= j
-    of its factors, so every stored row is a row of the exact x^n.  A
-    read past the width raises CertificateError."""
+    passes ``_SLICE_PRODUCTS``, and where the product's result passes
+    ``_STACK_BYTES``: a short x in a wide window grows a few powers per
+    product, or one by the unbatched path.  Row j of a product depends
+    only on rows <= j of its factors, so every stored row is a row of the
+    exact x^n.  A read past the width raises CertificateError."""
 
     def __init__(self, x, width):
         self.field, self.width = x.field, width
+        r = x.field.r
         base = x.coeffs[:width]
-        self.rows = np.zeros((2, width, x.field.r), dtype=np.int64)
+        self.rows = np.zeros((2, width, r), dtype=np.int64)
         self.rows[0, 0, 0] = 1
         self.rows[1, : base.shape[0]] = base
         self.count = 2  # x^0 .. x^(count-1) are formed
-        # x^c has min(width, c·degree + 1) rows; ``span`` is the most rows
-        # a factor may have for a slice within ``_SLICE_PRODUCTS``
+        # x^c has min(width, c·degree + 1) rows, and a product by it
+        # min(width, c·degree + 1) + width - 1
         nonzero = np.flatnonzero(base.any(axis=1))
         self.degree = int(nonzero[-1]) if nonzero.size else 0
-        budget = _SLICE_PRODUCTS // x.field.r**2
+        self.most = max(1, _STACK_BYTES // (8 * (2 * width - 1) * r))
+        # ``span``: the most rows x^c may have for a slice within the cap
+        budget = _SLICE_PRODUCTS // r**2
         span = (math.isqrt((width - 1) ** 2 + 4 * budget) - (width - 1)) // 2
-        if self.degree == 0 or span >= width:
-            self.most = None  # any c
-        else:
-            self.most = max(1, (span - 1) // self.degree)
+        if self.degree and span < width:
+            self.most = min(self.most, max(1, (span - 1) // self.degree))
 
     def __call__(self, n, rows):
         return self.upto(n, rows)[n]
@@ -185,9 +191,7 @@ class _PowerTable:
                 grown[:have] = self.rows[:have]
                 self.rows = grown
             while have <= n:
-                c = min(have - 1, n + 1 - have)
-                if self.most is not None:
-                    c = min(c, self.most)
+                c = min(have - 1, n + 1 - have, self.most)
                 # one power takes the unbatched path, which skips zero coordinates
                 stack = self.rows[have - 1] if c == 1 else self.rows[have - c : have]
                 rows_c = min(self.width, c * self.degree + 1)
@@ -265,6 +269,7 @@ def _small_divisors(profile, ks, window, lows=None):
     firsts = nonzero.argmax(axis=1)
     vanished = (~nonzero.any(axis=1)).tolist()
     first_of = firsts.tolist()
+    del nonzero  # (n + 1) × width flags, not held through the inverse
 
     leads = np.zeros(len(ks), dtype=np.int64)
     for n, (k, i, (s, u)) in enumerate(zip(ks, lows, splits)):
@@ -333,7 +338,6 @@ def solve_sfe(f, D, window=32):
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
     fpow = DensePoly.of_map(f, D, window)  # the highest power of f formed
-    fpow.map_columns = (f, fpow)  # f^1, never modified: products by f reuse it
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     stride = None  # f^p, for p-divisible maps
     for k in range(2, D + 1):

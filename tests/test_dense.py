@@ -487,3 +487,51 @@ def test_a_product_by_another_map_uses_that_maps_columns():
             assert np.array_equal(x.base, y.base)
             assert np.array_equal(x.prec, y.prec)
             assert np.array_equal(x.data, y.data)
+
+
+def test_a_modified_polynomial_no_longer_passes_for_a_maps_columns():
+    """``of_map(f)`` serves as f's columns in products by f only until it
+    is modified: then products by f, its own and those of a product that
+    carries it, install f's columns afresh."""
+    rng = random.Random(53)
+    D, W = 10, 8
+    for field in FIELDS:
+        f = random_map(field, 1, rng, D)
+        for modify in ("set_column", "add_scaled"):
+            own = DensePoly.of_map(f, D, W)
+            carrier = own.mul_by_map(f)
+            if modify == "set_column":
+                own.set_column(3, parse_series("1+T", field))
+            else:
+                own.add_scaled(parse_series("T", field), own.mul_by_map(f))
+            for x in (own, carrier):
+                got, expected = x.mul_by_map(f), x.mul(DensePoly.of_map(f, D, W))
+                assert np.array_equal(got.base, expected.base), modify
+                assert np.array_equal(got.prec, expected.prec), modify
+                assert np.array_equal(got.data, expected.data), modify
+
+
+def test_a_solves_map_columns_are_freed_without_the_cycle_collector(monkeypatch):
+    """The columns f's products carry hold no reference cycle, so they go
+    with the last product, not at the next run of the cycle collector."""
+    import gc
+    import weakref
+
+    import lindisc.schroder
+
+    F2 = FieldParams(2)
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    real_of_map, made = DensePoly.__dict__["of_map"], []
+
+    def of_map(cls, *args):
+        poly = real_of_map.__func__(cls, *args)
+        made.append(weakref.ref(poly))
+        return poly
+
+    monkeypatch.setattr(DensePoly, "of_map", classmethod(of_map))
+    gc.disable()
+    try:
+        lindisc.schroder.solve_sfe(f, 12)
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()

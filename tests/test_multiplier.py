@@ -21,7 +21,7 @@ from lindisc import (
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI
-from lindisc.multiplier import lemma_bound, p_split
+from lindisc.multiplier import lemma_bound, p_split, product_small_divisor_sums
 from oracles import small_divisor_direct
 
 F2 = FieldParams(2)
@@ -205,6 +205,32 @@ def test_product_formula_sums_the_closed_form_terms(monkeypatch):
     assert product_small_divisors(pr, 1) == 3
     with pytest.raises(CertificateError, match="N=2"):
         product_small_divisors(pr, 2)
+
+
+def test_product_formula_reports_the_N_it_was_asked_for(monkeypatch):
+    """A term off at i = 1 breaks the sum for every N.  The sum for N
+    alone checks and reports that N; the running sums check each N in
+    turn and stop at the first."""
+    pr = mult_profile(parse_series("1+T", F3))
+    true_term = lindisc.multiplier.small_divisor_valuation
+    monkeypatch.setattr(
+        lindisc.multiplier,
+        "small_divisor_valuation",
+        lambda profile, n: true_term(profile, n) + (n == 3),
+    )
+    for N in (1, 3):
+        with pytest.raises(CertificateError, match=f"N={N}:"):
+            product_small_divisors(pr, N)
+    with pytest.raises(CertificateError, match="N=1:"):
+        list(product_small_divisor_sums(pr, 3))
+
+
+def test_product_formula_running_sums_equal_each_N():
+    for field, lam in [(F2, "1+T"), (F3, "1+T"), (F5, "1+T^2")]:
+        pr = mult_profile(parse_series(lam, field))
+        assert list(product_small_divisor_sums(pr, 4)) == [
+            product_small_divisors(pr, N) for N in range(1, 5)
+        ]
 
 
 def test_product_formula_requires_m_one():

@@ -544,6 +544,29 @@ def test_power_table_keeps_each_slice_within_its_cost_cap(monkeypatch):
         assert not table[n, coeffs.shape[0] :].any(), n
 
 
+def test_power_table_keeps_each_product_within_the_stack_bytes(monkeypatch):
+    """With ``_STACK_BYTES`` set to five powers' products at the widest,
+    each batched product that grows the table returns at most that many
+    bytes, so the table adds at most five powers per product, and every
+    power is unchanged."""
+    x, width = parse_series("1+T+T^3", F2), 33
+    expected = _powers(x, width).upto(100, width).copy()
+    cap = 5 * 8 * (2 * width - 1)
+    real, stacks = lindisc.schroder._convolve, []
+
+    def spy(params, a, b):
+        if a.ndim == 3:
+            stacks.append((a.shape[0], a.shape[1] + b.shape[0] - 1))
+        return real(params, a, b)
+
+    monkeypatch.setattr(lindisc.schroder, "_STACK_BYTES", cap)
+    monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
+    table = _powers(x, width).upto(100, width)
+    assert max(c for c, _ in stacks) == 5
+    assert all(8 * c * rows <= cap for c, rows in stacks), stacks
+    assert np.array_equal(table, expected)
+
+
 def _planted_powers(monkeypatch, u0):
     """Every power table of ``_small_divisors`` reads λ^u0 as 1, so the
     divisor 1 − λ^u0 vanishes to the window."""
