@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import CertificateError, LindiscError, ParseError, PrecisionError
 from .field import FieldParams, _integer
-from .laurent import parse_series
+from .laurent import format_valuation, parse_series
 from .multiplier import disc_profile, mult_profile
 from .powerseries import PowerSeriesMap, ps_gauge
 from .schroder import (
@@ -240,7 +240,7 @@ def cmd_certify_divergence(job, args, out):
     header = {
         "verdict": cert.verdict,
         "m": cert.profile.m,
-        "v_m": str(cert.profile.v_m),
+        "v_m": format_valuation(cert.profile.v_m),
     }
     json.dump(header, out, sort_keys=True)
     out.write("\n")
@@ -298,7 +298,7 @@ def cmd_sweep(job, args, out):
         for k in range(D, 1, -1):
             if g.zero_kind[k] != NONZERO:
                 continue
-            slope = g.valuation(k).value / k
+            slope = g.valuation(k) / k
             out.write(f"{idx},{k},{slope.numerator},{slope.denominator}\n")
             reported += 1
             if reported >= tail:

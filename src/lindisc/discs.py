@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import BUILTIN_MODULI, FieldParams
-from .laurent import LaurentSeries, Valuation
+from .laurent import LaurentSeries, format_valuation
 from .multiplier import disc_profile, lemma_bound, mult_profile
 from .powerseries import (
     PowerSeriesMap,
@@ -48,13 +48,13 @@ LEVEL_EXACT = "EXACT-SIGMA"
 
 @dataclass(frozen=True)
 class Disc:
-    v_radius: Valuation
+    v_radius: Fraction
     boundary: str  # "open" | "closed"
     rationality: str
 
     def report_dict(self):
         return {
-            "v_radius": str(self.v_radius),
+            "v_radius": format_valuation(self.v_radius),
             "boundary": self.boundary,
             "rationality": self.rationality,
         }
@@ -64,21 +64,16 @@ def make_disc(v_radius, boundary):
     """Disc with rationality read off the denominator of its radius
     valuation: denominator e > 1 means the radius is attained only in
     the tower with uniformizer T^(1/e)."""
-    if isinstance(v_radius, Valuation):
-        value = v_radius.value
-    else:
-        value = Fraction(v_radius)
-        v_radius = Valuation(value)
-    if value is None:
-        raise HypothesisError("a disc needs a finite radius valuation")
-    den = value.denominator
+    if not isinstance(v_radius, Fraction):
+        raise HypothesisError(f"a disc needs a Fraction radius valuation, got {v_radius!r}")
+    den = v_radius.denominator
     rationality = "rational-in-K" if den == 1 else f"rational-in-extension({den})"
     return Disc(v_radius, boundary, rationality)
 
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    v_s: Valuation
+    v_s: Fraction
     d: int
     d_prime: int
     certified_tail: bool
@@ -92,9 +87,6 @@ def weierstrass_data(coeffs, v_r, tail_bound=None):
     constant increment over each ``period`` once k exceeds the table.
     Without it the result is flagged best-effort (certified_tail False).
     """
-    if isinstance(v_r, Valuation):
-        v_r = v_r.value
-    v_r = Fraction(v_r)
     D = max(coeffs)
     best = None
     minimizers = []
@@ -124,7 +116,7 @@ def weierstrass_data(coeffs, v_r, tail_bound=None):
         window = [fn(k) + k * v_r for k in range(D + 1, D + period + 1)]
         increment = (fn(D + period + 1) + (D + period + 1) * v_r) - window[0]
         certified = all(t > best for t in window) and increment > 0
-    return WeierstrassData(Valuation(best), max(minimizers), min(minimizers), certified)
+    return WeierstrassData(best, max(minimizers), min(minimizers), certified)
 
 
 def _bound_tail(profile, gauge):
@@ -268,7 +260,7 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
     f^∘κ(π·u) once per κ over f's own field: its coefficients are exact,
     so extending them into a tower field composes over that field.
     """
-    exponent = sphere.v_radius.value * e
+    exponent = sphere.v_radius * e
     if exponent.denominator != 1:
         raise HypothesisError(
             f"sphere radius valuation {sphere.v_radius} is not integral in a tower with e = {e}"
@@ -301,7 +293,7 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
             if u_hat is not None:
                 x_hat = pi_tower * u_hat
                 residual, mult = verify_indifferent(f_tower, x_hat, kappa)
-                if not residual.is_infinite:
+                if not residual.is_zero_as_known:
                     raise CertificateError(f"lifted root is not {kappa}-periodic: {residual}")
                 return PeriodicPoint(x_hat, kappa, mult, (field_.r, e))
     return None
@@ -372,7 +364,7 @@ def _eval_rows(field_, poly, xs):
 
 
 def verify_indifferent(f, point, kappa):
-    """Residual valuation v(f^∘κ(x) − x) of periodicity and the orbit
+    """The periodicity residual f^∘κ(x) − x, a series, and the orbit
     multiplier (f^∘κ)'(x) = Π f'(f^∘i(x)), from one walk along the orbit."""
     mult = None
     x = point
@@ -380,7 +372,7 @@ def verify_indifferent(f, point, kappa):
         d = ps_derivative_at(f, x)
         mult = d if mult is None else mult * d
         x = ps_eval(f, x)
-    return (x - point).valuation(), mult
+    return x - point, mult
 
 
 def default_degree(f, profile):
@@ -430,7 +422,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     if deg_closed == kp and kp > 1:
         level = LEVEL_EXACT
         disc = make_disc(dp.v_sigma, "open")
-        e = math.lcm(dp.v_sigma.value.denominator, f.ram)
+        e = math.lcm(dp.v_sigma.denominator, f.ram)
         sphere = make_disc(dp.v_sigma, "closed")
         periodic = find_periodic_point(
             f, kappa_max or kp, sphere, e=e, horizon=4 * window

@@ -13,12 +13,14 @@ series carries
   parsed literal, for instance); the tail of an exact series is genuinely
   zero, so its horizon may be raised freely.
 
-Valuations are exact rationals lead/e; absolute values are never
-materialised as floats.  All precision propagation is pessimistic: a
-result's horizon is the minimum horizon its inputs justify.
+A valuation is a plain ``Fraction`` lead/e, and ``None`` stands for a
+series that is zero as known (``exact`` tells a true zero from a zero
+to precision); ``format_valuation`` writes the ``num/den`` text of the
+reports.  Absolute values are never materialised.  All precision
+propagation is pessimistic: a result's horizon is the minimum horizon
+its inputs justify, and an exact input justifies any horizon.
 """
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -35,85 +37,10 @@ from .errors import (
 from .field import _ELEMENT_TERM, FqElement, _integer, _split_terms
 
 
-class Valuation:
-    """Exact rational valuation, or +infinity for (apparent) zero.
-
-    ``zero_to_precision`` distinguishes "all *known* coefficients vanish"
-    from a structurally zero element.
-    """
-
-    __slots__ = ("value", "zero_to_precision")
-
-    def __init__(self, value, zero_to_precision=False):
-        if value is not None:
-            value = Fraction(value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "zero_to_precision", bool(zero_to_precision))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Valuation is immutable")
-
-    @classmethod
-    def infinite(cls, zero_to_precision=False):
-        return cls(None, zero_to_precision)
-
-    @property
-    def is_infinite(self):
-        return self.value is None
-
-    def _key(self):
-        return math.inf if self.value is None else self.value
-
-    def __eq__(self, other):
-        if isinstance(other, Valuation):
-            return self._key() == other._key()
-        if isinstance(other, (int, Fraction)):
-            return self._key() == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        other_key = other._key() if isinstance(other, Valuation) else other
-        return self._key() < other_key
-
-    def __le__(self, other):
-        other_key = other._key() if isinstance(other, Valuation) else other
-        return self._key() <= other_key
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __add__(self, other):
-        other_value = other.value if isinstance(other, Valuation) else Fraction(other)
-        if self.value is None or other_value is None:
-            return Valuation.infinite(
-                self.zero_to_precision
-                or (isinstance(other, Valuation) and other.zero_to_precision)
-            )
-        return Valuation(self.value + other_value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.value is None:
-            raise ZeroDivisionFieldError("cannot negate an infinite valuation")
-        return Valuation(-self.value)
-
-    def __repr__(self):
-        if self.value is None:
-            tag = " (zero to precision)" if self.zero_to_precision else ""
-            return f"Valuation(+inf{tag})"
-        return f"Valuation({self.value})"
-
-    def __str__(self):
-        if self.value is None:
-            return "inf"
-        return f"{self.value.numerator}/{self.value.denominator}"
+def format_valuation(v):
+    """The report text of a valuation: ``num/den``, so ``1/1`` for an
+    integer."""
+    return f"{v.numerator}/{v.denominator}"
 
 
 # most bytes of temporaries that one chunk of ``_convolve``'s batched
@@ -290,9 +217,6 @@ class LaurentSeries:
     def is_exact_zero(self):
         return self.is_zero_as_known and self.exact
 
-    def _effective_prec(self):
-        return math.inf if self.exact else self.prec
-
     def _check(self, other):
         if not isinstance(other, LaurentSeries):
             raise TypeError(f"expected LaurentSeries, got {type(other).__name__}")
@@ -302,13 +226,15 @@ class LaurentSeries:
             raise IncompatibleFieldError("series in different ramified towers")
 
     def valuation(self):
+        """v = lead/ram as a Fraction, or None when the series is zero as
+        known."""
         if self.is_zero_as_known:
-            return Valuation.infinite(zero_to_precision=not self.exact)
-        return Valuation(Fraction(self.lead, self.ram))
+            return None
+        return Fraction(self.lead, self.ram)
 
     def coefficient(self, exponent):
         """Coefficient of U^exponent as an FqElement."""
-        if exponent >= self._effective_prec():
+        if not self.exact and exponent >= self.prec:
             raise PrecisionError(
                 f"coefficient of U^{exponent} is beyond the horizon O(U^{self.prec})"
             )
@@ -349,10 +275,13 @@ class LaurentSeries:
 
     def __add__(self, other):
         self._check(other)
-        prec = min(self._effective_prec(), other._effective_prec())
-        if math.isinf(prec):
+        if self.exact and other.exact:
             prec, exact = max(self.prec, other.prec), True
-        else:
+        else:  # the least horizon of an inexact term
+            prec = min(
+                other.prec if self.exact else self.prec,
+                self.prec if other.exact else other.prec,
+            )
             exact = False
         la, lb = self.lead, other.lead
         if self.is_zero_as_known and other.is_zero_as_known:
@@ -388,20 +317,17 @@ class LaurentSeries:
         if isinstance(other, int):
             return self.scale(self.field.element(other))
         self._check(other)
+        if self.is_exact_zero or other.is_exact_zero:
+            return LaurentSeries.zero(self.field, self.ram, 0, exact=True)
+        # each factor's horizon, shifted by the other's lead
+        mine, theirs = self.prec + other.lead, other.prec + self.lead
+        if self.exact and other.exact:
+            prec, exact = max(mine, theirs), True
+        else:  # the least horizon of an inexact factor
+            prec = min(theirs if self.exact else mine, mine if other.exact else theirs)
+            exact = False
         if self.is_zero_as_known or other.is_zero_as_known:
-            if self.is_exact_zero or other.is_exact_zero:
-                return LaurentSeries.zero(self.field, self.ram, 0, exact=True)
-            prec = min(
-                self._effective_prec() + other.lead, other._effective_prec() + self.lead
-            )
-            return LaurentSeries.zero(self.field, self.ram, int(prec))
-        prec = min(
-            self._effective_prec() + other.lead, other._effective_prec() + self.lead
-        )
-        if math.isinf(prec):
-            prec, exact = max(self.prec + other.lead, other.prec + self.lead), True
-        else:
-            prec, exact = int(prec), False
+            return LaurentSeries.zero(self.field, self.ram, prec)
         conv = _convolve(self.field, self.coeffs, other.coeffs)
         return LaurentSeries(
             self.field, self.ram, self.lead + other.lead, conv, prec, exact
@@ -437,10 +363,9 @@ class LaurentSeries:
             raise PrecisionError(
                 f"inversion of a series that is zero to precision O(U^{self.prec})"
             )
-        digits = self._effective_prec() - self.lead
-        if math.isinf(digits):
-            digits = max(self.prec - self.lead, self.coeffs.shape[0], 1)
-        digits = int(digits)
+        digits = self.prec - self.lead
+        if self.exact:
+            digits = max(digits, self.coeffs.shape[0], 1)
         unit = self.coeffs[:digits]
         inv_unit = _invert_unit(self.field, unit, digits)
         return LaurentSeries(

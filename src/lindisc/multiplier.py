@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, HypothesisError, RootOfUnityError
-from .laurent import LaurentSeries, Valuation
+from .laurent import LaurentSeries, format_valuation
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class MultiplierProfile:
 
     lam: LaurentSeries
     m: int
-    v_m: Valuation
+    v_m: Fraction
     k_prime: int
 
     @property
@@ -41,7 +41,7 @@ class MultiplierProfile:
             "p": self.lam.field.p,
             "r": self.lam.field.r,
             "m": self.m,
-            "v_m": str(self.v_m),
+            "v_m": format_valuation(self.v_m),
             "k_prime": self.k_prime,
         }
 
@@ -52,15 +52,15 @@ class DiscProfile:
     (σ) as exact rational valuations: v_rho = v_m/(mp) - A and
     v_sigma = v_m/(k'-1) - A."""
 
-    A: Valuation
-    v_rho: Valuation
-    v_sigma: Valuation
+    A: Fraction
+    v_rho: Fraction
+    v_sigma: Fraction
 
     def report_dict(self):
         return {
-            "A": str(self.A),
-            "v_rho": str(self.v_rho),
-            "v_sigma": str(self.v_sigma),
+            "A": format_valuation(self.A),
+            "v_rho": format_valuation(self.v_rho),
+            "v_sigma": format_valuation(self.v_sigma),
         }
 
 
@@ -68,7 +68,9 @@ def mult_profile(lam):
     """Resonance profile of the unit multiplier λ from t = λ − λ̄.  The
     order m of λ̄ divides q − 1, so p ∤ m and 1 − λ^m = −(m·t/λ̄ + O(t²)):
     v_m = v(t) > 0.  k' = p·j with p·j ≡ 1 (mod m), 1 <= j <= m."""
-    if lam.is_zero_as_known or lam.lead != 0:
+    if lam.is_zero_as_known:
+        raise HypothesisError("multiplier must be a unit, got zero")
+    if lam.lead != 0:
         raise HypothesisError(f"multiplier must be a unit, got v = {lam.valuation()}")
     residue = lam.residue()
     t = lam - LaurentSeries.constant(lam.field, residue, lam.ram)
@@ -89,7 +91,7 @@ def small_divisor_valuation(profile, n):
     """Closed-form v(1 - λ^n): 0 when m does not divide n, otherwise
     v_m · p^s where n = p^s·u with p ∤ u."""
     s = p_split(n, profile.p)[0]
-    return Valuation(0 if n % profile.m else profile.v_m.value * profile.p**s)
+    return Fraction(0) if n % profile.m else profile.v_m * profile.p**s
 
 
 def p_split(n, p):
@@ -115,7 +117,7 @@ def lemma_bound(profile, A, k):
     """The Lemma bound (k-1)·A − v_m·count_resonant(k) on v(b_k), for a
     map whose nonlinear degrees are all divisible by p and whose gauge
     is A."""
-    return (k - 1) * A - profile.v_m.value * count_resonant(profile, k)
+    return (k - 1) * A - profile.v_m * count_resonant(profile, k)
 
 
 def product_small_divisors(profile, N):
@@ -145,9 +147,7 @@ def _product_term_sums(profile, Nmax):
     total, done = 0, 0
     for N in range(1, Nmax + 1):
         top = p ** (N - 1)
-        total += sum(
-            small_divisor_valuation(profile, i * p).value for i in range(done + 1, top + 1)
-        )
+        total += sum(small_divisor_valuation(profile, i * p) for i in range(done + 1, top + 1))
         done = top
         yield total
 
@@ -156,12 +156,12 @@ def _checked_product(profile, N, total):
     """The closed form of the product formula at N, if the term-by-term
     sum ``total`` equals it; else a CertificateError."""
     p = profile.p
-    closed = profile.v_m.value * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
+    closed = profile.v_m * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
     if total != closed:
         raise CertificateError(
             f"product formula mismatch at N={N}: terms {total} != closed {closed}"
         )
-    return Valuation(closed)
+    return closed
 
 
 def disc_profile(profile, gauge):
@@ -169,11 +169,10 @@ def disc_profile(profile, gauge):
     if gauge.is_linear:
         raise HypothesisError("disc radii are undefined for a linear map")
     A = gauge.A
-    v_m = profile.v_m.value
-    v_rho = Fraction(v_m, profile.m * profile.p) - A
-    v_sigma = Fraction(v_m, profile.k_prime - 1) - A
+    v_rho = profile.v_m / (profile.m * profile.p) - A
+    v_sigma = profile.v_m / (profile.k_prime - 1) - A
     if not (v_sigma > v_rho > -A):
         raise CertificateError(
             f"radius ordering violated: v_sigma={v_sigma}, v_rho={v_rho}, -A={-A}"
         )
-    return DiscProfile(Valuation(A), Valuation(v_rho), Valuation(v_sigma))
+    return DiscProfile(A, v_rho, v_sigma)

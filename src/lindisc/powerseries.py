@@ -17,7 +17,6 @@ never through machine integers.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -43,7 +42,9 @@ class PowerSeriesMap:
             raise HypothesisError("a power-series map needs a linear term (degree 1)")
         lam = coeffs[1]
         field, ram = lam.field, lam.ram
-        if lam.is_zero_as_known or lam.lead != 0:
+        if lam.is_zero_as_known:
+            raise HypothesisError("multiplier must be a unit (valuation 0), got zero")
+        if lam.lead != 0:
             raise HypothesisError(
                 f"multiplier must be a unit (valuation 0), got v = {lam.valuation()}"
             )
@@ -115,8 +116,7 @@ def ps_gauge(f):
     best = None
     witness = None
     for i in f.nonlinear_degrees:
-        v = f.coeffs[i].valuation()
-        cand = Fraction(v.value, i - 1)
+        cand = f.coeffs[i].valuation() / (i - 1)
         if best is None or cand < best:
             best, witness = cand, i
     return Gauge(best, witness)
@@ -249,27 +249,13 @@ def _log_factorials(p):
 
 
 def binomial_mod_p(n, k, p):
-    """Binomial coefficient mod p by Lucas' theorem.  ``n`` and ``k`` are
-    ints, or integer arrays that broadcast together; for arrays the
-    result is the int64 array of the binomials, elementwise (``_lucas``)."""
-    if isinstance(n, np.ndarray) or isinstance(k, np.ndarray):
-        n, k = np.asarray(n, dtype=np.int64), np.asarray(k, dtype=np.int64)
-        return _lucas(*np.broadcast_arrays(n, k), p)
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        num = den = 1
-        for t in range(kd):
-            num = num * (nd - t) % p
-            den = den * (t + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
-        n //= p
-        k //= p
-    return result
+    """Binomial coefficient mod p by Lucas' theorem (``_lucas``).  ``n``
+    and ``k`` are ints, or integer arrays that broadcast together; for
+    arrays the result is the int64 array of the binomials, elementwise,
+    and for two ints it is an int."""
+    n, k = np.asarray(n, dtype=np.int64), np.asarray(k, dtype=np.int64)
+    result = _lucas(*np.broadcast_arrays(n, k), p)
+    return result if result.ndim else int(result)
 
 
 def _lucas(n, k, p):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .laurent import _STACK_BYTES, LaurentSeries, Valuation, _convolve, _invert_unit
+from .laurent import _STACK_BYTES, LaurentSeries, _convolve, _invert_unit
 from .multiplier import (
     lemma_bound,
     mult_profile,
@@ -116,10 +116,7 @@ class Conjugacy:
         lines = ["k,v_num,v_den,zero_kind"]
         for k in range(1, self.D + 1):
             v = self.valuation(k)
-            if v.is_infinite:
-                num, den = "inf", "1"
-            else:
-                num, den = str(v.value.numerator), str(v.value.denominator)
+            num, den = ("inf", 1) if v is None else (v.numerator, v.denominator)
             lines.append(f"{k},{num},{den},{self.zero_kind[k]}")
         return "\n".join(lines) + "\n"
 
@@ -253,7 +250,7 @@ def _small_divisors(profile, ks, window, lows=None):
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
-    width = int(profile.v_m.value * ram) + window
+    width = int(profile.v_m * ram) + window
     lam_power = _powers(lam, width)
     scaled = lows is not None  # each unit times its own λ^i, else all times λ
     lows = list(lows) if scaled else [1] * len(ks)
@@ -279,7 +276,7 @@ def _small_divisors(profile, ks, window, lows=None):
                 "root of unity?"
             )
         lead = p**s * first_of[u]
-        expected = small_divisor_valuation(profile, k - i).value
+        expected = small_divisor_valuation(profile, k - i)
         if lead * expected.denominator != expected.numerator * ram:
             raise CertificateError(
                 f"divisor valuation {Fraction(lead, ram)} != closed form "
@@ -366,17 +363,12 @@ def solve_sfe(f, D, window=32):
 
 
 def _multinomial_mod_p(l, alphas, p):
-    """l! / Π α_i! mod p via iterated Lucas binomials."""
+    """l! / Π α_i! mod p: the product of the Lucas binomials
+    C(α_1 + … + α_i, α_i), all from one array call."""
     if sum(alphas) != l:
         raise CertificateError(f"multiplicities {alphas} do not sum to {l}")
-    result = 1
-    s = 0
-    for a in alphas:
-        s += a
-        result = result * binomial_mod_p(s, a, p) % p
-        if result == 0:
-            return 0
-    return result
+    alphas = np.array(alphas, dtype=np.int64)
+    return math.prod(binomial_mod_p(np.cumsum(alphas), alphas, p).tolist()) % p
 
 
 def _index_solutions(degrees, l, k):
@@ -687,7 +679,7 @@ def certify_divergence(f, Nmax, window=32):
         if conjectural:
             predicted = None
         else:
-            predicted = j * v_a - next(products).value
+            predicted = j * v_a - next(products)
             if computed != predicted:
                 raise CertificateError(
                     f"divergence valuation mismatch at N={N}: computed {computed}, "
@@ -706,8 +698,9 @@ def certify_divergence(f, Nmax, window=32):
 
 
 def semiconjugacy_residual(f, g, x, dp=None):
-    """v(g(f(x)) − λ·g(x)); expected beyond the horizon inside D_ρ."""
-    if dp is not None and not x.valuation() > dp.v_rho:
+    """The series g(f(x)) − λ·g(x), expected zero to its horizon inside
+    D_ρ; a zero x is inside every disc."""
+    if dp is not None and not x.is_zero_as_known and not x.valuation() > dp.v_rho:
         raise HypothesisError(
             f"sample point v = {x.valuation()} not inside the semi-disc "
             f"(need v > {dp.v_rho})"
@@ -715,7 +708,7 @@ def semiconjugacy_residual(f, g, x, dp=None):
     table = g.table()
     lhs = eval_table(table, ps_eval(f, x))
     rhs = f.multiplier * eval_table(table, x)
-    return (lhs - rhs).valuation()
+    return lhs - rhs
 
 
 def invert_at_point(g, x):
@@ -729,12 +722,13 @@ def invert_at_point(g, x):
 
 
 def full_conjugacy_residual(f, g, x, dp=None):
-    """v(g(f(g^{-1}(x))) − λ·x); expected beyond the horizon inside D_σ."""
-    if dp is not None and not x.valuation() > dp.v_sigma:
+    """The series g(f(g^{-1}(x))) − λ·x, expected zero to its horizon
+    inside D_σ; a zero x is inside every disc."""
+    if dp is not None and not x.is_zero_as_known and not x.valuation() > dp.v_sigma:
         raise HypothesisError(
             f"sample point v = {x.valuation()} not inside the linearization "
             f"disc (need v > {dp.v_sigma})"
         )
     y = invert_at_point(g, x)
     value = eval_table(g.table(), ps_eval(f, y))
-    return (value - f.multiplier * x).valuation()
+    return value - f.multiplier * x

@@ -21,12 +21,38 @@ from lindisc.multiplier import count_resonant, mult_profile, small_divisor_valua
 from lindisc.powerseries import (
     _table_derivative,
     _table_mul,
-    binomial_mod_p,
     eval_table,
     newton_root,
     ps_eval,
 )
 from lindisc.schroder import Conjugacy, _p_plus_1_shape, _powers, _small_divisors
+
+
+def binomial_digits(n, k, p):
+    """C(n, k) mod p for ints by Lucas' theorem, one base-p digit at a
+    time: the per-term oracles' own binomial, apart from the package's
+    array form (``powerseries._lucas``)."""
+    if k < 0 or k > n:
+        return 0
+    result = 1
+    while n or k:
+        nd, kd = n % p, k % p
+        if kd > nd:
+            return 0
+        num = den = 1
+        for t in range(kd):
+            num = num * (nd - t) % p
+            den = den * (t + 1) % p
+        result = result * num * pow(den, p - 2, p) % p
+        n //= p
+        k //= p
+    return result
+
+
+def horizon(series):
+    """The horizon a series justifies: its ``prec``, or no bound at all
+    when it is exact."""
+    return math.inf if series.exact else series.prec
 
 
 def exact_powers(x):
@@ -51,7 +77,7 @@ def over_small_divisor(s, lam_power, profile, k, window):
     if div.is_zero_as_known:
         raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
     expected = small_divisor_valuation(profile, k - 1)
-    if Fraction(div.lead, div.ram) != expected.value:
+    if Fraction(div.lead, div.ram) != expected:
         raise CertificateError(
             f"divisor valuation {Fraction(div.lead, div.ram)} != closed form "
             f"{expected} at k = {k}"
@@ -77,7 +103,7 @@ def solve_specialized_per_term(f, Jmax, window=32):
     for j in range(1, Jmax + 1):
         total = None
         for i in range((j - 1 + p) // (p + 1), j):
-            c = binomial_mod_p(i * p + 1, j - i, p)
+            c = binomial_digits(i * p + 1, j - i, p)
             if c == 0:
                 continue
             term = b[i].scale(c) * lam_power(i * p + 1 - (j - i)) * a_power(j - i)
@@ -115,7 +141,7 @@ def solve_specialized_windowed_terms(f, Jmax, window=32):
     for j in range(1, Jmax + 1):
         terms, H = [], math.inf
         for i in range((j - 1 + p) // (p + 1), j):
-            c = binomial_mod_p(i * p + 1, j - i, p)
+            c = binomial_digits(i * p + 1, j - i, p)
             if c == 0:
                 continue
             e, n = i * p + 1 - (j - i), j - i
@@ -156,7 +182,7 @@ def find_periodic_point_per_element(f, kappa_max, sphere, e=1, horizon=128):
     """The boundary periodic-point search of ``find_periodic_point`` with
     f^∘κ recomposed by Horner for every κ and every tower field, and the
     residue polynomial evaluated one ``FqElement`` at a time."""
-    v_radius = sphere.v_radius.value
+    v_radius = sphere.v_radius
     exponent = v_radius * e
     if exponent.denominator != 1:
         raise HypothesisError(

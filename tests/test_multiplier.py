@@ -32,11 +32,11 @@ F5 = FieldParams(5)
 
 def test_profile_examples():
     pr = mult_profile(parse_series("1+T", F2))
-    assert (pr.m, pr.v_m.value, pr.k_prime) == (1, 1, 2)
+    assert (pr.m, pr.v_m, pr.k_prime) == (1, 1, 2)
     pr = mult_profile(parse_series("b+T", F4))
-    assert (pr.m, pr.v_m.value, pr.k_prime) == (3, 1, 4)
+    assert (pr.m, pr.v_m, pr.k_prime) == (3, 1, 4)
     pr = mult_profile(parse_series("2+T", F3))
-    assert (pr.m, pr.v_m.value, pr.k_prime) == (2, 1, 3)
+    assert (pr.m, pr.v_m, pr.k_prime) == (2, 1, 3)
 
 
 def _k_prime_scan(p, m):
@@ -89,6 +89,18 @@ def test_profile_invariants(monkeypatch):
     assert powers  # the recorder sees the oracle's powers
 
 
+def test_a_zero_multiplier_is_named_zero():
+    """A multiplier zero as known, exactly or to precision, has no
+    valuation to print: the error says so."""
+    for zero in (LaurentSeries.zero(F2, 1, 0, exact=True), LaurentSeries.zero(F2, 1, 8)):
+        with pytest.raises(HypothesisError, match="got zero$"):
+            mult_profile(zero)
+        with pytest.raises(HypothesisError, match="got zero$"):
+            PowerSeriesMap({1: zero})
+    with pytest.raises(HypothesisError, match="got v = 1$"):
+        mult_profile(parse_series("T", F2))
+
+
 def test_root_of_unity_screening_tri_state():
     with pytest.raises(RootOfUnityError) as exc:
         mult_profile(parse_series("1", F2))
@@ -111,7 +123,7 @@ def test_root_of_unity_screening_tri_state():
         assert exc.value.undetermined == undetermined, literal
     # a known non-constant part settles the question
     mult_profile(parse_series("1+T+O(T^8)", F2))
-    assert mult_profile(parse_series("3+U^4+O(U^5)", F5, ram=3)).v_m.value == Fraction(4, 3)
+    assert mult_profile(parse_series("3+U^4+O(U^5)", F5, ram=3)).v_m == Fraction(4, 3)
 
 
 def test_non_unit_multiplier_rejected():
@@ -186,7 +198,7 @@ def test_product_formula_matches_direct_series():
         p = field.p
         for N in range(1, 4):
             direct = sum(
-                small_divisor_direct(lam, i * p).value
+                small_divisor_direct(lam, i * p)
                 for i in range(1, p ** (N - 1) + 1)
             )
             assert product_small_divisors(pr, N) == direct
@@ -257,7 +269,7 @@ def test_count_resonant_against_brute_force():
         assert count_resonant(pr, pr.k_prime) == 1
         assert count_resonant(pr, pr.k_prime + m * p) == 2
         # the Lemma bound drops by v_m at each resonant degree
-        kp, v_m, A = pr.k_prime, pr.v_m.value, Fraction(-1, 3)
+        kp, v_m, A = pr.k_prime, pr.v_m, Fraction(-1, 3)
         assert lemma_bound(pr, A, kp) == (kp - 1) * A - v_m
         assert lemma_bound(pr, A, kp + m * p) == (kp + m * p - 1) * A - 2 * v_m
 
@@ -266,17 +278,17 @@ def test_disc_profile_examples():
     lam = parse_series("1+T", F2)
     f = PowerSeriesMap({1: lam, 2: parse_series("1", F2)})
     dp = disc_profile(mult_profile(lam), ps_gauge(f))
-    assert dp.v_sigma.value == 1 and dp.v_rho.value == Fraction(1, 2)
+    assert dp.v_sigma == 1 and dp.v_rho == Fraction(1, 2)
 
     lam4 = parse_series("b+T", F4)
     f4 = PowerSeriesMap({1: lam4, 4: parse_series("1", F4)})
     dp4 = disc_profile(mult_profile(lam4), ps_gauge(f4))
-    assert dp4.v_rho.value == Fraction(1, 6) and dp4.v_sigma.value == Fraction(1, 3)
+    assert dp4.v_rho == Fraction(1, 6) and dp4.v_sigma == Fraction(1, 3)
 
     # gauge shift: a_2 = T moves both radii down by A = 1
     f_shift = PowerSeriesMap({1: lam, 2: parse_series("T", F2)})
     dp_s = disc_profile(mult_profile(lam), ps_gauge(f_shift))
-    assert dp_s.v_sigma.value == 0 and dp_s.v_rho.value == Fraction(-1, 2)
+    assert dp_s.v_sigma == 0 and dp_s.v_rho == Fraction(-1, 2)
 
 
 def test_disc_profile_ordering_invariant():
@@ -290,7 +302,7 @@ def test_disc_profile_ordering_invariant():
         f = PowerSeriesMap(coeffs)
         gauge = ps_gauge(f)
         dp = disc_profile(mult_profile(lam), gauge)
-        assert dp.v_sigma.value > dp.v_rho.value > -gauge.A
+        assert dp.v_sigma > dp.v_rho > -gauge.A
 
 
 def test_report_serialization():

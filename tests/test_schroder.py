@@ -13,10 +13,10 @@ import lindisc._dense
 import lindisc.laurent
 import lindisc.schroder
 from lindisc import (
+    Conjugacy,
     FieldParams,
     LaurentSeries,
     PowerSeriesMap,
-    Valuation,
     certify_divergence,
     check_coefficient_bound,
     check_structural_zeros,
@@ -339,7 +339,7 @@ def test_divisor_valuation_off_the_closed_form_is_caught(monkeypatch, solve, deg
     divisor against ``small_divisor_valuation``."""
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     monkeypatch.setattr(
-        lindisc.schroder, "small_divisor_valuation", lambda profile, n: Valuation(99)
+        lindisc.schroder, "small_divisor_valuation", lambda profile, n: Fraction(99)
     )
     with pytest.raises(CertificateError, match="closed form"):
         solve(f, degree)
@@ -730,7 +730,7 @@ def test_coefficient_bound_saturates_at_k_prime():
         assert report.applicable
         assert report.violations == []
         assert report.margins[kp] == 0
-        assert g.valuation(kp).value == (kp - 1) * gauge.A - g.profile.v_m.value
+        assert g.valuation(kp) == (kp - 1) * gauge.A - g.profile.v_m
 
 
 def test_rescaling_covariance():
@@ -848,6 +848,10 @@ def test_conjugacy_csv_format():
     assert lines[1] == "1,0,1,nonzero"
     assert lines[2] == "2,-1,1,nonzero"
     assert lines[3].startswith("3,inf,1,")
+    # a zero to precision, whose valuation is None, is written inf too
+    one = LaurentSeries.constant(F2, 1)
+    g = Conjugacy({1: one, 2: LaurentSeries.zero(F2, 1, 7)}, None, "table", 2)
+    assert g.csv().splitlines()[1:] == ["1,0,1,nonzero", "2,inf,1,computed-zero"]
 
 
 def test_residuals_inside_discs():
@@ -859,8 +863,13 @@ def test_residuals_inside_discs():
         x = parse_series(lit, F2)
         semi = semiconjugacy_residual(f, g, x, dp)
         full = full_conjugacy_residual(f, g, x, dp)
-        assert semi.is_infinite and semi.zero_to_precision
-        assert full.is_infinite and full.zero_to_precision
+        assert semi.is_zero_as_known and not semi.exact
+        assert full.is_zero_as_known and not full.exact
+    # a zero x, exact or to precision, has no valuation to compare with
+    # the radii and lies in every disc
+    for x in (LaurentSeries.zero(F2, 1, 40), LaurentSeries.zero(F2, 1, 0, exact=True)):
+        assert semiconjugacy_residual(f, g, x, dp).is_zero_as_known
+        assert full_conjugacy_residual(f, g, x, dp).is_zero_as_known
 
 
 def test_residual_rejects_points_outside_disc():
@@ -891,7 +900,7 @@ def test_residual_linear_map_is_exact_zero():
     f = PowerSeriesMap({1: lam})
     g = solve_sfe(f, 6)
     x = parse_series("T+O(T^30)", F3)
-    assert semiconjugacy_residual(f, g, x).is_infinite
+    assert semiconjugacy_residual(f, g, x).is_zero_as_known
 
 
 def test_bkprime_zero_extension():

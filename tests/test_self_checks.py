@@ -317,3 +317,71 @@ def test_pattern_walk_flags_unicode_classes():
         '    return re.fullmatch("[0-9]+" + WORD, text), re.match(r"[0-9]+", text)\n'
     )
     assert _unicode_classes(_re_patterns(source)) == [3, 4, 6]
+
+
+# the names through which a float reaches the arithmetic: infinities and
+# NaNs, and the one test that reads them
+FLOAT_NAMES = {"inf", "nan", "isinf"}
+
+
+def _float_uses(source):
+    """(line, text) for every float literal, every ``float(...)`` call and
+    every use of ``math.inf``, ``math.nan``, ``math.isinf``, ``np.inf`` or
+    ``np.nan``, read as an attribute or imported by name."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            uses.append((node.lineno, repr(node.value)))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            uses.append((node.lineno, "float(...)"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("math", "np", "numpy")
+            and node.attr in FLOAT_NAMES
+        ):
+            uses.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            uses += [
+                (node.lineno, f"{node.module}.{alias.name}")
+                for alias in node.names
+                if alias.name in FLOAT_NAMES
+            ]
+    return sorted(uses)
+
+
+def test_no_floats_in_the_arithmetic():
+    offenders = [
+        f"{path.name}:{line} {text}"
+        for path in SOURCES
+        for line, text in _float_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, f"valuations and horizons are exact: {offenders}"
+
+
+def test_float_walk_flags_each_kind():
+    source = (
+        "import math\n"
+        "from math import inf, isqrt\n"
+        "half = 0.5 + 1e3 + 2j\n"
+        "def horizon(s):\n"
+        "    h = math.inf if s.exact else float(s.prec)\n"
+        "    return math.isinf(h), np.inf, numpy.nan, math.nan, math.isqrt(4)\n"
+        'version = "0.1.0"\n'
+    )
+    assert _float_uses(source) == [
+        (2, "math.inf"),
+        (3, "0.5"),
+        (3, "1000.0"),
+        (3, "2j"),
+        (5, "float(...)"),
+        (5, "math.inf"),
+        (6, "math.isinf"),
+        (6, "math.nan"),
+        (6, "np.inf"),
+        (6, "numpy.nan"),
+    ]
