@@ -5,20 +5,23 @@ composition of coefficient tables is ``powerseries.table_compose``.
 A ``DensePoly`` holds, per x-degree d <= D, a window of W consecutive
 U-coefficients starting at ``base[d]`` together with the justified horizon
 ``prec[d]``.  Both bulk operations convolve only the columns that hold
-data, in one batched ``laurent._convolve`` and one realignment gather
-into the result's windows, so the per-degree Python cost is constant:
+data, in batched ``laurent._convolve`` calls and realignment gathers
+into the result's windows, so the per-degree Python cost is constant.
+``laurent._per_batch`` sizes each batch (grid rows or column pairs of
+``mul``, data columns of ``add_scaled``) from the bytes one item holds;
+products are exact and sums are taken mod p, so no batch changes a result:
 
 * ``mul``, the product by another ``DensePoly``, makes two passes.  The
   horizon pass takes one broadcast minimum over a grid of (live column
   of the other factor) × (x-degree) for the bases and horizons.  The
   data pass stacks the pairs of columns that both hold data, self's
   column j against the other's column i trimmed to its nonzero rows,
-  convolves them pair by pair in batches of at most (D + 1) // r pairs
-  (no larger than one column's product by a whole factor), and adds
-  each realigned product into x^(i+j).  ``mul_by_map`` multiplies by a
-  map's exact coefficients, installed as columns by ``of_map`` once per
-  chain of products: each product carries them to the next, and
-  ``of_map(f)`` serves as f's columns itself until it is modified;
+  convolves them pair by pair, and adds each realigned product into
+  x^(i+j).  ``mul_by_map`` multiplies by a map's exact coefficients,
+  installed as columns by ``of_map`` once per chain of products: each
+  product carries them to the next (installing them per product made
+  the sweep workload 5% slower), and ``of_map(f)`` serves as f's
+  columns itself until it is modified;
 * ``add_scaled``, the accumulation of a scalar multiple of another
   polynomial: one convolution of its data columns with the scalar.
 
@@ -58,7 +61,7 @@ or f^{k-p}·f^p) gives the same bases, horizons and data.
 import numpy as np
 
 from .errors import PrecisionError
-from .laurent import LaurentSeries, _convolve
+from .laurent import LaurentSeries, _convolve, _per_batch
 
 INF = np.int64(2**62)
 _INF_CUT = np.int64(2**61)
@@ -184,21 +187,22 @@ class DensePoly:
         if not cols.size:
             return out
         # horizon pass: row c of the grid is other's column cols[c] against
-        # self's column d - cols[c] at x^d (INF before x^cols[c]); W·r rows
-        # at a time keep each grid within one data array
+        # self's column d - cols[c] at x^d (INF before x^cols[c]); a row
+        # holds its indices and up to three temporaries of D + 1 entries
         pad = np.full(D + 1, INF)
         bases = np.concatenate([pad, self.base])
         precs = np.concatenate([pad, self.prec])
         bounds = np.minimum(bases, precs)
         v = np.minimum(other.base[cols], other.prec[cols])[:, None]
         h = other.prec[cols][:, None]
-        step = W * self.field.r
+        step = _per_batch(8 * 4 * (D + 1))
         for c in range(0, cols.size, step):
             grid = np.arange(D + 1) + (D + 1) - cols[c : c + step, None]
             vc = v[c : c + step]
             np.minimum(out.base, (bases[grid] + vc).min(axis=0), out=out.base)
             cap = np.minimum(precs[grid] + vc, bounds[grid] + h[c : c + step])
             np.minimum(out.prec, cap.min(axis=0), out=out.prec)
+            del grid, cap  # not held through the next batch
         _clamp(out.base)
         _clamp(out.prec)
         # data pass: self's data columns j against other's data columns i,
@@ -218,16 +222,15 @@ class DensePoly:
         pj, at = js[pj], cols[pi]
         shifts = self.base[pj] + other.base[at] + first[pi]
         at += pj
-        # a batch of n pairs holds n·(W + L - 1) rows of r × r coordinate
-        # products, L the longest trimmed column; n <= (D + 1) // r keeps it
-        # within the (D + 1)·(W + L - 1) rows of r coordinates of one
-        # column's product by a whole factor
-        step = max(1, (D + 1) // self.field.r)
+        # a pair holds two columns (W + L rows of r coordinates, L the longest
+        # trimmed), their product (W + L - 1) and its realigned window (W, indexed)
+        step = _per_batch(8 * (self.field.r * (3 * W + 2 * trimmed.shape[1] - 1) + W))
         for c in range(0, pj.size, step):
             batch = slice(c, c + step)
             prod = _convolve(self.field, self.data[pj[batch]], trimmed[pi[batch]])
             gathered = self._realigned(prod, shifts[batch], out.base[at[batch]])
             np.add.at(out.data, at[batch], gathered)
+            del prod, gathered  # not held through the next batch
         out.data %= self.field.p
         out._mask_all()
         return out
@@ -257,10 +260,14 @@ class DensePoly:
             if moved.any():
                 data = self._realigned(data, base, new_base)
             cols = np.flatnonzero(other.data[lo:].any(axis=(1, 2)))
-            if cols.size:
-                prod = _convolve(self.field, other.data[lo + cols], series.coeffs)
-                shifts = other.base[lo + cols] + series.lead
-                data[cols] += self._realigned(prod, shifts, new_base[cols])
+            r, W = self.field.r, self.W  # a column as a pair of ``mul``, and its sum
+            step = _per_batch(8 * (r * (4 * W + series.coeffs.shape[0] - 1) + W))
+            for c in range(0, cols.size, step):
+                at = cols[c : c + step]
+                prod = _convolve(self.field, other.data[lo + at], series.coeffs)
+                shifts = other.base[lo + at] + series.lead
+                data[at] += self._realigned(prod, shifts, new_base[at])
+                del prod  # not held through the next batch
             self.data[lo:] = data % self.field.p
             self.base[lo:] = new_base
         self.prec[lo:] = _clamp(new_prec)

@@ -157,7 +157,6 @@ def degree_on_sigma(g, dp, gauge):
 class ExtensionVerdict:
     applicable: bool
     holds: bool
-    checked_through: int
     first_resonant_after: int
 
 
@@ -172,9 +171,9 @@ def check_bkprime_zero_extension(g, dp):
     kp = profile.k_prime
     k_second = kp + profile.m * profile.p
     if kp > g.D or not g.coeffs[kp].is_zero_as_known:
-        return ExtensionVerdict(False, False, g.D, k_second)
+        return ExtensionVerdict(False, False, k_second)
     holds = weierstrass_data(g.coeffs, dp.v_rho).d == 1
-    return ExtensionVerdict(True, holds, g.D, k_second)
+    return ExtensionVerdict(True, holds, k_second)
 
 
 @dataclass(frozen=True)

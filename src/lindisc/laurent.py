@@ -43,9 +43,13 @@ def format_valuation(v):
     return f"{v.numerator}/{v.denominator}"
 
 
-# most bytes of temporaries that one chunk of ``_convolve``'s batched
-# path holds; a larger stack goes in chunks
+# most bytes of temporaries that one batch of a stacked product holds;
+# ``_per_batch`` gives how many items of a size fit (at least one)
 _STACK_BYTES = 32 << 20
+
+
+def _per_batch(item_bytes):
+    return max(1, _STACK_BYTES // item_bytes)
 
 
 def _convolve(params, a, b):
@@ -70,8 +74,8 @@ def _convolve(params, a, b):
     Per slice of R = La + Lb - 1 rows, the path holds the padded slice
     ((La + 2Lb - 2)·r integers), the matrix product (R·r²), the 2r - 1
     raw coordinates (R·(2r - 1)) and the folded result (R·r).  A stack
-    whose temporaries would exceed ``_STACK_BYTES`` is convolved in
-    chunks within it (at least one slice each), written into one result;
+    whose temporaries would exceed the budget of ``_per_batch`` is
+    convolved in chunks within it, written into one result;
     a stack that fits is one matrix product, returned without a copy.
 
     Both paths accumulate in int64.  An entry sums at most r·min(La, Lb)
@@ -101,7 +105,7 @@ def _convolve(params, a, b):
             b = b.reshape(-1, lb, r)
         n = a.shape[0]
         slice_bytes = 8 * ((la + 2 * lb - 2) * r + rows * (r * r + 3 * r - 1))
-        chunk = max(1, _STACK_BYTES // slice_bytes)
+        chunk = _per_batch(slice_bytes)
         if n > chunk:
             out = np.empty((n, rows, r), dtype=np.int64)
             for c in range(0, n, chunk):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .laurent import _STACK_BYTES, LaurentSeries, _convolve, _invert_unit
+from .laurent import LaurentSeries, _convolve, _invert_unit, _per_batch
 from .multiplier import (
     lemma_bound,
     mult_profile,
@@ -146,11 +146,11 @@ class _PowerTable:
     by x^c adds x^L .. x^(L+c-1); c = L - 1 doubles the table, so n
     powers cost ⌈log2 n⌉ products.  A slice of it costs (width + l - 1)·l
     coordinate products, l the rows of x^c, so c is capped where that
-    passes ``_SLICE_PRODUCTS``, and where the product's result passes
-    ``_STACK_BYTES``: a short x in a wide window grows a few powers per
-    product, or one by the unbatched path.  Row j of a product depends
-    only on rows <= j of its factors, so every stored row is a row of the
-    exact x^n.  A read past the width raises CertificateError."""
+    passes ``_SLICE_PRODUCTS``, and by ``laurent._per_batch`` from the
+    2·width - 1 rows of each power's result: a short x in a wide window
+    grows a few powers per product, or one by the unbatched path.  Row j of
+    a product depends only on rows <= j of its factors, so every stored row
+    is a row of the exact x^n.  A read past the width raises CertificateError."""
 
     def __init__(self, x, width):
         self.field, self.width = x.field, width
@@ -164,7 +164,7 @@ class _PowerTable:
         # min(width, c·degree + 1) + width - 1
         nonzero = np.flatnonzero(base.any(axis=1))
         self.degree = int(nonzero[-1]) if nonzero.size else 0
-        self.most = max(1, _STACK_BYTES // (8 * (2 * width - 1) * r))
+        self.most = _per_batch(8 * (2 * width - 1) * r)
         # ``span``: the most rows x^c may have for a slice within the cap
         budget = _SLICE_PRODUCTS // r**2
         span = (math.isqrt((width - 1) ** 2 + 4 * budget) - (width - 1)) // 2
@@ -243,10 +243,10 @@ def _small_divisors(profile, ks, window, lows=None):
     valuation p^s·v(1 − λ^u) off the closed form ``small_divisor_valuation``
     raises CertificateError.  The ``window`` rows of the units
     (1 − λ^{k-i})/U^lead are gathered from the table for all entries with
-    one s at once, only the rows each keeps and in chunks within
-    ``_STACK_BYTES``, with one ``pow_rows`` per chunk; they are multiplied
-    by λ^i (one batched product), stacked and inverted by one batched
-    Newton run.
+    one s at once, only the rows each keeps, in chunks that ``_per_batch``
+    sizes from one entry's rows and index, with one ``pow_rows`` per chunk;
+    they are multiplied by λ^i (one batched product), stacked and inverted
+    by one batched Newton run.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
@@ -291,7 +291,7 @@ def _small_divisors(profile, ks, window, lows=None):
         step = p**s
         count = -(-window // step)  # rows of 1 − λ^u that reach the window
         entries = np.flatnonzero(ss == s)
-        chunk = max(1, _STACK_BYTES // (8 * count * (r + 1)))
+        chunk = _per_batch(8 * count * (r + 1))
         for c in range(0, entries.size, chunk):
             part = entries[c : c + chunk]
             at = firsts[us[part], None] + np.arange(count)
@@ -594,29 +594,29 @@ class BoundReport:
     applicable: bool
     margins: dict  # k -> Fraction margin, or None when b_k vanishes
     violations: list
-    indeterminate: list  # zero-to-precision entries whose horizon is too low
 
 
 def check_coefficient_bound(g, gauge, f):
     """The Lemma bound v(b_k) >= (k-1)·A − v_m·count_resonant(k)
-    (``lemma_bound``) for p-divisible maps f with gauge A."""
+    (``lemma_bound``) for p-divisible maps f with gauge A; a b_k known only
+    as O(U^h), h below its bound, cannot be checked: PrecisionError."""
     if not f.divisible_degrees():
-        return BoundReport(False, {}, [], [])
+        return BoundReport(False, {}, [])
     ram = g.coeffs[1].ram
-    margins, violations, indeterminate = {}, [], []
+    margins, violations = {}, []
     for k in range(2, g.D + 1):
         bound = lemma_bound(g.profile, gauge.A, k)
         b_k = g.coeffs[k]
         if b_k.is_zero_as_known:
             if not b_k.exact and Fraction(b_k.prec, ram) < bound:
-                indeterminate.append(k)
+                raise PrecisionError(f"b_{k} = O(U^{b_k.prec}), below the Lemma bound {bound}")
             margins[k] = None
             continue
         margin = Fraction(b_k.lead, ram) - bound
         margins[k] = margin
         if margin < 0:
             violations.append(k)
-    return BoundReport(True, margins, violations, indeterminate)
+    return BoundReport(True, margins, violations)
 
 
 @dataclass(frozen=True)

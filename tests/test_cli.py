@@ -210,7 +210,7 @@ def test_extension_that_fails_its_check_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         lindisc.discs,
         "check_bkprime_zero_extension",
-        lambda g, dp: ExtensionVerdict(True, False, g.D, 0),
+        lambda g, dp: ExtensionVerdict(True, False, 0),
     )
     code, out, err = run(capsys, ["disc", "--job", job])
     assert code == 4

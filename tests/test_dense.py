@@ -300,11 +300,28 @@ def data_columns(field, rng, D, W, degrees):
     return poly
 
 
+def batch_sizes(monkeypatch, operation):
+    """The number of items of each ``_convolve`` call ``operation`` makes
+    in the dense engine."""
+    calls, real = [], lindisc._dense._convolve
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            lindisc._dense, "_convolve", lambda *args: calls.append(len(args[1])) or real(*args)
+        )
+        operation()
+    return calls
+
+
+def in_batches(total, step):
+    return [min(step, total - c) for c in range(0, total, step)]
+
+
 @pytest.mark.parametrize("field", [FieldParams(3), FieldParams(2, 2)])
 def test_products_convolve_one_batch_per_chunk(monkeypatch, field):
-    """A product whose second factor has 12 data columns convolves one
-    batch of column pairs per chunk of (D + 1) // r pairs, not one
-    column at a time; a sum convolves once."""
+    """A product whose second factor has 12 data columns convolves its
+    column pairs, and a sum its data columns, in batches of as many items
+    as ``_per_batch`` fits in the budget: one batch at the default budget,
+    batches of five and of four at five items' bytes and one byte less."""
     rng = random.Random(59)
     D, W = 40, 8
     a = data_columns(field, rng, D, W, [0, 2, 5])
@@ -313,35 +330,109 @@ def test_products_convolve_one_batch_per_chunk(monkeypatch, field):
     for d in (0, 3, 6):  # zero-to-precision columns are never convolved
         b.set_column(d, zero)
     pairs = sum(i + j <= D for j in (0, 2, 5) for i in range(1, 36, 3))
-    calls, real = [], lindisc._dense._convolve
-    monkeypatch.setattr(
-        lindisc._dense, "_convolve", lambda *args: calls.append(args) or real(*args)
-    )
-    a.mul(b)
-    assert len(calls) == math.ceil(pairs / ((D + 1) // field.r))
-    assert sum(len(args[1]) for args in calls) == pairs
-    calls.clear()
-    acc = DensePoly(field, 1, D, W)
-    acc.add_scaled(parse_series("1+T", field), b)
-    assert len(calls) == 1 and len(calls[0][1]) == 12
+    scalar = parse_series("1+T", field)
+    # the longest of b's data columns trimmed to its nonzero rows
+    L = max(np.ptp(np.flatnonzero(row)) + 1 for row in b.data.any(axis=2) if row.any())
+    r = field.r
+    # a pair: two columns, their product and its realigned window with
+    # its index; a column of a sum: its data, the sum, the product by the
+    # scalar's two rows and the realigned window with its index
+    pair_bytes = 8 * (r * (3 * W + 2 * L - 1) + W)
+    column_bytes = 8 * (r * (4 * W + 1) + W)
+    product = lambda: a.mul(b)  # noqa: E731
+    add = lambda: DensePoly(field, 1, D, W).add_scaled(scalar, b)  # noqa: E731
+    assert batch_sizes(monkeypatch, product) == [pairs]
+    assert batch_sizes(monkeypatch, add) == [12]
+    for step in (5, 4):
+        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 5 * pair_bytes - (step == 4))
+        assert lindisc.laurent._per_batch(pair_bytes) == step
+        assert batch_sizes(monkeypatch, product) == in_batches(pairs, step)
+        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 5 * column_bytes - (step == 4))
+        assert batch_sizes(monkeypatch, add) == in_batches(12, step)
 
 
-def test_product_memory_is_bounded_by_the_chunk():
-    """Each batch of column pairs is no larger than one column's product
-    by a whole factor, so the traced peak of a product with 40 data
-    columns in each factor stays within a fixed multiple of one data
-    array.  Convolving all 1,600 pairs at once would take about 65 of them."""
+def traced_peak(operation):
+    tracemalloc.start()
+    try:
+        operation()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_memory_is_bounded_by_the_chunk(monkeypatch):
+    """With the budget set to one data array, the traced peak of a
+    product with 40 data columns in each factor stays within the budget
+    plus its operands and its result.  Convolving all 1,600 pairs at
+    once would take about 65 data arrays."""
     field, D, W = FieldParams(2, 2), 400, 64
     rng = random.Random(61)
     a = data_columns(field, rng, D, W, rng.sample(range(D // 2), 40))
     b = data_columns(field, rng, D, W, rng.sample(range(D // 2), 40))
-    tracemalloc.start()
-    try:
-        a.mul(b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * a.data.nbytes
+    budget = a.data.nbytes
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+    peak = traced_peak(lambda: a.mul(b))
+    assert peak < budget + a.data.nbytes + b.data.nbytes + a.data.nbytes, (peak, budget)
+
+
+def test_horizon_pass_memory_is_bounded_by_the_chunk(monkeypatch):
+    """A product by 401 columns known only to precision is all horizon
+    pass: with the budget set to one data array, its traced peak stays
+    within the budget plus its operands and its result.  The whole grid
+    at once would take about 50 data arrays."""
+    field, D, W = FieldParams(2, 2), 400, 16
+    rng = random.Random(73)
+    a = data_columns(field, rng, D, W, rng.sample(range(D // 2), 40))
+    b = DensePoly(field, 1, D, W)
+    for d in range(D + 1):
+        b.set_column(d, LaurentSeries.zero(field, 1, d))
+    budget = a.data.nbytes
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+    peak = traced_peak(lambda: a.mul(b))
+    assert peak < budget + a.data.nbytes + b.data.nbytes + a.data.nbytes, (peak, budget)
+
+
+def test_sum_memory_is_bounded_by_the_chunk(monkeypatch):
+    """With the budget set to one data array, the traced peak of adding a
+    W-digit scalar times a polynomial whose every column holds W digits
+    stays within the budget plus that polynomial and the sum.  Convolving
+    every column at once takes about two data arrays for the products
+    alone, and as much again for their realigned windows."""
+    field, D, W = FieldParams(2, 2), 400, 64
+    rng = random.Random(67)
+    other = data_columns(field, rng, D, W, range(D + 1))
+    acc = data_columns(field, rng, D, W, range(D + 1))
+    rows = random_rows(field, rng, W)
+    rows[0] = [1] + rows[0][1:]
+    scalar = LaurentSeries(field, 1, 0, rows, W, exact=True)
+    budget = acc.data.nbytes
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+    peak = traced_peak(lambda: acc.add_scaled(scalar, other))
+    assert peak < budget + other.data.nbytes + acc.data.nbytes, (peak, budget)
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f"F_{f.q}")
+@pytest.mark.parametrize("ram", [1, 2])
+def test_batching_is_invisible(monkeypatch, field, ram):
+    """At a budget of one byte every batch holds one item; products and
+    sums keep the bases, horizons and digits of the default budget, with
+    zero-to-precision columns among the operands."""
+    rng = random.Random(71 + 10 * field.q + ram)
+    D, W = 20, 12
+    for _ in range(4):
+        a, b = mixed_poly(field, ram, rng, D, W), mixed_poly(field, ram, rng, D, W)
+        series = mixed_column(field, ram, rng, W)
+
+        def results():
+            acc = copied(a)
+            acc.add_scaled(series, b)
+            return a.mul(b), b.mul(a), acc
+
+        default = results()
+        with monkeypatch.context() as patch:
+            patch.setattr(lindisc.laurent, "_STACK_BYTES", 1)
+            for got, want in zip(results(), default):
+                assert_same(got, want)
 
 
 def coordinate_stack(field, rng, *shape):

@@ -545,10 +545,10 @@ def test_power_table_keeps_each_slice_within_its_cost_cap(monkeypatch):
 
 
 def test_power_table_keeps_each_product_within_the_stack_bytes(monkeypatch):
-    """With ``_STACK_BYTES`` set to five powers' products at the widest,
-    each batched product that grows the table returns at most that many
-    bytes, so the table adds at most five powers per product, and every
-    power is unchanged."""
+    """With the budget ``laurent._STACK_BYTES`` set to five powers'
+    products at the widest, each batched product that grows the table
+    returns at most that many bytes, so the table adds at most five powers
+    per product, and every power is unchanged."""
     x, width = parse_series("1+T+T^3", F2), 33
     expected = _powers(x, width).upto(100, width).copy()
     cap = 5 * 8 * (2 * width - 1)
@@ -559,7 +559,7 @@ def test_power_table_keeps_each_product_within_the_stack_bytes(monkeypatch):
             stacks.append((a.shape[0], a.shape[1] + b.shape[0] - 1))
         return real(params, a, b)
 
-    monkeypatch.setattr(lindisc.schroder, "_STACK_BYTES", cap)
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", cap)
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
     table = _powers(x, width).upto(100, width)
     assert max(c for c, _ in stacks) == 5
@@ -731,6 +731,22 @@ def test_coefficient_bound_saturates_at_k_prime():
         assert report.violations == []
         assert report.margins[kp] == 0
         assert g.valuation(kp) == (kp - 1) * gauge.A - g.profile.v_m
+
+
+def test_coefficient_bound_raises_on_a_zero_it_cannot_check():
+    """f = (1+T)x + x^2 over F_2 has A = 0 and v_m = 1, so b_2's Lemma
+    bound is −1.  A b_2 known only as O(T^-2) cannot be checked against
+    it, and the check asks for more precision; O(T^-1) can."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    profile, gauge = mult_profile(f.multiplier), ps_gauge(f)
+    one = LaurentSeries.constant(F2, 1)
+    for h, raises in ((-2, True), (-1, False)):
+        g = Conjugacy({1: one, 2: LaurentSeries.zero(F2, 1, h)}, profile, "planted", 2)
+        if raises:
+            with pytest.raises(PrecisionError, match="b_2"):
+                check_coefficient_bound(g, gauge, f)
+        else:
+            assert check_coefficient_bound(g, gauge, f).margins == {2: None}
 
 
 def test_rescaling_covariance():

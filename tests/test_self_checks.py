@@ -52,6 +52,11 @@ DIVIDE_HOMES = {"schroder._small_divisors"}
 LEMMA_HOMES = {"multiplier.lemma_bound"}
 # the one p-adic split n = p^s·u: a second one would loop while p | n
 SPLIT_HOMES = {"multiplier.p_split"}
+# the one reader of the memory budget of stacked products: every batch
+# is sized by ``_per_batch``, so a second rule would load or import
+# ``_STACK_BYTES``; the budget is bound once, at the top of ``laurent``
+BUDGET_HOMES = {"laurent._per_batch"}
+BINDING_HOMES = {"laurent"}
 
 
 def _divisible_by_p(test):
@@ -72,8 +77,9 @@ def _kernel_uses(module, source):
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
     call, every ``while … % p == 0`` loop, every strided view (an
     ``np.ndarray(...)`` call given strides, an ``as_strided`` or
-    ``sliding_window_view`` call) and, in ``schroder``, every
-    ``.inverse()`` and ``_invert_unit(...)`` call in the source of ``module``."""
+    ``sliding_window_view`` call), every load, import and binding of
+    ``_STACK_BYTES`` and, in ``schroder``, every ``.inverse()`` and
+    ``_invert_unit(...)`` call in the source of ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -130,6 +136,13 @@ def _kernel_uses(module, source):
             uses.append((scope, "lemma"))
         if isinstance(node, ast.While) and _divisible_by_p(node.test):
             uses.append((scope, "split"))
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name == "_STACK_BYTES" and isinstance(node, (ast.Name, ast.Attribute)):
+            uses.append((scope, "budget" if isinstance(node.ctx, ast.Load) else "binding"))
+        if isinstance(node, ast.ImportFrom) and any(
+            alias.name == "_STACK_BYTES" for alias in node.names
+        ):
+            uses.append((scope, "budget"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -146,19 +159,22 @@ def _misplaced(uses):
         "divide": DIVIDE_HOMES,
         "lemma": LEMMA_HOMES,
         "split": SPLIT_HOMES,
+        "budget": BUDGET_HOMES,
+        "binding": BINDING_HOMES,
     }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
 
 def test_one_convolution_and_one_fold():
-    offenders, seen = [], set()
+    offenders, seen, bindings = [], set(), []
     for path in SOURCES:
         uses = _kernel_uses(path.stem, path.read_text(encoding="utf-8"))
         seen.update(uses)
         offenders += _misplaced(uses)
+        bindings += [use for use in uses if use[1] == "binding"]
     assert not offenders, (
         f"a second F_q product, fold, power or windowed view, small-divisor "
-        f"quotient, Lemma bound or p-adic split: {offenders}"
+        f"quotient, Lemma bound, p-adic split or memory budget: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "window") in seen
@@ -167,6 +183,37 @@ def test_one_convolution_and_one_fold():
     assert ("schroder._small_divisors", "divide") in seen
     assert ("multiplier.lemma_bound", "lemma") in seen
     assert ("multiplier.p_split", "split") in seen
+    assert ("laurent._per_batch", "budget") in seen
+    assert bindings == [("laurent", "binding")]  # the budget is bound once
+
+
+def test_kernel_walk_flags_a_second_budget_read():
+    source = (
+        "from .laurent import _STACK_BYTES, _per_batch\n"
+        "import lindisc.laurent\n"
+        "def _per_batch(item_bytes):\n"
+        "    return max(1, _STACK_BYTES // item_bytes)\n"
+        "class DensePoly:\n"
+        "    def mul(self, other):\n"
+        "        step = max(1, _STACK_BYTES // 8)\n"
+        "        cap = lindisc.laurent._STACK_BYTES\n"
+        "        lindisc.laurent._STACK_BYTES = 1\n"
+        "        return _per_batch(8)\n"
+    )
+    assert _misplaced(_kernel_uses("_dense", source)) == [
+        ("_dense", "budget"),
+        ("_dense._per_batch", "budget"),
+        ("_dense.DensePoly.mul", "budget"),
+        ("_dense.DensePoly.mul", "budget"),
+        ("_dense.DensePoly.mul", "binding"),
+    ]
+    # in ``laurent`` the helper is the home, and the module level binds
+    laurent = "_STACK_BYTES = 32 << 20\n" + source.split("\n", 2)[2]
+    assert _misplaced(_kernel_uses("laurent", laurent)) == [
+        ("laurent.DensePoly.mul", "budget"),
+        ("laurent.DensePoly.mul", "budget"),
+        ("laurent.DensePoly.mul", "binding"),
+    ]
 
 
 def test_kernel_walk_flags_a_second_product():
