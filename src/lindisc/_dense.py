@@ -19,9 +19,8 @@ products are exact and sums are taken mod p, so no batch changes a result:
   convolves them pair by pair, and adds each realigned product into
   x^(i+j).  ``mul_by_map`` multiplies by a map's exact coefficients,
   installed as columns by ``of_map`` once per chain of products: each
-  product carries them to the next (installing them per product made
-  the sweep workload 5% slower), and ``of_map(f)`` serves as f's
-  columns itself until it is modified;
+  product carries ``map_columns = (f, columns)`` to the next
+  (installing them per product made the sweep workload 5% slower);
 * ``add_scaled``, the accumulation of a scalar multiple of another
   polynomial: one convolution of its data columns with the scalar.
 
@@ -81,9 +80,7 @@ class DensePoly:
         self.base = np.full(D + 1, INF, dtype=np.int64)
         self.prec = np.full(D + 1, INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
-        # the map whose columns these are (``of_map``, until modified), and
-        # those columns of the map this polynomial is a product by
-        self.map_of = None
+        # (f, f's columns) when this polynomial is a product by the map f
         self.map_columns = None
 
     @classmethod
@@ -94,14 +91,12 @@ class DensePoly:
         for i, a in f.coeffs.items():
             if i <= D:
                 poly.set_column(i, a)
-        poly.map_of = f
         return poly
 
     # -- column access ---------------------------------------------------------
 
     def set_column(self, d, series):
         """Install a series as the coefficient of x^d (window-clamped)."""
-        self.map_of = None
         self.data[d] = 0
         if series.is_zero_as_known:
             self.base[d] = INF
@@ -160,13 +155,13 @@ class DensePoly:
 
     def mul_by_map(self, f):
         """Return self * f, truncated to x-degree D.  The product carries
-        the columns of f it was multiplied by, so a chain of products by
-        one map, from ``of_map(f)`` or from any start, installs them once."""
-        columns = self if self.map_of is f else self.map_columns
-        if columns is None or columns.map_of is not f:
-            columns = DensePoly.of_map(f, self.D, self.W)
-        out = self.mul(columns)
-        out.map_columns = columns
+        the pair (f, columns of f) it was multiplied by, so a chain of
+        products by one map installs f's columns once, at its first link."""
+        pair = self.map_columns
+        if pair is None or pair[0] is not f:
+            pair = (f, DensePoly.of_map(f, self.D, self.W))
+        out = self.mul(pair[1])
+        out.map_columns = pair
         return out
 
     def mul(self, other):
@@ -242,7 +237,6 @@ class DensePoly:
         horizons of the affected columns, and so does every live column
         of other; only the columns of other that hold data are convolved.
         """
-        self.map_of = None
         lo = other._live()
         if series.is_exact_zero or lo > self.D:
             return

@@ -247,34 +247,6 @@ class LaurentSeries:
             return self.field.zero()
         return FqElement(self.field, list(self.coeffs[j]))
 
-    def with_prec(self, new_prec):
-        """Re-declare the horizon.  Raising it requires exactness."""
-        new_prec = int(new_prec)
-        if new_prec > self.prec and not self.exact:
-            raise PrecisionError(
-                f"cannot raise horizon {self.prec} -> {new_prec} of inexact series"
-            )
-        exact = self.exact and new_prec >= self.lead + self.coeffs.shape[0]
-        return LaurentSeries(self.field, self.ram, self.lead, self.coeffs, new_prec, exact)
-
-    def truncate_relative(self, digits):
-        """Declare exactly `digits` known coefficients past the lead.
-
-        An exact series justifies any horizon, so this also *raises* the
-        declared precision; that is what lets reciprocals of exact
-        divisors be expanded to the full working width.
-        """
-        if self.is_zero_as_known:
-            return self
-        if self.exact:
-            return self.with_prec(self.lead + digits)
-        new_prec = min(self.prec, self.lead + digits)
-        if new_prec >= self.prec:
-            return self
-        return LaurentSeries(
-            self.field, self.ram, self.lead, self.coeffs, new_prec, exact=False
-        )
-
     # -- field operations -----------------------------------------------------
 
     def __add__(self, other):

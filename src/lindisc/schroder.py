@@ -18,10 +18,11 @@ is known to any number of digits and its reciprocal is expanded to the
 full working width.  Only those digits are formed.  In characteristic
 p, 1 − λ^{p^s·u} is the s-th Frobenius image of 1 − λ^u, and for p ∤ u
 the valuation of 1 − λ^u is 0 or v_m, so λ^u is read modulo
-U^(v_m·e + window) and never beyond, from one table of powers grown
-by doubling (``_PowerTable``).  Each time, a divisor that vanishes to
-that window raises PrecisionError and one whose valuation is not the
-closed form v(1 − λ^n) raises CertificateError.
+U^(v_m·e + window) and never beyond, from one array of powers formed
+once, by doubling, up to the largest power the solve reads.  Each
+time, a divisor that vanishes to that window raises PrecisionError and
+one whose valuation is not the closed form v(1 − λ^n) raises
+CertificateError.
 """
 
 import math
@@ -130,73 +131,55 @@ class Conjugacy:
 _SLICE_PRODUCTS = 1 << 14
 
 
-def _powers(x, width):
-    """The windowed power table of a series x to ``width`` rows
-    (``_PowerTable``)."""
-    return _PowerTable(x, width)
+def _powers(x, n, width):
+    """The windowed powers x^0 .. x^n of a series x: an (n + 1, width, r)
+    array whose row j of power k is the coefficient of U^(k·x.lead + j)
+    in x^k, zero rows included.
 
-
-class _PowerTable:
-    """Windowed powers of a series x: ``table(n, rows)`` is the first
-    ``rows`` rows of x^n past its lead n·x.lead, and ``table.upto(n,
-    rows)`` stacks them for x^0 .. x^n, for rows <= width.
-
-    The powers are one array of ``width`` rows each, zero rows included.
-    With x^0 .. x^(L-1) stored, one batched product of x^(L-c) .. x^(L-1)
-    by x^c adds x^L .. x^(L+c-1); c = L - 1 doubles the table, so n
+    With x^0 .. x^(L-1) formed, one batched product of x^(L-c) .. x^(L-1)
+    by x^c adds x^L .. x^(L+c-1); c = L - 1 doubles the array, so n
     powers cost ⌈log2 n⌉ products.  A slice of it costs (width + l - 1)·l
     coordinate products, l the rows of x^c, so c is capped where that
     passes ``_SLICE_PRODUCTS``, and by ``laurent._per_batch`` from the
     2·width - 1 rows of each power's result: a short x in a wide window
-    grows a few powers per product, or one by the unbatched path.  Row j of
-    a product depends only on rows <= j of its factors, so every stored row
-    is a row of the exact x^n.  A read past the width raises CertificateError."""
+    adds a few powers per product, or one by the unbatched path.  Row j of
+    a product depends only on rows <= j of its factors, so every row is a
+    row of the exact x^n.  Readers take rows through ``_rows``."""
+    field_, r = x.field, x.field.r
+    base = x.coeffs[:width]
+    table = np.zeros((n + 1, width, r), dtype=np.int64)
+    table[0, 0, 0] = 1
+    if n:
+        table[1, : base.shape[0]] = base
+    # x^c has min(width, c·degree + 1) rows, and a product by it
+    # min(width, c·degree + 1) + width - 1
+    nonzero = np.flatnonzero(base.any(axis=1))
+    degree = int(nonzero[-1]) if nonzero.size else 0
+    most = _per_batch(8 * (2 * width - 1) * r)
+    # ``span``: the most rows x^c may have for a slice within the cap
+    budget = _SLICE_PRODUCTS // r**2
+    span = (math.isqrt((width - 1) ** 2 + 4 * budget) - (width - 1)) // 2
+    if degree and span < width:
+        most = min(most, max(1, (span - 1) // degree))
+    have = 2  # x^0 .. x^(have-1) are formed
+    while have <= n:
+        c = min(have - 1, n + 1 - have, most)
+        # one power takes the unbatched path, which skips zero coordinates
+        stack = table[have - 1] if c == 1 else table[have - c : have]
+        step = _convolve(field_, stack, table[c, : min(width, c * degree + 1)])
+        table[have : have + c] = step[..., :width, :]
+        have += c
+    return table
 
-    def __init__(self, x, width):
-        self.field, self.width = x.field, width
-        r = x.field.r
-        base = x.coeffs[:width]
-        self.rows = np.zeros((2, width, r), dtype=np.int64)
-        self.rows[0, 0, 0] = 1
-        self.rows[1, : base.shape[0]] = base
-        self.count = 2  # x^0 .. x^(count-1) are formed
-        # x^c has min(width, c·degree + 1) rows, and a product by it
-        # min(width, c·degree + 1) + width - 1
-        nonzero = np.flatnonzero(base.any(axis=1))
-        self.degree = int(nonzero[-1]) if nonzero.size else 0
-        self.most = _per_batch(8 * (2 * width - 1) * r)
-        # ``span``: the most rows x^c may have for a slice within the cap
-        budget = _SLICE_PRODUCTS // r**2
-        span = (math.isqrt((width - 1) ** 2 + 4 * budget) - (width - 1)) // 2
-        if self.degree and span < width:
-            self.most = min(self.most, max(1, (span - 1) // self.degree))
 
-    def __call__(self, n, rows):
-        return self.upto(n, rows)[n]
-
-    def upto(self, n, rows):
-        if rows > self.width:
-            raise CertificateError(
-                f"read of {rows} rows of a power past its table's width {self.width}"
-            )
-        have = self.count
-        if n >= have:
-            if n >= self.rows.shape[0]:  # room for n + 1 powers, at least double
-                grown = np.empty(
-                    (max(n + 1, 2 * have),) + self.rows.shape[1:], dtype=np.int64
-                )
-                grown[:have] = self.rows[:have]
-                self.rows = grown
-            while have <= n:
-                c = min(have - 1, n + 1 - have, self.most)
-                # one power takes the unbatched path, which skips zero coordinates
-                stack = self.rows[have - 1] if c == 1 else self.rows[have - c : have]
-                rows_c = min(self.width, c * self.degree + 1)
-                step = _convolve(self.field, stack, self.rows[c, :rows_c])
-                self.rows[have : have + c] = step[..., : self.width, :]
-                have += c
-            self.count = have
-        return self.rows[: n + 1, :rows]
+def _rows(powers, rows):
+    """The first ``rows`` rows of every power of a ``_powers`` array; a
+    read past its width raises CertificateError, never returns fewer."""
+    if rows > powers.shape[1]:
+        raise CertificateError(
+            f"read of {rows} rows of a power past its table's width {powers.shape[1]}"
+        )
+    return powers[:, :rows]
 
 
 class _DivisorTable(Mapping):
@@ -204,12 +187,13 @@ class _DivisorTable(Mapping):
     tabulates it.  The n-th divisor has valuation ``leads[n]`` (U-units)
     and ``rows[n]`` holds the ``window`` rows of its reciprocal past that
     reciprocal's lead −leads[n].  An entry's LaurentSeries is built when
-    a solver reads it."""
+    a solver reads it.  ``lam_powers`` is the ``_powers`` array of λ the
+    table was read from."""
 
-    def __init__(self, field_, ram, ks, leads, rows, window, lam_power):
+    def __init__(self, field_, ram, ks, leads, rows, window, lam_powers):
         self.field, self.ram, self.window = field_, ram, window
         self.index = {k: n for n, k in enumerate(ks)}
-        self.leads, self.rows, self.lam_power = leads, rows, lam_power
+        self.leads, self.rows, self.lam_powers = leads, rows, lam_powers
 
     def __getitem__(self, k):
         n = self.index[k]
@@ -236,8 +220,8 @@ def _small_divisors(profile, ks, window, lows=None):
     m ∤ u and v_m otherwise, so the ``window`` digits past the lead read
     λ^u only modulo U^(v_m·e + window).
 
-    The powers λ^0 .. λ^u for the largest u (and i) are one read of a
-    ``_powers`` table, and the first nonzero row of every 1 − λ^u is one
+    The powers λ^0 .. λ^u for the largest u (and i) are one ``_powers``
+    array, formed once, and the first nonzero row of every 1 − λ^u is one
     array pass over it.  Then, entry by entry in the order of ``ks``, a
     divisor that vanishes to the window raises PrecisionError and a
     valuation p^s·v(1 − λ^u) off the closed form ``small_divisor_valuation``
@@ -251,12 +235,12 @@ def _small_divisors(profile, ks, window, lows=None):
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
     width = int(profile.v_m * ram) + window
-    lam_power = _powers(lam, width)
     scaled = lows is not None  # each unit times its own λ^i, else all times λ
     lows = list(lows) if scaled else [1] * len(ks)
     splits = [p_split(k - i, p) for k, i in zip(ks, lows)]
     us = [u for _, u in splits]
-    powers = lam_power.upto(max(us + (lows if scaled else []), default=0), width)
+    top = max(us + (lows if scaled else []), default=0)
+    powers = _rows(_powers(lam, top, width), width)
     # rows of 1 − λ^u that are nonzero: those of λ^u, but row 0 is
     # nonzero where λ^u's differs from 1
     one = np.zeros(r, dtype=np.int64)
@@ -307,7 +291,7 @@ def _small_divisors(profile, ks, window, lows=None):
         scale = lam.coeffs[:window]
     units = _convolve(field_, units, scale)[:, :window]
     inverses = _invert_unit(field_, units, window)
-    return _DivisorTable(field_, ram, ks, leads, inverses, window, lam_power)
+    return _DivisorTable(field_, ram, ks, leads, inverses, window, powers)
 
 
 def solve_sfe(f, D, window=32):
@@ -357,7 +341,8 @@ def solve_sfe(f, D, window=32):
                 for _ in range(k - 1 if family else 1):
                     fpow = fpow.mul_by_map(f)
                 if family:
-                    stride = fpow
+                    # f^p is multiplied only by ``mul``: free f's columns
+                    stride, fpow.map_columns = fpow, None
             acc.add_scaled(b_k, fpow)
     return Conjugacy(coeffs, profile, "term-matching", D)
 
@@ -471,8 +456,9 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     table, whose Newton run inverts the unit of λ^j(1 − λ^{pj}), and
     λ^{(p+1)j}·T_j = λ^{pj}/(1 − λ^{pj}) = λ^j·T_j − 1.  Both factor
     stacks, a^j·T_j and λ^j·T_j − 1, are one batched product each, of
-    ``window`` rows of λ^1 .. λ^Jmax and a^1 .. a^Jmax, each one slice of
-    a ``_powers`` table (λ's is the divisor table's).  S_j is an
+    ``window`` rows of λ^1 .. λ^Jmax and a^1 .. a^Jmax, each read from a
+    ``_powers`` array: λ's is the divisor table's, whose ``lows`` run up
+    to Jmax, and a's is formed once, up to a^Jmax.  S_j is an
     F_p-linear combination of the rows of the B_i, aligned by lead: one
     integer dot product of the j-th row of binomials against the
     gathered rows, reduced mod p.  Per j that and the product
@@ -516,8 +502,8 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     js = range(1, Jmax + 1)
     T = _small_divisors(profile, [(p + 1) * j for j in js], W, lows=js)
-    lam_rows = T.lam_power.upto(Jmax, W)[1:]
-    a_rows = _powers(a, W).upto(Jmax, W)[1:]
+    lam_rows = _rows(T.lam_powers, W)[1 : Jmax + 1]
+    a_rows = _rows(_powers(a, Jmax, W), W)[1:]
     lead_T = T.leads  # T_j has lead −lead_T[j-1], and U^0 sits at row lead_T
     G = _convolve(field_, lam_rows, T.rows)[:, :W]  # λ^j·T_j
     inside = np.flatnonzero(lead_T < W)

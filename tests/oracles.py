@@ -25,7 +25,7 @@ from lindisc.powerseries import (
     newton_root,
     ps_eval,
 )
-from lindisc.schroder import Conjugacy, _p_plus_1_shape, _powers, _small_divisors
+from lindisc.schroder import Conjugacy, _p_plus_1_shape, _powers, _rows, _small_divisors
 
 
 def binomial_digits(n, k, p):
@@ -82,7 +82,8 @@ def over_small_divisor(s, lam_power, profile, k, window):
             f"divisor valuation {Fraction(div.lead, div.ram)} != closed form "
             f"{expected} at k = {k}"
         )
-    return s * div.truncate_relative(window).inverse()
+    div = LaurentSeries(div.field, div.ram, div.lead, div.coeffs[:window], div.lead + window)
+    return s * div.inverse()
 
 
 def solve_specialized_per_term(f, Jmax, window=32):
@@ -122,7 +123,7 @@ def solve_specialized_windowed_terms(f, Jmax, window=32):
     """The p+1 recurrence of ``solve_specialized_p_plus_1`` term by term
     on coefficient windows: each term b_i·C(ip+1, j-i)·λ^e·a^n is two
     windowed products, read to the sum's horizon H (the least term
-    horizon) from ``_powers`` tables of λ and a, and each sum is divided
+    horizon) from ``_powers`` arrays of λ and a, and each sum is divided
     by the table entry 1/(λ − λ^{jp+1}).  Fast enough for every
     ``divergence-ladder`` size, where ``solve_specialized_per_term``'s
     exact powers are not."""
@@ -134,7 +135,9 @@ def solve_specialized_windowed_terms(f, Jmax, window=32):
     D = Jmax * p + 1
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-    lam_power, a_power = _powers(lam, window), _powers(a, window)
+    # λ^e with e = ip + 1 − (j − i) <= (Jmax − 1)·p, and a^(j−i) with j − i <= Jmax
+    lam_power = _powers(lam, (Jmax - 1) * p, window)
+    a_power = _powers(a, Jmax, window)
     divisor = _small_divisors(profile, [j * p + 1 for j in range(1, Jmax + 1)], window)
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
@@ -154,8 +157,8 @@ def solve_specialized_windowed_terms(f, Jmax, window=32):
             rows = H - lead
             if rows <= 0:
                 continue
-            prod = _convolve(field_, coeffs[:rows], lam_power(e, rows))
-            prod = _convolve(field_, prod[:rows], a_power(n, rows))[:rows]
+            prod = _convolve(field_, coeffs[:rows], _rows(lam_power, rows)[e])
+            prod = _convolve(field_, prod[:rows], _rows(a_power, rows)[n])[:rows]
             acc[lead - lo : lead - lo + prod.shape[0]] += c * prod
         total = LaurentSeries(field_, ram, lo, acc, H)
         b[j] = total * divisor[j * p + 1]

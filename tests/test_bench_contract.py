@@ -6,6 +6,7 @@ through them, makes a rename fail the test suite instead of the
 benchmark.
 """
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -165,3 +166,41 @@ def test_bench_gate_selftest_passes():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest: PASS" in done.stdout
+
+
+def test_variant_zero_of_every_stratum_matches_the_committed_reference(tmp_path, capsys):
+    """Variant 0 of every stratum of the four workloads, run in process
+    through ``harness.Capture`` and gated by ``harness.check`` against the
+    committed ``bench/reference/*.json``: each job exits with the
+    reference's code, writes output bytes of the reference's SHA-256 and
+    loses no digit, so a changed output byte fails the test suite."""
+    harness, workloads = load("harness"), load("workloads")
+    originals = entry_points()
+    patcher = harness.Patcher()
+    failures, ran = [], 0
+    try:
+        capture = harness.Capture(patcher)
+        for workload in sorted(workloads.WORKLOADS):
+            reference = harness.load_reference(workload)
+            for item, jobs in workloads.pool(workload).items():
+                if not item.endswith(".0"):
+                    continue
+                path = tmp_path / f"{workload}.{item}.json"
+                path.write_text(json.dumps(jobs[0][2], sort_keys=True))
+                for job_id, argv_tail, payload in jobs:
+                    ref = reference[job_id]
+                    assert ref["job"] == workloads.job_sha(argv_tail, payload), job_id
+                    code, out, error = harness.run_job(
+                        cli.main, argv_tail + ["--job", str(path)]
+                    )
+                    digits = harness.digits_of(*capture.take())
+                    sha = hashlib.sha256(out).hexdigest()
+                    reasons = harness.check(ref, code, sha, error, digits)
+                    if reasons:
+                        failures.append((job_id, reasons))
+                    ran += 1
+    finally:
+        patcher.undo()
+    assert entry_points() == originals
+    assert ran == 40 and not failures, failures
+    capsys.readouterr()

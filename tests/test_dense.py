@@ -537,8 +537,8 @@ def test_batched_convolution_memory_is_bounded_by_the_cap(monkeypatch):
 
 def test_a_chain_of_products_by_one_map_installs_its_columns_once(monkeypatch):
     """``solve_sfe`` multiplies by f once per degree through
-    ``mul_by_map``; f's columns are installed once per solve, and each
-    product carries them to the next."""
+    ``mul_by_map``; f's columns are installed once for f^1 and once for
+    the chain of products, and each product carries them to the next."""
     import lindisc.schroder
 
     F2 = FieldParams(2)
@@ -559,7 +559,7 @@ def test_a_chain_of_products_by_one_map_installs_its_columns_once(monkeypatch):
     monkeypatch.setattr(DensePoly, "of_map", classmethod(of_map))
     monkeypatch.setattr(DensePoly, "mul_by_map", mul_by_map)
     lindisc.schroder.solve_sfe(f, 20)
-    assert calls == {"of_map": 1, "mul_by_map": 18}
+    assert calls == {"of_map": 2, "mul_by_map": 18}
 
 
 def test_a_product_by_another_map_uses_that_maps_columns():
@@ -581,9 +581,10 @@ def test_a_product_by_another_map_uses_that_maps_columns():
 
 
 def test_a_modified_polynomial_no_longer_passes_for_a_maps_columns():
-    """``of_map(f)`` serves as f's columns in products by f only until it
-    is modified: then products by f, its own and those of a product that
-    carries it, install f's columns afresh."""
+    """Products by f read f's columns, never a polynomial that was
+    modified: after ``of_map(f)`` is changed, its own products by f and
+    those of a product that carries f's columns equal products by the
+    columns installed afresh."""
     rng = random.Random(53)
     D, W = 10, 8
     for field in FIELDS:
@@ -626,3 +627,39 @@ def test_a_solves_map_columns_are_freed_without_the_cycle_collector(monkeypatch)
         assert made and all(ref() is None for ref in made)
     finally:
         gc.enable()
+
+
+def test_the_stride_drops_the_columns_of_f_once_formed(monkeypatch):
+    """For a p-divisible map f^p, the stride of every later power, is
+    multiplied only by ``mul``, so it drops the columns of f its products
+    carried: by the first product by f^p, no polynomial ``of_map`` made
+    is alive, and no (D + 1)·W·r block of f's columns is held to the end
+    of the solve."""
+    import gc
+    import weakref
+
+    import lindisc.schroder
+
+    F2 = FieldParams(2)
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    real_of_map, real_mul = DensePoly.__dict__["of_map"], DensePoly.mul
+    made, alive = [], []
+
+    def of_map(cls, *args):
+        poly = real_of_map.__func__(cls, *args)
+        made.append(weakref.ref(poly))
+        return poly
+
+    def mul(self, other):
+        if all(ref() is not other for ref in made):  # a product by f^p
+            alive.append(sum(ref() is not None for ref in made))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(DensePoly, "of_map", classmethod(of_map))
+    monkeypatch.setattr(DensePoly, "mul", mul)
+    gc.disable()
+    try:
+        lindisc.schroder.solve_sfe(f, 12)
+    finally:
+        gc.enable()
+    assert len(alive) == 4 and not any(alive), alive

@@ -136,14 +136,6 @@ def test_coefficient_beyond_horizon_rejected():
         a.coefficient(4)
 
 
-def test_with_prec_cannot_invent_digits():
-    a = parse_series("1+O(T^4)", F2)
-    with pytest.raises(PrecisionError):
-        a.with_prec(10)
-    exact = parse_series("1+T", F2)
-    assert exact.with_prec(100).prec == 100
-
-
 def test_residue():
     assert parse_series("1+T", F2).residue() == F2.one()
     assert parse_series("T+T^2", F2).residue() == F2.zero()
@@ -308,18 +300,6 @@ def test_dual_horizon_soundness():
         expr_lo = (lo * lo + lo).inverse()
         expr_hi = (hi * hi + hi).inverse()
         assert expr_lo.agrees_with(expr_hi)
-
-
-def test_truncate_relative():
-    a = parse_series("1+T+T^2+T^3", F2)
-    t = a.truncate_relative(2)
-    assert t.prec == 2
-    assert not t.exact
-    # on an exact series the declared horizon may be raised freely
-    widened = a.truncate_relative(10)
-    assert widened.prec == 10
-    assert widened.exact
-    assert widened.agrees_with(a)
 
 
 def test_valuation_comparisons():

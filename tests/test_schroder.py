@@ -44,6 +44,7 @@ from lindisc.schroder import (
     NONZERO,
     STRUCTURAL,
     _powers,
+    _rows,
     _small_divisors,
     invert_at_point,
 )
@@ -432,14 +433,16 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
 
 
 def test_power_table_read_past_its_width_raises(monkeypatch):
-    """A read past a power table's width raises CertificateError; it never
-    returns a shorter slice.  With every table one row short, the
+    """A read past a power array's width raises CertificateError; it never
+    returns a shorter slice.  With every array one row short, the
     divisor table and the p+1 recurrence's window both run into it."""
-    power = _powers(parse_series("1+T", F3), 4)
-    assert power(3, 4).tolist() == [[1], [0], [0], [1]]
-    assert power(0, 2).tolist() == [[1], [0]]
-    with pytest.raises(CertificateError, match="width 4"):
-        power(3, 5)
+    power = _powers(parse_series("1+T", F3), 3, 4)
+    assert power.shape == (4, 4, 1)
+    assert _rows(power, 4)[3].tolist() == [[1], [0], [0], [1]]
+    assert _rows(power, 2)[0].tolist() == [[1], [0]]
+    for n in (3, 0):
+        with pytest.raises(CertificateError, match="width 4"):
+            _rows(_powers(parse_series("1+T", F3), n, 4), 5)
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     real = lindisc.schroder._powers
     for short, solves in [
@@ -447,7 +450,7 @@ def test_power_table_read_past_its_width_raises(monkeypatch):
         (lambda width: width - (width == 32), [(solve_specialized_p_plus_1, 3)]),
     ]:
         monkeypatch.setattr(
-            lindisc.schroder, "_powers", lambda x, width: real(x, short(width))
+            lindisc.schroder, "_powers", lambda x, n, width: real(x, n, short(width))
         )
         for solve, degree in solves:
             with pytest.raises(CertificateError, match="past its table's width"):
@@ -468,11 +471,11 @@ POWER_CASES = [
 @pytest.mark.parametrize("field, e, lit", POWER_CASES)
 @pytest.mark.parametrize("width", [8, 40, 200])
 def test_power_table_equals_the_exact_powers(field, e, lit, width):
-    """The table grows by doubling (capped at wide windows over large
-    fields, where it grows a few powers per product); whatever the
-    growth, every read equals the exact chain's x^n on its first rows,
-    across the doubling boundaries n = 2^s and 2^s + 1, both read at once
-    and one power after another."""
+    """The array is formed by doubling (capped at wide windows over large
+    fields, where it adds a few powers per product); whatever the
+    steps, every power equals the exact chain's x^n on its first rows,
+    across the doubling boundaries n = 2^s and 2^s + 1, and so does a
+    read of fewer rows."""
     x = parse_series(lit, field, e)
     exact = exact_powers(x)
     top = 40
@@ -484,21 +487,10 @@ def test_power_table_equals_the_exact_powers(field, e, lit, width):
         return out
 
     expected = np.stack([rows(n) for n in range(top + 1)])
-    for n in sorted({1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, top}):
-        assert np.array_equal(_powers(x, width).upto(n, width), expected[: n + 1]), n
-    one_by_one = _powers(x, width)
-    for n in range(top + 1):
-        assert np.array_equal(one_by_one(n, width), expected[n]), n
-    assert np.array_equal(one_by_one.upto(top, width // 2), expected[:, : width // 2])
-
-
-def test_power_table_slice_read_past_its_width_raises():
-    table = _powers(parse_series("1+T", F3), 4)
-    assert table.upto(3, 4).shape == (4, 4, 1)
-    with pytest.raises(CertificateError, match="width 4"):
-        table.upto(3, 5)
-    with pytest.raises(CertificateError, match="width 4"):
-        table.upto(0, 5)
+    for n in sorted({0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, top}):
+        assert np.array_equal(_powers(x, n, width), expected[: n + 1]), n
+    half = _rows(_powers(x, top, width), width // 2)
+    assert np.array_equal(half, expected[:, : width // 2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100, 128, 129])
@@ -512,8 +504,7 @@ def test_power_table_makes_log_many_products(monkeypatch, n):
         return real(params, a, b)
 
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
-    table = _powers(parse_series("1+T+T^3", F2), 33)
-    table(n, 33)
+    _powers(parse_series("1+T+T^3", F2), n, 33)
     assert len(calls) <= math.ceil(math.log2(n)) + 1, (n, len(calls))
 
 
@@ -531,7 +522,7 @@ def test_power_table_keeps_each_slice_within_its_cost_cap(monkeypatch):
         return real(params, a, b)
 
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
-    table = _powers(lam, 300).upto(100, 300)
+    table = _powers(lam, 100, 300)
     monkeypatch.undo()
     budget = lindisc.schroder._SLICE_PRODUCTS
     for ndim, la, lb in slices:
@@ -550,7 +541,7 @@ def test_power_table_keeps_each_product_within_the_stack_bytes(monkeypatch):
     returns at most that many bytes, so the table adds at most five powers
     per product, and every power is unchanged."""
     x, width = parse_series("1+T+T^3", F2), 33
-    expected = _powers(x, width).upto(100, width).copy()
+    expected = _powers(x, 100, width)
     cap = 5 * 8 * (2 * width - 1)
     real, stacks = lindisc.schroder._convolve, []
 
@@ -561,30 +552,22 @@ def test_power_table_keeps_each_product_within_the_stack_bytes(monkeypatch):
 
     monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", cap)
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
-    table = _powers(x, width).upto(100, width)
+    table = _powers(x, 100, width)
     assert max(c for c, _ in stacks) == 5
     assert all(8 * c * rows <= cap for c, rows in stacks), stacks
     assert np.array_equal(table, expected)
 
 
 def _planted_powers(monkeypatch, u0):
-    """Every power table of ``_small_divisors`` reads λ^u0 as 1, so the
+    """Every power array of ``_small_divisors`` reads λ^u0 as 1, so the
     divisor 1 − λ^u0 vanishes to the window."""
     real = lindisc.schroder._powers
 
-    def planted(x, width):
-        table = real(x, width)
-        upto = table.upto
-
-        def planted_upto(n, rows):
-            out = upto(n, rows)
-            if n >= u0:
-                out = out.copy()
-                out[u0] = 0
-                out[u0, 0, 0] = 1
-            return out
-
-        table.upto = planted_upto
+    def planted(x, n, width):
+        table = real(x, n, width)
+        if n >= u0:
+            table[u0] = 0
+            table[u0, 0, 0] = 1
         return table
 
     monkeypatch.setattr(lindisc.schroder, "_powers", planted)
