@@ -11,16 +11,20 @@ into the result's windows, so the per-degree Python cost is constant.
 ``mul``, data columns of ``add_scaled``) from the bytes one item holds;
 products are exact and sums are taken mod p, so no batch changes a result:
 
-* ``mul``, the product by another ``DensePoly``, makes two passes.  The
-  horizon pass takes one broadcast minimum over a grid of (live column
-  of the other factor) × (x-degree) for the bases and horizons.  The
+* ``mul``, the product by another ``DensePoly``, makes two passes over
+  the other's packed ``_factor``.  The horizon pass takes one broadcast
+  minimum over a grid of (live column of the other) × (x-degree) for the
+  bases and horizons, on the band of degrees the product can reach.  The
   data pass stacks the pairs of columns that both hold data, self's
   column j against the other's column i trimmed to its nonzero rows,
   convolves them pair by pair, and adds each realigned product into
-  x^(i+j).  ``mul_by_map`` multiplies by a map's exact coefficients,
-  installed as columns by ``of_map`` once per chain of products: each
-  product carries ``map_columns = (f, columns)`` to the next
-  (installing them per product made the sweep workload 5% slower);
+  x^(i+j).  A solve multiplies by f's columns and the stride f^p only,
+  so each factor is formed once; its polynomial is read-only from then
+  on, so no factor goes stale.  ``mul_by_map`` multiplies by a map's
+  exact coefficients, installed as columns by ``of_map`` once per chain
+  of products: each product carries ``map_columns = (f, columns)``, and
+  f's factor with it, to the next (installing them per product made the
+  sweep workload 5% slower);
 * ``add_scaled``, the accumulation of a scalar multiple of another
   polynomial: one convolution of its data columns with the scalar.
 
@@ -56,6 +60,8 @@ of f^k.  Min-plus convolution is associative and true digits do not
 depend on how they were computed, so every honest route to f^k (f^{k-1}·f
 or f^{k-p}·f^p) gives the same bases, horizons and data.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -156,13 +162,34 @@ class DensePoly:
     def mul_by_map(self, f):
         """Return self * f, truncated to x-degree D.  The product carries
         the pair (f, columns of f) it was multiplied by, so a chain of
-        products by one map installs f's columns once, at its first link."""
+        products by one map installs f's columns and forms their factor
+        once, at its first link."""
         pair = self.map_columns
         if pair is None or pair[0] is not f:
             pair = (f, DensePoly.of_map(f, self.D, self.W))
         out = self.mul(pair[1])
         out.map_columns = pair
         return out
+
+    @cached_property
+    def _factor(self):
+        """The right factor of ``mul``: live columns, their v and h, and
+        data columns trimmed to their nonzero rows with the exponent of
+        the first kept row.  Forming it makes the arrays read-only."""
+        W = self.W
+        cols = np.flatnonzero(self.prec < _INF_CUT)
+        nonzero = self.data[cols].any(axis=2)
+        held = nonzero.any(axis=1)
+        at, nonzero = cols[held], nonzero[held]
+        first = np.argmax(nonzero, axis=1)
+        length = W - np.argmax(nonzero[:, ::-1], axis=1) - first
+        rows = first[:, None] + np.arange(length.max(initial=0))
+        trimmed = self.data[at[:, None], np.minimum(rows, W - 1)]
+        trimmed[rows >= W] = 0
+        for array in (self.base, self.prec, self.data):
+            array.flags.writeable = False
+        v = np.minimum(self.base[cols], self.prec[cols])
+        return cols, v, self.prec[cols], at, trimmed, self.base[at] + first
 
     def mul(self, other):
         """Return self * other, truncated to x-degree D.
@@ -173,50 +200,47 @@ class DensePoly:
         valuation of other's column and h = prec[i] is its horizon;
         b = min(base[j], prec[j]) bounds the valuation of self's column.
         Every live column counts there; only the pairs of columns that
-        both hold data are convolved.
+        both hold data are convolved.  Self's columns below its first live
+        one, lo, are exact zeros, so only x^(lo + i) .. x^D are reached, i
+        other's first live column.
         """
         D, W = self.D, self.W
         out = DensePoly(self.field, self.ram, D, W)
         lo = self._live()
-        cols = np.flatnonzero(other.prec[: D + 1 - lo] < _INF_CUT)
-        if not cols.size:
+        cols, v, h, at, trimmed, starts = other._factor
+        n = int(np.searchsorted(cols, D + 1 - lo))
+        if not n:
             return out
+        cols, v, h = cols[:n, None], v[:n, None], h[:n, None]
+        start = lo + int(cols[0, 0])
         # horizon pass: row c of the grid is other's column cols[c] against
-        # self's column d - cols[c] at x^d (INF before x^cols[c]); a row
-        # holds its indices and up to three temporaries of D + 1 entries
-        pad = np.full(D + 1, INF)
-        bases = np.concatenate([pad, self.base])
-        precs = np.concatenate([pad, self.prec])
+        # self's column d - cols[c] >= lo (INF before) at x^d, d >= start; a
+        # row holds its indices and up to three temporaries of the band
+        pad = np.full(int(cols[-1, 0] - cols[0, 0]), INF)
+        bases = np.concatenate([pad, self.base[lo:]])
+        precs = np.concatenate([pad, self.prec[lo:]])
         bounds = np.minimum(bases, precs)
-        v = np.minimum(other.base[cols], other.prec[cols])[:, None]
-        h = other.prec[cols][:, None]
-        step = _per_batch(8 * 4 * (D + 1))
-        for c in range(0, cols.size, step):
-            grid = np.arange(D + 1) + (D + 1) - cols[c : c + step, None]
+        band = np.arange(start, D + 1) + (pad.size - lo)
+        out_base, out_prec = out.base[start:], out.prec[start:]
+        step = _per_batch(8 * 4 * band.size)
+        for c in range(0, n, step):
+            grid = band - cols[c : c + step]
             vc = v[c : c + step]
-            np.minimum(out.base, (bases[grid] + vc).min(axis=0), out=out.base)
+            np.minimum(out_base, (bases[grid] + vc).min(axis=0), out=out_base)
             cap = np.minimum(precs[grid] + vc, bounds[grid] + h[c : c + step])
-            np.minimum(out.prec, cap.min(axis=0), out=out.prec)
+            np.minimum(out_prec, cap.min(axis=0), out=out_prec)
             del grid, cap  # not held through the next batch
-        _clamp(out.base)
-        _clamp(out.prec)
+        _clamp(out_base)
+        _clamp(out_prec)
         # data pass: self's data columns j against other's data columns i,
-        # trimmed to their nonzero rows, for every pair with i + j <= D
+        # trimmed, for every pair with i + j <= D
         js = np.flatnonzero(self.data[lo:].any(axis=(1, 2))) + lo
-        nonzero = other.data[cols].any(axis=2)
-        held = nonzero.any(axis=1)
-        if not js.size or not held.any():
+        if not js.size or not at.size:
             return out
-        cols, nonzero = cols[held], nonzero[held]
-        first = np.argmax(nonzero, axis=1)
-        length = W - np.argmax(nonzero[:, ::-1], axis=1) - first
-        rows = first[:, None] + np.arange(length.max())
-        trimmed = other.data[cols[:, None], np.minimum(rows, W - 1)]
-        trimmed[rows >= W] = 0
-        pj, pi = np.nonzero(js[:, None] + cols[None, :] <= D)
-        pj, at = js[pj], cols[pi]
-        shifts = self.base[pj] + other.base[at] + first[pi]
-        at += pj
+        pj, pi = np.nonzero(js[:, None] + at[None, :] <= D)
+        pj = js[pj]
+        shifts = self.base[pj] + starts[pi]
+        at = at[pi] + pj
         # a pair holds two columns (W + L rows of r coordinates, L the longest
         # trimmed), their product (W + L - 1) and its realigned window (W, indexed)
         step = _per_batch(8 * (self.field.r * (3 * W + 2 * trimmed.shape[1] - 1) + W))
@@ -226,7 +250,7 @@ class DensePoly:
             gathered = self._realigned(prod, shifts[batch], out.base[at[batch]])
             np.add.at(out.data, at[batch], gathered)
             del prod, gathered  # not held through the next batch
-        out.data %= self.field.p
+        out.data[start:] %= self.field.p
         out._mask_all()
         return out
 

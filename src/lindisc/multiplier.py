@@ -107,17 +107,22 @@ def p_split(n, p):
 
 def count_resonant(profile, k):
     """Number of l <= k with p | l and m | l - 1 (an arithmetic
-    progression of step mp starting at k')."""
-    if k < profile.k_prime:
-        return 0
-    return (k - profile.k_prime) // (profile.m * profile.p) + 1
+    progression of step mp starting at k'); k an int or an array."""
+    count = (k - profile.k_prime) // (profile.m * profile.p) + 1
+    return count * (count > 0)
 
 
-def lemma_bound(profile, A, k):
+def lemma_bound(profile, A, k, den=None):
     """The Lemma bound (k-1)·A − v_m·count_resonant(k) on v(b_k), for a
     map whose nonlinear degrees are all divisible by p and whose gauge
-    is A."""
-    return (k - 1) * A - profile.v_m * count_resonant(profile, k)
+    is A.  Given ``den``, a common denominator of A and v_m, den times
+    the bound: an integer, or for an array of k all bounds in one pass."""
+    if den is None:
+        return (k - 1) * A - profile.v_m * count_resonant(profile, k)
+    a, v = A * den, profile.v_m * den
+    if a.denominator != 1 or v.denominator != 1:
+        raise HypothesisError(f"{den} is no common denominator of A = {A} and v_m")
+    return (k - 1) * a.numerator - v.numerator * count_resonant(profile, k)
 
 
 def product_small_divisors(profile, N):

@@ -188,7 +188,8 @@ class _DivisorTable(Mapping):
     and ``rows[n]`` holds the ``window`` rows of its reciprocal past that
     reciprocal's lead −leads[n].  An entry's LaurentSeries is built when
     a solver reads it.  ``lam_powers`` is the ``_powers`` array of λ the
-    table was read from."""
+    table was read from, kept only with ``lows`` (the one solver reading
+    it), else None."""
 
     def __init__(self, field_, ram, ks, leads, rows, window, lam_powers):
         self.field, self.ram, self.window = field_, ram, window
@@ -291,7 +292,7 @@ def _small_divisors(profile, ks, window, lows=None):
         scale = lam.coeffs[:window]
     units = _convolve(field_, units, scale)[:, :window]
     inverses = _invert_unit(field_, units, window)
-    return _DivisorTable(field_, ram, ks, leads, inverses, window, powers)
+    return _DivisorTable(field_, ram, ks, leads, inverses, window, powers if scaled else None)
 
 
 def solve_sfe(f, D, window=32):
@@ -585,21 +586,30 @@ class BoundReport:
 def check_coefficient_bound(g, gauge, f):
     """The Lemma bound v(b_k) >= (k-1)·A − v_m·count_resonant(k)
     (``lemma_bound``) for p-divisible maps f with gauge A; a b_k known only
-    as O(U^h), h below its bound, cannot be checked: PrecisionError."""
+    as O(U^h), h below its bound, cannot be checked: PrecisionError.
+
+    All bounds are Python integers over lcm(den A, den v_m, e) from one
+    pass of ``lemma_bound``, compared with each lead or horizon on that
+    scale; each margin is one ``Fraction``."""
     if not f.divisible_degrees():
         return BoundReport(False, {}, [])
     ram = g.coeffs[1].ram
+    den = math.lcm(gauge.A.denominator, g.profile.v_m.denominator, ram)
+    scale = den // ram
+    ks = range(2, g.D + 1)
+    bounds = lemma_bound(g.profile, gauge.A, np.array(ks, dtype=object), den)
     margins, violations = {}, []
-    for k in range(2, g.D + 1):
-        bound = lemma_bound(g.profile, gauge.A, k)
+    for k, bound in zip(ks, bounds.tolist()):
         b_k = g.coeffs[k]
         if b_k.is_zero_as_known:
-            if not b_k.exact and Fraction(b_k.prec, ram) < bound:
-                raise PrecisionError(f"b_{k} = O(U^{b_k.prec}), below the Lemma bound {bound}")
+            if not b_k.exact and b_k.prec * scale < bound:
+                raise PrecisionError(
+                    f"b_{k} = O(U^{b_k.prec}), below the Lemma bound {Fraction(bound, den)}"
+                )
             margins[k] = None
             continue
-        margin = Fraction(b_k.lead, ram) - bound
-        margins[k] = margin
+        margin = b_k.lead * scale - bound
+        margins[k] = Fraction(margin, den)
         if margin < 0:
             violations.append(k)
     return BoundReport(True, margins, violations)

@@ -17,7 +17,12 @@ from lindisc._dense import _INF_CUT, DensePoly, _clamp
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.laurent import LaurentSeries, _convolve
-from lindisc.multiplier import count_resonant, mult_profile, small_divisor_valuation
+from lindisc.multiplier import (
+    count_resonant,
+    lemma_bound,
+    mult_profile,
+    small_divisor_valuation,
+)
 from lindisc.powerseries import (
     _table_derivative,
     _table_mul,
@@ -25,7 +30,14 @@ from lindisc.powerseries import (
     newton_root,
     ps_eval,
 )
-from lindisc.schroder import Conjugacy, _p_plus_1_shape, _powers, _rows, _small_divisors
+from lindisc.schroder import (
+    BoundReport,
+    Conjugacy,
+    _p_plus_1_shape,
+    _powers,
+    _rows,
+    _small_divisors,
+)
 
 
 def binomial_digits(n, k, p):
@@ -320,6 +332,29 @@ def delta_exponent(profile, k):
     if k < 2:
         raise HypothesisError("delta is defined for k >= 2")
     return Fraction(count_resonant(profile, k), k - 1)
+
+
+def check_coefficient_bound_per_k(g, gauge, f):
+    """``check_coefficient_bound`` one k at a time: each Lemma bound a
+    ``Fraction`` from ``lemma_bound``, compared with v(b_k) or with the
+    horizon of a b_k known only as zero to precision."""
+    if not f.divisible_degrees():
+        return BoundReport(False, {}, [])
+    ram = g.coeffs[1].ram
+    margins, violations = {}, []
+    for k in range(2, g.D + 1):
+        bound = lemma_bound(g.profile, gauge.A, k)
+        b_k = g.coeffs[k]
+        if b_k.is_zero_as_known:
+            if not b_k.exact and Fraction(b_k.prec, ram) < bound:
+                raise PrecisionError(f"b_{k} = O(U^{b_k.prec}), below the Lemma bound {bound}")
+            margins[k] = None
+            continue
+        margin = Fraction(b_k.lead, ram) - bound
+        margins[k] = margin
+        if margin < 0:
+            violations.append(k)
+    return BoundReport(True, margins, violations)
 
 
 def ps_iterate(f, n, x):

@@ -168,8 +168,14 @@ def test_bench_gate_selftest_passes():
     assert "selftest: PASS" in done.stdout
 
 
+# the workloads whose solves multiply by the stride f^p: variant 1 of
+# each of their strata runs too
+SECOND_VARIANT = {"family-solve", "disc-tower"}
+
+
 def test_variant_zero_of_every_stratum_matches_the_committed_reference(tmp_path, capsys):
-    """Variant 0 of every stratum of the four workloads, run in process
+    """Variant 0 of every stratum of the four workloads, and variant 1 of
+    every stratum of ``family-solve`` and ``disc-tower``, run in process
     through ``harness.Capture`` and gated by ``harness.check`` against the
     committed ``bench/reference/*.json``: each job exits with the
     reference's code, writes output bytes of the reference's SHA-256 and
@@ -183,7 +189,8 @@ def test_variant_zero_of_every_stratum_matches_the_committed_reference(tmp_path,
         for workload in sorted(workloads.WORKLOADS):
             reference = harness.load_reference(workload)
             for item, jobs in workloads.pool(workload).items():
-                if not item.endswith(".0"):
+                variant = int(item.rsplit(".", 1)[1])
+                if variant > (workload in SECOND_VARIANT):
                     continue
                 path = tmp_path / f"{workload}.{item}.json"
                 path.write_text(json.dumps(jobs[0][2], sort_keys=True))
@@ -202,5 +209,5 @@ def test_variant_zero_of_every_stratum_matches_the_committed_reference(tmp_path,
     finally:
         patcher.undo()
     assert entry_points() == originals
-    assert ran == 40 and not failures, failures
+    assert ran == 40 + 27 and not failures, failures
     capsys.readouterr()

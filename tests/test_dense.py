@@ -1,6 +1,7 @@
 """The dense engine against LaurentSeries table arithmetic, with its
 window invariant checked after every seeded random operation."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -289,6 +290,94 @@ def test_products_and_sums_equal_the_per_column_oracle(W):
                     acc.add_scaled(series, y)
                     dense_add_scaled_all_columns(expected, series, y)
                     assert_same(acc, expected)
+
+
+def banded_poly(field, ram, rng, D, W, first):
+    """Exact zeros below x^first, a column known only to precision at
+    x^first, then columns of every kind."""
+    poly = DensePoly(field, ram, D, W)
+    poly.set_column(first, LaurentSeries.zero(field, ram, rng.randrange(-2, 6)))
+    for d in range(first + 1, D + 1):
+        if rng.random() < 0.7:
+            poly.set_column(d, mixed_column(field, ram, rng, W))
+    return poly
+
+
+@pytest.mark.parametrize("field", [FIELDS[0], FIELDS[2], FIELDS[3]], ids=lambda f: f"F_{f.q}")
+@pytest.mark.parametrize("ram", [1, 2])
+def test_products_on_the_reachable_band_equal_the_per_column_oracle(monkeypatch, field, ram):
+    """Self's first live column lo is above x^0 and other's first, i0,
+    above x^1, so a product reaches only x^(lo + i0) .. x^D.  Both first
+    columns are known only to precision, so the band starts with a column
+    known only to precision.  At the default budget and at one byte,
+    where every grid row and every pair is a batch of its own, the product
+    equals the per-column oracle, and every column below the band is an
+    exact zero."""
+    rng = random.Random(89 + 10 * field.q + ram)
+    D, W = 24, 8
+    for _ in range(4):
+        lo, i0 = rng.randrange(1, 6), rng.randrange(2, 6)
+        a = banded_poly(field, ram, rng, D, W, lo)
+        b = banded_poly(field, ram, rng, D, W, i0)
+        expected = dense_mul_per_column(a, b)
+        start = lo + i0
+        assert (expected.base[: start + 1] == INF).all() and (expected.prec[:start] == INF).all()
+        assert expected.prec[start] < _INF_CUT
+        for budget in (None, 1):
+            with monkeypatch.context() as patch:
+                if budget:
+                    patch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+                assert_same(a.mul(b), expected)
+
+
+def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
+    """A solve multiplies by f's columns and, for a p-divisible map, by
+    the stride f^p, and packs each as a right factor once: 2 factors for
+    p-divisible maps over F_2 and F_3, 1 for a map of degree prime to p."""
+    import lindisc.schroder
+
+    real, formed = DensePoly.__dict__["_factor"].func, []
+
+    def factor(self):
+        formed.append(1)
+        return real(self)
+
+    packed = functools.cached_property(factor)
+    packed.__set_name__(DensePoly, "_factor")
+    monkeypatch.setattr(DensePoly, "_factor", packed)
+    F2, F3 = FieldParams(2), FieldParams(3)
+    for field, degree, count in ((F2, 2, 2), (F3, 3, 2), (F2, 3, 1), (F3, 2, 1)):
+        f = PowerSeriesMap({1: parse_series("1+T", field), degree: parse_series("1", field)})
+        formed.clear()
+        lindisc.schroder.solve_sfe(f, 24)
+        assert len(formed) == count, (field.p, degree)
+
+
+def test_a_polynomial_is_read_only_once_its_factor_is_formed():
+    """A product by a polynomial packs it as a right factor, after which
+    ``set_column`` and ``add_scaled`` on it raise and leave it unchanged,
+    so its factor never goes stale; the left factor of a product, and the
+    columns of f before their first product, stay writable."""
+    rng = random.Random(97)
+    field, D, W = FieldParams(3), 10, 8
+    f = random_map(field, 1, rng, D)
+    a, _ = random_poly(field, 1, rng, D, W)
+    b, _ = random_poly(field, 1, rng, D, W)
+    b.set_column(D, parse_series("1+T", field))
+    by_f = a.mul_by_map(f)
+    a.mul(b)
+    columns = by_f.map_columns[1]
+    series = parse_series("2+T", field)
+    for poly in (b, columns):
+        before = copied(poly)
+        with pytest.raises(ValueError, match="read-only"):
+            poly.set_column(1, series)
+        with pytest.raises(ValueError, match="read-only"):
+            poly.add_scaled(series, b)
+        assert_same(poly, before)
+    for poly in (a, by_f, DensePoly.of_map(f, D, W)):
+        poly.set_column(1, series)
+        poly.add_scaled(series, b)
 
 
 def data_columns(field, rng, D, W, degrees):

@@ -4,6 +4,7 @@ product formula, resonance counting, and disc radii."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lindisc.multiplier
@@ -272,6 +273,14 @@ def test_count_resonant_against_brute_force():
         kp, v_m, A = pr.k_prime, pr.v_m, Fraction(-1, 3)
         assert lemma_bound(pr, A, kp) == (kp - 1) * A - v_m
         assert lemma_bound(pr, A, kp + m * p) == (kp + m * p - 1) * A - 2 * v_m
+        # the array form: every k at once, as integers over a common denominator
+        ks = list(range(1, 10 * m * p + 1))
+        assert count_resonant(pr, np.array(ks)).tolist() == [count_resonant(pr, k) for k in ks]
+        den = 6 * v_m.denominator
+        scaled = lemma_bound(pr, A, np.array(ks, dtype=object), den).tolist()
+        assert scaled == [lemma_bound(pr, A, k) * den for k in ks]
+        with pytest.raises(HypothesisError):
+            lemma_bound(pr, A, kp, 2 * v_m.denominator)
 
 
 def test_disc_profile_examples():

@@ -4,6 +4,7 @@ divergence certificates, and residual checks."""
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from lindisc.errors import (
     PrecisionError,
     RootOfUnityError,
 )
+from lindisc.multiplier import lemma_bound
 from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
@@ -49,6 +51,7 @@ from lindisc.schroder import (
     invert_at_point,
 )
 from oracles import (
+    check_coefficient_bound_per_k,
     exact_powers,
     over_small_divisor,
     solve_specialized_per_term,
@@ -432,6 +435,31 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
         assert a.coeffs.tobytes() == b.coeffs.tobytes(), k
 
 
+def test_a_divisor_table_without_lows_holds_no_powers_of_lambda():
+    """``solve_sfe`` and ``solve_sfe_multinomial`` hold their divisor
+    table to the end of the solve and never read λ's powers.  So a table
+    built without ``lows`` keeps its rows, leads and index, not the array
+    of λ^0 .. λ^u it was read from: over F_2 with λ = 1 + T and the 512
+    degrees of a p-divisible solve to D = 1024, the memory it holds stays
+    below its rows plus half that array.  A table with ``lows`` keeps the
+    array, from which ``solve_specialized_p_plus_1`` reads λ^1 .. λ^Jmax."""
+    import tracemalloc
+
+    profile, W = mult_profile(parse_series("1+T", F2)), 32
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = _small_divisors(profile, range(2, 1025, 2), W)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    powers = 1024 * (1 + W) * 8  # u <= 1023, v_m·e + W rows of one coordinate
+    assert held < table.rows.nbytes + powers // 2, (held, table.rows.nbytes, powers)
+    assert table.lam_powers is None
+    lows = _small_divisors(profile, [3 * j for j in range(1, 9)], W, lows=range(1, 9))
+    assert lows.lam_powers.shape[0] > 8
+
+
 def test_power_table_read_past_its_width_raises(monkeypatch):
     """A read past a power array's width raises CertificateError; it never
     returns a shorter slice.  With every array one row short, the
@@ -730,6 +758,56 @@ def test_coefficient_bound_raises_on_a_zero_it_cannot_check():
                 check_coefficient_bound(g, gauge, f)
         else:
             assert check_coefficient_bound(g, gauge, f).margins == {2: None}
+
+
+def test_coefficient_bound_equals_the_per_k_fraction_route():
+    """The integer pass over one denominator gives the margins, the
+    violations and the PrecisionError text of the per-k ``Fraction``
+    route, on random multipliers with m > 1 over F_3, F_4, F_5 and F_7,
+    e ∈ {2, 3}, fractional gauges A and planted b_k around their bounds:
+    nonzero, exact zeros and zeros to precision."""
+    rng = random.Random(83)
+    residues = [(F3, [2]), (F4, [0, 1]), (F5, [2]), (FieldParams(7), [3])]
+    seen = {"violation": 0, "none": 0, "raise": 0, "zero margin": 0}
+    for trial in range(48):
+        field, residue = residues[trial % 4]
+        ram, j = rng.choice([2, 3]), rng.randrange(1, 4)
+        rows = [residue + [0] * (field.r - len(residue))] + [[0] * field.r] * j
+        rows[j] = [1] + [0] * (field.r - 1)
+        lam = LaurentSeries(field, ram, 0, rows, j + 1, exact=True)
+        profile = mult_profile(lam)
+        f = PowerSeriesMap({1: lam, field.p: LaurentSeries.constant(field, 1, ram)})
+        gauge = types.SimpleNamespace(A=Fraction(rng.randrange(-9, 10), rng.randrange(2, 7)))
+        assert profile.m > 1 and profile.v_m == Fraction(j, ram)
+        D = rng.randrange(2 * profile.k_prime, 4 * profile.k_prime + 8)
+        coeffs = {1: LaurentSeries.constant(field, 1, ram)}
+        for k in range(2, D + 1):
+            top = math.ceil(lemma_bound(profile, gauge.A, k) * ram)
+            kind = rng.random()
+            if kind < 0.15:
+                coeffs[k] = LaurentSeries.zero(field, ram, 0, exact=True)
+            elif kind < 0.3:
+                coeffs[k] = LaurentSeries.zero(field, ram, top - (rng.random() < 0.05))
+            else:
+                lead = top + rng.choices([-1, 0, 1, 2], weights=[1, 20, 20, 20])[0]
+                coeffs[k] = LaurentSeries.monomial(field, lead, 1, ram=ram)
+        g = Conjugacy(coeffs, profile, "planted", D)
+
+        def outcome(check):
+            try:
+                report = check(g, gauge, f)
+            except PrecisionError as error:
+                return str(error)
+            return report.applicable, report.margins, report.violations
+
+        got = outcome(check_coefficient_bound)
+        assert got == outcome(check_coefficient_bound_per_k)
+        if isinstance(got, str):
+            seen["raise"] += 1
+        else:
+            seen["violation" if got[2] else "none"] += 1
+            seen["zero margin"] += 0 in got[1].values()
+    assert all(seen.values()), seen
 
 
 def test_rescaling_covariance():
