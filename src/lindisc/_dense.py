@@ -5,8 +5,9 @@ composition of coefficient tables is ``powerseries.table_compose``.
 A ``DensePoly`` holds, per x-degree d <= D, a window of W consecutive
 U-coefficients starting at ``base[d]`` together with the justified horizon
 ``prec[d]``.  Both bulk operations convolve only the columns that hold
-data, in batched ``laurent._convolve`` calls and realignment gathers
-into the result's windows, so the per-degree Python cost is constant.
+data, in batched ``laurent._convolve`` calls that form only the W rows
+of each result window, shifted into place, so the per-degree Python
+cost is constant.
 ``laurent._per_batch`` sizes each batch (grid rows or column pairs of
 ``mul``, data columns of ``add_scaled``) from the bytes one item holds;
 products are exact and sums are taken mod p, so no batch changes a result:
@@ -17,8 +18,8 @@ products are exact and sums are taken mod p, so no batch changes a result:
   bases and horizons, on the band of degrees the product can reach.  The
   data pass stacks the pairs of columns that both hold data, self's
   column j against the other's column i trimmed to its nonzero rows,
-  convolves them pair by pair, and adds each realigned product into
-  x^(i+j).  A solve multiplies by f's columns and the stride f^p only,
+  convolves each pair into the window at x^(i+j) and adds it there.
+  A solve multiplies by f's columns and the stride f^p only,
   so each factor is formed once; its polynomial is read-only from then
   on, so no factor goes stale.  ``mul_by_map`` multiplies by a map's
   exact coefficients, installed as columns by ``of_map`` once per chain
@@ -26,7 +27,8 @@ products are exact and sums are taken mod p, so no batch changes a result:
   f's factor with it, to the next (installing them per product made the
   sweep workload 5% slower);
 * ``add_scaled``, the accumulation of a scalar multiple of another
-  polynomial: one convolution of its data columns with the scalar.
+  polynomial: one convolution of its data columns with the scalar into
+  the sum's windows, whose columns are realigned where their base moves.
 
 A column without data still counts in the horizon pass and in the
 horizons of ``add_scaled``.  If it is zero only to precision, O(U^h),
@@ -134,29 +136,6 @@ class DensePoly:
         live = self.prec < _INF_CUT
         return int(np.argmax(live)) if live.any() else self.D + 1
 
-    def _leads(self, lo):
-        """Valuation bound per column from ``lo`` on: the true lead, or
-        the horizon where no nonzero data is known (INF for an exact zero)."""
-        nonzero = self.data[lo:].any(axis=2)
-        has = nonzero.any(axis=1)
-        first = np.argmax(nonzero, axis=1)
-        leads = np.where(has, self.base[lo:] + first, self.prec[lo:])
-        return np.minimum(leads, INF)
-
-    def _realigned(self, data, base, new_base):
-        """Windows of W entries starting at ``new_base``, read from rows of
-        ``data`` (as wide as W or wider) starting at ``base``: entries
-        outside the rows, and columns where either base is INF, read as
-        zero."""
-        width = data.shape[1]
-        idx = np.arange(self.W) - (base - new_base)[:, None]
-        finite = (base < _INF_CUT) & (new_base < _INF_CUT)
-        outside = (idx < 0) | (idx >= width) | ~finite[:, None]
-        idx[outside] = 0
-        gathered = data[np.arange(data.shape[0])[:, None], idx]
-        gathered[outside] = 0
-        return gathered
-
     # -- bulk operations ---------------------------------------------------------
 
     def mul_by_map(self, f):
@@ -239,17 +218,19 @@ class DensePoly:
             return out
         pj, pi = np.nonzero(js[:, None] + at[None, :] <= D)
         pj = js[pj]
-        shifts = self.base[pj] + starts[pi]
         at = at[pi] + pj
-        # a pair holds two columns (W + L rows of r coordinates, L the longest
-        # trimmed), their product (W + L - 1) and its realigned window (W, indexed)
-        step = _per_batch(8 * (self.field.r * (3 * W + 2 * trimmed.shape[1] - 1) + W))
+        # a product's first row, base[j] + starts[i], is >= out.base[i + j]
+        shifts = self.base[pj] + starts[pi] - out.base[at]
+        # a pair holds two columns (W + L rows of r coordinates, L the
+        # longest trimmed), its shift and its product (W rows)
+        step = _per_batch(8 * (self.field.r * (2 * W + trimmed.shape[1]) + 1))
         for c in range(0, pj.size, step):
             batch = slice(c, c + step)
-            prod = _convolve(self.field, self.data[pj[batch]], trimmed[pi[batch]])
-            gathered = self._realigned(prod, shifts[batch], out.base[at[batch]])
-            np.add.at(out.data, at[batch], gathered)
-            del prod, gathered  # not held through the next batch
+            prod = _convolve(
+                self.field, self.data[pj[batch]], trimmed[pi[batch]], W, shifts[batch]
+            )
+            np.add.at(out.data, at[batch], prod)
+            del prod  # not held through the next batch
         out.data[start:] %= self.field.p
         out._mask_all()
         return out
@@ -266,27 +247,37 @@ class DensePoly:
             return
         base, prec = self.base[lo:], self.prec[lo:]
         new_base, new_prec = base, prec
+        nonzero = other.data[lo:].any(axis=2)  # one pass for leads and data
+        has = nonzero.any(axis=1)
         if not series.is_zero_as_known:
             new_base = _clamp(np.minimum(base, other.base[lo:] + series.lead))
             new_prec = np.minimum(prec, other.prec[lo:] + series.lead)
         if not series.exact:
-            # the scalar's unknown tail also caps the result horizon
-            new_prec = np.minimum(new_prec, other._leads(lo) + series.prec)
+            # the scalar's unknown tail also caps the result horizon, past
+            # each column's lead (its horizon where it holds no data)
+            leads = np.where(has, other.base[lo:] + nonzero.argmax(axis=1), other.prec[lo:])
+            new_prec = np.minimum(new_prec, np.minimum(leads, INF) + series.prec)
         if not series.is_zero_as_known:
+            p, r, W = self.field.p, self.field.r, self.W
             data = self.data[lo:]
-            moved = (base != new_base) & (base < _INF_CUT) & (new_base < _INF_CUT)
-            if moved.any():
-                data = self._realigned(data, base, new_base)
-            cols = np.flatnonzero(other.data[lo:].any(axis=(1, 2)))
-            r, W = self.field.r, self.W  # a column as a pair of ``mul``, and its sum
-            step = _per_batch(8 * (r * (4 * W + series.coeffs.shape[0] - 1) + W))
+            # a column whose base moves down by d keeps its rows, d later
+            moved = np.flatnonzero((new_base < base) & (base < _INF_CUT))
+            if moved.size:
+                rows = np.arange(W) - (base - new_base)[moved, None]
+                kept = data[moved[:, None], np.maximum(rows, 0)]
+                kept[rows < 0] = 0
+                data[moved] = kept
+            cols = np.flatnonzero(has)
+            shifts = other.base[lo + cols] + series.lead - new_base[cols]
+            # a column holds its data, its shift, its product and its sum
+            step = _per_batch(8 * (3 * W * r + 1))
             for c in range(0, cols.size, step):
                 at = cols[c : c + step]
-                prod = _convolve(self.field, other.data[lo + at], series.coeffs)
-                shifts = other.base[lo + at] + series.lead
-                data[at] += self._realigned(prod, shifts, new_base[at])
+                prod = _convolve(
+                    self.field, other.data[lo + at], series.coeffs, W, shifts[c : c + step]
+                )
+                data[at] = (data[at] + prod) % p
                 del prod  # not held through the next batch
-            self.data[lo:] = data % self.field.p
             self.base[lo:] = new_base
         self.prec[lo:] = _clamp(new_prec)
         self._mask_all()

@@ -28,6 +28,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CertificateError, LindiscError, ParseError, PrecisionError
 from .field import FieldParams, _integer
@@ -342,8 +343,14 @@ def _write_out(path, text):
         raise ParseError(f"cannot write --out {path}: {exc}") from exc
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """One parser per process; ``parse_args`` keeps no state."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         job = load_job(args.job)
         sink = io.StringIO() if args.out else sys.stdout

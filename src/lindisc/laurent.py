@@ -52,28 +52,30 @@ def _per_batch(item_bytes):
     return max(1, _STACK_BYTES // item_bytes)
 
 
-def _convolve(params, a, b):
+def _convolve(params, a, b, keep=None, shift=None):
     """Convolution of coefficient arrays of shape (..., La, r) and
-    (Lb, r) or (..., Lb, r), multiplying coefficients in F_{p^r}; the
-    result has shape (..., La + Lb - 1, r).
+    (Lb, r) or (..., Lb, r), multiplying coefficients in F_{p^r}: the
+    first ``keep`` rows of the product (all La + Lb - 1 by default), row
+    t of slice s at row t + shift[s] given ``shift`` (stacks only, >= 0).
 
     Two paths.  Without leading axes: one ``np.convolve`` per pair of
-    nonzero coordinate columns.  With them, the leading axes of ``a``
-    are a stack, and ``b`` is one array for the whole stack or a stack
-    of the same shape, multiplied slice by slice.  Each slice of ``a``,
-    padded by Lb - 1 zero rows at both ends, is read as its sliding
-    windows of Lb rows, a strided view, and one matrix product of the
-    windows by ``b`` reversed gives every r × r coordinate product:
-    window i against ``b`` reversed is row i of the product.  A second,
-    by the 0/1 matrix ``_coordinate_sums``, adds them up into the 2r - 1
-    raw coordinates of each row.  A 2-D ``b`` enters the first matrix
-    product as a stack of one and broadcasts over the slices, so a stack
-    times one array needs no path of its own and ``b`` is never copied
-    per slice.
+    nonzero coordinate columns of the first ``keep`` rows.  With them,
+    the leading axes of ``a`` are a stack, and ``b`` is one array for the
+    whole stack or a stack of the same shape, multiplied slice by slice.
+    Each slice of ``a``, placed Lb - 1 + shift rows into a zero buffer,
+    is read as its R = ``keep`` sliding windows of Lb rows, a strided
+    view, and one matrix product of the windows by ``b`` reversed gives
+    every r × r coordinate product: window i against ``b`` reversed is
+    row i of the result.  A second, by the 0/1 matrix ``_coordinate_sums``,
+    adds them up into the 2r - 1 raw coordinates of each row.  A 2-D
+    ``b`` enters the first matrix product as a stack of one and
+    broadcasts over the slices, so a stack times one array needs no path
+    of its own and ``b`` is never copied per slice.
 
-    Per slice of R = La + Lb - 1 rows, the path holds the padded slice
-    ((La + 2Lb - 2)·r integers), the matrix product (R·r²), the 2r - 1
-    raw coordinates (R·(2r - 1)) and the folded result (R·r).  A stack
+    With its operands cut to R rows, a slice costs R·Lb·r² coordinate
+    products and holds the buffer ((R + Lb - 1)·r integers, La·r more
+    with ``shift``), the matrix product (R·r²), the 2r - 1 raw
+    coordinates (R·(2r - 1)) and the folded result (R·r).  A stack
     whose temporaries would exceed the budget of ``_per_batch`` is
     convolved in chunks within it, written into one result;
     a stack that fits is one matrix product, returned without a copy.
@@ -84,8 +86,10 @@ def _convolve(params, a, b):
     """
     p, r = params.p, params.r
     if a.ndim == 2:
+        if keep is not None:
+            a, b = a[:keep], b[:keep]
         if r == 1:
-            raw = np.convolve(a[:, 0], b[:, 0]).reshape(-1, 1)
+            raw = np.convolve(a[:, 0], b[:, 0])[:keep].reshape(-1, 1)
         else:
             raw = np.zeros((a.shape[0] + b.shape[0] - 1, 2 * r - 1), dtype=np.int64)
             for s1 in range(r):
@@ -96,33 +100,45 @@ def _convolve(params, a, b):
                     if not b[:, s2].any():
                         continue
                     raw[:, s1 + s2] += np.convolve(col, b[:, s2])
-            low, high = raw[:, :r], raw[:, r:]
+            low, high = raw[:keep, :r], raw[:keep, r:]
     else:
-        batch, la, lb = a.shape[:-2], a.shape[-2], b.shape[-2]
-        rows = la + lb - 1
-        a = a.reshape(-1, la, r)
+        batch = a.shape[:-2]
+        rows = a.shape[-2] + b.shape[-2] - 1
+        if keep is not None:
+            rows = keep if shift is not None else min(keep, rows)
+        la, lb = min(a.shape[-2], rows), min(b.shape[-2], rows)
+        a = a[..., :la, :].reshape(-1, la, r)
+        b = b[..., :lb, :]
         if b.ndim > 2:
             b = b.reshape(-1, lb, r)
         n = a.shape[0]
-        slice_bytes = 8 * ((la + 2 * lb - 2) * r + rows * (r * r + 3 * r - 1))
-        chunk = _per_batch(slice_bytes)
+        length = rows + lb - 1
+        if shift is not None:  # room for a slice shifted out
+            shift = np.minimum(shift.reshape(-1), rows)
+            length += la
+        chunk = _per_batch(8 * (length * r + rows * (r * r + 3 * r - 1)))
         if n > chunk:
             out = np.empty((n, rows, r), dtype=np.int64)
             for c in range(0, n, chunk):
                 part = b if b.ndim == 2 else b[c : c + chunk]
-                out[c : c + chunk] = _convolve(params, a[c : c + chunk], part)
+                at = None if shift is None else shift[c : c + chunk]
+                out[c : c + chunk] = _convolve(params, a[c : c + chunk], part, rows, at)
             return out.reshape(batch + (rows, r))
-        padded = np.zeros((n, la + 2 * (lb - 1), r), dtype=np.int64)
-        padded[:, lb - 1 : lb - 1 + la] = a
+        padded = np.zeros((n, length, r), dtype=np.int64)
         slab, row, coordinate = padded.strides
+        if shift is None:
+            padded[:, lb - 1 : lb - 1 + la] = a
+        else:  # [s, t] is the span of la rows from lb - 1 + t of slice s
+            view = (n, rows + 1, la, r), (slab, row, row, coordinate)
+            spans = np.ndarray(view[0], np.int64, padded, (lb - 1) * row, view[1])
+            spans[np.arange(n), shift] = a
         # [.., i, s, :] (at r = 1, [.., 0, i, :]) is coordinate s of
-        # a[i-lb+1 .. i].  At r = 1 the rows are the matrix product's rows,
-        # one product per slice; at r > 1 each row's r × r products come
-        # out contiguous for the sum below.  A view built by the ndarray
-        # constructor, which checks it
-        # against the buffer; ``as_strided`` goes through
-        # ``__array_interface__``, whose dict keys churn the interpreter's
-        # table of interned strings
+        # a[i-lb+1-shift .. i-shift].  At r = 1 the rows are the matrix
+        # product's rows, one product per slice; at r > 1 each row's r × r
+        # products come out contiguous for the sum below.  Views built by
+        # the ndarray constructor, which checks them against the buffer;
+        # ``as_strided`` goes through ``__array_interface__``, whose dict
+        # keys churn the interpreter's table of interned strings
         if r == 1:
             view = (n, 1, rows, lb), (slab, coordinate, row, row)
         else:
@@ -304,7 +320,9 @@ class LaurentSeries:
             exact = False
         if self.is_zero_as_known or other.is_zero_as_known:
             return LaurentSeries.zero(self.field, self.ram, prec)
-        conv = _convolve(self.field, self.coeffs, other.coeffs)
+        # an inexact product keeps only the rows below its horizon
+        keep = None if exact else prec - self.lead - other.lead
+        conv = _convolve(self.field, self.coeffs, other.coeffs, keep)
         return LaurentSeries(
             self.field, self.ram, self.lead + other.lead, conv, prec, exact
         )
@@ -466,8 +484,8 @@ def _invert_unit(params, units, digits):
     k = 1
     while k < digits:
         k = min(2 * k, digits)
-        uv = _convolve(params, units[..., :k, :], v)[..., :k, :]
-        correction = _convolve(params, uv, v)[..., :k, :]  # windows of the shorter v
+        uv = _convolve(params, units, v, k)
+        correction = _convolve(params, uv, v, k)  # windows of the shorter v
         out = np.zeros(batch + (k, r), dtype=np.int64)
         out[..., : v.shape[-2], :] += 2 * v
         out[..., : correction.shape[-2], :] -= correction

@@ -90,8 +90,13 @@ def mult_profile(lam):
 def small_divisor_valuation(profile, n):
     """Closed-form v(1 - λ^n): 0 when m does not divide n, otherwise
     v_m · p^s where n = p^s·u with p ∤ u."""
-    s = p_split(n, profile.p)[0]
-    return Fraction(0) if n % profile.m else profile.v_m * profile.p**s
+    return Fraction(small_divisor_leads(profile, *p_split(n, profile.p)), profile.lam.ram)
+
+
+def small_divisor_leads(profile, s, u):
+    """e·v(1 - λ^n) for n = p^s·u, p ∤ u: ``small_divisor_valuation`` in
+    U-units (m | n iff m | u, as p ∤ m), in one pass for arrays s, u."""
+    return (u % profile.m == 0) * (profile.v_m * profile.lam.ram).numerator * profile.p**s
 
 
 def p_split(n, p):

@@ -41,7 +41,7 @@ from .multiplier import (
     mult_profile,
     p_split,
     product_small_divisor_sums,
-    small_divisor_valuation,
+    small_divisor_leads,
 )
 from .powerseries import (
     _table_derivative,
@@ -138,13 +138,13 @@ def _powers(x, n, width):
 
     With x^0 .. x^(L-1) formed, one batched product of x^(L-c) .. x^(L-1)
     by x^c adds x^L .. x^(L+c-1); c = L - 1 doubles the array, so n
-    powers cost ⌈log2 n⌉ products.  A slice of it costs (width + l - 1)·l
-    coordinate products, l the rows of x^c, so c is capped where that
-    passes ``_SLICE_PRODUCTS``, and by ``laurent._per_batch`` from the
-    2·width - 1 rows of each power's result: a short x in a wide window
-    adds a few powers per product, or one by the unbatched path.  Row j of
-    a product depends only on rows <= j of its factors, so every row is a
-    row of the exact x^n.  Readers take rows through ``_rows``."""
+    powers cost ⌈log2 n⌉ products.  A slice of it costs at most
+    (width + l - 1)·l coordinate products, l the rows of x^c; c is capped
+    where that passes ``_SLICE_PRODUCTS``, and by ``laurent._per_batch``
+    from the 2·width - 1 rows of each power's buffer: a short x in a wide
+    window adds a few powers per product, or one by the unbatched path.
+    Row j of a product depends only on rows <= j of its factors, so every
+    row is a row of the exact x^n.  Readers take rows through ``_rows``."""
     field_, r = x.field, x.field.r
     base = x.coeffs[:width]
     table = np.zeros((n + 1, width, r), dtype=np.int64)
@@ -166,8 +166,9 @@ def _powers(x, n, width):
         c = min(have - 1, n + 1 - have, most)
         # one power takes the unbatched path, which skips zero coordinates
         stack = table[have - 1] if c == 1 else table[have - c : have]
-        step = _convolve(field_, stack, table[c, : min(width, c * degree + 1)])
-        table[have : have + c] = step[..., :width, :]
+        table[have : have + c] = _convolve(
+            field_, stack, table[c, : min(width, c * degree + 1)], width
+        )
         have += c
     return table
 
@@ -223,10 +224,11 @@ def _small_divisors(profile, ks, window, lows=None):
 
     The powers λ^0 .. λ^u for the largest u (and i) are one ``_powers``
     array, formed once, and the first nonzero row of every 1 − λ^u is one
-    array pass over it.  Then, entry by entry in the order of ``ks``, a
-    divisor that vanishes to the window raises PrecisionError and a
-    valuation p^s·v(1 − λ^u) off the closed form ``small_divisor_valuation``
-    raises CertificateError.  The ``window`` rows of the units
+    array pass over it, and so is the comparison of every lead
+    p^s·e·v(1 − λ^u) with its closed form ``small_divisor_leads``.  The
+    first faulty entry in the order of ``ks`` raises: PrecisionError if
+    its divisor vanishes to the window, CertificateError if its valuation
+    is off the closed form.  The ``window`` rows of the units
     (1 − λ^{k-i})/U^lead are gathered from the table for all entries with
     one s at once, only the rows each keeps, in chunks that ``_per_batch``
     sizes from one entry's rows and index, with one ``pow_rows`` per chunk;
@@ -239,8 +241,8 @@ def _small_divisors(profile, ks, window, lows=None):
     scaled = lows is not None  # each unit times its own λ^i, else all times λ
     lows = list(lows) if scaled else [1] * len(ks)
     splits = [p_split(k - i, p) for k, i in zip(ks, lows)]
-    us = [u for _, u in splits]
-    top = max(us + (lows if scaled else []), default=0)
+    ss, us = np.array(splits, dtype=np.int64).reshape(-1, 2).T
+    top = max(us.tolist() + (lows if scaled else []), default=0)
     powers = _rows(_powers(lam, top, width), width)
     # rows of 1 − λ^u that are nonzero: those of λ^u, but row 0 is
     # nonzero where λ^u's differs from 1
@@ -249,29 +251,27 @@ def _small_divisors(profile, ks, window, lows=None):
     nonzero = powers.any(axis=2)
     nonzero[:, 0] = (powers[:, 0] != one).any(axis=1)
     firsts = nonzero.argmax(axis=1)
-    vanished = (~nonzero.any(axis=1)).tolist()
-    first_of = firsts.tolist()
+    vanished = ~nonzero.any(axis=1)[us]
     del nonzero  # (n + 1) × width flags, not held through the inverse
 
-    leads = np.zeros(len(ks), dtype=np.int64)
-    for n, (k, i, (s, u)) in enumerate(zip(ks, lows, splits)):
-        if vanished[u]:
+    # every lead against its closed form at once; the first faulty entry raises
+    leads = p**ss * firsts[us]
+    expected = small_divisor_leads(profile, ss, us)
+    faulty = np.flatnonzero(vanished | (leads != expected))
+    if faulty.size:
+        n = int(faulty[0])
+        k, i = ks[n], lows[n]
+        if vanished[n]:
             raise PrecisionError(
-                f"divisor 1 - lambda^{k-i} vanished to O(U^{p**s * width}); "
+                f"divisor 1 - lambda^{k-i} vanished to O(U^{p ** int(ss[n]) * width}); "
                 "root of unity?"
             )
-        lead = p**s * first_of[u]
-        expected = small_divisor_valuation(profile, k - i)
-        if lead * expected.denominator != expected.numerator * ram:
-            raise CertificateError(
-                f"divisor valuation {Fraction(lead, ram)} != closed form "
-                f"{expected} at k = {k}"
-            )
-        leads[n] = lead
+        raise CertificateError(
+            f"divisor valuation {Fraction(int(leads[n]), ram)} != closed form "
+            f"{Fraction(int(expected[n]), ram)} at k = {k}"
+        )
 
     units = np.zeros((len(ks), window, r), dtype=np.int64)
-    us = np.array(us, dtype=np.int64)
-    ss = np.array([s for s, _ in splits], dtype=np.int64)
     for s in sorted(set(ss.tolist())):
         step = p**s
         count = -(-window // step)  # rows of 1 − λ^u that reach the window
@@ -290,7 +290,7 @@ def _small_divisors(profile, ks, window, lows=None):
         scale = powers[np.array(lows, dtype=np.int64), :window]
     else:
         scale = lam.coeffs[:window]
-    units = _convolve(field_, units, scale)[:, :window]
+    units = _convolve(field_, units, scale, window)
     inverses = _invert_unit(field_, units, window)
     return _DivisorTable(field_, ram, ks, leads, inverses, window, powers if scaled else None)
 
@@ -506,11 +506,11 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     lam_rows = _rows(T.lam_powers, W)[1 : Jmax + 1]
     a_rows = _rows(_powers(a, Jmax, W), W)[1:]
     lead_T = T.leads  # T_j has lead −lead_T[j-1], and U^0 sits at row lead_T
-    G = _convolve(field_, lam_rows, T.rows)[:, :W]  # λ^j·T_j
+    G = _convolve(field_, lam_rows, T.rows, W)  # λ^j·T_j
     inside = np.flatnonzero(lead_T < W)
     G[inside, lead_T[inside], 0] -= 1
     G %= p  # λ^{(p+1)j}·T_j, lead −lead_T
-    F = _convolve(field_, a_rows, T.rows)[:, :W]  # a^j·T_j, lead j·L(a) − lead_T
+    F = _convolve(field_, a_rows, T.rows, W)  # a^j·T_j, lead j·L(a) − lead_T
 
     B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
     B[0, 0, 0] = 1
@@ -538,7 +538,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
         S[j - 1, :digits] = s[first - lo :]
         S_lead[j - 1], S_digits[j - 1] = first, digits
         if digits:
-            B[j, :digits] = _convolve(field_, S[j - 1, :digits], G[j - 1, :digits])[:digits]
+            B[j, :digits] = _convolve(field_, S[j - 1], G[j - 1], digits)
         B_lead[j] = first - lead_T[j - 1]
         B_top[j] = B_lead[j] + digits
     leads = (S_lead + np.arange(1, Jmax + 1) * a.lead - lead_T).tolist()
@@ -551,7 +551,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
         if j == 0:
             return one
         lead, n = leads[j - 1], digits[j - 1]
-        rows = _convolve(field_, S[j - 1, :n], F[j - 1, :n])[:n] if n else S[j - 1, :0]
+        rows = _convolve(field_, S[j - 1], F[j - 1], n) if n else S[j - 1, :0]
         return LaurentSeries(field_, ram, lead, rows, lead + n)
 
     return Conjugacy(_Coefficients(D, coefficient), profile, "specialized", D)

@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 import lindisc.discs as discs
-from lindisc._dense import _INF_CUT, DensePoly, _clamp
+import lindisc.schroder
+from lindisc._dense import _INF_CUT, INF, DensePoly, _clamp
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.laurent import LaurentSeries, _convolve
@@ -21,6 +22,7 @@ from lindisc.multiplier import (
     count_resonant,
     lemma_bound,
     mult_profile,
+    p_split,
     small_divisor_valuation,
 )
 from lindisc.powerseries import (
@@ -309,7 +311,13 @@ def dense_add_scaled_all_columns(acc, series, other):
         new_base = _clamp(np.minimum(base, other.base[lo:] + series.lead))
         new_prec = np.minimum(prec, other.prec[lo:] + series.lead)
     if not series.exact:
-        new_prec = np.minimum(new_prec, other._leads(lo) + series.prec)
+        # each column's lead, or its horizon where it holds no data
+        leads = [
+            other.base[d] + rows[0] if rows.size else other.prec[d]
+            for d in range(lo, other.D + 1)
+            for rows in [np.flatnonzero(other.data[d].any(axis=1))]
+        ]
+        new_prec = np.minimum(new_prec, np.minimum(leads, INF) + series.prec)
     if not series.is_zero_as_known:
         data = _realigned_by_take(acc.W, acc.data[lo:], base, new_base)
         prod = _convolve(acc.field, other.data[lo:], series.coeffs)
@@ -318,6 +326,43 @@ def dense_add_scaled_all_columns(acc, series, other):
         acc.base[lo:] = new_base
     acc.prec[lo:] = _clamp(new_prec)
     acc._mask_all()
+
+
+def small_divisor_leads_per_entry(profile, ks, window, lows=None):
+    """The leads (U-units) of the divisors of ``schroder._small_divisors``
+    checked entry by entry in the order of ``ks``: a p-adic split, the
+    first nonzero row of 1 − λ^u and one ``small_divisor_valuation`` per
+    entry.  The first faulty entry raises the table's PrecisionError
+    (vanished) or CertificateError (off the closed form) with its text.
+    λ's powers come from ``schroder._powers`` as the table reads them, so
+    powers a test plants there reach both."""
+    lam = profile.lam
+    ram, p = lam.ram, lam.field.p
+    width = int(profile.v_m * ram) + window
+    scaled = lows is not None
+    lows = list(lows) if scaled else [1] * len(ks)
+    splits = [p_split(k - i, p) for k, i in zip(ks, lows)]
+    top = max([u for _, u in splits] + (lows if scaled else []), default=0)
+    powers = lindisc.schroder._powers(lam, top, width)
+    leads = []
+    for k, i, (s, u) in zip(ks, lows, splits):
+        difference = -powers[u] % p
+        difference[0, 0] = (1 - powers[u, 0, 0]) % p
+        nonzero = np.flatnonzero(difference.any(axis=1))
+        if not nonzero.size:
+            raise PrecisionError(
+                f"divisor 1 - lambda^{k-i} vanished to O(U^{p**s * width}); "
+                "root of unity?"
+            )
+        lead = p**s * int(nonzero[0])
+        expected = small_divisor_valuation(profile, k - i)
+        if lead * expected.denominator != expected.numerator * ram:
+            raise CertificateError(
+                f"divisor valuation {Fraction(lead, ram)} != closed form "
+                f"{expected} at k = {k}"
+            )
+        leads.append(lead)
+    return leads
 
 
 def small_divisor_direct(lam, n):

@@ -296,6 +296,37 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == stdout
 
 
+def test_successive_calls_share_no_flags(tmp_path, capsys):
+    """``main`` parses every call with the process's one parser: a call
+    after one with --out and --degree takes neither, and writes the
+    job's default 64 degrees to stdout, not to the earlier file."""
+    job = write_job(tmp_path, "q.json", QUADRATIC)
+    target = tmp_path / "first.csv"
+    code, out, _ = run(capsys, ["solve", "--job", job, "--degree", "3", "--out", str(target)])
+    assert code == 0 and out == ""
+    first = target.read_text()
+    assert first.splitlines()[-1].startswith("3,")
+    code, out, _ = run(capsys, ["solve", "--job", job])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 64 and out.startswith(first)
+    assert target.read_text() == first
+    code, out, _ = run(capsys, ["solve", "--job", job, "--degree", "5"])
+    assert code == 0 and len(out.splitlines()) == 1 + 5
+
+
+def test_help_output_is_the_parser_help(capsys, monkeypatch):
+    """``--help`` prints, call after call, what a freshly built parser
+    prints: caching the parser changes no output."""
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = lindisc.cli.build_parser().format_help()
+    assert "--display-epsilon" in expected and "{analyze,certify-divergence," in expected
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     job = write_job(tmp_path, "d.json", {"p": 2, "lambda": "1+T", "f": {"3": "1"}})
     target = tmp_path / "missing" / "x.csv"

@@ -423,11 +423,10 @@ def test_products_convolve_one_batch_per_chunk(monkeypatch, field):
     # the longest of b's data columns trimmed to its nonzero rows
     L = max(np.ptp(np.flatnonzero(row)) + 1 for row in b.data.any(axis=2) if row.any())
     r = field.r
-    # a pair: two columns, their product and its realigned window with
-    # its index; a column of a sum: its data, the sum, the product by the
-    # scalar's two rows and the realigned window with its index
-    pair_bytes = 8 * (r * (3 * W + 2 * L - 1) + W)
-    column_bytes = 8 * (r * (4 * W + 1) + W)
+    # a pair: two columns, its shift and their product's W kept rows; a
+    # column of a sum: its data, its shift, its product and the sum
+    pair_bytes = 8 * (r * (2 * W + L) + 1)
+    column_bytes = 8 * (3 * W * r + 1)
     product = lambda: a.mul(b)  # noqa: E731
     add = lambda: DensePoly(field, 1, D, W).add_scaled(scalar, b)  # noqa: E731
     assert batch_sizes(monkeypatch, product) == [pairs]

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lindisc.laurent
 from lindisc import FieldParams, LaurentSeries, parse_series
 from lindisc.errors import (
     IncompatibleFieldError,
@@ -380,6 +381,73 @@ def test_convolution_at_the_largest_prime_is_exact(field):
     assert (_convolve(field, a, a) == expected).all()
     assert (_convolve(field, np.stack([a, a]), a) == expected).all()
     assert (_convolve(field, np.stack([a, a]), np.stack([a, a])) == expected).all()
+
+
+def shifted_and_cut(field, a, b, keep, shift=None):
+    """The full product of two (L, r) arrays in Python integers, cut to
+    its first ``keep`` rows; given ``shift``, moved ``shift`` rows down
+    first, with exactly ``keep`` rows."""
+    full = int_convolve(field, a, b).astype(np.int64)
+    if shift is None:
+        return full[:keep]
+    out = np.zeros((keep + shift + full.shape[0], field.r), dtype=np.int64)
+    out[shift : shift + full.shape[0]] = full
+    return out[:keep]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [F2, F3, F4, FieldParams(3, 2), FieldParams(3, 3)],
+    ids=["F2", "F3", "F4", "F9", "F27"],
+)
+def test_truncated_shifted_product_is_the_full_product_shifted_and_cut(
+    monkeypatch, field
+):
+    """``_convolve(a, b, keep, shift)`` equals the full product, shifted
+    and then cut to ``keep`` rows, on both paths: ``keep`` below, at and
+    above La + Lb - 1, one slice per shift 0 .. keep + 1 (the last two
+    shifted wholly out) and one shifted far past, by one array and by a
+    stack, at the default budget and at one byte (one slice per chunk)."""
+    rng = random.Random(3 * field.q)
+
+    def rows(*shape):
+        a = np.array(
+            [rng.randrange(field.p) for _ in range(field.r * math.prod(shape))],
+            dtype=np.int64,
+        ).reshape(*shape, field.r)
+        a[..., 1::4, :] = 0  # zero rows inside the operands
+        return a
+
+    for la, lb in [(1, 1), (6, 3), (3, 7), (8, 8)]:
+        full = la + lb - 1
+        for keep in sorted({max(full - 4, 1), full - 1 or 1, full, full + 3}):
+            a, b = rows(la), rows(lb)
+            assert np.array_equal(
+                _convolve(field, a, b, keep), shifted_and_cut(field, a, b, keep)
+            )
+            shifts = np.array([*range(keep + 2), 10**6])
+            stack = rows(shifts.size, la)
+            for b in (rows(lb), rows(shifts.size, lb)):
+                def b_of(s):
+                    return b if b.ndim == 2 else b[s]
+
+                cut = np.stack(
+                    [shifted_and_cut(field, stack[s], b_of(s), keep) for s in range(shifts.size)]
+                )
+                moved = np.stack(
+                    [
+                        shifted_and_cut(field, stack[s], b_of(s), keep, int(shift))
+                        for s, shift in enumerate(shifts)
+                    ]
+                )
+                for budget in (lindisc.laurent._STACK_BYTES, 1):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+                        assert np.array_equal(_convolve(field, stack, b, keep), cut)
+                        got = _convolve(field, stack, b, keep, shifts)
+                        assert got.shape == (shifts.size, keep, field.r)
+                        assert np.array_equal(got, moved), (la, lb, keep, budget)
+            assert not moved[-3:].any()  # shifts keep, keep + 1 and far past
 
 
 def _unit_stack(field, rng, digits):

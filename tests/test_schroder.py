@@ -4,6 +4,7 @@ divergence certificates, and residual checks."""
 import itertools
 import math
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -40,7 +41,12 @@ from lindisc.errors import (
     PrecisionError,
     RootOfUnityError,
 )
-from lindisc.multiplier import lemma_bound
+from lindisc.multiplier import (
+    lemma_bound,
+    p_split,
+    small_divisor_leads,
+    small_divisor_valuation,
+)
 from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
@@ -54,6 +60,7 @@ from oracles import (
     check_coefficient_bound_per_k,
     exact_powers,
     over_small_divisor,
+    small_divisor_leads_per_entry,
     solve_specialized_per_term,
     solve_specialized_windowed_terms,
 )
@@ -321,9 +328,9 @@ def test_specialized_makes_o_jmax_convolutions(monkeypatch):
     f = PowerSeriesMap({1: parse_series("1+T+T^3", F2), 3: parse_series("1+T^2", F2)})
     real, calls = lindisc.laurent._convolve, []
 
-    def spy(params, a, b):
+    def spy(params, a, b, *rest):
         calls.append(a.shape)
-        return real(params, a, b)
+        return real(params, a, b, *rest)
 
     for module in (lindisc.laurent, lindisc.schroder, lindisc._dense):
         monkeypatch.setattr(module, "_convolve", spy)
@@ -340,10 +347,10 @@ def test_specialized_makes_o_jmax_convolutions(monkeypatch):
 )
 def test_divisor_valuation_off_the_closed_form_is_caught(monkeypatch, solve, degree):
     """Every solver divides through ``_small_divisors``, which checks each
-    divisor against ``small_divisor_valuation``."""
+    divisor against its closed form ``small_divisor_leads``."""
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     monkeypatch.setattr(
-        lindisc.schroder, "small_divisor_valuation", lambda profile, n: Fraction(99)
+        lindisc.schroder, "small_divisor_leads", lambda profile, s, u: np.full_like(s, 99)
     )
     with pytest.raises(CertificateError, match="closed form"):
         solve(f, degree)
@@ -419,9 +426,9 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
     D, W = 9, 32
     real, longest = lindisc.laurent._convolve, []
 
-    def spy(params, a, b):
+    def spy(params, a, b, *rest):
         longest.append(max(a.shape[-2], b.shape[-2]))
-        return real(params, a, b)
+        return real(params, a, b, *rest)
 
     for module in (lindisc.laurent, lindisc.schroder, lindisc._dense):
         monkeypatch.setattr(module, "_convolve", spy)
@@ -527,9 +534,9 @@ def test_power_table_makes_log_many_products(monkeypatch, n):
     chain x^(k-1)·x.  λ = 1 + T + T^3 over F_2 at the ladder's width."""
     real, calls = lindisc.schroder._convolve, []
 
-    def spy(params, a, b):
+    def spy(params, a, b, *rest):
         calls.append(a.shape)
-        return real(params, a, b)
+        return real(params, a, b, *rest)
 
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
     _powers(parse_series("1+T+T^3", F2), n, 33)
@@ -545,9 +552,9 @@ def test_power_table_keeps_each_slice_within_its_cost_cap(monkeypatch):
     lam = parse_series("1+T", field)
     real, slices = lindisc.schroder._convolve, []
 
-    def spy(params, a, b):
+    def spy(params, a, b, *rest):
         slices.append((a.ndim, a.shape[-2], b.shape[0]))
-        return real(params, a, b)
+        return real(params, a, b, *rest)
 
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
     table = _powers(lam, 100, 300)
@@ -573,10 +580,10 @@ def test_power_table_keeps_each_product_within_the_stack_bytes(monkeypatch):
     cap = 5 * 8 * (2 * width - 1)
     real, stacks = lindisc.schroder._convolve, []
 
-    def spy(params, a, b):
+    def spy(params, a, b, *rest):
         if a.ndim == 3:
             stacks.append((a.shape[0], a.shape[1] + b.shape[0] - 1))
-        return real(params, a, b)
+        return real(params, a, b, *rest)
 
     monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", cap)
     monkeypatch.setattr(lindisc.schroder, "_convolve", spy)
@@ -602,12 +609,13 @@ def _planted_powers(monkeypatch, u0):
 
 
 def _planted_valuation(monkeypatch, n0):
-    """``small_divisor_valuation`` one off at exponent n0 only."""
-    real = lindisc.schroder.small_divisor_valuation
+    """The closed form ``small_divisor_leads`` one off at exponent
+    n0 = p^s·u only."""
+    real = lindisc.schroder.small_divisor_leads
     monkeypatch.setattr(
         lindisc.schroder,
-        "small_divisor_valuation",
-        lambda profile, n: real(profile, n) + (n == n0),
+        "small_divisor_leads",
+        lambda profile, s, u: real(profile, s, u) + (profile.p**s * u == n0),
     )
 
 
@@ -652,6 +660,87 @@ def test_small_divisors_check_the_p_plus_1_entries_in_order(monkeypatch):
     _planted_valuation(monkeypatch, 10)
     with pytest.raises(CertificateError, match=r"at k = 15$"):
         _small_divisors(profile, [3 * j for j in js], 16, lows=js)
+
+
+def _random_divisor_tables(seed, count):
+    """(profile, ks, lows, W) with m > 1: λ = c + (terms from U^j on),
+    c of order m > 1 over F_3, F_4, F_5, F_7 and F_9, e ∈ {1, 2, 3},
+    v_m·e = j ∈ {1, 2, 3}, and 40 random k below 300 (p+1-style lows for
+    every third table)."""
+    rng = random.Random(seed)
+    fields = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+    for n in range(count):
+        p, r = fields[n % len(fields)]
+        e, j = rng.randint(1, 3), rng.randint(1, 3)
+        var = "T" if e == 1 else "U"
+        tail = "".join(f"+{rng.randrange(1, p)}*{var}^{j + t}" for t in range(rng.randint(1, 3)))
+        lam = parse_series(RESIDUE_OF_ORDER_ABOVE_1[p] + tail, FieldParams(p, r), e)
+        profile = mult_profile(lam)
+        assert profile.m > 1 and profile.v_m * e == j
+        if n % 3 == 2:
+            lows = rng.sample(range(1, 60), 40)
+            ks = [(p + 1) * i for i in lows]
+        else:
+            lows, ks = None, rng.sample(range(2, 300), 40)
+        yield profile, ks, lows, rng.choice([8, 16, 32])
+
+
+def test_divisor_leads_equal_the_per_entry_closed_form():
+    """The one array pass of ``_small_divisors`` gives every divisor the
+    lead that checking entry by entry gives, with ``small_divisor_valuation``
+    per entry, on random multipliers with m > 1; and the closed form
+    ``small_divisor_leads`` of a whole array of splits is e times the
+    per-entry valuation, with m | n and s > 0 among the exponents."""
+    splits_seen = set()
+    for profile, ks, lows, W in _random_divisor_tables(151, 15):
+        table = _small_divisors(profile, ks, W, lows)
+        assert table.leads.tolist() == small_divisor_leads_per_entry(profile, ks, W, lows)
+        ns = list(range(1, 400))
+        s, u = np.array([p_split(n, profile.p) for n in ns]).T
+        e = profile.lam.ram
+        expected = [small_divisor_valuation(profile, n) * e for n in ns]
+        assert small_divisor_leads(profile, s, u).tolist() == expected
+        splits_seen |= {(n % profile.m == 0, n % profile.p == 0) for n in ns}
+    assert splits_seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _planted_rows(monkeypatch, planted):
+    """λ's power arrays read λ^u as 1 + U^x for each u -> x of
+    ``planted``, and as 1 for x None (so 1 − λ^u vanishes)."""
+    real = lindisc.schroder._powers
+
+    def powers(x, n, width):
+        table = real(x, n, width)
+        for u, row in planted.items():
+            if u <= n:
+                table[u] = 0
+                table[u, 0, 0] = 1
+                if row is not None:
+                    table[u, row, 0] = 1
+        return table
+
+    monkeypatch.setattr(lindisc.schroder, "_powers", powers)
+
+
+def test_divisor_checks_raise_as_the_per_entry_checks(monkeypatch):
+    """With a lead planted off the closed form at the second entry or at
+    the last, or a divisor vanishing before such a lead, the one array
+    pass raises at the entry, with the error and text, that checking
+    entry by entry raises at."""
+    raised = []
+    for profile, ks, lows, W in _random_divisor_tables(157, 10):
+        off = int(profile.v_m * profile.lam.ram) + 1  # neither 0 nor v_m·e
+        p = profile.p
+        us = [p_split(k - i, p)[1] for k, i in zip(ks, lows or [1] * len(ks))]
+        for planted in ({us[1]: off}, {us[-1]: off}, {us[3]: None, us[-2]: off}):
+            with monkeypatch.context() as patch:
+                _planted_rows(patch, planted)
+                with pytest.raises((PrecisionError, CertificateError)) as want:
+                    small_divisor_leads_per_entry(profile, ks, W, lows)
+                with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                    _small_divisors(profile, ks, W, lows)
+            raised.append(want.type)
+    assert PrecisionError in raised and CertificateError in raised
 
 
 def test_specialized_requires_shape():

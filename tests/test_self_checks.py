@@ -295,6 +295,44 @@ def test_kernel_walk_flags_a_second_p_split():
     ]
 
 
+def _sliced_products(source):
+    """Lines where a ``_convolve(...)`` call's result is subscripted where
+    it is made: a product cut after it is formed, not by ``keep``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
+        == "_convolve"
+    )
+
+
+def test_products_are_cut_by_keep():
+    """Every caller asks ``_convolve`` for the rows it keeps, so no
+    product forms rows that are thrown away."""
+    offenders = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _sliced_products(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, f"pass keep to _convolve, do not slice its result: {offenders}"
+
+
+def test_product_walk_flags_a_sliced_result():
+    source = (
+        "import numpy as np\n"
+        "from . import laurent\n"
+        "def table(params, a, b, k):\n"
+        "    x = _convolve(params, a, b)[:k]\n"
+        "    y = laurent._convolve(params, a, b)[..., :k, :]\n"
+        "    z = _convolve(params, a[:k], b[0], k)\n"
+        "    w = np.convolve(a, b)[:k], _convolve\n"
+        "    return _convolve(params, x, y, k, z[0])[0]\n"
+    )
+    assert _sliced_products(source) == [4, 5, 8]
+
+
 # the regular-expression calls whose patterns the walk below reads
 RE_CALLS = {"compile", "match", "fullmatch", "search"}
 
