@@ -232,7 +232,7 @@ class DensePoly:
             np.add.at(out.data, at[batch], prod)
             del prod  # not held through the next batch
         out.data[start:] %= self.field.p
-        out._mask_all()
+        out._mask_all(start)
         return out
 
     def add_scaled(self, series, other):
@@ -280,12 +280,14 @@ class DensePoly:
                 del prod  # not held through the next batch
             self.base[lo:] = new_base
         self.prec[lo:] = _clamp(new_prec)
-        self._mask_all()
+        self._mask_all(lo)
 
-    def _mask_all(self):
-        """Zero the entries at or beyond each horizon.  Only a column whose
-        horizon falls inside its window can hold any."""
-        rows = np.flatnonzero((self.prec < self.base + self.W) & (self.base < _INF_CUT))
+    def _mask_all(self, lo):
+        """Zero the entries at or beyond each horizon in the columns lo ..
+        D, those a product or sum wrote.  Only a column whose horizon falls
+        inside its window can hold any."""
+        base, prec = self.base[lo:], self.prec[lo:]
+        rows = np.flatnonzero((prec < base + self.W) & (base < _INF_CUT)) + lo
         if rows.size:
             beyond = self.base[rows, None] + np.arange(self.W) >= self.prec[rows, None]
             self.data[rows] = np.where(beyond[:, :, None], 0, self.data[rows])

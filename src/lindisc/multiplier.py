@@ -1,7 +1,8 @@
 """Arithmetic of the multiplier λ: the root-of-unity screen, the order m
 of its reduction, the resonance threshold k', closed-form small-divisor
-valuations, the Lemma bound on v(b_k), the geometric product formula,
-and the radii ρ and σ.
+valuations, the Lemma bound on v(b_k), the geometric product formula
+(its closed form checked against one integer sum of the terms' closed
+forms), and the radii ρ and σ.
 
 In characteristic p the roots of unity of F_q((T)) are exactly the
 nonzero constants: any root of unity is integral, and u = λ/λ̄ with
@@ -14,6 +15,8 @@ horizon), and otherwise v_m = v(1 − λ^m) = v(t).  No power of λ is formed.
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CertificateError, HypothesisError, RootOfUnityError
 from .laurent import LaurentSeries, format_valuation
@@ -131,41 +134,18 @@ def lemma_bound(profile, A, k, den=None):
 
 
 def product_small_divisors(profile, N):
-    """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1, both term by term
-    through ``small_divisor_valuation`` and via the closed form
-    v_1 · p^N · ((p-1)(N-1)/p + 1); a mismatch is a CertificateError."""
-    *_, total = _product_term_sums(profile, N)
-    return _checked_product(profile, N, total)
-
-
-def product_small_divisor_sums(profile, Nmax):
-    """The sums of ``product_small_divisors`` for N = 1 .. Nmax in turn,
-    each term evaluated once and each sum checked against its closed
-    form as it is yielded."""
-    for N, total in enumerate(_product_term_sums(profile, Nmax), 1):
-        yield _checked_product(profile, N, total)
-
-
-def _product_term_sums(profile, Nmax):
-    """The term-by-term sums for N = 1 .. Nmax, unchecked: the sum for N
-    extends the sum for N - 1 by the terms p^{N-2} < i <= p^{N-1}."""
+    """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1 by the closed form
+    v_1 · p^N · ((p-1)(N-1)/p + 1), checked against the sum of the terms'
+    closed forms: one integer in U-units, from the ``p_split`` of each i·p
+    and one array pass of ``small_divisor_leads``.  A mismatch is a
+    CertificateError."""
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
-    if Nmax < 1:
+    if N < 1:
         raise HypothesisError("N must be >= 1")
-    p = profile.p
-    total, done = 0, 0
-    for N in range(1, Nmax + 1):
-        top = p ** (N - 1)
-        total += sum(small_divisor_valuation(profile, i * p) for i in range(done + 1, top + 1))
-        done = top
-        yield total
-
-
-def _checked_product(profile, N, total):
-    """The closed form of the product formula at N, if the term-by-term
-    sum ``total`` equals it; else a CertificateError."""
-    p = profile.p
+    p, ram = profile.p, profile.lam.ram
+    ss, us = np.array([p_split(i * p, p) for i in range(1, p ** (N - 1) + 1)]).T
+    total = Fraction(int(small_divisor_leads(profile, ss, us).sum()), ram)
     closed = profile.v_m * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
     if total != closed:
         raise CertificateError(

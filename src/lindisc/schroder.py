@@ -40,7 +40,7 @@ from .multiplier import (
     lemma_bound,
     mult_profile,
     p_split,
-    product_small_divisor_sums,
+    product_small_divisors,
     small_divisor_leads,
 )
 from .powerseries import (
@@ -306,6 +306,8 @@ def solve_sfe(f, D, window=32):
     as f^{k-1}·f.  The sum is read at every degree, so the proven zeros
     are checked against the computed products.
     """
+    if D < 1:
+        raise HypothesisError(f"degree D must be >= 1, got {D}")
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     one = LaurentSeries.constant(field_, 1, ram)
@@ -493,9 +495,10 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     and the binomial is 0.  The dot product sums at most j addends
     c·x with c, x < p, below j·p² < 2^63 for j < 2^31 (p < 2^16).
     """
+    if Jmax < 0:
+        raise HypothesisError(f"Jmax must be >= 0, got {Jmax}")
     a = _p_plus_1_shape(f)
-    lam = f.multiplier
-    profile = mult_profile(lam)
+    profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     p, r, W = field_.p, field_.r, window
     D = Jmax * p + 1
@@ -619,15 +622,19 @@ def check_coefficient_bound(g, gauge, f):
 class DivergenceCertificate:
     """Exact valuations of b_{p^N + 1} against the predicted closed form.
 
-    ``conjectural`` marks the m > 1 regime where the dominant-term
-    argument is not available: growth data only, no divergence claim.
+    The verdict "conjectural" marks the m > 1 regime where the
+    dominant-term argument is not available: growth data only, no
+    divergence claim.
     """
 
     entries: list  # (N, degree, computed: Fraction, predicted: Fraction|None)
     slopes: list  # Fraction v(b_k)/k per entry
-    verdict: str
-    conjectural: bool
+    verdict: str  # "diverges" or "conjectural"
     profile: object
+
+    @property
+    def conjectural(self):
+        return self.verdict == "conjectural"
 
     def csv(self):
         tag = ",conjectural" if self.conjectural else ""
@@ -648,23 +655,20 @@ def certify_divergence(f, Nmax, window=32):
     """Certificate that f = λx + a x^{p+1} with m(λ) = 1 is not
     analytically linearizable: v(b_{p^N+1}) is checked against
     p^{N-1}·v(a) − v_1·p^N·(1 + (p-1)(N-1)/p) for N = 1..Nmax, and the
-    slope v(b_k)/k decreases without bound.
+    slope v(b_k)/k decreases without bound.  The shape of f and the
+    profile of λ are those of the one solve, which checks them.
 
     For m > 1 growth data is returned with verdict "conjectural"; the
     exact-modulus formula need not hold there.
     """
-    a = _p_plus_1_shape(f)
-    lam = f.multiplier
-    profile = mult_profile(lam)
-    p = f.field.p
-    ram = f.ram
-    Jmax = p ** (Nmax - 1)
-    g = solve_specialized_p_plus_1(f, Jmax, window)
-    v_a = Fraction(a.lead, ram)
+    if Nmax < 1:
+        raise HypothesisError(f"Nmax must be >= 1, got {Nmax}")
+    p, ram = f.field.p, f.ram
+    g = solve_specialized_p_plus_1(f, p ** (Nmax - 1), window)
+    profile = g.profile
+    proven = profile.m == 1
+    v_a = Fraction(f.coeffs[p + 1].lead, ram)
     entries, slopes = [], []
-    conjectural = profile.m != 1
-    # each sum checks its terms against the closed form
-    products = None if conjectural else product_small_divisor_sums(profile, Nmax)
     for N in range(1, Nmax + 1):
         j = p ** (N - 1)
         k = j * p + 1
@@ -672,10 +676,10 @@ def certify_divergence(f, Nmax, window=32):
         if b.is_zero_as_known:
             raise PrecisionError(f"b_{k} vanished to precision; cannot certify")
         computed = Fraction(b.lead, ram)
-        if conjectural:
-            predicted = None
-        else:
-            predicted = j * v_a - next(products)
+        predicted = None
+        if proven:
+            # the sum of the small divisors is checked against its closed form
+            predicted = j * v_a - product_small_divisors(profile, N)
             if computed != predicted:
                 raise CertificateError(
                     f"divergence valuation mismatch at N={N}: computed {computed}, "
@@ -683,14 +687,11 @@ def certify_divergence(f, Nmax, window=32):
                 )
         entries.append((N, k, computed, predicted))
         slopes.append(Fraction(computed, k))
-    if not conjectural:
-        for prev, nxt in zip(slopes, slopes[1:]):
-            if not nxt < prev:
-                raise CertificateError("divergence slope failed to decrease")
-        verdict = "diverges"
-    else:
-        verdict = "conjectural"
-    return DivergenceCertificate(entries, slopes, verdict, conjectural, profile)
+    if proven and any(not nxt < prev for prev, nxt in zip(slopes, slopes[1:])):
+        raise CertificateError("divergence slope failed to decrease")
+    return DivergenceCertificate(
+        entries, slopes, "diverges" if proven else "conjectural", profile
+    )
 
 
 def semiconjugacy_residual(f, g, x, dp=None):

@@ -295,7 +295,7 @@ def dense_mul_per_column(a, b):
         shifted = a.base[lo:n] + (b.base[i] + rows[0])
         acc[lo + i - start :] += _realigned_by_take(W, prod, shifted, out.base[lo + i :])
     out.data[start:] = acc % field.p
-    out._mask_all()
+    out._mask_all(0)
     return out
 
 
@@ -325,7 +325,15 @@ def dense_add_scaled_all_columns(acc, series, other):
         acc.data[lo:] = (data + prod) % acc.field.p
         acc.base[lo:] = new_base
     acc.prec[lo:] = _clamp(new_prec)
-    acc._mask_all()
+    acc._mask_all(0)
+
+
+def product_small_divisors_per_term(profile, N):
+    """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}), one ``small_divisor_valuation``
+    (a ``Fraction``) per term: the term sum that
+    ``multiplier.product_small_divisors`` forms as one integer."""
+    p = profile.p
+    return sum(small_divisor_valuation(profile, i * p) for i in range(1, p ** (N - 1) + 1))
 
 
 def small_divisor_leads_per_entry(profile, ks, window, lows=None):

@@ -22,8 +22,8 @@ from lindisc import (
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI
-from lindisc.multiplier import lemma_bound, p_split, product_small_divisor_sums
-from oracles import small_divisor_direct
+from lindisc.multiplier import lemma_bound, p_split
+from oracles import product_small_divisors_per_term, small_divisor_direct
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -205,45 +205,43 @@ def test_product_formula_matches_direct_series():
             assert product_small_divisors(pr, N) == direct
 
 
+def _term_off_at(n):
+    """``small_divisor_leads`` one U-unit off at the exponent n = p^s·u."""
+    true_leads = lindisc.multiplier.small_divisor_leads
+    return lambda profile, s, u: true_leads(profile, s, u) + (profile.p**s * u == n)
+
+
 def test_product_formula_sums_the_closed_form_terms(monkeypatch):
-    """The term sum goes through small_divisor_valuation; one term off
+    """The term sum goes through small_divisor_leads; one term off
     breaks its agreement with the closed form."""
     pr = mult_profile(parse_series("1+T", F3))
-    true_term = lindisc.multiplier.small_divisor_valuation
-    monkeypatch.setattr(
-        lindisc.multiplier,
-        "small_divisor_valuation",
-        lambda profile, n: true_term(profile, n) + (n == 6),
-    )
+    monkeypatch.setattr(lindisc.multiplier, "small_divisor_leads", _term_off_at(6))
     assert product_small_divisors(pr, 1) == 3
     with pytest.raises(CertificateError, match="N=2"):
         product_small_divisors(pr, 2)
 
 
 def test_product_formula_reports_the_N_it_was_asked_for(monkeypatch):
-    """A term off at i = 1 breaks the sum for every N.  The sum for N
-    alone checks and reports that N; the running sums check each N in
-    turn and stop at the first."""
+    """A term off at i = 1 breaks the sum for every N, and the sum for
+    N checks and reports that N."""
     pr = mult_profile(parse_series("1+T", F3))
-    true_term = lindisc.multiplier.small_divisor_valuation
-    monkeypatch.setattr(
-        lindisc.multiplier,
-        "small_divisor_valuation",
-        lambda profile, n: true_term(profile, n) + (n == 3),
-    )
+    monkeypatch.setattr(lindisc.multiplier, "small_divisor_leads", _term_off_at(3))
     for N in (1, 3):
         with pytest.raises(CertificateError, match=f"N={N}:"):
             product_small_divisors(pr, N)
-    with pytest.raises(CertificateError, match="N=1:"):
-        list(product_small_divisor_sums(pr, 3))
 
 
-def test_product_formula_running_sums_equal_each_N():
-    for field, lam in [(F2, "1+T"), (F3, "1+T"), (F5, "1+T^2")]:
-        pr = mult_profile(parse_series(lam, field))
-        assert list(product_small_divisor_sums(pr, 4)) == [
-            product_small_divisors(pr, N) for N in range(1, 5)
-        ]
+@pytest.mark.parametrize("p, N", [(2, 11), (3, 7), (5, 5), (7, 4)])
+@pytest.mark.parametrize("ram", [1, 2])
+def test_product_formula_equals_the_per_term_sum(p, N, ram):
+    """At each prime's longest ladder the CLI accepts, the one integer
+    pass equals the sum of one ``small_divisor_valuation`` per term, for
+    e·v_1 = 1 and 3 (v_1 = 3 and 3/2 > 1), unramified and ramified."""
+    field, U = FieldParams(p), "U" if ram > 1 else "T"
+    for lam in (f"1+{U}", f"1+{U}^3+{U}^4"):
+        pr = mult_profile(parse_series(lam, field, ram=ram))
+        assert pr.m == 1
+        assert product_small_divisors(pr, N) == product_small_divisors_per_term(pr, N)
 
 
 def test_product_formula_requires_m_one():

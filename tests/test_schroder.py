@@ -940,15 +940,59 @@ def test_divergence_certificate_p3():
 def test_divergence_certificate_checks_the_predicted_valuation(monkeypatch):
     """A product of small divisors one off the true one: the computed
     v(b_k) no longer equals the predicted one."""
-    true_sums = lindisc.schroder.product_small_divisor_sums
+    true_product = lindisc.schroder.product_small_divisors
     monkeypatch.setattr(
         lindisc.schroder,
-        "product_small_divisor_sums",
-        lambda profile, Nmax: (v + 1 for v in true_sums(profile, Nmax)),
+        "product_small_divisors",
+        lambda profile, N: true_product(profile, N) + 1,
     )
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     with pytest.raises(CertificateError, match="N=1"):
         certify_divergence(f, 2)
+
+
+@pytest.mark.parametrize("lam, field", [("1+T", F2), ("b+T", F4)])
+def test_divergence_certificate_checks_shape_and_profile_once(monkeypatch, lam, field):
+    """One certificate checks f's shape once and profiles λ once: both
+    come from its solve.  For m = 1 and m > 1 alike."""
+    calls = []
+
+    def spy(name):
+        real = getattr(lindisc.schroder, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(lindisc.schroder, name, counted)
+
+    spy("mult_profile")
+    spy("_p_plus_1_shape")
+    f = PowerSeriesMap({1: parse_series(lam, field), 3: parse_series("1", field)})
+    certify_divergence(f, 3)
+    assert calls == ["_p_plus_1_shape", "mult_profile"]
+
+
+def test_divergence_certificate_rejects_a_short_ladder():
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    for Nmax in (0, -1):
+        with pytest.raises(HypothesisError, match=f"Nmax must be >= 1, got {Nmax}"):
+            certify_divergence(f, Nmax)
+
+
+def test_specialized_solve_rejects_a_negative_count():
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    assert solve_specialized_p_plus_1(f, 0).D == 1
+    with pytest.raises(HypothesisError, match="Jmax must be >= 0, got -3"):
+        solve_specialized_p_plus_1(f, -3)
+
+
+def test_term_matching_rejects_a_degree_below_one():
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    assert solve_sfe(f, 1).D == 1
+    for D in (0, -2):
+        with pytest.raises(HypothesisError, match=f"degree D must be >= 1, got {D}"):
+            solve_sfe(f, D)
 
 
 def test_divergence_certificate_builds_only_the_series_it_reads(monkeypatch):

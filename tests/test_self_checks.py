@@ -52,6 +52,14 @@ DIVIDE_HOMES = {"schroder._small_divisors"}
 LEMMA_HOMES = {"multiplier.lemma_bound"}
 # the one p-adic split n = p^s·u: a second one would loop while p | n
 SPLIT_HOMES = {"multiplier.p_split"}
+# the readers of the closed-form small-divisor valuations: the single
+# value, the product formula's one integer pass and the divisor table's
+# check.  A second per-term loop over them would call it elsewhere
+LEADS_HOMES = {
+    "multiplier.small_divisor_valuation",
+    "multiplier.product_small_divisors",
+    "schroder._small_divisors",
+}
 # the one reader of the memory budget of stacked products: every batch
 # is sized by ``_per_batch``, so a second rule would load or import
 # ``_STACK_BYTES``; the budget is bound once, at the top of ``laurent``
@@ -75,11 +83,12 @@ def _divisible_by_p(test):
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
-    call, every ``while … % p == 0`` loop, every strided view (an
-    ``np.ndarray(...)`` call given strides, an ``as_strided`` or
-    ``sliding_window_view`` call), every load, import and binding of
-    ``_STACK_BYTES`` and, in ``schroder``, every ``.inverse()`` and
-    ``_invert_unit(...)`` call in the source of ``module``."""
+    and ``small_divisor_leads(...)`` call, every ``while … % p == 0``
+    loop, every strided view (an ``np.ndarray(...)`` call given strides,
+    an ``as_strided`` or ``sliding_window_view`` call), every load, import
+    and binding of ``_STACK_BYTES`` and, in ``schroder``, every
+    ``.inverse()`` and ``_invert_unit(...)`` call in the source of
+    ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -134,6 +143,10 @@ def _kernel_uses(module, source):
             uses.append((scope, "divide"))
         if function_call(node, "count_resonant"):
             uses.append((scope, "lemma"))
+        if function_call(node, "small_divisor_leads") or method_call(
+            node, "small_divisor_leads"
+        ):
+            uses.append((scope, "leads"))
         if isinstance(node, ast.While) and _divisible_by_p(node.test):
             uses.append((scope, "split"))
         name = getattr(node, "id", getattr(node, "attr", None))
@@ -159,6 +172,7 @@ def _misplaced(uses):
         "divide": DIVIDE_HOMES,
         "lemma": LEMMA_HOMES,
         "split": SPLIT_HOMES,
+        "leads": LEADS_HOMES,
         "budget": BUDGET_HOMES,
         "binding": BINDING_HOMES,
     }
@@ -174,7 +188,8 @@ def test_one_convolution_and_one_fold():
         bindings += [use for use in uses if use[1] == "binding"]
     assert not offenders, (
         f"a second F_q product, fold, power or windowed view, small-divisor "
-        f"quotient, Lemma bound, p-adic split or memory budget: {offenders}"
+        f"quotient, Lemma bound, p-adic split, small-divisor term loop or "
+        f"memory budget: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "window") in seen
@@ -183,6 +198,7 @@ def test_one_convolution_and_one_fold():
     assert ("schroder._small_divisors", "divide") in seen
     assert ("multiplier.lemma_bound", "lemma") in seen
     assert ("multiplier.p_split", "split") in seen
+    assert {(home, "leads") for home in LEADS_HOMES} <= seen
     assert ("laurent._per_batch", "budget") in seen
     assert bindings == [("laurent", "binding")]  # the budget is bound once
 
@@ -292,6 +308,33 @@ def test_kernel_walk_flags_a_second_p_split():
     assert _misplaced(_kernel_uses("multiplier", source)) == [
         ("multiplier.small_divisor_valuation", "split"),
         ("multiplier.small_divisor_valuation", "split"),
+    ]
+
+
+def test_kernel_walk_flags_a_fourth_small_divisor_reader():
+    source = (
+        "from . import multiplier\n"
+        "def small_divisor_valuation(profile, n):\n"
+        "    return small_divisor_leads(profile, *p_split(n, profile.p))\n"
+        "def product_small_divisors(profile, N):\n"
+        "    return small_divisor_leads(profile, ss, us).sum()\n"
+        "def certify_divergence(profile, Nmax):\n"
+        "    return sum(\n"
+        "        multiplier.small_divisor_leads(profile, *p_split(i * p, p))\n"
+        "        for i in range(1, p ** (Nmax - 1) + 1)\n"
+        "    ), small_divisor_leads\n"
+    )
+    assert _misplaced(_kernel_uses("multiplier", source)) == [
+        ("multiplier.certify_divergence", "leads"),
+    ]
+    # the table's check is a home in the solvers' module only
+    table = (
+        "def _small_divisors(profile, ss, us):\n"
+        "    return small_divisor_leads(profile, ss, us)\n"
+    )
+    assert _misplaced(_kernel_uses("schroder", table)) == []
+    assert _misplaced(_kernel_uses("multiplier", table)) == [
+        ("multiplier._small_divisors", "leads"),
     ]
 
 
