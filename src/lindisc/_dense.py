@@ -68,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PrecisionError
-from .laurent import LaurentSeries, _convolve, _per_batch
+from .laurent import LaurentSeries, _any, _convolve, _per_batch
 
 INF = np.int64(2**62)
 _INF_CUT = np.int64(2**61)
@@ -85,8 +85,7 @@ class DensePoly:
         self.ram = ram
         self.D = D
         self.W = W
-        self.base = np.full(D + 1, INF, dtype=np.int64)
-        self.prec = np.full(D + 1, INF, dtype=np.int64)
+        self.base, self.prec = np.full((2, D + 1), INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
         # (f, f's columns) when this polynomial is a product by the map f
         self.map_columns = None
@@ -126,15 +125,17 @@ class DensePoly:
             return LaurentSeries.zero(self.field, self.ram, int(self.prec[d]))
         if self.prec[d] >= _INF_CUT:
             raise PrecisionError("column with finite base must carry finite horizon")
-        return LaurentSeries(
-            self.field, self.ram, int(self.base[d]), self.data[d], int(self.prec[d])
+        # a copy: the polynomial's data stays writable
+        return LaurentSeries._of(
+            self.field, self.ram, int(self.base[d]), self.data[d].copy(), int(self.prec[d])
         )
 
     def _live(self):
         """Index of the first column that is not an exact zero (D + 1 if
         there is none)."""
         live = self.prec < _INF_CUT
-        return int(np.argmax(live)) if live.any() else self.D + 1
+        first = int(live.argmax())
+        return first if live[first] else self.D + 1
 
     # -- bulk operations ---------------------------------------------------------
 
@@ -156,13 +157,13 @@ class DensePoly:
         data columns trimmed to their nonzero rows with the exponent of
         the first kept row.  Forming it makes the arrays read-only."""
         W = self.W
-        cols = np.flatnonzero(self.prec < _INF_CUT)
-        nonzero = self.data[cols].any(axis=2)
-        held = nonzero.any(axis=1)
+        cols = (self.prec < _INF_CUT).nonzero()[0]
+        nonzero = _any(self.data[cols], axis=2)
+        held = _any(nonzero, axis=1)
         at, nonzero = cols[held], nonzero[held]
-        first = np.argmax(nonzero, axis=1)
-        length = W - np.argmax(nonzero[:, ::-1], axis=1) - first
-        rows = first[:, None] + np.arange(length.max(initial=0))
+        first = nonzero.argmax(axis=1)
+        length = W - nonzero[:, ::-1].argmax(axis=1) - first
+        rows = first[:, None] + np.arange(np.maximum.reduce(length, initial=0))
         trimmed = self.data[at[:, None], np.minimum(rows, W - 1)]
         trimmed[rows >= W] = 0
         for array in (self.base, self.prec, self.data):
@@ -187,7 +188,7 @@ class DensePoly:
         out = DensePoly(self.field, self.ram, D, W)
         lo = self._live()
         cols, v, h, at, trimmed, starts = other._factor
-        n = int(np.searchsorted(cols, D + 1 - lo))
+        n = int(cols.searchsorted(D + 1 - lo))
         if not n:
             return out
         cols, v, h = cols[:n, None], v[:n, None], h[:n, None]
@@ -195,28 +196,30 @@ class DensePoly:
         # horizon pass: row c of the grid is other's column cols[c] against
         # self's column d - cols[c] >= lo (INF before) at x^d, d >= start; a
         # row holds its indices and up to three temporaries of the band
-        pad = np.full(int(cols[-1, 0] - cols[0, 0]), INF)
-        bases = np.concatenate([pad, self.base[lo:]])
-        precs = np.concatenate([pad, self.prec[lo:]])
+        pad = int(cols[-1, 0] - cols[0, 0])
+        bases = np.empty(pad + D + 1 - lo, dtype=np.int64)
+        precs = np.empty_like(bases)
+        bases[:pad] = precs[:pad] = INF
+        bases[pad:], precs[pad:] = self.base[lo:], self.prec[lo:]
         bounds = np.minimum(bases, precs)
-        band = np.arange(start, D + 1) + (pad.size - lo)
+        band = np.arange(start, D + 1) + (pad - lo)
         out_base, out_prec = out.base[start:], out.prec[start:]
         step = _per_batch(8 * 4 * band.size)
         for c in range(0, n, step):
             grid = band - cols[c : c + step]
             vc = v[c : c + step]
-            np.minimum(out_base, (bases[grid] + vc).min(axis=0), out=out_base)
+            np.minimum(out_base, np.minimum.reduce(bases[grid] + vc), out=out_base)
             cap = np.minimum(precs[grid] + vc, bounds[grid] + h[c : c + step])
-            np.minimum(out_prec, cap.min(axis=0), out=out_prec)
+            np.minimum(out_prec, np.minimum.reduce(cap), out=out_prec)
             del grid, cap  # not held through the next batch
         _clamp(out_base)
         _clamp(out_prec)
         # data pass: self's data columns j against other's data columns i,
         # trimmed, for every pair with i + j <= D
-        js = np.flatnonzero(self.data[lo:].any(axis=(1, 2))) + lo
+        js = _any(self.data[lo:], axis=(1, 2)).nonzero()[0] + lo
         if not js.size or not at.size:
             return out
-        pj, pi = np.nonzero(js[:, None] + at[None, :] <= D)
+        pj, pi = (js[:, None] + at[None, :] <= D).nonzero()
         pj = js[pj]
         at = at[pi] + pj
         # a product's first row, base[j] + starts[i], is >= out.base[i + j]
@@ -247,8 +250,8 @@ class DensePoly:
             return
         base, prec = self.base[lo:], self.prec[lo:]
         new_base, new_prec = base, prec
-        nonzero = other.data[lo:].any(axis=2)  # one pass for leads and data
-        has = nonzero.any(axis=1)
+        nonzero = _any(other.data[lo:], axis=2)  # one pass for leads and data
+        has = _any(nonzero, axis=1)
         if not series.is_zero_as_known:
             new_base = _clamp(np.minimum(base, other.base[lo:] + series.lead))
             new_prec = np.minimum(prec, other.prec[lo:] + series.lead)
@@ -261,13 +264,13 @@ class DensePoly:
             p, r, W = self.field.p, self.field.r, self.W
             data = self.data[lo:]
             # a column whose base moves down by d keeps its rows, d later
-            moved = np.flatnonzero((new_base < base) & (base < _INF_CUT))
+            moved = ((new_base < base) & (base < _INF_CUT)).nonzero()[0]
             if moved.size:
                 rows = np.arange(W) - (base - new_base)[moved, None]
                 kept = data[moved[:, None], np.maximum(rows, 0)]
                 kept[rows < 0] = 0
                 data[moved] = kept
-            cols = np.flatnonzero(has)
+            cols = has.nonzero()[0]
             shifts = other.base[lo + cols] + series.lead - new_base[cols]
             # a column holds its data, its shift, its product and its sum
             step = _per_batch(8 * (3 * W * r + 1))
@@ -287,7 +290,7 @@ class DensePoly:
         D, those a product or sum wrote.  Only a column whose horizon falls
         inside its window can hold any."""
         base, prec = self.base[lo:], self.prec[lo:]
-        rows = np.flatnonzero((prec < base + self.W) & (base < _INF_CUT)) + lo
+        rows = ((prec < base + self.W) & (base < _INF_CUT)).nonzero()[0] + lo
         if rows.size:
             beyond = self.base[rows, None] + np.arange(self.W) >= self.prec[rows, None]
             self.data[rows] = np.where(beyond[:, :, None], 0, self.data[rows])

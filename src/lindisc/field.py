@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     FieldConstructionError,
+    HypothesisError,
     IncompatibleFieldError,
     ParseError,
     ZeroDivisionFieldError,
@@ -49,6 +50,17 @@ BUILTIN_MODULI = {
 
 # elements enumerated at once: memory stays bounded whatever q is
 ELEMENT_BLOCK = 1024
+
+
+def p_split(n, p):
+    """(s, u) with n = p^s·u and p ∤ u: the one p-adic split of an exponent."""
+    if n < 1:
+        raise HypothesisError(f"exponent must be >= 1, got {n}")
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return s, n
 
 
 def _is_prime(n):
@@ -232,6 +244,12 @@ class FieldParams:
             result = np.zeros_like(xs)
             result[:, 0] = 1
         return result
+
+    def frobenius_rows(self, xs, s):
+        """xs^(p^s) entry by entry: ``xs`` itself when r | s, as c^(p^r) = c."""
+        if s % self.r == 0:
+            return xs
+        return self.pow_rows(xs, self.p ** (s % self.r))
 
     def parse_element(self, text):
         """Parse an element literal, element terms joined by + and - (see

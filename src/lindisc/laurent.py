@@ -19,6 +19,10 @@ to precision); ``format_valuation`` writes the ``num/den`` text of the
 reports.  Absolute values are never materialised.  All precision
 propagation is pessimistic: a result's horizon is the minimum horizon
 its inputs justify, and an exact input justifies any horizon.
+
+Powers use characteristic p: x^(p^s·u) = Frob^s(x^u) (see ``__pow__``).
+The arithmetic builds its results, already reduced mod p, through
+``LaurentSeries._of``; other input goes through ``__init__``.
 """
 
 import re
@@ -34,7 +38,7 @@ from .errors import (
     PrecisionError,
     ZeroDivisionFieldError,
 )
-from .field import _ELEMENT_TERM, FqElement, _integer, _split_terms
+from .field import _ELEMENT_TERM, FqElement, _integer, _split_terms, p_split
 
 
 def format_valuation(v):
@@ -50,6 +54,13 @@ _STACK_BYTES = 32 << 20
 
 def _per_batch(item_bytes):
     return max(1, _STACK_BYTES // item_bytes)
+
+
+# ``ndarray.any`` without numpy's Python-level wrapper, a cost per result
+# and per step (as are ``.min``, ``np.flatnonzero``, ``np.argmax``,
+# ``np.nonzero`` and ``np.searchsorted``: call the ufunc reductions and
+# the ndarray methods)
+_any = np.logical_or.reduce
 
 
 def _convolve(params, a, b, keep=None, shift=None):
@@ -94,10 +105,10 @@ def _convolve(params, a, b, keep=None, shift=None):
             raw = np.zeros((a.shape[0] + b.shape[0] - 1, 2 * r - 1), dtype=np.int64)
             for s1 in range(r):
                 col = a[:, s1]
-                if not col.any():
+                if not _any(col):
                     continue
                 for s2 in range(r):
-                    if not b[:, s2].any():
+                    if not _any(b[:, s2]):
                         continue
                     raw[:, s1 + s2] += np.convolve(col, b[:, s2])
             low, high = raw[:keep, :r], raw[:keep, r:]
@@ -183,14 +194,23 @@ class LaurentSeries:
         if ram < 1:
             raise ValueError("ramification index must be >= 1")
         coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, field.r) % field.p
-        lead = int(lead)
-        prec = int(prec)
+        self._set(field, int(ram), int(lead), coeffs, int(prec), bool(exact))
+
+    @classmethod
+    def _of(cls, field, ram, lead, coeffs, prec, exact=False):
+        """``__init__`` for an int64 (L, r) array already reduced mod p,
+        which becomes read-only: never one its owner still writes."""
+        series = object.__new__(cls)
+        series._set(field, ram, lead, coeffs, prec, exact)
+        return series
+
+    def _set(self, field, ram, lead, coeffs, prec, exact):
         # drop rows at or beyond the horizon (unless the series is exact,
         # where the stored support is genuine knowledge)
         if not exact and lead + coeffs.shape[0] > prec:
             coeffs = coeffs[: max(prec - lead, 0)]
         # normalise: leading coefficient nonzero
-        nz = np.flatnonzero(coeffs.any(axis=1))
+        nz = _any(coeffs, axis=1).nonzero()[0]
         if nz.size == 0:
             coeffs = coeffs[:0]
             lead = prec
@@ -199,12 +219,12 @@ class LaurentSeries:
             lead += first
             coeffs = coeffs[first : last + 1]
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ram", int(ram))
+        object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "exact", bool(exact))
-        self.coeffs.setflags(write=False)
+        object.__setattr__(self, "exact", exact)
+        coeffs.setflags(write=False)
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentSeries is immutable")
@@ -288,17 +308,13 @@ class LaurentSeries:
             out[la - lead : la - lead + self.coeffs.shape[0]] += self.coeffs
         if other.coeffs.shape[0]:
             out[lb - lead : lb - lead + other.coeffs.shape[0]] += other.coeffs
-        return LaurentSeries(self.field, self.ram, lead, out % self.field.p, prec, exact)
+        out %= self.field.p
+        return LaurentSeries._of(self.field, self.ram, lead, out, prec, exact)
 
     def __neg__(self):
-        return LaurentSeries(
-            self.field,
-            self.ram,
-            self.lead,
-            (-self.coeffs) % self.field.p,
-            self.prec,
-            self.exact,
-        )
+        out = np.negative(self.coeffs)
+        out %= self.field.p
+        return LaurentSeries._of(self.field, self.ram, self.lead, out, self.prec, self.exact)
 
     def __sub__(self, other):
         return self + (-other)
@@ -323,7 +339,7 @@ class LaurentSeries:
         # an inexact product keeps only the rows below its horizon
         keep = None if exact else prec - self.lead - other.lead
         conv = _convolve(self.field, self.coeffs, other.coeffs, keep)
-        return LaurentSeries(
+        return LaurentSeries._of(
             self.field, self.ram, self.lead + other.lead, conv, prec, exact
         )
 
@@ -336,11 +352,11 @@ class LaurentSeries:
             return LaurentSeries.zero(self.field, self.ram, self.prec, self.exact)
         row = np.array([coeff.coeffs], dtype=np.int64)
         out = _convolve(self.field, self.coeffs, row)
-        return LaurentSeries(self.field, self.ram, self.lead, out, self.prec, self.exact)
+        return LaurentSeries._of(self.field, self.ram, self.lead, out, self.prec, self.exact)
 
     def shift(self, exponent):
         """Multiply by U^exponent."""
-        return LaurentSeries(
+        return LaurentSeries._of(
             self.field,
             self.ram,
             self.lead + exponent,
@@ -362,7 +378,7 @@ class LaurentSeries:
             digits = max(digits, self.coeffs.shape[0], 1)
         unit = self.coeffs[:digits]
         inv_unit = _invert_unit(self.field, unit, digits)
-        return LaurentSeries(
+        return LaurentSeries._of(
             self.field, self.ram, -self.lead, inv_unit, digits - self.lead, False
         )
 
@@ -371,16 +387,38 @@ class LaurentSeries:
         return self * other.inverse()
 
     def __pow__(self, n):
+        """x^n (n < 0: (1/x)^|n|).  For n = p^s·u, p ∤ u, x not zero as
+        known: y = x^u by square-and-multiply, then x^n = Frob^s(y), as
+        (Σ c_t U^t)^(p^s) = Σ c_t^(p^s) U^(t·p^s) in characteristic p.
+
+        Frob^s(y) is known to p^s·P_y, P_y = P + (u − 1)·L for x's lead
+        L and horizon P, but is cut at the horizon square-and-multiply
+        gives all of n, P + (n − 1)·L (+ max(L, 0) for an exact x): the
+        same digits, so no result's bytes depend on the route.  The cut
+        gives up digits that a refined report could keep."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentSeries.constant(self.field, 1, self.ram, prec=self.prec)
+        field, s = self.field, 0
+        if n and not self.is_zero_as_known:
+            s, n = p_split(n, field.p)
+        q, L = field.p**s, self.lead
+        prec = self.prec + (q * n - 1) * L + (max(L, 0) if self.exact else 0)
+        result = LaurentSeries.constant(field, 1, self.ram, prec=self.prec)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        if not s:
+            return result
+        lead, rows = result.lead * q, result.coeffs
+        if not self.exact:  # only the rows that land below the horizon
+            rows = rows[: -(-(prec - lead) // q)]
+        out = np.zeros(((rows.shape[0] - 1) * q + 1, field.r), dtype=np.int64)
+        out[::q] = field.frobenius_rows(rows, s)
+        return LaurentSeries._of(field, self.ram, lead, out, prec, self.exact)
 
     # -- residue and ramification ----------------------------------------------
 

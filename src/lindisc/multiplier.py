@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificateError, HypothesisError, RootOfUnityError
+from .field import p_split
 from .laurent import LaurentSeries, format_valuation
 
 
@@ -100,17 +101,6 @@ def small_divisor_leads(profile, s, u):
     """e·v(1 - λ^n) for n = p^s·u, p ∤ u: ``small_divisor_valuation`` in
     U-units (m | n iff m | u, as p ∤ m), in one pass for arrays s, u."""
     return (u % profile.m == 0) * (profile.v_m * profile.lam.ram).numerator * profile.p**s
-
-
-def p_split(n, p):
-    """(s, u) with n = p^s·u and p ∤ u: the one p-adic split of an exponent."""
-    if n < 1:
-        raise HypothesisError(f"exponent must be >= 1, got {n}")
-    s = 0
-    while n % p == 0:
-        n //= p
-        s += 1
-    return s, n
 
 
 def count_resonant(profile, k):

@@ -22,9 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HypothesisError, IncompatibleFieldError, PrecisionError
-from .field import _prime_factors
+from .field import _prime_factors, p_split
 from .laurent import LaurentSeries
-from .multiplier import p_split
 
 
 class PowerSeriesMap:

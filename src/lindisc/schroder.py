@@ -35,11 +35,11 @@ import numpy as np
 
 from ._dense import DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
-from .laurent import LaurentSeries, _convolve, _invert_unit, _per_batch
+from .field import p_split
+from .laurent import LaurentSeries, _any, _convolve, _invert_unit, _per_batch
 from .multiplier import (
     lemma_bound,
     mult_profile,
-    p_split,
     product_small_divisors,
     small_divisor_leads,
 )
@@ -200,7 +200,7 @@ class _DivisorTable(Mapping):
     def __getitem__(self, k):
         n = self.index[k]
         lead = int(self.leads[n])
-        return LaurentSeries(self.field, self.ram, -lead, self.rows[n], self.window - lead)
+        return LaurentSeries._of(self.field, self.ram, -lead, self.rows[n], self.window - lead)
 
     def __iter__(self):
         return iter(self.index)
@@ -284,7 +284,7 @@ def _small_divisors(profile, ks, window, lows=None):
             np.negative(d, out=d)
             d[..., 0] += at == 0
             d %= p
-            d = field_.pow_rows(d.reshape(-1, r), p ** (s % r))
+            d = field_.frobenius_rows(d.reshape(-1, r), s)
             units[part, ::step] = d.reshape(part.size, count, r)
     if scaled:
         scale = powers[np.array(lows, dtype=np.int64), :window]
@@ -328,7 +328,7 @@ def solve_sfe(f, D, window=32):
         if family and k % p != 0:
             # columns are reduced and zero past their horizon, so the sum
             # is zero as known exactly when its column holds no data
-            if acc.data[k].any():
+            if _any(acc.data[k], axis=None):
                 raise CertificateError(
                     f"degree {k} should vanish for p-divisible maps, got {acc.column(k)}"
                 )
@@ -389,6 +389,8 @@ def solve_sfe_multinomial(f, D, window=32):
     Exponential in the support size; intended for small D as a
     cross-oracle of solve_sfe.
     """
+    if D < 1:
+        raise HypothesisError(f"degree D must be >= 1, got {D}")
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     p = field_.p

@@ -17,12 +17,12 @@ import lindisc.schroder
 from lindisc._dense import _INF_CUT, INF, DensePoly, _clamp
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
+from lindisc.field import p_split
 from lindisc.laurent import LaurentSeries, _convolve
 from lindisc.multiplier import (
     count_resonant,
     lemma_bound,
     mult_profile,
-    p_split,
     small_divisor_valuation,
 )
 from lindisc.powerseries import (
@@ -80,6 +80,22 @@ def exact_powers(x):
         return table[n]
 
     return power
+
+
+def pow_square_multiply(x, n):
+    """x^n by square-and-multiply alone, for every n >= 0 (and n < 0 as
+    (1/x)^|n|): ``LaurentSeries.__pow__`` without its Frobenius split,
+    which it must equal in lead, horizon, exactness and bytes."""
+    if n < 0:
+        return pow_square_multiply(x.inverse(), -n)
+    result = LaurentSeries.constant(x.field, 1, x.ram, prec=x.prec)
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def over_small_divisor(s, lam_power, profile, k, window):

@@ -353,6 +353,27 @@ def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
         assert len(formed) == count, (field.p, degree)
 
 
+def test_a_column_read_is_not_changed_by_later_sums():
+    """``column`` builds its series on a copy of the polynomial's data,
+    so a series read from a polynomial keeps its coefficients when a
+    later ``add_scaled`` or ``set_column`` writes that column."""
+    rng = random.Random(41)
+    for field in FIELDS:
+        poly, table = DensePoly(field, 1, 6, 8), {}
+        for d in range(7):
+            table[d] = parse_series("1+T+T^2", field)
+            poly.set_column(d, table[d])
+        read = [poly.column(d) for d in range(7)]
+        rows = [series.coeffs.copy() for series in read]
+        for _ in range(3):
+            other, _ = random_poly(field, 1, rng, 6, 8)
+            poly.add_scaled(parse_series("1+T^2", field), other)
+        poly.set_column(3, parse_series("1", field))
+        for series, before, d in zip(read, rows, range(7)):
+            assert np.array_equal(series.coeffs, before), d
+            assert series == table[d]
+
+
 def test_a_polynomial_is_read_only_once_its_factor_is_formed():
     """A product by a polynomial packs it as a right factor, after which
     ``set_column`` and ``add_scaled`` on it raise and leave it unchanged,

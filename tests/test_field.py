@@ -168,6 +168,17 @@ def test_pow_rows_matches_repeated_products(field):
     assert [naive_mul(y, x, field) for x, y in zip(units, got)] == [one] * len(units)
 
 
+@pytest.mark.parametrize("field", SMALL_BUILTIN, ids=lambda f: f"p{f.p}r{f.r}")
+def test_frobenius_rows_is_the_p_power_map(field):
+    """``frobenius_rows(xs, s)`` is xs^(p^s) entry by entry, and at r | s
+    it is xs itself: the Frobenius of F_{p^r} has order r."""
+    rows = field.element_rows(0, min(field.q, 125))
+    for s in range(2 * field.r + 2):
+        got = field.frobenius_rows(rows, s)
+        assert as_tuples(got) == as_tuples(field.pow_rows(rows, field.p**s)), s
+        assert (got is rows) == (s % field.r == 0), s
+
+
 def test_mul_rows_stays_exact_at_the_largest_prime():
     """p = 65521 is the largest prime below 2^16; with every coordinate
     p - 1 each schoolbook entry is near 2·p², the int64 worst case."""

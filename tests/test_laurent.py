@@ -20,6 +20,7 @@ from lindisc.errors import (
     ZeroDivisionFieldError,
 )
 from lindisc.laurent import _convolve, _invert_unit, format_valuation
+from oracles import pow_square_multiply
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -525,3 +526,102 @@ def test_batched_inverse_memory_is_linear_in_the_stack():
     finally:
         tracemalloc.stop()
     assert peak < 16 * units.nbytes, (peak, units.nbytes)
+
+
+# the fields of the power tests: every prime to 7 and the extensions
+# F_4, F_8 and F_9, so r = 1, 2, 3 and s mod r takes every value
+POWER_FIELDS = [F2, F3, F5, FieldParams(7), F4, FieldParams(2, 3), F9]
+
+
+def _random_power_base(field, rng, lead, ram, exact):
+    """A series of the given lead, exact or not, with a random nonzero
+    lead coefficient.  An exact one has any horizon, below its lead too,
+    as parsed literals do; an inexact one has 1 to 9 digits."""
+    length = rng.randrange(1, 7)
+    rows = [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(length)]
+    rows[0][rng.randrange(field.r)] = rng.randrange(1, field.p)
+    prec = lead + rng.randrange(-3, 12) if exact else lead + rng.randrange(1, 10)
+    return LaurentSeries(field, ram, lead, rows, prec, exact)
+
+
+def _same_series(a, b):
+    return (a.lead, a.prec, a.exact, a.coeffs.shape, a.coeffs.tobytes()) == (
+        b.lead,
+        b.prec,
+        b.exact,
+        b.coeffs.shape,
+        b.coeffs.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=str)
+def test_power_equals_square_and_multiply(field):
+    """x ** n, by Frobenius for p | n, equals square-and-multiply alone
+    in lead, horizon, exactness and coefficient bytes: e = 1, 2, 3,
+    exact and inexact x, leads -6 .. 6, n = 0, 1, p, p·u, p², p³, a
+    random n <= 60 and -p, and a zero to precision."""
+    rng = random.Random(field.q)
+    p = field.p
+    for ram, exact, lead in itertools.product((1, 2, 3), (False, True), range(-6, 7)):
+        x = _random_power_base(field, rng, lead, ram, exact)
+        u = rng.choice([u for u in range(2, 12) if u % p])
+        for n in (0, 1, p, p * u, p**2, p**3, rng.randrange(61), -p):
+            assert _same_series(x**n, pow_square_multiply(x, n)), (x, n)
+    for x in (LaurentSeries.zero(field, 2, 5), LaurentSeries.zero(field, 1, -3)):
+        for n in (0, 1, p, p**2, 7):
+            assert _same_series(x**n, pow_square_multiply(x, n)), (x, n)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F9], ids=str)
+def test_square_and_multiply_horizon_has_a_closed_form(field):
+    """The horizon that ``__pow__`` keeps on its Frobenius path: for x
+    of lead L and horizon P, not zero as known, square-and-multiply
+    gives x^n (n >= 1) the lead n·L and the horizon P + (n − 1)·L, plus
+    max(L, 0) when x is exact, and x's exactness."""
+    rng = random.Random(field.q + 1)
+    for _ in range(300):
+        exact = rng.random() < 0.5
+        x = _random_power_base(field, rng, rng.randrange(-6, 7), rng.randrange(1, 4), exact)
+        L, P, n = x.lead, x.prec, rng.randrange(1, 40)
+        y = pow_square_multiply(x, n)
+        assert (y.lead, y.exact) == (n * L, exact)
+        assert y.prec == P + (n - 1) * L + (max(L, 0) if exact else 0), (x, n)
+
+
+def test_power_by_a_power_of_p_forms_one_product(monkeypatch):
+    """x ** p^s takes x^1 by square-and-multiply, one product by the
+    constant 1, and then spreads its rows: no squaring of x."""
+    calls = []
+    real = lindisc.laurent._convolve
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lindisc.laurent, "_convolve", spy)
+    x = parse_series("1+T+T^3", F2)
+    y = x**64
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert _same_series(y, pow_square_multiply(x, 64))
+    assert y.render() == "1 + T^64 + T^192 + O(T^16)"  # exact: the horizon is x's
+
+
+@pytest.mark.parametrize("field", [F2, F5, F9], ids=str)
+def test_private_constructor_equals_the_public_one(field):
+    """``LaurentSeries._of`` on a reduced int64 array builds the series
+    ``__init__`` builds: the same lead, horizon, exactness and bytes,
+    read-only, for arrays with zero rows at either end, rows past the
+    horizon, and no nonzero row at all."""
+    rng = np.random.default_rng(field.q)
+    for _ in range(200):
+        rows = rng.integers(0, field.p, size=(int(rng.integers(0, 9)), field.r))
+        rows[rng.random(rows.shape[0]) < 0.4] = 0
+        lead = int(rng.integers(-5, 6))
+        prec = lead + int(rng.integers(-2, 10))
+        exact = bool(rng.random() < 0.5)
+        ram = int(rng.integers(1, 4))
+        public = LaurentSeries(field, ram, lead, rows, prec, exact)
+        private = LaurentSeries._of(field, ram, lead, rows.copy(), prec, exact)
+        assert _same_series(private, public)
+        assert not private.coeffs.flags.writeable

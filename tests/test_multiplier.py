@@ -21,8 +21,8 @@ from lindisc import (
     small_divisor_valuation,
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
-from lindisc.field import BUILTIN_MODULI
-from lindisc.multiplier import lemma_bound, p_split
+from lindisc.field import BUILTIN_MODULI, p_split
+from lindisc.multiplier import lemma_bound
 from oracles import product_small_divisors_per_term, small_divisor_direct
 
 F2 = FieldParams(2)

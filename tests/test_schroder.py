@@ -41,9 +41,9 @@ from lindisc.errors import (
     PrecisionError,
     RootOfUnityError,
 )
+from lindisc.field import p_split
 from lindisc.multiplier import (
     lemma_bound,
-    p_split,
     small_divisor_leads,
     small_divisor_valuation,
 )
@@ -993,6 +993,16 @@ def test_term_matching_rejects_a_degree_below_one():
     for D in (0, -2):
         with pytest.raises(HypothesisError, match=f"degree D must be >= 1, got {D}"):
             solve_sfe(f, D)
+
+
+def test_multinomial_solve_rejects_a_degree_below_one():
+    """The cross-oracle rejects what ``solve_sfe`` rejects, with the same
+    error, and still solves the smallest accepted degree."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    assert solve_sfe_multinomial(f, 1).D == 1
+    for D in (0, -2):
+        with pytest.raises(HypothesisError, match=f"degree D must be >= 1, got {D}"):
+            solve_sfe_multinomial(f, D)
 
 
 def test_divergence_certificate_builds_only_the_series_it_reads(monkeypatch):

@@ -50,8 +50,9 @@ WINDOW_HOMES = {"laurent._convolve"}
 # resonance count) would call ``count_resonant``
 DIVIDE_HOMES = {"schroder._small_divisors"}
 LEMMA_HOMES = {"multiplier.lemma_bound"}
-# the one p-adic split n = p^s·u: a second one would loop while p | n
-SPLIT_HOMES = {"multiplier.p_split"}
+# the one p-adic split n = p^s·u: a second one would loop while p | n.
+# It lives in ``field``, below ``laurent``'s powers
+SPLIT_HOMES = {"field.p_split"}
 # the readers of the closed-form small-divisor valuations: the single
 # value, the product formula's one integer pass and the divisor table's
 # check.  A second per-term loop over them would call it elsewhere
@@ -65,6 +66,20 @@ LEADS_HOMES = {
 # ``_STACK_BYTES``; the budget is bound once, at the top of ``laurent``
 BUDGET_HOMES = {"laurent._per_batch"}
 BINDING_HOMES = {"laurent"}
+# the callers of ``LaurentSeries._of``, which skips ``__init__``'s
+# reduction mod p: results the series arithmetic, the dense engine and
+# the divisor table form already reduced.  Parsed input never reaches it
+REDUCED_HOMES = {
+    "laurent.LaurentSeries.__add__",
+    "laurent.LaurentSeries.__neg__",
+    "laurent.LaurentSeries.__mul__",
+    "laurent.LaurentSeries.scale",
+    "laurent.LaurentSeries.shift",
+    "laurent.LaurentSeries.inverse",
+    "laurent.LaurentSeries.__pow__",
+    "_dense.DensePoly.column",
+    "schroder._DivisorTable.__getitem__",
+}
 
 
 def _divisible_by_p(test):
@@ -83,8 +98,8 @@ def _divisible_by_p(test):
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
-    and ``small_divisor_leads(...)`` call, every ``while … % p == 0``
-    loop, every strided view (an ``np.ndarray(...)`` call given strides,
+    and ``small_divisor_leads(...)`` call, every ``._of(...)`` call,
+    every ``while … % p == 0`` loop, every strided view (an ``np.ndarray(...)`` call given strides,
     an ``as_strided`` or ``sliding_window_view`` call), every load, import
     and binding of ``_STACK_BYTES`` and, in ``schroder``, every
     ``.inverse()`` and ``_invert_unit(...)`` call in the source of
@@ -147,6 +162,8 @@ def _kernel_uses(module, source):
             node, "small_divisor_leads"
         ):
             uses.append((scope, "leads"))
+        if method_call(node, "_of"):
+            uses.append((scope, "reduced"))
         if isinstance(node, ast.While) and _divisible_by_p(node.test):
             uses.append((scope, "split"))
         name = getattr(node, "id", getattr(node, "attr", None))
@@ -175,6 +192,7 @@ def _misplaced(uses):
         "leads": LEADS_HOMES,
         "budget": BUDGET_HOMES,
         "binding": BINDING_HOMES,
+        "reduced": REDUCED_HOMES,
     }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
@@ -188,8 +206,8 @@ def test_one_convolution_and_one_fold():
         bindings += [use for use in uses if use[1] == "binding"]
     assert not offenders, (
         f"a second F_q product, fold, power or windowed view, small-divisor "
-        f"quotient, Lemma bound, p-adic split, small-divisor term loop or "
-        f"memory budget: {offenders}"
+        f"quotient, Lemma bound, p-adic split, small-divisor term loop, "
+        f"memory budget or unreduced series: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "window") in seen
@@ -197,7 +215,8 @@ def test_one_convolution_and_one_fold():
     assert ("field.FieldParams.pow_rows", "power") in seen
     assert ("schroder._small_divisors", "divide") in seen
     assert ("multiplier.lemma_bound", "lemma") in seen
-    assert ("multiplier.p_split", "split") in seen
+    assert ("field.p_split", "split") in seen
+    assert {(home, "reduced") for home in REDUCED_HOMES} <= seen
     assert {(home, "leads") for home in LEADS_HOMES} <= seen
     assert ("laurent._per_batch", "budget") in seen
     assert bindings == [("laurent", "binding")]  # the budget is bound once
@@ -305,9 +324,35 @@ def test_kernel_walk_flags_a_second_p_split():
         "    while n % 2 == 0 or n % p:\n"
         "        n //= 2\n"
     )
-    assert _misplaced(_kernel_uses("multiplier", source)) == [
-        ("multiplier.small_divisor_valuation", "split"),
-        ("multiplier.small_divisor_valuation", "split"),
+    assert _misplaced(_kernel_uses("field", source)) == [
+        ("field.small_divisor_valuation", "split"),
+        ("field.small_divisor_valuation", "split"),
+    ]
+    # the one home is in ``field``: a split left behind elsewhere is a second
+    assert _misplaced(_kernel_uses("multiplier", source))[0] == ("multiplier.p_split", "split")
+
+
+def test_kernel_walk_flags_an_unreduced_series_from_parsed_input():
+    source = (
+        "from .laurent import LaurentSeries\n"
+        "class LaurentSeries:\n"
+        "    def __mul__(self, other):\n"
+        "        return LaurentSeries._of(self.field, self.ram, 0, conv, prec, exact)\n"
+        "    def scale(self, c):\n"
+        "        return type(self)._of(self.field, self.ram, self.lead, out, self.prec)\n"
+        "def parse_series(text, field, ram=1, prec=16):\n"
+        "    return LaurentSeries._of(field, ram, lead, arr, prec, True)\n"
+        "def _of(field, rows):\n"
+        "    return LaurentSeries(field, 1, 0, rows, 1)\n"
+    )
+    assert _misplaced(_kernel_uses("laurent", source)) == [
+        ("laurent.parse_series", "reduced"),
+    ]
+    # the arithmetic's homes are homes in ``laurent`` only
+    assert _misplaced(_kernel_uses("cli", source)) == [
+        ("cli.LaurentSeries.__mul__", "reduced"),
+        ("cli.LaurentSeries.scale", "reduced"),
+        ("cli.parse_series", "reduced"),
     ]
 
 
