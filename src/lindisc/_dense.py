@@ -12,62 +12,56 @@ cost is constant.
 ``mul``, data columns of ``add_scaled``) from the bytes one item holds;
 products are exact and sums are taken mod p, so no batch changes a result:
 
-* ``mul``, the product by another ``DensePoly``, makes two passes over
-  the other's packed ``_factor``.  The horizon pass takes one broadcast
-  minimum over a grid of (live column of the other) × (x-degree) for the
-  bases and horizons, on the band of degrees the product can reach.  The
-  data pass stacks the pairs of columns that both hold data, self's
-  column j against the other's column i trimmed to its nonzero rows,
-  convolves each pair into the window at x^(i+j) and adds it there.
-  A solve multiplies by f's columns and the stride f^p only,
+* ``mul``, the product of two exact-start powers (below), makes two
+  passes over the other's packed ``_factor``.  The base pass takes one
+  broadcast minimum of base[j] + base[i] over a grid of (live column i
+  of the other) × (x-degree) on the band the product can reach, and
+  writes the product's horizons from it.  The data pass convolves the
+  pairs of columns that both hold data, self's column j against the
+  other's column i trimmed to its nonzero rows, into the window at
+  x^(i+j).  A solve multiplies by f's columns and the stride f^p only,
   so each factor is formed once; its polynomial is read-only from then
   on, so no factor goes stale.  ``mul_by_map`` multiplies by a map's
   exact coefficients, installed as columns by ``of_map`` once per chain
   of products: each product carries ``map_columns = (f, columns)``, and
   f's factor with it, to the next (installing them per product made the
   sweep workload 5% slower);
-* ``add_scaled``, the accumulation of a scalar multiple of another
+* ``add_scaled``, the accumulation of a scalar multiple of any
   polynomial: one convolution of its data columns with the scalar into
   the sum's windows, whose columns are realigned where their base moves.
 
-A column without data still counts in the horizon pass and in the
-horizons of ``add_scaled``.  If it is zero only to precision, O(U^h),
-its product with anything is known only below that horizon, so it caps
-the horizons of the columns it reaches; only its convolution, which
-would add zeros, is skipped.  By the structural zeros of p-divisible
-maps and the window W, most columns of f^k and of the running sum hold
-no data.
+An exact-start power has ``prec = base + W`` on every finite column and
+is an exact zero (base and horizon INF) elsewhere.  ``of_map``'s columns
+are one, and so is a product of two: for full-window columns the minimum
+rule's horizon at x^(i+j), min(prec[j] + base[i], base[j] + prec[i]), is
+base[j] + base[i] + W, and the data pass forms only W rows from each
+base.  ``mul`` checks both operands: a horizon below its window or a
+column zero only to precision raises ``CertificateError``.  Clamping a
+map coefficient to its first W digits loses nothing: a digit at
+``lead + W`` or beyond reaches x^(i+j) at or past base[j] + lead + W.
+Started from a map's exact coefficients, the bases of f^k are the k-th
+min-plus power of the leads of f and the digits below the horizon are
+the true digits of f^k; min-plus convolution is associative, so every
+honest route to f^k (f^{k-1}·f or f^{k-p}·f^p) gives the same bases,
+horizons and data.
 
-``set_column`` clamps a map coefficient to its first W digits, and that
-loses nothing.  A digit of f at ``lead + W`` or beyond reaches the
-product at x^(i+j) at ``base[j] + lead + W`` or beyond, which is at or
-past that column's horizon ``prec[j] + lead``, because ``prec[j] <=
-base[j] + W``; so is the horizon ``lead + W`` the clamped column carries,
-which therefore never lowers a product's horizon.
-
-Both skip the leading exact-zero columns (base and horizon INF) of the
-polynomial they read.  A column that is zero only to precision is live.
-
-Precision bookkeeping is the pessimistic minimum rule of
-:mod:`lindisc.laurent`: an operation's horizon is the minimum horizon its
-operands justify, and entries at or beyond a column's horizon are zeroed.
-Columns never touched by any contribution stay exactly zero (sentinel
-horizon INF).  Every finite column has ``prec <= base + W``, and columns
-with an INF base hold zeros.
-
-Started from exact coefficients, as in the solver, the bases of f^k are
-the k-th min-plus power of the leads of f, every finite column has
-``prec = base + W``, and the digits below the horizon are the true digits
-of f^k.  Min-plus convolution is associative and true digits do not
-depend on how they were computed, so every honest route to f^k (f^{k-1}·f
-or f^{k-p}·f^p) gives the same bases, horizons and data.
+The running sum is the one polynomial with general horizons.
+``add_scaled`` keeps the pessimistic minimum rule of
+:mod:`lindisc.laurent` (an operation's horizon is the minimum its
+operands justify; entries at or past a horizon are zeroed), so a scalar
+or a column known only to be O(U^h) adds no data but caps its horizons.
+Every finite column has ``prec <= base + W``; untouched columns stay
+exact zeros, and columns with an INF base hold zeros.  By the structural
+zeros of p-divisible maps and the window W, most columns of f^k and of
+the sum hold no data.  Both operations skip the leading exact-zero
+columns of the polynomial they read.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import CertificateError, PrecisionError
 from .laurent import LaurentSeries, _any, _convolve, _per_batch
 
 INF = np.int64(2**62)
@@ -151,13 +145,20 @@ class DensePoly:
         out.map_columns = pair
         return out
 
+    def _check_exact_start(self):
+        """Raise unless self is an exact-start power, as ``mul`` needs."""
+        if _any(self.prec != np.minimum(self.base + self.W, INF), axis=None):
+            raise CertificateError("mul takes exact-start powers: a horizon is not base + W")
+
     @cached_property
     def _factor(self):
-        """The right factor of ``mul``: live columns, their v and h, and
+        """The right factor of ``mul``: live columns and their bases, and
         data columns trimmed to their nonzero rows with the exponent of
-        the first kept row.  Forming it makes the arrays read-only."""
+        the first kept row.  Forming it checks that self is an exact-start
+        power and makes the arrays read-only."""
+        self._check_exact_start()
         W = self.W
-        cols = (self.prec < _INF_CUT).nonzero()[0]
+        cols = (self.base < _INF_CUT).nonzero()[0]
         nonzero = _any(self.data[cols], axis=2)
         held = _any(nonzero, axis=1)
         at, nonzero = cols[held], nonzero[held]
@@ -168,52 +169,46 @@ class DensePoly:
         trimmed[rows >= W] = 0
         for array in (self.base, self.prec, self.data):
             array.flags.writeable = False
-        v = np.minimum(self.base[cols], self.prec[cols])
-        return cols, v, self.prec[cols], at, trimmed, self.base[at] + first
+        return cols, self.base[cols], at, trimmed, self.base[at] + first
 
     def mul(self, other):
-        """Return self * other, truncated to x-degree D.
+        """Return self * other, truncated to x-degree D, for exact-start
+        powers (``CertificateError`` otherwise).
 
-        The columns at x^j of self and at x^i of other contribute
-        ``base[j] + v`` to the base at x^(i+j) and ``min(prec[j] + v,
-        b + h)`` to its horizon: v = min(base[i], prec[i]) bounds the
-        valuation of other's column and h = prec[i] is its horizon;
-        b = min(base[j], prec[j]) bounds the valuation of self's column.
-        Every live column counts there; only the pairs of columns that
-        both hold data are convolved.  Self's columns below its first live
-        one, lo, are exact zeros, so only x^(lo + i) .. x^D are reached, i
-        other's first live column.
+        The columns at x^j of self and x^i of other give the base at
+        x^(i+j) base[j] + base[i] and, being full-window, the horizon
+        min(prec[j] + base[i], base[j] + prec[i]) = base[j] + base[i] + W:
+        the product's horizon is its base + W.  Every live column counts
+        in the base pass; only pairs that both hold data are convolved.
+        Self's columns below its first live one, lo, are exact zeros, so
+        only x^(lo + i) .. x^D are reached, i other's first live column.
         """
+        self._check_exact_start()
         D, W = self.D, self.W
         out = DensePoly(self.field, self.ram, D, W)
         lo = self._live()
-        cols, v, h, at, trimmed, starts = other._factor
+        cols, col_bases, at, trimmed, starts = other._factor
         n = int(cols.searchsorted(D + 1 - lo))
         if not n:
             return out
-        cols, v, h = cols[:n, None], v[:n, None], h[:n, None]
+        cols, col_bases = cols[:n, None], col_bases[:n, None]
         start = lo + int(cols[0, 0])
-        # horizon pass: row c of the grid is other's column cols[c] against
+        # base pass: row c of the grid is other's column cols[c] against
         # self's column d - cols[c] >= lo (INF before) at x^d, d >= start; a
-        # row holds its indices and up to three temporaries of the band
+        # row holds its indices and the bases it gathers
         pad = int(cols[-1, 0] - cols[0, 0])
         bases = np.empty(pad + D + 1 - lo, dtype=np.int64)
-        precs = np.empty_like(bases)
-        bases[:pad] = precs[:pad] = INF
-        bases[pad:], precs[pad:] = self.base[lo:], self.prec[lo:]
-        bounds = np.minimum(bases, precs)
+        bases[:pad], bases[pad:] = INF, self.base[lo:]
         band = np.arange(start, D + 1) + (pad - lo)
-        out_base, out_prec = out.base[start:], out.prec[start:]
-        step = _per_batch(8 * 4 * band.size)
+        out_base = out.base[start:]
+        step = _per_batch(8 * 2 * band.size)
         for c in range(0, n, step):
-            grid = band - cols[c : c + step]
-            vc = v[c : c + step]
-            np.minimum(out_base, np.minimum.reduce(bases[grid] + vc), out=out_base)
-            cap = np.minimum(precs[grid] + vc, bounds[grid] + h[c : c + step])
-            np.minimum(out_prec, np.minimum.reduce(cap), out=out_prec)
-            del grid, cap  # not held through the next batch
+            sums = bases[band - cols[c : c + step]]
+            sums += col_bases[c : c + step]
+            np.minimum(out_base, np.minimum.reduce(sums), out=out_base)
+            del sums  # not held through the next batch
         _clamp(out_base)
-        _clamp(out_prec)
+        out.prec[start:] = np.minimum(out_base + W, INF)
         # data pass: self's data columns j against other's data columns i,
         # trimmed, for every pair with i + j <= D
         js = _any(self.data[lo:], axis=(1, 2)).nonzero()[0] + lo
@@ -235,11 +230,10 @@ class DensePoly:
             np.add.at(out.data, at[batch], prod)
             del prod  # not held through the next batch
         out.data[start:] %= self.field.p
-        out._mask_all(start)
         return out
 
     def add_scaled(self, series, other):
-        """self += series * other (series is a scalar Laurent series).
+        """self += series * other, series a scalar and other any polynomial.
 
         A zero-to-precision series contributes no data but still caps the
         horizons of the affected columns, and so does every live column
@@ -287,7 +281,7 @@ class DensePoly:
 
     def _mask_all(self, lo):
         """Zero the entries at or beyond each horizon in the columns lo ..
-        D, those a product or sum wrote.  Only a column whose horizon falls
+        D, those a sum wrote.  Only a column whose horizon falls
         inside its window can hold any."""
         base, prec = self.base[lo:], self.prec[lo:]
         rows = ((prec < base + self.W) & (base < _INF_CUT)).nonzero()[0] + lo

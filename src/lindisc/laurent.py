@@ -491,7 +491,9 @@ class LaurentSeries:
                 continue
             c = FqElement(self.field, list(row))
             terms.append(_render_term(c, self.lead + j, var))
-        terms.append(f"O({var}^{self.prec})")
+        # past an exact series's last term, so the text parses back to it
+        top = max(self.prec, self.lead + self.coeffs.shape[0]) if self.exact else self.prec
+        terms.append(f"O({var}^{top})")
         return " + ".join(terms)
 
 

@@ -102,8 +102,8 @@ class Conjugacy:
         return {k: _zero_kind(s) for k, s in self.coeffs.items()}
 
     def coefficient(self, k):
-        if k > self.D:
-            raise HypothesisError(f"degree {k} beyond solved bound {self.D}")
+        if not 1 <= k <= self.D:
+            raise HypothesisError(f"degree {k} outside the solved degrees 1 .. {self.D}")
         return self.coeffs[k]
 
     def valuation(self, k):

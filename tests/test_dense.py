@@ -11,7 +11,7 @@ import pytest
 
 import lindisc._dense
 import lindisc.laurent
-from lindisc import FieldParams, LaurentSeries, PowerSeriesMap, parse_series
+from lindisc import CertificateError, FieldParams, LaurentSeries, PowerSeriesMap, parse_series
 from lindisc._dense import _INF_CUT, INF, DensePoly
 from lindisc.laurent import _convolve
 from lindisc.powerseries import _table_mul
@@ -81,60 +81,131 @@ def random_poly(field, ram, rng, D, W):
     return poly, table
 
 
+def assert_exact_start(poly):
+    """Every finite column has the full-window horizon base + W and every
+    other column is an exact zero: the operands ``mul`` takes."""
+    finite = poly.base < _INF_CUT
+    assert (poly.prec[finite] == poly.base[finite] + poly.W).all()
+    assert (poly.prec[~finite] == INF).all()
+    assert_invariant(poly)
+
+
+def sparse_series(field, ram, rng, lead):
+    """An exact column like those of the Frobenius power f^p: a monomial,
+    or digits every p-th row with zero rows between them."""
+    rows = [[0] * field.r for _ in range(field.p * rng.randrange(0, 3) + 1)]
+    for j in range(0, len(rows), field.p):
+        rows[j] = [rng.randrange(1, field.p)] + random_rows(field, rng, 1)[0][1:]
+    return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
+
+
+def exact_column(field, ram, rng, W, lead=None):
+    """An exact map coefficient of a kind the data pass sees: a monomial,
+    a sparse column, a column longer than the window, or a random one."""
+    kind = rng.choice(["monomial", "sparse", "long", "random"])
+    lead = rng.randrange(-2, 4) if lead is None else lead
+    if kind == "monomial":
+        return LaurentSeries.monomial(field, lead, rng.randrange(1, field.p), ram=ram)
+    if kind == "sparse":
+        return sparse_series(field, ram, rng, lead)
+    n = 2 * W + rng.randrange(1, W + 1) if kind == "long" else rng.randrange(1, 16)
+    rows = random_rows(field, rng, n)
+    rows[0] = rows[-1] = [rng.randrange(1, field.p)] + rows[0][1:]
+    return LaurentSeries(field, ram, lead, rows, lead + n, exact=True)
+
+
+def exact_map(field, ram, rng, D, W):
+    """A map with exact columns of every kind: λ of lead 0, three
+    coefficients up to degree D and one above it."""
+    coeffs = {1: exact_column(field, ram, rng, W, lead=0)}
+    for d in rng.sample(range(2, D + 1), 3) + [rng.randrange(D + 1, 2 * D + 2)]:
+        coeffs[d] = exact_column(field, ram, rng, W)
+    return PowerSeriesMap(coeffs)
+
+
+def power(f, k, D, W):
+    """f^k as an exact-start power, ``of_map`` and k − 1 products by f,
+    and its table."""
+    poly, table = DensePoly.of_map(f, D, W), {d: s for d, s in f.coeffs.items() if d <= D}
+    for _ in range(k - 1):
+        poly, table = poly.mul_by_map(f), _table_mul(table, f.coeffs, D)
+    return poly, table
+
+
+def hollowed(poly, degrees, rng):
+    """poly + x − x in place, x exact columns at ``degrees``: still an
+    exact-start power of the same table, whose columns at ``degrees`` are
+    live and, where poly was an exact zero, hold no data."""
+    field, ram = poly.field, poly.ram
+    x = DensePoly(field, ram, poly.D, poly.W)
+    for d in degrees:
+        x.set_column(d, exact_column(field, ram, rng, poly.W))
+    one = LaurentSeries.constant(field, 1, ram)
+    poly.add_scaled(one, x)
+    poly.add_scaled(-one, x)
+    return poly
+
+
+def exact_start(field, ram, rng, D, W):
+    """An exact-start power and its table: the columns of a random exact
+    map, a power of one, the product of two maps' powers, or a power with
+    live columns that hold no data."""
+    kind = rng.choice(["map", "power", "two maps", "hollowed"])
+    f = exact_map(field, ram, rng, D, W)
+    x, x_table = power(f, 1 if kind == "map" else rng.randrange(2, 4), D, W)
+    if kind == "two maps":
+        y, y_table = power(exact_map(field, ram, rng, D, W), rng.randrange(1, 3), D, W)
+        return x.mul(y), _table_mul(x_table, y_table, D)
+    if kind == "hollowed":
+        hollowed(x, rng.sample(range(D + 1), 3), rng)
+    return x, x_table
+
+
 def test_invariant_and_values_after_every_operation():
+    """Sums of general scalar multiples of a general polynomial and of a
+    power, and products of the power by a map."""
     rng = random.Random(31)
     D, W = 10, 12
     for field in FIELDS:
         for ram in (1, 2):
             f = random_map(field, ram, rng, D)
-            poly = DensePoly(field, ram, D, W)
-            table = {}
+            poly, table = DensePoly(field, ram, D, W), {}
             for d in rng.sample(range(D + 1), 4):
                 table[d] = random_series(field, ram, rng)
                 poly.set_column(d, table[d])
             assert_invariant(poly)
             assert_agrees(poly, table)
+            fpow, fpow_table = exact_start(field, ram, rng, D, W)
             acc = DensePoly(field, ram, D, W)
             acc_table = {}
             for _ in range(5):
-                scalar = random_series(field, ram, rng)
-                acc.add_scaled(scalar, poly)
-                for d, s in table.items():
-                    term = scalar * s
-                    acc_table[d] = acc_table[d] + term if d in acc_table else term
-                assert_invariant(acc)
-                assert_agrees(acc, acc_table)
-                poly = poly.mul_by_map(f)
-                table = _table_mul(table, f.coeffs, D)
-                assert_invariant(poly)
-                assert_agrees(poly, table)
+                for x, x_table in ((poly, table), (fpow, fpow_table)):
+                    scalar = random_series(field, ram, rng)
+                    acc.add_scaled(scalar, x)
+                    for d, s in x_table.items():
+                        term = scalar * s
+                        acc_table[d] = acc_table[d] + term if d in acc_table else term
+                    assert_invariant(acc)
+                    assert_agrees(acc, acc_table)
+                fpow = fpow.mul_by_map(f)
+                fpow_table = _table_mul(fpow_table, f.coeffs, D)
+                assert_exact_start(fpow)
+                assert_agrees(fpow, fpow_table)
 
 
 def test_products_of_dense_polynomials():
-    """The product of two DensePolys, columns of every kind on both sides."""
+    """The product of two exact-start powers is one, with the values of
+    the product of their tables."""
     rng = random.Random(37)
     D, W = 10, 12
     for field in FIELDS:
         for ram in (1, 2):
             for _ in range(4):
-                a, a_table = random_poly(field, ram, rng, D, W)
-                b, b_table = random_poly(field, ram, rng, D, W)
+                a, a_table = exact_start(field, ram, rng, D, W)
+                b, b_table = exact_start(field, ram, rng, D, W)
                 product = a.mul(b)
-                assert_invariant(product)
+                assert_exact_start(product)
                 assert_agrees(product, _table_mul(a_table, b_table, D))
-
-
-def sparse_series(field, ram, rng):
-    """A column like those of the Frobenius power f^p: a monomial, or
-    digits every p-th row with zero rows between them, sometimes known
-    to be followed by zero rows."""
-    lead = rng.randrange(-2, 4)
-    rows = [[0] * field.r for _ in range(field.p * rng.randrange(0, 3) + 1)]
-    for j in range(0, len(rows), field.p):
-        rows[j] = [rng.randrange(1, field.p)] + random_rows(field, rng, 1)[0][1:]
-    if rng.random() < 0.5:
-        return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
-    return LaurentSeries(field, ram, lead, rows, lead + len(rows) + rng.randrange(0, 4))
 
 
 def times_uniformizer(poly, table):
@@ -160,11 +231,11 @@ def test_products_by_sparse_and_monomial_columns():
     for field in FIELDS:
         for ram in (1, 2):
             for _ in range(3):
-                a, a_table = random_poly(field, ram, rng, D, W)
-                b, b_table = DensePoly(field, ram, D, W), {}
-                for d in rng.sample(range(D + 1), 5):
-                    b_table[d] = sparse_series(field, ram, rng)
-                    b.set_column(d, b_table[d])
+                a, a_table = exact_start(field, ram, rng, D, W)
+                coeffs = {1: sparse_series(field, ram, rng, 0)}
+                for d in rng.sample(range(2, D + 1), 4):
+                    coeffs[d] = sparse_series(field, ram, rng, rng.randrange(-2, 4))
+                b, b_table = power(PowerSeriesMap(coeffs), 1, D, W)
                 c, c_table = times_uniformizer(b, b_table)
                 for x, y, x_table, y_table in (
                     (a, b, a_table, b_table),
@@ -172,7 +243,7 @@ def test_products_by_sparse_and_monomial_columns():
                     (a, c, a_table, c_table),
                 ):
                     product = x.mul(y)
-                    assert_invariant(product)
+                    assert_exact_start(product)
                     assert_agrees(product, _table_mul(x_table, y_table, D))
 
 
@@ -184,14 +255,14 @@ def test_map_coefficients_longer_than_the_window():
     D, W = 8, 6
     for field in FIELDS:
         for ram in (1, 2):
-            a, a_table = random_poly(field, ram, rng, D, W)
+            a, a_table = exact_start(field, ram, rng, D, W)
             f = random_map(field, ram, rng, D)
             rows = random_rows(field, rng, 3 * W)
             rows[0] = rows[-1] = [1] + rows[0][1:]
             long = LaurentSeries(field, ram, -1, rows, 3 * W - 1, exact=True)
             f = PowerSeriesMap({**f.coeffs, rng.randrange(2, D + 1): long})
             product = a.mul_by_map(f)
-            assert_invariant(product)
+            assert_exact_start(product)
             assert_agrees(product, _table_mul(a_table, f.coeffs, D))
             for d in range(D + 1):
                 caps = [a.prec[d - i] + c.lead for i, c in f.coeffs.items() if i <= d]
@@ -201,46 +272,50 @@ def test_map_coefficients_longer_than_the_window():
 
 def test_zero_to_precision_columns_are_live():
     """A column known only to be O(T^2), below the first finite base,
-    still caps the horizons of products and sums."""
+    still caps the horizons of a sum (a product refuses it:
+    ``test_product_of_a_sum_raises``)."""
     field, D, W = FieldParams(3), 6, 8
     a, a_table = DensePoly(field, 1, D, W), {0: LaurentSeries.zero(field, 1, 2)}
     a_table[3] = parse_series("1+T", field)
     for d, s in a_table.items():
         a.set_column(d, s)
-    b, b_table = DensePoly(field, 1, D, W), {1: parse_series("2+T^2", field)}
-    b.set_column(1, b_table[1])
-    f = PowerSeriesMap({1: b_table[1]})
-    for product, table in (
-        (a.mul(b), _table_mul(a_table, b_table, D)),
-        (a.mul_by_map(f), _table_mul(a_table, f.coeffs, D)),
-        (b.mul(a), _table_mul(b_table, a_table, D)),
-    ):
-        assert product.column(1).prec == 2
-        assert_invariant(product)
-        assert_agrees(product, table)
+    scalar = parse_series("2+T^2", field)
     acc = DensePoly(field, 1, D, W)
-    acc.add_scaled(b_table[1], a)
+    acc.add_scaled(scalar, a)
     assert acc.column(0).prec == 2
     assert_invariant(acc)
-    assert_agrees(acc, {d: b_table[1] * s for d, s in a_table.items()})
+    assert_agrees(acc, {d: scalar * s for d, s in a_table.items()})
+
+
+def test_product_of_a_sum_raises():
+    """``mul`` takes exact-start powers only.  A polynomial with an
+    inexact column, or with a column that is zero only to precision, like
+    the running sum of a solve, raises ``CertificateError`` as left and as
+    right operand, and as the left operand of ``mul_by_map``."""
+    rng = random.Random(79)
+    field, D, W = FieldParams(3), 8, 8
+    f = exact_map(field, 1, rng, D, W)
+    fpow, _ = power(f, 2, D, W)
+    for column in (parse_series("1+T+O(T^3)", field), LaurentSeries.zero(field, 1, 2)):
+        total = DensePoly.of_map(f, D, W)
+        total.set_column(4, column)
+        for operation in (
+            lambda: total.mul(fpow),
+            lambda: fpow.mul(total),
+            lambda: total.mul_by_map(f),
+        ):
+            with pytest.raises(CertificateError, match="exact-start"):
+                operation()
 
 
 def mixed_column(field, ram, rng, W):
-    """One column of a kind the data pass sees: zero to precision (no
-    data, a finite horizon), a monomial, a sparse column, a column longer
-    than the window, or a random one."""
-    kind = rng.choice(["zero", "monomial", "sparse", "long", "random"])
-    lead = rng.randrange(-2, 4)
+    """One scalar of a kind a sum sees: zero to precision (no data, a
+    finite horizon), an exact column of every kind, or a random one."""
+    kind = rng.choice(["zero", "exact", "random"])
     if kind == "zero":
-        return LaurentSeries.zero(field, ram, lead + rng.randrange(0, 6))
-    if kind == "monomial":
-        return LaurentSeries.monomial(field, lead, rng.randrange(1, field.p), ram=ram)
-    if kind == "sparse":
-        return sparse_series(field, ram, rng)
-    if kind == "long":
-        rows = random_rows(field, rng, 2 * W + rng.randrange(1, W + 1))
-        rows[0] = rows[-1] = [1] + rows[0][1:]
-        return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
+        return LaurentSeries.zero(field, ram, rng.randrange(-2, 10))
+    if kind == "exact":
+        return exact_column(field, ram, rng, W)
     return random_series(field, ram, rng)
 
 
@@ -269,22 +344,33 @@ def assert_same(poly, expected):
     assert (poly.data == expected.data).all()
 
 
+def holds_no_data(poly):
+    """The live columns of poly that hold no data."""
+    return (poly.prec < _INF_CUT) & ~poly.data.any(axis=(1, 2))
+
+
 @pytest.mark.parametrize("W", [4, 12, 32])
 def test_products_and_sums_equal_the_per_column_oracle(W):
     """Convolving only the pairs of data columns gives the same bases,
-    horizons and digits as convolving every live column, and the
-    columns without data still cap the horizons."""
+    horizons and digits as convolving every live column, in products of
+    exact-start powers and in sums of general polynomials; the live
+    columns without data still count."""
     rng = random.Random(53 + W)
     D = 24
     for field in FIELDS:
         for ram in (1, 2):
             for _ in range(3):
+                pa, _ = exact_start(field, ram, rng, D, W)
+                pb, _ = power(exact_map(field, ram, rng, D, W), rng.randrange(1, 3), D, W)
+                hollowed(pb, [0] + rng.sample(range(1, D + 1), 3), rng)
+                assert holds_no_data(pb)[0] and (pb.base < _INF_CUT).any()
+                for x, y in ((pa, pb), (pb, pa)):
+                    assert_same(x.mul(y), dense_mul_per_column(x, y))
                 a = mixed_poly(field, ram, rng, D, W)
                 b = mixed_poly(field, ram, rng, D, W)
                 zero_to_precision = (b.base >= _INF_CUT) & (b.prec < _INF_CUT)
                 assert zero_to_precision.any() and (b.base < _INF_CUT).any()
                 for x, y in ((a, b), (b, a)):
-                    assert_same(x.mul(y), dense_mul_per_column(x, y))
                     series = mixed_column(field, ram, rng, W)
                     acc, expected = copied(a), copied(a)
                     acc.add_scaled(series, y)
@@ -292,37 +378,27 @@ def test_products_and_sums_equal_the_per_column_oracle(W):
                     assert_same(acc, expected)
 
 
-def banded_poly(field, ram, rng, D, W, first):
-    """Exact zeros below x^first, a column known only to precision at
-    x^first, then columns of every kind."""
-    poly = DensePoly(field, ram, D, W)
-    poly.set_column(first, LaurentSeries.zero(field, ram, rng.randrange(-2, 6)))
-    for d in range(first + 1, D + 1):
-        if rng.random() < 0.7:
-            poly.set_column(d, mixed_column(field, ram, rng, W))
-    return poly
-
-
 @pytest.mark.parametrize("field", [FIELDS[0], FIELDS[2], FIELDS[3]], ids=lambda f: f"F_{f.q}")
 @pytest.mark.parametrize("ram", [1, 2])
 def test_products_on_the_reachable_band_equal_the_per_column_oracle(monkeypatch, field, ram):
     """Self's first live column lo is above x^0 and other's first, i0,
-    above x^1, so a product reaches only x^(lo + i0) .. x^D.  Both first
-    columns are known only to precision, so the band starts with a column
-    known only to precision.  At the default budget and at one byte,
-    where every grid row and every pair is a batch of its own, the product
-    equals the per-column oracle, and every column below the band is an
-    exact zero."""
+    above x^1, so a product reaches only x^(lo + i0) .. x^D.  Self is a
+    map's lo-th power; other a map's (i0 + 1)-th power with a live column
+    that holds no data at x^i0, so the band starts with a column that
+    holds none.  At the default budget and at one byte, where every grid
+    row and every pair is a batch of its own, the product equals the
+    per-column oracle, and every column below the band is an exact zero."""
     rng = random.Random(89 + 10 * field.q + ram)
     D, W = 24, 8
     for _ in range(4):
         lo, i0 = rng.randrange(1, 6), rng.randrange(2, 6)
-        a = banded_poly(field, ram, rng, D, W, lo)
-        b = banded_poly(field, ram, rng, D, W, i0)
+        a, _ = power(exact_map(field, ram, rng, D, W), lo, D, W)
+        b, _ = power(exact_map(field, ram, rng, D, W), i0 + 1, D, W)
+        hollowed(b, [i0], rng)
         expected = dense_mul_per_column(a, b)
         start = lo + i0
-        assert (expected.base[: start + 1] == INF).all() and (expected.prec[:start] == INF).all()
-        assert expected.prec[start] < _INF_CUT
+        assert (expected.base[:start] == INF).all() and (expected.prec[:start] == INF).all()
+        assert holds_no_data(expected)[start]
         for budget in (None, 1):
             with monkeypatch.context() as patch:
                 if budget:
@@ -351,6 +427,49 @@ def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
         formed.clear()
         lindisc.schroder.solve_sfe(f, 24)
         assert len(formed) == count, (field.p, degree)
+
+
+TOWERS = (FieldParams(2), FieldParams(3), FieldParams(2, 2), FieldParams(2, 3), FieldParams(3, 2))
+
+
+@pytest.mark.parametrize("field", TOWERS, ids=lambda f: f"F_{f.q}")
+@pytest.mark.parametrize("ram", [1, 2, 3])
+def test_a_solve_multiplies_exact_start_powers_only(monkeypatch, field, ram):
+    """While ``solve_sfe`` runs a p-divisible map and a map with a degree
+    prime to p, every product takes and gives exact-start powers, and
+    after every sum the running sum keeps prec <= base + W, holds no
+    digit at or past its horizons and holds zeros in its columns with an
+    INF base."""
+    import lindisc.schroder
+
+    real_mul, real_add = DensePoly.mul, DensePoly.add_scaled
+    seen = {"mul": 0, "add_scaled": 0}
+
+    def mul(self, other):
+        assert_exact_start(self)
+        assert_exact_start(other)
+        out = real_mul(self, other)
+        assert_exact_start(out)
+        seen["mul"] += 1
+        return out
+
+    def add_scaled(self, series, other):
+        real_add(self, series, other)
+        assert_invariant(self)
+        seen["add_scaled"] += 1
+
+    monkeypatch.setattr(DensePoly, "mul", mul)
+    monkeypatch.setattr(DensePoly, "add_scaled", add_scaled)
+    p, r = field.p, field.r
+    residue = [0, 1] + [0] * (r - 2) if r > 1 else [1]
+    unit = [1] + [0] * (r - 1)
+    lam = LaurentSeries(field, ram, 0, [residue, unit], 2, exact=True)
+    a = LaurentSeries(field, ram, -1, [unit, residue], 1, exact=True)
+    family = PowerSeriesMap({1: lam, p: a, 2 * p: LaurentSeries.constant(field, 1, ram)})
+    generic = PowerSeriesMap({1: lam, 3 if p == 2 else 2: a, p: a * a})
+    for f in (family, generic):
+        lindisc.schroder.solve_sfe(f, 20)
+    assert seen["mul"] >= 20 and seen["add_scaled"] >= 20, seen
 
 
 def test_a_column_read_is_not_changed_by_later_sums():
@@ -382,8 +501,8 @@ def test_a_polynomial_is_read_only_once_its_factor_is_formed():
     rng = random.Random(97)
     field, D, W = FieldParams(3), 10, 8
     f = random_map(field, 1, rng, D)
-    a, _ = random_poly(field, 1, rng, D, W)
-    b, _ = random_poly(field, 1, rng, D, W)
+    a, _ = exact_start(field, 1, rng, D, W)
+    b, _ = exact_start(field, 1, rng, D, W)
     b.set_column(D, parse_series("1+T", field))
     by_f = a.mul_by_map(f)
     a.mul(b)
@@ -436,9 +555,13 @@ def test_products_convolve_one_batch_per_chunk(monkeypatch, field):
     D, W = 40, 8
     a = data_columns(field, rng, D, W, [0, 2, 5])
     b = data_columns(field, rng, D, W, range(1, 36, 3))
+    # columns without data are never convolved: live ones in the product's
+    # factor, zero-to-precision ones in the sum's operand
+    other = copied(b)
+    hollowed(b, (0, 3, 6), rng)
     zero = LaurentSeries.zero(field, 1, 3)
-    for d in (0, 3, 6):  # zero-to-precision columns are never convolved
-        b.set_column(d, zero)
+    for d in (0, 3, 6):
+        other.set_column(d, zero)
     pairs = sum(i + j <= D for j in (0, 2, 5) for i in range(1, 36, 3))
     scalar = parse_series("1+T", field)
     # the longest of b's data columns trimmed to its nonzero rows
@@ -449,7 +572,7 @@ def test_products_convolve_one_batch_per_chunk(monkeypatch, field):
     pair_bytes = 8 * (r * (2 * W + L) + 1)
     column_bytes = 8 * (3 * W * r + 1)
     product = lambda: a.mul(b)  # noqa: E731
-    add = lambda: DensePoly(field, 1, D, W).add_scaled(scalar, b)  # noqa: E731
+    add = lambda: DensePoly(field, 1, D, W).add_scaled(scalar, other)  # noqa: E731
     assert batch_sizes(monkeypatch, product) == [pairs]
     assert batch_sizes(monkeypatch, add) == [12]
     for step in (5, 4):
@@ -485,19 +608,24 @@ def test_product_memory_is_bounded_by_the_chunk(monkeypatch):
 
 
 def test_horizon_pass_memory_is_bounded_by_the_chunk(monkeypatch):
-    """A product by 401 columns known only to precision is all horizon
-    pass: with the budget set to one data array, its traced peak stays
-    within the budget plus its operands and its result.  The whole grid
-    at once would take about 50 data arrays."""
+    """The base pass, which writes a product's horizons, sizes a grid row
+    at two int64 arrays of the band: the row's indices and the bases it
+    gathers.  A product by 401 live columns, its right factor packed
+    beforehand, has a grid of 401 rows of 401 degrees; with the budget set
+    to one data array, its traced peak stays within the budget plus its
+    operands and its result.  The whole grid at once would take about 25
+    data arrays."""
     field, D, W = FieldParams(2, 2), 400, 16
     rng = random.Random(73)
-    a = data_columns(field, rng, D, W, rng.sample(range(D // 2), 40))
-    b = DensePoly(field, 1, D, W)
-    for d in range(D + 1):
-        b.set_column(d, LaurentSeries.zero(field, 1, d))
+    a = data_columns(field, rng, D, W, [0, 1])
+    b = data_columns(field, rng, D, W, range(D + 1))
+    b._factor  # packed once per right operand, before the product
     budget = a.data.nbytes
     monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+    items, real = [], lindisc._dense._per_batch
+    monkeypatch.setattr(lindisc._dense, "_per_batch", lambda n: items.append(n) or real(n))
     peak = traced_peak(lambda: a.mul(b))
+    assert items[0] == 8 * 2 * (D + 1)
     assert peak < budget + a.data.nbytes + b.data.nbytes + a.data.nbytes, (peak, budget)
 
 
@@ -523,19 +651,24 @@ def test_sum_memory_is_bounded_by_the_chunk(monkeypatch):
 @pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f"F_{f.q}")
 @pytest.mark.parametrize("ram", [1, 2])
 def test_batching_is_invisible(monkeypatch, field, ram):
-    """At a budget of one byte every batch holds one item; products and
-    sums keep the bases, horizons and digits of the default budget, with
-    zero-to-precision columns among the operands."""
+    """At a budget of one byte every batch holds one item; products of
+    exact-start powers and sums of general polynomials keep the bases,
+    horizons and digits of the default budget, with live columns without
+    data among the powers and zero-to-precision columns among the sums'
+    operands."""
     rng = random.Random(71 + 10 * field.q + ram)
     D, W = 20, 12
     for _ in range(4):
         a, b = mixed_poly(field, ram, rng, D, W), mixed_poly(field, ram, rng, D, W)
         series = mixed_column(field, ram, rng, W)
+        pa, _ = exact_start(field, ram, rng, D, W)
+        pb, _ = exact_start(field, ram, rng, D, W)
+        hollowed(pb, rng.sample(range(D + 1), 3), rng)
 
         def results():
             acc = copied(a)
             acc.add_scaled(series, b)
-            return a.mul(b), b.mul(a), acc
+            return pa.mul(pb), pb.mul(pa), acc
 
         default = results()
         with monkeypatch.context() as patch:
@@ -677,7 +810,7 @@ def test_a_product_by_another_map_uses_that_maps_columns():
     rng = random.Random(47)
     D, W = 10, 8
     for field in FIELDS:
-        a, _ = random_poly(field, 1, rng, D, W)
+        a, _ = exact_start(field, 1, rng, D, W)
         f, h = random_map(field, 1, rng, D), random_map(field, 1, rng, D)
         by_f = a.mul_by_map(f)
         for x, y in [

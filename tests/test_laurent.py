@@ -197,6 +197,23 @@ def test_parse_render_round_trip():
             assert again.prec == a.prec
 
 
+@pytest.mark.parametrize(
+    "text, field, ram, power",
+    [("T^20", F2, 1, 1), ("1+T+T^3", F2, 1, 64), ("U + (b+1)*U^40", FieldParams(2, 2), 2, 1)],
+    ids=["T^20", "(1+T+T^3)^64", "U-literal-at-e-2"],
+)
+def test_exact_series_support_past_the_horizon_renders_and_parses_back(text, field, ram, power):
+    """An exact series keeps its parse horizon (16 T-units) when its
+    support passes it; its rendering puts the O-term past the last term,
+    so the text parses back to the same lead and rows."""
+    x = parse_series(text, field, ram)
+    x = x**power if power > 1 else x
+    assert x.exact and x.prec == 16 * ram < x.lead + x.coeffs.shape[0]
+    again = parse_series(x.render(), field, ram)
+    assert again.lead == x.lead
+    assert np.array_equal(again.coeffs, x.coeffs)
+
+
 def test_parse_examples():
     a = parse_series("T^-1 + 1 + (b+1)*T^2", F4)
     assert a.lead == -1
@@ -604,7 +621,8 @@ def test_power_by_a_power_of_p_forms_one_product(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert _same_series(y, pow_square_multiply(x, 64))
-    assert y.render() == "1 + T^64 + T^192 + O(T^16)"  # exact: the horizon is x's
+    assert y.prec == 16  # exact: the horizon is x's
+    assert y.render() == "1 + T^64 + T^192 + O(T^193)"  # past the last term
 
 
 @pytest.mark.parametrize("field", [F2, F5, F9], ids=str)

@@ -1136,3 +1136,19 @@ def test_bkprime_zero_extension():
     f2 = PowerSeriesMap({1: lam, 2: parse_series("1", F2)})
     g2 = solve_sfe(f2, 12)
     assert not check_bkprime_zero_extension(g2, dp).applicable
+
+
+def test_a_degree_outside_the_solve_raises_a_typed_error():
+    """``coefficient`` and ``valuation`` of a degree below 1 or above D
+    raise ``HypothesisError``, for a term-matching solve and for the lazy
+    table of the p+1 recurrence, and the degrees 1 and D still read."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    g = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("T", F2)})
+    for conjugacy in (solve_sfe(f, 8), solve_specialized_p_plus_1(g, 4)):
+        D = conjugacy.D
+        for k in (0, -1, D + 1):
+            for read in (conjugacy.coefficient, conjugacy.valuation):
+                with pytest.raises(HypothesisError, match=f"degree {k} outside"):
+                    read(k)
+        assert conjugacy.coefficient(1) == LaurentSeries.constant(F2, 1)
+        conjugacy.valuation(D)

@@ -80,6 +80,11 @@ REDUCED_HOMES = {
     "_dense.DensePoly.column",
     "schroder._DivisorTable.__getitem__",
 }
+# the one caller of ``DensePoly._mask_all``: the running sum is the only
+# polynomial with horizons inside its windows, and products of exact-start
+# powers write nothing at or past theirs, so a mask after a product would
+# clear nothing
+MASK_HOMES = {"_dense.DensePoly.add_scaled"}
 
 
 def _divisible_by_p(test):
@@ -102,8 +107,8 @@ def _kernel_uses(module, source):
     every ``while … % p == 0`` loop, every strided view (an ``np.ndarray(...)`` call given strides,
     an ``as_strided`` or ``sliding_window_view`` call), every load, import
     and binding of ``_STACK_BYTES`` and, in ``schroder``, every
-    ``.inverse()`` and ``_invert_unit(...)`` call in the source of
-    ``module``."""
+    ``.inverse()`` and ``_invert_unit(...)`` call, and every
+    ``._mask_all(...)`` call in the source of ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -164,6 +169,8 @@ def _kernel_uses(module, source):
             uses.append((scope, "leads"))
         if method_call(node, "_of"):
             uses.append((scope, "reduced"))
+        if method_call(node, "_mask_all"):
+            uses.append((scope, "mask"))
         if isinstance(node, ast.While) and _divisible_by_p(node.test):
             uses.append((scope, "split"))
         name = getattr(node, "id", getattr(node, "attr", None))
@@ -193,6 +200,7 @@ def _misplaced(uses):
         "budget": BUDGET_HOMES,
         "binding": BINDING_HOMES,
         "reduced": REDUCED_HOMES,
+        "mask": MASK_HOMES,
     }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
@@ -207,7 +215,7 @@ def test_one_convolution_and_one_fold():
     assert not offenders, (
         f"a second F_q product, fold, power or windowed view, small-divisor "
         f"quotient, Lemma bound, p-adic split, small-divisor term loop, "
-        f"memory budget or unreduced series: {offenders}"
+        f"memory budget, unreduced series or mask: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "window") in seen
@@ -219,6 +227,7 @@ def test_one_convolution_and_one_fold():
     assert {(home, "reduced") for home in REDUCED_HOMES} <= seen
     assert {(home, "leads") for home in LEADS_HOMES} <= seen
     assert ("laurent._per_batch", "budget") in seen
+    assert ("_dense.DensePoly.add_scaled", "mask") in seen
     assert bindings == [("laurent", "binding")]  # the budget is bound once
 
 
@@ -353,6 +362,24 @@ def test_kernel_walk_flags_an_unreduced_series_from_parsed_input():
         ("cli.LaurentSeries.__mul__", "reduced"),
         ("cli.LaurentSeries.scale", "reduced"),
         ("cli.parse_series", "reduced"),
+    ]
+
+
+def test_kernel_walk_flags_a_mask_after_a_product():
+    source = (
+        "class DensePoly:\n"
+        "    def mul(self, other):\n"
+        "        out = DensePoly(self.field, self.ram, self.D, self.W)\n"
+        "        out._mask_all(start)\n"
+        "        return out\n"
+        "    def add_scaled(self, series, other):\n"
+        "        self._mask_all(lo)\n"
+    )
+    assert _misplaced(_kernel_uses("_dense", source)) == [("_dense.DensePoly.mul", "mask")]
+    # the sum is the home in the dense engine only
+    assert _misplaced(_kernel_uses("schroder", source)) == [
+        ("schroder.DensePoly.mul", "mask"),
+        ("schroder.DensePoly.add_scaled", "mask"),
     ]
 
 
