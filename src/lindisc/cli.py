@@ -118,16 +118,6 @@ def _job_field(job):
     return FieldParams(p, r, modulus)
 
 
-def _windows(initial):
-    """Working precisions W of successive attempts: initial, doubled up
-    to MAX_WINDOW."""
-    W = initial
-    while W < MAX_WINDOW:
-        yield W
-        W *= 2
-    yield MAX_WINDOW
-
-
 def _job_runner(job):
     """The one job path.  Reads the job's field, ``e`` and initial working
     precision; the returned ``run(pipeline, spec=job)`` parses spec's map
@@ -144,9 +134,7 @@ def _job_runner(job):
     initial = _int_of(precision.get("initial", 32), "precision.initial", high=MAX_WINDOW)
 
     def run(pipeline, spec=job):
-        return _with_retries(
-            _windows(initial), lambda W: pipeline(_job_map(spec, field, ram, W), W)
-        )
+        return _with_retries(initial, lambda W: pipeline(_job_map(spec, field, ram, W), W))
 
     return run
 
@@ -186,18 +174,19 @@ def _job_map(job, field, ram, prec):
     return PowerSeriesMap(coeffs)
 
 
-def _with_retries(policy, run):
-    """run(W) for each working precision W of the schedule ``policy``
-    until one does not exhaust precision."""
-    windows = list(policy)
-    for n, W in enumerate(windows, 1):
+def _with_retries(initial, run):
+    """run(W) at W = initial, then at doubled W up to MAX_WINDOW, until
+    one does not exhaust precision."""
+    W = initial
+    while True:
         try:
             return run(W)
         except PrecisionError as exc:
-            if n == len(windows):
+            if W >= MAX_WINDOW:
                 print(f"precision {W} exhausted ({exc})", file=sys.stderr)
                 raise
             print(f"precision {W} exhausted ({exc}); retrying", file=sys.stderr)
+        W = min(2 * W, MAX_WINDOW)
 
 
 def cmd_analyze(job, args, out):

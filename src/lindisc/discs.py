@@ -18,6 +18,7 @@ the point periodic to its horizon and gives its multiplier.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,7 +88,6 @@ def weierstrass_data(coeffs, v_r, tail_bound=None):
     constant increment over each ``period`` once k exceeds the table.
     Without it the result is flagged best-effort (certified_tail False).
     """
-    D = max(coeffs)
     best = None
     minimizers = []
     for k in sorted(coeffs):
@@ -113,6 +113,7 @@ def weierstrass_data(coeffs, v_r, tail_bound=None):
     certified = False
     if tail_bound is not None:
         fn, period = tail_bound
+        D = max(coeffs)
         window = [fn(k) + k * v_r for k in range(D + 1, D + period + 1)]
         increment = (fn(D + period + 1) + (D + period + 1) * v_r) - window[0]
         certified = all(t > best for t in window) and increment > 0
@@ -133,7 +134,7 @@ def degree_on_sigma(g, dp, gauge):
         raise HypothesisError(
             f"conjugacy solved to degree {g.D} < k' = {profile.k_prime}"
         )
-    wd = weierstrass_data(dict(g.coeffs), dp.v_sigma, _bound_tail(profile, gauge))
+    wd = weierstrass_data(g.coeffs, dp.v_sigma, _bound_tail(profile, gauge))
     if not wd.certified_tail:
         raise CertificateError("sigma-disc tail bound failed to certify")
     deg_open, deg_closed = wd.d_prime, wd.d
@@ -234,14 +235,15 @@ _R_MAX = 4
 _DEG_CAP = 4096
 
 
+@lru_cache(maxsize=None)
 def _tower_fields(base):
-    """Residue fields searched: F_{p^r} for r <= _R_MAX over a prime
-    field, or the map's own field alone when it is an extension."""
+    """Residue fields searched, built once per process: F_{p^r}, r <= _R_MAX,
+    over a prime field (its own first), or an extension field alone."""
     if base.r != 1:
-        return [base]
-    return [base] + [
+        return (base,)
+    return (base,) + tuple(
         FieldParams(base.p, r) for r in range(2, _R_MAX + 1) if (base.p, r) in BUILTIN_MODULI
-    ]
+    )
 
 
 def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
@@ -255,21 +257,21 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
     CertificateError; the multiplier is not checked, since off the
     p-divisible family the point may be attracting.
 
-    The tower fields, f in each and π are built once per search, and
-    f^∘κ(π·u) once per κ over f's own field: its coefficients are exact,
-    so extending them into a tower field composes over that field.
+    f and π are built over f's own field once per search, and f^∘κ(π·u)
+    once per κ: its coefficients are exact, so extending them into a
+    tower field composes over that field.  f and π enter another tower
+    field only to verify a root lifted there.
     """
+    if horizon < 1:
+        raise HypothesisError(f"horizon must be >= 1, got {horizon}")
     exponent = sphere.v_radius * e
     if exponent.denominator != 1:
         raise HypothesisError(
             f"sphere radius valuation {sphere.v_radius} is not integral in a tower with e = {e}"
         )
     exponent = int(exponent)
-    towers = [
-        (field_, _embed_map(f, field_, e), LaurentSeries.monomial(field_, exponent, 1, ram=e))
-        for field_ in _tower_fields(f.field)
-    ]
-    _, f_e, pi = towers[0]  # the map's own residue field comes first
+    f_e = _embed_map(f, f.field, e)
+    pi = LaurentSeries.monomial(f.field, exponent, 1, ram=e)
     x_table = {1: pi}
     for kappa in range(1, kappa_max + 1):
         deg = f.degree_bound**kappa
@@ -287,10 +289,11 @@ def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):
         mu = min(s.lead for s in g_table.values())
         g_table = {d: s.shift(-mu) for d, s in g_table.items()}
         dtable = _table_derivative(g_table, f.field.p)
-        for field_, f_tower, pi_tower in towers:
+        for field_ in _tower_fields(f.field):
             u_hat = _periodic_in_tower(field_, g_table, dtable, e, horizon * e)
             if u_hat is not None:
-                x_hat = pi_tower * u_hat
+                f_tower = f_e if field_ == f.field else _embed_map(f, field_, e)
+                x_hat = pi.extend_residue_field(field_) * u_hat
                 residual, mult = verify_indifferent(f_tower, x_hat, kappa)
                 if not residual.is_zero_as_known:
                     raise CertificateError(f"lifted root is not {kappa}-periodic: {residual}")
@@ -401,13 +404,13 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
         raise HypothesisError(
             "classification requires every nonlinear degree divisible by p"
         )
-    profile = mult_profile(f.multiplier)
+    if D is None:
+        D = default_degree(f, mult_profile(f.multiplier))
+    g = solve_sfe(f, D, window)
+    profile = g.profile  # λ is profiled once, by the solve
     gauge = ps_gauge(f)
     dp = disc_profile(profile, gauge)
     kp = profile.k_prime
-    if D is None:
-        D = default_degree(f, profile)
-    g = solve_sfe(f, D, window)
     notes = []
     zeros = check_structural_zeros(g, f)
     if zeros.violations:

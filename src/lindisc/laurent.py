@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    FieldConstructionError,
     IncompatibleFieldError,
     NotIntegralError,
     ParseError,
@@ -192,7 +193,7 @@ class LaurentSeries:
 
     def __init__(self, field, ram, lead, coeffs, prec, exact=False):
         if ram < 1:
-            raise ValueError("ramification index must be >= 1")
+            raise FieldConstructionError(f"ramification index must be >= 1, got {ram}")
         coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, field.r) % field.p
         self._set(field, int(ram), int(lead), coeffs, int(prec), bool(exact))
 
@@ -387,27 +388,29 @@ class LaurentSeries:
         return self * other.inverse()
 
     def __pow__(self, n):
-        """x^n (n < 0: (1/x)^|n|).  For n = p^s·u, p ∤ u, x not zero as
-        known: y = x^u by square-and-multiply, then x^n = Frob^s(y), as
-        (Σ c_t U^t)^(p^s) = Σ c_t^(p^s) U^(t·p^s) in characteristic p.
+        """x^n (n < 0: (1/x)^|n|, x^0 the exact 1 at x's horizon).  For
+        n = p^s·u, p ∤ u, x not zero as known: y = x^u by square-and-
+        multiply from x (as ``FieldParams.pow_rows``), then x^n = Frob^s(y),
+        as (Σ c_t U^t)^(p^s) = Σ c_t^(p^s) U^(t·p^s) in characteristic p.
 
         Frob^s(y) is known to p^s·P_y, P_y = P + (u − 1)·L for x's lead
-        L and horizon P, but is cut at the horizon square-and-multiply
-        gives all of n, P + (n − 1)·L (+ max(L, 0) for an exact x): the
-        same digits, so no result's bytes depend on the route.  The cut
-        gives up digits that a refined report could keep."""
+        L and horizon P, but is cut at the horizon of the product chain
+        x·…·x, P + (n − 1)·L, exact or not: the same digits, so no
+        result's bytes depend on the route.  The cut gives up digits that
+        a refined report could keep."""
         if n < 0:
             return self.inverse() ** (-n)
+        if not n:
+            return LaurentSeries.constant(self.field, 1, self.ram, prec=self.prec)
         field, s = self.field, 0
-        if n and not self.is_zero_as_known:
+        if not self.is_zero_as_known:
             s, n = p_split(n, field.p)
         q, L = field.p**s, self.lead
-        prec = self.prec + (q * n - 1) * L + (max(L, 0) if self.exact else 0)
-        result = LaurentSeries.constant(field, 1, self.ram, prec=self.prec)
-        base = self
+        prec = self.prec + (q * n - 1) * L
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base

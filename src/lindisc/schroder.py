@@ -308,6 +308,8 @@ def solve_sfe(f, D, window=32):
     """
     if D < 1:
         raise HypothesisError(f"degree D must be >= 1, got {D}")
+    if window < 1:
+        raise HypothesisError(f"window must be >= 1, got {window}")
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     one = LaurentSeries.constant(field_, 1, ram)
@@ -391,6 +393,8 @@ def solve_sfe_multinomial(f, D, window=32):
     """
     if D < 1:
         raise HypothesisError(f"degree D must be >= 1, got {D}")
+    if window < 1:
+        raise HypothesisError(f"window must be >= 1, got {window}")
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     p = field_.p
@@ -499,6 +503,8 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     """
     if Jmax < 0:
         raise HypothesisError(f"Jmax must be >= 0, got {Jmax}")
+    if window < 1:
+        raise HypothesisError(f"window must be >= 1, got {window}")
     a = _p_plus_1_shape(f)
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram

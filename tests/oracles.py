@@ -83,19 +83,33 @@ def exact_powers(x):
 
 
 def pow_square_multiply(x, n):
-    """x^n by square-and-multiply alone, for every n >= 0 (and n < 0 as
-    (1/x)^|n|): ``LaurentSeries.__pow__`` without its Frobenius split,
-    which it must equal in lead, horizon, exactness and bytes."""
+    """x^n by square-and-multiply alone from the first factor, as
+    ``FieldParams.pow_rows``, for every n >= 1 (x^0 the exact 1 at x's
+    horizon, n < 0 as (1/x)^|n|): ``LaurentSeries.__pow__`` without its
+    Frobenius split, which it must equal in lead, horizon, exactness and
+    bytes."""
     if n < 0:
         return pow_square_multiply(x.inverse(), -n)
-    result = LaurentSeries.constant(x.field, 1, x.ram, prec=x.prec)
-    base = x
+    if n == 0:
+        return LaurentSeries.constant(x.field, 1, x.ram, prec=x.prec)
+    result, base = None, x
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         base = base * base
         n >>= 1
     return result
+
+
+def derivative_term_sum(f, x):
+    """f'(x) = Σ i a_i x^(i-1) summed term by term, each power formed on
+    its own: ``ps_derivative_at`` by ``eval_table``'s Horner, which it
+    must equal in lead, horizon, exactness and bytes."""
+    acc = None
+    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
+        term = a * (x**d) if d else a
+        acc = term if acc is None else acc + term
+    return LaurentSeries.zero(f.field, f.ram, x.prec) if acc is None else acc
 
 
 def over_small_divisor(s, lam_power, profile, k, window):

@@ -523,6 +523,26 @@ def test_retry_stops_at_the_largest_working_precision(tmp_path, capsys, monkeypa
     assert "precision 1024 exhausted" in err and "retrying" not in err
 
 
+@pytest.mark.parametrize(
+    "initial, schedule",
+    [(32, [32, 64, 128, 256, 512, 1024]), (100, [100, 200, 400, 800, 1024])],
+)
+def test_retry_schedule_doubles_up_to_the_largest_working_precision(
+    tmp_path, capsys, monkeypatch, initial, schedule
+):
+    """The retry loop doubles W from the job's initial precision and caps
+    it at MAX_WINDOW, one stderr line per attempt."""
+    windows = solve_needing(monkeypatch, 2048)
+    job = write_job(tmp_path, "q.json", {**QUADRATIC, "precision": {"initial": initial}})
+    code, _, err = run(capsys, ["solve", "--job", job, "--degree", "4"])
+    assert code == 3
+    assert windows == schedule
+    lines = [line for line in err.splitlines() if "exhausted" in line]
+    assert lines == [
+        f"precision {W} exhausted (needs W >= 2048); retrying" for W in schedule[:-1]
+    ] + ["precision 1024 exhausted (needs W >= 2048)"]
+
+
 def test_job_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     """A job within every size limit can still exceed the memory left on
     the host; it exits 2 with one line, not a traceback, and writes no

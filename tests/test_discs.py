@@ -9,6 +9,7 @@ import pytest
 
 import lindisc.discs as discs
 import lindisc.field
+import lindisc.schroder
 from lindisc import (
     Conjugacy,
     FieldParams,
@@ -42,6 +43,11 @@ def test_weierstrass_basic_example():
     wd = weierstrass_data(h, 1)
     assert (wd.v_s, wd.d, wd.d_prime) == (1, 2, 1)
     assert not wd.certified_tail
+
+
+def test_weierstrass_data_of_an_empty_table_is_a_typed_error():
+    with pytest.raises(HypothesisError, match="all coefficients vanish"):
+        weierstrass_data({}, Fraction(1))
 
 
 def test_weierstrass_linear():
@@ -161,6 +167,46 @@ def test_classify_generic_sigma():
     assert report.degree_closed == 1
 
 
+@pytest.mark.parametrize(
+    "field, lam, degree", [(F2, "1+T", 2), (F2, "1+T", 4), (F4, "b+T", 4), (F3, "2+T", 3)]
+)
+def test_classify_profiles_lambda_once_by_its_solve(monkeypatch, field, lam, degree):
+    """Given D, ``classify_linearization_disc`` reads λ's profile from its
+    own solve: one ``mult_profile`` call, the solve's.  Without D the
+    default degree needs one more, before the solve."""
+    calls = []
+    real = mult_profile
+
+    def counted(lam_):
+        calls.append(lam_)
+        return real(lam_)
+
+    for module in (discs, lindisc.schroder):
+        monkeypatch.setattr(module, "mult_profile", counted)
+    f = PowerSeriesMap({1: parse_series(lam, field), degree: parse_series("1", field)})
+    report = classify_linearization_disc(f, D=discs.default_degree(f, real(f.multiplier)))
+    assert len(calls) == 1
+    assert report.profile == real(f.multiplier)
+    calls.clear()
+    assert classify_linearization_disc(f).report_dict() == report.report_dict()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_classify_rejects_a_window_below_one(window):
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    for D in (None, 8):
+        with pytest.raises(HypothesisError, match=f"window must be >= 1, got {window}"):
+            classify_linearization_disc(f, D, window)
+
+
+def test_classify_solves_at_the_smallest_window():
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    report = classify_linearization_disc(f, window=1)
+    assert report.level == LEVEL_EXACT and report.periodic_point.kappa == 1
+    assert report.periodic_point.point.prec == 5  # the horizon 4·window, past T
+
+
 def test_classify_rejects_non_family_maps():
     f = PowerSeriesMap({1: parse_series("1+T", F3), 2: parse_series("1", F3)})
     with pytest.raises(HypothesisError):
@@ -203,6 +249,18 @@ def test_periodic_point_not_found_for_linear_map():
     f = PowerSeriesMap({1: parse_series("1+T", F2)})
     sphere = make_disc(Fraction(1), "closed")
     assert find_periodic_point(f, 3, sphere) is None
+
+
+def test_search_rejects_a_horizon_below_one():
+    """A horizon below 1 is a HypothesisError, not a point zero to
+    precision (O(T^1) at horizon 0) certified periodic; horizon 1 still
+    lifts T to one digit."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    sphere = make_disc(Fraction(1), "closed")
+    for horizon in (0, -1):
+        with pytest.raises(HypothesisError, match=f"horizon must be >= 1, got {horizon}"):
+            find_periodic_point(f, 2, sphere, horizon=horizon)
+    assert find_periodic_point(f, 2, sphere, horizon=1).point.render() == "T + O(T^2)"
 
 
 def test_search_rejects_a_lift_that_is_not_periodic(monkeypatch):
@@ -361,6 +419,29 @@ def test_designed_tower_search_cases_land_where_built():
     assert pp.point.render() == "T + 4*T^2 + O(T^25)"
     pp = _check_against_oracle(cases["sigma-f3-ram2"])
     assert (pp.tower, pp.kappa) == ((2, 4), 2)
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c[0])
+def test_a_search_embeds_the_map_only_for_the_verified_field(case, monkeypatch):
+    """f enters its own field once per search, and another tower field
+    only when that field's lifted root is verified: at most two
+    ``_embed_map`` calls, the second into the point's field.  The tower
+    fields themselves are built once per process."""
+    _, f, v, e, kappa_max = case
+    fields = []
+    real = discs._embed_map
+
+    def counted(g, field_, ram):
+        fields.append(field_)
+        return real(g, field_, ram)
+
+    monkeypatch.setattr(discs, "_embed_map", counted)
+    pp = find_periodic_point(f, kappa_max, make_disc(Fraction(v), "closed"), e=e, horizon=24)
+    verified = [] if pp is None or pp.point.field == f.field else [pp.point.field]
+    assert fields == [f.field] + verified
+    towers = discs._tower_fields(f.field)
+    assert towers is discs._tower_fields(FieldParams(f.field.p, f.field.r, f.field.modulus))
+    assert isinstance(towers, tuple) and towers[0] == f.field
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 import lindisc.laurent
 from lindisc import FieldParams, LaurentSeries, parse_series
 from lindisc.errors import (
+    FieldConstructionError,
     IncompatibleFieldError,
     NotIntegralError,
     ParseError,
@@ -212,6 +213,16 @@ def test_exact_series_support_past_the_horizon_renders_and_parses_back(text, fie
     again = parse_series(x.render(), field, ram)
     assert again.lead == x.lead
     assert np.array_equal(again.coeffs, x.coeffs)
+
+
+def test_a_ramification_index_below_one_is_a_field_construction_error():
+    for build in (
+        lambda: parse_series("1+T", F2, ram=0),
+        lambda: LaurentSeries.zero(F2, ram=-1),
+        lambda: LaurentSeries(F2, 0, 0, [[1]], 4),
+    ):
+        with pytest.raises(FieldConstructionError, match="ramification index must be >= 1"):
+            build()
 
 
 def test_parse_examples():
@@ -593,8 +604,8 @@ def test_power_equals_square_and_multiply(field):
 def test_square_and_multiply_horizon_has_a_closed_form(field):
     """The horizon that ``__pow__`` keeps on its Frobenius path: for x
     of lead L and horizon P, not zero as known, square-and-multiply
-    gives x^n (n >= 1) the lead n·L and the horizon P + (n − 1)·L, plus
-    max(L, 0) when x is exact, and x's exactness."""
+    gives x^n (n >= 1) the lead n·L, the horizon P + (n − 1)·L, exact
+    or not, and x's exactness."""
     rng = random.Random(field.q + 1)
     for _ in range(300):
         exact = rng.random() < 0.5
@@ -602,12 +613,33 @@ def test_square_and_multiply_horizon_has_a_closed_form(field):
         L, P, n = x.lead, x.prec, rng.randrange(1, 40)
         y = pow_square_multiply(x, n)
         assert (y.lead, y.exact) == (n * L, exact)
-        assert y.prec == P + (n - 1) * L + (max(L, 0) if exact else 0), (x, n)
+        assert y.prec == P + (n - 1) * L, (x, n)
 
 
-def test_power_by_a_power_of_p_forms_one_product(monkeypatch):
-    """x ** p^s takes x^1 by square-and-multiply, one product by the
-    constant 1, and then spreads its rows: no squaring of x."""
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=str)
+def test_power_is_the_product_chain(field):
+    """x ** n equals the product chain x·…·x of n factors in lead,
+    horizon, exactness and bytes: e = 1, 2, 3, exact and inexact x,
+    leads -6 .. 6 and every n <= 2p², so x ** 1 is x and no route (one
+    square-and-multiply rule, Frobenius for p | n) moves a horizon."""
+    rng = random.Random(field.q + 2)
+    for ram, exact, lead in itertools.product((1, 2, 3), (False, True), range(-6, 7)):
+        x = _random_power_base(field, rng, lead, ram, exact)
+        chain = x
+        for n in range(1, 2 * field.p**2 + 1):
+            assert _same_series(x**n, chain), (x, n)
+            chain = chain * x
+    # an exact series with support past its horizon: x, x ** 1 and x * 1
+    # all keep the horizon 16
+    x = parse_series("T^20", field)
+    assert x.prec == (x**1).prec == (x * 1).prec == 16
+    assert _same_series(x**1, x) and _same_series(x * 1, x)
+    assert x**1 is x
+
+
+def test_power_by_a_power_of_p_forms_no_product(monkeypatch):
+    """x ** p^s starts square-and-multiply from x itself, so it forms no
+    product at all: x's rows raised to p^s and spread."""
     calls = []
     real = lindisc.laurent._convolve
 
@@ -618,7 +650,7 @@ def test_power_by_a_power_of_p_forms_one_product(monkeypatch):
     monkeypatch.setattr(lindisc.laurent, "_convolve", spy)
     x = parse_series("1+T+T^3", F2)
     y = x**64
-    assert len(calls) == 1
+    assert calls == []
     monkeypatch.undo()
     assert _same_series(y, pow_square_multiply(x, 64))
     assert y.prec == 16  # exact: the horizon is x's

@@ -21,7 +21,13 @@ from lindisc import (
     table_compose,
 )
 from lindisc.errors import HypothesisError
-from oracles import binomial_digits, horizon, ps_iterate, table_compose_horner
+from oracles import (
+    binomial_digits,
+    derivative_term_sum,
+    horizon,
+    ps_iterate,
+    table_compose_horner,
+)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -239,6 +245,47 @@ def test_derivative_examples():
     # p-divisible degrees never contribute: derivative is λ at any point
     fam = PowerSeriesMap({1: series("1+T"), 4: series("1"), 6: series("T")})
     assert ps_derivative_at(fam, series("T+T^2", prec=16)).agrees_with(series("1+T"))
+
+
+def _same_series(a, b):
+    return (a.lead, a.prec, a.exact, a.coeffs.tobytes()) == (
+        b.lead,
+        b.prec,
+        b.exact,
+        b.coeffs.tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F3, FieldParams(5), F4, FieldParams(3, 2)], ids=str
+)
+def test_derivative_by_horner_equals_the_term_sum(field):
+    """``ps_derivative_at`` runs through ``eval_table`` and equals the term
+    sum in lead, horizon, exactness and bytes, at inexact points of random
+    maps of degree prime to p (leads -3 .. 5).  For a p-divisible map the
+    derivative table is {0: λ}, and the value is λ itself, with λ's
+    horizon: Horner forms no factor x^0."""
+    rng = random.Random(field.q + 5)
+    p = field.p
+
+    def exact(lead, n):
+        rows = [[rng.randrange(p) for _ in range(field.r)] for _ in range(n)]
+        rows[0][0] = rows[0][0] or 1
+        return LaurentSeries(field, 1, lead, rows, lead + n, exact=True)
+
+    lam = LaurentSeries.constant(field, 1) + exact(1, 2)
+    for _ in range(200):
+        deg = rng.choice([d for d in range(2, 9) if d % p])
+        coeffs = {1: lam, deg: exact(rng.randrange(-4, 5), 2)}
+        for d in rng.sample(range(2, deg), min(deg - 2, rng.randrange(0, 4))):
+            coeffs[d] = exact(rng.randrange(-4, 5), rng.randrange(1, 7))
+        f = PowerSeriesMap(coeffs)
+        lead = rng.randrange(-3, 6)
+        x = LaurentSeries(field, 1, lead, exact(lead, 3).coeffs, lead + rng.randrange(1, 20))
+        assert _same_series(ps_derivative_at(f, x), derivative_term_sum(f, x)), (f, x)
+    fam = PowerSeriesMap({1: lam, p: exact(0, 2), 2 * p: exact(-1, 3)})
+    x = LaurentSeries(field, 1, 1, exact(1, 3).coeffs, 300)
+    assert ps_derivative_at(fam, x) is lam
 
 
 def test_lucas_binomials():

@@ -1005,6 +1005,27 @@ def test_multinomial_solve_rejects_a_degree_below_one():
             solve_sfe_multinomial(f, D)
 
 
+@pytest.mark.parametrize(
+    "solve, shape, solved",
+    [
+        (lambda f, W: solve_sfe(f, 8, W), 2, lambda g: g.D == 8),
+        (lambda f, W: solve_sfe_multinomial(f, 8, W), 2, lambda g: g.D == 8),
+        (lambda f, W: solve_specialized_p_plus_1(f, 4, W), 3, lambda g: g.D == 9),
+        (lambda f, W: certify_divergence(f, 2, W), 3, lambda c: c.verdict == "diverges"),
+    ],
+    ids=["solve_sfe", "multinomial", "specialized", "certify_divergence"],
+)
+def test_a_window_below_one_is_rejected(solve, shape, solved):
+    """A window below 1 is a HypothesisError before any arithmetic, not a
+    divisor that seems to vanish (W = 0) or an IndexError (W < 0); the
+    smallest accepted window still solves."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), shape: parse_series("1", F2)})
+    assert solved(solve(f, 1))
+    for W in (0, -1):
+        with pytest.raises(HypothesisError, match=f"window must be >= 1, got {W}"):
+            solve(f, W)
+
+
 def test_divergence_certificate_builds_only_the_series_it_reads(monkeypatch):
     """``certify_divergence(f, 8)`` over F_2 solves to Jmax = 128 but reads
     only b_{2^N + 1}, N = 1 .. 8: at most 8 of the 128 series b_{2j+1}
