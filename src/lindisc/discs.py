@@ -239,11 +239,8 @@ _DEG_CAP = 4096
 def _tower_fields(base):
     """Residue fields searched, built once per process: F_{p^r}, r <= _R_MAX,
     over a prime field (its own first), or an extension field alone."""
-    if base.r != 1:
-        return (base,)
-    return (base,) + tuple(
-        FieldParams(base.p, r) for r in range(2, _R_MAX + 1) if (base.p, r) in BUILTIN_MODULI
-    )
+    extra = range(2, _R_MAX + 1) if base.r == 1 else ()
+    return (base,) + tuple(FieldParams(base.p, r) for r in extra if (base.p, r) in BUILTIN_MODULI)
 
 
 def find_periodic_point(f, kappa_max, sphere, e=1, horizon=128):

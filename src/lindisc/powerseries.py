@@ -123,17 +123,15 @@ def ps_gauge(f):
 
 def eval_table(table, x):
     """Evaluate a coefficient table (a polynomial in x) at a point by
-    sparse Horner over the supported degrees, with no factor x^0: that
-    exact 1 at x's horizon would move the horizon of an exact value, such
-    as a derivative table {0: λ}.  Coefficients and point are
-    LaurentSeries, or FqElement for a nonempty residue table."""
+    sparse Horner over the supported degrees.  Coefficients and point
+    are LaurentSeries, or FqElement for a nonempty residue table."""
     degs = sorted(table, reverse=True)
     if not degs:
         return LaurentSeries.zero(x.field, x.ram, x.prec)
     acc = table[degs[0]]
     for prev, nxt in zip(degs, degs[1:]):
         acc = acc * (x ** (prev - nxt)) + table[nxt]
-    return acc * (x ** degs[-1]) if degs[-1] else acc
+    return acc * (x ** degs[-1])
 
 
 def ps_eval(f, x):
@@ -142,8 +140,18 @@ def ps_eval(f, x):
 
 
 def ps_derivative_at(f, x):
-    """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p."""
-    return eval_table(_table_derivative(f.coeffs, f.field.p), x)
+    """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p.
+
+    Summed term by term: ``eval_table``'s factor x^0, an exact 1 at x's
+    horizon, would give the derivative {0: λ} of a p-divisible map x's
+    horizon, not λ's, and move the ``disc`` multiplier's bytes."""
+    acc = None
+    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
+        term = a * (x ** d) if d else a
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return LaurentSeries.zero(f.field, f.ram, x.prec)
+    return acc
 
 
 def table_compose(outer, inner, D):
@@ -211,7 +219,7 @@ def newton_root(table, dtable, y):
         resid = eval_table(table, y)
         if resid.is_zero_as_known:
             return y
-        deriv = eval_table(dtable, y)
+        deriv = eval_table(dtable, y)  # x^0 gives even an exact one y's horizon
         if deriv.is_zero_as_known or deriv.lead != 0:
             return None
         step = resid * deriv.inverse()

@@ -101,17 +101,6 @@ def pow_square_multiply(x, n):
     return result
 
 
-def derivative_term_sum(f, x):
-    """f'(x) = Σ i a_i x^(i-1) summed term by term, each power formed on
-    its own: ``ps_derivative_at`` by ``eval_table``'s Horner, which it
-    must equal in lead, horizon, exactness and bytes."""
-    acc = None
-    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
-        term = a * (x**d) if d else a
-        acc = term if acc is None else acc + term
-    return LaurentSeries.zero(f.field, f.ram, x.prec) if acc is None else acc
-
-
 def over_small_divisor(s, lam_power, profile, k, window):
     """s / (λ − λ^k), the small divisor λ(1 − λ^{k-1}) formed exactly from
     the exact power table ``lam_power`` of λ and inverted to ``window``

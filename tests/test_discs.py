@@ -263,6 +263,22 @@ def test_search_rejects_a_horizon_below_one():
     assert find_periodic_point(f, 2, sphere, horizon=1).point.render() == "T + O(T^2)"
 
 
+@pytest.mark.parametrize("horizon", [8, 24, 40, 128])
+def test_a_newton_lift_keeps_the_search_horizon(horizon):
+    """A root that needs Newton steps is lifted to the search horizon, not
+    to the horizon of the map's exact derivative: over F_2 the fixed point
+    T + T^4 + T^7 + … of f = (1+T)x + (1+T^3)x^2, whose derivative table
+    is {0: 1 + T} known to 16 digits, is known to O(T^(horizon+1)).  Its
+    multiplier is λ itself, to λ's own 16 digits."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1+T^3", F2)})
+    pt = find_periodic_point(f, 1, make_disc(Fraction(1), "closed"), horizon=horizon)
+    assert pt.point.prec == horizon + 1
+    terms = "+".join(f"T^{k}" for k in range(1, horizon + 1, 3))
+    assert pt.point.agrees_with(parse_series(f"{terms}+O(T^{horizon + 1})", F2))
+    assert (ps_eval(f, pt.point) - pt.point).is_zero_as_known
+    assert pt.multiplier == f.multiplier and pt.multiplier.prec == f.multiplier.prec == 16
+
+
 def test_search_rejects_a_lift_that_is_not_periodic(monkeypatch):
     """A Newton lift that is not a root of G is caught by the walk along
     its orbit: f(x) - x = T^3 + ... at x = T + T^2."""

@@ -21,13 +21,8 @@ from lindisc import (
     table_compose,
 )
 from lindisc.errors import HypothesisError
-from oracles import (
-    binomial_digits,
-    derivative_term_sum,
-    horizon,
-    ps_iterate,
-    table_compose_horner,
-)
+from lindisc.powerseries import _table_derivative
+from oracles import binomial_digits, horizon, ps_iterate, table_compose_horner
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -259,12 +254,12 @@ def _same_series(a, b):
 @pytest.mark.parametrize(
     "field", [F2, F3, FieldParams(5), F4, FieldParams(3, 2)], ids=str
 )
-def test_derivative_by_horner_equals_the_term_sum(field):
-    """``ps_derivative_at`` runs through ``eval_table`` and equals the term
-    sum in lead, horizon, exactness and bytes, at inexact points of random
-    maps of degree prime to p (leads -3 .. 5).  For a p-divisible map the
-    derivative table is {0: λ}, and the value is λ itself, with λ's
-    horizon: Horner forms no factor x^0."""
+def test_derivative_term_sum_equals_horner(field):
+    """``ps_derivative_at``'s term sum equals ``eval_table`` of the
+    derivative table in lead, horizon, exactness and bytes, at inexact
+    points of random maps of degree prime to p (leads -3 .. 5).  For a
+    p-divisible map the derivative table is {0: λ}: the term sum is λ
+    itself, with λ's horizon, where Horner's factor x^0 gives it x's."""
     rng = random.Random(field.q + 5)
     p = field.p
 
@@ -282,10 +277,13 @@ def test_derivative_by_horner_equals_the_term_sum(field):
         f = PowerSeriesMap(coeffs)
         lead = rng.randrange(-3, 6)
         x = LaurentSeries(field, 1, lead, exact(lead, 3).coeffs, lead + rng.randrange(1, 20))
-        assert _same_series(ps_derivative_at(f, x), derivative_term_sum(f, x)), (f, x)
+        horner = eval_table(_table_derivative(f.coeffs, p), x)
+        assert _same_series(ps_derivative_at(f, x), horner), (f, x)
     fam = PowerSeriesMap({1: lam, p: exact(0, 2), 2 * p: exact(-1, 3)})
     x = LaurentSeries(field, 1, 1, exact(1, 3).coeffs, 300)
     assert ps_derivative_at(fam, x) is lam
+    horner = eval_table(_table_derivative(fam.coeffs, p), x)
+    assert horner.agrees_with(lam) and (horner.prec, lam.prec) == (300, 3)
 
 
 def test_lucas_binomials():
