@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import BUILTIN_MODULI, FieldParams
-from .laurent import LaurentSeries, format_valuation
+from .laurent import LaurentSeries, _any, format_valuation
 from .multiplier import disc_profile, lemma_bound, mult_profile
 from .powerseries import (
     PowerSeriesMap,
@@ -313,9 +313,9 @@ def _periodic_in_tower(field_, g_table, dtable, ram, horizon):
     d_rows = _residue_rows(field_, dtable)
     lift_tables = None
     for xs in field_.element_blocks():
-        roots = xs[xs.any(axis=1) & ~_eval_rows(field_, g_rows, xs).any(axis=1)]
+        roots = xs[_any(xs, axis=1) & ~_any(_eval_rows(field_, g_rows, xs), axis=1)]
         # a multiple residue root is skipped: lifting it is not certified
-        simple = roots[_eval_rows(field_, d_rows, roots).any(axis=1)]
+        simple = roots[_any(_eval_rows(field_, d_rows, roots), axis=1)]
         for row in simple:
             if lift_tables is None:
                 lift_tables = [

@@ -118,12 +118,12 @@ class FieldParams:
         if r >= 32 or p**r >= 2**32:
             raise FieldConstructionError(f"q = {p}^{r} is too large: need q < 2^32")
         if modulus is None:
-            try:
-                modulus = BUILTIN_MODULI[(p, r)]
-            except KeyError:
+            # F_p itself needs none: x is irreducible over every prime field
+            modulus = BUILTIN_MODULI.get((p, r), [0, 1] if r == 1 else None)
+            if modulus is None:
                 raise FieldConstructionError(
                     f"no built-in modulus for (p, r) = ({p}, {r}); supply one"
-                ) from None
+                )
         modulus = [int(c) % p for c in modulus]
         if len(modulus) != r + 1:
             raise FieldConstructionError(

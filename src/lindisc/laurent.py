@@ -60,7 +60,7 @@ def _per_batch(item_bytes):
 # ``ndarray.any`` without numpy's Python-level wrapper, a cost per result
 # and per step (as are ``.min``, ``np.flatnonzero``, ``np.argmax``,
 # ``np.nonzero`` and ``np.searchsorted``: call the ufunc reductions and
-# the ndarray methods)
+# the ndarray methods; an AST test keeps the wrappers out of loop bodies)
 _any = np.logical_or.reduce
 
 
@@ -490,7 +490,7 @@ class LaurentSeries:
         terms = []
         for j in range(self.coeffs.shape[0]):
             row = self.coeffs[j]
-            if not row.any():
+            if not _any(row):
                 continue
             c = FqElement(self.field, list(row))
             terms.append(_render_term(c, self.lead + j, var))

@@ -275,7 +275,7 @@ def _small_divisors(profile, ks, window, lows=None):
     for s in sorted(set(ss.tolist())):
         step = p**s
         count = -(-window // step)  # rows of 1 − λ^u that reach the window
-        entries = np.flatnonzero(ss == s)
+        entries = (ss == s).nonzero()[0]
         chunk = _per_batch(8 * count * (r + 1))
         for c in range(0, entries.size, chunk):
             part = entries[c : c + chunk]
@@ -440,9 +440,41 @@ def _p_plus_1_shape(f):
     return f.coeffs[p + 1]
 
 
-# rows j of binomials C(ip+1, j-i) that ``solve_specialized_p_plus_1``
-# forms in one call of ``binomial_mod_p``
-_BINOMIAL_ROWS = 32
+def _binomial_terms(p, Jmax):
+    """The nonzero binomials C(ip+1, j−i) mod p of the p+1 recurrence,
+    CSR-style: the terms of j = 1 .. Jmax are entries ``offsets[j-1]`` ..
+    ``offsets[j]`` − 1 of ``i`` (a column) and ``c``.
+
+    m = j − i is qp or qp + 1 (Lucas on the last digit), both with the
+    binomial C(i, q), 0 for q > i.  So each pair q <= i with i + qp <= Jmax
+    serves j = i + qp (q >= 1) and j = i + qp + 1 (<= Jmax), and q <= i
+    keeps i >= ⌈(j−1)/(p+1)⌉.  ``_per_batch`` sizes the chunks of the one
+    ``binomial_mod_p`` pass over the pairs: ``_lucas`` allocates ten int64
+    entries per digit of i (at most Jmax.bit_length() digits), and it and
+    the build a dozen more.
+    """
+    i = np.arange(Jmax)
+    counts = np.minimum(i, (Jmax - i) // p) + 1  # q = 0 .. min(i, ⌊(Jmax − i)/p⌋)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if Jmax else 0
+    step = _per_batch(8 * (10 * int(Jmax).bit_length() + 12))
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for lo in range(0, total, step):
+        flat = np.arange(lo, min(lo + step, total))
+        i = ends.searchsorted(flat, side="right")
+        q = flat - starts[i]
+        c = binomial_mod_p(i, q, p)
+        keep = c.nonzero()
+        found.append(np.stack((i[keep], q[keep], c[keep])))
+    i, q, c = np.concatenate(found, axis=1)
+    j = i + q * p
+    low, high = q > 0, j < Jmax  # m = qp, and m = qp + 1
+    j = np.concatenate((j[low], j[high] + 1))
+    order = j.argsort(kind="stable")
+    offsets = [0] + np.cumsum(np.bincount(j, minlength=Jmax + 1)[1:]).tolist()
+    i, c = (np.concatenate((x[low], x[high]))[order] for x in (i, c))
+    return i[:, None], c, offsets
 
 
 def solve_specialized_p_plus_1(f, Jmax, window=32):
@@ -496,10 +528,16 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     factor), so H_S − min L(B_i) <= ``window``.  The term i = j − 1 has
     C((j−1)p+1, 1) ≡ 1, so no sum is empty and no b_j is an exact zero.
 
-    The binomials come ``_BINOMIAL_ROWS`` rows j at a time from the array
-    form of ``binomial_mod_p``; below i = ⌈(j−1)/(p+1)⌉, j − i > ip + 1
-    and the binomial is 0.  The dot product sums at most j addends
-    c·x with c, x < p, below j·p² < 2^63 for j < 2^31 (p < 2^16).
+    The binomials.  ip + 1 ends in the base-p digit 1, so by Lucas
+    C(ip+1, m) ≡ C(1, m mod p)·C(i, ⌊m/p⌋): only m = j − i with
+    m mod p <= 1 can give a nonzero term, and its binomial has one digit
+    fewer.  ``_binomial_terms`` forms the nonzero ones of every j in one
+    ``binomial_mod_p`` pass before the loop and stores them CSR-style,
+    flat arrays of i and c with Python-int offsets per j, so each j
+    reads its terms as two slices.  The rest of a step is ufunc
+    reductions and ndarray methods, its gather index built from one
+    ``arange`` per solve.  The dot product sums at most j addends c·x
+    with c, x < p, below j·p² < 2^63 for j < 2^31 (p < 2^16).
     """
     if Jmax < 0:
         raise HypothesisError(f"Jmax must be >= 0, got {Jmax}")
@@ -518,42 +556,38 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     a_rows = _rows(_powers(a, Jmax, W), W)[1:]
     lead_T = T.leads  # T_j has lead −lead_T[j-1], and U^0 sits at row lead_T
     G = _convolve(field_, lam_rows, T.rows, W)  # λ^j·T_j
-    inside = np.flatnonzero(lead_T < W)
+    inside = (lead_T < W).nonzero()[0]
     G[inside, lead_T[inside], 0] -= 1
     G %= p  # λ^{(p+1)j}·T_j, lead −lead_T
     F = _convolve(field_, a_rows, T.rows, W)  # a^j·T_j, lead j·L(a) − lead_T
+    lead_T = lead_T.tolist()
 
+    I, C, offsets = _binomial_terms(p, Jmax)
+    ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
     B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
     B[0, 0, 0] = 1
-    B_lead = np.zeros(Jmax + 1, dtype=np.int64)
-    B_top = np.zeros(Jmax + 1, dtype=np.int64)  # lead + digits
-    B_top[0] = W
+    bounds = np.zeros((Jmax + 1, 2), dtype=np.int64)  # lead and lead + digits of B_i
+    bounds[0, 1] = W
     S = np.zeros((Jmax, W, r), dtype=np.int64)
-    S_lead = np.zeros(Jmax, dtype=np.int64)
-    S_digits = np.zeros(Jmax, dtype=np.int64)
+    S_lead, S_digits = [0] * Jmax, [0] * Jmax
     for j in js:
-        if (j - 1) % _BINOMIAL_ROWS == 0:  # rows j .. top - 1
-            top = min(j + _BINOMIAL_ROWS, Jmax + 1)
-            cols = np.arange((j - 1 + p) // (p + 1), top - 1)
-            block = binomial_mod_p(cols * p + 1, np.arange(j, top)[:, None] - cols, p)
-        row = block[(j - 1) % _BINOMIAL_ROWS, : j - cols[0]]
-        live = np.flatnonzero(row)
-        i, c = cols[live], row[live]
-        lead = B_lead[i]
-        lo, H = int(lead.min()), int(B_top[i].min())
-        at = np.maximum(np.arange(lo, H) - lead[:, None], -1)
-        s = (c @ B[i[:, None], at].reshape(c.size, -1)).reshape(-1, r) % p
-        nonzero = np.flatnonzero(s.any(axis=1))
+        start, stop = offsets[j - 1], offsets[j]
+        i = I[start:stop]
+        held = bounds[i]
+        ((lo, H),) = np.minimum.reduce(held).tolist()
+        at = lo - held[..., 0] + ramp[: H - lo]
+        np.maximum(at, -1, out=at)
+        s = (C[start:stop] @ B[i, at].reshape(stop - start, -1)).reshape(-1, r)
+        s %= p
+        nonzero = _any(s, axis=1).nonzero()[0]
         first = lo + int(nonzero[0]) if nonzero.size else H
         digits = H - first
-        S[j - 1, :digits] = s[first - lo :]
+        S[j - 1, :digits] = s_j = s[first - lo :]
         S_lead[j - 1], S_digits[j - 1] = first, digits
         if digits:
-            B[j, :digits] = _convolve(field_, S[j - 1], G[j - 1], digits)
-        B_lead[j] = first - lead_T[j - 1]
-        B_top[j] = B_lead[j] + digits
-    leads = (S_lead + np.arange(1, Jmax + 1) * a.lead - lead_T).tolist()
-    digits = S_digits.tolist()
+            B[j, :digits] = _convolve(field_, s_j, G[j - 1], digits)
+        bounds[j] = first - lead_T[j - 1], H - lead_T[j - 1]
+    leads = [s + j * a.lead - t for j, s, t in zip(js, S_lead, lead_T)]
 
     def coefficient(k):  # b_k = S_j·(a^j·T_j) for k = jp + 1, on its digits
         j, rest = divmod(k - 1, p)
@@ -561,7 +595,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
             return exact_zero
         if j == 0:
             return one
-        lead, n = leads[j - 1], digits[j - 1]
+        lead, n = leads[j - 1], S_digits[j - 1]
         rows = _convolve(field_, S[j - 1], F[j - 1], n) if n else S[j - 1, :0]
         return LaurentSeries(field_, ram, lead, rows, lead + n)
 

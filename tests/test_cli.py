@@ -488,6 +488,28 @@ def test_supplied_modulus(tmp_path, capsys):
     assert code == 0 and json.loads(out)["k_prime"] == 4
 
 
+@pytest.mark.parametrize(
+    "p, argv, f",
+    [
+        (11, ["certify-divergence"], {"12": "3"}),
+        (13, ["certify-divergence"], {"14": "3"}),
+        # the ladder's degree p^Nmax + 1 would pass MAX_DEGREE here
+        (65521, ["analyze"], {"2": "3"}),
+        (65521, ["solve", "--degree", "6"], {"2": "3"}),
+    ],
+)
+def test_a_prime_field_needs_no_modulus(tmp_path, capsys, p, argv, f):
+    """A prime field with no built-in modulus runs without one, as it
+    does given the modulus x; it used to exit 3."""
+    payload = {"p": p, "lambda": "1+T", "f": f, "Nmax": 3}
+    code, out, err = run(capsys, argv + ["--job", write_job(tmp_path, "a.json", payload)])
+    given = {**payload, "modulus": [0, 1]}
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, argv + ["--job", write_job(tmp_path, "b.json", given)])[:2]
+    if argv == ["certify-divergence"]:
+        assert json.loads(out.splitlines()[0])["verdict"] == "diverges"
+
+
 def solve_needing(monkeypatch, least_window):
     """solve_sfe as seen by the CLI, failing below ``least_window``; returns
     the working precisions it was called at."""

@@ -292,3 +292,21 @@ def test_custom_modulus_accepted():
     field = FieldParams(3, 2, [2, 1, 1])
     x = field.gen()
     assert x * x == field.element([1, 2])  # b^2 = -b - 2 = 2b + 1
+
+
+@pytest.mark.parametrize("p", [11, 13, 65521])
+def test_a_prime_field_needs_no_modulus(p):
+    """F_p takes the modulus x by default for every prime p < 2^16, with or
+    without a built-in table entry; its arithmetic is the integers mod p."""
+    field = FieldParams(p)
+    assert field == FieldParams(p, 1, [0, 1])
+    assert field.modulus == (0, 1)
+    a, b = field.element(p - 3), field.element(7)
+    assert a * b == field.element((p - 3) * 7)
+    assert a * a.inverse() == field.one()
+
+
+@pytest.mark.parametrize("p, r", [(11, 2), (13, 3), (2, 5), (7, 5)])
+def test_an_extension_without_a_built_in_modulus_needs_one(p, r):
+    with pytest.raises(FieldConstructionError, match="no built-in modulus"):
+        FieldParams(p, r)

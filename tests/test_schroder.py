@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -51,12 +52,14 @@ from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
     STRUCTURAL,
+    _binomial_terms,
     _powers,
     _rows,
     _small_divisors,
     invert_at_point,
 )
 from oracles import (
+    binomial_digits,
     check_coefficient_bound_per_k,
     exact_powers,
     over_small_divisor,
@@ -251,10 +254,66 @@ def test_specialized_matches_term_matching():
         assert conjugacies_agree(g1, g2, D)
 
 
+def _digit_terms(p, Jmax):
+    """(j, i, c) for every nonzero c = C(ip+1, j−i) mod p over the whole
+    triangle 0 <= i < j <= Jmax, one base-p digit at a time."""
+    terms = [
+        (j, i, c)
+        for j in range(1, Jmax + 1)
+        for i in range(j)
+        if (c := binomial_digits(i * p + 1, j - i, p))
+    ]
+    return np.array(terms, dtype=np.int64).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "small-chunks"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
+    """The CSR table of the p+1 solve holds, row j, exactly the nonzero
+    binomials of the triangle, from one ``binomial_mod_p`` pass: one call,
+    or with a small budget one per chunk, boundaries falling inside rows."""
+    top = 3 * p * p + 5
+    oracle = _digit_terms(p, top)
+    if chunked:
+        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 700 * p * p)
+    calls = []
+    binomial = lindisc.schroder.binomial_mod_p
+    monkeypatch.setattr(
+        lindisc.schroder, "binomial_mod_p", lambda *args: calls.append(1) or binomial(*args)
+    )
+    for Jmax in range(top + 1):
+        calls.clear()
+        i, c, offsets = _binomial_terms(p, Jmax)
+        assert i.shape == (len(c), 1) and offsets[0] == 0 and len(offsets) == Jmax + 1
+        j = np.repeat(np.arange(1, Jmax + 1), np.diff(offsets))
+        terms = np.stack((j, i[:, 0], c), axis=1)
+        terms = terms[np.lexsort((terms[:, 1], terms[:, 0]))]
+        assert np.array_equal(terms, oracle[oracle[:, 0] <= Jmax]), Jmax
+        if not chunked:
+            assert len(calls) == min(Jmax, 1), Jmax
+    if chunked:
+        assert len(calls) > 5  # the largest table spans many chunks
+
+
+def test_p_plus_1_solve_memory_is_bounded():
+    """Over F_2 at Jmax = 1024, W = 32 the binomial table has about
+    175,000 pairs (i, q), each with ten entries per digit in ``_lucas``:
+    built in ``_per_batch`` chunks, the solve's traced peak stays below
+    20 MiB.  Built in one pass it peaks at about 72 MiB."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2, 1, 32), 3: parse_series("1", F2, 1, 32)})
+    tracemalloc.start()
+    try:
+        solve_specialized_p_plus_1(f, 1024, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+
+
 def _oracle_cases():
-    """(p, r, e, v(a), W, λ) covering every value of each axis; the last
-    case has a b_{jp+1} that is zero to precision, so later sums take a
-    term that caps the horizon and adds no rows."""
+    """(p, r, e, v(a), W, λ) covering every value of each axis; the case
+    λ = b + T^2 has a b_{jp+1} that is zero to precision, so later sums
+    take a term that caps the horizon and adds no rows."""
     other = {2: "1", 3: "2", 5: "2", 7: "3"}  # of order m > 1 for p > 2
     cases = []
     for idx, (p, r) in enumerate(itertools.product((2, 3, 5, 7), (1, 2, 4))):
@@ -262,6 +321,11 @@ def _oracle_cases():
         lam = f"{residue}+T+{idx % p}*T^2"
         cases.append((p, r, 1 + idx % 2, idx % 4 - 1, (8, 32, 64)[idx % 3], lam))
     cases.append((5, 2, 1, 0, 8, "b+T^2"))
+    # prime fields past the built-in moduli: 2 of every p candidates j − i
+    # (m mod p <= 1) can hold a nonzero binomial
+    for idx, p in enumerate((11, 11, 13, 13)):
+        lam = f"{(1, 2)[idx % 2]}+T+{idx}*T^2"
+        cases.append((p, 1, 1 + idx % 2, idx - 1, (8, 32, 64, 8)[idx], lam))
     return cases
 
 
@@ -274,7 +338,7 @@ def test_specialized_equals_per_term_oracle(p, r, e, v_a, W, lam):
     f = PowerSeriesMap(
         {1: parse_series(lam, field, e, W), p + 1: parse_series(a, field, e, W)}
     )
-    J = {2: 16, 3: 12, 5: 10, 7: 8}[p]
+    J = {2: 16, 3: 12, 5: 10, 7: 8, 11: 35, 13: 41}[p]
     g, oracle = solve_specialized_p_plus_1(f, J, W), solve_specialized_per_term(f, J, W)
     assert g.D == oracle.D and g.source == oracle.source
     for k in range(1, g.D + 1):

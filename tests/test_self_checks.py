@@ -585,3 +585,73 @@ def test_float_walk_flags_each_kind():
         (6, "np.inf"),
         (6, "numpy.nan"),
     ]
+
+
+# numpy's Python-level wrappers, a fixed cost per call that a loop pays
+# at every step: these functions, and the ndarray methods that run
+# through ``numpy/_core/_methods.py``.  Inside a loop, call the ufunc
+# reductions (``np.minimum.reduce``, ``laurent._any``) and the C-level
+# ndarray methods (``.nonzero()``, ``.searchsorted()``) instead
+LOOP_METHODS = {"any", "all", "min", "max", "sum"}
+LOOP_WRAPPERS = {"flatnonzero", "nonzero", "argmax", "argmin", "searchsorted", "where"}
+LOOP_WRAPPERS |= LOOP_METHODS | {"amin", "amax"}
+
+
+def _wrappers_in_loops(source):
+    """(line, call) for every ``np.<wrapper>(...)`` and ``.<method>(...)``
+    call of the lists above inside the body of a ``for`` or ``while``."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in (node for stmt in loop.body for node in ast.walk(stmt)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name, owner = node.func.attr, node.func.value
+            if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+                if name in LOOP_WRAPPERS:
+                    found.add((node.lineno, f"{owner.id}.{name}"))
+            elif name in LOOP_METHODS:
+                found.add((node.lineno, f".{name}"))
+    return sorted(found)
+
+
+def test_no_numpy_wrappers_in_loop_bodies():
+    offenders = [
+        f"{path.name}:{line} {call}"
+        for path in SOURCES
+        for line, call in _wrappers_in_loops(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, f"use ufunc reductions and ndarray methods in loops: {offenders}"
+
+
+def test_loop_walk_flags_each_wrapper():
+    source = (
+        "import numpy as np\n"
+        "def step(rows, j):\n"
+        "    first = np.flatnonzero(rows)\n"
+        "    for i in range(j):\n"
+        "        live = np.flatnonzero(rows[i]), np.nonzero(rows), numpy.where(rows)\n"
+        "        lo, hi = rows.min(), rows[i].max(axis=0)\n"
+        "        while rows.any() and not rows.all():\n"
+        "            k = np.argmax(rows) + np.argmin(rows) + np.searchsorted(rows, j)\n"
+        "            total = rows.sum(axis=1) + np.sum(rows) + sum(rows)\n"
+        "    ok = rows.any(), np.minimum.reduce(rows), rows.nonzero()[0], _any(rows, axis=1)\n"
+        "    for i in range(j):\n"
+        "        lo = np.minimum.reduce(rows[i]), rows.nonzero()[0], rows.searchsorted(j)\n"
+        "        flags = np.logical_or.reduce(rows, axis=1), np.convolve(rows, rows)\n"
+    )
+    assert _wrappers_in_loops(source) == [
+        (5, "np.flatnonzero"),
+        (5, "np.nonzero"),
+        (5, "numpy.where"),
+        (6, ".max"),
+        (6, ".min"),
+        (7, ".all"),
+        (7, ".any"),
+        (8, "np.argmax"),
+        (8, "np.argmin"),
+        (8, "np.searchsorted"),
+        (9, ".sum"),
+        (9, "np.sum"),
+    ]
