@@ -19,13 +19,14 @@ products are exact and sums are taken mod p, so no batch changes a result:
   writes the product's horizons from it.  The data pass convolves the
   pairs of columns that both hold data, self's column j against the
   other's column i trimmed to its nonzero rows, into the window at
-  x^(i+j).  A solve multiplies by f's columns and the stride f^p only,
-  so each factor is formed once; its polynomial is read-only from then
-  on, so no factor goes stale.  ``mul_by_map`` multiplies by a map's
-  exact coefficients, installed as columns by ``of_map`` once per chain
-  of products: each product carries ``map_columns = (f, columns)``, and
-  f's factor with it, to the next (installing them per product made the
-  sweep workload 5% slower);
+  x^(i+j).  A solve multiplies by f's columns, the stride f^p and the
+  gap powers u^g it keeps, so each factor is formed once; its
+  polynomial is read-only from then on, so no factor goes stale.
+  ``mul_by_map`` multiplies by a map's exact coefficients, installed as
+  columns by ``of_map`` once per chain of products: each product
+  carries ``map_columns = (f, columns)``, and f's factor with it, to
+  the next (installing them per product made the sweep workload 5%
+  slower);
 * ``add_scaled``, the accumulation of a scalar multiple of any
   polynomial: one convolution of its data columns with the scalar into
   the sum's windows, whose columns are realigned where their base moves.

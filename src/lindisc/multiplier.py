@@ -68,10 +68,21 @@ class DiscProfile:
         }
 
 
+# the profile ``mult_profile`` formed last, kept with its λ: the stages of
+# one pipeline ask for the profile of one map's λ, the same series object,
+# more than once (a ``disc`` job's default degree, then its solve)
+_last_profile = None
+
+
 def mult_profile(lam):
     """Resonance profile of the unit multiplier λ from t = λ − λ̄.  The
     order m of λ̄ divides q − 1, so p ∤ m and 1 − λ^m = −(m·t/λ̄ + O(t²)):
-    v_m = v(t) > 0.  k' = p·j with p·j ≡ 1 (mod m), 1 <= j <= m."""
+    v_m = v(t) > 0.  k' = p·j with p·j ≡ 1 (mod m), 1 <= j <= m.  Asked
+    again for the series object it profiled last, it returns that
+    profile: series are immutable, so the profile still holds."""
+    global _last_profile
+    if _last_profile is not None and _last_profile.lam is lam:
+        return _last_profile
     if lam.is_zero_as_known:
         raise HypothesisError("multiplier must be a unit, got zero")
     if lam.lead != 0:
@@ -88,7 +99,8 @@ def mult_profile(lam):
     p = lam.field.p
     m = residue.multiplicative_order()
     k_prime = p * pow(p, -1, m) if m > 1 else p
-    return MultiplierProfile(lam, m, t.valuation(), k_prime)
+    _last_profile = MultiplierProfile(lam, m, t.valuation(), k_prime)
+    return _last_profile
 
 
 def small_divisor_valuation(profile, n):

@@ -263,13 +263,23 @@ def _lucas(n, k, p):
     every k_t ≤ n_t, n − k has the digits n_t − k_t, so the product is
     g^(Σ_t log n_t! − log k_t! − log (n_t − k_t)!), a sum that never
     overflows.  A digit k_t > n_t makes the binomial 0; its negative
-    index into ``log_fact`` reads a value that this zero then masks."""
+    index into ``log_fact`` reads a value that this zero then masks.
+    Each digit is one scalar ``divmod`` by p of the quotient before it
+    (floor division, so a negative k has the digits of ⌊k/p^t⌋ mod p),
+    added into the sum at once: a few arrays of n's shape, whatever the
+    number of digits."""
     log_fact, power = _log_factorials(p)
     top, digits = int(n.max(initial=0)), 1
     while p**digits <= top:
         digits += 1
-    places = p ** np.arange(digits, dtype=np.int64).reshape((digits,) + (1,) * n.ndim)
-    dn, dk = n // places % p, k // places % p  # digit t along axis 0
-    dm = dn - dk
-    e = (log_fact[dn] - log_fact[dk] - log_fact[dm]).sum(axis=0) % (p - 1)
-    return power[e] * ((0 <= k) & (k <= n) & (dm.min(axis=0) >= 0))
+    e = np.zeros(n.shape, dtype=np.int64)
+    held = (0 <= k) & (k <= n)
+    for _ in range(digits):
+        n, dn = np.divmod(n, p)
+        k, dk = np.divmod(k, p)
+        dm = dn - dk
+        held &= dm >= 0
+        e += log_fact[dn]
+        e -= log_fact[dk]
+        e -= log_fact[dm]
+    return power[e % (p - 1)] * held

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._dense import DensePoly
+from ._dense import _INF_CUT, DensePoly
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import p_split
 from .laurent import LaurentSeries, _any, _convolve, _invert_unit, _per_batch
@@ -295,16 +295,107 @@ def _small_divisors(profile, ks, window, lows=None):
     return _DivisorTable(field_, ram, ks, leads, inverses, window, powers if scaled else None)
 
 
+def _support(f, D):
+    """(live, support): boolean arrays over the degrees 0 .. D, read off
+    f's degrees.  live[k] holds when k − 1 lies in the additive semigroup
+    S generated by the shifts i − 1 of f's nonlinear degrees i <= D: it
+    says where the running sum of ``solve_sfe`` has a live column.
+    support[k] says where b_k can be nonzero (the support K): at k = 1
+    and at every live k >= 2, for p-divisible maps only where p | k.
+
+    An exact-start power f^l has a live column at x^k exactly when k − l
+    is a sum of at most l shifts: its bases are the min-plus power of f's
+    leads (``_dense``).  The sum Σ_{l<k} b_l f^l takes only the l ∈ K
+    (the other b_l are exact zeros, and no b_l with l ∈ K is one), so it
+    is live at x^k when some l ∈ K below k reaches k with at most l
+    shifts; then k − 1 = (l − 1) + those shifts lies in S.  Conversely,
+    for k − 1 = s_1 + … + s_t in S the part-count bound never binds:
+    * a map with a degree prime to p steps from 1 through 1 + s_1,
+      1 + s_1 + s_2, … one shift at a time, each step from a degree in K;
+    * a p-divisible map has every shift ≡ −1 (mod p), so a degree of K
+      past 1 takes t ≡ 1 (mod p) parts.  For t = 1, l = 1 reaches k by
+      one part.  For t >= 2 the first 1 + p·⌊(t − 2)/p⌋ parts reach some
+      l ∈ K, l >= p (each degree of f is), and the last 1 .. p parts, at
+      most l, reach k.
+    S is formed by one pass per shift s: n ∈ S when n − s is, an OR
+    accumulated down each residue class mod s."""
+    member = np.zeros(D, dtype=bool)  # n = 0 .. D − 1: n ∈ S
+    member[0] = True
+    for s in sorted({i - 1 for i in f.nonlinear_degrees if i <= D}):
+        rows = -(-D // s)
+        grid = np.zeros(rows * s, dtype=bool)
+        grid[:D] = member
+        member = np.logical_or.accumulate(grid.reshape(rows, s), axis=0).reshape(-1)[:D]
+    live = np.zeros(D + 1, dtype=bool)
+    live[1:] = member
+    support = live.copy()
+    if f.divisible_degrees():
+        support[1:] &= np.arange(1, D + 1) % f.field.p == 0
+        support[1] = True
+    return live, support
+
+
+class _GapPowers:
+    """Products by u^g for the gaps g a solve needs: u is the polynomial
+    f^1, whose products go through ``mul_by_map`` (a chain of them
+    installs f's columns once), or the stride f^p of a p-divisible map,
+    multiplied by ``mul`` (``f`` None).
+
+    A needed u^g (g >= 2) is built once, by a chain of products by u from
+    the largest kept u^h with h < g, which keeps every needed power it
+    passes.  The kept powers, each a polynomial and its packed factor (at
+    most twice its bytes), are capped by ``laurent._per_batch``; a gap
+    past that cap is taken as g products by u."""
+
+    def __init__(self, u, f, needed):
+        self.u, self.f, self.needed, self.kept = u, f, needed, {}
+        self.cap = _per_batch(2 * (u.data.nbytes + u.base.nbytes + u.prec.nbytes))
+
+    def _by_u(self, x):
+        return x.mul(self.u) if self.f is None else x.mul_by_map(self.f)
+
+    def times(self, x, g):
+        """x·u^g, for an exact-start power x and g >= 0.  A product by a
+        built u^g carries the columns of f that u^g carries, so a later
+        product by f does not install them again."""
+        power = self.kept.get(g)
+        if power is None:
+            if g < 2 or len(self.kept) >= self.cap:
+                for _ in range(g):
+                    x = self._by_u(x)
+                return x
+            h = max((h for h in self.kept if h < g), default=1)
+            power = self.kept.get(h, self.u)
+            for j in range(h + 1, g + 1):
+                power = self._by_u(power)
+                if j in self.needed and len(self.kept) < self.cap:
+                    self.kept[j] = power
+        out = x.mul(power)
+        out.map_columns = power.map_columns
+        return out
+
+
 def solve_sfe(f, D, window=32):
     """Degree-by-degree term matching: b_k = [x^k](Σ_{l<k} b_l f^l)
-    divided by λ(1 − λ^{k-1}).
+    divided by λ(1 − λ^{k-1}), solved on the support K of b.
 
-    When every nonlinear degree of f is divisible by p, coefficients of
-    degree k > 1 with p ∤ k are proven zero and short-circuited, so only
-    the powers f^{pj} enter the sum: f^p is formed by p − 1 products by f,
-    and each later f^{p(j+1)} as f^{pj}·f^p.  Other maps form every f^k
-    as f^{k-1}·f.  The sum is read at every degree, so the proven zeros
-    are checked against the computed products.
+    The support (``_support``) comes from f's degrees before the loop:
+    b_k can be nonzero only when k − 1 is a sum of shifts i − 1 of f's
+    nonlinear degrees i <= D, and, when every nonlinear degree of f is
+    divisible by p, only when p | k as well.  The divisor table holds the
+    degrees of K only, and f^k is formed only for k ∈ K below D, as
+    f^{k'}·u^g: k' the previous degree of K, u = f, or the stride f^p
+    (p − 1 products by f) for p-divisible maps, and g = (k − k')/step
+    (``_GapPowers``).  Every honest route to f^k gives the same bases,
+    horizons and data (``_dense``), and the sum adds the same b_l·f^l in
+    the same order as the chain of every power (the b_l it skips are
+    exact zeros, which add nothing), so every coefficient is the chain's
+    to the byte.
+
+    The prediction is checked at every degree: the sum's column at x^k
+    must be live exactly where ``_support`` says, else CertificateError.
+    For p-divisible maps a degree k with p ∤ k is a proven zero, and its
+    column must hold no data.
     """
     if D < 1:
         raise HypothesisError(f"degree D must be >= 1, got {D}")
@@ -317,16 +408,26 @@ def solve_sfe(f, D, window=32):
     p = field_.p
     family = f.divisible_degrees()
     step = p if family else 1
-    divisor = _small_divisors(
-        profile, [k for k in range(2, D + 1) if not (family and k % p)], window
-    )
+    live, support = _support(f, D)
+    ks = (support[2:].nonzero()[0] + 2).tolist()
+    divisor = _small_divisors(profile, ks, window)
+    # the gaps, in steps of u, between f^1 (f^p for p-divisible maps,
+    # formed first) and the f^k formed, k ∈ K below D
+    formed = [p if family else 1] + [k for k in ks if k < D]
+    needed = {(k - prev) // step for prev, k in zip(formed, formed[1:])}
+    live, support = live.tolist(), support.tolist()
 
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
-    fpow = DensePoly.of_map(f, D, window)  # the highest power of f formed
+    fpow = DensePoly.of_map(f, D, window)  # f^prev, prev the last degree of K formed
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
-    stride = None  # f^p, for p-divisible maps
+    prev, gaps = 1, None if family else _GapPowers(fpow, f, needed)
     for k in range(2, D + 1):
+        if (acc.prec[k] < _INF_CUT) != live[k]:
+            raise CertificateError(
+                f"the sum at degree {k} is {'an exact zero' if live[k] else 'live'}, "
+                f"against the support of f's degrees {f.nonlinear_degrees}"
+            )
         if family and k % p != 0:
             # columns are reduced and zero past their horizon, so the sum
             # is zero as known exactly when its column holds no data
@@ -337,17 +438,17 @@ def solve_sfe(f, D, window=32):
             b_k = exact_zero
         else:
             s_k = acc.column(k)
-            b_k = exact_zero if s_k.is_exact_zero else s_k * divisor[k]
+            b_k = s_k * divisor[k] if live[k] else exact_zero
         coeffs[k] = b_k
-        if k < D and k % step == 0:
-            if family and k > p:
-                fpow = fpow.mul(stride)
-            else:  # f^{k-1}·f, or f^p from f when k = p
-                for _ in range(k - 1 if family else 1):
+        if k < D and support[k]:
+            if gaps is None:  # f^p from f, the stride of every later power
+                for _ in range(p - 1):
                     fpow = fpow.mul_by_map(f)
-                if family:
-                    # f^p is multiplied only by ``mul``: free f's columns
-                    stride, fpow.map_columns = fpow, None
+                # f^p is multiplied only by ``mul``: free f's columns
+                fpow.map_columns, prev = None, p
+                gaps = _GapPowers(fpow, None, needed)
+            fpow = gaps.times(fpow, (k - prev) // step)
+            prev = k
             acc.add_scaled(b_k, fpow)
     return Conjugacy(coeffs, profile, "term-matching", D)
 
@@ -449,9 +550,9 @@ def _binomial_terms(p, Jmax):
     binomial C(i, q), 0 for q > i.  So each pair q <= i with i + qp <= Jmax
     serves j = i + qp (q >= 1) and j = i + qp + 1 (<= Jmax), and q <= i
     keeps i >= ⌈(j−1)/(p+1)⌉.  ``_per_batch`` sizes the chunks of the one
-    ``binomial_mod_p`` pass over the pairs: ``_lucas`` allocates ten int64
-    entries per digit of i (at most Jmax.bit_length() digits), and it and
-    the build a dozen more.
+    ``binomial_mod_p`` pass over the pairs at ten int64 entries per digit
+    of i (at most Jmax.bit_length() digits) and a dozen more per pair, a
+    bound on what ``_lucas`` and the build hold.
     """
     i = np.arange(Jmax)
     counts = np.minimum(i, (Jmax - i) // p) + 1  # q = 0 .. min(i, ⌊(Jmax − i)/p⌋)

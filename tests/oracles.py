@@ -18,7 +18,7 @@ from lindisc._dense import _INF_CUT, INF, DensePoly, _clamp
 from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.field import p_split
-from lindisc.laurent import LaurentSeries, _convolve
+from lindisc.laurent import LaurentSeries, _any, _convolve
 from lindisc.multiplier import (
     count_resonant,
     lemma_bound,
@@ -199,6 +199,56 @@ def solve_specialized_windowed_terms(f, Jmax, window=32):
         k: b[(k - 1) // p] if (k - 1) % p == 0 else exact_zero for k in range(1, D + 1)
     }
     return Conjugacy(coeffs, profile, "specialized", D)
+
+
+def solve_sfe_chain(f, D, window=32):
+    """``solve_sfe`` before it solved on the support of b: every power
+    f^k its stride allows is formed, f^{k-1}·f, or f^{pj}·f^p for
+    p-divisible maps, and a divisor is tabulated for every such k."""
+    if D < 1:
+        raise HypothesisError(f"degree D must be >= 1, got {D}")
+    if window < 1:
+        raise HypothesisError(f"window must be >= 1, got {window}")
+    profile = mult_profile(f.multiplier)
+    field_, ram = f.field, f.ram
+    one = LaurentSeries.constant(field_, 1, ram)
+    exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
+    p = field_.p
+    family = f.divisible_degrees()
+    step = p if family else 1
+    divisor = _small_divisors(
+        profile, [k for k in range(2, D + 1) if not (family and k % p)], window
+    )
+
+    coeffs = {1: one}
+    acc = DensePoly(field_, ram, D, window)
+    fpow = DensePoly.of_map(f, D, window)  # the highest power of f formed
+    acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
+    stride = None  # f^p, for p-divisible maps
+    for k in range(2, D + 1):
+        if family and k % p != 0:
+            # columns are reduced and zero past their horizon, so the sum
+            # is zero as known exactly when its column holds no data
+            if _any(acc.data[k], axis=None):
+                raise CertificateError(
+                    f"degree {k} should vanish for p-divisible maps, got {acc.column(k)}"
+                )
+            b_k = exact_zero
+        else:
+            s_k = acc.column(k)
+            b_k = exact_zero if s_k.is_exact_zero else s_k * divisor[k]
+        coeffs[k] = b_k
+        if k < D and k % step == 0:
+            if family and k > p:
+                fpow = fpow.mul(stride)
+            else:  # f^{k-1}·f, or f^p from f when k = p
+                for _ in range(k - 1 if family else 1):
+                    fpow = fpow.mul_by_map(f)
+                if family:
+                    # f^p is multiplied only by ``mul``: free f's columns
+                    stride, fpow.map_columns = fpow, None
+            acc.add_scaled(b_k, fpow)
+    return Conjugacy(coeffs, profile, "term-matching", D)
 
 
 def table_compose_horner(outer, inner, D):

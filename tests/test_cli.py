@@ -11,6 +11,7 @@ import pytest
 
 import lindisc.cli
 import lindisc.discs
+import lindisc.field
 import lindisc.powerseries
 from lindisc import FieldParams, PeriodicPoint, PowerSeriesMap, parse_series, verify_indifferent
 from lindisc.cli import main
@@ -144,6 +145,21 @@ def test_disc_report(tmp_path, capsys):
     assert report["certificate"] == "EXACT-SIGMA"
     assert report["degree_closed_sigma"] == 2
     assert report["periodic_point"]["kappa"] == 1
+
+
+def test_a_disc_job_profiles_lambda_once(tmp_path, capsys, monkeypatch):
+    """A ``disc`` job that gives no degree reads λ's profile for its
+    default degree and again in its solve: the profile is formed once."""
+    orders = []
+    order = lindisc.field.FqElement.multiplicative_order
+    monkeypatch.setattr(
+        lindisc.field.FqElement, "multiplicative_order",
+        lambda self: orders.append(self) or order(self),
+    )
+    job = write_job(tmp_path, "q.json", {"p": 3, "lambda": "2+T", "f": {"9": "T"}})
+    code, out, _ = run(capsys, ["disc", "--job", job])
+    assert code == 0 and json.loads(out)["certificate"] == "EXTENDED-RHO"
+    assert len(orders) == 1
 
 
 @pytest.mark.parametrize(

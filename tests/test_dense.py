@@ -407,9 +407,11 @@ def test_products_on_the_reachable_band_equal_the_per_column_oracle(monkeypatch,
 
 
 def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
-    """A solve multiplies by f's columns and, for a p-divisible map, by
-    the stride f^p, and packs each as a right factor once: 2 factors for
-    p-divisible maps over F_2 and F_3, 1 for a map of degree prime to p."""
+    """A solve multiplies by f's columns, by the stride f^p of a
+    p-divisible map and by the gap powers u^g its support needs, and packs
+    each as a right factor once.  F_2, x^2: f and f^2 (K = 1, 2, 4, …).
+    F_3, x^3: f, f^3 and (f^3)^2 (K = 1, 3, 9, 15, 21).  F_2, x^3: f and
+    f^2 (K = the odd degrees).  F_3, x^2: f alone (K = every degree)."""
     import lindisc.schroder
 
     real, formed = DensePoly.__dict__["_factor"].func, []
@@ -422,7 +424,7 @@ def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
     packed.__set_name__(DensePoly, "_factor")
     monkeypatch.setattr(DensePoly, "_factor", packed)
     F2, F3 = FieldParams(2), FieldParams(3)
-    for field, degree, count in ((F2, 2, 2), (F3, 3, 2), (F2, 3, 1), (F3, 2, 1)):
+    for field, degree, count in ((F2, 2, 2), (F3, 3, 3), (F2, 3, 2), (F3, 2, 1)):
         f = PowerSeriesMap({1: parse_series("1+T", field), degree: parse_series("1", field)})
         formed.clear()
         lindisc.schroder.solve_sfe(f, 24)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lindisc.field
 import lindisc.multiplier
 from lindisc import (
     FieldParams,
@@ -58,6 +59,25 @@ def _random_multipliers(rng, field, e, count):
         if i % 2:
             terms.append(f"O({var}^{exps[-1] + rng.randrange(1, 4)})")
         yield parse_series("+".join(terms), field, ram=e)
+
+
+def test_the_last_profile_is_kept_with_its_series(monkeypatch):
+    """Asked again for the series it profiled last, ``mult_profile``
+    returns that profile and forms nothing; an equal series that is
+    another object, or a third series in between, is profiled anew."""
+    orders = []
+    order = lindisc.field.FqElement.multiplicative_order
+    monkeypatch.setattr(
+        lindisc.field.FqElement, "multiplicative_order",
+        lambda self: orders.append(self) or order(self),
+    )
+    lam, twin, other = (parse_series(lit, F4) for lit in ("b+T", "b+T", "1+T^2"))
+    first = mult_profile(lam)
+    assert mult_profile(lam) is first and len(orders) == 1
+    assert mult_profile(twin) == first and mult_profile(twin) is not first
+    mult_profile(other)
+    assert mult_profile(lam) is not first and mult_profile(lam) == first
+    assert len(orders) == 4
 
 
 def test_profile_invariants(monkeypatch):

@@ -296,6 +296,19 @@ def test_lucas_binomials():
                 assert binomial_digits(n, k, p) == comb(n, k) % p
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_lucas_at_many_digits_equals_the_digit_oracle(p):
+    """Up to 40 base-p digits, with k below 0, above n and in between,
+    the array form equals ``binomial_digits`` pair by pair."""
+    rng = np.random.default_rng(p)
+    n = rng.integers(0, 2**40, size=400)
+    k = np.concatenate((rng.integers(-3, 0, 20), n[20:380] - rng.integers(0, 2**40, 360)))
+    k = np.concatenate((np.minimum(k, n[:380]), n[380:] + rng.integers(1, 9, 20)))
+    got = binomial_mod_p(n, k, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [binomial_digits(a, b, p) for a, b in zip(n.tolist(), k.tolist())]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_lucas_array_form_equals_the_scalar_form(p):
     """The array form of ``binomial_mod_p`` on a broadcast grid of n

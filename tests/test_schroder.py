@@ -64,6 +64,7 @@ from oracles import (
     exact_powers,
     over_small_divisor,
     small_divisor_leads_per_entry,
+    solve_sfe_chain,
     solve_specialized_per_term,
     solve_specialized_windowed_terms,
 )
@@ -240,6 +241,166 @@ def test_stride_chain_equals_one_step_chain():
             a, b = g.coefficient(k), reference[k]
             assert (a.lead, a.prec, a.exact) == (b.lead, b.prec, b.exact), (f, k)
             assert a.coeffs.tobytes() == b.coeffs.tobytes(), (f, k)
+
+
+def _coefficient(field, ram, lead, rng, length=2):
+    rows = [random_unit(field, rng)]
+    rows += [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(length - 1)]
+    return LaurentSeries(field, ram, lead, rows, lead + length, exact=True)
+
+
+def _support_cases(p, r, e):
+    """(label, f, D) over F_{p^r}((U)), U^e = T: generic maps and
+    p-divisible ones, the single-term λx + c·x^N of the ``disc`` strata
+    (N = k' and N = p·k'), a degree above D, and D < p."""
+    field, rng = FieldParams(p, r), random.Random(1000 * p + 10 * r + e)
+
+    def build(degrees, lam=None):
+        if lam is None:
+            rows = [random_unit(field, rng), random_unit(field, rng)]
+            lam = LaurentSeries(field, e, 0, rows, 2, exact=True)
+        coeffs = {1: lam}
+        for d in degrees:
+            coeffs[d] = _coefficient(field, e, rng.randrange(-e, 2 * e), rng)
+        return PowerSeriesMap(coeffs)
+
+    cases = []
+    for n in (1, 2, 3):
+        degrees = rng.sample(range(2, 13), n)
+        if all(d % p == 0 for d in degrees):
+            degrees.append(p + 1)
+        cases.append((f"generic{degrees}", build(degrees), 24))
+        multiples = rng.sample(range(p, 5 * p + 1, p), n)
+        cases.append((f"divisible{multiples}", build(multiples), 24))
+    for residue in ([1] + [0] * (r - 1), random_unit(field, rng)):
+        lam = LaurentSeries(field, e, 0, [residue, random_unit(field, rng)], 2, exact=True)
+        kp = mult_profile(lam).k_prime
+        for N in (kp, p * kp):
+            if N <= 40:
+                cases.append((f"single x^{N}", build([N], lam), min(4 * N, 64)))
+    cases.append(("generic above D", build([2 * p + 1, 40]), 20))
+    cases.append(("divisible above D", build([p, 40 * p]), 20))
+    if p > 2:
+        cases.append(("D < p", build([p, 2 * p]), p - 1))
+    cases.append(("D = 1", build([2 * p]), 1))
+    return cases
+
+
+SUPPORT_GRID = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("p, r", SUPPORT_GRID, ids=lambda x: str(x))
+def test_solve_on_the_support_equals_the_chain_of_every_power(p, r):
+    """``solve_sfe``, which forms f^k only on the support of b, equals the
+    chain of every power (``oracles.solve_sfe_chain``) in lead, horizon,
+    exactness and rows at every degree, over F_{p^r} with e = 1, 2, 3."""
+    for e in (1, 2, 3):
+        for label, f, D in _support_cases(p, r, e):
+            g, h = solve_sfe(f, D, window=12), solve_sfe_chain(f, D, window=12)
+            for k in range(1, D + 1):
+                a, b = g.coefficient(k), h.coefficient(k)
+                assert (a.lead, a.prec, a.exact) == (b.lead, b.prec, b.exact), (label, e, k)
+                assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, e, k)
+
+
+@pytest.mark.parametrize("p, r", SUPPORT_GRID, ids=lambda x: str(x))
+def test_support_is_where_the_chain_solves_no_exact_zero(p, r):
+    """The support K that ``_support`` reads off f's degrees is exactly
+    the set of k whose b_k the chain of every power does not find an
+    exact zero."""
+    for e in (1, 2, 3):
+        for label, f, D in _support_cases(p, r, e):
+            _, support = lindisc.schroder._support(f, D)
+            h = solve_sfe_chain(f, D, window=8)
+            nonzero = [k for k in range(1, D + 1) if not h.coefficient(k).is_exact_zero]
+            assert support.nonzero()[0].tolist() == nonzero, (label, e)
+
+
+@pytest.mark.parametrize("stack_bytes", ["one power", "two powers"])
+def test_gap_powers_past_the_cap_take_the_chain(monkeypatch, stack_bytes):
+    """With room for one or two kept gap powers u^g, later gaps are taken
+    as g products by u; every coefficient is still the chain's."""
+    def power_map(field, lam, degrees):
+        coeffs = {1: parse_series(lam, field)}
+        coeffs.update((d, parse_series(f"1+T^{d % 3}", field)) for d in degrees)
+        return PowerSeriesMap(coeffs)
+
+    maps = [  # gaps in steps of u: 2, 5, 2, 3, …; 4, 3, 1, 3, 1, 2, …; 4, 3, 11, 3, 3
+        power_map(F2, "1+T", (6, 16, 20)),
+        power_map(F3, "2+T", (5, 8)),
+        power_map(F3, "1+T", (15, 24)),
+    ]
+    D, W = 80, 8
+    poly = 2 * (D + 1) * 8 * (W * 1 + 2)  # a polynomial and its factor, r = 1
+    budget = {"one power": 1, "two powers": 2 * poly}[stack_bytes]
+    monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
+    real, chained = lindisc.schroder._GapPowers.times, []
+
+    def times(self, x, g):
+        out = real(self, x, g)
+        assert self.cap == {"one power": 1, "two powers": 2}[stack_bytes]
+        assert len(self.kept) <= self.cap
+        chained.append(g >= 2 and g not in self.kept)  # a gap past the cap
+        return out
+
+    monkeypatch.setattr(lindisc.schroder._GapPowers, "times", times)
+    for f in maps:
+        chained.clear()
+        g, h = solve_sfe(f, D, window=W), solve_sfe_chain(f, D, window=W)
+        assert any(chained) and not all(chained)
+        for k in range(1, D + 1):
+            a, b = g.coefficient(k), h.coefficient(k)
+            assert (a.lead, a.prec, a.exact) == (b.lead, b.prec, b.exact), (f, k)
+            assert a.coeffs.tobytes() == b.coeffs.tobytes(), (f, k)
+
+
+@pytest.mark.parametrize(
+    "field, degree, plant, message",
+    [
+        (F2, 2, ("drop", 4), "degree 4 is live"),
+        (F3, 3, ("add", 6), "degree 6 is an exact zero"),
+        (F3, 3, ("add", 4), "degree 4 is an exact zero"),
+        (F2, 3, ("drop", 7), "degree 7 is live"),
+        (F2, 3, ("add", 8), "degree 8 is an exact zero"),
+    ],
+)
+def test_a_wrong_support_prediction_is_caught(monkeypatch, field, degree, plant, message):
+    """``solve_sfe`` checks the support at every degree: a live sum where
+    the support says none, or an exact zero where it says live, is a
+    CertificateError, for p | k and p ∤ k alike."""
+    real = lindisc.schroder._support
+
+    def planted(f, D):
+        live, support = real(f, D)
+        action, k = plant
+        live[k] = support[k] = action == "add"
+        return live, support
+
+    monkeypatch.setattr(lindisc.schroder, "_support", planted)
+    f = PowerSeriesMap({1: parse_series("1+T", field), degree: parse_series("1", field)})
+    with pytest.raises(CertificateError, match=message):
+        solve_sfe(f, 12)
+
+
+# tracemalloc peaks of ``solve_sfe`` over F_2 at D = 4096, W = 32 when every
+# power f^k was formed, measured on the chain of every power
+CHAIN_PEAKS = {"x^2": 7.72 * 2**20, "x^34": 5.30 * 2**20}
+
+
+@pytest.mark.parametrize("degree", [2, 34])
+def test_solve_memory_on_the_support_is_bounded(degree):
+    """The kept gap powers fit ``laurent._STACK_BYTES``: over F_2 at
+    D = 4096, W = 32, a dense λx + x^2 and a sparse λx + x^34 (gaps 16
+    and 33 in steps of f^2) each peak within the chain's peak plus that
+    budget."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), degree: parse_series("1", F2)})
+    tracemalloc.start()
+    try:
+        solve_sfe(f, 4096, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHAIN_PEAKS[f"x^{degree}"] + lindisc.laurent._STACK_BYTES, peak
 
 
 def test_specialized_matches_term_matching():
