@@ -4,15 +4,19 @@ the degree-(p+1) family, and conjugacy residual checks at sample points.
 
 Three independent solvers are provided: term matching against the
 accumulated powers of f (the workhorse), the multinomial recurrence
-(partition enumeration, small degrees), and the specialized recurrence
-for f = λx + a_{p+1} x^{p+1} whose conjugacy is supported on degrees
-j·p + 1.  All three divide through one table (``_small_divisors``),
+(partition enumeration, small degrees), and the binomial recurrence
+for f = λx + a·x^N, whose conjugacy is supported on degrees 1 + J(N − 1)
+and whose powers of f are closed forms.  ``solve_specialized_p_plus_1``
+is its N = p + 1 case; term matching hands it the p-divisible binomial
+maps (p | N) and keeps every other map, the p+1 family included, on
+the dense engine, so the dense engine still checks the p+1 solver.
+All three divide through one table (``_small_divisors``),
 built once per solve: the window-digit inverse of every divisor the
 solver meets, from windowed powers of λ (``_powers``) and one batched
 Newton inverse.  The first two divide by λ − λ^k = λ(1 − λ^{k-1}); the
-specialized recurrence folds λ^{(p+1)i}·a^{-i} into its coefficients,
-so each of its sums is one F_p dot product, and divides by
-λ^j − λ^{(p+1)j} = λ^j(1 − λ^{pj}).  The division never destroys the
+binomial recurrence folds λ^{Ni}·a^{-i} into its coefficients, so each
+of its sums is one F_p dot product, and divides by
+λ^J − λ^{NJ} = λ^J(1 − λ^{(N-1)J}).  The division never destroys the
 justified horizon: the multiplier is an exact literal, so each divisor
 is known to any number of digits and its reciprocal is expanded to the
 full working width.  Only those digits are formed.  In characteristic
@@ -25,6 +29,7 @@ one whose valuation is not the closed form v(1 − λ^n) raises
 CertificateError.
 """
 
+import collections
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -268,7 +273,7 @@ def _small_divisors(profile, ks, window, lows=None):
             )
         raise CertificateError(
             f"divisor valuation {Fraction(int(leads[n]), ram)} != closed form "
-            f"{Fraction(int(expected[n]), ram)} at k = {k}"
+            f"{Fraction(int(expected[n]), ram)} of lambda^{i} - lambda^{k}"
         )
 
     units = np.zeros((len(ks), window, r), dtype=np.int64)
@@ -375,9 +380,42 @@ class _GapPowers:
         return out
 
 
+def _support_miss(f, k, live):
+    """The error of a sum at degree k that is live where the support says
+    it is an exact zero, or the reverse (``live`` the prediction)."""
+    return CertificateError(
+        f"the sum at degree {k} is {'an exact zero' if live else 'live'}, "
+        f"against the support of f's degrees {f.nonlinear_degrees}"
+    )
+
+
 def solve_sfe(f, D, window=32):
     """Degree-by-degree term matching: b_k = [x^k](Σ_{l<k} b_l f^l)
     divided by λ(1 − λ^{k-1}), solved on the support K of b.
+
+    A p-divisible binomial map f = λx + a·x^N (p | N, N its one
+    nonlinear degree) takes the binomial recurrence (``_solve_binomial``):
+    every column of every power is a closed form, so no power of f is
+    formed, and its coefficients are this solve's to the byte.  Every
+    other map, including the binomial maps with p ∤ N (among them the
+    p+1 family), takes the dense engine (``_solve_dense``), which stays
+    the independent check of ``solve_specialized_p_plus_1``.  Both
+    label their result "term-matching".
+    """
+    if D < 1:
+        raise HypothesisError(f"degree D must be >= 1, got {D}")
+    if window < 1:
+        raise HypothesisError(f"window must be >= 1, got {window}")
+    degrees = f.nonlinear_degrees
+    if len(degrees) == 1 and degrees[0] % f.field.p == 0:
+        coefficient, profile = _solve_binomial(f, D, window)
+        coeffs = {k: coefficient(k) for k in range(1, D + 1)}
+        return Conjugacy(coeffs, profile, "term-matching", D)
+    return _solve_dense(f, D, window)
+
+
+def _solve_dense(f, D, window):
+    """``solve_sfe`` on the dense engine, for D >= 1 and window >= 1.
 
     The support (``_support``) comes from f's degrees before the loop:
     b_k can be nonzero only when k − 1 is a sum of shifts i − 1 of f's
@@ -397,10 +435,6 @@ def solve_sfe(f, D, window=32):
     For p-divisible maps a degree k with p ∤ k is a proven zero, and its
     column must hold no data.
     """
-    if D < 1:
-        raise HypothesisError(f"degree D must be >= 1, got {D}")
-    if window < 1:
-        raise HypothesisError(f"window must be >= 1, got {window}")
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
     one = LaurentSeries.constant(field_, 1, ram)
@@ -424,10 +458,7 @@ def solve_sfe(f, D, window=32):
     prev, gaps = 1, None if family else _GapPowers(fpow, f, needed)
     for k in range(2, D + 1):
         if (acc.prec[k] < _INF_CUT) != live[k]:
-            raise CertificateError(
-                f"the sum at degree {k} is {'an exact zero' if live[k] else 'live'}, "
-                f"against the support of f's degrees {f.nonlinear_degrees}"
-            )
+            raise _support_miss(f, k, live[k])
         if family and k % p != 0:
             # columns are reduced and zero past their horizon, so the sum
             # is zero as known exactly when its column holds no data
@@ -541,41 +572,230 @@ def _p_plus_1_shape(f):
     return f.coeffs[p + 1]
 
 
-def _binomial_terms(p, Jmax):
-    """The nonzero binomials C(ip+1, j−i) mod p of the p+1 recurrence,
-    CSR-style: the terms of j = 1 .. Jmax are entries ``offsets[j-1]`` ..
-    ``offsets[j]`` − 1 of ``i`` (a column) and ``c``.
+def _binomial_terms(p, N, held):
+    """The nonzero binomials C(l_i, J − i) mod p, l_i = 1 + i(N − 1), of
+    the binomial recurrence over the held i < Jmax (``held[i]``, Jmax =
+    ``held.size`` − 1), CSR-style: the terms of J = 1 .. Jmax are entries
+    ``offsets[J-1]`` .. ``offsets[J]`` − 1 of ``i`` (a column) and ``c``.
 
-    m = j − i is qp or qp + 1 (Lucas on the last digit), both with the
-    binomial C(i, q), 0 for q > i.  So each pair q <= i with i + qp <= Jmax
-    serves j = i + qp (q >= 1) and j = i + qp + 1 (<= Jmax), and q <= i
-    keeps i >= ⌈(j−1)/(p+1)⌉.  ``_per_batch`` sizes the chunks of the one
-    ``binomial_mod_p`` pass over the pairs at ten int64 entries per digit
-    of i (at most Jmax.bit_length() digits) and a dozen more per pair, a
-    bound on what ``_lucas`` and the build hold.
+    Lucas on the last digit: with l = hp + d, 0 <= d < p, C(l, qp + t) ≡
+    C(h, q)·C(d, t) for 0 <= t < p, which is 0 for t > d and a unit for
+    t <= d.  So each pair q <= h_i with i + qp <= Jmax serves J = i + qp
+    + t for t = 0 .. d_i, i < J <= Jmax, and q <= h_i keeps J − i <= l_i.
+    For N ≡ 1 (mod p) every l_i ends in the digit 1 (h_i = i for
+    N = p + 1): J − i ≡ 0, 1 (mod p).  For p | N the held i are 0 (l = 1)
+    and i ≡ 1 (mod p), whose l_i ≡ 0, so C(l, m) = C(l/p, m/p) when
+    p | m and 0 otherwise.  ``_per_batch`` sizes the chunks of the one
+    ``binomial_mod_p`` pass over the pairs (i, q) at 96 bytes per pair, a
+    measured bound on what a chunk holds at its peak, ``_lucas``' arrays
+    and this loop's: 89 bytes per pair under tracemalloc, whatever the
+    number of digits, for chunks of 10^5 and 10^6 pairs at p = 2 .. 65521
+    with 10 to 19 digits.
     """
-    i = np.arange(Jmax)
-    counts = np.minimum(i, (Jmax - i) // p) + 1  # q = 0 .. min(i, ⌊(Jmax − i)/p⌋)
+    Jmax = held.size - 1
+    i = held[:Jmax].nonzero()[0]
+    h, d = np.divmod(1 + i * (N - 1), p)
+    counts = np.minimum(h, (Jmax - i) // p) + 1  # q = 0 .. min(h, ⌊(Jmax − i)/p⌋)
     ends = np.cumsum(counts)
     starts = ends - counts
-    total = int(ends[-1]) if Jmax else 0
-    step = _per_batch(8 * (10 * int(Jmax).bit_length() + 12))
+    total = int(ends[-1]) if i.size else 0
+    step = _per_batch(96)
     found = [np.zeros((3, 0), dtype=np.int64)]
     for lo in range(0, total, step):
-        flat = np.arange(lo, min(lo + step, total))
-        i = ends.searchsorted(flat, side="right")
-        q = flat - starts[i]
-        c = binomial_mod_p(i, q, p)
+        q = np.arange(lo, min(lo + step, total))
+        at = ends.searchsorted(q, side="right")
+        q -= starts[at]
+        c = binomial_mod_p(h[at], q, p)
         keep = c.nonzero()
-        found.append(np.stack((i[keep], q[keep], c[keep])))
-    i, q, c = np.concatenate(found, axis=1)
+        found.append(np.stack((at[keep], q[keep], c[keep])))
+    at, q, c = np.concatenate(found, axis=1)
+    i, d = i[at], d[at]
     j = i + q * p
-    low, high = q > 0, j < Jmax  # m = qp, and m = qp + 1
-    j = np.concatenate((j[low], j[high] + 1))
+    sel = q.nonzero()[0]  # t = 0 needs q >= 1
+    parts, unit = [(j[sel], i[sel], c[sel])], c  # unit = C(h, q)·C(d, t) mod p
+    for t in range(1, int(d.max(initial=0)) + 1):
+        unit = unit * (d - t + 1) % p * pow(t, -1, p) % p
+        sel = ((t <= d) & (j + t <= Jmax)).nonzero()[0]
+        parts.append((j[sel] + t, i[sel], unit[sel]))
+    j, i, c = (np.concatenate(x) for x in zip(*parts))
     order = j.argsort(kind="stable")
     offsets = [0] + np.cumsum(np.bincount(j, minlength=Jmax + 1)[1:]).tolist()
-    i, c = (np.concatenate((x[low], x[high]))[order] for x in (i, c))
-    return i[:, None], c, offsets
+    return i[order, None], c[order], offsets
+
+
+def _solve_binomial(f, D, window):
+    """(k -> b_k for k = 1 .. D, profile) for the conjugacy of a binomial
+    map f = λx + a·x^N, N >= 2 the one nonlinear degree of f: the
+    recurrence of ``solve_specialized_p_plus_1`` (N = p + 1) and of
+    ``solve_sfe``'s p-divisible binomial maps (p | N).  Each b_k is the
+    dense term-matching solve's in lead, horizon, exactness and rows.
+
+    The recurrence.  With s = N − 1, f^l = Σ_j C(l, j)·λ^{l−j}·a^j·x^{l+js},
+    so from b_1 = x only the degrees 1 + Js are reached; write b_J for
+    b_{1+Js} and l_i = 1 + is.  Matching x^{1+Js} gives
+
+    b_J = (Σ_i C(l_i, J−i)·b_i·λ^{1+iN−J}·a^{J−i}) / (λ − λ^{1+Js})
+
+    over the live terms: b_i not an exact zero and 1 <= J − i <= l_i, that
+    is ⌈(J−1)/N⌉ <= i <= J − 1.  With B_i = b_i·λ^{Ni}·a^{−i} the term of
+    b_i is C(l_i, J−i)·B_i·λ^{1−J}·a^J, so with T_J = 1/(λ^J − λ^{NJ}) and
+    S_J = Σ_i C(l_i, J−i)·B_i,
+
+        b_J = S_J·a^J·T_J,    B_J = S_J·λ^{NJ}·T_J = S_J·(λ^J·T_J − 1),
+
+    and no inverse of a or λ is formed.  T_J comes from the divisor
+    table, whose Newton run inverts the unit of λ^J(1 − λ^{sJ}), and
+    λ^{NJ}·T_J = λ^{sJ}/(1 − λ^{sJ}) = λ^J·T_J − 1.  Both factor stacks,
+    a^J·T_J and λ^J·T_J − 1, are one batched product each, of ``window``
+    rows of λ^J and a^J, each read from a ``_powers`` array: λ's is the
+    divisor table's, whose ``lows`` run up to Jmax, and a's is formed
+    once, up to a^Jmax.
+
+    The support.  The held i are those with b_{l_i} not an exact zero, as
+    ``_support`` predicts (every i for p ∤ N; 0 and i ≡ 1 (mod p) for
+    p | N, where p | l_i).  The sum at x^{1+Js} is live when a held i lies
+    in ⌈(J−1)/N⌉ .. J − 1, and no other degree is reached; that must be
+    ``_support``'s prediction at every degree, else CertificateError with
+    the dense path's text.  A nonzero binomial at a J that is not held
+    would give b_{1+Js} a digit where p ∤ 1 + Js: CertificateError.
+    Only the held J >= 1 are solved, and the table divides only there.
+
+    The horizon, by ``DensePoly.add_scaled``'s minimum rule.  The column
+    of f^{l_i} at x^{1+Js} is exact with lead c = (J−i)·L(a), known to
+    c + W in the dense engine, and holds digits exactly when its binomial
+    is nonzero.  So the term of b_i caps the sum's horizon at c + P(b_i)
+    for a nonzero binomial (P the horizon, L + W for the exact b_1), and
+    at c + L(b_i) + W for a zero one, whose column holds no data (L the
+    lead, or the horizon of a b_i zero to precision).  λ is a unit
+    (``mult_profile`` rejects any other) and λ and a are exact
+    (``PowerSeriesMap`` takes no other coefficients), so B_i has the
+    digits of b_i at lead L(b_i) − i·L(a), and S_J is known below H_S,
+    the least over the live terms of L(B_i) + digits(B_i) (nonzero
+    binomial) and L(B_i) + W (zero binomial), with a B_i zero to
+    precision at lead its horizon and no digits.  The zero caps bind for
+    p | N (not seen for N = p + 1, where the term i = J − 1 always has
+    the binomial 1); they set the horizon of a live sum with no nonzero
+    binomial, a zero to precision (never an exact zero: its terms are
+    live).  The
+    term sum, S_J·λ^{1−J}·a^J, is known below H_S + J·L(a), and its lead
+    differs from L(S_J) by the same J·L(a).  So b_J = S_J·(a^J·T_J), with
+    a^J·T_J known to ``window`` digits like the table entry
+    1/(λ − λ^{1+Js}) the sum would be divided by, gets the lead, horizon,
+    rows and exactness that quotient gets.  Row k of a product depends
+    only on rows <= k of its factors, so ``window`` rows of each power
+    lose nothing: no B_i knows more than ``window`` digits (the exact
+    b_1 = 1 is read to ``window`` digits, every later one is a sum times
+    a ``window``-digit factor), so H_S − lo <= ``window``, lo the least
+    L(B_i) with a nonzero binomial, or H_S when that is less.
+
+    The loop.  ``_binomial_terms`` forms the nonzero binomials of every J
+    in one ``binomial_mod_p`` pass before it and stores them CSR-style,
+    flat arrays of i and c with Python-int offsets per J, so each J
+    reads its terms as two slices.  S_J is an F_p-linear combination of
+    the rows of the B_i, aligned by lead: one integer dot product of the
+    J-th row of binomials against the gathered rows, reduced mod p.  The
+    rows of each B_i are stored past its lead, ``window`` + 1 of them
+    with the last always zero, and the gather reads row t − L(B_i) at
+    each exponent t, the zero row where that is negative.  The zero caps
+    read the least lead of the live range off a sliding-window minimum: a
+    deque of the held i's leads, increasing, whose front leaves when it
+    falls below ⌈(J−1)/N⌉.  Per J that, the dot product and the product
+    B_J = S_J·(λ^J·T_J − 1) are the only work; the rest is ufunc
+    reductions and ndarray methods.  The dot product sums at most J
+    addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
+    The returned function keeps S_J and a^J·T_J and forms
+    b_J = S_J·(a^J·T_J), one product, per call: the p+1 solve calls it
+    when a coefficient is first read (``certify_divergence`` reads Nmax
+    of the Jmax coefficients), ``solve_sfe`` for every degree, since its
+    readers read them all.
+    """
+    (N,) = f.nonlinear_degrees
+    a = f.coeffs[N]
+    profile = mult_profile(f.multiplier)
+    field_, ram = f.field, f.ram
+    p, r, W, s = field_.p, field_.r, window, N - 1
+    one = LaurentSeries.constant(field_, 1, ram)
+    exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
+    Jmax = (D - 1) // s
+    live, support = _support(f, D)
+    held = support[1::s]  # b_{1+is} is not an exact zero, i = 0 .. Jmax
+    Js = np.arange(1, Jmax + 1)
+    below = np.concatenate(([0], np.cumsum(held)))  # held i below each index
+    reached = np.zeros(D + 1, dtype=bool)
+    reached[1 + s :: s] = below[Js] > below[(Js + N - 2) // N]
+    missed = (reached[2:] != live[2:]).nonzero()[0]
+    if missed.size:
+        k = int(missed[0]) + 2
+        raise _support_miss(f, k, live[k])
+    I, C, offsets = _binomial_terms(p, N, held)
+    off = ((np.diff(offsets) > 0) & ~held[1:]).nonzero()[0]
+    if off.size:
+        raise CertificateError(
+            f"degree {1 + (int(off[0]) + 1) * s} should vanish for p-divisible "
+            "maps, got a nonzero binomial"
+        )
+
+    Ks = (held[1:].nonzero()[0] + 1).tolist()  # the J >= 1 solved
+    T = _small_divisors(profile, [N * J for J in Ks], W, lows=Ks)
+    lam_rows = _rows(T.lam_powers, W)[Ks]
+    a_rows = _rows(_powers(a, Jmax, W), W)[Ks]
+    lead_T = T.leads  # T_J has lead −lead_T[n], and U^0 sits at row lead_T[n]
+    G = _convolve(field_, lam_rows, T.rows, W)  # λ^J·T_J
+    inside = (lead_T < W).nonzero()[0]
+    G[inside, lead_T[inside], 0] -= 1
+    G %= p  # λ^{NJ}·T_J, lead −lead_T
+    F = _convolve(field_, a_rows, T.rows, W)  # a^J·T_J, lead J·L(a) − lead_T
+    lead_T = lead_T.tolist()
+
+    ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
+    B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
+    B[0, 0, 0] = 1
+    bounds = np.zeros((Jmax + 1, 2), dtype=np.int64)  # lead and lead + digits of B_i
+    bounds[0, 1] = W
+    # (L(B_i), i) for the held i below J whose lead no later held i
+    # undercuts, leads increasing: the least L(B_i) of a live range first
+    least = collections.deque([(0, 0)])
+    S = np.zeros((len(Ks), W, r), dtype=np.int64)
+    S_lead, S_digits = [0] * len(Ks), [0] * len(Ks)
+    for n, J in enumerate(Ks):
+        start, stop = offsets[J - 1], offsets[J]
+        i = I[start:stop]
+        held_bounds = bounds[i]
+        while least[0][1] < (J + N - 2) // N:
+            least.popleft()
+        # every live term caps at L(B_i) + W, a zero-binomial term no less
+        ((lo, H),) = np.minimum.reduce(held_bounds, initial=least[0][0] + W).tolist()
+        at = lo - held_bounds[..., 0] + ramp[: H - lo]
+        np.maximum(at, -1, out=at)
+        s_J = (C[start:stop] @ B[i, at].reshape(stop - start, (H - lo) * r)).reshape(-1, r)
+        s_J %= p
+        nonzero = _any(s_J, axis=1).nonzero()[0]
+        first = lo + int(nonzero[0]) if nonzero.size else H
+        digits = H - first
+        S[n, :digits] = s_J = s_J[first - lo :]
+        S_lead[n], S_digits[n] = first, digits
+        if digits:
+            B[J, :digits] = _convolve(field_, s_J, G[n], digits)
+        lead = first - lead_T[n]
+        bounds[J] = lead, H - lead_T[n]
+        while least and least[-1][0] >= lead:
+            least.pop()
+        least.append((lead, J))
+    leads = [first + J * a.lead - t for J, first, t in zip(Ks, S_lead, lead_T)]
+    index = {J: n for n, J in enumerate(Ks)}
+
+    def coefficient(k):  # b_k = S_J·(a^J·T_J) for k = 1 + Js, J held
+        if k == 1:
+            return one
+        J, rest = divmod(k - 1, s)
+        n = None if rest else index.get(J)
+        if n is None:
+            return exact_zero
+        lead, digits = leads[n], S_digits[n]
+        rows = _convolve(field_, S[n], F[n], digits) if digits else S[n, :0]
+        return LaurentSeries(field_, ram, lead, rows, lead + digits)
+
+    return coefficient, profile
 
 
 def solve_specialized_p_plus_1(f, Jmax, window=32):
@@ -586,120 +806,18 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
           / (λ(1 − λ^{jp}))
 
     with binomials mod p by Lucas.  All other degrees are structural
-    zeros.  Solves up to degree D = Jmax·p + 1.
-
-    The fold.  The term of b_i is C(ip+1, j-i)·B_i·λ^{1-j}·a^j with
-    B_i = b_i·λ^{(p+1)i}·a^{-i}, so with T_j = 1/(λ^j − λ^{(p+1)j}) and
-    S_j = Σ_i C(ip+1, j-i)·B_i,
-
-        b_j = S_j·a^j·T_j,    B_j = S_j·λ^{(p+1)j}·T_j,
-
-    and no inverse of a or λ is formed.  T_j comes from the divisor
-    table, whose Newton run inverts the unit of λ^j(1 − λ^{pj}), and
-    λ^{(p+1)j}·T_j = λ^{pj}/(1 − λ^{pj}) = λ^j·T_j − 1.  Both factor
-    stacks, a^j·T_j and λ^j·T_j − 1, are one batched product each, of
-    ``window`` rows of λ^1 .. λ^Jmax and a^1 .. a^Jmax, each read from a
-    ``_powers`` array: λ's is the divisor table's, whose ``lows`` run up
-    to Jmax, and a's is formed once, up to a^Jmax.  S_j is an
-    F_p-linear combination of the rows of the B_i, aligned by lead: one
-    integer dot product of the j-th row of binomials against the
-    gathered rows, reduced mod p.  Per j that and the product
-    B_j = S_j·(λ^{(p+1)j}·T_j) are the only work.  The returned
-    ``Conjugacy`` keeps S_j and a^j·T_j and forms b_j = S_j·(a^j·T_j),
-    one product, when b_{jp+1} is first read: ``certify_divergence``
-    reads Nmax of the Jmax coefficients.  The rows of each B_i are
-    stored past its lead, ``window`` + 1 of them with the last always
-    zero, and the gather reads row t − lead(B_i) at each exponent t,
-    the zero row where that is negative.
-
-    The horizon.  λ is a unit (``mult_profile`` rejects any other), and
-    λ and a are exact (``PowerSeriesMap`` takes no other coefficients),
-    so B_i has the digits of b_i at lead L(b_i) − i·L(a), and S_j is
-    known below H_S, the least L(B_i) + digits(B_i) over the nonzero
-    binomials (a B_i that is zero to precision caps H_S and adds no
-    rows).  The term sum of the recurrence, S_j·λ^{1-j}·a^j, is known
-    below H = H_S + j·L(a), and L(S_j) and L(sum) differ by that same
-    j·L(a).  So b_j = S_j·(a^j·T_j), with a^j·T_j known to ``window``
-    digits like the table entry 1/(λ − λ^{jp+1}) the sum would be
-    divided by, gets the lead, horizon, rows and exactness that
-    quotient gets.  Row k of a product depends only on rows <= k of its
-    factors, so ``window`` rows of each power lose nothing: no B_i
-    knows more than ``window`` digits (the exact b_0 = 1 is read to
-    ``window`` digits, every later one is a sum times a ``window``-digit
-    factor), so H_S − min L(B_i) <= ``window``.  The term i = j − 1 has
-    C((j−1)p+1, 1) ≡ 1, so no sum is empty and no b_j is an exact zero.
-
-    The binomials.  ip + 1 ends in the base-p digit 1, so by Lucas
-    C(ip+1, m) ≡ C(1, m mod p)·C(i, ⌊m/p⌋): only m = j − i with
-    m mod p <= 1 can give a nonzero term, and its binomial has one digit
-    fewer.  ``_binomial_terms`` forms the nonzero ones of every j in one
-    ``binomial_mod_p`` pass before the loop and stores them CSR-style,
-    flat arrays of i and c with Python-int offsets per j, so each j
-    reads its terms as two slices.  The rest of a step is ufunc
-    reductions and ndarray methods, its gather index built from one
-    ``arange`` per solve.  The dot product sums at most j addends c·x
-    with c, x < p, below j·p² < 2^63 for j < 2^31 (p < 2^16).
+    zeros.  Solves up to degree D = Jmax·p + 1: the binomial recurrence
+    (``_solve_binomial``) at N = p + 1, whose coefficients are built when
+    first read.  The term i = j − 1 has C((j−1)p+1, 1) ≡ 1, so no sum is
+    empty and no b_j is an exact zero.
     """
     if Jmax < 0:
         raise HypothesisError(f"Jmax must be >= 0, got {Jmax}")
     if window < 1:
         raise HypothesisError(f"window must be >= 1, got {window}")
-    a = _p_plus_1_shape(f)
-    profile = mult_profile(f.multiplier)
-    field_, ram = f.field, f.ram
-    p, r, W = field_.p, field_.r, window
-    D = Jmax * p + 1
-    one = LaurentSeries.constant(field_, 1, ram)
-    exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
-    js = range(1, Jmax + 1)
-    T = _small_divisors(profile, [(p + 1) * j for j in js], W, lows=js)
-    lam_rows = _rows(T.lam_powers, W)[1 : Jmax + 1]
-    a_rows = _rows(_powers(a, Jmax, W), W)[1:]
-    lead_T = T.leads  # T_j has lead −lead_T[j-1], and U^0 sits at row lead_T
-    G = _convolve(field_, lam_rows, T.rows, W)  # λ^j·T_j
-    inside = (lead_T < W).nonzero()[0]
-    G[inside, lead_T[inside], 0] -= 1
-    G %= p  # λ^{(p+1)j}·T_j, lead −lead_T
-    F = _convolve(field_, a_rows, T.rows, W)  # a^j·T_j, lead j·L(a) − lead_T
-    lead_T = lead_T.tolist()
-
-    I, C, offsets = _binomial_terms(p, Jmax)
-    ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
-    B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
-    B[0, 0, 0] = 1
-    bounds = np.zeros((Jmax + 1, 2), dtype=np.int64)  # lead and lead + digits of B_i
-    bounds[0, 1] = W
-    S = np.zeros((Jmax, W, r), dtype=np.int64)
-    S_lead, S_digits = [0] * Jmax, [0] * Jmax
-    for j in js:
-        start, stop = offsets[j - 1], offsets[j]
-        i = I[start:stop]
-        held = bounds[i]
-        ((lo, H),) = np.minimum.reduce(held).tolist()
-        at = lo - held[..., 0] + ramp[: H - lo]
-        np.maximum(at, -1, out=at)
-        s = (C[start:stop] @ B[i, at].reshape(stop - start, -1)).reshape(-1, r)
-        s %= p
-        nonzero = _any(s, axis=1).nonzero()[0]
-        first = lo + int(nonzero[0]) if nonzero.size else H
-        digits = H - first
-        S[j - 1, :digits] = s_j = s[first - lo :]
-        S_lead[j - 1], S_digits[j - 1] = first, digits
-        if digits:
-            B[j, :digits] = _convolve(field_, s_j, G[j - 1], digits)
-        bounds[j] = first - lead_T[j - 1], H - lead_T[j - 1]
-    leads = [s + j * a.lead - t for j, s, t in zip(js, S_lead, lead_T)]
-
-    def coefficient(k):  # b_k = S_j·(a^j·T_j) for k = jp + 1, on its digits
-        j, rest = divmod(k - 1, p)
-        if rest:
-            return exact_zero
-        if j == 0:
-            return one
-        lead, n = leads[j - 1], S_digits[j - 1]
-        rows = _convolve(field_, S[j - 1], F[j - 1], n) if n else S[j - 1, :0]
-        return LaurentSeries(field_, ram, lead, rows, lead + n)
-
+    _p_plus_1_shape(f)
+    D = Jmax * f.field.p + 1
+    coefficient, profile = _solve_binomial(f, D, window)
     return Conjugacy(_Coefficients(D, coefficient), profile, "specialized", D)
 
 

@@ -436,7 +436,7 @@ def small_divisor_leads_per_entry(profile, ks, window, lows=None):
         if lead * expected.denominator != expected.numerator * ram:
             raise CertificateError(
                 f"divisor valuation {Fraction(lead, ram)} != closed form "
-                f"{expected} at k = {k}"
+                f"{expected} of lambda^{i} - lambda^{k}"
             )
         leads.append(lead)
     return leads

@@ -69,9 +69,10 @@ def traced_solve(tmp_path, f):
 
 
 def test_tracer_and_capture_wrap_a_job_and_undo(tmp_path, capsys):
-    """A p-divisible map: one product by f builds f^2, later powers are
-    products by f^2."""
-    tracer = traced_solve(tmp_path, {"2": "1"})
+    """A p-divisible map with two nonlinear degrees, so the dense engine
+    solves it: one product by f builds f^2, later powers are products by
+    f^2."""
+    tracer = traced_solve(tmp_path, {"2": "1", "4": "T"})
     assert tracer.stats["dense.mul_by_map"][0] == 1
     assert tracer.stats["dense.add_scaled"][0] > 0
     assert tracer.counts["dense.bytes_computed"] > 0

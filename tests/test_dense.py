@@ -407,9 +407,11 @@ def test_products_on_the_reachable_band_equal_the_per_column_oracle(monkeypatch,
 
 
 def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
-    """A solve multiplies by f's columns, by the stride f^p of a
+    """The dense solve multiplies by f's columns, by the stride f^p of a
     p-divisible map and by the gap powers u^g its support needs, and packs
-    each as a right factor once.  F_2, x^2: f and f^2 (K = 1, 2, 4, …).
+    each as a right factor once (``solve_sfe`` takes the binomial
+    recurrence for the p-divisible maps here, so the dense loop is called
+    directly).  F_2, x^2: f and f^2 (K = 1, 2, 4, …).
     F_3, x^3: f, f^3 and (f^3)^2 (K = 1, 3, 9, 15, 21).  F_2, x^3: f and
     f^2 (K = the odd degrees).  F_3, x^2: f alone (K = every degree)."""
     import lindisc.schroder
@@ -427,7 +429,7 @@ def test_a_solve_forms_one_factor_per_right_operand(monkeypatch):
     for field, degree, count in ((F2, 2, 2), (F3, 3, 3), (F2, 3, 2), (F3, 2, 1)):
         f = PowerSeriesMap({1: parse_series("1+T", field), degree: parse_series("1", field)})
         formed.clear()
-        lindisc.schroder.solve_sfe(f, 24)
+        lindisc.schroder._solve_dense(f, 24, 32)
         assert len(formed) == count, (field.p, degree)
 
 
@@ -849,7 +851,8 @@ def test_a_modified_polynomial_no_longer_passes_for_a_maps_columns():
 
 def test_a_solves_map_columns_are_freed_without_the_cycle_collector(monkeypatch):
     """The columns f's products carry hold no reference cycle, so they go
-    with the last product, not at the next run of the cycle collector."""
+    with the last product of the dense solve, not at the next run of the
+    cycle collector."""
     import gc
     import weakref
 
@@ -867,18 +870,18 @@ def test_a_solves_map_columns_are_freed_without_the_cycle_collector(monkeypatch)
     monkeypatch.setattr(DensePoly, "of_map", classmethod(of_map))
     gc.disable()
     try:
-        lindisc.schroder.solve_sfe(f, 12)
+        lindisc.schroder._solve_dense(f, 12, 32)
         assert made and all(ref() is None for ref in made)
     finally:
         gc.enable()
 
 
 def test_the_stride_drops_the_columns_of_f_once_formed(monkeypatch):
-    """For a p-divisible map f^p, the stride of every later power, is
-    multiplied only by ``mul``, so it drops the columns of f its products
-    carried: by the first product by f^p, no polynomial ``of_map`` made
-    is alive, and no (D + 1)·W·r block of f's columns is held to the end
-    of the solve."""
+    """For a p-divisible map f^p, the stride of every later power of the
+    dense solve, is multiplied only by ``mul``, so it drops the columns of
+    f its products carried: by the first product by f^p, no polynomial
+    ``of_map`` made is alive, and no (D + 1)·W·r block of f's columns is
+    held to the end of the solve."""
     import gc
     import weakref
 
@@ -903,7 +906,7 @@ def test_the_stride_drops_the_columns_of_f_once_formed(monkeypatch):
     monkeypatch.setattr(DensePoly, "mul", mul)
     gc.disable()
     try:
-        lindisc.schroder.solve_sfe(f, 12)
+        lindisc.schroder._solve_dense(f, 12, 32)
     finally:
         gc.enable()
     assert len(alive) == 4 and not any(alive), alive

@@ -39,6 +39,7 @@ from lindisc.discs import check_bkprime_zero_extension
 from lindisc.errors import (
     CertificateError,
     HypothesisError,
+    LindiscError,
     PrecisionError,
     RootOfUnityError,
 )
@@ -303,6 +304,119 @@ def test_solve_on_the_support_equals_the_chain_of_every_power(p, r):
                 assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, e, k)
 
 
+def _binomial_cases(p, r):
+    """(label, f, D) over F_{p^r}((U)), U^e = T: two maps λx + a·x^N for
+    each N = p, 2p, p², p + 1, e = 1, 2, 3 in turn, λ a unit with a tail
+    up to U^4 and a of one or two terms; one D below N and one from N on."""
+    field, rng = FieldParams(p, r), random.Random(7000 + 10 * p + r)
+    cases = []
+    for n, N in enumerate((p, 2 * p, p * p, p + 1) * 2):
+        e, tail = 1 + (n + p + r) % 3, rng.randint(1, 4)
+        rows = [random_unit(field, rng)]
+        rows += [[rng.randrange(p) for _ in range(r)] for _ in range(tail - 1)]
+        lam = LaurentSeries(field, e, 0, rows + [random_unit(field, rng)], tail + 1, exact=True)
+        a = _coefficient(field, e, rng.randrange(-e, 2 * e), rng, rng.randint(1, 2))
+        f = PowerSeriesMap({1: lam, N: a})
+        for D in (rng.randrange(1, N), rng.randint(N, max(N, 60))):
+            cases.append((f"x^{N}, e = {e}, D = {D}", f, D))
+    return cases
+
+
+def _binomial_solve(f, D, window):
+    """The binomial recurrence: ``solve_specialized_p_plus_1`` for
+    N = p + 1 (up to the largest jp + 1 <= D), the route of ``solve_sfe``
+    for p | N.  Returns the conjugacy and its degree."""
+    p = f.field.p
+    if f.nonlinear_degrees == [p + 1]:
+        g = solve_specialized_p_plus_1(f, (D - 1) // p, window)
+        return g, g.D
+    return solve_sfe(f, D, window), D
+
+
+def _assert_bytes_equal(g, h, D, label):
+    for k in range(1, D + 1):
+        a, b = g.coefficient(k), h.coefficient(k)
+        assert (a.lead, a.prec, a.exact) == (b.lead, b.prec, b.exact), (label, k)
+        assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, k)
+
+
+@pytest.mark.parametrize("p, r", SUPPORT_GRID, ids=lambda x: str(x))
+def test_binomial_recurrence_equals_the_chain(p, r):
+    """The binomial recurrence equals the chain of every power
+    (``oracles.solve_sfe_chain``) in lead, horizon, exactness and rows at
+    every degree, for p | N (``solve_sfe``'s route) and N = p + 1
+    (``solve_specialized_p_plus_1``), D < N included."""
+    for label, f, D in _binomial_cases(p, r):
+        g, D = _binomial_solve(f, D, 12)
+        _assert_bytes_equal(g, solve_sfe_chain(f, D, window=12), D, label)
+
+
+def test_binomial_recurrence_takes_the_zero_binomial_caps():
+    """Over F_2 with λ = 1 + T^2 + T^3 + T^4, f = λx + T^2·x^6, D = 28,
+    W = 16, a zero binomial caps the horizon of b_26 at 20: taking only
+    the nonzero binomials would give 22.  The route equals the chain."""
+    f = PowerSeriesMap({1: parse_series("1+T^2+T^3+T^4", F2), 6: parse_series("T^2", F2)})
+    g = solve_sfe(f, 28, 16)
+    assert g.source == "term-matching"
+    assert g.coefficient(26).prec == 20
+    _assert_bytes_equal(g, solve_sfe_chain(f, 28, 16), 28, "F_2, x^6")
+
+
+def _raised(solve):
+    try:
+        solve()
+    except LindiscError as error:
+        return type(error)
+    return None
+
+
+@pytest.mark.parametrize("fault", ["degree", "window", "root", "vanish", "valuation"])
+def test_binomial_recurrence_raises_as_the_chain(monkeypatch, fault):
+    """Each fault raises the chain's error type in the binomial recurrence:
+    D or the window below one, λ a root of unity, a divisor 1 − λ^u that
+    vanishes to the window, a divisor valuation off the closed form (u
+    and the exponent p^s·u each one the solve reads)."""
+    maps = [  # field, λ, N, D, u, p^s·u
+        (F2, "1+T", 2, 12, 3, 5),
+        (F3, "2+T", 6, 30, 5, 20),
+        (F2, "1+T^2", 3, 13, 3, 6),
+        (F3, "1+T", 4, 16, 5, 12),
+    ]
+    for field, lam, N, D, u, n in maps:
+        if fault == "root":
+            lam = "1"
+        f = PowerSeriesMap({1: parse_series(lam, field), N: parse_series("1", field)})
+        D, W = {"degree": 0, "window": D}.get(fault, D), 0 if fault == "window" else 12
+        with monkeypatch.context() as patch:
+            if fault == "vanish":
+                _planted_powers(patch, u)
+            if fault == "valuation":
+                _planted_valuation(patch, n)
+            want = _raised(lambda: solve_sfe_chain(f, D, W))
+            if N == field.p + 1:
+                got = _raised(lambda: solve_specialized_p_plus_1(f, (D - 1) // field.p, W))
+            else:
+                got = _raised(lambda: solve_sfe(f, D, W))
+        assert want is not None and got is want, (N, fault, got, want)
+
+
+def test_binomial_recurrence_checks_a_planted_binomial(monkeypatch):
+    """A nonzero binomial planted at a degree off the support (p ∤ k) of
+    a p-divisible binomial map is a CertificateError."""
+    real = lindisc.schroder._binomial_terms
+
+    def planted(p, N, held):
+        i, c, offsets = real(p, N, held)
+        at = offsets[1]  # one more term for J = 2, k = 1 + 2(N − 1)
+        i, c = np.insert(i, at, [[1]], axis=0), np.insert(c, at, 1)
+        return i, c, offsets[:2] + [n + 1 for n in offsets[2:]]
+
+    monkeypatch.setattr(lindisc.schroder, "_binomial_terms", planted)
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    with pytest.raises(CertificateError, match="degree 3 should vanish"):
+        solve_sfe(f, 12)
+
+
 @pytest.mark.parametrize("p, r", SUPPORT_GRID, ids=lambda x: str(x))
 def test_support_is_where_the_chain_solves_no_exact_zero(p, r):
     """The support K that ``_support`` reads off f's degrees is exactly
@@ -382,17 +496,18 @@ def test_a_wrong_support_prediction_is_caught(monkeypatch, field, degree, plant,
         solve_sfe(f, 12)
 
 
-# tracemalloc peaks of ``solve_sfe`` over F_2 at D = 4096, W = 32 when every
-# power f^k was formed, measured on the chain of every power
-CHAIN_PEAKS = {"x^2": 7.72 * 2**20, "x^34": 5.30 * 2**20}
+# tracemalloc peaks over F_2 at W = 32 of the chain of every power f^k
+# (``oracles.solve_sfe_chain``): λx + x^2 and λx + x^34 at D = 4096,
+# λx + x^2 + x^4 at D = 2048
+CHAIN_PEAKS = {"x^2": 7.72 * 2**20, "x^34": 5.30 * 2**20, "x^2 + x^4": 4.84 * 2**20}
 
 
 @pytest.mark.parametrize("degree", [2, 34])
 def test_solve_memory_on_the_support_is_bounded(degree):
-    """The kept gap powers fit ``laurent._STACK_BYTES``: over F_2 at
-    D = 4096, W = 32, a dense λx + x^2 and a sparse λx + x^34 (gaps 16
-    and 33 in steps of f^2) each peak within the chain's peak plus that
-    budget."""
+    """The binomial recurrence, which ``solve_sfe`` takes for these
+    p-divisible binomial maps, fits ``laurent._STACK_BYTES``: over F_2 at
+    D = 4096, W = 32, λx + x^2 and λx + x^34 each peak within the chain's
+    peak plus that budget (its binomial table is chunked within it)."""
     f = PowerSeriesMap({1: parse_series("1+T", F2), degree: parse_series("1", F2)})
     tracemalloc.start()
     try:
@@ -401,6 +516,22 @@ def test_solve_memory_on_the_support_is_bounded(degree):
     finally:
         tracemalloc.stop()
     assert peak <= CHAIN_PEAKS[f"x^{degree}"] + lindisc.laurent._STACK_BYTES, peak
+
+
+def test_dense_solve_memory_on_the_support_is_bounded():
+    """The dense solve of a two-degree map, λx + x^2 + x^4 over F_2 at
+    D = 2048, W = 32, peaks within the chain's peak plus
+    ``laurent._STACK_BYTES``."""
+    f = PowerSeriesMap(
+        {1: parse_series("1+T", F2), 2: parse_series("1", F2), 4: parse_series("1", F2)}
+    )
+    tracemalloc.start()
+    try:
+        solve_sfe(f, 2048, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHAIN_PEAKS["x^2 + x^4"] + lindisc.laurent._STACK_BYTES, peak
 
 
 def test_specialized_matches_term_matching():
@@ -415,14 +546,26 @@ def test_specialized_matches_term_matching():
         assert conjugacies_agree(g1, g2, D)
 
 
-def _digit_terms(p, Jmax):
-    """(j, i, c) for every nonzero c = C(ip+1, j−i) mod p over the whole
-    triangle 0 <= i < j <= Jmax, one base-p digit at a time."""
+def _held(p, N, size):
+    """The held i of the binomial recurrence, as ``_support`` predicts
+    them: every i for p ∤ N, and 0 and i ≡ 1 (mod p) for p | N."""
+    held = np.ones(size, dtype=bool)
+    if N % p == 0:
+        held[:] = False
+        held[0], held[1::p] = True, True
+    return held
+
+
+def _digit_terms(p, N, Jmax):
+    """(J, i, c) for every nonzero c = C(1 + i(N−1), J − i) mod p over the
+    whole triangle 0 <= i < J <= Jmax, i held, one base-p digit at a
+    time."""
+    held = _held(p, N, Jmax + 1)
     terms = [
         (j, i, c)
         for j in range(1, Jmax + 1)
         for i in range(j)
-        if (c := binomial_digits(i * p + 1, j - i, p))
+        if held[i] and (c := binomial_digits(1 + i * (N - 1), j - i, p))
     ]
     return np.array(terms, dtype=np.int64).reshape(-1, 3)
 
@@ -430,37 +573,43 @@ def _digit_terms(p, Jmax):
 @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "small-chunks"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
-    """The CSR table of the p+1 solve holds, row j, exactly the nonzero
-    binomials of the triangle, from one ``binomial_mod_p`` pass: one call,
-    or with a small budget one per chunk, boundaries falling inside rows."""
+    """The CSR table of the binomial recurrence holds, row J, exactly the
+    nonzero binomials of the triangle over the held i, from one
+    ``binomial_mod_p`` pass: one call, or with a small budget one per
+    chunk, boundaries falling inside rows.  Every Jmax for N = p + 1;
+    at p <= 7, for p | N (N = p, 2p) and for N = 3 at p >= 5, whose l_i
+    end in every digit, every seventh Jmax and the largest."""
     top = 3 * p * p + 5
-    oracle = _digit_terms(p, top)
-    if chunked:
-        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 700 * p * p)
+    if chunked:  # room for p²/2 pairs of the table's 96 bytes each
+        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 48 * p * p)
     calls = []
     binomial = lindisc.schroder.binomial_mod_p
     monkeypatch.setattr(
         lindisc.schroder, "binomial_mod_p", lambda *args: calls.append(1) or binomial(*args)
     )
-    for Jmax in range(top + 1):
-        calls.clear()
-        i, c, offsets = _binomial_terms(p, Jmax)
-        assert i.shape == (len(c), 1) and offsets[0] == 0 and len(offsets) == Jmax + 1
-        j = np.repeat(np.arange(1, Jmax + 1), np.diff(offsets))
-        terms = np.stack((j, i[:, 0], c), axis=1)
-        terms = terms[np.lexsort((terms[:, 1], terms[:, 0]))]
-        assert np.array_equal(terms, oracle[oracle[:, 0] <= Jmax]), Jmax
-        if not chunked:
-            assert len(calls) == min(Jmax, 1), Jmax
-    if chunked:
-        assert len(calls) > 5  # the largest table spans many chunks
+    shapes = [(p + 1, range(top + 1))]
+    if p <= 7:
+        shapes += [(N, [*range(0, top, 7), top]) for N in [p, 2 * p] + [3] * (p >= 5)]
+    for N, sizes in shapes:
+        oracle = _digit_terms(p, N, top)
+        for Jmax in sizes:
+            calls.clear()
+            i, c, offsets = _binomial_terms(p, N, _held(p, N, Jmax + 1))
+            assert i.shape == (len(c), 1) and offsets[0] == 0 and len(offsets) == Jmax + 1
+            j = np.repeat(np.arange(1, Jmax + 1), np.diff(offsets))
+            terms = np.stack((j, i[:, 0], c), axis=1)
+            terms = terms[np.lexsort((terms[:, 1], terms[:, 0]))]
+            assert np.array_equal(terms, oracle[oracle[:, 0] <= Jmax]), (N, Jmax)
+            if not chunked:
+                assert len(calls) == min(Jmax, 1), (N, Jmax)
+        if chunked:
+            assert len(calls) > 5, N  # the largest table spans many chunks
 
 
 def test_p_plus_1_solve_memory_is_bounded():
     """Over F_2 at Jmax = 1024, W = 32 the binomial table has about
-    175,000 pairs (i, q), each with ten entries per digit in ``_lucas``:
-    built in ``_per_batch`` chunks, the solve's traced peak stays below
-    20 MiB.  Built in one pass it peaks at about 72 MiB."""
+    175,000 pairs (i, q), at most 96 bytes each in one ``_per_batch``
+    chunk: the solve's traced peak stays below 20 MiB."""
     f = PowerSeriesMap({1: parse_series("1+T", F2, 1, 32), 3: parse_series("1", F2, 1, 32)})
     tracemalloc.start()
     try:
@@ -848,8 +997,8 @@ def _planted_valuation(monkeypatch, n0):
     "vanish, wrong, error, match",
     [
         (5, 9, PrecisionError, r"lambda\^5 vanished"),  # k = 6 comes before k = 10
-        (5, 3, CertificateError, r"at k = 4$"),  # k = 4 comes before k = 6
-        (None, 18, CertificateError, r"at k = 19$"),
+        (5, 3, CertificateError, r"of lambda\^1 - lambda\^4$"),  # k = 4 before k = 6
+        (None, 18, CertificateError, r"of lambda\^1 - lambda\^19$"),
         (9, None, PrecisionError, r"lambda\^9 vanished"),
     ],
 )
@@ -883,7 +1032,7 @@ def test_small_divisors_check_the_p_plus_1_entries_in_order(monkeypatch):
         _small_divisors(profile, [3 * j for j in js], 16, lows=js)
     monkeypatch.undo()
     _planted_valuation(monkeypatch, 10)
-    with pytest.raises(CertificateError, match=r"at k = 15$"):
+    with pytest.raises(CertificateError, match=r"of lambda\^5 - lambda\^15$"):
         _small_divisors(profile, [3 * j for j in js], 16, lows=js)
 
 
@@ -1008,8 +1157,8 @@ def test_structural_zeros_family():
 
 
 def test_structural_zero_check_builds_no_series(monkeypatch):
-    """``solve_sfe`` checks the degrees p ∤ k of a p-divisible map on the
-    dense columns: it reads a column as a series only at p | k."""
+    """The dense solve checks the degrees p ∤ k of a p-divisible map on
+    the dense columns: it reads a column as a series only at p | k."""
     f = PowerSeriesMap({1: parse_series("1+T", F3), 3: parse_series("1+T", F3)})
     real, read = DensePoly.column, []
 
@@ -1018,13 +1167,13 @@ def test_structural_zero_check_builds_no_series(monkeypatch):
         return real(self, d)
 
     monkeypatch.setattr(DensePoly, "column", column)
-    solve_sfe(f, 30)
+    lindisc.schroder._solve_dense(f, 30, 32)
     assert read == list(range(3, 31, 3))
 
 
 def test_structural_zero_check_catches_a_planted_column(monkeypatch):
-    """A nonzero digit in a column p ∤ k of the running sum is a
-    CertificateError naming the degree and the column's series."""
+    """A nonzero digit in a column p ∤ k of the dense solve's running sum
+    is a CertificateError naming the degree and the column's series."""
     f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
     real = DensePoly.add_scaled
 
@@ -1035,7 +1184,7 @@ def test_structural_zero_check_catches_a_planted_column(monkeypatch):
 
     monkeypatch.setattr(DensePoly, "add_scaled", add_scaled)
     with pytest.raises(CertificateError, match=r"degree 5 should vanish.*T\^4"):
-        solve_sfe(f, 8)
+        lindisc.schroder._solve_dense(f, 8, 32)
 
 
 def test_structural_zeros_not_applicable_outside_family():
