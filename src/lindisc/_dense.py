@@ -196,13 +196,15 @@ class DensePoly:
         start = lo + int(cols[0, 0])
         # base pass: row c of the grid is other's column cols[c] against
         # self's column d - cols[c] >= lo (INF before) at x^d, d >= start; a
-        # row holds its indices and the bases it gathers
+        # row holds its indices and the bases it gathers, and a batch half
+        # the budget: the other half is for the powers a solve keeps
+        # (``schroder._GapPowers``)
         pad = int(cols[-1, 0] - cols[0, 0])
         bases = np.empty(pad + D + 1 - lo, dtype=np.int64)
         bases[:pad], bases[pad:] = INF, self.base[lo:]
         band = np.arange(start, D + 1) + (pad - lo)
         out_base = out.base[start:]
-        step = _per_batch(8 * 2 * band.size)
+        step = _per_batch(2 * 8 * 2 * band.size)
         for c in range(0, n, step):
             sums = bases[band - cols[c : c + step]]
             sums += col_bases[c : c + step]

@@ -29,7 +29,6 @@ one whose valuation is not the closed form v(1 − λ^n) raises
 CertificateError.
 """
 
-import collections
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -349,12 +348,13 @@ class _GapPowers:
     A needed u^g (g >= 2) is built once, by a chain of products by u from
     the largest kept u^h with h < g, which keeps every needed power it
     passes.  The kept powers, each a polynomial and its packed factor (at
-    most twice its bytes), are capped by ``laurent._per_batch``; a gap
+    most twice its bytes), take at most half of ``laurent._STACK_BYTES``,
+    and a product's base pass the other half (``DensePoly.mul``); a gap
     past that cap is taken as g products by u."""
 
     def __init__(self, u, f, needed):
         self.u, self.f, self.needed, self.kept = u, f, needed, {}
-        self.cap = _per_batch(2 * (u.data.nbytes + u.base.nbytes + u.prec.nbytes))
+        self.cap = _per_batch(4 * (u.data.nbytes + u.base.nbytes + u.prec.nbytes))
 
     def _by_u(self, x):
         return x.mul(self.u) if self.f is None else x.mul_by_map(self.f)
@@ -579,18 +579,19 @@ def _binomial_terms(p, N, held):
     ``offsets[J-1]`` .. ``offsets[J]`` − 1 of ``i`` (a column) and ``c``.
 
     Lucas on the last digit: with l = hp + d, 0 <= d < p, C(l, qp + t) ≡
-    C(h, q)·C(d, t) for 0 <= t < p, which is 0 for t > d and a unit for
-    t <= d.  So each pair q <= h_i with i + qp <= Jmax serves J = i + qp
-    + t for t = 0 .. d_i, i < J <= Jmax, and q <= h_i keeps J − i <= l_i.
-    For N ≡ 1 (mod p) every l_i ends in the digit 1 (h_i = i for
-    N = p + 1): J − i ≡ 0, 1 (mod p).  For p | N the held i are 0 (l = 1)
-    and i ≡ 1 (mod p), whose l_i ≡ 0, so C(l, m) = C(l/p, m/p) when
-    p | m and 0 otherwise.  ``_per_batch`` sizes the chunks of the one
-    ``binomial_mod_p`` pass over the pairs (i, q) at 96 bytes per pair, a
-    measured bound on what a chunk holds at its peak, ``_lucas``' arrays
-    and this loop's: 89 bytes per pair under tracemalloc, whatever the
-    number of digits, for chunks of 10^5 and 10^6 pairs at p = 2 .. 65521
-    with 10 to 19 digits.
+    C(h, q)·C(d, t) for 0 <= t < p, which is 0 for t > d.  Every held l_i
+    ends in the digit d_i <= 1: for N = p + 1, l_i = ip + 1 (h_i = i), and
+    for p | N the held i are 0 (l = 1) and i ≡ 1 (mod p), whose l_i ≡ 0.
+    So each pair q <= h_i with i + qp <= Jmax serves J = i + qp (q >= 1)
+    and, when d_i = 1, J = i + qp + 1 (<= Jmax), both with the binomial
+    C(h_i, q); q <= h_i keeps J − i <= l_i.  The one ``binomial_mod_p``
+    pass over the pairs (i, q) runs in chunks of 2^15 pairs: ``_lucas``
+    takes more time per pair on larger arrays (at F_2 the tables of
+    Jmax = 1024 and 4096 took 30–80% longer in one chunk), and at 96
+    bytes per pair, a measured bound on what a chunk holds at its peak
+    (89 under tracemalloc, for chunks of 10^5 and 10^6 pairs at p = 2 ..
+    65521 with 10 to 19 digits), a chunk takes 3 MiB, within
+    ``_per_batch``'s budget.
     """
     Jmax = held.size - 1
     i = held[:Jmax].nonzero()[0]
@@ -599,7 +600,7 @@ def _binomial_terms(p, N, held):
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1]) if i.size else 0
-    step = _per_batch(96)
+    step = min(_per_batch(96), 1 << 15)
     found = [np.zeros((3, 0), dtype=np.int64)]
     for lo in range(0, total, step):
         q = np.arange(lo, min(lo + step, total))
@@ -609,18 +610,14 @@ def _binomial_terms(p, N, held):
         keep = c.nonzero()
         found.append(np.stack((at[keep], q[keep], c[keep])))
     at, q, c = np.concatenate(found, axis=1)
-    i, d = i[at], d[at]
+    i = i[at]
     j = i + q * p
-    sel = q.nonzero()[0]  # t = 0 needs q >= 1
-    parts, unit = [(j[sel], i[sel], c[sel])], c  # unit = C(h, q)·C(d, t) mod p
-    for t in range(1, int(d.max(initial=0)) + 1):
-        unit = unit * (d - t + 1) % p * pow(t, -1, p) % p
-        sel = ((t <= d) & (j + t <= Jmax)).nonzero()[0]
-        parts.append((j[sel] + t, i[sel], unit[sel]))
-    j, i, c = (np.concatenate(x) for x in zip(*parts))
+    low, high = q > 0, (d[at] == 1) & (j < Jmax)  # t = 0, and t = 1
+    j = np.concatenate((j[low], j[high] + 1))
     order = j.argsort(kind="stable")
     offsets = [0] + np.cumsum(np.bincount(j, minlength=Jmax + 1)[1:]).tolist()
-    return i[order, None], c[order], offsets
+    i, c = (np.concatenate((x[low], x[high]))[order] for x in (i, c))
+    return i[:, None], c, offsets
 
 
 def _solve_binomial(f, D, window):
@@ -697,11 +694,11 @@ def _solve_binomial(f, D, window):
     rows of each B_i are stored past its lead, ``window`` + 1 of them
     with the last always zero, and the gather reads row t − L(B_i) at
     each exponent t, the zero row where that is negative.  The zero caps
-    read the least lead of the live range off a sliding-window minimum: a
-    deque of the held i's leads, increasing, whose front leaves when it
-    falls below ⌈(J−1)/N⌉.  Per J that, the dot product and the product
-    B_J = S_J·(λ^J·T_J − 1) are the only work; the rest is ufunc
-    reductions and ndarray methods.  The dot product sums at most J
+    take the least lead over the live range ⌈(J−1)/N⌉ .. J − 1 in one
+    reduction, where a row that is not held reads a lead past any
+    horizon.  Per J that, the dot product and the product B_J =
+    S_J·(λ^J·T_J − 1) are the only work; the rest is ufunc reductions
+    and ndarray methods.  The dot product sums at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
     The returned function keeps S_J and a^J·T_J and forms
     b_J = S_J·(a^J·T_J), one product, per call: the p+1 solve calls it
@@ -750,21 +747,18 @@ def _solve_binomial(f, D, window):
     ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
     B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
     B[0, 0, 0] = 1
-    bounds = np.zeros((Jmax + 1, 2), dtype=np.int64)  # lead and lead + digits of B_i
-    bounds[0, 1] = W
-    # (L(B_i), i) for the held i below J whose lead no later held i
-    # undercuts, leads increasing: the least L(B_i) of a live range first
-    least = collections.deque([(0, 0)])
+    # lead and lead + digits of B_i; a row that is not held never counts
+    bounds = np.full((Jmax + 1, 2), _INF_CUT, dtype=np.int64)
+    bounds[0] = 0, W
     S = np.zeros((len(Ks), W, r), dtype=np.int64)
     S_lead, S_digits = [0] * len(Ks), [0] * len(Ks)
     for n, J in enumerate(Ks):
         start, stop = offsets[J - 1], offsets[J]
         i = I[start:stop]
         held_bounds = bounds[i]
-        while least[0][1] < (J + N - 2) // N:
-            least.popleft()
         # every live term caps at L(B_i) + W, a zero-binomial term no less
-        ((lo, H),) = np.minimum.reduce(held_bounds, initial=least[0][0] + W).tolist()
+        least = int(np.minimum.reduce(bounds[(J + N - 2) // N : J, 0]))
+        ((lo, H),) = np.minimum.reduce(held_bounds, initial=least + W).tolist()
         at = lo - held_bounds[..., 0] + ramp[: H - lo]
         np.maximum(at, -1, out=at)
         s_J = (C[start:stop] @ B[i, at].reshape(stop - start, (H - lo) * r)).reshape(-1, r)
@@ -776,11 +770,7 @@ def _solve_binomial(f, D, window):
         S_lead[n], S_digits[n] = first, digits
         if digits:
             B[J, :digits] = _convolve(field_, s_J, G[n], digits)
-        lead = first - lead_T[n]
-        bounds[J] = lead, H - lead_T[n]
-        while least and least[-1][0] >= lead:
-            least.pop()
-        least.append((lead, J))
+        bounds[J] = first - lead_T[n], H - lead_T[n]
     leads = [first + J * a.lead - t for J, first, t in zip(Ks, S_lead, lead_T)]
     index = {J: n for n, J in enumerate(Ks)}
 

@@ -613,12 +613,13 @@ def test_product_memory_is_bounded_by_the_chunk(monkeypatch):
 
 def test_horizon_pass_memory_is_bounded_by_the_chunk(monkeypatch):
     """The base pass, which writes a product's horizons, sizes a grid row
-    at two int64 arrays of the band: the row's indices and the bases it
-    gathers.  A product by 401 live columns, its right factor packed
-    beforehand, has a grid of 401 rows of 401 degrees; with the budget set
-    to one data array, its traced peak stays within the budget plus its
-    operands and its result.  The whole grid at once would take about 25
-    data arrays."""
+    at two int64 arrays of the band, the row's indices and the bases it
+    gathers, and a batch at half the budget (the other half is for the
+    gap powers a solve keeps).  A product by 401 live columns, its right
+    factor packed beforehand, has a grid of 401 rows of 401 degrees; with
+    the budget set to one data array, its traced peak stays within the
+    budget plus its operands and its result.  The whole grid at once
+    would take about 25 data arrays."""
     field, D, W = FieldParams(2, 2), 400, 16
     rng = random.Random(73)
     a = data_columns(field, rng, D, W, [0, 1])
@@ -629,7 +630,7 @@ def test_horizon_pass_memory_is_bounded_by_the_chunk(monkeypatch):
     items, real = [], lindisc._dense._per_batch
     monkeypatch.setattr(lindisc._dense, "_per_batch", lambda n: items.append(n) or real(n))
     peak = traced_peak(lambda: a.mul(b))
-    assert items[0] == 8 * 2 * (D + 1)
+    assert items[0] == 2 * 8 * 2 * (D + 1)
     assert peak < budget + a.data.nbytes + b.data.nbytes + a.data.nbytes, (peak, budget)
 
 

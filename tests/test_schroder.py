@@ -446,7 +446,8 @@ def test_gap_powers_past_the_cap_take_the_chain(monkeypatch, stack_bytes):
     ]
     D, W = 80, 8
     poly = 2 * (D + 1) * 8 * (W * 1 + 2)  # a polynomial and its factor, r = 1
-    budget = {"one power": 1, "two powers": 2 * poly}[stack_bytes]
+    # the kept powers take half the budget
+    budget = {"one power": 1, "two powers": 4 * poly}[stack_bytes]
     monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", budget)
     real, chained = lindisc.schroder._GapPowers.times, []
 
@@ -498,8 +499,8 @@ def test_a_wrong_support_prediction_is_caught(monkeypatch, field, degree, plant,
 
 # tracemalloc peaks over F_2 at W = 32 of the chain of every power f^k
 # (``oracles.solve_sfe_chain``): λx + x^2 and λx + x^34 at D = 4096,
-# λx + x^2 + x^4 at D = 2048
-CHAIN_PEAKS = {"x^2": 7.72 * 2**20, "x^34": 5.30 * 2**20, "x^2 + x^4": 4.84 * 2**20}
+# λx + x^34 + x^36 at D = 2048
+CHAIN_PEAKS = {"x^2": 7.72 * 2**20, "x^34": 5.30 * 2**20, "x^34 + x^36": 3.13 * 2**20}
 
 
 @pytest.mark.parametrize("degree", [2, 34])
@@ -518,20 +519,32 @@ def test_solve_memory_on_the_support_is_bounded(degree):
     assert peak <= CHAIN_PEAKS[f"x^{degree}"] + lindisc.laurent._STACK_BYTES, peak
 
 
-def test_dense_solve_memory_on_the_support_is_bounded():
-    """The dense solve of a two-degree map, λx + x^2 + x^4 over F_2 at
-    D = 2048, W = 32, peaks within the chain's peak plus
-    ``laurent._STACK_BYTES``."""
+def test_dense_solve_memory_on_the_support_is_bounded(monkeypatch):
+    """The dense solve of a two-degree map that keeps gap powers,
+    λx + x^34 + x^36 over F_2 at D = 2048, W = 32 (gaps of up to 32 steps
+    of f^2), peaks within the chain's peak plus ``laurent._STACK_BYTES``:
+    the kept powers and a product's base pass share that budget."""
     f = PowerSeriesMap(
-        {1: parse_series("1+T", F2), 2: parse_series("1", F2), 4: parse_series("1", F2)}
+        {1: parse_series("1+T", F2), 34: parse_series("1", F2), 36: parse_series("1", F2)}
     )
+    gaps = []
+    real = lindisc.schroder._GapPowers.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        gaps.append(self)
+
+    monkeypatch.setattr(lindisc.schroder._GapPowers, "__init__", init)
     tracemalloc.start()
     try:
         solve_sfe(f, 2048, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= CHAIN_PEAKS["x^2 + x^4"] + lindisc.laurent._STACK_BYTES, peak
+    (gaps,) = gaps
+    # powers are kept, and the cap binds: more gaps are needed than kept
+    assert len(gaps.kept) > 1 and len(gaps.needed) > gaps.cap
+    assert peak <= CHAIN_PEAKS["x^34 + x^36"] + lindisc.laurent._STACK_BYTES, peak
 
 
 def test_specialized_matches_term_matching():
@@ -577,8 +590,8 @@ def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
     nonzero binomials of the triangle over the held i, from one
     ``binomial_mod_p`` pass: one call, or with a small budget one per
     chunk, boundaries falling inside rows.  Every Jmax for N = p + 1;
-    at p <= 7, for p | N (N = p, 2p) and for N = 3 at p >= 5, whose l_i
-    end in every digit, every seventh Jmax and the largest."""
+    at p <= 7, for p | N (N = p, 2p), every seventh Jmax and the
+    largest."""
     top = 3 * p * p + 5
     if chunked:  # room for p²/2 pairs of the table's 96 bytes each
         monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 48 * p * p)
@@ -589,7 +602,7 @@ def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
     )
     shapes = [(p + 1, range(top + 1))]
     if p <= 7:
-        shapes += [(N, [*range(0, top, 7), top]) for N in [p, 2 * p] + [3] * (p >= 5)]
+        shapes += [(N, [*range(0, top, 7), top]) for N in (p, 2 * p)]
     for N, sizes in shapes:
         oracle = _digit_terms(p, N, top)
         for Jmax in sizes:
@@ -608,8 +621,8 @@ def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
 
 def test_p_plus_1_solve_memory_is_bounded():
     """Over F_2 at Jmax = 1024, W = 32 the binomial table has about
-    175,000 pairs (i, q), at most 96 bytes each in one ``_per_batch``
-    chunk: the solve's traced peak stays below 20 MiB."""
+    175,000 pairs (i, q), in six chunks of at most 2^15 pairs of at most
+    96 bytes each: the solve's traced peak stays below 20 MiB."""
     f = PowerSeriesMap({1: parse_series("1+T", F2, 1, 32), 3: parse_series("1", F2, 1, 32)})
     tracemalloc.start()
     try:
