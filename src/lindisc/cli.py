@@ -265,7 +265,7 @@ def _write_report(report, valuations, args, out):
         report["display_epsilon"] = str(eps)
         for name, v in valuations.items():
             report[f"abs_{name}"] = f"{eps}^({v})"
-    json.dump(report, out, indent=2, sort_keys=True)
+    out.write(json.dumps(report, indent=2, sort_keys=True))
     out.write("\n")
     return 0
 
@@ -284,15 +284,10 @@ def cmd_sweep(job, args, out):
     out.write("instance,k,slope_num,slope_den\n")
     for idx, inst in enumerate(instances):
         g = run(lambda f, W: solve_sfe(f, D, window=W), {**job, **inst})
-        reported = 0
-        for k in range(D, 1, -1):
-            if g.zero_kind[k] != NONZERO:
-                continue
+        held = [k for k in range(D, 1, -1) if g.zero_kind[k] == NONZERO]
+        for k in held[:tail]:
             slope = g.valuation(k) / k
             out.write(f"{idx},{k},{slope.numerator},{slope.denominator}\n")
-            reported += 1
-            if reported >= tail:
-                break
     return 0
 
 

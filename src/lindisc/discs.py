@@ -1,12 +1,13 @@
 """Discs, Weierstrass degrees, linearization-disc classification, and
 boundary periodic points.
 
-The Weierstrass degree of h on a closed disc of radius r is the largest
-k minimizing v(c_k) + k·v_r (the valuation of max|c_k| r^k); on the open
-disc it is the smallest minimizer.  Tail certification beyond the
-computed degrees uses a caller-supplied lower bound that is affine along
-an arithmetic progression, so positivity of one period's increment
-certifies the whole tail.
+The Weierstrass degree of a conjugacy g on a closed disc of radius r is
+the largest k minimizing v(b_k) + k·v_r (the valuation of max|b_k| r^k);
+on the open disc it is the smallest minimizer.  Every verdict here reads
+the integer ``ValuationTable`` of g's solve, not its series.  The tail
+beyond the solved degrees is certified by the Lemma bound on v(b_k)
+(``lemma_bound``), which is affine along each resonance period mp, so
+positivity of one period's increment certifies the whole tail.
 
 Periodic points on a sphere are found by scaling the sphere to the unit
 circle in a ramified tower F_{p^r}((T^{1/e})), reducing to the residue
@@ -36,7 +37,9 @@ from .powerseries import (
     table_compose,
 )
 from .schroder import (
+    COMPUTED_ZERO,
     NONZERO,
+    STRUCTURAL,
     check_coefficient_bound,
     check_structural_zeros,
     solve_sfe,
@@ -80,49 +83,44 @@ class WeierstrassData:
     certified_tail: bool
 
 
-def weierstrass_data(coeffs, v_r, tail_bound=None):
-    """Exact minimization of v(c_k) + k·v_r over the computed degrees.
+def weierstrass_data(g, v_r, gauge=None):
+    """Exact minimization of v(b_k) + k·v_r over the solved degrees of a
+    conjugacy g, in integers read off its ``ValuationTable`` over one
+    common denominator of e, v_r and, given the map's ``gauge``, A and v_m.
 
-    ``tail_bound`` is an optional pair (fn, period): fn(k) is a lower
-    bound on v(c_k) for k beyond the table, and fn(k) + k·v_r has a
-    constant increment over each ``period`` once k exceeds the table.
-    Without it the result is flagged best-effort (certified_tail False).
+    Given ``gauge``, the tail past D is the Lemma bound's: bound + k·v_r
+    grows by a constant over each period mp, so it is certified when the
+    first period stays above the minimum and that increment is positive.
+    Without it the result is best-effort (certified_tail False).
     """
-    best = None
-    minimizers = []
-    for k in sorted(coeffs):
-        c = coeffs[k]
-        if c.is_zero_as_known:
-            continue
-        t = Fraction(c.lead, c.ram) + k * v_r
-        if best is None or t < best:
-            best, minimizers = t, [k]
-        elif t == best:
-            minimizers.append(k)
-    if best is None:
+    table = g.valuations
+    den = math.lcm(table.ram, v_r.denominator)
+    if gauge is not None:
+        den = math.lcm(den, gauge.A.denominator, g.profile.v_m.denominator)
+    scale, step = den // table.ram, (v_r * den).numerator
+    slope = np.arange(g.D + 1, dtype=object) * step
+    terms = table.lead * scale + slope
+    nonzero = table.kind == NONZERO
+    if not nonzero.any():
         raise HypothesisError("all coefficients vanish; no Weierstrass data")
-    for k, c in coeffs.items():
-        # a coefficient that vanishes only to precision must provably sit
-        # above the minimum, or the minimizers are not justified
-        if c.is_zero_as_known and not c.exact:
-            if Fraction(c.prec, c.ram) + k * v_r <= best:
-                raise PrecisionError(
-                    f"coefficient {k} is zero only to precision and could "
-                    f"attain the Weierstrass minimum"
-                )
+    best = terms[nonzero].min()
+    # a coefficient that vanishes only to precision must provably sit
+    # above the minimum, or the minimizers are not justified
+    reach = (table.kind == COMPUTED_ZERO) & (table.prec * scale + slope <= best)
+    if reach.any():
+        raise PrecisionError(
+            f"coefficient {int(reach.argmax())} is zero only to precision and could "
+            f"attain the Weierstrass minimum"
+        )
+    minimizers = (nonzero & (terms == best)).nonzero()[0]
     certified = False
-    if tail_bound is not None:
-        fn, period = tail_bound
-        D = max(coeffs)
-        window = [fn(k) + k * v_r for k in range(D + 1, D + period + 1)]
-        increment = (fn(D + period + 1) + (D + period + 1) * v_r) - window[0]
-        certified = all(t > best for t in window) and increment > 0
-    return WeierstrassData(best, max(minimizers), min(minimizers), certified)
-
-
-def _bound_tail(profile, gauge):
-    """Lemma bound on v(b_k) as a tail-bound pair for weierstrass_data."""
-    return (lambda k: lemma_bound(profile, gauge.A, k)), profile.m * profile.p
+    if gauge is not None:
+        ks = np.arange(g.D + 1, g.D + g.profile.m * g.profile.p + 2, dtype=object)
+        tail = lemma_bound(g.profile, gauge.A, ks, den) + ks * step
+        certified = bool((tail[:-1] > best).all()) and tail[-1] > tail[0]
+    return WeierstrassData(
+        Fraction(best, den), int(minimizers[-1]), int(minimizers[0]), certified
+    )
 
 
 def degree_on_sigma(g, dp, gauge):
@@ -134,17 +132,15 @@ def degree_on_sigma(g, dp, gauge):
         raise HypothesisError(
             f"conjugacy solved to degree {g.D} < k' = {profile.k_prime}"
         )
-    wd = weierstrass_data(g.coeffs, dp.v_sigma, _bound_tail(profile, gauge))
+    wd = weierstrass_data(g, dp.v_sigma, gauge)
     if not wd.certified_tail:
         raise CertificateError("sigma-disc tail bound failed to certify")
     deg_open, deg_closed = wd.d_prime, wd.d
     # cross-check against the coefficient criterion at k'
-    kp = profile.k_prime
-    b_kp = g.coeffs[kp]
-    saturated = (
-        not b_kp.is_zero_as_known
-        and Fraction(b_kp.lead, b_kp.ram) == lemma_bound(profile, gauge.A, kp)
-    )
+    kp, table = profile.k_prime, g.valuations
+    den = math.lcm(table.ram, gauge.A.denominator, profile.v_m.denominator)
+    bound = lemma_bound(profile, gauge.A, kp, den)
+    saturated = table.kind[kp] == NONZERO and table.lead[kp] * (den // table.ram) == bound
     expected_closed = kp if saturated else 1
     if (deg_open, deg_closed) != (1, expected_closed):
         raise CertificateError(
@@ -171,9 +167,9 @@ def check_bkprime_zero_extension(g, dp):
     profile = g.profile
     kp = profile.k_prime
     k_second = kp + profile.m * profile.p
-    if kp > g.D or not g.coeffs[kp].is_zero_as_known:
+    if kp > g.D or g.valuations.kind[kp] == NONZERO:
         return ExtensionVerdict(False, False, k_second)
-    holds = weierstrass_data(g.coeffs, dp.v_rho).d == 1
+    holds = weierstrass_data(g, dp.v_rho).d == 1
     return ExtensionVerdict(True, holds, k_second)
 
 
@@ -416,7 +412,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     if bounds.violations:
         raise CertificateError(f"coefficient bound violations at {bounds.violations}")
     deg_open, deg_closed = degree_on_sigma(g, dp, gauge)
-    b_kp = g.coeffs[kp]
+    kind_kp = g.valuations.kind[kp]
     periodic = None
     if deg_closed == kp and kp > 1:
         level = LEVEL_EXACT
@@ -433,7 +429,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
             )
         elif periodic.multiplier.valuation() != 0:
             raise CertificateError("boundary periodic point is not indifferent")
-    elif b_kp.is_exact_zero:
+    elif kind_kp == STRUCTURAL:
         if not check_bkprime_zero_extension(g, dp).holds:
             raise CertificateError(
                 "b_{k'} = 0 but v(b_k) + k*v_rho > v_rho fails: no extension to rho"
@@ -444,7 +440,7 @@ def classify_linearization_disc(f, D=None, window=32, kappa_max=None):
     else:
         level = LEVEL_GENERIC
         disc = make_disc(dp.v_sigma, "open")
-        if g.zero_kind[kp] != NONZERO:
+        if kind_kp != NONZERO:
             notes.append(
                 "b_{k'} vanishes only to the working precision; extension "
                 "to the semi-disc is not certified"

@@ -122,13 +122,10 @@ def count_resonant(profile, k):
     return count * (count > 0)
 
 
-def lemma_bound(profile, A, k, den=None):
-    """The Lemma bound (k-1)·A − v_m·count_resonant(k) on v(b_k), for a
-    map whose nonlinear degrees are all divisible by p and whose gauge
-    is A.  Given ``den``, a common denominator of A and v_m, den times
-    the bound: an integer, or for an array of k all bounds in one pass."""
-    if den is None:
-        return (k - 1) * A - profile.v_m * count_resonant(profile, k)
+def lemma_bound(profile, A, k, den):
+    """den times the Lemma bound (k-1)·A − v_m·count_resonant(k) on v(b_k)
+    of a p-divisible map with gauge A, for ``den`` a common denominator
+    of A and v_m: an integer, or for an array of k all in one pass."""
     a, v = A * den, profile.v_m * den
     if a.denominator != 1 or v.denominator != 1:
         raise HypothesisError(f"{den} is no common denominator of A = {A} and v_m")

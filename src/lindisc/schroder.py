@@ -31,9 +31,8 @@ CertificateError.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +59,18 @@ COMPUTED_ZERO = "computed-zero"
 NONZERO = "nonzero"
 
 
-def _zero_kind(series):
-    """How a coefficient's vanishing (or not) is known: an exact zero is
-    structural, a zero to precision is computed."""
-    if not series.is_zero_as_known:
-        return NONZERO
-    return STRUCTURAL if series.exact else COMPUTED_ZERO
+@dataclass(frozen=True)
+class ValuationTable:
+    """The integer valuations of b_0 .. b_D, formed once per solve: row k
+    of ``lead`` and ``prec`` is b_k's lead and horizon in U-units
+    (U^ram = T), and of ``kind`` how its vanishing, or not, is known;
+    b_0 = g(0) is an exact zero.  Object arrays of Python ints and of the
+    kinds' strings, so a reader scales them to any denominator exactly."""
+
+    ram: int
+    lead: np.ndarray
+    prec: np.ndarray
+    kind: np.ndarray
 
 
 class _Coefficients(Mapping):
@@ -93,17 +98,31 @@ class _Coefficients(Mapping):
 class Conjugacy:
     """Coefficients b_k of the normalized formal conjugacy up to degree D:
     ``coeffs`` maps each k = 1 .. D to b_k, a dict or a mapping that
-    builds b_k when first read (``solve_specialized_p_plus_1``)."""
+    builds b_k when first read (``_solve_binomial``), and ``valuations``
+    is their ``ValuationTable``, read off ``coeffs`` when not given."""
 
     coeffs: Mapping
     profile: object
     source: str
     D: int
+    valuations: ValuationTable = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    def __post_init__(self):
+        if self.valuations is not None:
+            return
+        if self.D < 1:
+            raise HypothesisError(f"degree D must be >= 1, got {self.D}")
+        rows = [(0, 0, STRUCTURAL)]
+        for s in (self.coeffs[k] for k in range(1, self.D + 1)):
+            zero = STRUCTURAL if s.exact else COMPUTED_ZERO
+            rows.append((s.lead, s.prec, zero if s.is_zero_as_known else NONZERO))
+        columns = (np.array(column, dtype=object) for column in zip(*rows))
+        object.__setattr__(self, "valuations", ValuationTable(self.coeffs[1].ram, *columns))
+
+    @property
     def zero_kind(self):
-        """Degree -> STRUCTURAL, COMPUTED_ZERO or NONZERO."""
-        return {k: _zero_kind(s) for k, s in self.coeffs.items()}
+        """Degree k = 1 .. D -> STRUCTURAL, COMPUTED_ZERO or NONZERO."""
+        return self.valuations.kind
 
     def coefficient(self, k):
         if not 1 <= k <= self.D:
@@ -111,7 +130,11 @@ class Conjugacy:
         return self.coeffs[k]
 
     def valuation(self, k):
-        return self.coefficient(k).valuation()
+        """v(b_k) as a Fraction, or None when b_k is zero as known."""
+        if not 1 <= k <= self.D:
+            raise HypothesisError(f"degree {k} outside the solved degrees 1 .. {self.D}")
+        table = self.valuations
+        return Fraction(table.lead[k], table.ram) if table.kind[k] == NONZERO else None
 
     def table(self):
         """Coefficient table for evaluation (zero entries dropped)."""
@@ -408,9 +431,7 @@ def solve_sfe(f, D, window=32):
         raise HypothesisError(f"window must be >= 1, got {window}")
     degrees = f.nonlinear_degrees
     if len(degrees) == 1 and degrees[0] % f.field.p == 0:
-        coefficient, profile = _solve_binomial(f, D, window)
-        coeffs = {k: coefficient(k) for k in range(1, D + 1)}
-        return Conjugacy(coeffs, profile, "term-matching", D)
+        return _solve_binomial(f, D, window, "term-matching")
     return _solve_dense(f, D, window)
 
 
@@ -620,11 +641,11 @@ def _binomial_terms(p, N, held):
     return i[:, None], c, offsets
 
 
-def _solve_binomial(f, D, window):
-    """(k -> b_k for k = 1 .. D, profile) for the conjugacy of a binomial
-    map f = λx + a·x^N, N >= 2 the one nonlinear degree of f: the
-    recurrence of ``solve_specialized_p_plus_1`` (N = p + 1) and of
-    ``solve_sfe``'s p-divisible binomial maps (p | N).  Each b_k is the
+def _solve_binomial(f, D, window, source):
+    """The conjugacy, labelled ``source``, of a binomial map f = λx + a·x^N,
+    N >= 2 the one nonlinear degree of f: the recurrence of
+    ``solve_specialized_p_plus_1`` (N = p + 1) and of ``solve_sfe``'s
+    p-divisible binomial maps (p | N).  Each b_k is the
     dense term-matching solve's in lead, horizon, exactness and rows.
 
     The recurrence.  With s = N − 1, f^l = Σ_j C(l, j)·λ^{l−j}·a^j·x^{l+js},
@@ -700,11 +721,11 @@ def _solve_binomial(f, D, window):
     S_J·(λ^J·T_J − 1) are the only work; the rest is ufunc reductions
     and ndarray methods.  The dot product sums at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
-    The returned function keeps S_J and a^J·T_J and forms
-    b_J = S_J·(a^J·T_J), one product, per call: the p+1 solve calls it
-    when a coefficient is first read (``certify_divergence`` reads Nmax
-    of the Jmax coefficients), ``solve_sfe`` for every degree, since its
-    readers read them all.
+    The conjugacy keeps S_J and a^J·T_J and forms b_J = S_J·(a^J·T_J),
+    one product, when b_J is first read.  The loop fills its
+    ``ValuationTable``: b_J has lead L(S_J) + J·L(a) − lead_T and horizon
+    H_S + J·L(a) − lead_T, a zero to precision when S_J has no digits.
+    The verdicts read the table, and build no b_J.
     """
     (N,) = f.nonlinear_degrees
     a = f.coeffs[N]
@@ -751,7 +772,9 @@ def _solve_binomial(f, D, window):
     bounds = np.full((Jmax + 1, 2), _INF_CUT, dtype=np.int64)
     bounds[0] = 0, W
     S = np.zeros((len(Ks), W, r), dtype=np.int64)
-    S_lead, S_digits = [0] * len(Ks), [0] * len(Ks)
+    zeros = np.zeros(D + 1, dtype=object)
+    table = ValuationTable(ram, zeros, zeros.copy(), np.full(D + 1, STRUCTURAL, dtype=object))
+    table.lead[1], table.prec[1], table.kind[1] = 0, 1, NONZERO  # b_1 = 1, exact
     for n, J in enumerate(Ks):
         start, stop = offsets[J - 1], offsets[J]
         i = I[start:stop]
@@ -767,25 +790,25 @@ def _solve_binomial(f, D, window):
         first = lo + int(nonzero[0]) if nonzero.size else H
         digits = H - first
         S[n, :digits] = s_J = s_J[first - lo :]
-        S_lead[n], S_digits[n] = first, digits
+        # b_J = S_J·(a^J·T_J), whose leading row is a product of units
+        k, shift = 1 + J * s, J * a.lead - lead_T[n]
+        table.lead[k], table.prec[k] = first + shift, H + shift
+        table.kind[k] = NONZERO if digits else COMPUTED_ZERO
         if digits:
             B[J, :digits] = _convolve(field_, s_J, G[n], digits)
         bounds[J] = first - lead_T[n], H - lead_T[n]
-    leads = [first + J * a.lead - t for J, first, t in zip(Ks, S_lead, lead_T)]
     index = {J: n for n, J in enumerate(Ks)}
 
     def coefficient(k):  # b_k = S_J·(a^J·T_J) for k = 1 + Js, J held
         if k == 1:
             return one
-        J, rest = divmod(k - 1, s)
-        n = None if rest else index.get(J)
-        if n is None:
+        if table.kind[k] == STRUCTURAL:
             return exact_zero
-        lead, digits = leads[n], S_digits[n]
-        rows = _convolve(field_, S[n], F[n], digits) if digits else S[n, :0]
-        return LaurentSeries(field_, ram, lead, rows, lead + digits)
+        n, lead, prec = index[(k - 1) // s], table.lead[k], table.prec[k]
+        rows = _convolve(field_, S[n], F[n], prec - lead) if prec > lead else S[n, :0]
+        return LaurentSeries._of(field_, ram, lead, rows, prec)
 
-    return coefficient, profile
+    return Conjugacy(_Coefficients(D, coefficient), profile, source, D, table)
 
 
 def solve_specialized_p_plus_1(f, Jmax, window=32):
@@ -806,9 +829,7 @@ def solve_specialized_p_plus_1(f, Jmax, window=32):
     if window < 1:
         raise HypothesisError(f"window must be >= 1, got {window}")
     _p_plus_1_shape(f)
-    D = Jmax * f.field.p + 1
-    coefficient, profile = _solve_binomial(f, D, window)
-    return Conjugacy(_Coefficients(D, coefficient), profile, "specialized", D)
+    return _solve_binomial(f, Jmax * f.field.p + 1, window, "specialized")
 
 
 @dataclass(frozen=True)
@@ -821,13 +842,8 @@ def check_structural_zeros(g, f):
     """For p-divisible maps, every b_k with k > 1 and p ∤ k must vanish."""
     if not f.divisible_degrees():
         return ZeroReport(False, [])
-    p = f.field.p
-    violations = [
-        k
-        for k in range(2, g.D + 1)
-        if k % p != 0 and g.zero_kind[k] == NONZERO
-    ]
-    return ZeroReport(True, violations)
+    p, kind = f.field.p, g.valuations.kind.tolist()
+    return ZeroReport(True, [k for k in range(2, g.D + 1) if k % p != 0 and kind[k] == NONZERO])
 
 
 @dataclass(frozen=True)
@@ -843,28 +859,24 @@ def check_coefficient_bound(g, gauge, f):
     as O(U^h), h below its bound, cannot be checked: PrecisionError.
 
     All bounds are Python integers over lcm(den A, den v_m, e) from one
-    pass of ``lemma_bound``, compared with each lead or horizon on that
-    scale; each margin is one ``Fraction``."""
+    pass of ``lemma_bound``, compared with each lead or horizon of g's
+    ``ValuationTable`` on that scale; each margin is one ``Fraction``."""
     if not f.divisible_degrees():
         return BoundReport(False, {}, [])
-    ram = g.coeffs[1].ram
-    den = math.lcm(gauge.A.denominator, g.profile.v_m.denominator, ram)
-    scale = den // ram
-    ks = range(2, g.D + 1)
+    table, ks = g.valuations, range(2, g.D + 1)
+    den = math.lcm(gauge.A.denominator, g.profile.v_m.denominator, table.ram)
+    scale = den // table.ram
     bounds = lemma_bound(g.profile, gauge.A, np.array(ks, dtype=object), den)
+    rows = (table.lead[2:].tolist(), table.prec[2:].tolist(), table.kind[2:].tolist())
     margins, violations = {}, []
-    for k, bound in zip(ks, bounds.tolist()):
-        b_k = g.coeffs[k]
-        if b_k.is_zero_as_known:
-            if not b_k.exact and b_k.prec * scale < bound:
-                raise PrecisionError(
-                    f"b_{k} = O(U^{b_k.prec}), below the Lemma bound {Fraction(bound, den)}"
-                )
-            margins[k] = None
-            continue
-        margin = b_k.lead * scale - bound
-        margins[k] = Fraction(margin, den)
-        if margin < 0:
+    for k, bound, lead, prec, kind in zip(ks, bounds.tolist(), *rows):
+        if kind == COMPUTED_ZERO and prec * scale < bound:
+            raise PrecisionError(
+                f"b_{k} = O(U^{prec}), below the Lemma bound {Fraction(bound, den)}"
+            )
+        margin = lead * scale - bound
+        margins[k] = Fraction(margin, den) if kind == NONZERO else None
+        if kind == NONZERO and margin < 0:
             violations.append(k)
     return BoundReport(True, margins, violations)
 
@@ -916,17 +928,16 @@ def certify_divergence(f, Nmax, window=32):
         raise HypothesisError(f"Nmax must be >= 1, got {Nmax}")
     p, ram = f.field.p, f.ram
     g = solve_specialized_p_plus_1(f, p ** (Nmax - 1), window)
-    profile = g.profile
+    profile, table = g.profile, g.valuations
     proven = profile.m == 1
     v_a = Fraction(f.coeffs[p + 1].lead, ram)
     entries, slopes = [], []
     for N in range(1, Nmax + 1):
         j = p ** (N - 1)
         k = j * p + 1
-        b = g.coeffs[k]
-        if b.is_zero_as_known:
+        if table.kind[k] != NONZERO:
             raise PrecisionError(f"b_{k} vanished to precision; cannot certify")
-        computed = Fraction(b.lead, ram)
+        computed = Fraction(table.lead[k], ram)
         predicted = None
         if proven:
             # the sum of the small divisors is checked against its closed form

@@ -15,13 +15,18 @@ import numpy as np
 import lindisc.discs as discs
 import lindisc.schroder
 from lindisc._dense import _INF_CUT, INF, DensePoly, _clamp
-from lindisc.discs import PeriodicPoint, _embed_map, _tower_fields, verify_indifferent
+from lindisc.discs import (
+    PeriodicPoint,
+    WeierstrassData,
+    _embed_map,
+    _tower_fields,
+    verify_indifferent,
+)
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.field import p_split
 from lindisc.laurent import LaurentSeries, _any, _convolve
 from lindisc.multiplier import (
     count_resonant,
-    lemma_bound,
     mult_profile,
     small_divisor_valuation,
 )
@@ -456,6 +461,52 @@ def delta_exponent(profile, k):
     return Fraction(count_resonant(profile, k), k - 1)
 
 
+def lemma_bound_per_k(profile, A, k):
+    """The Lemma bound (k-1)·A − v_m·count_resonant(k) on v(b_k) as a
+    ``Fraction``, one k at a time: ``lemma_bound``'s integer form over a
+    common denominator, divided back out."""
+    return (k - 1) * A - profile.v_m * count_resonant(profile, k)
+
+
+def weierstrass_data_per_k(coeffs, v_r, gauge=None, profile=None):
+    """``discs.weierstrass_data`` one series at a time: each v(c_k) + k·v_r
+    a ``Fraction`` from the series of ``coeffs`` (a mapping k -> c_k), and
+    given the gauge and the profile, the tail past the table from
+    ``lemma_bound_per_k`` over one period mp and its increment."""
+    best = None
+    minimizers = []
+    for k in sorted(coeffs):
+        c = coeffs[k]
+        if c.is_zero_as_known:
+            continue
+        t = Fraction(c.lead, c.ram) + k * v_r
+        if best is None or t < best:
+            best, minimizers = t, [k]
+        elif t == best:
+            minimizers.append(k)
+    if best is None:
+        raise HypothesisError("all coefficients vanish; no Weierstrass data")
+    for k, c in coeffs.items():
+        if c.is_zero_as_known and not c.exact:
+            if Fraction(c.prec, c.ram) + k * v_r <= best:
+                raise PrecisionError(
+                    f"coefficient {k} is zero only to precision and could "
+                    f"attain the Weierstrass minimum"
+                )
+    certified = False
+    if gauge is not None:
+        period = profile.m * profile.p
+        D = max(coeffs)
+
+        def tail(k):
+            return lemma_bound_per_k(profile, gauge.A, k) + k * v_r
+
+        window = [tail(k) for k in range(D + 1, D + period + 1)]
+        increment = tail(D + period + 1) - window[0]
+        certified = all(t > best for t in window) and increment > 0
+    return WeierstrassData(best, max(minimizers), min(minimizers), certified)
+
+
 def check_coefficient_bound_per_k(g, gauge, f):
     """``check_coefficient_bound`` one k at a time: each Lemma bound a
     ``Fraction`` from ``lemma_bound``, compared with v(b_k) or with the
@@ -465,7 +516,7 @@ def check_coefficient_bound_per_k(g, gauge, f):
     ram = g.coeffs[1].ram
     margins, violations = {}, []
     for k in range(2, g.D + 1):
-        bound = lemma_bound(g.profile, gauge.A, k)
+        bound = lemma_bound_per_k(g.profile, gauge.A, k)
         b_k = g.coeffs[k]
         if b_k.is_zero_as_known:
             if not b_k.exact and Fraction(b_k.prec, ram) < bound:

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lindisc.cli as cli
 import lindisc.discs as discs
 import lindisc.schroder as schroder
@@ -156,6 +158,47 @@ def test_tracer_wraps_the_disc_periodic_point_search(tmp_path, capsys):
     assert [pp.kappa for pp in points] == [1]
     assert tracer.stats["discs.classify"][0] == 1
     assert tracer.stats["discs.weierstrass_data"][0] >= 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, job",
+    [
+        (["disc"], {"f": {"2": "1"}}),  # EXACT-SIGMA
+        (["disc"], {"f": {"4": "T"}}),  # EXTENDED-RHO
+        (["certify-divergence"], {"f": {"3": "1"}, "Nmax": 4}),
+    ],
+    ids=["disc-exact", "disc-extended", "certify-divergence"],
+)
+def test_verdict_jobs_build_no_coefficient_series(tmp_path, capsys, monkeypatch, argv, job):
+    """A ``disc`` job and a ``certify-divergence`` job read every verdict off
+    the conjugacy's ``ValuationTable``: no ``_Coefficients.build`` call
+    while the job runs.  ``harness.digits_of`` then builds every
+    coefficient and reads the digits the table holds, in order."""
+    harness = load("harness")
+    built = []
+    real_init = schroder._Coefficients.__init__
+
+    def counted(self, D, build):
+        real_init(self, D, lambda k: built.append(k) or build(k))
+
+    monkeypatch.setattr(schroder._Coefficients, "__init__", counted)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"p": 2, "lambda": "1+T", **job}))
+    patcher = harness.Patcher()
+    try:
+        capture = harness.Capture(patcher)
+        assert cli.main(argv + ["--job", str(path)]) == 0
+        results, points = capture.take()
+    finally:
+        patcher.undo()
+    ((_, _, g),) = results
+    assert built == []
+    digits = harness.digits_of(results, points)
+    assert sorted(built) == list(range(1, g.D + 1))
+    table = g.valuations
+    held = [table.prec[k] - table.lead[k] for k in range(1, g.D + 1) if table.kind[k] == "nonzero"]
+    assert digits == held + [s.prec - s.lead for pp in points for s in (pp.point, pp.multiplier)]
     capsys.readouterr()
 
 

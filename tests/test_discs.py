@@ -1,12 +1,16 @@
 """Weierstrass data, linearization-disc certificates, boundary periodic
 points, and the resonance-exponent maximization."""
 
+import importlib.util
 import math
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lindisc.cli as cli
 import lindisc.discs as discs
 import lindisc.field
 import lindisc.schroder
@@ -31,27 +35,58 @@ from lindisc import (
 )
 from lindisc.discs import LEVEL_EXACT, LEVEL_EXTENDED, LEVEL_GENERIC
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
-from oracles import delta_exponent, find_periodic_point_per_element
+from oracles import (
+    delta_exponent,
+    find_periodic_point_per_element,
+    weierstrass_data_per_k,
+)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
 F4 = FieldParams(2, 2)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the typed error it raised."""
+    try:
+        return fn(*args)
+    except (HypothesisError, PrecisionError) as error:
+        return type(error), str(error)
+
+
+def _weierstrass(g, v_r, gauge=None):
+    """``weierstrass_data`` of g, whose result or typed error must equal
+    the per-k ``Fraction`` oracle's on g's series."""
+    want = _outcome(weierstrass_data_per_k, g.coeffs, v_r, gauge, g.profile)
+    assert _outcome(weierstrass_data, g, v_r, gauge) == want
+    return weierstrass_data(g, v_r, gauge)
+
+
+def _conjugacy(h, profile=None):
+    """A conjugacy whose coefficients are the series of h, k = 1 .. D."""
+    return Conjugacy(h, profile, "table", max(h))
+
+
 def test_weierstrass_basic_example():
     h = {1: parse_series("1", F2), 2: parse_series("T^-1", F2)}
-    wd = weierstrass_data(h, 1)
+    wd = _weierstrass(_conjugacy(h), 1)
     assert (wd.v_s, wd.d, wd.d_prime) == (1, 2, 1)
     assert not wd.certified_tail
 
 
 def test_weierstrass_data_of_an_empty_table_is_a_typed_error():
+    """A table whose coefficients all vanish, exactly or to precision; a
+    conjugacy of no degrees is rejected when it is made."""
+    zero = LaurentSeries.zero(F2, 1, 0, exact=True)
+    h = {1: zero, 2: LaurentSeries.zero(F2, 1, 5), 3: zero}
     with pytest.raises(HypothesisError, match="all coefficients vanish"):
-        weierstrass_data({}, Fraction(1))
+        _weierstrass(_conjugacy(h), Fraction(1))
+    with pytest.raises(HypothesisError, match="degree D must be >= 1, got 0"):
+        Conjugacy({}, None, "table", 0)
 
 
 def test_weierstrass_linear():
-    wd = weierstrass_data({1: parse_series("1", F3)}, Fraction(5, 2))
+    wd = _weierstrass(_conjugacy({1: parse_series("1", F3)}), Fraction(5, 2))
     assert wd.d == wd.d_prime == 1
 
 
@@ -62,26 +97,126 @@ def test_weierstrass_tie_reports_both_minimizers():
         2: parse_series("T", F2),
         3: parse_series("1", F2),
     }
-    wd = weierstrass_data(h, 1)  # values: 2, 3, 3 -> min 2 at k=1
+    wd = _weierstrass(_conjugacy(h), 1)  # values: 2, 3, 3 -> min 2 at k=1
     assert (wd.d, wd.d_prime) == (1, 1)
-    wd = weierstrass_data(h, Fraction(1, 2))  # 3/2, 2, 3/2 -> tie {1, 3}
+    wd = _weierstrass(_conjugacy(h), Fraction(1, 2))  # 3/2, 2, 3/2 -> tie {1, 3}
     assert (wd.d, wd.d_prime) == (3, 1)
 
 
 def test_weierstrass_precision_guard():
     h = {1: parse_series("T^4", F2), 2: LaurentSeries.zero(F2, 1, 2)}
     with pytest.raises(PrecisionError):
-        weierstrass_data(h, 1)
+        _weierstrass(_conjugacy(h), 1)
 
 
 def test_weierstrass_tail_certification():
+    """The tail past D is the Lemma bound's: for λ = 1 + T over F_2 (m = 1,
+    v_m = 1, k' = 2) it rises with the gauge A = 1 and falls with A = -4.
+    With A = -1/2 it stays above a minimum of -9 over its first period
+    but gains nothing per period: not certified either."""
+    profile = mult_profile(parse_series("1+T", F2))
     h = {1: parse_series("1", F2), 2: parse_series("T", F2)}
-    rising = (lambda k: Fraction(k, 1), 2)
-    wd = weierstrass_data(h, 1, rising)
+    g = _conjugacy(h, profile)
+    rising = types.SimpleNamespace(A=Fraction(1))
+    wd = _weierstrass(g, 1, rising)
     assert wd.certified_tail
-    falling = (lambda k: Fraction(-2 * k, 1), 2)
-    wd = weierstrass_data(h, 1, falling)
+    falling = types.SimpleNamespace(A=Fraction(-4))
+    wd = _weierstrass(g, 1, falling)
     assert not wd.certified_tail
+    low = _conjugacy({1: parse_series("T^-10", F2), 2: parse_series("T^-10", F2)}, profile)
+    wd = _weierstrass(low, 1, types.SimpleNamespace(A=Fraction(-1, 2)))
+    assert wd.v_s == -9 and not wd.certified_tail
+
+
+def _disc_pool_maps():
+    """(job id, map, W) of every ``disc`` job of the ``disc-tower`` pool in
+    ``bench/workloads.py``, parsed as the CLI parses it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    maps = []
+    for _, jobs in sorted(workloads.pool("disc-tower").items()):
+        for job_id, argv_tail, payload in jobs:
+            if argv_tail == ["disc"]:
+                f = cli._job_map(payload, cli._job_field(payload), 1, 32)
+                maps.append((job_id, f, 32))
+    return maps
+
+
+def test_integer_weierstrass_reads_equal_the_oracle_on_the_disc_pool():
+    """On every ``disc`` map of the ``disc-tower`` pool, solved as ``disc``
+    solves it, the integer reads of the valuation table give the per-k
+    ``Fraction`` oracle's data, or its typed error, at v_σ with the Lemma
+    tail, at v_ρ and at seeded random radii with and without the tail."""
+    rng = random.Random(20)
+    seen = set()
+    maps = _disc_pool_maps()
+    assert len(maps) == 12 * 16
+    for job_id, f, W in maps:
+        g = solve_sfe(f, discs.default_degree(f, mult_profile(f.multiplier)), W)
+        gauge = ps_gauge(f)
+        dp = disc_profile(g.profile, gauge)
+        radii = [(dp.v_sigma, gauge), (dp.v_rho, None)]
+        for _ in range(3):
+            v = Fraction(rng.randrange(-60, 61), rng.randrange(1, 13))
+            radii.append((v, rng.choice([None, gauge])))
+        for v, tail in radii:
+            out = _outcome(weierstrass_data, g, v, tail)
+            assert out == _outcome(weierstrass_data_per_k, g.coeffs, v, tail, g.profile), job_id
+            seen.add(out[0] if isinstance(out, tuple) else out.certified_tail)
+    assert seen == {True, False, PrecisionError}
+
+
+@pytest.mark.parametrize(
+    "field, lam, degree, ram",
+    [(F2, "1+T", 4, 1), (F2, "1+T", 2, 1), (F3, "2+U", 9, 2), (F4, "b+T", 8, 1)],
+)
+def test_a_zero_to_precision_at_the_minimum_raises_as_the_oracle(field, lam, degree, ram):
+    """A b_k planted as O(U^h) with h/e + k·v_r at the Weierstrass minimum
+    raises the oracle's PrecisionError, naming the least such k; planted
+    one digit higher it leaves the data as it was.  At v_ρ and at v_σ
+    with the Lemma tail, in place of exact zeros of the solve."""
+    f = _map(field, lam, {degree: "1"}, ram)
+    g = solve_sfe(f, 4 * degree + 8)
+    gauge = ps_gauge(f)
+    dp = disc_profile(g.profile, gauge)
+    planted = 0
+    for v_r, tail in ((dp.v_rho, None), (dp.v_sigma, gauge)):
+        data = _weierstrass(g, v_r, tail)
+        # the exact zeros whose horizon h = e·(min − k·v_r) is an integer
+        ks = [
+            k
+            for k in range(2, g.D + 1)
+            if g.zero_kind[k] == lindisc.schroder.STRUCTURAL
+            and ((data.v_s - k * v_r) * ram).denominator == 1
+        ]
+        planted += len(ks)
+        h = {k: int((data.v_s - k * v_r) * ram) for k in ks}
+        for k, later in zip(ks, ks[1:] + ks[:1]):
+            zeros = {j: LaurentSeries.zero(field, ram, h[j]) for j in {k, later}}
+            at = Conjugacy({**g.coeffs, **zeros}, g.profile, g.source, g.D)
+            with pytest.raises(PrecisionError, match=f"^coefficient {min(k, later)} is zero"):
+                _weierstrass(at, v_r, tail)
+            above = {k: LaurentSeries.zero(field, ram, h[k] + 1)}
+            above = Conjugacy({**g.coeffs, **above}, g.profile, g.source, g.D)
+            assert _weierstrass(above, v_r, tail) == data
+    assert planted >= 2
+
+
+def test_an_uncertified_lemma_tail_raises_in_degree_on_sigma():
+    """With a gauge A lowered by 8 the Lemma bound falls by 8 per degree,
+    faster than k·v_σ rises: the tail past D is not certified, and
+    ``degree_on_sigma`` raises CertificateError."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    g = solve_sfe(f, 16)
+    gauge = ps_gauge(f)
+    dp = disc_profile(g.profile, gauge)
+    assert degree_on_sigma(g, dp, gauge) == (1, 2)
+    falling = types.SimpleNamespace(A=gauge.A - 8)
+    assert not _weierstrass(g, dp.v_sigma, falling).certified_tail
+    with pytest.raises(CertificateError, match="sigma-disc tail bound failed to certify"):
+        degree_on_sigma(g, dp, falling)
 
 
 def test_degree_dichotomy_instances():

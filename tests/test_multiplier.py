@@ -24,7 +24,7 @@ from lindisc import (
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI, p_split
 from lindisc.multiplier import lemma_bound
-from oracles import product_small_divisors_per_term, small_divisor_direct
+from oracles import lemma_bound_per_k, product_small_divisors_per_term, small_divisor_direct
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -289,14 +289,14 @@ def test_count_resonant_against_brute_force():
         assert count_resonant(pr, pr.k_prime + m * p) == 2
         # the Lemma bound drops by v_m at each resonant degree
         kp, v_m, A = pr.k_prime, pr.v_m, Fraction(-1, 3)
-        assert lemma_bound(pr, A, kp) == (kp - 1) * A - v_m
-        assert lemma_bound(pr, A, kp + m * p) == (kp + m * p - 1) * A - 2 * v_m
+        den = 6 * v_m.denominator
+        assert lemma_bound(pr, A, kp, den) == ((kp - 1) * A - v_m) * den
+        assert lemma_bound(pr, A, kp + m * p, den) == ((kp + m * p - 1) * A - 2 * v_m) * den
         # the array form: every k at once, as integers over a common denominator
         ks = list(range(1, 10 * m * p + 1))
         assert count_resonant(pr, np.array(ks)).tolist() == [count_resonant(pr, k) for k in ks]
-        den = 6 * v_m.denominator
         scaled = lemma_bound(pr, A, np.array(ks, dtype=object), den).tolist()
-        assert scaled == [lemma_bound(pr, A, k) * den for k in ks]
+        assert scaled == [lemma_bound_per_k(pr, A, k) * den for k in ks]
         with pytest.raises(HypothesisError):
             lemma_bound(pr, A, kp, 2 * v_m.denominator)
 

@@ -45,7 +45,6 @@ from lindisc.errors import (
 )
 from lindisc.field import p_split
 from lindisc.multiplier import (
-    lemma_bound,
     small_divisor_leads,
     small_divisor_valuation,
 )
@@ -63,6 +62,7 @@ from oracles import (
     binomial_digits,
     check_coefficient_bound_per_k,
     exact_powers,
+    lemma_bound_per_k,
     over_small_divisor,
     small_divisor_leads_per_entry,
     solve_sfe_chain,
@@ -349,6 +349,47 @@ def test_binomial_recurrence_equals_the_chain(p, r):
     for label, f, D in _binomial_cases(p, r):
         g, D = _binomial_solve(f, D, 12)
         _assert_bytes_equal(g, solve_sfe_chain(f, D, window=12), D, label)
+
+
+def _series_rows(g):
+    """(lead, horizon, zero kind) of each series b_1 .. b_D of g, read one
+    series at a time."""
+    rows = []
+    for k in range(1, g.D + 1):
+        s = g.coefficient(k)
+        if not s.is_zero_as_known:
+            kind = NONZERO
+        else:
+            kind = STRUCTURAL if s.exact else COMPUTED_ZERO
+        rows.append((s.lead, s.prec, kind))
+    return rows
+
+
+@pytest.mark.parametrize("p, r", SUPPORT_GRID, ids=lambda x: str(x))
+def test_valuation_table_equals_every_series(p, r):
+    """A solve's ``ValuationTable`` holds the lead, horizon and zero kind
+    of each b_k as Python ints and the kinds' strings, with row 0 the
+    exact zero b_0: for the dense route and the binomial route of
+    ``solve_sfe`` and for the p+1 solve, e = 1, 2, 3, D below the first
+    support degree included.  The binomial routes fill it before any
+    series is built."""
+    cases = [case for e in (1, 2, 3) for case in _support_cases(p, r, e)]
+    routes = set()
+    for label, f, D in cases + _binomial_cases(p, r):
+        solves = [solve_sfe(f, D, 12)]
+        if f.nonlinear_degrees == [p + 1]:
+            solves.append(solve_specialized_p_plus_1(f, (D - 1) // p, 12))
+        for g in solves:
+            lazy = isinstance(g.coeffs, lindisc.schroder._Coefficients)
+            routes.add((g.source, lazy))
+            assert not lazy or g.coeffs.built == {}, label
+            table = g.valuations
+            assert table.ram == f.ram and len(table.kind) == g.D + 1, label
+            got = list(zip(table.lead.tolist(), table.prec.tolist(), table.kind.tolist()))
+            assert got[0] == (0, 0, STRUCTURAL), label
+            assert got[1:] == _series_rows(g), label
+            assert all(type(x) is int for row in got for x in row[:2]), label
+    assert routes == {("term-matching", False), ("term-matching", True), ("specialized", True)}
 
 
 def test_binomial_recurrence_takes_the_zero_binomial_caps():
@@ -1258,7 +1299,7 @@ def test_coefficient_bound_equals_the_per_k_fraction_route():
         D = rng.randrange(2 * profile.k_prime, 4 * profile.k_prime + 8)
         coeffs = {1: LaurentSeries.constant(field, 1, ram)}
         for k in range(2, D + 1):
-            top = math.ceil(lemma_bound(profile, gauge.A, k) * ram)
+            top = math.ceil(lemma_bound_per_k(profile, gauge.A, k) * ram)
             kind = rng.random()
             if kind < 0.15:
                 coeffs[k] = LaurentSeries.zero(field, ram, 0, exact=True)

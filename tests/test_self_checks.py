@@ -67,8 +67,9 @@ LEADS_HOMES = {
 BUDGET_HOMES = {"laurent._per_batch"}
 BINDING_HOMES = {"laurent"}
 # the callers of ``LaurentSeries._of``, which skips ``__init__``'s
-# reduction mod p: results the series arithmetic, the dense engine and
-# the divisor table form already reduced.  Parsed input never reaches it
+# reduction mod p: results the series arithmetic, the dense engine, the
+# divisor table and the binomial recurrence's products form already
+# reduced.  Parsed input never reaches it
 REDUCED_HOMES = {
     "laurent.LaurentSeries.__add__",
     "laurent.LaurentSeries.__neg__",
@@ -79,12 +80,19 @@ REDUCED_HOMES = {
     "laurent.LaurentSeries.__pow__",
     "_dense.DensePoly.column",
     "schroder._DivisorTable.__getitem__",
+    "schroder._solve_binomial.coefficient",
 }
 # the one caller of ``DensePoly._mask_all``: the running sum is the only
 # polynomial with horizons inside its windows, and products of exact-start
 # powers write nothing at or past theirs, so a mask after a product would
 # clear nothing
 MASK_HOMES = {"_dense.DensePoly.add_scaled"}
+# the Lemma bound is read in integers only, over one common denominator
+# of the conjugacy's ``ValuationTable``: a second, Fraction-valued reader
+# would call ``lemma_bound`` without ``den`` or build a ``Fraction`` per
+# degree inside a loop of ``discs``.  Neither has a home
+FRACTION_HOMES = set()
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _divisible_by_p(test):
@@ -107,8 +115,11 @@ def _kernel_uses(module, source):
     every ``while … % p == 0`` loop, every strided view (an ``np.ndarray(...)`` call given strides,
     an ``as_strided`` or ``sliding_window_view`` call), every load, import
     and binding of ``_STACK_BYTES`` and, in ``schroder``, every
-    ``.inverse()`` and ``_invert_unit(...)`` call, and every
-    ``._mask_all(...)`` call in the source of ``module``."""
+    ``.inverse()`` and ``_invert_unit(...)`` call, every
+    ``._mask_all(...)`` call, every ``lemma_bound(...)`` call without
+    ``den`` and, in ``discs``, every ``Fraction(...)`` built inside the
+    body of a ``for`` or ``while`` or a comprehension in the source of
+    ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -141,7 +152,7 @@ def _kernel_uses(module, source):
             for name in ("as_strided", "sliding_window_view")
         )
 
-    def visit(node, scope):
+    def visit(node, scope, looped=False):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
         if numpy_call(node, "convolve"):
@@ -171,6 +182,14 @@ def _kernel_uses(module, source):
             uses.append((scope, "reduced"))
         if method_call(node, "_mask_all"):
             uses.append((scope, "mask"))
+        if (
+            (function_call(node, "lemma_bound") or method_call(node, "lemma_bound"))
+            and len(node.args) < 4
+            and not any(k.arg == "den" for k in node.keywords)
+        ):
+            uses.append((scope, "fraction"))
+        if module == "discs" and looped and function_call(node, "Fraction"):
+            uses.append((scope, "fraction"))
         if isinstance(node, ast.While) and _divisible_by_p(node.test):
             uses.append((scope, "split"))
         name = getattr(node, "id", getattr(node, "attr", None))
@@ -180,8 +199,10 @@ def _kernel_uses(module, source):
             alias.name == "_STACK_BYTES" for alias in node.names
         ):
             uses.append((scope, "budget"))
+        body = node.body if isinstance(node, (ast.For, ast.While)) else ()
+        looped = looped or isinstance(node, COMPREHENSIONS)
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, scope, looped or any(child is stmt for stmt in body))
 
     visit(ast.parse(source), module)
     return uses
@@ -201,6 +222,7 @@ def _misplaced(uses):
         "binding": BINDING_HOMES,
         "reduced": REDUCED_HOMES,
         "mask": MASK_HOMES,
+        "fraction": FRACTION_HOMES,
     }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
@@ -215,7 +237,8 @@ def test_one_convolution_and_one_fold():
     assert not offenders, (
         f"a second F_q product, fold, power or windowed view, small-divisor "
         f"quotient, Lemma bound, p-adic split, small-divisor term loop, "
-        f"memory budget, unreduced series or mask: {offenders}"
+        f"memory budget, unreduced series, mask or Fraction-valued Lemma "
+        f"bound reader: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "window") in seen
@@ -407,6 +430,35 @@ def test_kernel_walk_flags_a_fourth_small_divisor_reader():
     assert _misplaced(_kernel_uses("schroder", table)) == []
     assert _misplaced(_kernel_uses("multiplier", table)) == [
         ("multiplier._small_divisors", "leads"),
+    ]
+
+
+def test_kernel_walk_flags_a_fraction_valued_lemma_bound_reader():
+    source = (
+        "from fractions import Fraction\n"
+        "from . import multiplier\n"
+        "def degree_on_sigma(g, profile, A, kp, den, table):\n"
+        "    exact = lemma_bound(profile, A, kp, den), lemma_bound(profile, A, kp, den=den)\n"
+        "    bound = lemma_bound(profile, A, kp)\n"
+        "    other = multiplier.lemma_bound(profile, A, kp)\n"
+        "    for k in range(1, g.D + 1):\n"
+        "        t = Fraction(table.lead[k], table.ram) + k\n"
+        "        while t:\n"
+        "            t = Fraction(t) - 1\n"
+        "    return Fraction(exact[0], den), [Fraction(k) for k in range(3)]\n"
+    )
+    assert _misplaced(_kernel_uses("discs", source)) == [
+        ("discs.degree_on_sigma", "fraction"),
+        ("discs.degree_on_sigma", "fraction"),
+        ("discs.degree_on_sigma", "fraction"),
+        ("discs.degree_on_sigma", "fraction"),
+        ("discs.degree_on_sigma", "fraction"),
+    ]
+    # a Fraction built in a loop is a Lemma-bound reader in ``discs`` only;
+    # a bound without ``den`` is one anywhere
+    assert _misplaced(_kernel_uses("schroder", source)) == [
+        ("schroder.degree_on_sigma", "fraction"),
+        ("schroder.degree_on_sigma", "fraction"),
     ]
 
 
