@@ -8,7 +8,9 @@ in full LaurentSeries arithmetic; the windowed dense engine of
 Horner over series; it, the derivative table (``_table_derivative``) and
 the Newton root (``newton_root``) serve every polynomial-in-x caller.  Only
 the residue-root search of :mod:`lindisc.discs` evaluates elsewhere:
-on blocks of residue-field elements at once, as coordinate arrays.
+on blocks of residue-field elements at once, as coordinate arrays.  A
+Newton lift takes its horizon from the iterate, not from an exact
+derivative's.
 
 Input maps are finite coefficient tables (polynomials), so the gauge
 minimum min_{i>=2} v(a_i)/(i-1) is always attained.  Integer factors
@@ -124,14 +126,15 @@ def ps_gauge(f):
 def eval_table(table, x):
     """Evaluate a coefficient table (a polynomial in x) at a point by
     sparse Horner over the supported degrees.  Coefficients and point
-    are LaurentSeries, or FqElement for a nonempty residue table."""
+    are LaurentSeries, or FqElement for a nonempty residue table.  A
+    constant table {0: c} is c itself: no closing factor x^0."""
     degs = sorted(table, reverse=True)
     if not degs:
         return LaurentSeries.zero(x.field, x.ram, x.prec)
     acc = table[degs[0]]
     for prev, nxt in zip(degs, degs[1:]):
         acc = acc * (x ** (prev - nxt)) + table[nxt]
-    return acc * (x ** degs[-1])
+    return acc * (x ** degs[-1]) if degs[-1] else acc
 
 
 def ps_eval(f, x):
@@ -140,18 +143,9 @@ def ps_eval(f, x):
 
 
 def ps_derivative_at(f, x):
-    """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p.
-
-    Summed term by term: ``eval_table``'s factor x^0, an exact 1 at x's
-    horizon, would give the derivative {0: λ} of a p-divisible map x's
-    horizon, not λ's, and move the ``disc`` multiplier's bytes."""
-    acc = None
-    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
-        term = a * (x ** d) if d else a
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return LaurentSeries.zero(f.field, f.ram, x.prec)
-    return acc
+    """f'(x) = Σ i a_i x^(i-1), the integer factors reduced mod p: λ
+    itself for a p-divisible map, whose derivative table is {0: λ}."""
+    return eval_table(_table_derivative(f.coeffs, f.field.p), x)
 
 
 def table_compose(outer, inner, D):
@@ -212,16 +206,20 @@ def newton_root(table, dtable, y):
     None when the derivative is not a unit or a step is not smaller than
     the iterate: the start is not in the root's basin.  Each step at
     least doubles the known digits, so 2·bit_length(prec of y) + 8 steps
-    reach the horizon; raises PrecisionError after that many.
+    reach the horizon; raises PrecisionError after that many.  The root
+    keeps y's horizon: an exact derivative c (``dtable`` = {0: c}) is
+    inverted to it, or to c's own if that is larger.
     """
     max_iter = 2 * y.prec.bit_length() + 8
     for _ in range(max_iter):
         resid = eval_table(table, y)
         if resid.is_zero_as_known:
             return y
-        deriv = eval_table(dtable, y)  # x^0 gives even an exact one y's horizon
+        deriv = eval_table(dtable, y)
         if deriv.is_zero_as_known or deriv.lead != 0:
             return None
+        if deriv.exact:  # inverted to the iterate's horizon, or to its own if larger
+            deriv = LaurentSeries(y.field, y.ram, 0, deriv.coeffs, max(deriv.prec, y.prec), True)
         step = resid * deriv.inverse()
         if step.lead <= y.lead:
             return None

@@ -466,9 +466,8 @@ def _solve_dense(f, D, window):
     live, support = _support(f, D)
     ks = (support[2:].nonzero()[0] + 2).tolist()
     divisor = _small_divisors(profile, ks, window)
-    # the gaps, in steps of u, between f^1 (f^p for p-divisible maps,
-    # formed first) and the f^k formed, k ∈ K below D
-    formed = [p if family else 1] + [k for k in ks if k < D]
+    # the gaps, in steps of u = f^step, between u and each f^k formed, k ∈ K below D
+    formed = [step] + [k for k in ks if k < D]
     needed = {(k - prev) // step for prev, k in zip(formed, formed[1:])}
     live, support = live.tolist(), support.tolist()
 
@@ -476,7 +475,11 @@ def _solve_dense(f, D, window):
     acc = DensePoly(field_, ram, D, window)
     fpow = DensePoly.of_map(f, D, window)  # f^prev, prev the last degree of K formed
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
-    prev, gaps = 1, None if family else _GapPowers(fpow, f, needed)
+    if family and len(formed) > 1:  # u = f^p, multiplied only by ``mul``: free f's columns
+        for _ in range(p - 1):
+            fpow = fpow.mul_by_map(f)
+        fpow.map_columns = None
+    prev, gaps = step, _GapPowers(fpow, None if family else f, needed)
     for k in range(2, D + 1):
         if (acc.prec[k] < _INF_CUT) != live[k]:
             raise _support_miss(f, k, live[k])
@@ -493,12 +496,6 @@ def _solve_dense(f, D, window):
             b_k = s_k * divisor[k] if live[k] else exact_zero
         coeffs[k] = b_k
         if k < D and support[k]:
-            if gaps is None:  # f^p from f, the stride of every later power
-                for _ in range(p - 1):
-                    fpow = fpow.mul_by_map(f)
-                # f^p is multiplied only by ``mul``: free f's columns
-                fpow.map_columns, prev = None, p
-                gaps = _GapPowers(fpow, None, needed)
             fpow = gaps.times(fpow, (k - prev) // step)
             prev = k
             acc.add_scaled(b_k, fpow)

@@ -269,6 +269,17 @@ def table_compose_horner(outer, inner, D):
     return {d: s for d, s in acc.items() if not s.is_exact_zero}
 
 
+def derivative_term_sum(f, x):
+    """f'(x) = Σ i a_i x^(i-1) summed term by term, each term formed by
+    its own power of x, where ``ps_derivative_at`` runs Horner over the
+    derivative table.  The constant term is λ itself, not λ·x^0."""
+    acc = None
+    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):
+        term = a * (x**d) if d else a
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def find_periodic_point_per_element(f, kappa_max, sphere, e=1, horizon=128):
     """The boundary periodic-point search of ``find_periodic_point`` with
     f^∘κ recomposed by Horner for every κ and every tower field, and the

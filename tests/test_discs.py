@@ -414,6 +414,28 @@ def test_a_newton_lift_keeps_the_search_horizon(horizon):
     assert pt.multiplier == f.multiplier and pt.multiplier.prec == f.multiplier.prec == 16
 
 
+@pytest.mark.parametrize("horizon", [8, 24, 40])
+def test_a_newton_lift_through_a_non_constant_derivative_keeps_the_search_horizon(horizon):
+    """Over F_3, f = (1+T)x + (1+T)x^2 has degree 2 prime to p, so on the
+    sphere v = 1 the lifted polynomial u + (1+T)u^2 has the derivative
+    table {0: 1, 1: 2 + 2T}, and its residue root u = 2 takes Newton
+    steps.  The fixed point −T/(1+T) = 2T + T^2 + 2T^3 + … is known to
+    O(T^(horizon+1)), its multiplier 1 − T to the same horizon, and both
+    equal the per-element oracle's to the byte."""
+    f = PowerSeriesMap({1: parse_series("1+T", F3), 2: parse_series("1+T", F3)})
+    sphere = make_disc(Fraction(1), "closed")
+    pt = find_periodic_point(f, 1, sphere, horizon=horizon)
+    terms = "+".join(f"{2 if k % 2 else 1}*T^{k}" for k in range(1, horizon + 1))
+    want = parse_series(f"{terms}+O(T^{horizon + 1})", F3)
+    assert (pt.point.lead, pt.point.prec) == (1, horizon + 1)
+    assert pt.point.render() == want.render()
+    assert pt.multiplier.render() == f"1 + 2*T + O(T^{horizon + 1})"
+    oracle = find_periodic_point_per_element(f, 1, sphere, horizon=horizon)
+    for got, ref in ((pt.point, oracle.point), (pt.multiplier, oracle.multiplier)):
+        assert (got.lead, got.prec, got.exact) == (ref.lead, ref.prec, ref.exact)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
 def test_search_rejects_a_lift_that_is_not_periodic(monkeypatch):
     """A Newton lift that is not a root of G is caught by the walk along
     its orbit: f(x) - x = T^3 + ... at x = T + T^2."""

@@ -21,8 +21,15 @@ from lindisc import (
     table_compose,
 )
 from lindisc.errors import HypothesisError
-from lindisc.powerseries import _table_derivative
-from oracles import binomial_digits, horizon, ps_iterate, table_compose_horner
+from lindisc.powerseries import _table_derivative, newton_root
+from lindisc.schroder import invert_at_point, solve_sfe
+from oracles import (
+    binomial_digits,
+    derivative_term_sum,
+    horizon,
+    ps_iterate,
+    table_compose_horner,
+)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -255,11 +262,12 @@ def _same_series(a, b):
     "field", [F2, F3, FieldParams(5), F4, FieldParams(3, 2)], ids=str
 )
 def test_derivative_term_sum_equals_horner(field):
-    """``ps_derivative_at``'s term sum equals ``eval_table`` of the
-    derivative table in lead, horizon, exactness and bytes, at inexact
-    points of random maps of degree prime to p (leads -3 .. 5).  For a
-    p-divisible map the derivative table is {0: λ}: the term sum is λ
-    itself, with λ's horizon, where Horner's factor x^0 gives it x's."""
+    """``ps_derivative_at``, Horner over the derivative table, equals the
+    term sum (``oracles.derivative_term_sum``) in lead, horizon,
+    exactness and bytes, at inexact points of random maps of degree
+    prime to p (leads -3 .. 5).  For a p-divisible map the derivative
+    table is {0: λ}, and Horner takes no closing factor x^0: both give
+    λ itself, with λ's horizon, not x's."""
     rng = random.Random(field.q + 5)
     p = field.p
 
@@ -277,13 +285,106 @@ def test_derivative_term_sum_equals_horner(field):
         f = PowerSeriesMap(coeffs)
         lead = rng.randrange(-3, 6)
         x = LaurentSeries(field, 1, lead, exact(lead, 3).coeffs, lead + rng.randrange(1, 20))
-        horner = eval_table(_table_derivative(f.coeffs, p), x)
-        assert _same_series(ps_derivative_at(f, x), horner), (f, x)
+        assert _same_series(ps_derivative_at(f, x), derivative_term_sum(f, x)), (f, x)
     fam = PowerSeriesMap({1: lam, p: exact(0, 2), 2 * p: exact(-1, 3)})
     x = LaurentSeries(field, 1, 1, exact(1, 3).coeffs, 300)
     assert ps_derivative_at(fam, x) is lam
-    horner = eval_table(_table_derivative(fam.coeffs, p), x)
-    assert horner.agrees_with(lam) and (horner.prec, lam.prec) == (300, 3)
+    assert derivative_term_sum(fam, x) is lam
+    assert eval_table({0: lam}, x) is lam and lam.prec == 3
+
+
+# Newton lifts from a simple residue root u0 that take Newton steps:
+# field, ramification, the polynomial's coefficients, u0, and the root
+# lifted from u0 known to O(V^24), as rendered before ``eval_table``
+# dropped its closing factor x^0.
+_EXACT_DERIVATIVE_LIFTS = {
+    "F_2": (F2, 1, {0: "T", 1: "1+T", 2: "1+T^3"}, "1",
+            "1 + T^3 + T^4 + T^5 + T^8 + T^10 + T^13 + T^14 + T^15 + T^19 + T^23 + O(T^24)"),
+    "F_3": (F3, 1, {0: "T", 1: "1+T", 3: "2+T^2"}, "1",
+            "1 + T + T^2 + 2*T^5 + 2*T^6 + T^7 + T^8 + 2*T^9 + T^10 + 2*T^11 + T^12"
+            " + 2*T^13 + T^14 + T^15 + 2*T^16 + 2*T^17 + T^20 + 2*T^23 + O(T^24)"),
+    "F_2^2": (F4, 1, {0: "T", 1: "1+T", 2: "b+T^2"}, "b+1",
+              "(b+1) + b*T + T^2 + T^3 + (b+1)*T^6 + (b+1)*T^7 + b*T^8 + b*T^9"
+              " + b*T^10 + b*T^11 + T^12 + T^13 + (b+1)*T^16 + (b+1)*T^17 + T^18"
+              " + T^19 + (b+1)*T^20 + (b+1)*T^21 + T^22 + T^23 + O(T^24)"),
+    "F_2,e=2": (F2, 2, {0: "U", 1: "1+U", 2: "1+U^3"}, "1",
+                "1 + U^3 + U^4 + U^5 + U^8 + U^10 + U^13 + U^14 + U^15 + U^19 + U^23"
+                " + O(U^24)"),
+}
+_SLOPE_DERIVATIVE_LIFTS = {
+    "F_3": (F3, 1, {0: "2+2*T", 2: "1"}, "1",
+            "1 + 2*T + T^2 + T^3 + 2*T^4 + T^5 + T^9 + 2*T^10 + T^11 + T^12 + 2*T^13"
+            " + T^14 + O(T^24)"),
+    "F_5": (FieldParams(5), 1, {0: "3+T^2", 1: "1", 3: "1+T"}, "1",
+            "1 + T + 2*T^2 + 2*T^3 + 4*T^4 + 3*T^5 + 2*T^6 + 2*T^7 + 2*T^8 + 4*T^9"
+            " + T^10 + T^11 + 3*T^12 + 3*T^13 + T^14 + 2*T^15 + 3*T^16 + 2*T^17"
+            " + 4*T^20 + 2*T^21 + 4*T^22 + T^23 + O(T^24)"),
+    "F_2^2": (F4, 1, {0: "(b+1)+b*T", 1: "1", 3: "1+T"}, "b",
+              "b + b*T + (b+1)*T^4 + T^5 + (b+1)*T^6 + b*T^7 + b*T^8 + T^9 + T^10"
+              " + (b+1)*T^11 + T^12 + (b+1)*T^13 + (b+1)*T^14 + b*T^15 + T^16"
+              " + b*T^17 + (b+1)*T^18 + b*T^19 + T^20 + T^21 + O(T^24)"),
+}
+
+
+def _lift(case, horizon):
+    """The lift of one case from u0 known to O(V^horizon): the start,
+    the derivative's value there, and the root, checked against the
+    recorded root and for its start horizon."""
+    field, ram, lits, start, recorded = case
+    var = "U" if ram > 1 else "T"
+    table = {d: parse_series(s, field, ram=ram) for d, s in lits.items()}
+    dtable = _table_derivative(table, field.p)
+    u = parse_series(f"{start}+O({var}^{horizon})", field, ram=ram)
+    assert not eval_table(table, u).is_zero_as_known  # so Newton steps are taken
+    root = newton_root(table, dtable, u)
+    assert root.prec == u.prec and not root.exact
+    assert eval_table(table, root).is_zero_as_known
+    want = parse_series(recorded, field, ram=ram)
+    if horizon == 24:
+        assert (root.lead, root.prec, root.render()) == (want.lead, want.prec, recorded)
+    else:
+        assert root.agrees_with(want)
+    return eval_table(dtable, u)
+
+
+@pytest.mark.parametrize("horizon", [8, 24, 40])
+@pytest.mark.parametrize("case", sorted(_EXACT_DERIVATIVE_LIFTS))
+def test_a_newton_lift_with_an_exact_derivative_keeps_its_start_horizon(case, horizon):
+    """Every nonlinear degree is divisible by p, so the derivative table
+    is {0: c} and its value the exact c, known to fewer digits than the
+    start at horizons 24 and 40: the lift still keeps the start's
+    horizon, and equals the recorded root."""
+    deriv = _lift(_EXACT_DERIVATIVE_LIFTS[case], horizon)
+    assert deriv.exact and deriv.prec == 16 * deriv.ram
+
+
+@pytest.mark.parametrize("horizon", [8, 24, 40])
+@pytest.mark.parametrize("case", sorted(_SLOPE_DERIVATIVE_LIFTS))
+def test_a_newton_lift_with_a_non_constant_derivative_keeps_its_start_horizon(
+    case, horizon
+):
+    """A degree prime to p above 1 makes the derivative a polynomial in
+    x, inexact at the start: the lift keeps the start's horizon, and
+    equals the recorded root."""
+    assert not _lift(_SLOPE_DERIVATIVE_LIFTS[case], horizon).exact
+
+
+def test_point_inversion_takes_newton_steps_to_the_point_horizon():
+    """``invert_at_point`` lifts g(y) = x through g's derivative table,
+    of degrees 0, 1, 3, 4 for f = (1+T)x + x^2 over F_3: the root keeps
+    x's horizon and equals the recorded one."""
+    f = PowerSeriesMap({1: series("1+T", F3), 2: series("1", F3)})
+    g = solve_sfe(f, 24, window=48)
+    x = series("T^3+2*T^4+O(T^40)", F3)
+    assert sorted(_table_derivative(g.table(), 3))[:4] == [0, 1, 3, 4]
+    assert not eval_table({0: -x, **g.table()}, x).is_zero_as_known
+    y = invert_at_point(g, x)
+    assert (y.lead, y.prec, y.exact) == (3, 40, False)
+    assert y.render() == (
+        "T^3 + 2*T^4 + T^5 + 2*T^7 + T^11 + T^12 + 2*T^13 + 2*T^14 + T^15 + T^16"
+        " + 2*T^18 + 2*T^21 + T^24 + 2*T^25 + 2*T^26 + 2*T^27 + T^30 + T^32 + T^33"
+        " + T^37 + O(T^40)"
+    )
 
 
 def test_lucas_binomials():

@@ -92,6 +92,10 @@ MASK_HOMES = {"_dense.DensePoly.add_scaled"}
 # would call ``lemma_bound`` without ``den`` or build a ``Fraction`` per
 # degree inside a loop of ``discs``.  Neither has a home
 FRACTION_HOMES = set()
+# the one Horner over series: a second evaluator of a polynomial in x,
+# Horner or term by term, multiplies by a power of the point inside a
+# loop that adds up a sum (``… * (x ** …)`` and ``… + …``)
+HORNER_HOMES = {"powerseries.eval_table"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -108,6 +112,33 @@ def _divisible_by_p(test):
     )
 
 
+def _sums_powers_of(nodes, params):
+    """True when ``nodes`` add up a sum and multiply by a power of one of
+    ``params``: a binary ``+`` or ``+=`` (or a ``sum(...)`` call) and a
+    product ``… * (x ** …)`` with x in ``params``."""
+    nodes = [sub for node in nodes for sub in ast.walk(node)]
+
+    def param_power(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Name)
+            and node.left.id in params
+        )
+
+    adds = any(
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Add)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+        for node in nodes
+    )
+    return adds and any(
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and (param_power(node.left) or param_power(node.right))
+        for node in nodes
+    )
+
+
 def _kernel_uses(module, source):
     """(qualified scope, kind) for every ``np.convolve`` call, every read
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
@@ -117,9 +148,10 @@ def _kernel_uses(module, source):
     and binding of ``_STACK_BYTES`` and, in ``schroder``, every
     ``.inverse()`` and ``_invert_unit(...)`` call, every
     ``._mask_all(...)`` call, every ``lemma_bound(...)`` call without
-    ``den`` and, in ``discs``, every ``Fraction(...)`` built inside the
-    body of a ``for`` or ``while`` or a comprehension in the source of
-    ``module``."""
+    ``den``, in ``discs``, every ``Fraction(...)`` built inside the
+    body of a ``for`` or ``while`` or a comprehension, and every loop or
+    comprehension that sums powers of its function's parameters
+    (``_sums_powers_of``) in the source of ``module``."""
     uses = []
 
     def method_call(node, name):
@@ -152,9 +184,16 @@ def _kernel_uses(module, source):
             for name in ("as_strided", "sliding_window_view")
         )
 
-    def visit(node, scope, looped=False):
+    def visit(node, scope, looped=False, params=frozenset()):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        if isinstance(node, (ast.For, ast.While)) and _sums_powers_of(node.body, params):
+            uses.append((scope, "horner"))
+        if function_call(node, "sum") and _sums_powers_of([node], params):
+            uses.append((scope, "horner"))
         if numpy_call(node, "convolve"):
             uses.append((scope, "convolve"))
         if strided_view(node):
@@ -202,7 +241,7 @@ def _kernel_uses(module, source):
         body = node.body if isinstance(node, (ast.For, ast.While)) else ()
         looped = looped or isinstance(node, COMPREHENSIONS)
         for child in ast.iter_child_nodes(node):
-            visit(child, scope, looped or any(child is stmt for stmt in body))
+            visit(child, scope, looped or any(child is stmt for stmt in body), params)
 
     visit(ast.parse(source), module)
     return uses
@@ -223,6 +262,7 @@ def _misplaced(uses):
         "reduced": REDUCED_HOMES,
         "mask": MASK_HOMES,
         "fraction": FRACTION_HOMES,
+        "horner": HORNER_HOMES,
     }
     return [(scope, kind) for scope, kind in uses if scope not in homes[kind]]
 
@@ -237,8 +277,8 @@ def test_one_convolution_and_one_fold():
     assert not offenders, (
         f"a second F_q product, fold, power or windowed view, small-divisor "
         f"quotient, Lemma bound, p-adic split, small-divisor term loop, "
-        f"memory budget, unreduced series, mask or Fraction-valued Lemma "
-        f"bound reader: {offenders}"
+        f"memory budget, unreduced series, mask, Fraction-valued Lemma "
+        f"bound reader or Horner: {offenders}"
     )
     assert ("laurent._convolve", "convolve") in seen
     assert ("laurent._convolve", "window") in seen
@@ -251,6 +291,7 @@ def test_one_convolution_and_one_fold():
     assert {(home, "leads") for home in LEADS_HOMES} <= seen
     assert ("laurent._per_batch", "budget") in seen
     assert ("_dense.DensePoly.add_scaled", "mask") in seen
+    assert [use for use in seen if use[1] == "horner"] == [("powerseries.eval_table", "horner")]
     assert bindings == [("laurent", "binding")]  # the budget is bound once
 
 
@@ -460,6 +501,44 @@ def test_kernel_walk_flags_a_fraction_valued_lemma_bound_reader():
         ("schroder.degree_on_sigma", "fraction"),
         ("schroder.degree_on_sigma", "fraction"),
     ]
+
+
+def test_kernel_walk_flags_a_second_horner():
+    """A term sum of a polynomial in x is a second evaluator, as a loop
+    or as a ``sum`` over a comprehension; powers of a coefficient, as in
+    ``solve_sfe_multinomial``, and row kernels that multiply by a formed
+    power, as in ``discs._eval_rows``, are not."""
+    source = (
+        "def eval_table(table, x):\n"
+        "    acc = table[degs[0]]\n"
+        "    for prev, nxt in zip(degs, degs[1:]):\n"
+        "        acc = acc * (x ** (prev - nxt)) + table[nxt]\n"
+        "    return acc * (x ** degs[-1]) if degs[-1] else acc\n"
+        "def ps_derivative_at(f, x):\n"
+        "    acc = None\n"
+        "    for d, a in sorted(_table_derivative(f.coeffs, f.field.p).items()):\n"
+        "        term = a * (x ** d) if d else a\n"
+        "        acc = term if acc is None else acc + term\n"
+        "    return acc\n"
+        "def ps_eval(f, x):\n"
+        "    return sum(a * x**i for i, a in f.coeffs.items())\n"
+        "def solve_sfe_multinomial(f, D, window=32):\n"
+        "    for i in degrees:\n"
+        "        term = term * f.coeffs[i] ** alpha[i]\n"
+        "        total = term if total is None else total + term\n"
+        "def _eval_rows(field_, poly, xs):\n"
+        "    for prev, nxt in zip(degs, degs[1:]):\n"
+        "        acc = (field_.mul_rows(acc, power(prev - nxt)) + poly[nxt]) % field_.p\n"
+        "def _lucas(n, k, p):\n"
+        "    while p**digits <= top:\n"
+        "        digits += 1\n"
+    )
+    assert _misplaced(_kernel_uses("powerseries", source)) == [
+        ("powerseries.ps_derivative_at", "horner"),
+        ("powerseries.ps_eval", "horner"),
+    ]
+    # the one home is in ``powerseries``: Horner anywhere else is a second
+    assert _misplaced(_kernel_uses("discs", source))[0] == ("discs.eval_table", "horner")
 
 
 def _sliced_products(source):
