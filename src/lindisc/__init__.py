@@ -33,7 +33,6 @@ from .multiplier import (
     disc_profile,
     mult_profile,
     product_small_divisors,
-    small_divisor_valuation,
 )
 from .schroder import (
     Conjugacy,
@@ -41,9 +40,6 @@ from .schroder import (
     certify_divergence,
     check_coefficient_bound,
     check_structural_zeros,
-    full_conjugacy_residual,
-    invert_at_point,
-    semiconjugacy_residual,
     solve_sfe,
     solve_sfe_multinomial,
     solve_specialized_p_plus_1,

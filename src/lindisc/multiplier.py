@@ -103,15 +103,10 @@ def mult_profile(lam):
     return _last_profile
 
 
-def small_divisor_valuation(profile, n):
-    """Closed-form v(1 - λ^n): 0 when m does not divide n, otherwise
-    v_m · p^s where n = p^s·u with p ∤ u."""
-    return Fraction(small_divisor_leads(profile, *p_split(n, profile.p)), profile.lam.ram)
-
-
 def small_divisor_leads(profile, s, u):
-    """e·v(1 - λ^n) for n = p^s·u, p ∤ u: ``small_divisor_valuation`` in
-    U-units (m | n iff m | u, as p ∤ m), in one pass for arrays s, u."""
+    """e·v(1 - λ^n) for n = p^s·u, p ∤ u, in U-units: the closed form
+    0 when m does not divide n (m | n iff m | u, as p ∤ m), otherwise
+    e·v_m·p^s, in one pass for arrays s, u."""
     return (u % profile.m == 0) * (profile.v_m * profile.lam.ram).numerator * profile.p**s
 
 

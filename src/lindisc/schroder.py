@@ -1,6 +1,6 @@
 """Formal solutions g of g∘f = λ·g (normalized g(0) = 0, g'(0) = 1),
-their structural and valuation properties, divergence certificates for
-the degree-(p+1) family, and conjugacy residual checks at sample points.
+their structural and valuation properties, and divergence certificates
+for the degree-(p+1) family.
 
 Three independent solvers are provided: term matching against the
 accumulated powers of f (the workhorse), the multinomial recurrence
@@ -46,13 +46,7 @@ from .multiplier import (
     product_small_divisors,
     small_divisor_leads,
 )
-from .powerseries import (
-    _table_derivative,
-    binomial_mod_p,
-    eval_table,
-    newton_root,
-    ps_eval,
-)
+from .powerseries import binomial_mod_p
 
 STRUCTURAL = "structural"
 COMPUTED_ZERO = "computed-zero"
@@ -135,10 +129,6 @@ class Conjugacy:
             raise HypothesisError(f"degree {k} outside the solved degrees 1 .. {self.D}")
         table = self.valuations
         return Fraction(table.lead[k], table.ram) if table.kind[k] == NONZERO else None
-
-    def table(self):
-        """Coefficient table for evaluation (zero entries dropped)."""
-        return {k: s for k, s in self.coeffs.items() if not s.is_zero_as_known}
 
     def csv(self):
         lines = ["k,v_num,v_den,zero_kind"]
@@ -453,8 +443,9 @@ def _solve_dense(f, D, window):
 
     The prediction is checked at every degree: the sum's column at x^k
     must be live exactly where ``_support`` says, else CertificateError.
-    For p-divisible maps a degree k with p ∤ k is a proven zero, and its
-    column must hold no data.
+    Off the support b_k is the exact zero, and the sum's column must hold
+    no data there: it is an exact zero, or for p ∤ k of a p-divisible map
+    a live column of proven zeros.
     """
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
@@ -483,7 +474,9 @@ def _solve_dense(f, D, window):
     for k in range(2, D + 1):
         if (acc.prec[k] < _INF_CUT) != live[k]:
             raise _support_miss(f, k, live[k])
-        if family and k % p != 0:
+        if support[k]:
+            b_k = acc.column(k) * divisor[k]
+        else:
             # columns are reduced and zero past their horizon, so the sum
             # is zero as known exactly when its column holds no data
             if _any(acc.data[k], axis=None):
@@ -491,9 +484,6 @@ def _solve_dense(f, D, window):
                     f"degree {k} should vanish for p-divisible maps, got {acc.column(k)}"
                 )
             b_k = exact_zero
-        else:
-            s_k = acc.column(k)
-            b_k = s_k * divisor[k] if live[k] else exact_zero
         coeffs[k] = b_k
         if k < D and support[k]:
             fpow = gaps.times(fpow, (k - prev) // step)
@@ -951,40 +941,3 @@ def certify_divergence(f, Nmax, window=32):
     return DivergenceCertificate(
         entries, slopes, "diverges" if proven else "conjectural", profile
     )
-
-
-def semiconjugacy_residual(f, g, x, dp=None):
-    """The series g(f(x)) − λ·g(x), expected zero to its horizon inside
-    D_ρ; a zero x is inside every disc."""
-    if dp is not None and not x.is_zero_as_known and not x.valuation() > dp.v_rho:
-        raise HypothesisError(
-            f"sample point v = {x.valuation()} not inside the semi-disc "
-            f"(need v > {dp.v_rho})"
-        )
-    table = g.table()
-    lhs = eval_table(table, ps_eval(f, x))
-    rhs = f.multiplier * eval_table(table, x)
-    return lhs - rhs
-
-
-def invert_at_point(g, x):
-    """Solve g(y) = x by Newton iteration from y = x (g is tangent to the
-    identity, so convergence is quadratic inside the linearization disc)."""
-    table = g.table()
-    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x)
-    if y is None:
-        raise PrecisionError("point inversion of the conjugacy did not converge")
-    return y
-
-
-def full_conjugacy_residual(f, g, x, dp=None):
-    """The series g(f(g^{-1}(x))) − λ·x, expected zero to its horizon
-    inside D_σ; a zero x is inside every disc."""
-    if dp is not None and not x.is_zero_as_known and not x.valuation() > dp.v_sigma:
-        raise HypothesisError(
-            f"sample point v = {x.valuation()} not inside the linearization "
-            f"disc (need v > {dp.v_sigma})"
-        )
-    y = invert_at_point(g, x)
-    value = eval_table(g.table(), ps_eval(f, y))
-    return value - f.multiplier * x

@@ -3,8 +3,10 @@
 Each reference implementation is the straightforward form of a
 computation the package does faster; tests require the package's
 results to equal them exactly.  The helpers at the end
-(``delta_exponent``, ``ps_iterate``) are formulas the package itself
-has no use for.
+(``delta_exponent``, ``ps_iterate``, ``small_divisor_valuation`` and
+the conjugacy residuals with their point inversion) are formulas the
+package itself has no use for: ``disc`` certifies g∘f = λ·g from the
+valuation table of g, and the residuals check it at sample points.
 """
 
 import math
@@ -25,11 +27,7 @@ from lindisc.discs import (
 from lindisc.errors import CertificateError, HypothesisError, PrecisionError
 from lindisc.field import p_split
 from lindisc.laurent import LaurentSeries, _any, _convolve
-from lindisc.multiplier import (
-    count_resonant,
-    mult_profile,
-    small_divisor_valuation,
-)
+from lindisc.multiplier import count_resonant, mult_profile, small_divisor_leads
 from lindisc.powerseries import (
     _table_derivative,
     _table_mul,
@@ -548,3 +546,53 @@ def ps_iterate(f, n, x):
     for _ in range(n):
         x = ps_eval(f, x)
     return x
+
+
+def small_divisor_valuation(profile, n):
+    """Closed-form v(1 - λ^n), one exponent at a time: 0 when m does not
+    divide n, otherwise v_m · p^s where n = p^s·u with p ∤ u
+    (``small_divisor_leads`` of one ``p_split``, divided by e)."""
+    return Fraction(small_divisor_leads(profile, *p_split(n, profile.p)), profile.lam.ram)
+
+
+def conjugacy_table(g):
+    """The coefficient table of a conjugacy for evaluation, zero entries
+    dropped."""
+    return {k: s for k, s in g.coeffs.items() if not s.is_zero_as_known}
+
+
+def semiconjugacy_residual(f, g, x, dp=None):
+    """The series g(f(x)) − λ·g(x), expected zero to its horizon inside
+    D_ρ; a zero x is inside every disc."""
+    if dp is not None and not x.is_zero_as_known and not x.valuation() > dp.v_rho:
+        raise HypothesisError(
+            f"sample point v = {x.valuation()} not inside the semi-disc "
+            f"(need v > {dp.v_rho})"
+        )
+    table = conjugacy_table(g)
+    lhs = eval_table(table, ps_eval(f, x))
+    rhs = f.multiplier * eval_table(table, x)
+    return lhs - rhs
+
+
+def invert_at_point(g, x):
+    """Solve g(y) = x by Newton iteration from y = x (g is tangent to the
+    identity, so convergence is quadratic inside the linearization disc)."""
+    table = conjugacy_table(g)
+    y = newton_root({0: -x, **table}, _table_derivative(table, x.field.p), x)
+    if y is None:
+        raise PrecisionError("point inversion of the conjugacy did not converge")
+    return y
+
+
+def full_conjugacy_residual(f, g, x, dp=None):
+    """The series g(f(g^{-1}(x))) − λ·x, expected zero to its horizon
+    inside D_σ; a zero x is inside every disc."""
+    if dp is not None and not x.is_zero_as_known and not x.valuation() > dp.v_sigma:
+        raise HypothesisError(
+            f"sample point v = {x.valuation()} not inside the linearization "
+            f"disc (need v > {dp.v_sigma})"
+        )
+    y = invert_at_point(g, x)
+    value = eval_table(conjugacy_table(g), ps_eval(f, y))
+    return value - f.multiplier * x

@@ -19,12 +19,16 @@ from lindisc import (
     parse_series,
     product_small_divisors,
     ps_gauge,
-    small_divisor_valuation,
 )
 from lindisc.errors import CertificateError, HypothesisError, RootOfUnityError
 from lindisc.field import BUILTIN_MODULI, p_split
 from lindisc.multiplier import lemma_bound
-from oracles import lemma_bound_per_k, product_small_divisors_per_term, small_divisor_direct
+from oracles import (
+    lemma_bound_per_k,
+    product_small_divisors_per_term,
+    small_divisor_direct,
+    small_divisor_valuation,
+)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)

@@ -24,11 +24,9 @@ from lindisc import (
     check_coefficient_bound,
     check_structural_zeros,
     disc_profile,
-    full_conjugacy_residual,
     mult_profile,
     parse_series,
     ps_gauge,
-    semiconjugacy_residual,
     solve_sfe,
     solve_sfe_multinomial,
     solve_specialized_p_plus_1,
@@ -44,10 +42,7 @@ from lindisc.errors import (
     RootOfUnityError,
 )
 from lindisc.field import p_split
-from lindisc.multiplier import (
-    small_divisor_leads,
-    small_divisor_valuation,
-)
+from lindisc.multiplier import small_divisor_leads
 from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
@@ -56,15 +51,18 @@ from lindisc.schroder import (
     _powers,
     _rows,
     _small_divisors,
-    invert_at_point,
 )
 from oracles import (
     binomial_digits,
     check_coefficient_bound_per_k,
     exact_powers,
+    full_conjugacy_residual,
+    invert_at_point,
     lemma_bound_per_k,
     over_small_divisor,
+    semiconjugacy_residual,
     small_divisor_leads_per_entry,
+    small_divisor_valuation,
     solve_sfe_chain,
     solve_specialized_per_term,
     solve_specialized_windowed_terms,
@@ -1211,8 +1209,9 @@ def test_structural_zeros_family():
 
 
 def test_structural_zero_check_builds_no_series(monkeypatch):
-    """The dense solve checks the degrees p ∤ k of a p-divisible map on
-    the dense columns: it reads a column as a series only at p | k."""
+    """The dense solve checks every degree off the support on the dense
+    columns: it reads a column as a series only on the support K, here
+    the odd multiples of 3 (k − 1 even, p | k)."""
     f = PowerSeriesMap({1: parse_series("1+T", F3), 3: parse_series("1+T", F3)})
     real, read = DensePoly.column, []
 
@@ -1222,7 +1221,9 @@ def test_structural_zero_check_builds_no_series(monkeypatch):
 
     monkeypatch.setattr(DensePoly, "column", column)
     lindisc.schroder._solve_dense(f, 30, 32)
-    assert read == list(range(3, 31, 3))
+    assert read == [3, 9, 15, 21, 27]
+    support = lindisc.schroder._support(f, 30)[1]
+    assert read == (support[2:].nonzero()[0] + 2).tolist()
 
 
 def test_structural_zero_check_catches_a_planted_column(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 import lindisc
 
 SOURCES = sorted(Path(lindisc.__file__).parent.glob("*.py"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _raises_assertion_error(node):
@@ -53,11 +54,10 @@ LEMMA_HOMES = {"multiplier.lemma_bound"}
 # the one p-adic split n = p^s·u: a second one would loop while p | n.
 # It lives in ``field``, below ``laurent``'s powers
 SPLIT_HOMES = {"field.p_split"}
-# the readers of the closed-form small-divisor valuations: the single
-# value, the product formula's one integer pass and the divisor table's
-# check.  A second per-term loop over them would call it elsewhere
+# the readers of the closed-form small-divisor valuations: the product
+# formula's one integer pass and the divisor table's check.  A per-term
+# loop over them, or a per-value wrapper, would call it elsewhere
 LEADS_HOMES = {
-    "multiplier.small_divisor_valuation",
     "multiplier.product_small_divisors",
     "schroder._small_divisors",
 }
@@ -448,6 +448,8 @@ def test_kernel_walk_flags_a_mask_after_a_product():
 
 
 def test_kernel_walk_flags_a_fourth_small_divisor_reader():
+    """A per-value wrapper and a per-term sum are readers past the two
+    homes, the product formula and the divisor table."""
     source = (
         "from . import multiplier\n"
         "def small_divisor_valuation(profile, n):\n"
@@ -461,6 +463,7 @@ def test_kernel_walk_flags_a_fourth_small_divisor_reader():
         "    ), small_divisor_leads\n"
     )
     assert _misplaced(_kernel_uses("multiplier", source)) == [
+        ("multiplier.small_divisor_valuation", "leads"),
         ("multiplier.certify_divergence", "leads"),
     ]
     # the table's check is a home in the solvers' module only
@@ -539,6 +542,74 @@ def test_kernel_walk_flags_a_second_horner():
     ]
     # the one home is in ``powerseries``: Horner anywhere else is a second
     assert _misplaced(_kernel_uses("discs", source))[0] == ("discs.eval_table", "horner")
+
+
+def _uncalled(package, others):
+    """Qualified names of the top-level public functions and classes of
+    ``package`` (module name -> source) that no source loads by name,
+    as ``f`` or ``module.f``: neither a module of ``package`` outside the
+    definition's own body nor any of ``others``.  Imports, and with them
+    ``__init__``'s re-exports, load nothing."""
+    defined, loaded = [], set()
+
+    def loads(node, own=None):
+        return {
+            getattr(sub, "id", getattr(sub, "attr", None))
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+        } - {own}
+
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            definition = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if definition and not node.name.startswith("_"):
+                defined.append((module, node.name))
+            loaded |= loads(node, node.name if definition else None)
+    for source in others:
+        loaded |= loads(ast.parse(source))
+    return sorted(f"{module}.{name}" for module, name in defined if name not in loaded)
+
+
+def test_every_public_function_has_a_caller():
+    """Code that only tests run lives in ``tests/oracles.py``: every
+    public function and class of the package is called by the package
+    or by the benchmark in ``bench/``."""
+    package = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    bench = [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))]
+    assert bench, "the benchmark's sources are part of the walk"
+    offenders = _uncalled(package, bench)
+    assert not offenders, f"no caller outside tests; move to tests/oracles.py: {offenders}"
+
+
+def test_public_walk_flags_an_uncalled_function():
+    package = {
+        "__init__": "from .schroder import Table, helper, oracle, solve\n",
+        "schroder": (
+            "from .powerseries import eval_table\n"
+            "def oracle(f, g, x):\n"
+            "    return oracle(f, g, x - 1) if x else helper(g)\n"
+            "def helper(g):\n"
+            "    return g\n"
+            "class Table:\n"
+            "    def read(self):\n"
+            "        return Table()\n"
+            "def solve(f):\n"
+            "    return _private(f)\n"
+            "def _private(f):\n"
+            "    return f\n"
+        ),
+        "powerseries": "def eval_table(table, x):\n    return x\n",
+    }
+    bench = ["import lindisc.schroder as schroder\nrun = schroder.solve\n"]
+    # the own body, a re-export and an import are no callers; a function
+    # only an uncalled one calls, as ``helper``, still has one
+    assert _uncalled(package, bench) == [
+        "powerseries.eval_table",
+        "schroder.Table",
+        "schroder.oracle",
+    ]
+    # without the benchmark, ``solve`` has no caller
+    assert "schroder.solve" in _uncalled(package, [])
 
 
 def _sliced_products(source):
