@@ -53,7 +53,16 @@ ELEMENT_BLOCK = 1024
 
 
 def p_split(n, p):
-    """(s, u) with n = p^s·u and p ∤ u: the one p-adic split of an exponent."""
+    """(s, u) with n = p^s·u and p ∤ u: the one p-adic split of an
+    exponent, or of every entry of an int64 array."""
+    if isinstance(n, np.ndarray):
+        if (n < 1).any():
+            raise HypothesisError(f"exponent must be >= 1, got {n.min()}")
+        s, n = np.zeros_like(n), n.copy()
+        while (divisible := n % p == 0).any():
+            s += divisible
+            n[divisible] //= p
+        return s, n
     if n < 1:
         raise HypothesisError(f"exponent must be >= 1, got {n}")
     s = 0

@@ -10,23 +10,18 @@ and whose powers of f are closed forms.  ``solve_specialized_p_plus_1``
 is its N = p + 1 case; term matching hands it the p-divisible binomial
 maps (p | N) and keeps every other map, the p+1 family included, on
 the dense engine, so the dense engine still checks the p+1 solver.
-All three divide through one table (``_small_divisors``),
-built once per solve: the window-digit inverse of every divisor the
-solver meets, from windowed powers of λ (``_powers``) and one batched
-Newton inverse.  The first two divide by λ − λ^k = λ(1 − λ^{k-1}); the
+All three divide through one table (``_small_divisors``), built once
+per solve, of 1/(1 − λ^n) to the working width.  In characteristic p,
+1 − λ^{p^s·u} is the s-th Frobenius image of 1 − λ^u, and so is its
+inverse: one batched Newton run inverts 1 − λ^u for the distinct p-free
+u only.  For p ∤ u, v(1 − λ^u) is 0 or v_m, so λ^u is read modulo
+U^(v_m·e + window) at most, from one array of powers formed by doubling
+(``_powers``).  The first two divide by λ − λ^k = λ(1 − λ^{k-1}); the
 binomial recurrence folds λ^{Ni}·a^{-i} into its coefficients, so each
-of its sums is one F_p dot product, and divides by
-λ^J − λ^{NJ} = λ^J(1 − λ^{(N-1)J}).  The division never destroys the
-justified horizon: the multiplier is an exact literal, so each divisor
-is known to any number of digits and its reciprocal is expanded to the
-full working width.  Only those digits are formed.  In characteristic
-p, 1 − λ^{p^s·u} is the s-th Frobenius image of 1 − λ^u, and for p ∤ u
-the valuation of 1 − λ^u is 0 or v_m, so λ^u is read modulo
-U^(v_m·e + window) and never beyond, from one array of powers formed
-once, by doubling, up to the largest power the solve reads.  Each
-time, a divisor that vanishes to that window raises PrecisionError and
-one whose valuation is not the closed form v(1 − λ^n) raises
-CertificateError.
+of its sums is one F_p dot product, and reads 1/(1 − λ^{(N-1)J}) as it
+is.  λ is an exact literal, so each divisor is known to any number of
+digits, and its reciprocal is expanded to the working width: the
+division keeps the justified horizon.
 """
 
 import math
@@ -201,18 +196,16 @@ def _rows(powers, rows):
 
 
 class _DivisorTable(Mapping):
-    """k -> 1/(λ^i − λ^k) to ``window`` digits, as ``_small_divisors``
+    """k -> 1/(λ^low − λ^k) to ``window`` digits, as ``_small_divisors``
     tabulates it.  The n-th divisor has valuation ``leads[n]`` (U-units)
     and ``rows[n]`` holds the ``window`` rows of its reciprocal past that
-    reciprocal's lead −leads[n].  An entry's LaurentSeries is built when
-    a solver reads it.  ``lam_powers`` is the ``_powers`` array of λ the
-    table was read from, kept only with ``lows`` (the one solver reading
-    it), else None."""
+    reciprocal's lead −leads[n].  ``lam_inverse``: the ``window`` rows of
+    λ^(-1) for low = 0, else None."""
 
-    def __init__(self, field_, ram, ks, leads, rows, window, lam_powers):
+    def __init__(self, field_, ram, ks, leads, rows, window, lam_inverse):
         self.field, self.ram, self.window = field_, ram, window
         self.index = {k: n for n, k in enumerate(ks)}
-        self.leads, self.rows, self.lam_powers = leads, rows, lam_powers
+        self.leads, self.rows, self.lam_inverse = leads, rows, lam_inverse
 
     def __getitem__(self, k):
         n = self.index[k]
@@ -226,41 +219,35 @@ class _DivisorTable(Mapping):
         return len(self.index)
 
 
-def _small_divisors(profile, ks, window, lows=None):
-    """k -> 1/(λ^i − λ^k) to ``window`` digits for every k in ``ks``,
-    where i = 1, or i = lows[n] for the n-th k: the table all three
-    solvers divide by, equal in lead, rows and horizon to the inverse of
-    λ^i − λ^k formed exactly and truncated to ``window`` digits.
+def _small_divisors(profile, ks, window, low=1):
+    """k -> 1/(λ^low − λ^k) to ``window`` digits for every k in ``ks``
+    (low = 0 for the binomial recurrence, 1 for the other solvers), equal
+    in lead, rows and horizon to the exact inverse truncated to ``window``
+    digits.
 
-    λ^i − λ^k = λ^i(1 − λ^{k-i}), and λ^i is a unit.  Write k − i = p^s·u
-    with p ∤ u.  Then 1 − λ^{k-i} = Frob^s(1 − λ^u): row t with
-    coefficient c goes to row t·p^s with coefficient c^(p^s), and
-    c^(p^s) = c^(p^(s mod r)) in F_q.  For p ∤ u, v(1 − λ^u) is 0 when
-    m ∤ u and v_m otherwise, so the ``window`` digits past the lead read
-    λ^u only modulo U^(v_m·e + window).
-
-    The powers λ^0 .. λ^u for the largest u (and i) are one ``_powers``
-    array, formed once, and the first nonzero row of every 1 − λ^u is one
-    array pass over it, and so is the comparison of every lead
-    p^s·e·v(1 − λ^u) with its closed form ``small_divisor_leads``.  The
-    first faulty entry in the order of ``ks`` raises: PrecisionError if
-    its divisor vanishes to the window, CertificateError if its valuation
-    is off the closed form.  The ``window`` rows of the units
-    (1 − λ^{k-i})/U^lead are gathered from the table for all entries with
-    one s at once, only the rows each keeps, in chunks that ``_per_batch``
-    sizes from one entry's rows and index, with one ``pow_rows`` per chunk;
-    they are multiplied by λ^i (one batched product), stacked and inverted
-    by one batched Newton run.
+    With n = k − low = p^s·u, p ∤ u (one array ``p_split``),
+    1/(1 − λ^n) = Frob^s(1/(1 − λ^u)): row j, coefficient c, goes to row
+    j·p^s, coefficient c^(p^(s mod r)).  An entry reads ⌈window/p^s⌉ rows
+    of 1/(1 − λ^u), so λ^u is read modulo U^(v_m·e + ⌈window/p^t⌉), t the
+    least s, from one ``_powers`` array up to the largest u.  One array
+    pass finds the lead of every 1 − λ^u and compares each
+    p^s·e·v(1 − λ^u) with ``small_divisor_leads``; the first faulty entry
+    of ``ks`` raises PrecisionError (vanished to that width) or
+    CertificateError (off the closed form).  One batched Newton run
+    inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
+    For low = 1 they are times λ, and an entry with s > 0 is its spread
+    times λ^(p^s − 1).  For low = 0, λ joins the stack as an entry with
+    s = t, and λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is ``lam_inverse``.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
-    width = int(profile.v_m * ram) + window
-    scaled = lows is not None  # each unit times its own λ^i, else all times λ
-    lows = list(lows) if scaled else [1] * len(ks)
-    splits = [p_split(k - i, p) for k, i in zip(ks, lows)]
-    ss, us = np.array(splits, dtype=np.int64).reshape(-1, 2).T
-    top = max(us.tolist() + (lows if scaled else []), default=0)
-    powers = _rows(_powers(lam, top, width), width)
+    ss, us = p_split(np.array(ks, dtype=np.int64) - low, p)
+    distinct = np.bincount(us).nonzero()[0]  # np.unique would import numpy.ma
+    slot = distinct.searchsorted(us)
+    t = int(ss.min()) if ss.size else 0
+    digits = -(-window // p**t)
+    width = profile.v_m.numerator * ram // profile.v_m.denominator + digits
+    powers = _rows(_powers(lam, int(distinct[-1]) if distinct.size else 0, width), width)
     # rows of 1 − λ^u that are nonzero: those of λ^u, but row 0 is
     # nonzero where λ^u's differs from 1
     one = np.zeros(r, dtype=np.int64)
@@ -271,45 +258,54 @@ def _small_divisors(profile, ks, window, lows=None):
     vanished = ~nonzero.any(axis=1)[us]
     del nonzero  # (n + 1) × width flags, not held through the inverse
 
-    # every lead against its closed form at once; the first faulty entry raises
     leads = p**ss * firsts[us]
     expected = small_divisor_leads(profile, ss, us)
     faulty = np.flatnonzero(vanished | (leads != expected))
     if faulty.size:
         n = int(faulty[0])
-        k, i = ks[n], lows[n]
         if vanished[n]:
             raise PrecisionError(
-                f"divisor 1 - lambda^{k-i} vanished to O(U^{p ** int(ss[n]) * width}); "
+                f"divisor 1 - lambda^{ks[n] - low} vanished to O(U^{p ** int(ss[n]) * width}); "
                 "root of unity?"
             )
         raise CertificateError(
             f"divisor valuation {Fraction(int(leads[n]), ram)} != closed form "
-            f"{Fraction(int(expected[n]), ram)} of lambda^{i} - lambda^{k}"
+            f"{Fraction(int(expected[n]), ram)} of lambda^{low} - lambda^{ks[n]}"
         )
 
-    units = np.zeros((len(ks), window, r), dtype=np.int64)
-    for s in sorted(set(ss.tolist())):
+    stack = np.zeros((distinct.size + 1 - low, digits, r), dtype=np.int64)
+    at = firsts[distinct, None] + np.arange(digits)
+    units = stack[: distinct.size]
+    np.negative(powers[distinct[:, None], at], out=units)
+    units[..., 0] += at == 0
+    stack %= p
+    head = lam.coeffs[:window]
+    if low:  # λ(1 − λ^u)
+        stack = _convolve(field_, stack, head[:digits], digits)
+    else:  # and λ, an entry with s = t
+        stack[-1, : head.shape[0]] = head[:digits]
+        ss, slot = np.append(ss, t), np.append(slot, distinct.size)
+    inverses = _invert_unit(field_, stack, digits)
+
+    def lam_power(n):  # λ^n to ``window`` rows
+        if n < powers.shape[0] and width >= window:
+            return powers[n, :window]
+        return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
+
+    rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
+    for s in set(ss.tolist()) - {0}:
         step = p**s
-        count = -(-window // step)  # rows of 1 − λ^u that reach the window
+        count = -(-window // step)
         entries = (ss == s).nonzero()[0]
-        chunk = _per_batch(8 * count * (r + 1))
-        for c in range(0, entries.size, chunk):
-            part = entries[c : c + chunk]
-            at = firsts[us[part], None] + np.arange(count)
-            d = powers[us[part, None], at]
-            np.negative(d, out=d)
-            d[..., 0] += at == 0
-            d %= p
-            d = field_.frobenius_rows(d.reshape(-1, r), s)
-            units[part, ::step] = d.reshape(part.size, count, r)
-    if scaled:
-        scale = powers[np.array(lows, dtype=np.int64), :window]
-    else:
-        scale = lam.coeffs[:window]
-    units = _convolve(field_, units, scale, window)
-    inverses = _invert_unit(field_, units, window)
-    return _DivisorTable(field_, ram, ks, leads, inverses, window, powers if scaled else None)
+        spread = np.zeros((entries.size, window, r), dtype=np.int64)
+        frob = field_.frobenius_rows(inverses[slot[entries], :count].reshape(-1, r), s)
+        spread[:, ::step] = frob.reshape(entries.size, count, r)
+        rows[entries] = _convolve(field_, spread, lam_power(step - 1), window) if low else spread
+    if low:
+        return _DivisorTable(field_, ram, ks, leads, rows, window, None)
+    if t:
+        rows[-1] = _convolve(field_, rows[-1], lam_power(p**t - 1), window)
+    return _DivisorTable(field_, ram, ks, leads, rows[:-1], window, rows[-1])
 
 
 def _support(f, D):
@@ -481,7 +477,8 @@ def _solve_dense(f, D, window):
             # is zero as known exactly when its column holds no data
             if _any(acc.data[k], axis=None):
                 raise CertificateError(
-                    f"degree {k} should vanish for p-divisible maps, got {acc.column(k)}"
+                    f"degree {k} should vanish off the support of f's degrees "
+                    f"{f.nonlinear_degrees}, got {acc.column(k)}"
                 )
             b_k = exact_zero
         coeffs[k] = b_k
@@ -643,18 +640,15 @@ def _solve_binomial(f, D, window, source):
 
     over the live terms: b_i not an exact zero and 1 <= J − i <= l_i, that
     is ⌈(J−1)/N⌉ <= i <= J − 1.  With B_i = b_i·λ^{Ni}·a^{−i} the term of
-    b_i is C(l_i, J−i)·B_i·λ^{1−J}·a^J, so with T_J = 1/(λ^J − λ^{NJ}) and
-    S_J = Σ_i C(l_i, J−i)·B_i,
+    b_i is C(l_i, J−i)·B_i·λ^{1−J}·a^J, so with T_J = 1/(λ^J − λ^{NJ}),
+    E_J = 1/(1 − λ^{sJ}) and S_J = Σ_i C(l_i, J−i)·B_i,
 
-        b_J = S_J·a^J·T_J,    B_J = S_J·λ^{NJ}·T_J = S_J·(λ^J·T_J − 1),
+        b_J = S_J·a^J·T_J = S_J·(a/λ)^J·E_J,    B_J = S_J·(E_J − 1),
 
-    and no inverse of a or λ is formed.  T_J comes from the divisor
-    table, whose Newton run inverts the unit of λ^J(1 − λ^{sJ}), and
-    λ^{NJ}·T_J = λ^{sJ}/(1 − λ^{sJ}) = λ^J·T_J − 1.  Both factor stacks,
-    a^J·T_J and λ^J·T_J − 1, are one batched product each, of ``window``
-    rows of λ^J and a^J, each read from a ``_powers`` array: λ's is the
-    divisor table's, whose ``lows`` run up to Jmax, and a's is formed
-    once, up to a^Jmax.
+    as λ^{NJ}·T_J = λ^{sJ}·E_J = E_J − 1, and no inverse of a is formed.
+    E_J and λ^{-1} come from the divisor table (low = 0).  a^J·T_J is
+    formed when b_J is first read, from the ``_powers`` of a/λ, formed at
+    the first read: a reader of the valuation table alone forms neither.
 
     The support.  The held i are those with b_{l_i} not an exact zero, as
     ``_support`` predicts (every i for p ∤ N; 0 and i ≡ 1 (mod p) for
@@ -678,15 +672,13 @@ def _solve_binomial(f, D, window, source):
     the least over the live terms of L(B_i) + digits(B_i) (nonzero
     binomial) and L(B_i) + W (zero binomial), with a B_i zero to
     precision at lead its horizon and no digits.  The zero caps bind for
-    p | N (not seen for N = p + 1, where the term i = J − 1 always has
-    the binomial 1); they set the horizon of a live sum with no nonzero
-    binomial, a zero to precision (never an exact zero: its terms are
-    live).  The
-    term sum, S_J·λ^{1−J}·a^J, is known below H_S + J·L(a), and its lead
-    differs from L(S_J) by the same J·L(a).  So b_J = S_J·(a^J·T_J), with
-    a^J·T_J known to ``window`` digits like the table entry
-    1/(λ − λ^{1+Js}) the sum would be divided by, gets the lead, horizon,
-    rows and exactness that quotient gets.  Row k of a product depends
+    p | N (for N = p + 1 the term i = J − 1 has the binomial 1); they set
+    the horizon of a live sum with no nonzero binomial, a zero to
+    precision.  The term sum, S_J·λ^{1−J}·a^J, is known below
+    H_S + J·L(a), and its lead differs from L(S_J) by the same J·L(a).
+    So b_J = S_J·(a^J·T_J), with a^J·T_J known to ``window`` digits like
+    the entry 1/(λ − λ^{1+Js}) the sum would be divided by, gets that
+    quotient's lead, horizon, rows and exactness.  Row k of a product depends
     only on rows <= k of its factors, so ``window`` rows of each power
     lose nothing: no B_i knows more than ``window`` digits (the exact
     b_1 = 1 is read to ``window`` digits, every later one is a sum times
@@ -705,11 +697,11 @@ def _solve_binomial(f, D, window, source):
     take the least lead over the live range ⌈(J−1)/N⌉ .. J − 1 in one
     reduction, where a row that is not held reads a lead past any
     horizon.  Per J that, the dot product and the product B_J =
-    S_J·(λ^J·T_J − 1) are the only work; the rest is ufunc reductions
+    S_J·(E_J − 1) are the only work; the rest is ufunc reductions
     and ndarray methods.  The dot product sums at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
-    The conjugacy keeps S_J and a^J·T_J and forms b_J = S_J·(a^J·T_J),
-    one product, when b_J is first read.  The loop fills its
+    The conjugacy keeps S_J and forms a^J·T_J and b_J = S_J·(a^J·T_J),
+    two products, when b_J is first read.  The loop fills its
     ``ValuationTable``: b_J has lead L(S_J) + J·L(a) − lead_T and horizon
     H_S + J·L(a) − lead_T, a zero to precision when S_J has no digits.
     The verdicts read the table, and build no b_J.
@@ -741,15 +733,12 @@ def _solve_binomial(f, D, window, source):
         )
 
     Ks = (held[1:].nonzero()[0] + 1).tolist()  # the J >= 1 solved
-    T = _small_divisors(profile, [N * J for J in Ks], W, lows=Ks)
-    lam_rows = _rows(T.lam_powers, W)[Ks]
-    a_rows = _rows(_powers(a, Jmax, W), W)[Ks]
-    lead_T = T.leads  # T_J has lead −lead_T[n], and U^0 sits at row lead_T[n]
-    G = _convolve(field_, lam_rows, T.rows, W)  # λ^J·T_J
+    E = _small_divisors(profile, [s * J for J in Ks], W, low=0)
+    lead_T = E.leads  # E_J has lead −lead_T[n], and U^0 sits at row lead_T[n]
+    G = E.rows.copy()
     inside = (lead_T < W).nonzero()[0]
     G[inside, lead_T[inside], 0] -= 1
-    G %= p  # λ^{NJ}·T_J, lead −lead_T
-    F = _convolve(field_, a_rows, T.rows, W)  # a^J·T_J, lead J·L(a) − lead_T
+    G %= p  # E_J − 1, lead −lead_T
     lead_T = lead_T.tolist()
 
     ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
@@ -785,14 +774,22 @@ def _solve_binomial(f, D, window, source):
             B[J, :digits] = _convolve(field_, s_J, G[n], digits)
         bounds[J] = first - lead_T[n], H - lead_T[n]
     index = {J: n for n, J in enumerate(Ks)}
+    powers = []  # of a/λ, formed at the first read
 
-    def coefficient(k):  # b_k = S_J·(a^J·T_J) for k = 1 + Js, J held
+    def coefficient(k):  # b_k = S_J·(a/λ)^J·E_J for k = 1 + Js, J held
         if k == 1:
             return one
         if table.kind[k] == STRUCTURAL:
             return exact_zero
-        n, lead, prec = index[(k - 1) // s], table.lead[k], table.prec[k]
-        rows = _convolve(field_, S[n], F[n], prec - lead) if prec > lead else S[n, :0]
+        J = (k - 1) // s
+        n, lead, prec = index[J], table.lead[k], table.prec[k]
+        rows = S[n, :0]
+        if prec > lead:
+            if not powers:
+                over = a * LaurentSeries(field_, ram, 0, E.lam_inverse, W)
+                powers.append(_rows(_powers(over, Jmax, W), W))
+            F = _convolve(field_, powers[0][J], E.rows[n], W)
+            rows = _convolve(field_, S[n], F, prec - lead)
         return LaurentSeries._of(field_, ram, lead, rows, prec)
 
     return Conjugacy(_Coefficients(D, coefficient), profile, source, D, table)

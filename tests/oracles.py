@@ -104,15 +104,16 @@ def pow_square_multiply(x, n):
     return result
 
 
-def over_small_divisor(s, lam_power, profile, k, window):
-    """s / (λ − λ^k), the small divisor λ(1 − λ^{k-1}) formed exactly from
-    the exact power table ``lam_power`` of λ and inverted to ``window``
-    digits: the quotient that ``schroder._small_divisors`` tabulates.
-    Its valuation is checked against the closed form v(1 − λ^{k-1})."""
-    div = lam_power(1) - lam_power(k)
+def over_small_divisor(s, lam_power, profile, k, window, low=1):
+    """s / (λ^low − λ^k), the small divisor λ^low(1 − λ^{k-low}) formed
+    exactly from the exact power table ``lam_power`` of λ and inverted to
+    ``window`` digits: the quotient that ``schroder._small_divisors``
+    tabulates.  Its valuation is checked against the closed form
+    v(1 − λ^{k-low})."""
+    div = lam_power(low) - lam_power(k)
     if div.is_zero_as_known:
-        raise PrecisionError(f"divisor 1 - lambda^{k-1} vanished; root of unity?")
-    expected = small_divisor_valuation(profile, k - 1)
+        raise PrecisionError(f"divisor 1 - lambda^{k-low} vanished; root of unity?")
+    expected = small_divisor_valuation(profile, k - low)
     if Fraction(div.lead, div.ram) != expected:
         raise CertificateError(
             f"divisor valuation {Fraction(div.lead, div.ram)} != closed form "
@@ -419,38 +420,37 @@ def product_small_divisors_per_term(profile, N):
     return sum(small_divisor_valuation(profile, i * p) for i in range(1, p ** (N - 1) + 1))
 
 
-def small_divisor_leads_per_entry(profile, ks, window, lows=None):
-    """The leads (U-units) of the divisors of ``schroder._small_divisors``
-    checked entry by entry in the order of ``ks``: a p-adic split, the
-    first nonzero row of 1 − λ^u and one ``small_divisor_valuation`` per
-    entry.  The first faulty entry raises the table's PrecisionError
-    (vanished) or CertificateError (off the closed form) with its text.
-    λ's powers come from ``schroder._powers`` as the table reads them, so
-    powers a test plants there reach both."""
+def small_divisor_leads_per_entry(profile, ks, window, low=1):
+    """The leads (U-units) of the divisors λ^low − λ^k of
+    ``schroder._small_divisors`` checked entry by entry in the order of
+    ``ks``: a p-adic split, the first nonzero row of 1 − λ^u and one
+    ``small_divisor_valuation`` per entry.  The first faulty entry raises
+    the table's PrecisionError (vanished) or CertificateError (off the
+    closed form) with its text.  λ's powers come from ``schroder._powers``
+    as the table reads them, so powers a test plants there reach both."""
     lam = profile.lam
     ram, p = lam.ram, lam.field.p
-    width = int(profile.v_m * ram) + window
-    scaled = lows is not None
-    lows = list(lows) if scaled else [1] * len(ks)
-    splits = [p_split(k - i, p) for k, i in zip(ks, lows)]
-    top = max([u for _, u in splits] + (lows if scaled else []), default=0)
+    splits = [p_split(k - low, p) for k in ks]
+    least = min((s for s, _ in splits), default=0)  # λ^u is read to v_m·e + ⌈W/p^least⌉
+    width = int(profile.v_m * ram) + -(-window // p**least)
+    top = max([u for _, u in splits], default=0)
     powers = lindisc.schroder._powers(lam, top, width)
     leads = []
-    for k, i, (s, u) in zip(ks, lows, splits):
+    for k, (s, u) in zip(ks, splits):
         difference = -powers[u] % p
         difference[0, 0] = (1 - powers[u, 0, 0]) % p
         nonzero = np.flatnonzero(difference.any(axis=1))
         if not nonzero.size:
             raise PrecisionError(
-                f"divisor 1 - lambda^{k-i} vanished to O(U^{p**s * width}); "
+                f"divisor 1 - lambda^{k-low} vanished to O(U^{p**s * width}); "
                 "root of unity?"
             )
         lead = p**s * int(nonzero[0])
-        expected = small_divisor_valuation(profile, k - i)
+        expected = small_divisor_valuation(profile, k - low)
         if lead * expected.denominator != expected.numerator * ram:
             raise CertificateError(
                 f"divisor valuation {Fraction(lead, ram)} != closed form "
-                f"{expected} of lambda^{i} - lambda^{k}"
+                f"{expected} of lambda^{low} - lambda^{k}"
             )
         leads.append(lead)
     return leads

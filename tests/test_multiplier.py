@@ -157,14 +157,25 @@ def test_non_unit_multiplier_rejected():
 
 
 def test_p_split_against_brute_force():
+    """One exponent, and an int64 array of them entry by entry: the array
+    split equals the scalar split of each entry, and any entry below 1
+    raises, as a scalar below 1 does."""
     for p in (2, 3, 5, 7, 65521):
-        for n in list(range(1, 300)) + [p**4, 3 * p**5, 65521**2 * 7]:
+        ns = list(range(1, 300)) + [p**4, 3 * p**5, 65521**2 * 7]
+        for n in ns:
             s, u = p_split(n, p)
             assert n == p**s * u and u % p
             assert max(t for t in range(40) if n % p**t == 0) == s
+        ns = [n for n in ns if n < 2**63]
+        s, u = p_split(np.array(ns, dtype=np.int64), p)
+        assert list(zip(s.tolist(), u.tolist())) == [p_split(n, p) for n in ns]
+    empty = p_split(np.zeros(0, dtype=np.int64), 2)
+    assert [x.shape for x in empty] == [(0,), (0,)]
     for n in (0, -4):
         with pytest.raises(HypothesisError):
             p_split(n, 2)
+        with pytest.raises(HypothesisError, match=f"got {n}"):
+            p_split(np.array([3, n, 8], dtype=np.int64), 2)
 
 
 def test_small_divisor_closed_form_examples():

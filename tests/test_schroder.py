@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lindisc._dense
+import lindisc.discs
 import lindisc.laurent
 import lindisc.schroder
 from lindisc import (
@@ -841,6 +842,163 @@ def test_divisor_table_equals_the_exact_quotient(p, r, e, lam, W, exps):
         assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
 
 
+@pytest.mark.parametrize("p, r, e, lam, W, exps", _divisor_cases())
+def test_divisor_table_of_frobenius_images_equals_the_exact_quotient(p, r, e, lam, W, exps):
+    """An entry 1/(λ^low − λ^k), n = k − low = p^s·u with s >= 1, is the
+    Frobenius image of the inverse of 1 − λ^u, which the table forms even
+    when no entry has n = u: with only such entries, low = 0 and 1, each
+    is the exact quotient's to W digits, and so are the W digits of
+    λ^(-1) of the low = 0 table, which Newton formed to ⌈W/p^s_min⌉
+    digits only.  The exact
+    λ^(p^s·u) comes from ``LaurentSeries.__pow__``, a Frobenius image, so
+    p = 65521 is in reach."""
+    field = _field(p, r)
+    lam = parse_series(lam, field, e)
+    profile = mult_profile(lam)
+    one = LaurentSeries.constant(field, 1, e)
+    m = profile.m
+    ns = sorted({p**s * u for s in range(1, 5) for u in (1, m) if p**s * u <= max(p * m, 2500)})
+    def power(n):  # λ^n, n = p^s·u or p^s·u + 1
+        return lam**n if n % p == 0 else lam * lam ** (n - 1)
+
+    for low in (0, 1):
+        ks = [n + low for n in ns]
+        table = _small_divisors(profile, ks, W, low)
+        assert sorted(table) == ks
+        for k in ks:
+            x, y = table[k], over_small_divisor(one, power, profile, k, W, low)
+            assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), (low, k)
+            assert x.coeffs.tobytes() == y.coeffs.tobytes(), (low, k)
+        if low:
+            assert table.lam_inverse is None
+            continue
+        inverse = LaurentSeries(field, e, 0, lam.coeffs[:W], W).inverse().coeffs
+        expected = np.zeros((W, r), dtype=np.int64)
+        expected[: inverse.shape[0]] = inverse
+        assert np.array_equal(table.lam_inverse, expected)
+
+
+def _p_free_parts(ks, low, p):
+    """The distinct u of the n = k − low = p^s·u, in increasing order, and
+    the least s."""
+    splits = [p_split(k - low, p) for k in ks]
+    return sorted({u for _, u in splits}), min((s for s, _ in splits), default=0)
+
+
+@pytest.mark.parametrize(
+    "solve, lit, field, degrees, D",
+    [
+        (solve_specialized_p_plus_1, "1+T+T^2", F2, [3], 12),
+        (solve_specialized_p_plus_1, "2+T", F3, [4], 10),
+        (solve_specialized_p_plus_1, "b+T", F4, [3], 9),
+        (solve_sfe, "1+T", F2, [4], 40),
+        (solve_sfe, "1+T^2", F3, [2, 4], 30),
+        (solve_sfe_multinomial, "1+T", F2, [3], 10),
+    ],
+    ids=["p+1-F2", "p+1-F3", "p+1-F4", "binomial-F2", "dense-F3", "multinomial"],
+)
+def test_divisor_table_makes_one_newton_run_over_the_p_free_parts(
+    monkeypatch, solve, lit, field, degrees, D
+):
+    """Each solve inverts once: one ``_invert_unit`` call, whose stack holds
+    the unit of λ^low·(1 − λ^u) for every distinct p-free part u of the
+    table's exponents n = k − low, in increasing order, to ⌈W/p^s_min⌉
+    digits, and for the binomial recurrence (low = 0), whose coefficients
+    read λ^(-1), λ as its last slice.  Every coefficient agrees with an
+    oracle that forms no table, dividing by exact quotients: the per-term
+    p+1 recurrence or the one-step dense chain."""
+    W = 32
+    lam = parse_series(lit, field)
+    f = PowerSeriesMap({1: lam, **{d: parse_series("1", field) for d in degrees}})
+    real_table, real_invert = lindisc.schroder._small_divisors, lindisc.schroder._invert_unit
+    tables, runs = [], []
+
+    def small_divisors(profile, ks, window, low=1):
+        tables.append((list(ks), low))
+        return real_table(profile, ks, window, low)
+
+    def invert(params, units, digits):
+        runs.append((units.copy(), digits))
+        return real_invert(params, units, digits)
+
+    monkeypatch.setattr(lindisc.schroder, "_small_divisors", small_divisors)
+    monkeypatch.setattr(lindisc.schroder, "_invert_unit", invert)
+    g = solve(f, D, W)
+    ((ks, low),), ((units, digits),) = tables, runs
+    us, s_min = _p_free_parts(ks, low, field.p)
+    assert s_min == (1 if solve is solve_specialized_p_plus_1 else 0)
+    assert digits == -(-W // field.p**s_min)
+    assert units.shape == (len(us) + 1 - low, digits, field.r)
+    head = lam.coeffs[:digits]
+    if not low:
+        assert np.array_equal(units[-1, : head.shape[0]], head)
+        assert not units[-1, head.shape[0] :].any()
+    for u, unit in zip(us, units):  # the unit of λ^low·(1 − λ^u), to ``digits`` rows
+        div = lam**low * (LaurentSeries.constant(field, 1) - lam**u)
+        assert np.array_equal(unit[: div.coeffs.shape[0]], div.coeffs[:digits]), u
+    monkeypatch.undo()
+    if solve is solve_specialized_p_plus_1:
+        reference = solve_specialized_per_term(f, D, W)
+    else:
+        reference = Conjugacy(one_step_solve(f, D, W), g.profile, "one-step", D)
+    assert conjugacies_agree(g, reference, g.D)
+
+
+def _lazy_spies(monkeypatch, lam):
+    """Spies on ``schroder._powers`` and on the products that read a power
+    table of a base other than λ: the bases of every table formed, and
+    one entry per such product (a^J·T_J)."""
+    real_powers, real_convolve = lindisc.schroder._powers, lindisc.schroder._convolve
+    bases, others, products = [], [], []
+
+    def powers(x, n, width):
+        table = real_powers(x, n, width)
+        bases.append(x)
+        if x is not lam:
+            others.append(table)
+        return table
+
+    def convolve(params, a, b, *rest):
+        if any(np.shares_memory(a, table) for table in others):
+            products.append(a.shape)
+        return real_convolve(params, a, b, *rest)
+
+    monkeypatch.setattr(lindisc.schroder, "_powers", powers)
+    monkeypatch.setattr(lindisc.schroder, "_convolve", convolve)
+    return bases, products
+
+
+def test_divergence_and_disc_solves_form_only_the_powers_of_lambda(monkeypatch):
+    """``certify_divergence`` and a p | N ``disc`` solve read no coefficient
+    series, so they form λ's power table and nothing else: no power of
+    a/λ and no a^J·T_J = (a/λ)^J/(1 − λ^(sJ)).  Reading one coefficient of
+    the p+1 solve forms the table of a/λ once and one a^J·T_J; reading
+    them all forms no second table, one product per coefficient with
+    digits, and every b_J equals ``solve_specialized_per_term``'s."""
+    lam = parse_series("1+T+T^2", F2)
+    f = PowerSeriesMap({1: lam, 3: parse_series("1+T", F2)})
+    bases, products = _lazy_spies(monkeypatch, lam)
+    certify_divergence(f, 5)
+    assert bases == [lam] and products == []
+    disc_map = PowerSeriesMap({1: lam, 4: parse_series("1", F2)})
+    lindisc.discs.classify_linearization_disc(disc_map)
+    assert all(x is lam for x in bases) and products == []
+    del bases[:]
+    Jmax, W = 16, 32
+    g = solve_specialized_p_plus_1(f, Jmax, W)
+    assert bases == [lam] and products == []
+    g.coefficient(2 * 5 + 1)
+    assert len(bases) == 2 and bases[1] is not lam and len(products) == 1
+    oracle = solve_specialized_per_term(f, Jmax, W)
+    with_digits = 0
+    for k in range(1, g.D + 1):
+        x, y = g.coefficient(k), oracle.coefficient(k)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
+        with_digits += k > 1 and x.prec > x.lead and not x.exact
+    assert len(bases) == 2 and len(products) == with_digits
+
+
 def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
     """λ = 1 + T^4096 has v_m = 4096, so each divisor reads λ^u only
     modulo T^(4096 + W).  No product the solve makes has an operand
@@ -868,35 +1026,35 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
         assert a.coeffs.tobytes() == b.coeffs.tobytes(), k
 
 
-def test_a_divisor_table_without_lows_holds_no_powers_of_lambda():
-    """``solve_sfe`` and ``solve_sfe_multinomial`` hold their divisor
-    table to the end of the solve and never read λ's powers.  So a table
-    built without ``lows`` keeps its rows, leads and index, not the array
-    of λ^0 .. λ^u it was read from: over F_2 with λ = 1 + T and the 512
-    degrees of a p-divisible solve to D = 1024, the memory it holds stays
-    below its rows plus half that array.  A table with ``lows`` keeps the
-    array, from which ``solve_specialized_p_plus_1`` reads λ^1 .. λ^Jmax."""
-    import tracemalloc
-
+def test_no_divisor_table_keeps_the_powers_of_lambda():
+    """Every solver holds its divisor table to the end of the solve, and
+    no solver reads λ's powers after the table is built.  So a table
+    keeps its rows, leads, index and, for low = 0, the ``window`` rows of
+    λ^(-1), not the array of λ^0 .. λ^u it was read from nor the Newton
+    stack: over F_2 with λ = 1 + T, for the 512 degrees of a p-divisible
+    solve to D = 1024 (low = 1) and for the 512 exponents 2j of a p+1
+    solve (low = 0), the memory it holds stays below its rows plus half
+    that array."""
     profile, W = mult_profile(parse_series("1+T", F2)), 32
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        table = _small_divisors(profile, range(2, 1025, 2), W)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    powers = 1024 * (1 + W) * 8  # u <= 1023, v_m·e + W rows of one coordinate
-    assert held < table.rows.nbytes + powers // 2, (held, table.rows.nbytes, powers)
-    assert table.lam_powers is None
-    lows = _small_divisors(profile, [3 * j for j in range(1, 9)], W, lows=range(1, 9))
-    assert lows.lam_powers.shape[0] > 8
+    # (ks, low, the largest u)
+    for ks, low, top in ((range(2, 1025, 2), 1, 1023), ([2 * j for j in range(1, 513)], 0, 511)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = _small_divisors(profile, ks, W, low)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        powers = (top + 1) * (1 + W) * 8  # v_m·e + W rows of one coordinate
+        assert held < table.rows.nbytes + powers // 2, (low, held, table.rows.nbytes, powers)
+        assert table.lam_inverse is None if low else table.lam_inverse.shape == (W, 1)
 
 
 def test_power_table_read_past_its_width_raises(monkeypatch):
     """A read past a power array's width raises CertificateError; it never
-    returns a shorter slice.  With every array one row short, the
-    divisor table and the p+1 recurrence's window both run into it."""
+    returns a shorter slice.  With λ's array one row short, the divisor
+    table of every solver runs into it: term matching, the multinomial
+    solve, the p+1 recurrence and a p-divisible binomial map's."""
     power = _powers(parse_series("1+T", F3), 3, 4)
     assert power.shape == (4, 4, 1)
     assert _rows(power, 4)[3].tolist() == [[1], [0], [0], [1]]
@@ -904,18 +1062,21 @@ def test_power_table_read_past_its_width_raises(monkeypatch):
     for n in (3, 0):
         with pytest.raises(CertificateError, match="width 4"):
             _rows(_powers(parse_series("1+T", F3), n, 4), 5)
-    f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
+    lam = parse_series("1+T", F2)
+    f = PowerSeriesMap({1: lam, 3: parse_series("1", F2)})
+    binomial = PowerSeriesMap({1: lam, 4: parse_series("1", F2)})
     real = lindisc.schroder._powers
-    for short, solves in [
-        (lambda width: width - 1, [(solve_sfe, 6), (solve_sfe_multinomial, 6)]),
-        (lambda width: width - (width == 32), [(solve_specialized_p_plus_1, 3)]),
+    monkeypatch.setattr(
+        lindisc.schroder, "_powers", lambda x, n, width: real(x, n, width - 1)
+    )
+    for solve, g, degree in [
+        (solve_sfe, f, 6),
+        (solve_sfe_multinomial, f, 6),
+        (solve_specialized_p_plus_1, f, 3),
+        (solve_sfe, binomial, 10),
     ]:
-        monkeypatch.setattr(
-            lindisc.schroder, "_powers", lambda x, n, width: real(x, n, short(width))
-        )
-        for solve, degree in solves:
-            with pytest.raises(CertificateError, match="past its table's width"):
-                solve(f, degree)
+        with pytest.raises(CertificateError, match="past its table's width"):
+            solve(g, degree)
 
 
 # fields and towers of the doubled power table's oracle test: F_2, F_3,
@@ -1073,26 +1234,27 @@ def test_small_divisors_raise_at_the_first_faulty_entry(
 
 
 def test_small_divisors_check_the_p_plus_1_entries_in_order(monkeypatch):
-    """With lows, as the p+1 recurrence reads it: k = 3j, i = j over F_2,
-    so exponent 2j = 2·u; a divisor vanishing at u = 3 raises at j = 3
+    """With low = 0, as the p+1 recurrence reads it over F_2: k = 2j, the
+    exponent 2j = 2·u; a divisor vanishing at u = 3 raises at j = 3
     (exponent 6), before a valuation planted wrong at j = 5 (exponent 10)."""
     profile = mult_profile(parse_series("1+T", F2))
-    js = list(range(1, 9))
+    ks = [2 * j for j in range(1, 9)]
     _planted_powers(monkeypatch, 3)
     _planted_valuation(monkeypatch, 10)
     with pytest.raises(PrecisionError, match=r"lambda\^6 vanished"):
-        _small_divisors(profile, [3 * j for j in js], 16, lows=js)
+        _small_divisors(profile, ks, 16, low=0)
     monkeypatch.undo()
     _planted_valuation(monkeypatch, 10)
-    with pytest.raises(CertificateError, match=r"of lambda\^5 - lambda\^15$"):
-        _small_divisors(profile, [3 * j for j in js], 16, lows=js)
+    with pytest.raises(CertificateError, match=r"of lambda\^0 - lambda\^10$"):
+        _small_divisors(profile, ks, 16, low=0)
 
 
 def _random_divisor_tables(seed, count):
-    """(profile, ks, lows, W) with m > 1: λ = c + (terms from U^j on),
+    """(profile, ks, low, W) with m > 1: λ = c + (terms from U^j on),
     c of order m > 1 over F_3, F_4, F_5, F_7 and F_9, e ∈ {1, 2, 3},
-    v_m·e = j ∈ {1, 2, 3}, and 40 random k below 300 (p+1-style lows for
-    every third table)."""
+    v_m·e = j ∈ {1, 2, 3}, and 40 random k below 300 with low = 1, or
+    for every third table, as the p+1 recurrence reads it, 40 random
+    k = p·j with low = 0."""
     rng = random.Random(seed)
     fields = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
     for n in range(count):
@@ -1104,11 +1266,10 @@ def _random_divisor_tables(seed, count):
         profile = mult_profile(lam)
         assert profile.m > 1 and profile.v_m * e == j
         if n % 3 == 2:
-            lows = rng.sample(range(1, 60), 40)
-            ks = [(p + 1) * i for i in lows]
+            low, ks = 0, [p * j for j in rng.sample(range(1, 60), 40)]
         else:
-            lows, ks = None, rng.sample(range(2, 300), 40)
-        yield profile, ks, lows, rng.choice([8, 16, 32])
+            low, ks = 1, rng.sample(range(2, 300), 40)
+        yield profile, ks, low, rng.choice([8, 16, 32])
 
 
 def test_divisor_leads_equal_the_per_entry_closed_form():
@@ -1118,9 +1279,9 @@ def test_divisor_leads_equal_the_per_entry_closed_form():
     ``small_divisor_leads`` of a whole array of splits is e times the
     per-entry valuation, with m | n and s > 0 among the exponents."""
     splits_seen = set()
-    for profile, ks, lows, W in _random_divisor_tables(151, 15):
-        table = _small_divisors(profile, ks, W, lows)
-        assert table.leads.tolist() == small_divisor_leads_per_entry(profile, ks, W, lows)
+    for profile, ks, low, W in _random_divisor_tables(151, 15):
+        table = _small_divisors(profile, ks, W, low)
+        assert table.leads.tolist() == small_divisor_leads_per_entry(profile, ks, W, low)
         ns = list(range(1, 400))
         s, u = np.array([p_split(n, profile.p) for n in ns]).T
         e = profile.lam.ram
@@ -1154,17 +1315,16 @@ def test_divisor_checks_raise_as_the_per_entry_checks(monkeypatch):
     pass raises at the entry, with the error and text, that checking
     entry by entry raises at."""
     raised = []
-    for profile, ks, lows, W in _random_divisor_tables(157, 10):
+    for profile, ks, low, W in _random_divisor_tables(157, 10):
         off = int(profile.v_m * profile.lam.ram) + 1  # neither 0 nor v_m·e
-        p = profile.p
-        us = [p_split(k - i, p)[1] for k, i in zip(ks, lows or [1] * len(ks))]
+        us = [p_split(k - low, profile.p)[1] for k in ks]
         for planted in ({us[1]: off}, {us[-1]: off}, {us[3]: None, us[-2]: off}):
             with monkeypatch.context() as patch:
                 _planted_rows(patch, planted)
                 with pytest.raises((PrecisionError, CertificateError)) as want:
-                    small_divisor_leads_per_entry(profile, ks, W, lows)
+                    small_divisor_leads_per_entry(profile, ks, W, low)
                 with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-                    _small_divisors(profile, ks, W, lows)
+                    _small_divisors(profile, ks, W, low)
             raised.append(want.type)
     assert PrecisionError in raised and CertificateError in raised
 
@@ -1227,19 +1387,33 @@ def test_structural_zero_check_builds_no_series(monkeypatch):
 
 
 def test_structural_zero_check_catches_a_planted_column(monkeypatch):
-    """A nonzero digit in a column p ∤ k of the dense solve's running sum
-    is a CertificateError naming the degree and the column's series."""
-    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
-    real = DensePoly.add_scaled
+    """A nonzero digit in a column off the support of the dense solve's
+    running sum is a CertificateError naming the degree, the support's
+    degrees and the column's series: a live column p ∤ k of a p-divisible
+    map, and a column that is not live (an exact zero's horizon, with
+    data planted) of a map with a degree prime to p, whose text names no
+    p-divisible map."""
+    lam = parse_series("1+T", F2)
+    for degree, k, live in ((2, 5, True), (3, 4, False)):
+        f = PowerSeriesMap({1: lam, degree: parse_series("1", F2)})
+        real = DensePoly.add_scaled
 
-    def add_scaled(self, series, other):
-        real(self, series, other)
-        self.base[5], self.prec[5] = 3, 3 + self.W
-        self.data[5, 1, 0] = 1
+        def add_scaled(self, series, other, k=k, live=live):
+            real(self, series, other)
+            if live:
+                self.base[k], self.prec[k] = 3, 3 + self.W
+            self.data[k, 1, 0] = 1
 
-    monkeypatch.setattr(DensePoly, "add_scaled", add_scaled)
-    with pytest.raises(CertificateError, match=r"degree 5 should vanish.*T\^4"):
-        lindisc.schroder._solve_dense(f, 8, 32)
+        with monkeypatch.context() as patch:
+            patch.setattr(DensePoly, "add_scaled", add_scaled)
+            with pytest.raises(CertificateError) as raised:
+                lindisc.schroder._solve_dense(f, 8, 32)
+        text = str(raised.value)
+        assert re.fullmatch(
+            rf"degree {k} should vanish off the support of f's degrees \[{degree}\], got .+",
+            text,
+        ), text
+        assert ("T^4" in text) == live and "p-divisible" not in text
 
 
 def test_structural_zeros_not_applicable_outside_family():
