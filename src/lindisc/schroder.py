@@ -236,8 +236,9 @@ def _small_divisors(profile, ks, window, low=1):
     CertificateError (off the closed form).  One batched Newton run
     inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
     For low = 1 they are times λ, and an entry with s > 0 is its spread
-    times λ^(p^s − 1).  For low = 0, λ joins the stack as an entry with
-    s = t, and λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is ``lam_inverse``.
+    times λ^(p^s − 1), spread in chunks that ``_per_batch`` sizes.  For
+    low = 0, λ joins the stack as an entry with s = t, and
+    λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is ``lam_inverse``.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
@@ -293,14 +294,15 @@ def _small_divisors(profile, ks, window, low=1):
         return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
 
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
+    chunk = _per_batch(8 * window * r)
     for s in set(ss.tolist()) - {0}:
-        step = p**s
-        count = -(-window // step)
-        entries = (ss == s).nonzero()[0]
-        spread = np.zeros((entries.size, window, r), dtype=np.int64)
-        frob = field_.frobenius_rows(inverses[slot[entries], :count].reshape(-1, r), s)
-        spread[:, ::step] = frob.reshape(entries.size, count, r)
-        rows[entries] = _convolve(field_, spread, lam_power(step - 1), window) if low else spread
+        step, entries = p**s, (ss == s).nonzero()[0]
+        for c in range(0, entries.size, chunk):
+            part = entries[c : c + chunk]
+            spread = np.zeros((part.size, window, r), dtype=np.int64)
+            frob = inverses[slot[part], : -(-window // step)].reshape(-1, r)
+            spread[:, ::step] = field_.frobenius_rows(frob, s).reshape(part.size, -1, r)
+            rows[part] = _convolve(field_, spread, lam_power(step - 1), window) if low else spread
     if low:
         return _DivisorTable(field_, ram, ks, leads, rows, window, None)
     if t:
@@ -700,10 +702,9 @@ def _solve_binomial(f, D, window, source):
     S_J·(E_J − 1) are the only work; the rest is ufunc reductions
     and ndarray methods.  The dot product sums at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
-    The conjugacy keeps S_J and forms a^J·T_J and b_J = S_J·(a^J·T_J),
-    two products, when b_J is first read.  The loop fills its
-    ``ValuationTable``: b_J has lead L(S_J) + J·L(a) − lead_T and horizon
-    H_S + J·L(a) − lead_T, a zero to precision when S_J has no digits.
+    The loop fills its ``ValuationTable``: b_J has lead
+    L(S_J) + J·L(a) − lead_T and horizon H_S + J·L(a) − lead_T, a zero
+    to precision when S_J has no digits.
     The verdicts read the table, and build no b_J.
     """
     (N,) = f.nonlinear_degrees
@@ -774,7 +775,7 @@ def _solve_binomial(f, D, window, source):
             B[J, :digits] = _convolve(field_, s_J, G[n], digits)
         bounds[J] = first - lead_T[n], H - lead_T[n]
     index = {J: n for n, J in enumerate(Ks)}
-    powers = []  # of a/λ, formed at the first read
+    powers = []  # of a/λ
 
     def coefficient(k):  # b_k = S_J·(a/λ)^J·E_J for k = 1 + Js, J held
         if k == 1:

@@ -1026,18 +1026,39 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
         assert a.coeffs.tobytes() == b.coeffs.tobytes(), k
 
 
+@pytest.mark.parametrize("field, lit", [(F2, "1+T+T^3"), (F4, "b+T")])
+def test_divisor_table_spreads_in_chunks(monkeypatch, field, lit):
+    """The Frobenius spreads of one s go in chunks that ``_per_batch``
+    sizes; with one entry per chunk, every entry of the low = 1 and
+    low = 0 tables, and λ^(-1), has the bytes of the table built whole."""
+    profile, W = mult_profile(parse_series(lit, field)), 16
+    for low, ks in ((1, range(2, 130)), (0, range(2, 130, 2))):
+        whole = _small_divisors(profile, ks, W, low)
+        monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: 1)
+        chunked = _small_divisors(profile, ks, W, low)
+        monkeypatch.undo()
+        assert chunked.rows.tobytes() == whole.rows.tobytes(), low
+        assert np.array_equal(chunked.leads, whole.leads), low
+        if not low:
+            assert chunked.lam_inverse.tobytes() == whole.lam_inverse.tobytes()
+
+
 def test_no_divisor_table_keeps_the_powers_of_lambda():
     """Every solver holds its divisor table to the end of the solve, and
     no solver reads λ's powers after the table is built.  So a table
     keeps its rows, leads, index and, for low = 0, the ``window`` rows of
     λ^(-1), not the array of λ^0 .. λ^u it was read from nor the Newton
     stack: over F_2 with λ = 1 + T, for the 512 degrees of a p-divisible
-    solve to D = 1024 (low = 1) and for the 512 exponents 2j of a p+1
-    solve (low = 0), the memory it holds stays below its rows plus half
-    that array."""
+    solve to D = 1024 (low = 1, every n = k − 1 odd) and for the 512
+    exponents 2j of a p+1 solve (low = 0, s_min = 1), the memory it holds
+    stays below its rows plus half that array, of the v_m·e + ⌈W/p^s_min⌉
+    rows the table reads."""
     profile, W = mult_profile(parse_series("1+T", F2)), 32
-    # (ks, low, the largest u)
-    for ks, low, top in ((range(2, 1025, 2), 1, 1023), ([2 * j for j in range(1, 513)], 0, 511)):
+    # (ks, low, the largest u, s_min)
+    for ks, low, top, least in (
+        (range(2, 1025, 2), 1, 1023, 0),
+        ([2 * j for j in range(1, 513)], 0, 511, 1),
+    ):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1045,7 +1066,7 @@ def test_no_divisor_table_keeps_the_powers_of_lambda():
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        powers = (top + 1) * (1 + W) * 8  # v_m·e + W rows of one coordinate
+        powers = (top + 1) * (1 + -(-W // 2**least)) * 8  # one coordinate, v_m·e = 1
         assert held < table.rows.nbytes + powers // 2, (low, held, table.rows.nbytes, powers)
         assert table.lam_inverse is None if low else table.lam_inverse.shape == (W, 1)
 
@@ -1054,7 +1075,9 @@ def test_power_table_read_past_its_width_raises(monkeypatch):
     """A read past a power array's width raises CertificateError; it never
     returns a shorter slice.  With λ's array one row short, the divisor
     table of every solver runs into it: term matching, the multinomial
-    solve, the p+1 recurrence and a p-divisible binomial map's."""
+    solve, the p+1 recurrence and a p-divisible binomial map's.  With only
+    the array of a/λ one row short, the p+1 solve runs, and the first
+    read of a coefficient with digits runs into it."""
     power = _powers(parse_series("1+T", F3), 3, 4)
     assert power.shape == (4, 4, 1)
     assert _rows(power, 4)[3].tolist() == [[1], [0], [0], [1]]
@@ -1077,6 +1100,13 @@ def test_power_table_read_past_its_width_raises(monkeypatch):
     ]:
         with pytest.raises(CertificateError, match="past its table's width"):
             solve(g, degree)
+    monkeypatch.setattr(
+        lindisc.schroder, "_powers", lambda x, n, width: real(x, n, width - (x is not lam))
+    )
+    g = solve_specialized_p_plus_1(f, 5)
+    assert g.valuation(11) is not None
+    with pytest.raises(CertificateError, match="past its table's width"):
+        g.coefficient(11)
 
 
 # fields and towers of the doubled power table's oracle test: F_2, F_3,
