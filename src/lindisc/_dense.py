@@ -26,7 +26,8 @@ products are exact and sums are taken mod p, so no batch changes a result:
   columns by ``of_map`` once per chain of products: each product
   carries ``map_columns = (f, columns)``, and f's factor with it, to
   the next (installing them per product made the sweep workload 5%
-  slower);
+  slower), and the solve's f^1, being f's columns, is marked so that
+  its own products read it;
 * ``add_scaled``, the accumulation of a scalar multiple of any
   polynomial: one convolution of its data columns with the scalar into
   the sum's windows, whose columns are realigned where their base moves.
@@ -82,7 +83,8 @@ class DensePoly:
         self.W = W
         self.base, self.prec = np.full((2, D + 1), INF, dtype=np.int64)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
-        # (f, f's columns) when this polynomial is a product by the map f
+        # (f, f's columns) when this polynomial is a product by the map f,
+        # (f, None) when it is f's columns itself
         self.map_columns = None
 
     @classmethod
@@ -138,12 +140,15 @@ class DensePoly:
         """Return self * f, truncated to x-degree D.  The product carries
         the pair (f, columns of f) it was multiplied by, so a chain of
         products by one map installs f's columns and forms their factor
-        once, at its first link."""
+        once, at its first link, or never when self is f's columns, as
+        the pair (f, None) marks (the pair of its product then holds
+        self, and self holds no reference back)."""
         pair = self.map_columns
         if pair is None or pair[0] is not f:
             pair = (f, DensePoly.of_map(f, self.D, self.W))
-        out = self.mul(pair[1])
-        out.map_columns = pair
+        columns = self if pair[1] is None else pair[1]  # (f, None): self is f's columns
+        out = self.mul(columns)
+        out.map_columns = (f, columns)
         return out
 
     def _check_exact_start(self):

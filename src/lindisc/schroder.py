@@ -199,13 +199,25 @@ class _DivisorTable(Mapping):
     """k -> 1/(λ^low − λ^k) to ``window`` digits, as ``_small_divisors``
     tabulates it.  The n-th divisor has valuation ``leads[n]`` (U-units)
     and ``rows[n]`` holds the ``window`` rows of its reciprocal past that
-    reciprocal's lead −leads[n].  ``lam_inverse``: the ``window`` rows of
-    λ^(-1) for low = 0, else None."""
+    reciprocal's lead −leads[n].  For low = 0, ``head`` holds λ's first
+    ``window`` rows, and one more row, the last, holds the ``window``
+    rows of λ^(−p^t), t the least p-adic valuation of the table's
+    exponents; for low = 1, ``head`` is None."""
 
-    def __init__(self, field_, ram, ks, leads, rows, window, lam_inverse):
+    def __init__(self, field_, ram, ks, leads, rows, window, t, head):
         self.field, self.ram, self.window = field_, ram, window
         self.index = {k: n for n, k in enumerate(ks)}
-        self.leads, self.rows, self.lam_inverse = leads, rows, lam_inverse
+        self.leads, self.rows, self.t, self.head = leads, rows, t, head
+
+    @property
+    def lam_inverse(self):
+        """The ``window`` rows of λ^(−1) = λ^(p^t − 1)·λ^(−p^t) for low = 0,
+        else None; formed on each read, so a solve that reads no
+        coefficient forms no λ^(p^t − 1)."""
+        if self.head is not None:
+            power = LaurentSeries(self.field, self.ram, 0, self.head, self.window)
+            power = (power ** (self.field.p**self.t - 1)).coeffs
+            return _convolve(self.field, self.rows[-1], power, self.window)
 
     def __getitem__(self, k):
         n = self.index[k]
@@ -237,8 +249,9 @@ def _small_divisors(profile, ks, window, low=1):
     inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
     For low = 1 they are times λ, and an entry with s > 0 is its spread
     times λ^(p^s − 1), spread in chunks that ``_per_batch`` sizes.  For
-    low = 0, λ joins the stack as an entry with s = t, and
-    λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is ``lam_inverse``.
+    low = 0, λ joins the stack as an entry with s = t, and its spread
+    λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
+    formed only when ``lam_inverse`` is read.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
@@ -303,11 +316,7 @@ def _small_divisors(profile, ks, window, low=1):
             frob = inverses[slot[part], : -(-window // step)].reshape(-1, r)
             spread[:, ::step] = field_.frobenius_rows(frob, s).reshape(part.size, -1, r)
             rows[part] = _convolve(field_, spread, lam_power(step - 1), window) if low else spread
-    if low:
-        return _DivisorTable(field_, ram, ks, leads, rows, window, None)
-    if t:
-        rows[-1] = _convolve(field_, rows[-1], lam_power(p**t - 1), window)
-    return _DivisorTable(field_, ram, ks, leads, rows[:-1], window, rows[-1])
+    return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
 
 
 def _support(f, D):
@@ -352,9 +361,9 @@ def _support(f, D):
 
 class _GapPowers:
     """Products by u^g for the gaps g a solve needs: u is the polynomial
-    f^1, whose products go through ``mul_by_map`` (a chain of them
-    installs f's columns once), or the stride f^p of a p-divisible map,
-    multiplied by ``mul`` (``f`` None).
+    f^1, whose products go through ``mul_by_map`` by the columns of f it
+    carries, or the stride f^p of a p-divisible map, multiplied by
+    ``mul`` (``f`` None).
 
     A needed u^g (g >= 2) is built once, by a chain of products by u from
     the largest kept u^h with h < g, which keeps every needed power it
@@ -463,6 +472,7 @@ def _solve_dense(f, D, window):
     coeffs = {1: one}
     acc = DensePoly(field_, ram, D, window)
     fpow = DensePoly.of_map(f, D, window)  # f^prev, prev the last degree of K formed
+    fpow.map_columns = (f, None)  # f^1 is f's columns: installed once
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     if family and len(formed) > 1:  # u = f^p, multiplied only by ``mul``: free f's columns
         for _ in range(p - 1):
@@ -477,10 +487,11 @@ def _solve_dense(f, D, window):
         else:
             # columns are reduced and zero past their horizon, so the sum
             # is zero as known exactly when its column holds no data
-            if _any(acc.data[k], axis=None):
+            rows = _any(acc.data[k], axis=1).nonzero()[0]
+            if rows.size:
                 raise CertificateError(
                     f"degree {k} should vanish off the support of f's degrees "
-                    f"{f.nonlinear_degrees}, got {acc.column(k)}"
+                    f"{f.nonlinear_degrees}, got {acc.column(k)}, nonzero rows {rows.tolist()}"
                 )
             b_k = exact_zero
         coeffs[k] = b_k
@@ -645,12 +656,15 @@ def _solve_binomial(f, D, window, source):
     b_i is C(l_i, J−i)·B_i·λ^{1−J}·a^J, so with T_J = 1/(λ^J − λ^{NJ}),
     E_J = 1/(1 − λ^{sJ}) and S_J = Σ_i C(l_i, J−i)·B_i,
 
-        b_J = S_J·a^J·T_J = S_J·(a/λ)^J·E_J,    B_J = S_J·(E_J − 1),
+        b_J = S_J·a^J·T_J,    B_J = S_J·(E_J − 1),
 
     as λ^{NJ}·T_J = λ^{sJ}·E_J = E_J − 1, and no inverse of a is formed.
-    E_J and λ^{-1} come from the divisor table (low = 0).  a^J·T_J is
-    formed when b_J is first read, from the ``_powers`` of a/λ, formed at
-    the first read: a reader of the valuation table alone forms neither.
+    E_J comes from the divisor table (low = 0).  By B's definition
+    b_J = B_J·(a·λ^{−N})^J: B and its bounds are the recurrence's one
+    state, and the valuation table and every b_J are read off it.  b_J
+    is formed when first read, as one product by the ``_powers`` of
+    a·λ^{−N}, formed with λ^{−1} at the first read: a reader of the
+    valuation table alone forms neither.
 
     The support.  The held i are those with b_{l_i} not an exact zero, as
     ``_support`` predicts (every i for p ∤ N; 0 and i ≡ 1 (mod p) for
@@ -680,7 +694,9 @@ def _solve_binomial(f, D, window, source):
     H_S + J·L(a), and its lead differs from L(S_J) by the same J·L(a).
     So b_J = S_J·(a^J·T_J), with a^J·T_J known to ``window`` digits like
     the entry 1/(λ − λ^{1+Js}) the sum would be divided by, gets that
-    quotient's lead, horizon, rows and exactness.  Row k of a product depends
+    quotient's lead, horizon, rows and exactness, and so does
+    B_J·(a·λ^{−N})^J, B_J and the power each known to at least the
+    digits of S_J.  Row k of a product depends
     only on rows <= k of its factors, so ``window`` rows of each power
     lose nothing: no B_i knows more than ``window`` digits (the exact
     b_1 = 1 is read to ``window`` digits, every later one is a sum times
@@ -702,10 +718,12 @@ def _solve_binomial(f, D, window, source):
     S_J·(E_J − 1) are the only work; the rest is ufunc reductions
     and ndarray methods.  The dot product sums at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
-    The loop fills its ``ValuationTable``: b_J has lead
-    L(S_J) + J·L(a) − lead_T and horizon H_S + J·L(a) − lead_T, a zero
-    to precision when S_J has no digits.
-    The verdicts read the table, and build no b_J.
+    The loop writes only B and ``bounds``, and reads E_J − 1, formed in
+    place in the divisor table's rows before it.  One vectorized pass
+    after it fills the ``ValuationTable``: b_J has lead and horizon
+    B_J's bounds plus J·L(a), a zero to precision where the two are
+    equal (S_J has no digits).  The verdicts read the table, and build
+    no b_J.
     """
     (N,) = f.nonlinear_degrees
     a = f.coeffs[N]
@@ -733,13 +751,15 @@ def _solve_binomial(f, D, window, source):
             "maps, got a nonzero binomial"
         )
 
-    Ks = (held[1:].nonzero()[0] + 1).tolist()  # the J >= 1 solved
-    E = _small_divisors(profile, [s * J for J in Ks], W, low=0)
-    lead_T = E.leads  # E_J has lead −lead_T[n], and U^0 sits at row lead_T[n]
-    G = E.rows.copy()
+    Ks = held[1:].nonzero()[0] + 1  # the J >= 1 solved
+    E = _small_divisors(profile, (s * Ks).tolist(), W, low=0)
+    # E_J has lead −lead_T[n], and U^0 sits at row lead_T[n]; G[n] is
+    # E_J − 1, with the same lead, formed in place: nothing else reads
+    # E_J, and the last row, λ^(−p^t), is already reduced
+    G, lead_T = E.rows, E.leads
     inside = (lead_T < W).nonzero()[0]
     G[inside, lead_T[inside], 0] -= 1
-    G %= p  # E_J − 1, lead −lead_T
+    G %= p
     lead_T = lead_T.tolist()
 
     ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
@@ -748,11 +768,7 @@ def _solve_binomial(f, D, window, source):
     # lead and lead + digits of B_i; a row that is not held never counts
     bounds = np.full((Jmax + 1, 2), _INF_CUT, dtype=np.int64)
     bounds[0] = 0, W
-    S = np.zeros((len(Ks), W, r), dtype=np.int64)
-    zeros = np.zeros(D + 1, dtype=object)
-    table = ValuationTable(ram, zeros, zeros.copy(), np.full(D + 1, STRUCTURAL, dtype=object))
-    table.lead[1], table.prec[1], table.kind[1] = 0, 1, NONZERO  # b_1 = 1, exact
-    for n, J in enumerate(Ks):
+    for n, J in enumerate(Ks.tolist()):
         start, stop = offsets[J - 1], offsets[J]
         i = I[start:stop]
         held_bounds = bounds[i]
@@ -765,32 +781,32 @@ def _solve_binomial(f, D, window, source):
         s_J %= p
         nonzero = _any(s_J, axis=1).nonzero()[0]
         first = lo + int(nonzero[0]) if nonzero.size else H
-        digits = H - first
-        S[n, :digits] = s_J = s_J[first - lo :]
-        # b_J = S_J·(a^J·T_J), whose leading row is a product of units
-        k, shift = 1 + J * s, J * a.lead - lead_T[n]
-        table.lead[k], table.prec[k] = first + shift, H + shift
-        table.kind[k] = NONZERO if digits else COMPUTED_ZERO
-        if digits:
-            B[J, :digits] = _convolve(field_, s_J, G[n], digits)
+        if first < H:
+            B[J, : H - first] = _convolve(field_, s_J[first - lo :], G[n], H - first)
         bounds[J] = first - lead_T[n], H - lead_T[n]
-    index = {J: n for n, J in enumerate(Ks)}
-    powers = []  # of a/λ
 
-    def coefficient(k):  # b_k = S_J·(a/λ)^J·E_J for k = 1 + Js, J held
+    # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a)
+    lead, prec = (bounds[Ks] + a.lead * Ks[:, None]).T
+    ks = 1 + s * Ks
+    zeros = np.zeros(D + 1, dtype=object)
+    table = ValuationTable(ram, zeros, zeros.copy(), np.full(D + 1, STRUCTURAL, dtype=object))
+    table.lead[1], table.prec[1], table.kind[1] = 0, 1, NONZERO  # b_1 = 1, exact
+    table.lead[ks], table.prec[ks] = lead.tolist(), prec.tolist()
+    table.kind[ks] = [NONZERO if x else COMPUTED_ZERO for x in (lead < prec).tolist()]
+    powers = []  # of a·λ^(−N)
+
+    def coefficient(k):  # b_k = B_J·(a·λ^(−N))^J for k = 1 + Js, J held
         if k == 1:
             return one
         if table.kind[k] == STRUCTURAL:
             return exact_zero
-        J = (k - 1) // s
-        n, lead, prec = index[J], table.lead[k], table.prec[k]
-        rows = S[n, :0]
+        J, lead, prec = (k - 1) // s, table.lead[k], table.prec[k]
+        rows = B[J, :0]
         if prec > lead:
             if not powers:
-                over = a * LaurentSeries(field_, ram, 0, E.lam_inverse, W)
+                over = a * LaurentSeries(field_, ram, 0, E.lam_inverse, W) ** N
                 powers.append(_rows(_powers(over, Jmax, W), W))
-            F = _convolve(field_, powers[0][J], E.rows[n], W)
-            rows = _convolve(field_, S[n], F, prec - lead)
+            rows = _convolve(field_, B[J, : prec - lead], powers[0][J], prec - lead)
         return LaurentSeries._of(field_, ram, lead, rows, prec)
 
     return Conjugacy(_Coefficients(D, coefficient), profile, source, D, table)

@@ -15,7 +15,7 @@ from lindisc import CertificateError, FieldParams, LaurentSeries, PowerSeriesMap
 from lindisc._dense import _INF_CUT, INF, DensePoly
 from lindisc.laurent import _convolve
 from lindisc.powerseries import _table_mul
-from oracles import dense_add_scaled_all_columns, dense_mul_per_column, horizon
+from oracles import dense_add_scaled_all_columns, dense_mul_per_column, horizon, solve_sfe_chain
 
 
 def assert_invariant(poly):
@@ -783,15 +783,15 @@ def test_batched_convolution_memory_is_bounded_by_the_cap(monkeypatch):
 
 
 def test_a_chain_of_products_by_one_map_installs_its_columns_once(monkeypatch):
-    """``solve_sfe`` multiplies by f once per degree through
-    ``mul_by_map``; f's columns are installed once for f^1 and once for
-    the chain of products, and each product carries them to the next."""
+    """``solve_sfe`` multiplies by f through ``mul_by_map``; f's columns
+    are installed once per dense solve, for f^1, which carries them to
+    its products by f, and each product carries them to the next.  So a
+    map with a degree prime to p (a product by f per degree) and a
+    p-divisible one (f^p, the stride, the one product by f) each make one
+    ``of_map``, and their coefficients are the chain's of every power."""
     import lindisc.schroder
 
     F2 = FieldParams(2)
-    f = PowerSeriesMap({
-        1: parse_series("1+T", F2), 2: parse_series("1", F2), 3: parse_series("T", F2)
-    })
     real_of_map, real_mul_by_map = DensePoly.__dict__["of_map"], DensePoly.mul_by_map
     calls = {"of_map": 0, "mul_by_map": 0}
 
@@ -803,10 +803,21 @@ def test_a_chain_of_products_by_one_map_installs_its_columns_once(monkeypatch):
         calls["mul_by_map"] += 1
         return real_mul_by_map(self, g)
 
-    monkeypatch.setattr(DensePoly, "of_map", classmethod(of_map))
-    monkeypatch.setattr(DensePoly, "mul_by_map", mul_by_map)
-    lindisc.schroder.solve_sfe(f, 20)
-    assert calls == {"of_map": 2, "mul_by_map": 18}
+    for high, products in ((3, 18), (4, 1)):
+        f = PowerSeriesMap({
+            1: parse_series("1+T", F2), 2: parse_series("1", F2), high: parse_series("T", F2)
+        })
+        calls.update(of_map=0, mul_by_map=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(DensePoly, "of_map", classmethod(of_map))
+            patch.setattr(DensePoly, "mul_by_map", mul_by_map)
+            g = lindisc.schroder.solve_sfe(f, 20)
+        assert calls == {"of_map": 1, "mul_by_map": products}, high
+        reference = solve_sfe_chain(f, 20)
+        for k in range(1, 21):
+            x, y = g.coefficient(k), reference.coefficient(k)
+            assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), (high, k)
+            assert x.coeffs.tobytes() == y.coeffs.tobytes(), (high, k)
 
 
 def test_a_product_by_another_map_uses_that_maps_columns():

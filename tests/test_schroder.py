@@ -946,8 +946,8 @@ def test_divisor_table_makes_one_newton_run_over_the_p_free_parts(
 
 def _lazy_spies(monkeypatch, lam):
     """Spies on ``schroder._powers`` and on the products that read a power
-    table of a base other than λ: the bases of every table formed, and
-    one entry per such product (a^J·T_J)."""
+    table of a base other than λ, in either operand: the bases of every
+    table formed, and one entry per such product (B_J·(a·λ^(−N))^J)."""
     real_powers, real_convolve = lindisc.schroder._powers, lindisc.schroder._convolve
     bases, others, products = [], [], []
 
@@ -959,8 +959,8 @@ def _lazy_spies(monkeypatch, lam):
         return table
 
     def convolve(params, a, b, *rest):
-        if any(np.shares_memory(a, table) for table in others):
-            products.append(a.shape)
+        if any(np.shares_memory(x, table) for x in (a, b) for table in others):
+            products.append((a.shape, b.shape))
         return real_convolve(params, a, b, *rest)
 
     monkeypatch.setattr(lindisc.schroder, "_powers", powers)
@@ -971,10 +971,11 @@ def _lazy_spies(monkeypatch, lam):
 def test_divergence_and_disc_solves_form_only_the_powers_of_lambda(monkeypatch):
     """``certify_divergence`` and a p | N ``disc`` solve read no coefficient
     series, so they form λ's power table and nothing else: no power of
-    a/λ and no a^J·T_J = (a/λ)^J/(1 − λ^(sJ)).  Reading one coefficient of
-    the p+1 solve forms the table of a/λ once and one a^J·T_J; reading
-    them all forms no second table, one product per coefficient with
-    digits, and every b_J equals ``solve_specialized_per_term``'s."""
+    a·λ^(−N) and no product by one.  Reading one coefficient of the p+1
+    solve forms the table of a·λ^(−N) once and one product
+    B_J·(a·λ^(−N))^J; reading them all forms no second table, one product
+    per coefficient with digits, and every b_J equals
+    ``solve_specialized_per_term``'s."""
     lam = parse_series("1+T+T^2", F2)
     f = PowerSeriesMap({1: lam, 3: parse_series("1+T", F2)})
     bases, products = _lazy_spies(monkeypatch, lam)
@@ -1069,6 +1070,60 @@ def test_no_divisor_table_keeps_the_powers_of_lambda():
         powers = (top + 1) * (1 + -(-W // 2**least)) * 8  # one coordinate, v_m·e = 1
         assert held < table.rows.nbytes + powers // 2, (low, held, table.rows.nbytes, powers)
         assert table.lam_inverse is None if low else table.lam_inverse.shape == (W, 1)
+
+
+def test_certify_divergence_forms_no_power_of_lambda_for_its_inverse(monkeypatch):
+    """The p+1 table's exponents pJ have t = 1, so λ^(−1) is
+    λ^(p − 1)·λ^(−p), and only a coefficient read needs it:
+    ``certify_divergence`` forms no power of a series at all, and the
+    first read of a p+1 coefficient forms λ^(p − 1), then λ^(−N), once."""
+    real, powers = LaurentSeries.__pow__, []
+
+    def power(self, n):
+        powers.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(LaurentSeries, "__pow__", power)
+    f = PowerSeriesMap({1: parse_series("1+T", F3), 4: parse_series("2", F3)})
+    certify_divergence(f, 4)
+    assert powers == []
+    g = solve_specialized_p_plus_1(f, 27)
+    assert powers == []
+    g.coefficient(4)
+    g.coefficient(7)
+    assert powers == [2, 4]
+
+
+def test_p_plus_1_solve_holds_only_B_and_the_divisors_through_its_loop(monkeypatch):
+    """The recurrence keeps B and its bounds, and reads E_J − 1, formed in
+    place in the divisor table's rows; the table of valuations is filled
+    after the loop, so what is traced when it is made is what the loop
+    held.  B and the divisor rows take about (Jmax + 1)·(W + 1)·r int64
+    each, and everything else (the binomial table, the support, the
+    divisor leads) less than one more: a third array of that size, a
+    table of the sums S_J or a copy of the divisor rows, passes the
+    bound."""
+    held = []
+    real = lindisc.schroder.ValuationTable
+
+    def table(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(lindisc.schroder, "ValuationTable", table)
+    for field, lam, a, Jmax, W in ((F2, "1+T", "1", 256, 128), (F4, "b+T", "b", 128, 64)):
+        f = PowerSeriesMap(
+            {1: parse_series(lam, field, 1, W), field.p + 1: parse_series(a, field, 1, W)}
+        )
+        held.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve_specialized_p_plus_1(f, Jmax, W)
+        finally:
+            tracemalloc.stop()
+        array = (Jmax + 1) * (W + 1) * field.r * 8
+        assert held[0] - before < 3 * array, (field, held[0] - before, array)
 
 
 def test_power_table_read_past_its_width_raises(monkeypatch):
@@ -1419,10 +1474,11 @@ def test_structural_zero_check_builds_no_series(monkeypatch):
 def test_structural_zero_check_catches_a_planted_column(monkeypatch):
     """A nonzero digit in a column off the support of the dense solve's
     running sum is a CertificateError naming the degree, the support's
-    degrees and the column's series: a live column p ∤ k of a p-divisible
-    map, and a column that is not live (an exact zero's horizon, with
-    data planted) of a map with a degree prime to p, whose text names no
-    p-divisible map."""
+    degrees, the column's series and the window rows that hold digits: a
+    live column p ∤ k of a p-divisible map, and a column that is not live
+    (an exact zero's horizon, with data planted) of a map with a degree
+    prime to p, whose series reads as O(T^0), so only the rows show the
+    planted digit, and whose text names no p-divisible map."""
     lam = parse_series("1+T", F2)
     for degree, k, live in ((2, 5, True), (3, 4, False)):
         f = PowerSeriesMap({1: lam, degree: parse_series("1", F2)})
@@ -1439,11 +1495,15 @@ def test_structural_zero_check_catches_a_planted_column(monkeypatch):
             with pytest.raises(CertificateError) as raised:
                 lindisc.schroder._solve_dense(f, 8, 32)
         text = str(raised.value)
-        assert re.fullmatch(
-            rf"degree {k} should vanish off the support of f's degrees \[{degree}\], got .+",
+        match = re.fullmatch(
+            rf"degree {k} should vanish off the support of f's degrees \[{degree}\], "
+            r"got (.+), nonzero rows \[([\d, ]+)\]",
             text,
-        ), text
-        assert ("T^4" in text) == live and "p-divisible" not in text
+        )
+        assert match, text
+        series, rows = match[1], [int(x) for x in match[2].split(", ")]
+        assert ("T^4" in series) == live and "p-divisible" not in text
+        assert 1 in rows if live else rows == [1], text
 
 
 def test_structural_zeros_not_applicable_outside_family():
