@@ -31,6 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
+try:  # numpy >= 2; ``np.convolve`` is a Python wrapper around this call
+    from numpy._core.multiarray import correlate as _correlate
+except ImportError:
+    from numpy.core.multiarray import correlate as _correlate
+
 from .errors import (
     FieldConstructionError,
     IncompatibleFieldError,
@@ -70,8 +75,10 @@ def _convolve(params, a, b, keep=None, shift=None):
     first ``keep`` rows of the product (all La + Lb - 1 by default), row
     t of slice s at row t + shift[s] given ``shift`` (stacks only, >= 0).
 
-    Two paths.  Without leading axes: one ``np.convolve`` per pair of
-    nonzero coordinate columns of the first ``keep`` rows.  With them,
+    Two paths.  Without leading axes: one C-level ``correlate`` of the
+    longer operand with the shorter reversed (what ``np.convolve`` runs,
+    without its Python wrapper) per pair of nonzero coordinate columns of
+    the first ``keep`` rows.  With them,
     the leading axes of ``a`` are a stack, and ``b`` is one array for the
     whole stack or a stack of the same shape, multiplied slice by slice.
     Each slice of ``a``, placed Lb - 1 + shift rows into a zero buffer,
@@ -100,8 +107,10 @@ def _convolve(params, a, b, keep=None, shift=None):
     if a.ndim == 2:
         if keep is not None:
             a, b = a[:keep], b[:keep]
+        if a.shape[0] < b.shape[0]:
+            a, b = b, a
         if r == 1:
-            raw = np.convolve(a[:, 0], b[:, 0])[:keep].reshape(-1, 1)
+            raw = _correlate(a[:, 0], b[::-1, 0], 2)[:keep].reshape(-1, 1)
         else:
             raw = np.zeros((a.shape[0] + b.shape[0] - 1, 2 * r - 1), dtype=np.int64)
             for s1 in range(r):
@@ -111,7 +120,7 @@ def _convolve(params, a, b, keep=None, shift=None):
                 for s2 in range(r):
                     if not _any(b[:, s2]):
                         continue
-                    raw[:, s1 + s2] += np.convolve(col, b[:, s2])
+                    raw[:, s1 + s2] += _correlate(col, b[::-1, s2], 2)
             low, high = raw[:keep, :r], raw[:keep, r:]
     else:
         batch = a.shape[:-2]

@@ -17,9 +17,9 @@ inverse: one batched Newton run inverts 1 − λ^u for the distinct p-free
 u only.  For p ∤ u, v(1 − λ^u) is 0 or v_m, so λ^u is read modulo
 U^(v_m·e + window) at most, from one array of powers formed by doubling
 (``_powers``).  The first two divide by λ − λ^k = λ(1 − λ^{k-1}); the
-binomial recurrence folds λ^{Ni}·a^{-i} into its coefficients, so each
-of its sums is one F_p dot product, and reads 1/(1 − λ^{(N-1)J}) as it
-is.  λ is an exact literal, so each divisor is known to any number of
+binomial recurrence folds λ^{Ni}·a^{-i} into its coefficients, so its
+sums are F_p-linear combinations, formed in Lucas blocks of p, and reads
+1/(1 − λ^{(N-1)J}) as it is.  λ is an exact literal, so each divisor is known to any number of
 digits, and its reciprocal is expanded to the working width: the
 division keeps the justified horizon.
 """
@@ -595,6 +595,8 @@ def _binomial_terms(p, N, held):
     the binomial recurrence over the held i < Jmax (``held[i]``, Jmax =
     ``held.size`` − 1), CSR-style: the terms of J = 1 .. Jmax are entries
     ``offsets[J-1]`` .. ``offsets[J]`` − 1 of ``i`` (a column) and ``c``.
+    The row of each held J >= 1 starts with one padding entry
+    (i, c) = (Jmax + 1, 0), so no held row is empty.
 
     Lucas on the last digit: with l = hp + d, 0 <= d < p, C(l, qp + t) ≡
     C(h, q)·C(d, t) for 0 <= t < p, which is 0 for t > d.  Every held l_i
@@ -631,10 +633,14 @@ def _binomial_terms(p, N, held):
     i = i[at]
     j = i + q * p
     low, high = q > 0, (d[at] == 1) & (j < Jmax)  # t = 0, and t = 1
-    j = np.concatenate((j[low], j[high] + 1))
+    pads = held[1:].nonzero()[0] + 1  # one entry (Jmax + 1, 0) first in each held row
+    j = np.concatenate((pads, j[low], j[high] + 1))
     order = j.argsort(kind="stable")
     offsets = [0] + np.cumsum(np.bincount(j, minlength=Jmax + 1)[1:]).tolist()
-    i, c = (np.concatenate((x[low], x[high]))[order] for x in (i, c))
+    i, c = (
+        np.concatenate((np.zeros_like(pads) + pad, x[low], x[high]))[order]
+        for x, pad in ((i, Jmax + 1), (c, 0))
+    )
     return i[:, None], c, offsets
 
 
@@ -703,27 +709,43 @@ def _solve_binomial(f, D, window, source):
     a ``window``-digit factor), so H_S − lo <= ``window``, lo the least
     L(B_i) with a nonzero binomial, or H_S when that is less.
 
-    The loop.  ``_binomial_terms`` forms the nonzero binomials of every J
-    in one ``binomial_mod_p`` pass before it and stores them CSR-style,
-    flat arrays of i and c with Python-int offsets per J, so each J
-    reads its terms as two slices.  S_J is an F_p-linear combination of
-    the rows of the B_i, aligned by lead: one integer dot product of the
-    J-th row of binomials against the gathered rows, reduced mod p.  The
-    rows of each B_i are stored past its lead, ``window`` + 1 of them
-    with the last always zero, and the gather reads row t − L(B_i) at
-    each exponent t, the zero row where that is negative.  The zero caps
-    take the least lead over the live range ⌈(J−1)/N⌉ .. J − 1 in one
-    reduction, where a row that is not held reads a lead past any
-    horizon.  Per J that, the dot product and the product B_J =
-    S_J·(E_J − 1) are the only work; the rest is ufunc reductions
-    and ndarray methods.  The dot product sums at most J
+    The loop, in Lucas blocks.  ``_binomial_terms`` forms the nonzero
+    binomials of every J in one ``binomial_mod_p`` pass before it and
+    stores them CSR-style, flat arrays of i and c with Python-int offsets
+    per J.  The J of J_0 .. J_0 + p − 1, J_0 ≡ 1 (mod p), make one block.
+    By its Lucas identity the terms of S_J are i = J − qp (q >= 1) and,
+    when d_i = 1, i = J − 1 − qp (q >= 0), with the binomial C(h_i, q):
+    the one term whose i lies in J's block is i = J − 1, for J > J_0 and
+    N = p + 1, and its binomial is C(h, 0) = 1.  So S_J = B_{J−1} + O_J,
+    where O_J reads only the B_i from before the block, all solved when
+    the block starts.  A p-divisible map holds one J per block, J_0, and
+    O_J is all of S_J.  Per block, one gather reads the bounds of the
+    block's terms, and one ``reduceat`` gives each J the old part of its
+    horizon: the least lead and lead + digits over its old terms, capped
+    by the zero caps of the rows ⌈(J−1)/N⌉ .. J_0 − 1, their least lead
+    + W (⌈(J−1)/N⌉ takes at most two values over fewer than p <= N
+    consecutive J; a row of the block is not solved yet, and its bounds,
+    like those of a row not held, lie past any horizon).  One gather of
+    every term's rows on a common frame of absolute exponents, the least
+    old lead LO to the greatest old horizon HI of the block, times the
+    binomials and summed per J by one more ``reduceat``, forms every
+    O_J: the gather reads row t − L(B_i) of
+    B_i at each exponent t, the zero entry before it where that is
+    negative, and past B_i's digits only at a t no J that holds the term
+    keeps (its horizon is at most L(B_i) + digits(B_i)).  Per J only the
+    term i = J − 1 (it caps the horizon at its lead + digits, the rows
+    J_0 .. J − 1 cap it at their least lead + W), the nonzero scan and
+    the product B_J = S_J·(E_J − 1) remain.  Each held J's CSR row starts
+    with one padding entry (Jmax + 1, 0), a row of no digits and bounds
+    past any horizon, so no J's segment is empty.  A sum adds at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
     The loop writes only B and ``bounds``, and reads E_J − 1, formed in
     place in the divisor table's rows before it.  One vectorized pass
     after it fills the ``ValuationTable``: b_J has lead and horizon
     B_J's bounds plus J·L(a), a zero to precision where the two are
     equal (S_J has no digits).  The verdicts read the table, and build
-    no b_J.
+    no b_J.  The result keeps B and its bounds, and of the divisor table
+    only λ's spread row, λ's head and t, from which λ^(−1) is formed.
     """
     (N,) = f.nonlinear_degrees
     a = f.coeffs[N]
@@ -762,28 +784,76 @@ def _solve_binomial(f, D, window, source):
     G %= p
     lead_T = lead_T.tolist()
 
-    ramp = np.arange(W + 1)  # H − lo <= W: the least lead's B_i has <= W digits
-    B = np.zeros((Jmax + 1, W + 1, r), dtype=np.int64)
+    # B_i's rows, after one zero entry: row t of B_i is entry 1 + i·(W + 1) + t
+    # and its row W is zero.  Row Jmax + 1, the padding entries' row, has no
+    # digits and bounds past any horizon, like a row not held or not solved
+    flat = np.zeros((1 + (Jmax + 2) * (W + 1), r), dtype=np.int64)
+    B = flat[1:].reshape(Jmax + 2, W + 1, r)
     B[0, 0, 0] = 1
-    # lead and lead + digits of B_i; a row that is not held never counts
-    bounds = np.full((Jmax + 1, 2), _INF_CUT, dtype=np.int64)
+    bounds = np.full((Jmax + 2, 2), _INF_CUT, dtype=np.int64)  # L(B_i), L(B_i) + digits
     bounds[0] = 0, W
-    for n, J in enumerate(Ks.tolist()):
-        start, stop = offsets[J - 1], offsets[J]
-        i = I[start:stop]
-        held_bounds = bounds[i]
-        # every live term caps at L(B_i) + W, a zero-binomial term no less
-        least = int(np.minimum.reduce(bounds[(J + N - 2) // N : J, 0]))
-        ((lo, H),) = np.minimum.reduce(held_bounds, initial=least + W).tolist()
-        at = lo - held_bounds[..., 0] + ramp[: H - lo]
-        np.maximum(at, -1, out=at)
-        s_J = (C[start:stop] @ B[i, at].reshape(stop - start, (H - lo) * r)).reshape(-1, r)
-        s_J %= p
-        nonzero = _any(s_J, axis=1).nonzero()[0]
-        first = lo + int(nonzero[0]) if nonzero.size else H
-        if first < H:
-            B[J, : H - first] = _convolve(field_, s_J[first - lo :], G[n], H - first)
-        bounds[J] = first - lead_T[n], H - lead_T[n]
+    leads = bounds[:, 0].tolist()
+    blocks = (Ks - 1) // p  # J_0 = p·block + 1 is the first J of each held J's block
+    head = np.ones(Ks.size, dtype=bool)
+    head[1:] = blocks[1:] != blocks[:-1]
+    edges = head.nonzero()[0].tolist() + [Ks.size]  # held indices n0 .. n1 − 1 per block
+    caps = ((Ks + N - 2) // N).tolist()  # ⌈(J−1)/N⌉, the first live row
+    starts = np.array(offsets)[Ks - 1]
+    base = 1 + I * (W + 1)
+    solved, firsts, inf = Ks.tolist(), (blocks * p + 1).tolist(), int(_INF_CUT)
+    for n0, n1 in zip(edges, edges[1:]):
+        J0, e0, e1 = firsts[n0], offsets[firsts[n0] - 1], offsets[solved[n1 - 1]]
+        # the old part of each J's horizon: its terms before the block, and
+        # the zero caps of the rows ⌈(J−1)/N⌉ .. J_0 − 1 (two values at most)
+        segments = starts[n0:n1] - e0
+        span = bounds[I[e0:e1, 0]]
+        frames = np.minimum.reduceat(span, segments, axis=0).tolist()
+        s0 = caps[n0]
+        tail = min(leads[s0 + 1 : J0], default=inf) + W
+        zero_caps = min(leads[s0] + W, tail), tail
+        for k, n in enumerate(range(n0, n1)):
+            cap = zero_caps[caps[n] - s0]
+            frames[k] = min(frames[k][0], cap), min(frames[k][1], cap)
+        LO = min([lo for lo, H in frames if lo < H], default=inf)
+        HI = max([H for lo, H in frames if lo < H], default=LO)
+        if LO < HI:  # O_J for every J of the block, at the exponents LO .. HI − 1
+            # row t − L(B_i) of each term's B_i at each t, the zero entry
+            # before it where that is negative; past B_i's digits only at a
+            # t past the horizon of each J that holds the term
+            at = (LO - span[:, :1]) + np.arange(HI - LO)
+            np.maximum(at, -1, out=at)
+            at += base[e0:e1]
+            rows = flat.take(at, axis=0, mode="clip")
+            rows *= C[e0:e1, None, None]
+            old = np.add.reduceat(rows, segments, axis=0)
+            del at, rows
+        run = inf  # the least lead of the block's rows solved so far
+        for n in range(n0, n1):
+            J, (lo, H) = solved[n], frames[n - n0]
+            spanned = lo < H
+            if n > n0:  # rows J_0 .. J − 1: zero caps, and the term i = J − 1
+                lo, H = min(lo, run + W, last), min(H, run + W, last + digits)
+            first = H
+            if lo < H:
+                if n == n0:  # its terms are all old: lo .. H − 1 lies in LO .. HI − 1
+                    s_J = old[0, lo - LO : H - LO]
+                else:
+                    s_J = np.zeros((H - lo, r), dtype=np.int64)
+                    if spanned and LO < H:
+                        t = max(lo, LO)
+                        s_J[t - lo :] += old[n - n0, t - LO : H - LO]
+                    if last < H:
+                        t = max(lo, last)
+                        s_J[t - lo :] += B[J - 1, t - last : H - last]
+                s_J %= p
+                nonzero = s_J.nonzero()[0]  # rows, ascending
+                if nonzero.size:
+                    first = lo + int(nonzero[0])
+                    B[J, : H - first] = _convolve(field_, s_J[first - lo :], G[n], H - first)
+            last, digits = first - lead_T[n], H - first
+            bounds[J] = last, H - lead_T[n]
+            leads[J] = last
+            run = min(run, last)
 
     # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a)
     lead, prec = (bounds[Ks] + a.lead * Ks[:, None]).T
@@ -794,6 +864,9 @@ def _solve_binomial(f, D, window, source):
     table.lead[ks], table.prec[ks] = lead.tolist(), prec.tolist()
     table.kind[ks] = [NONZERO if x else COMPUTED_ZERO for x in (lead < prec).tolist()]
     powers = []  # of a·λ^(−N)
+    # λ^(−1) needs only λ's spread row, λ's head and t: a table of those
+    # alone, so the result does not keep the divisor rows alive
+    E = _DivisorTable(field_, ram, (), (), G[-1:].copy(), W, E.t, E.head)
 
     def coefficient(k):  # b_k = B_J·(a·λ^(−N))^J for k = 1 + Js, J held
         if k == 1:

@@ -629,9 +629,10 @@ def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
     """The CSR table of the binomial recurrence holds, row J, exactly the
     nonzero binomials of the triangle over the held i, from one
     ``binomial_mod_p`` pass: one call, or with a small budget one per
-    chunk, boundaries falling inside rows.  Every Jmax for N = p + 1;
-    at p <= 7, for p | N (N = p, 2p), every seventh Jmax and the
-    largest."""
+    chunk, boundaries falling inside rows.  Each held J's row starts with
+    one padding entry (i, c) = (Jmax + 1, 0), and no other row holds one.
+    Every Jmax for N = p + 1; at p <= 7, for p | N (N = p, 2p), every
+    seventh Jmax and the largest."""
     top = 3 * p * p + 5
     if chunked:  # room for p²/2 pairs of the table's 96 bytes each
         monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 48 * p * p)
@@ -647,10 +648,15 @@ def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
         oracle = _digit_terms(p, N, top)
         for Jmax in sizes:
             calls.clear()
-            i, c, offsets = _binomial_terms(p, N, _held(p, N, Jmax + 1))
+            held = _held(p, N, Jmax + 1)
+            i, c, offsets = _binomial_terms(p, N, held)
             assert i.shape == (len(c), 1) and offsets[0] == 0 and len(offsets) == Jmax + 1
             j = np.repeat(np.arange(1, Jmax + 1), np.diff(offsets))
-            terms = np.stack((j, i[:, 0], c), axis=1)
+            pads = c == 0
+            assert (i[pads, 0] == Jmax + 1).all(), (N, Jmax)
+            assert np.array_equal(j[pads], held[1:].nonzero()[0] + 1), (N, Jmax)
+            assert pads[np.array(offsets[:-1], dtype=np.int64)[held[1:]]].all(), (N, Jmax)
+            terms = np.stack((j, i[:, 0], c), axis=1)[~pads]
             terms = terms[np.lexsort((terms[:, 1], terms[:, 0]))]
             assert np.array_equal(terms, oracle[oracle[:, 0] <= Jmax]), (N, Jmax)
             if not chunked:
@@ -710,6 +716,65 @@ def test_specialized_equals_per_term_oracle(p, r, e, v_a, W, lam):
         assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
     if lam == "b+T^2":
         assert g.zero_kind[31] == COMPUTED_ZERO
+
+
+# Lucas blocks of p consecutive J: a last block cut short (Jmax = 2p + 3
+# at p = 7), blocks over F_4 and F_49, and a B_J zero to precision first
+# in its block (b_31 over F_25, λ = b + T^2), read by J + 1 as its term
+# i = J inside the block
+BLOCK_EDGES = [
+    (7, 1, "3+T+2*T^2", "1+6*T", 17, 16),
+    (2, 2, "b+T+T^2", "b+T", 9, 16),
+    (7, 2, "b+T", "1+6*T", 17, 8),
+    (5, 2, "b+T^2", "1+4*T", 12, 8),
+]
+
+
+@pytest.mark.parametrize("p, r, lam, a, Jmax, W", BLOCK_EDGES)
+def test_lucas_blocks_equal_the_per_term_oracle(p, r, lam, a, Jmax, W):
+    """Across and at the edges of the Lucas blocks, the recurrence gives
+    every b_k exactly as the per-term series recurrence does."""
+    field = FieldParams(p, r)
+    f = PowerSeriesMap(
+        {1: parse_series(lam, field, 1, W), p + 1: parse_series(a, field, 1, W)}
+    )
+    g, oracle = solve_specialized_p_plus_1(f, Jmax, W), solve_specialized_per_term(f, Jmax, W)
+    _assert_bytes_equal(g, oracle, g.D, (p, r, lam))
+    if lam == "b+T^2":
+        assert g.zero_kind[31] == COMPUTED_ZERO and g.zero_kind[36] == NONZERO
+
+
+@pytest.mark.parametrize("field, N, Jmax", [(F2, 4, 9), (F3, 6, 10), (F3, 3, 13)])
+def test_p_divisible_map_takes_one_held_J_per_block(field, N, Jmax):
+    """A p-divisible binomial map holds J ≡ 1 (mod p), one per block;
+    held J over four or more blocks equal the chain of every power."""
+    lam, a = parse_series("1+T^2+T^3", field), parse_series("T+T^2", field)
+    f = PowerSeriesMap({1: lam, N: a})
+    D = 1 + Jmax * (N - 1)
+    g = solve_sfe(f, D, 12)
+    held = [J for J in range(1, Jmax + 1) if g.zero_kind[1 + J * (N - 1)] != STRUCTURAL]
+    assert held == list(range(1, Jmax + 1, field.p)) and len(held) >= 4
+    _assert_bytes_equal(g, solve_sfe_chain(f, D, 12), D, (field, N))
+
+
+def test_p_plus_1_result_keeps_no_divisor_rows():
+    """The returned conjugacy reads λ^(−1) off λ's spread row, λ's head
+    and t only, so with the result alive tracemalloc sees B (Jmax + 2
+    rows of W + 1 int64 each at r = 1) and less than a quarter of the
+    divisor rows' size more: the table of valuations, the reader.  A
+    result that keeps the divisor table holds about twice B."""
+    W, Jmax = 256, 1024
+    f = PowerSeriesMap({1: parse_series("1+T", F2, 1, W), 3: parse_series("1", F2, 1, W)})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = solve_specialized_p_plus_1(f, Jmax, W)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    B, rows = (Jmax + 2) * (W + 1) * 8, (Jmax + 1) * W * 8
+    assert held < B + rows // 4, (held, B)
+    assert g.valuation(3) is not None and g.coefficient(3).lead == g.valuations.lead[3]
 
 
 # the shape of each ``divergence-ladder`` stratum: (p, r, λ, a, Nmax) with

@@ -140,7 +140,8 @@ def _sums_powers_of(nodes, params):
 
 
 def _kernel_uses(module, source):
-    """(qualified scope, kind) for every ``np.convolve`` call, every read
+    """(qualified scope, kind) for every ``np.convolve`` call and every
+    ``correlate`` or ``_correlate`` call (the C call behind it), every read
     of ``_reduction_rows``, every ``n >>= 1``, every ``count_resonant(...)``
     and ``small_divisor_leads(...)`` call, every ``._of(...)`` call,
     every ``while … % p == 0`` loop, every strided view (an ``np.ndarray(...)`` call given strides,
@@ -194,7 +195,10 @@ def _kernel_uses(module, source):
             uses.append((scope, "horner"))
         if function_call(node, "sum") and _sums_powers_of([node], params):
             uses.append((scope, "horner"))
-        if numpy_call(node, "convolve"):
+        if numpy_call(node, "convolve") or any(
+            method_call(node, name) or function_call(node, name)
+            for name in ("correlate", "_correlate")
+        ):
             uses.append((scope, "convolve"))
         if strided_view(node):
             uses.append((scope, "window"))
@@ -333,11 +337,15 @@ def test_kernel_walk_flags_a_second_product():
         "    def power(self, n):\n"
         "        while n:\n"
         "            n >>= 1\n"
+        "    def slide(self, b):\n"
+        "        return _correlate(self.coeffs, b, 2), multiarray.correlate(b, b, 2)\n"
     )
     assert _misplaced(_kernel_uses("laurent", source)) == [
         ("laurent.LaurentSeries.scale", "convolve"),
         ("laurent.LaurentSeries.scale", "fold"),
         ("laurent.LaurentSeries.power", "power"),
+        ("laurent.LaurentSeries.slide", "convolve"),
+        ("laurent.LaurentSeries.slide", "convolve"),
     ]
 
 
@@ -796,7 +804,7 @@ def test_float_walk_flags_each_kind():
 # ndarray methods (``.nonzero()``, ``.searchsorted()``) instead
 LOOP_METHODS = {"any", "all", "min", "max", "sum"}
 LOOP_WRAPPERS = {"flatnonzero", "nonzero", "argmax", "argmin", "searchsorted", "where"}
-LOOP_WRAPPERS |= LOOP_METHODS | {"amin", "amax"}
+LOOP_WRAPPERS |= LOOP_METHODS | {"amin", "amax", "convolve", "correlate"}
 
 
 def _wrappers_in_loops(source):
@@ -856,4 +864,5 @@ def test_loop_walk_flags_each_wrapper():
         (8, "np.searchsorted"),
         (9, ".sum"),
         (9, "np.sum"),
+        (13, "np.convolve"),
     ]
