@@ -831,7 +831,10 @@ def _solve_binomial(f, D, window, source):
         for n in range(n0, n1):
             J, (lo, H) = solved[n], frames[n - n0]
             spanned = lo < H
-            if n > n0:  # rows J_0 .. J − 1: zero caps, and the term i = J − 1
+            # past the block's first solved J (N = p + 1 only, where every J is
+            # held, so J − 1 was solved just before): rows J_0 .. J − 1 cap
+            # the horizon at their least lead + W, and i = J − 1 is a term
+            if n > n0:
                 lo, H = min(lo, run + W, last), min(H, run + W, last + digits)
             first = H
             if lo < H:
