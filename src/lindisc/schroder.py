@@ -25,6 +25,7 @@ division keeps the justified horizon.
 """
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -721,21 +722,26 @@ def _solve_binomial(f, D, window, source):
     the block starts.  A p-divisible map holds one J per block, J_0, and
     O_J is all of S_J.  Per block, one gather reads the bounds of the
     block's terms, and one ``reduceat`` gives each J the old part of its
-    horizon: the least lead and lead + digits over its old terms, capped
-    by the zero caps of the rows ⌈(J−1)/N⌉ .. J_0 − 1, their least lead
-    + W (⌈(J−1)/N⌉ takes at most two values over fewer than p <= N
-    consecutive J; a row of the block is not solved yet, and its bounds,
-    like those of a row not held, lie past any horizon).  One gather of
-    every term's rows on a common frame of absolute exponents, the least
-    old lead LO to the greatest old horizon HI of the block, times the
-    binomials and summed per J by one more ``reduceat``, forms every
-    O_J: the gather reads row t − L(B_i) of
-    B_i at each exponent t, the zero entry before it where that is
-    negative, and past B_i's digits only at a t no J that holds the term
-    keeps (its horizon is at most L(B_i) + digits(B_i)).  Per J only the
-    term i = J − 1 (it caps the horizon at its lead + digits, the rows
-    J_0 .. J − 1 cap it at their least lead + W), the nonzero scan and
-    the product B_J = S_J·(E_J − 1) remain.  Each held J's CSR row starts
+    frame: the least lead and lead + digits over its old terms, capped by
+    J_0's zero cap, the least lead + W of the rows ⌈(J_0−1)/N⌉ .. J_0 − 1
+    (a row of the block is not solved yet, and its bounds, like those of
+    a row not held, lie past any horizon).  That is J_0's horizon, and
+    for N = p + 1 it bounds every J of the block.  There B_J's horizon
+    is h_J = H_S − L(1 − λ^{(N−1)J}) <= H_S, λ a unit, and every J >= 2
+    has the term i = J − 1 with binomial 1, so H_S <= h_{J−1}: h never
+    increases with J, and each row i < J has L(B_i) + W >= h_i >= h_{J−1}.
+    No term and no zero cap is below h_{J−1}, so past J_0, S_J has
+    B_{J−1}'s horizon, and its lead is at least the lesser of B_{J−1}'s
+    lead and its old terms' least lead.  One gather of every term's rows
+    on a common frame of absolute exponents, the least old lead LO to the
+    greatest old horizon HI of the block, times the binomials and summed
+    per J by one more ``reduceat``, forms every O_J, whole J at a time,
+    as many terms as ``_per_batch`` allows: the gather reads row
+    t − L(B_i) of B_i at each exponent t, the zero entry before it where
+    that is negative, and past B_i's digits only at a t no J that holds
+    the term keeps (its horizon is at most L(B_i) + digits(B_i)).  Per J
+    only the term i = J − 1, the nonzero scan and the product
+    B_J = S_J·(E_J − 1) remain.  Each held J's CSR row starts
     with one padding entry (Jmax + 1, 0), a row of no digits and bounds
     past any horizon, so no J's segment is empty.  A sum adds at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
@@ -797,45 +803,45 @@ def _solve_binomial(f, D, window, source):
     head = np.ones(Ks.size, dtype=bool)
     head[1:] = blocks[1:] != blocks[:-1]
     edges = head.nonzero()[0].tolist() + [Ks.size]  # held indices n0 .. n1 − 1 per block
-    caps = ((Ks + N - 2) // N).tolist()  # ⌈(J−1)/N⌉, the first live row
     starts = np.array(offsets)[Ks - 1]
     base = 1 + I * (W + 1)
     solved, firsts, inf = Ks.tolist(), (blocks * p + 1).tolist(), int(_INF_CUT)
     for n0, n1 in zip(edges, edges[1:]):
         J0, e0, e1 = firsts[n0], offsets[firsts[n0] - 1], offsets[solved[n1 - 1]]
-        # the old part of each J's horizon: its terms before the block, and
-        # the zero caps of the rows ⌈(J−1)/N⌉ .. J_0 − 1 (two values at most)
+        # the old part of each J's horizon: its terms before the block,
+        # capped by J_0's zero cap, the rows ⌈(J_0−1)/N⌉ .. J_0 − 1
         segments = starts[n0:n1] - e0
         span = bounds[I[e0:e1, 0]]
-        frames = np.minimum.reduceat(span, segments, axis=0).tolist()
-        s0 = caps[n0]
-        tail = min(leads[s0 + 1 : J0], default=inf) + W
-        zero_caps = min(leads[s0] + W, tail), tail
-        for k, n in enumerate(range(n0, n1)):
-            cap = zero_caps[caps[n] - s0]
-            frames[k] = min(frames[k][0], cap), min(frames[k][1], cap)
+        frames = np.minimum.reduceat(span, segments, axis=0)
+        np.minimum(frames, min(leads[(J0 + N - 2) // N : J0]) + W, out=frames)
+        frames = frames.tolist()
         LO = min([lo for lo, H in frames if lo < H], default=inf)
         HI = max([H for lo, H in frames if lo < H], default=LO)
         if LO < HI:  # O_J for every J of the block, at the exponents LO .. HI − 1
             # row t − L(B_i) of each term's B_i at each t, the zero entry
             # before it where that is negative; past B_i's digits only at a
-            # t past the horizon of each J that holds the term
-            at = (LO - span[:, :1]) + np.arange(HI - LO)
-            np.maximum(at, -1, out=at)
-            at += base[e0:e1]
-            rows = flat.take(at, axis=0, mode="clip")
-            rows *= C[e0:e1, None, None]
-            old = np.add.reduceat(rows, segments, axis=0)
+            # t past the horizon of each J that holds the term.  Whole J at
+            # a time, as many terms as the stacked products' budget holds
+            old = np.empty((n1 - n0, HI - LO, r), dtype=np.int64)
+            cuts, step, k0 = segments.tolist() + [e1 - e0], _per_batch(8 * (r + 1) * (HI - LO)), 0
+            while k0 < n1 - n0:
+                k1 = max(k0 + 1, bisect_right(cuts, cuts[k0] + step) - 1)
+                x0, x1 = e0 + cuts[k0], e0 + cuts[k1]
+                at = (LO - span[x0 - e0 : x1 - e0, :1]) + np.arange(HI - LO)
+                np.maximum(at, -1, out=at)
+                at += base[x0:x1]
+                rows = flat.take(at, axis=0, mode="clip")
+                rows *= C[x0:x1, None, None]
+                np.add.reduceat(rows, segments[k0:k1] - cuts[k0], axis=0, out=old[k0:k1])
+                k0 = k1
             del at, rows
-        run = inf  # the least lead of the block's rows solved so far
         for n in range(n0, n1):
             J, (lo, H) = solved[n], frames[n - n0]
             spanned = lo < H
             # past the block's first solved J (N = p + 1 only, where every J is
-            # held, so J − 1 was solved just before): rows J_0 .. J − 1 cap
-            # the horizon at their least lead + W, and i = J − 1 is a term
+            # held, so J − 1 was solved just before): S_J has B_{J−1}'s horizon
             if n > n0:
-                lo, H = min(lo, run + W, last), min(H, run + W, last + digits)
+                lo, H = min(lo, last), last + digits
             first = H
             if lo < H:
                 if n == n0:  # its terms are all old: lo .. H − 1 lies in LO .. HI − 1
@@ -856,7 +862,6 @@ def _solve_binomial(f, D, window, source):
             last, digits = first - lead_T[n], H - first
             bounds[J] = last, H - lead_T[n]
             leads[J] = last
-            run = min(run, last)
 
     # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a)
     lead, prec = (bounds[Ks] + a.lead * Ks[:, None]).T

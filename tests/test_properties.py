@@ -39,10 +39,11 @@ def _series(draw, field, ram, lead, length, W, tail=False):
 def binomial_maps(draw):
     """(f, N, D, W): f = λx + a·x^N over F_{p^r}((T)) with U^e = T,
     p ∈ {2, 3, 5, 7}, r <= 3 (the built-in moduli), e <= 3,
-    N ∈ {p + 1, p, 2p}, D <= 1 + (2p + 3)(N − 1) + N − 2, so the
-    recurrence reaches J = 2p + 3, two full Lucas blocks of p and more,
-    at every p, and W ∈ {8, 16, 32}.  λ is a unit with a nonzero tail, so no
-    root of unity; a has lead −e .. 2e."""
+    N ∈ {p + 1, p, 2p}, 2 <= D <= (Jtop + 1)(N − 1) with
+    Jtop = max(2p + 3, ⌊39/(N − 1)⌋), so every D <= 40 can be drawn and
+    the recurrence reaches J = 2p + 3, two full Lucas blocks of p and
+    more, at every p, and W ∈ {8, 16, 32}.  λ is a unit with a nonzero
+    tail, so no root of unity; a has lead −e .. 2e."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     field = FieldParams(p, draw(st.integers(1, 3)))
     e = draw(st.integers(1, 3))
@@ -50,8 +51,9 @@ def binomial_maps(draw):
     lam = _series(draw, field, e, 0, draw(st.integers(2, 4)), W, tail=True)
     a = _series(draw, field, e, draw(st.integers(-e, 2 * e)), draw(st.integers(1, 3)), W)
     N = draw(st.sampled_from((p + 1, p, 2 * p)))
-    # J = 0 .. 2p + 3, counted down: the draws favour small integers
-    J = 2 * p + 3 - draw(st.integers(0, 2 * p + 3))
+    # J = 0 .. Jtop, counted down: the draws favour small integers
+    top = max(2 * p + 3, 39 // (N - 1))
+    J = top - draw(st.integers(0, top))
     D = max(2, 1 + J * (N - 1) + draw(st.integers(0, N - 2)))
     return PowerSeriesMap({1: lam, N: a}), N, D, W
 

@@ -744,6 +744,22 @@ def test_lucas_blocks_equal_the_per_term_oracle(p, r, lam, a, Jmax, W):
         assert g.zero_kind[31] == COMPUTED_ZERO and g.zero_kind[36] == NONZERO
 
 
+@pytest.mark.parametrize("terms", [1, 3])
+def test_lucas_block_gathers_in_chunks(monkeypatch, terms):
+    """A block's gather takes whole J at a time, as many terms as
+    ``_per_batch`` allows and at least one J: with room for one term,
+    and for three (chunks of one J and of several), every b_k still
+    equals the per-term oracle."""
+    monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: terms)
+    for p, r, lam, a, Jmax, W in BLOCK_EDGES:
+        field = FieldParams(p, r)
+        f = PowerSeriesMap(
+            {1: parse_series(lam, field, 1, W), p + 1: parse_series(a, field, 1, W)}
+        )
+        g = solve_specialized_p_plus_1(f, Jmax, W)
+        _assert_bytes_equal(g, solve_specialized_per_term(f, Jmax, W), g.D, (p, r, terms))
+
+
 @pytest.mark.parametrize("field, N, Jmax", [(F2, 4, 9), (F3, 6, 10), (F3, 3, 13)])
 def test_p_divisible_map_takes_one_held_J_per_block(field, N, Jmax):
     """A p-divisible binomial map holds J ≡ 1 (mod p), one per block;
