@@ -725,14 +725,15 @@ def _solve_binomial(f, D, window, source):
     frame: the least lead and lead + digits over its old terms, capped by
     J_0's zero cap, the least lead + W of the rows ⌈(J_0−1)/N⌉ .. J_0 − 1
     (a row of the block is not solved yet, and its bounds, like those of
-    a row not held, lie past any horizon).  That is J_0's horizon, and
-    for N = p + 1 it bounds every J of the block.  There B_J's horizon
-    is h_J = H_S − L(1 − λ^{(N−1)J}) <= H_S, λ a unit, and every J >= 2
-    has the term i = J − 1 with binomial 1, so H_S <= h_{J−1}: h never
-    increases with J, and each row i < J has L(B_i) + W >= h_i >= h_{J−1}.
-    No term and no zero cap is below h_{J−1}, so past J_0, S_J has
-    B_{J−1}'s horizon, and its lead is at least the lesser of B_{J−1}'s
-    lead and its old terms' least lead.  One gather of every term's rows
+    a row not held, lie past any horizon).  For J_0 that is its horizon,
+    and for N = p + 1 the one zero cap bounds every J of the block.
+    There B_J's horizon is h_J = H_S − L(1 − λ^{(N−1)J}) <= H_S, λ a
+    unit, and every J >= 2 has the term i = J − 1 with binomial 1, so
+    H_S <= h_{J−1}: h never increases with J, and each row i < J has
+    L(B_i) + W >= h_i >= h_{J−1}.  No term and no zero cap is below
+    h_{J−1}, so past J_0, S_J has B_{J−1}'s horizon, and its lead is at
+    least the lesser of B_{J−1}'s lead and its old terms' least lead.
+    One gather of every term's rows
     on a common frame of absolute exponents, the least old lead LO to the
     greatest old horizon HI of the block, times the binomials and summed
     per J by one more ``reduceat``, forms every O_J, whole J at a time,

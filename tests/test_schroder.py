@@ -730,10 +730,15 @@ BLOCK_EDGES = [
 ]
 
 
+@pytest.mark.parametrize("terms", [None, 1, 3])
 @pytest.mark.parametrize("p, r, lam, a, Jmax, W", BLOCK_EDGES)
-def test_lucas_blocks_equal_the_per_term_oracle(p, r, lam, a, Jmax, W):
+def test_lucas_blocks_equal_the_per_term_oracle(monkeypatch, p, r, lam, a, Jmax, W, terms):
     """Across and at the edges of the Lucas blocks, the recurrence gives
-    every b_k exactly as the per-term series recurrence does."""
+    every b_k exactly as the per-term series recurrence does, also when
+    ``_per_batch`` leaves room for one term or three, so that a block's
+    gather goes in chunks of one J and of several."""
+    if terms is not None:
+        monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: terms)
     field = FieldParams(p, r)
     f = PowerSeriesMap(
         {1: parse_series(lam, field, 1, W), p + 1: parse_series(a, field, 1, W)}
@@ -742,22 +747,6 @@ def test_lucas_blocks_equal_the_per_term_oracle(p, r, lam, a, Jmax, W):
     _assert_bytes_equal(g, oracle, g.D, (p, r, lam))
     if lam == "b+T^2":
         assert g.zero_kind[31] == COMPUTED_ZERO and g.zero_kind[36] == NONZERO
-
-
-@pytest.mark.parametrize("terms", [1, 3])
-def test_lucas_block_gathers_in_chunks(monkeypatch, terms):
-    """A block's gather takes whole J at a time, as many terms as
-    ``_per_batch`` allows and at least one J: with room for one term,
-    and for three (chunks of one J and of several), every b_k still
-    equals the per-term oracle."""
-    monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: terms)
-    for p, r, lam, a, Jmax, W in BLOCK_EDGES:
-        field = FieldParams(p, r)
-        f = PowerSeriesMap(
-            {1: parse_series(lam, field, 1, W), p + 1: parse_series(a, field, 1, W)}
-        )
-        g = solve_specialized_p_plus_1(f, Jmax, W)
-        _assert_bytes_equal(g, solve_specialized_per_term(f, Jmax, W), g.D, (p, r, terms))
 
 
 @pytest.mark.parametrize("field, N, Jmax", [(F2, 4, 9), (F3, 6, 10), (F3, 3, 13)])
