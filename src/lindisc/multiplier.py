@@ -130,22 +130,29 @@ def lemma_bound(profile, A, k, den):
 def product_small_divisors(profile, N):
     """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1 by the closed form
     v_1 · p^N · ((p-1)(N-1)/p + 1), checked against the sum of the terms'
-    closed forms: one integer in U-units, from the ``p_split`` of each i·p
-    and one array pass of ``small_divisor_leads``.  A mismatch is a
-    CertificateError."""
+    closed forms: one integer in U-units.  N is an int, or a sequence of
+    them (a certificate's N = 1 .. Nmax), whose closed forms come back as
+    a list in its order: one ``p_split`` and one ``small_divisor_leads``
+    pass over every i <= p^(N−1) of the largest N, and each N's sum is a
+    prefix of their running sum.  A mismatch is a CertificateError naming
+    the first N, in that order, where it occurs."""
+    Ns = [N] if isinstance(N, int) else list(N)
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
-    if N < 1:
+    if min(Ns) < 1:
         raise HypothesisError("N must be >= 1")
     p, ram = profile.p, profile.lam.ram
-    ss, us = np.array([p_split(i * p, p) for i in range(1, p ** (N - 1) + 1)]).T
-    total = Fraction(int(small_divisor_leads(profile, ss, us).sum()), ram)
-    closed = profile.v_m * p**N * (Fraction(p - 1, p) * (N - 1) + 1)
-    if total != closed:
-        raise CertificateError(
-            f"product formula mismatch at N={N}: terms {total} != closed {closed}"
-        )
-    return closed
+    ss, us = p_split(p * np.arange(1, p ** (max(Ns) - 1) + 1), p)
+    sums = small_divisor_leads(profile, ss, us).cumsum().tolist()
+    closed = []
+    for n in Ns:
+        total = Fraction(sums[p ** (n - 1) - 1], ram)
+        closed.append(profile.v_m * p**n * (Fraction(p - 1, p) * (n - 1) + 1))
+        if total != closed[-1]:
+            raise CertificateError(
+                f"product formula mismatch at N={n}: terms {total} != closed {closed[-1]}"
+            )
+    return closed[0] if isinstance(N, int) else closed
 
 
 def disc_profile(profile, gauge):

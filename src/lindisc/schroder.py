@@ -24,6 +24,7 @@ digits, and its reciprocal is expanded to the working width: the
 division keeps the justified horizon.
 """
 
+import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -42,7 +43,7 @@ from .multiplier import (
     product_small_divisors,
     small_divisor_leads,
 )
-from .powerseries import binomial_mod_p
+from .powerseries import _log_factorials, binomial_mod_p
 
 STRUCTURAL = "structural"
 COMPUTED_ZERO = "computed-zero"
@@ -307,16 +308,33 @@ def _small_divisors(profile, ks, window, low=1):
             return powers[n, :window]
         return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
 
+    # every entry with s > 0 in one pass: row j of its u's inverse goes to
+    # row j·p^s, raised to p^(s mod r); for low = 1, times λ^(p^s − 1)
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
-    chunk = _per_batch(8 * window * r)
-    for s in set(ss.tolist()) - {0}:
-        step, entries = p**s, (ss == s).nonzero()[0]
-        for c in range(0, entries.size, chunk):
-            part = entries[c : c + chunk]
-            spread = np.zeros((part.size, window, r), dtype=np.int64)
-            frob = inverses[slot[part], : -(-window // step)].reshape(-1, r)
-            spread[:, ::step] = field_.frobenius_rows(frob, s).reshape(part.size, -1, r)
-            rows[part] = _convolve(field_, spread, lam_power(step - 1), window) if low else spread
+    spread = (ss > 0).nonzero()[0]
+    if spread.size:
+        rows[spread] = 0
+        steps = p ** ss[spread]
+        reads = -(-window // steps)
+        ends = reads.cumsum()
+        at = spread.repeat(reads)
+        j = np.arange(int(ends[-1])) - (ends - reads).repeat(reads)
+        frob = inverses[slot[at], j]
+        for c in set((ss[spread] % r).tolist()) - {0}:
+            pick = (ss[at] % r == c).nonzero()[0]
+            frob[pick] = field_.frobenius_rows(frob[pick], c)
+        rows[at, j * steps.repeat(reads)] = frob
+        if low:
+            top = sorted(set(ss[spread].tolist()))
+            lam_powers = np.zeros((len(top), window, r), dtype=np.int64)
+            for n, s in enumerate(top):
+                power = lam_power(p**s - 1)
+                lam_powers[n, : power.shape[0]] = power
+            which = np.searchsorted(top, ss[spread])
+            chunk = _per_batch(16 * window * r)  # a spread and its power of λ
+            for c in range(0, spread.size, chunk):
+                part = spread[c : c + chunk]
+                rows[part] = _convolve(field_, rows[part], lam_powers[which[c : c + chunk]], window)
     return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
 
 
@@ -603,46 +621,88 @@ def _binomial_terms(p, N, held):
     C(h, q)·C(d, t) for 0 <= t < p, which is 0 for t > d.  Every held l_i
     ends in the digit d_i <= 1: for N = p + 1, l_i = ip + 1 (h_i = i), and
     for p | N the held i are 0 (l = 1) and i ≡ 1 (mod p), whose l_i ≡ 0.
-    So each pair q <= h_i with i + qp <= Jmax serves J = i + qp (q >= 1)
-    and, when d_i = 1, J = i + qp + 1 (<= Jmax), both with the binomial
-    C(h_i, q); q <= h_i keeps J − i <= l_i.  The one ``binomial_mod_p``
-    pass over the pairs (i, q) runs in chunks of 2^15 pairs: ``_lucas``
-    takes more time per pair on larger arrays (at F_2 the tables of
-    Jmax = 1024 and 4096 took 30–80% longer in one chunk), and at 96
-    bytes per pair, a measured bound on what a chunk holds at its peak
-    (89 under tracemalloc, for chunks of 10^5 and 10^6 pairs at p = 2 ..
-    65521 with 10 to 19 digits), a chunk takes 3 MiB, within
-    ``_per_batch``'s budget.
+    So each q <= Q_i = min(h_i, ⌊(Jmax − i)/p⌋) serves J = i + qp
+    (q >= 1) and, when d_i = 1, J = i + qp + 1 (<= Jmax), both with the
+    binomial C(h_i, q); q <= h_i keeps J − i <= l_i.
+
+    Lucas again: C(h, q) ≢ 0 exactly when every base-p digit q_t of q lies
+    under h's digit h_t, and then C(h, q) ≡ Π_t C(h_t, q_t).  So only
+    those q are formed, digit by digit from the most significant place
+    P = p^t down.  A prefix, the digits of q above P with the rest 0, is
+    kept while it is at most Q_i, and takes at P the digits 0 ..
+    min(h_t, ⌊room/P⌋), room Q_i less the prefix: every kept prefix has a
+    completion, its lower digits 0, so no level holds more prefixes than
+    the table has entries, and each binomial is g^e, e the sum over the
+    digits of log h_t! − log q_t! − log (h_t − q_t)! as in ``_lucas``
+    (every term is 1 at p = 2).  The held i go in chunks of whole i with
+    at most ``_per_batch(96)`` candidates q <= Q_i between them, so a
+    chunk holds at most that many prefixes; 96 bytes per candidate bound
+    a chunk's peak with room to spare (tracemalloc, F_2 to F_13, Jmax to
+    4096).  The entries are sorted by J once, the padding entry first in
+    its row.
     """
     Jmax = held.size - 1
     i = held[:Jmax].nonzero()[0]
     h, d = np.divmod(1 + i * (N - 1), p)
-    counts = np.minimum(h, (Jmax - i) // p) + 1  # q = 0 .. min(h, ⌊(Jmax − i)/p⌋)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1]) if i.size else 0
-    step = min(_per_batch(96), 1 << 15)
+    Q = np.minimum(h, (Jmax - i) // p)
+    log_fact, power = _log_factorials(p)
+    places, place, most = [], 1, int(Q.max(initial=0))
+    while place <= most:  # p^t for every digit of the largest q, from the top
+        places.insert(0, place)
+        place *= p
+    digits = h[:, None] // places % p  # of every h, at each place
+    upto = (Q + 1).cumsum()  # the candidates q <= Q_i up to each i
+    step, lo = _per_batch(96), 0
     found = [np.zeros((3, 0), dtype=np.int64)]
-    for lo in range(0, total, step):
-        q = np.arange(lo, min(lo + step, total))
-        at = ends.searchsorted(q, side="right")
-        q -= starts[at]
-        c = binomial_mod_p(h[at], q, p)
-        keep = c.nonzero()
-        found.append(np.stack((at[keep], q[keep], c[keep])))
+    while lo < i.size:
+        hi = max(lo + 1, int(upto.searchsorted(upto[lo] - Q[lo] - 1 + step, side="right")))
+        at = np.arange(lo, hi)  # per prefix: its i, Q_i less the prefix, and e
+        room, e = Q[lo:hi].copy(), np.zeros(hi - lo, dtype=np.int64)
+        for place, top in zip(places, digits.T):
+            top = top[at]
+            ways = np.minimum(top, room // place)
+            if not _any(ways):  # every prefix takes the digit 0
+                continue
+            ways += 1
+            ends = ways.cumsum()
+            digit = np.arange(int(ends[-1])) - (ends - ways).repeat(ways)
+            at = at.repeat(ways)
+            room = room.repeat(ways) - digit * place
+            if p > 2:  # at p = 2 every term of e is log 1 = 0
+                top = top.repeat(ways)
+                e = e.repeat(ways) + log_fact[top] - log_fact[digit] - log_fact[top - digit]
+        c = power[e % (p - 1)] if p > 2 else np.ones_like(at)
+        found.append(np.stack((at, Q[at] - room, c)))
+        lo = hi
     at, q, c = np.concatenate(found, axis=1)
     i = i[at]
     j = i + q * p
     low, high = q > 0, (d[at] == 1) & (j < Jmax)  # t = 0, and t = 1
     pads = held[1:].nonzero()[0] + 1  # one entry (Jmax + 1, 0) first in each held row
     j = np.concatenate((pads, j[low], j[high] + 1))
-    order = j.argsort(kind="stable")
-    offsets = [0] + np.cumsum(np.bincount(j, minlength=Jmax + 1)[1:]).tolist()
+    # a stable sort keeps each padding entry first in its row; on the
+    # smallest unsigned type that holds Jmax, a radix sort below 2^16
+    order = j.astype(np.min_scalar_type(Jmax)).argsort(kind="stable")
+    offsets = [0] + np.bincount(j, minlength=Jmax + 1)[1:].cumsum().tolist()
     i, c = (
         np.concatenate((np.zeros_like(pads) + pad, x[low], x[high]))[order]
         for x, pad in ((i, Jmax + 1), (c, 0))
     )
     return i[:, None], c, offsets
+
+
+def _chunks(ends, step, segments, n0, n1):
+    """The chunks (x0, x1, k0, k1, cuts) of the gather of the held indices
+    n0 .. n1 − 1 of one block: the terms x0 .. x1 − 1 of k0 .. k1 − 1, at
+    most ``step`` terms or one J, and the starts ``cuts`` of its J among
+    them.  ``ends[n]`` is the first term of held index n, ``segments[n]``
+    its offset in its block."""
+    parts, k0 = [], n0
+    while k0 < n1:
+        k1 = max(k0 + 1, bisect_right(ends, ends[k0] + step, k0, n1 + 1) - 1)
+        parts.append((ends[k0], ends[k1], k0, k1, segments[k0:k1] - segments[k0]))
+        k0 = k1
+    return parts
 
 
 def _solve_binomial(f, D, window, source):
@@ -793,85 +853,83 @@ def _solve_binomial(f, D, window, source):
 
     # B_i's rows, after one zero entry: row t of B_i is entry 1 + i·(W + 1) + t
     # and its row W is zero.  Row Jmax + 1, the padding entries' row, has no
-    # digits and bounds past any horizon, like a row not held or not solved
+    # digits and bounds past any horizon, like a row not held or not solved;
+    # ``origin[i]`` is the entry of B_i's U^0, 1 + i·(W + 1) − L(B_i), far
+    # below its zero entry while B_i is not solved
     flat = np.zeros((1 + (Jmax + 2) * (W + 1), r), dtype=np.int64)
     B = flat[1:].reshape(Jmax + 2, W + 1, r)
     B[0, 0, 0] = 1
     bounds = np.full((Jmax + 2, 2), _INF_CUT, dtype=np.int64)  # L(B_i), L(B_i) + digits
     bounds[0] = 0, W
-    leads = bounds[:, 0].tolist()
-    blocks = (Ks - 1) // p  # J_0 = p·block + 1 is the first J of each held J's block
-    head = np.ones(Ks.size, dtype=bool)
-    head[1:] = blocks[1:] != blocks[:-1]
-    edges = head.nonzero()[0].tolist() + [Ks.size]  # held indices n0 .. n1 − 1 per block
-    starts = np.array(offsets)[Ks - 1]
-    base = 1 + I * (W + 1)
-    solved, firsts, inf = Ks.tolist(), (blocks * p + 1).tolist(), int(_INF_CUT)
-    for n0, n1 in zip(edges, edges[1:]):
-        J0, e0, e1 = firsts[n0], offsets[firsts[n0] - 1], offsets[solved[n1 - 1]]
-        # the old part of each J's horizon: its terms before the block,
-        # capped by J_0's zero cap, the rows ⌈(J_0−1)/N⌉ .. J_0 − 1
-        segments = starts[n0:n1] - e0
-        span = bounds[I[e0:e1, 0]]
-        frames = np.minimum.reduceat(span, segments, axis=0)
-        np.minimum(frames, min(leads[(J0 + N - 2) // N : J0]) + W, out=frames)
-        frames = frames.tolist()
-        LO = min([lo for lo, H in frames if lo < H], default=inf)
-        HI = max([H for lo, H in frames if lo < H], default=LO)
-        if LO < HI:  # O_J for every J of the block, at the exponents LO .. HI − 1
-            # row t − L(B_i) of each term's B_i at each t, the zero entry
-            # before it where that is negative; past B_i's digits only at a
-            # t past the horizon of each J that holds the term.  Whole J at
-            # a time, as many terms as the stacked products' budget holds
-            old = np.empty((n1 - n0, HI - LO, r), dtype=np.int64)
-            cuts, step, k0 = segments.tolist() + [e1 - e0], _per_batch(8 * (r + 1) * (HI - LO)), 0
-            while k0 < n1 - n0:
-                k1 = max(k0 + 1, bisect_right(cuts, cuts[k0] + step) - 1)
-                x0, x1 = e0 + cuts[k0], e0 + cuts[k1]
-                at = (LO - span[x0 - e0 : x1 - e0, :1]) + np.arange(HI - LO)
-                np.maximum(at, -1, out=at)
-                at += base[x0:x1]
+    origin = np.full(Jmax + 2, -_INF_CUT, dtype=np.int64)
+    origin[0] = 1
+
+    # the blocks, from the CSR table and the divisors' leads alone: the held
+    # indices n0 .. n1 − 1 of each, its first J, the frame's width (W and
+    # the divisors' leads of every J but the last), and the chunks of the
+    # gathers that pass the budget, each with the segment starts of its J
+    solved, Is, floor, C = Ks.tolist(), I[:, 0], I * (W + 1), C[:, None, None]
+    alone = N != p + 1  # p | N: the held J are 1 (mod p), one per block
+    size = 1 if alone else p
+    n0 = list(range(0, len(solved), size))
+    n1 = n0[1:] + [len(solved)]
+    J0 = [solved[n] for n in n0]
+    sums = [0, *itertools.accumulate(lead_T)]
+    width = [W + sums[b - 1] - sums[a] for a, b in zip(n0, n1)]
+    ends = [offsets[J - 1] for J in solved] + [len(C)]  # each held J's first term
+    starts = np.array(ends[:-1], dtype=np.int64)
+    segments = starts - starts[::size].repeat(size)[: starts.size]
+    step = _per_batch(8 * (r + 1) * max(width, default=1))
+    chunks = {a: _chunks(ends, step, segments, a, b) for a, b in zip(n0, n1) if ends[b] - ends[a] > step}
+    ramp = np.arange(max(width, default=0))
+    out, H = [], W  # (L(B_J), its horizon) per held J; h_0
+    for n0, n1, J0, width in zip(n0, n1, J0, width):
+        e0, e1 = ends[n0], ends[n1]
+        if alone:  # J_0 alone in its block: the least over its terms and its zero cap
+            lo, hi = np.minimum.reduce(bounds[Is[e0:e1]]).tolist()
+            H = min(hi, int(np.minimum.reduce(bounds[(J0 + N - 2) // N : J0, 0])) + W)
+            if lo >= H:  # no term has a digit below it: S_J is a zero to precision
+                width = 0
+        F0 = H - width
+        old = np.empty((n1 - n0, width, r), dtype=np.int64)
+        if width:
+            for x0, x1, k0, k1, cuts in chunks.get(n0) or ((e0, e1, n0, n1, segments[n0:n1]),):
+                at = np.add.outer(origin[Is[x0:x1]], F0 + ramp[:width])
+                np.maximum(at, floor[x0:x1], out=at)
                 rows = flat.take(at, axis=0, mode="clip")
-                rows *= C[x0:x1, None, None]
-                np.add.reduceat(rows, segments[k0:k1] - cuts[k0], axis=0, out=old[k0:k1])
-                k0 = k1
+                if p > 2:  # at p = 2 every binomial is 1, and a padding entry reads zeros
+                    rows *= C[x0:x1]
+                np.add.reduceat(rows, cuts, axis=0, out=old[k0 - n0 : k1 - n0])
             del at, rows
         for n in range(n0, n1):
-            J, (lo, H) = solved[n], frames[n - n0]
-            spanned = lo < H
-            # past the block's first solved J (N = p + 1 only, where every J is
-            # held, so J − 1 was solved just before): S_J has B_{J−1}'s horizon
-            if n > n0:
-                lo, H = min(lo, last), last + digits
+            J, S = solved[n], old[n - n0]
+            if n > n0:  # B_{J−1}, its term i = J − 1, at its lead and to h_{J−1} = H
+                S[last - F0 : H - F0] += B[J - 1, :digits]
+            S = S[: H - F0]
+            S %= p
+            nonzero = S.nonzero()[0]  # rows, ascending
             first = H
-            if lo < H:
-                if n == n0:  # its terms are all old: lo .. H − 1 lies in LO .. HI − 1
-                    s_J = old[0, lo - LO : H - LO]
-                else:
-                    s_J = np.zeros((H - lo, r), dtype=np.int64)
-                    if spanned and LO < H:
-                        t = max(lo, LO)
-                        s_J[t - lo :] += old[n - n0, t - LO : H - LO]
-                    if last < H:
-                        t = max(lo, last)
-                        s_J[t - lo :] += B[J - 1, t - last : H - last]
-                s_J %= p
-                nonzero = s_J.nonzero()[0]  # rows, ascending
-                if nonzero.size:
-                    first = lo + int(nonzero[0])
-                    B[J, : H - first] = _convolve(field_, s_J[first - lo :], G[n], H - first)
+            if nonzero.size:
+                first = F0 + int(nonzero[0])
+                # at r > 1 the stacked path's matrix products beat a
+                # ``correlate`` per coordinate pair (14.7 against 26 µs at r = 2)
+                S = S[first - F0 :]
+                B[J : J + 1, : H - first] = _convolve(field_, S[None] if r > 1 else S, G[n], H - first)
             last, digits = first - lead_T[n], H - first
-            bounds[J] = last, H - lead_T[n]
-            leads[J] = last
+            H -= lead_T[n]
+            out.append((last, H))
+            origin[J] = 1 + J * (W + 1) - last
+        if alone:
+            bounds[J0] = last, H
 
-    # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a)
-    lead, prec = (bounds[Ks] + a.lead * Ks[:, None]).T
-    ks = 1 + s * Ks
-    zeros = np.zeros(D + 1, dtype=object)
-    table = ValuationTable(ram, zeros, zeros.copy(), np.full(D + 1, STRUCTURAL, dtype=object))
-    table.lead[1], table.prec[1], table.kind[1] = 0, 1, NONZERO  # b_1 = 1, exact
-    table.lead[ks], table.prec[ks] = lead.tolist(), prec.tolist()
-    table.kind[ks] = [NONZERO if x else COMPUTED_ZERO for x in (lead < prec).tolist()]
+    # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a).  Python
+    # lists, made object arrays once: b_0 an exact zero, b_1 = 1 exact
+    lead, prec, kind = [0] * (D + 1), [0, 1] + [0] * (D - 1), [STRUCTURAL] * (D + 1)
+    kind[1] = NONZERO
+    for J, (L, H) in zip(solved, out):
+        k, shift = 1 + s * J, a.lead * J
+        lead[k], prec[k], kind[k] = L + shift, H + shift, NONZERO if L < H else COMPUTED_ZERO
+    table = ValuationTable(ram, *(np.array(x, dtype=object) for x in (lead, prec, kind)))
     powers = []  # of a·λ^(−N)
     # λ^(−1) needs only λ's spread row, λ's head and t: a table of those
     # alone, so the result does not keep the divisor rows alive
@@ -1014,6 +1072,8 @@ def certify_divergence(f, Nmax, window=32):
     profile, table = g.profile, g.valuations
     proven = profile.m == 1
     v_a = Fraction(f.coeffs[p + 1].lead, ram)
+    # every N's sum of the small divisors, checked against its closed form
+    products = product_small_divisors(profile, range(1, Nmax + 1)) if proven else None
     entries, slopes = [], []
     for N in range(1, Nmax + 1):
         j = p ** (N - 1)
@@ -1023,8 +1083,7 @@ def certify_divergence(f, Nmax, window=32):
         computed = Fraction(table.lead[k], ram)
         predicted = None
         if proven:
-            # the sum of the small divisors is checked against its closed form
-            predicted = j * v_a - product_small_divisors(profile, N)
+            predicted = j * v_a - products[N - 1]
             if computed != predicted:
                 raise CertificateError(
                     f"divergence valuation mismatch at N={N}: computed {computed}, "

@@ -623,46 +623,81 @@ def _digit_terms(p, N, Jmax):
     return np.array(terms, dtype=np.int64).reshape(-1, 3)
 
 
+def _assert_csr_terms(p, N, Jmax, held, i, c, offsets, oracle):
+    """The CSR table (i, c, offsets) of ``_binomial_terms`` holds, row J,
+    exactly the (J, i, c) of ``oracle`` (sorted) with J <= Jmax, each c
+    nonzero, and one padding entry (Jmax + 1, 0) first in each held row."""
+    assert i.shape == (len(c), 1) and offsets[0] == 0 and len(offsets) == Jmax + 1
+    j = np.repeat(np.arange(1, Jmax + 1), np.diff(offsets))
+    pads = c == 0
+    assert (i[pads, 0] == Jmax + 1).all(), (N, Jmax)
+    assert np.array_equal(j[pads], held[1:].nonzero()[0] + 1), (N, Jmax)
+    assert pads[np.array(offsets[:-1], dtype=np.int64)[held[1:]]].all(), (N, Jmax)
+    terms = np.stack((j, i[:, 0], c), axis=1)[~pads]
+    assert ((terms[:, 2] > 0) & (terms[:, 2] < p)).all(), (N, Jmax)  # no zero binomial
+    terms = terms[np.lexsort((terms[:, 1], terms[:, 0]))]
+    assert np.array_equal(terms, oracle[oracle[:, 0] <= Jmax]), (N, Jmax)
+
+
+def _level_passes(monkeypatch):
+    """A list that counts the digit levels ``_binomial_terms`` passes over
+    a chunk with prefixes (one ``_any`` test each)."""
+    passes, real = [], lindisc.schroder._any
+    monkeypatch.setattr(lindisc.schroder, "_any", lambda x: passes.append(1) or real(x))
+    return passes
+
+
 @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "small-chunks"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_binomial_terms_are_every_nonzero_binomial(monkeypatch, p, chunked):
     """The CSR table of the binomial recurrence holds, row J, exactly the
-    nonzero binomials of the triangle over the held i, from one
-    ``binomial_mod_p`` pass: one call, or with a small budget one per
-    chunk, boundaries falling inside rows.  Each held J's row starts with
-    one padding entry (i, c) = (Jmax + 1, 0), and no other row holds one.
+    nonzero binomials of the triangle over the held i, enumerated digit
+    by digit: no entry has a zero binomial, and with a small budget the
+    table goes in chunks of whole i.  Each held J's row starts with one
+    padding entry (i, c) = (Jmax + 1, 0), and no other row holds one.
     Every Jmax for N = p + 1; at p <= 7, for p | N (N = p, 2p), every
     seventh Jmax and the largest."""
     top = 3 * p * p + 5
-    if chunked:  # room for p²/2 pairs of the table's 96 bytes each
+    if chunked:  # room for p²/2 candidates q <= Q_i of 96 bytes each
         monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 48 * p * p)
-    calls = []
-    binomial = lindisc.schroder.binomial_mod_p
-    monkeypatch.setattr(
-        lindisc.schroder, "binomial_mod_p", lambda *args: calls.append(1) or binomial(*args)
-    )
     shapes = [(p + 1, range(top + 1))]
     if p <= 7:
         shapes += [(N, [*range(0, top, 7), top]) for N in (p, 2 * p)]
     for N, sizes in shapes:
         oracle = _digit_terms(p, N, top)
         for Jmax in sizes:
-            calls.clear()
             held = _held(p, N, Jmax + 1)
-            i, c, offsets = _binomial_terms(p, N, held)
-            assert i.shape == (len(c), 1) and offsets[0] == 0 and len(offsets) == Jmax + 1
-            j = np.repeat(np.arange(1, Jmax + 1), np.diff(offsets))
-            pads = c == 0
-            assert (i[pads, 0] == Jmax + 1).all(), (N, Jmax)
-            assert np.array_equal(j[pads], held[1:].nonzero()[0] + 1), (N, Jmax)
-            assert pads[np.array(offsets[:-1], dtype=np.int64)[held[1:]]].all(), (N, Jmax)
-            terms = np.stack((j, i[:, 0], c), axis=1)[~pads]
-            terms = terms[np.lexsort((terms[:, 1], terms[:, 0]))]
-            assert np.array_equal(terms, oracle[oracle[:, 0] <= Jmax]), (N, Jmax)
-            if not chunked:
-                assert len(calls) == min(Jmax, 1), (N, Jmax)
-        if chunked:
-            assert len(calls) > 5, N  # the largest table spans many chunks
+            _assert_csr_terms(p, N, Jmax, held, *_binomial_terms(p, N, held), oracle)
+    held = _held(p, p + 1, top + 1)
+    passes = _level_passes(monkeypatch)
+    _binomial_terms(p, p + 1, held)
+    if chunked:  # the largest table spans many chunks, each with its own levels
+        monkeypatch.undo()
+        whole = _level_passes(monkeypatch)
+        _binomial_terms(p, p + 1, held)
+        assert len(passes) > 5 * len(whole), (len(passes), len(whole))
+    else:  # one chunk: at most one pass per base-p digit of Jmax
+        assert 0 < len(passes) <= len(np.base_repr(top, p)), len(passes)
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "small-chunks"])
+def test_binomial_terms_over_F2_at_Jmax_1024(monkeypatch, chunked):
+    """Over F_2 at Jmax = 1024 (N = 3) the table holds 47,368 entries with
+    its 1,024 padding entries: every odd C(2i + 1, J − i), by Lucas over
+    F_2 a bit test (J − i has no bit that 2i + 1 lacks), whole and in
+    chunks of at most 4,096 candidates."""
+    Jmax = 1024
+    if chunked:
+        monkeypatch.setattr(lindisc.laurent, "_STACK_BYTES", 96 << 12)
+    passes = _level_passes(monkeypatch)
+    held = _held(2, 3, Jmax + 1)
+    i, c, offsets = _binomial_terms(2, 3, held)
+    assert len(c) == 47368
+    j, k = np.tril_indices(Jmax + 1, -1)  # 0 <= k < j: J = j, i = k
+    odd = ((j - k) & ~(1 + 2 * k)) == 0
+    oracle = np.stack((j[odd], k[odd], np.ones(odd.sum(), dtype=np.int64)), axis=1)
+    _assert_csr_terms(2, 3, Jmax, held, i, c, offsets, oracle[np.lexsort((oracle[:, 1], oracle[:, 0]))])
+    assert (len(passes) > 40) == chunked, len(passes)  # 175,616 candidates
 
 
 def test_p_plus_1_solve_memory_is_bounded():
@@ -1702,12 +1737,13 @@ def test_divergence_certificate_p3():
 
 def test_divergence_certificate_checks_the_predicted_valuation(monkeypatch):
     """A product of small divisors one off the true one: the computed
-    v(b_k) no longer equals the predicted one."""
+    v(b_k) no longer equals the predicted one.  The certificate asks for
+    every N's product in one call."""
     true_product = lindisc.schroder.product_small_divisors
     monkeypatch.setattr(
         lindisc.schroder,
         "product_small_divisors",
-        lambda profile, N: true_product(profile, N) + 1,
+        lambda profile, Ns: [x + 1 for x in true_product(profile, Ns)],
     )
     f = PowerSeriesMap({1: parse_series("1+T", F2), 3: parse_series("1", F2)})
     with pytest.raises(CertificateError, match="N=1"):
