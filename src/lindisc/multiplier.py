@@ -136,7 +136,7 @@ def product_small_divisors(profile, N):
     pass over every i <= p^(N−1) of the largest N, and each N's sum is a
     prefix of their running sum.  A mismatch is a CertificateError naming
     the first N, in that order, where it occurs."""
-    Ns = [N] if isinstance(N, int) else list(N)
+    Ns = list(N) if np.ndim(N) else [N]
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
     if min(Ns) < 1:
@@ -152,7 +152,7 @@ def product_small_divisors(profile, N):
             raise CertificateError(
                 f"product formula mismatch at N={n}: terms {total} != closed {closed[-1]}"
             )
-    return closed[0] if isinstance(N, int) else closed
+    return closed if np.ndim(N) else closed[0]
 
 
 def disc_profile(profile, gauge):

@@ -249,8 +249,10 @@ def _small_divisors(profile, ks, window, low=1):
     of ``ks`` raises PrecisionError (vanished to that width) or
     CertificateError (off the closed form).  One batched Newton run
     inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
-    For low = 1 they are times λ, and an entry with s > 0 is its spread
-    times λ^(p^s − 1), spread in chunks that ``_per_batch`` sizes.  For
+    For low = 1 they are times λ.  Every entry with s > 0 is spread in
+    one pass over all their rows, each class of s mod r raised by one
+    Frobenius call; for low = 1 a spread is then times λ^(p^s − 1), in
+    products of the stacked powers that ``_per_batch`` sizes.  For
     low = 0, λ joins the stack as an entry with s = t, and its spread
     λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
     formed only when ``lam_inverse`` is read.
@@ -632,14 +634,17 @@ def _binomial_terms(p, N, held):
     kept while it is at most Q_i, and takes at P the digits 0 ..
     min(h_t, ⌊room/P⌋), room Q_i less the prefix: every kept prefix has a
     completion, its lower digits 0, so no level holds more prefixes than
-    the table has entries, and each binomial is g^e, e the sum over the
-    digits of log h_t! − log q_t! − log (h_t − q_t)! as in ``_lucas``
-    (every term is 1 at p = 2).  The held i go in chunks of whole i with
+    there are pairs (i, q) with a nonzero binomial.  Each binomial is
+    g^e, e the sum over the digits of log h_t! − log q_t! −
+    log (h_t − q_t)! as in ``_lucas`` (every term is 1 at p = 2).  The
+    held i go in chunks of whole i with
     at most ``_per_batch(96)`` candidates q <= Q_i between them, so a
-    chunk holds at most that many prefixes; 96 bytes per candidate bound
-    a chunk's peak with room to spare (tracemalloc, F_2 to F_13, Jmax to
-    4096).  The entries are sorted by J once, the padding entry first in
-    its row.
+    chunk holds at most that many prefixes: 96 bytes per candidate, the
+    budget of the pass over every pair (i, q) this replaced, bounds the
+    table's whole tracemalloc peak with room (7 to 55 bytes per
+    candidate at F_2 .. F_13, Jmax = 1024 .. 4096).  The entries are
+    sorted by J once, stably, so each padding entry stays first in its
+    row.
     """
     Jmax = held.size - 1
     i = held[:Jmax].nonzero()[0]
@@ -771,48 +776,67 @@ def _solve_binomial(f, D, window, source):
     L(B_i) with a nonzero binomial, or H_S when that is less.
 
     The loop, in Lucas blocks.  ``_binomial_terms`` forms the nonzero
-    binomials of every J in one ``binomial_mod_p`` pass before it and
-    stores them CSR-style, flat arrays of i and c with Python-int offsets
-    per J.  The J of J_0 .. J_0 + p − 1, J_0 ≡ 1 (mod p), make one block.
-    By its Lucas identity the terms of S_J are i = J − qp (q >= 1) and,
-    when d_i = 1, i = J − 1 − qp (q >= 0), with the binomial C(h_i, q):
-    the one term whose i lies in J's block is i = J − 1, for J > J_0 and
-    N = p + 1, and its binomial is C(h, 0) = 1.  So S_J = B_{J−1} + O_J,
-    where O_J reads only the B_i from before the block, all solved when
-    the block starts.  A p-divisible map holds one J per block, J_0, and
-    O_J is all of S_J.  Per block, one gather reads the bounds of the
-    block's terms, and one ``reduceat`` gives each J the old part of its
-    frame: the least lead and lead + digits over its old terms, capped by
-    J_0's zero cap, the least lead + W of the rows ⌈(J_0−1)/N⌉ .. J_0 − 1
-    (a row of the block is not solved yet, and its bounds, like those of
-    a row not held, lie past any horizon).  For J_0 that is its horizon,
-    and for N = p + 1 the one zero cap bounds every J of the block.
-    There B_J's horizon is h_J = H_S − L(1 − λ^{(N−1)J}) <= H_S, λ a
-    unit, and every J >= 2 has the term i = J − 1 with binomial 1, so
-    H_S <= h_{J−1}: h never increases with J, and each row i < J has
-    L(B_i) + W >= h_i >= h_{J−1}.  No term and no zero cap is below
-    h_{J−1}, so past J_0, S_J has B_{J−1}'s horizon, and its lead is at
-    least the lesser of B_{J−1}'s lead and its old terms' least lead.
-    One gather of every term's rows
-    on a common frame of absolute exponents, the least old lead LO to the
-    greatest old horizon HI of the block, times the binomials and summed
-    per J by one more ``reduceat``, forms every O_J, whole J at a time,
-    as many terms as ``_per_batch`` allows: the gather reads row
-    t − L(B_i) of B_i at each exponent t, the zero entry before it where
-    that is negative, and past B_i's digits only at a t no J that holds
-    the term keeps (its horizon is at most L(B_i) + digits(B_i)).  Per J
-    only the term i = J − 1, the nonzero scan and the product
-    B_J = S_J·(E_J − 1) remain.  Each held J's CSR row starts
-    with one padding entry (Jmax + 1, 0), a row of no digits and bounds
-    past any horizon, so no J's segment is empty.  A sum adds at most J
+    binomials of every J before it, CSR-style: flat arrays of i and c
+    with Python-int offsets per J.  The J of J_0 .. J_0 + p − 1,
+    J_0 ≡ 1 (mod p), make one block.  By its Lucas identity the terms of
+    S_J are i = J − qp (q >= 1) and, when d_i = 1, i = J − 1 − qp
+    (q >= 0), with the binomial C(h_i, q): the one term whose i lies in
+    J's block is i = J − 1, for J > J_0 and N = p + 1, and its binomial
+    is C(h, 0) = 1.  So S_J = B_{J−1} + O_J, where O_J reads only the B_i
+    from before the block, all solved when the block starts.  A
+    p-divisible map holds J ≡ 1 (mod p) only, one J per block, and O_J
+    is all of S_J.
+
+    Horizons.  For N = p + 1, B_J's horizon is h_J = H_S − L(1 − λ^{sJ})
+    <= H_S, λ a unit, and every J >= 1 has the term i = J − 1 with
+    binomial 1 (B_0 = 1 has h_0 = W), so H_S <= h_{J−1}: h never
+    increases with J, and every row i < J caps at L(B_i) + digits(B_i) =
+    h_i >= h_{J−1}, or at L(B_i) + W >= h_i for a zero binomial.  So
+    H_S = h_{J−1} at every J, h_J = W less the divisor leads of
+    1 .. J: the loop carries h in a Python int and reads no bound.  For
+    p | N, J_0's horizon is the least over its terms' lead + digits and
+    its zero cap, the least lead + W of the rows ⌈(J_0−1)/N⌉ .. J_0 − 1,
+    two reductions of the bounds; where no term's lead lies below it,
+    S_J is a zero to precision and nothing is gathered.
+
+    The frame.  No B_i knows more than W digits (B_0 knows W, and below
+    every B_J knows H_S − L(S_J) <= W), and a term with a nonzero
+    binomial caps H_S at L(B_i) + digits(B_i), so every term of S_J, and
+    B_{J−1} (whose lead + digits is H_S), has its lead at H_S − W or
+    above.  The horizons of a block fall from J_0's by the divisor leads
+    of its J but the last, so every digit of every S_J of the block lies
+    in the frame F0 .. H_{J_0} − 1, F0 = H_{J_0} − width, width W plus
+    those leads: known before the loop.  S_J is the frame's rows below
+    its own H_S, and its lead is the first nonzero row the scan finds
+    (every row below a term's lead reads zero), so no least lead is
+    formed, per J or per block.
+
+    The gather.  ``origin[i]`` is the entry of B_i's U^0 in the flat
+    array of B's rows, 1 + i·(W + 1) − L(B_i), set when B_i is solved and
+    far below its zero entry before (a row of the block, a row not held,
+    the padding row).  At each exponent t of the frame a term reads the
+    entry origin[i] + t, or the zero entry before B_i where that lies
+    below it; past B_i's digits it reads only at a t past the horizon of
+    every J that holds the term.  Times the binomials (at p = 2 every
+    binomial is 1, and a padding entry reads zeros) and summed per J by
+    one ``reduceat``, the gather forms every O_J of the block, whole J
+    at a time, as many terms as ``_per_batch`` allows.  Before the loop,
+    from the CSR table and the divisor leads alone: the blocks, their
+    widths, each J's first term and its offset in its block, and the
+    chunks of every gather past the budget.  So a block pays its gather
+    (and for p | N its reductions), and a J its term i = J − 1 added at
+    its lead, the mod, the scan and one product B_J = S_J·(E_J − 1).
+    Each held J's CSR row starts with one padding entry (Jmax + 1, 0), a
+    row of no digits, so no J's segment is empty.  A sum adds at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
-    The loop writes only B and ``bounds``, and reads E_J − 1, formed in
-    place in the divisor table's rows before it.  One vectorized pass
-    after it fills the ``ValuationTable``: b_J has lead and horizon
-    B_J's bounds plus J·L(a), a zero to precision where the two are
-    equal (S_J has no digits).  The verdicts read the table, and build
-    no b_J.  The result keeps B and its bounds, and of the divisor table
-    only λ's spread row, λ's head and t, from which λ^(−1) is formed.
+    The loop writes B, ``origin`` and, for p | N, the bounds its
+    reductions read, and reads E_J − 1, formed in place in the divisor
+    table's rows before it.  Each J's lead and horizon stay Python ints,
+    and after the loop fill the ``ValuationTable``: b_J has B_J's lead
+    and horizon plus J·L(a), a zero to precision where the two are equal
+    (S_J has no digits).  The verdicts read the table, and build no b_J.
+    The result keeps B, and of the divisor table only λ's spread row,
+    λ's head and t, from which λ^(−1) is formed.
     """
     (N,) = f.nonlinear_degrees
     a = f.coeffs[N]
@@ -912,7 +936,8 @@ def _solve_binomial(f, D, window, source):
             if nonzero.size:
                 first = F0 + int(nonzero[0])
                 # at r > 1 the stacked path's matrix products beat a
-                # ``correlate`` per coordinate pair (14.7 against 26 µs at r = 2)
+                # ``correlate`` per coordinate pair: 14.7 against 26 µs for
+                # 30 by 32 rows at r = 2 (Xeon, numpy 2.4)
                 S = S[first - F0 :]
                 B[J : J + 1, : H - first] = _convolve(field_, S[None] if r > 1 else S, G[n], H - first)
             last, digits = first - lead_T[n], H - first

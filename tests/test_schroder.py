@@ -701,9 +701,10 @@ def test_binomial_terms_over_F2_at_Jmax_1024(monkeypatch, chunked):
 
 
 def test_p_plus_1_solve_memory_is_bounded():
-    """Over F_2 at Jmax = 1024, W = 32 the binomial table has about
-    175,000 pairs (i, q), in six chunks of at most 2^15 pairs of at most
-    96 bytes each: the solve's traced peak stays below 20 MiB."""
+    """Over F_2 at Jmax = 1024, W = 32 the binomial table has 175,616
+    candidates q <= Q_i, of which only the 23,684 pairs (i, q) with a
+    nonzero binomial are formed (46,344 terms), within ``_per_batch``'s budget at 96 bytes per
+    candidate: the solve's traced peak stays below 20 MiB."""
     f = PowerSeriesMap({1: parse_series("1+T", F2, 1, 32), 3: parse_series("1", F2, 1, 32)})
     tracemalloc.start()
     try:
@@ -765,6 +766,21 @@ BLOCK_EDGES = [
 ]
 
 
+def _assert_blocks_equal_the_oracle(monkeypatch, p, r, e, lam, a, Jmax, W, terms):
+    """Solve λx + a·x^(p+1) over F_{p^r}, U^e = T, to Jmax with ``_per_batch``
+    room for ``terms`` terms (None: the budget) and compare every b_k
+    with the per-term series recurrence; the solve is returned."""
+    if terms is not None:
+        monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: terms)
+    field = FieldParams(p, r)
+    f = PowerSeriesMap(
+        {1: parse_series(lam, field, e, W), p + 1: parse_series(a, field, e, W)}
+    )
+    g, oracle = solve_specialized_p_plus_1(f, Jmax, W), solve_specialized_per_term(f, Jmax, W)
+    _assert_bytes_equal(g, oracle, g.D, (p, r, e, lam))
+    return g
+
+
 @pytest.mark.parametrize("terms", [None, 1, 3])
 @pytest.mark.parametrize("p, r, lam, a, Jmax, W", BLOCK_EDGES)
 def test_lucas_blocks_equal_the_per_term_oracle(monkeypatch, p, r, lam, a, Jmax, W, terms):
@@ -772,16 +788,19 @@ def test_lucas_blocks_equal_the_per_term_oracle(monkeypatch, p, r, lam, a, Jmax,
     every b_k exactly as the per-term series recurrence does, also when
     ``_per_batch`` leaves room for one term or three, so that a block's
     gather goes in chunks of one J and of several."""
-    if terms is not None:
-        monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: terms)
-    field = FieldParams(p, r)
-    f = PowerSeriesMap(
-        {1: parse_series(lam, field, 1, W), p + 1: parse_series(a, field, 1, W)}
-    )
-    g, oracle = solve_specialized_p_plus_1(f, Jmax, W), solve_specialized_per_term(f, Jmax, W)
-    _assert_bytes_equal(g, oracle, g.D, (p, r, lam))
+    g = _assert_blocks_equal_the_oracle(monkeypatch, p, r, 1, lam, a, Jmax, W, terms)
     if lam == "b+T^2":
         assert g.zero_kind[31] == COMPUTED_ZERO and g.zero_kind[36] == NONZERO
+
+
+@pytest.mark.parametrize("terms", [None, 1, 3])
+def test_lucas_block_reads_a_zero_inside_it_ramified(monkeypatch, terms):
+    """Over F_25 with U^2 = T, λ = b + 1 + U^2 and a = 1 at W = 6, b_86
+    (J = 17, the second J of the block 16 .. 20) is a zero to precision
+    that J = 18 reads as its term i = J − 1 inside the block: every b_k
+    equals the per-term recurrence's, whole and in chunks."""
+    g = _assert_blocks_equal_the_oracle(monkeypatch, 5, 2, 2, "b+1+U^2", "1", 18, 6, terms)
+    assert g.zero_kind[86] == COMPUTED_ZERO and g.zero_kind[91] == NONZERO
 
 
 @pytest.mark.parametrize("field, N, Jmax", [(F2, 4, 9), (F3, 6, 10), (F3, 3, 13)])
@@ -795,6 +814,51 @@ def test_p_divisible_map_takes_one_held_J_per_block(field, N, Jmax):
     held = [J for J in range(1, Jmax + 1) if g.zero_kind[1 + J * (N - 1)] != STRUCTURAL]
     assert held == list(range(1, Jmax + 1, field.p)) and len(held) >= 4
     _assert_bytes_equal(g, solve_sfe_chain(f, D, 12), D, (field, N))
+
+
+# (p, r, N, λ, a, D, W): p+1 maps over F_2, F_4 and F_25 (b_31 zero to
+# precision), and p | N maps with held J zero to precision among them
+LOOP_PRODUCT_CASES = [
+    (2, 1, 3, "1+T+T^3", "1+T^2", 129, 32),
+    (2, 2, 3, "b+T+T^2", "b+T", 19, 16),
+    (5, 2, 6, "b+T^2", "1+4*T", 61, 8),
+    (3, 1, 3, "1+T", "1", 200, 16),
+    (2, 1, 4, "1+T^2+T^3", "T+T^2", 28, 12),
+    (3, 1, 6, "1+T^2+T^3", "T+T^2", 51, 12),
+]
+
+
+@pytest.mark.parametrize("p, r, N, lam, a, D, W", LOOP_PRODUCT_CASES)
+def test_binomial_loop_makes_one_product_per_held_J_with_digits(monkeypatch, p, r, N, lam, a, D, W):
+    """The loop's cost contract: one ``_convolve`` by a row of the divisor
+    table per held J whose sum S_J has digits, none for a zero to
+    precision, and no other product outside the divisor table's own (its
+    powers of λ, its Newton run, the spreads).  A sum formed per term, or
+    a second product per J, fails."""
+    tables, products, others = [], [], []
+    real_table, real_convolve = lindisc.schroder._small_divisors, lindisc.schroder._convolve
+
+    def table(*args, **kwargs):
+        tables.append(None)  # inside the table: its products are its own
+        tables[-1] = real_table(*args, **kwargs)
+        return tables[-1]
+
+    def convolve(params, x, y, *rest):
+        if tables and tables[0] is not None:
+            (products if np.shares_memory(y, tables[0].rows) else others).append(x.shape)
+        return real_convolve(params, x, y, *rest)
+
+    monkeypatch.setattr(lindisc.schroder, "_small_divisors", table)
+    monkeypatch.setattr(lindisc.schroder, "_convolve", convolve)
+    field = FieldParams(p, r)
+    f = PowerSeriesMap({1: parse_series(lam, field, 1, W), N: parse_series(a, field, 1, W)})
+    g = solve_sfe(f, D, W) if N % p == 0 else solve_specialized_p_plus_1(f, (D - 1) // p, W)
+    monkeypatch.undo()
+    kinds = g.valuations.kind[2:].tolist()
+    assert len(tables) == 1 and kinds.count(NONZERO) == len(products), (kinds, len(products))
+    assert others == [], others
+    if N % p == 0 or r == 2 and p == 5:
+        assert COMPUTED_ZERO in kinds
 
 
 def test_p_plus_1_result_keeps_no_divisor_rows():
@@ -1134,9 +1198,10 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
 
 @pytest.mark.parametrize("field, lit", [(F2, "1+T+T^3"), (F4, "b+T")])
 def test_divisor_table_spreads_in_chunks(monkeypatch, field, lit):
-    """The Frobenius spreads of one s go in chunks that ``_per_batch``
-    sizes; with one entry per chunk, every entry of the low = 1 and
-    low = 0 tables, and λ^(-1), has the bytes of the table built whole."""
+    """The Frobenius spreads go in one pass, and for low = 1 their
+    products by λ^(p^s − 1) in chunks that ``_per_batch`` sizes; with one
+    entry per chunk, every entry of the low = 1 and low = 0 tables, and
+    λ^(-1), has the bytes of the table built whole."""
     profile, W = mult_profile(parse_series(lit, field)), 16
     for low, ks in ((1, range(2, 130)), (0, range(2, 130, 2))):
         whole = _small_divisors(profile, ks, W, low)
