@@ -867,12 +867,11 @@ def _solve_binomial(f, D, window, source):
     Ks = held[1:].nonzero()[0] + 1  # the J >= 1 solved
     E = _small_divisors(profile, (s * Ks).tolist(), W, low=0)
     # E_J has lead −lead_T[n], and U^0 sits at row lead_T[n]; G[n] is
-    # E_J − 1, with the same lead, formed in place: nothing else reads
-    # E_J, and the last row, λ^(−p^t), is already reduced
+    # E_J − 1, with the same lead, formed in place: nothing else reads E_J
     G, lead_T = E.rows, E.leads
     inside = (lead_T < W).nonzero()[0]
-    G[inside, lead_T[inside], 0] -= 1
-    G %= p
+    u0 = inside, lead_T[inside], 0  # the coefficient of U^0
+    G[u0] = (G[u0] - 1) % p
     lead_T = lead_T.tolist()
 
     # B_i's rows, after one zero entry: row t of B_i is entry 1 + i·(W + 1) + t
