@@ -903,7 +903,11 @@ def _solve_binomial(f, D, window, source):
     starts = np.array(ends[:-1], dtype=np.int64)
     segments = starts - starts[::size].repeat(size)[: starts.size]
     step = _per_batch(8 * (r + 1) * max(width, default=1))
-    chunks = {a: _chunks(ends, step, segments, a, b) for a, b in zip(n0, n1) if ends[b] - ends[a] > step}
+    chunks = {
+        a: _chunks(ends, step, segments, a, b)
+        for a, b in zip(n0, n1)
+        if ends[b] - ends[a] > step
+    }
     ramp = np.arange(max(width, default=0))
     out, H = [], W  # (L(B_J), its horizon) per held J; h_0
     for n0, n1, J0, width in zip(n0, n1, J0, width):
@@ -938,7 +942,8 @@ def _solve_binomial(f, D, window, source):
                 # ``correlate`` per coordinate pair: 14.7 against 26 µs for
                 # 30 by 32 rows at r = 2 (Xeon, numpy 2.4)
                 S = S[first - F0 :]
-                B[J : J + 1, : H - first] = _convolve(field_, S[None] if r > 1 else S, G[n], H - first)
+                S = S[None] if r > 1 else S
+                B[J : J + 1, : H - first] = _convolve(field_, S, G[n], H - first)
             last, digits = first - lead_T[n], H - first
             H -= lead_T[n]
             out.append((last, H))

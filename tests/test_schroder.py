@@ -696,15 +696,17 @@ def test_binomial_terms_over_F2_at_Jmax_1024(monkeypatch, chunked):
     j, k = np.tril_indices(Jmax + 1, -1)  # 0 <= k < j: J = j, i = k
     odd = ((j - k) & ~(1 + 2 * k)) == 0
     oracle = np.stack((j[odd], k[odd], np.ones(odd.sum(), dtype=np.int64)), axis=1)
-    _assert_csr_terms(2, 3, Jmax, held, i, c, offsets, oracle[np.lexsort((oracle[:, 1], oracle[:, 0]))])
+    oracle = oracle[np.lexsort((oracle[:, 1], oracle[:, 0]))]
+    _assert_csr_terms(2, 3, Jmax, held, i, c, offsets, oracle)
     assert (len(passes) > 40) == chunked, len(passes)  # 175,616 candidates
 
 
 def test_p_plus_1_solve_memory_is_bounded():
     """Over F_2 at Jmax = 1024, W = 32 the binomial table has 175,616
     candidates q <= Q_i, of which only the 23,684 pairs (i, q) with a
-    nonzero binomial are formed (46,344 terms), within ``_per_batch``'s budget at 96 bytes per
-    candidate: the solve's traced peak stays below 20 MiB."""
+    nonzero binomial are formed (46,344 terms), within ``_per_batch``'s
+    budget at 96 bytes per candidate: the solve's traced peak stays
+    below 20 MiB."""
     f = PowerSeriesMap({1: parse_series("1+T", F2, 1, 32), 3: parse_series("1", F2, 1, 32)})
     tracemalloc.start()
     try:
@@ -829,7 +831,9 @@ LOOP_PRODUCT_CASES = [
 
 
 @pytest.mark.parametrize("p, r, N, lam, a, D, W", LOOP_PRODUCT_CASES)
-def test_binomial_loop_makes_one_product_per_held_J_with_digits(monkeypatch, p, r, N, lam, a, D, W):
+def test_binomial_loop_makes_one_product_per_held_J_with_digits(
+    monkeypatch, p, r, N, lam, a, D, W
+):
     """The loop's cost contract: one ``_convolve`` by a row of the divisor
     table per held J whose sum S_J has digits, none for a zero to
     precision, and no other product outside the divisor table's own (its
