@@ -24,7 +24,6 @@ digits, and its reciprocal is expanded to the working width: the
 division keeps the justified horizon.
 """
 
-import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -799,33 +798,33 @@ def _solve_binomial(f, D, window, source):
     two reductions of the bounds; where no term's lead lies below it,
     S_J is a zero to precision and nothing is gathered.
 
-    The frame.  No B_i knows more than W digits (B_0 knows W, and below
+    The frames.  No B_i knows more than W digits (B_0 knows W, and below
     every B_J knows H_S − L(S_J) <= W), and a term with a nonzero
     binomial caps H_S at L(B_i) + digits(B_i), so every term of S_J, and
     B_{J−1} (whose lead + digits is H_S), has its lead at H_S − W or
-    above.  The horizons of a block fall from J_0's by the divisor leads
-    of its J but the last, so every digit of every S_J of the block lies
-    in the frame F0 .. H_{J_0} − 1, F0 = H_{J_0} − width, width W plus
-    those leads: known before the loop.  S_J is the frame's rows below
-    its own H_S, and its lead is the first nonzero row the scan finds
-    (every row below a term's lead reads zero), so no least lead is
-    formed, per J or per block.
+    above: every digit of S_J lies in its frame, the W exponents
+    H_S − W .. H_S − 1.  S_J is its frame, and its lead is the first
+    nonzero row the scan finds (every row below a term's lead reads
+    zero), so no least lead is formed, per J or per block.  Inside a
+    block, H_S falls from J_0's by the divisor leads of the J before it
+    (for N = p + 1; a p | N block holds J_0 alone), so each term's fall
+    is known before the loop.
 
     The gather.  ``origin[i]`` is the entry of B_i's U^0 in the flat
     array of B's rows, 1 + i·(W + 1) − L(B_i), set when B_i is solved and
     far below its zero entry before (a row of the block, a row not held,
-    the padding row).  At each exponent t of the frame a term reads the
-    entry origin[i] + t, or the zero entry before B_i where that lies
-    below it; past B_i's digits it reads only at a t past the horizon of
-    every J that holds the term.  Times the binomials (at p = 2 every
-    binomial is 1, and a padding entry reads zeros) and summed per J by
-    one ``reduceat``, the gather forms every O_J of the block, whole J
-    at a time, as many terms as ``_per_batch`` allows.  Before the loop,
-    from the CSR table and the divisor leads alone: the blocks, their
-    widths, each J's first term and its offset in its block, and the
-    chunks of every gather past the budget.  So a block pays its gather
-    (and for p | N its reductions), and a J its term i = J − 1 added at
-    its lead, the mod, the scan and one product B_J = S_J·(E_J − 1).
+    the padding row).  At each exponent t of its J's frame a term reads
+    the entry origin[i] + t, or the zero entry before B_i where that lies
+    below it; as t < H_S <= L(B_i) + digits(B_i), it never reads past
+    B_i's digits.  Times the binomials (at p = 2 every binomial is 1, and
+    a padding entry reads zeros) and summed per J by one ``reduceat``,
+    the gather forms every O_J of the block, whole J at a time, as many
+    terms as ``_per_batch`` allows.  Before the loop, from the CSR table
+    and the divisor leads alone: the blocks, each J's first term and its
+    offset in its block, each term's fall, and the chunks of every
+    gather past the budget.  So a block pays its gather (and for p | N
+    its reductions), and a J its term i = J − 1 added at the top of its
+    frame, the mod, the scan and one product B_J = S_J·(E_J − 1).
     Each held J's CSR row starts with one padding entry (Jmax + 1, 0), a
     row of no digits, so no J's segment is empty.  A sum adds at most J
     addends c·x with c, x < p, below J·p² < 2^63 for J < 2^31 (p < 2^16).
@@ -872,7 +871,6 @@ def _solve_binomial(f, D, window, source):
     inside = (lead_T < W).nonzero()[0]
     u0 = inside, lead_T[inside], 0  # the coefficient of U^0
     G[u0] = (G[u0] - 1) % p
-    lead_T = lead_T.tolist()
 
     # B_i's rows, after one zero entry: row t of B_i is entry 1 + i·(W + 1) + t
     # and its row W is zero.  Row Jmax + 1, the padding entries' row, has no
@@ -888,60 +886,59 @@ def _solve_binomial(f, D, window, source):
     origin[0] = 1
 
     # the blocks, from the CSR table and the divisors' leads alone: the held
-    # indices n0 .. n1 − 1 of each, its first J, the frame's width (W and
-    # the divisors' leads of every J but the last), and the chunks of the
+    # indices n0 .. n1 − 1 of each, its first J, each term's fall, the
+    # divisor leads of its block's J before its own, and the chunks of the
     # gathers that pass the budget, each with the segment starts of its J
-    solved, Is, floor, C = Ks.tolist(), I[:, 0], I * (W + 1), C[:, None, None]
+    solved, Is, C = Ks.tolist(), I[:, 0], C[:, None, None]
     alone = N != p + 1  # p | N: the held J are 1 (mod p), one per block
     size = 1 if alone else p
     n0 = list(range(0, len(solved), size))
     n1 = n0[1:] + [len(solved)]
     J0 = [solved[n] for n in n0]
-    sums = [0, *itertools.accumulate(lead_T)]
-    width = [W + sums[b - 1] - sums[a] for a, b in zip(n0, n1)]
     ends = [offsets[J - 1] for J in solved] + [len(C)]  # each held J's first term
     starts = np.array(ends[:-1], dtype=np.int64)
     segments = starts - starts[::size].repeat(size)[: starts.size]
-    step = _per_batch(8 * (r + 1) * max(width, default=1))
+    before = lead_T.cumsum() - lead_T
+    fall = (before - before[::size].repeat(size)[: before.size]).repeat(np.diff(ends))
+    step = _per_batch(8 * (r + 1) * W)
     chunks = {
         a: _chunks(ends, step, segments, a, b)
         for a, b in zip(n0, n1)
         if ends[b] - ends[a] > step
     }
-    ramp = np.arange(max(width, default=0))
+    lead_T, ramp = lead_T.tolist(), np.arange(W)
     out, H = [], W  # (L(B_J), its horizon) per held J; h_0
-    for n0, n1, J0, width in zip(n0, n1, J0, width):
-        e0, e1 = ends[n0], ends[n1]
+    for n0, n1, J0 in zip(n0, n1, J0):
+        e0, e1, rows = ends[n0], ends[n1], W
         if alone:  # J_0 alone in its block: the least over its terms and its zero cap
             lo, hi = np.minimum.reduce(bounds[Is[e0:e1]]).tolist()
             H = min(hi, int(np.minimum.reduce(bounds[(J0 + N - 2) // N : J0, 0])) + W)
             if lo >= H:  # no term has a digit below it: S_J is a zero to precision
-                width = 0
-        F0 = H - width
-        old = np.empty((n1 - n0, width, r), dtype=np.int64)
-        if width:
+                rows = 0
+        # O_J at the exponents H_J − W .. H_J − 1, H_J = H less the term's fall
+        old = np.empty((n1 - n0, rows, r), dtype=np.int64)
+        if rows:
             for x0, x1, k0, k1, cuts in chunks.get(n0) or ((e0, e1, n0, n1, segments[n0:n1]),):
-                at = np.add.outer(origin[Is[x0:x1]], F0 + ramp[:width])
-                np.maximum(at, floor[x0:x1], out=at)
-                rows = flat.take(at, axis=0, mode="clip")
+                at = np.add.outer(origin[Is[x0:x1]] - fall[x0:x1], (H - W) + ramp)
+                np.maximum(at, I[x0:x1] * (W + 1), out=at)  # B_i's zero entry
+                frame = flat.take(at, axis=0, mode="clip")
                 if p > 2:  # at p = 2 every binomial is 1, and a padding entry reads zeros
-                    rows *= C[x0:x1]
-                np.add.reduceat(rows, cuts, axis=0, out=old[k0 - n0 : k1 - n0])
-            del at, rows
+                    frame *= C[x0:x1]
+                np.add.reduceat(frame, cuts, axis=0, out=old[k0 - n0 : k1 - n0])
+            del at, frame
         for n in range(n0, n1):
             J, S = solved[n], old[n - n0]
-            if n > n0:  # B_{J−1}, its term i = J − 1, at its lead and to h_{J−1} = H
-                S[last - F0 : H - F0] += B[J - 1, :digits]
-            S = S[: H - F0]
+            if n > n0:  # B_{J−1}, its term i = J − 1: its digits end at h_{J−1} = H
+                S[W - digits :] += B[J - 1, :digits]
             S %= p
             nonzero = S.nonzero()[0]  # rows, ascending
             first = H
             if nonzero.size:
-                first = F0 + int(nonzero[0])
+                S = S[int(nonzero[0]) :]
+                first = H - S.shape[0]
                 # at r > 1 the stacked path's matrix products beat a
                 # ``correlate`` per coordinate pair: 14.7 against 26 µs for
                 # 30 by 32 rows at r = 2 (Xeon, numpy 2.4)
-                S = S[first - F0 :]
                 S = S[None] if r > 1 else S
                 B[J : J + 1, : H - first] = _convolve(field_, S, G[n], H - first)
             last, digits = first - lead_T[n], H - first
@@ -952,13 +949,15 @@ def _solve_binomial(f, D, window, source):
             bounds[J0] = last, H
 
     # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a).  Python
-    # lists, made object arrays once: b_0 an exact zero, b_1 = 1 exact
+    # lists, copied into the table's object arrays once: b_0 an exact
+    # zero, b_1 = 1 exact
+    table = ValuationTable(ram, *(np.empty(D + 1, dtype=object) for _ in range(3)))
     lead, prec, kind = [0] * (D + 1), [0, 1] + [0] * (D - 1), [STRUCTURAL] * (D + 1)
     kind[1] = NONZERO
     for J, (L, H) in zip(solved, out):
         k, shift = 1 + s * J, a.lead * J
         lead[k], prec[k], kind[k] = L + shift, H + shift, NONZERO if L < H else COMPUTED_ZERO
-    table = ValuationTable(ram, *(np.array(x, dtype=object) for x in (lead, prec, kind)))
+    table.lead[:], table.prec[:], table.kind[:] = lead, prec, kind
     powers = []  # of a·λ^(−N)
     # λ^(−1) needs only λ's spread row, λ's head and t: a table of those
     # alone, so the result does not keep the divisor rows alive
