@@ -889,7 +889,7 @@ def _solve_binomial(f, D, window, source):
     # indices n0 .. n1 − 1 of each, its first J, each term's fall, the
     # divisor leads of its block's J before its own, and the chunks of the
     # gathers that pass the budget, each with the segment starts of its J
-    solved, Is, C = Ks.tolist(), I[:, 0], C[:, None, None]
+    solved, Is, floor, C = Ks.tolist(), I[:, 0], I * (W + 1), C[:, None, None]
     alone = N != p + 1  # p | N: the held J are 1 (mod p), one per block
     size = 1 if alone else p
     n0 = list(range(0, len(solved), size))
@@ -919,8 +919,11 @@ def _solve_binomial(f, D, window, source):
         old = np.empty((n1 - n0, rows, r), dtype=np.int64)
         if rows:
             for x0, x1, k0, k1, cuts in chunks.get(n0) or ((e0, e1, n0, n1, segments[n0:n1]),):
-                at = np.add.outer(origin[Is[x0:x1]] - fall[x0:x1], (H - W) + ramp)
-                np.maximum(at, I[x0:x1] * (W + 1), out=at)  # B_i's zero entry
+                lift = origin[Is[x0:x1]]
+                if not alone:  # a J past J_0 reads the frame below its own horizon
+                    lift -= fall[x0:x1]
+                at = np.add.outer(lift, (H - W) + ramp)
+                np.maximum(at, floor[x0:x1], out=at)  # B_i's zero entry
                 frame = flat.take(at, axis=0, mode="clip")
                 if p > 2:  # at p = 2 every binomial is 1, and a padding entry reads zeros
                     frame *= C[x0:x1]
