@@ -807,8 +807,9 @@ def _solve_binomial(f, D, window, source):
     nonzero row the scan finds (every row below a term's lead reads
     zero), so no least lead is formed, per J or per block.  Inside a
     block, H_S falls from J_0's by the divisor leads of the J before it
-    (for N = p + 1; a p | N block holds J_0 alone), so each term's fall
-    is known before the loop.
+    (for N = p + 1; a p | N block holds J_0 alone), so each J's fall, and
+    with it the place of its terms in its frame, is known before the
+    loop.
 
     The gather.  ``origin[i]`` is the entry of B_i's U^0 in the flat
     array of B's rows, 1 + i·(W + 1) − L(B_i), set when B_i is solved and
@@ -821,7 +822,7 @@ def _solve_binomial(f, D, window, source):
     the gather forms every O_J of the block, whole J at a time, as many
     terms as ``_per_batch`` allows.  Before the loop, from the CSR table
     and the divisor leads alone: the blocks, each J's first term and its
-    offset in its block, each term's fall, and the chunks of every
+    offset in its block, each J's fall, and the chunks of every
     gather past the budget.  So a block pays its gather (and for p | N
     its reductions), and a J its term i = J − 1 added at the top of its
     frame, the mod, the scan and one product B_J = S_J·(E_J − 1).
@@ -886,9 +887,10 @@ def _solve_binomial(f, D, window, source):
     origin[0] = 1
 
     # the blocks, from the CSR table and the divisors' leads alone: the held
-    # indices n0 .. n1 − 1 of each, its first J, each term's fall, the
-    # divisor leads of its block's J before its own, and the chunks of the
-    # gathers that pass the budget, each with the segment starts of its J
+    # indices n0 .. n1 − 1 of each, its first J, each held J's terms and
+    # its fall (the divisor leads of its block's J before it), and the
+    # chunks of the gathers that pass the budget, each with the segment
+    # starts of its J
     solved, Is, floor, C = Ks.tolist(), I[:, 0], I * (W + 1), C[:, None, None]
     alone = N != p + 1  # p | N: the held J are 1 (mod p), one per block
     size = 1 if alone else p
@@ -898,8 +900,8 @@ def _solve_binomial(f, D, window, source):
     ends = [offsets[J - 1] for J in solved] + [len(C)]  # each held J's first term
     starts = np.array(ends[:-1], dtype=np.int64)
     segments = starts - starts[::size].repeat(size)[: starts.size]
-    before = lead_T.cumsum() - lead_T
-    fall = (before - before[::size].repeat(size)[: before.size]).repeat(np.diff(ends))
+    before, sizes = lead_T.cumsum() - lead_T, np.diff(ends)
+    fall = before - before[::size].repeat(size)[: before.size]
     step = _per_batch(8 * (r + 1) * W)
     chunks = {
         a: _chunks(ends, step, segments, a, b)
@@ -915,13 +917,13 @@ def _solve_binomial(f, D, window, source):
             H = min(hi, int(np.minimum.reduce(bounds[(J0 + N - 2) // N : J0, 0])) + W)
             if lo >= H:  # no term has a digit below it: S_J is a zero to precision
                 rows = 0
-        # O_J at the exponents H_J − W .. H_J − 1, H_J = H less the term's fall
+        # O_J at the exponents H_J − W .. H_J − 1, H_J = H less J's fall
         old = np.empty((n1 - n0, rows, r), dtype=np.int64)
         if rows:
             for x0, x1, k0, k1, cuts in chunks.get(n0) or ((e0, e1, n0, n1, segments[n0:n1]),):
                 lift = origin[Is[x0:x1]]
                 if not alone:  # a J past J_0 reads the frame below its own horizon
-                    lift -= fall[x0:x1]
+                    lift -= fall[k0:k1].repeat(sizes[k0:k1])
                 at = np.add.outer(lift, (H - W) + ramp)
                 np.maximum(at, floor[x0:x1], out=at)  # B_i's zero entry
                 frame = flat.take(at, axis=0, mode="clip")
