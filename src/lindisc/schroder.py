@@ -248,10 +248,11 @@ def _small_divisors(profile, ks, window, low=1):
     of ``ks`` raises PrecisionError (vanished to that width) or
     CertificateError (off the closed form).  One batched Newton run
     inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
-    For low = 1 they are times λ.  Every entry with s > 0 is spread in
-    one pass over all their rows, each class of s mod r raised by one
-    Frobenius call; for low = 1 a spread is then times λ^(p^s − 1), in
-    products of the stacked powers that ``_per_batch`` sizes.  For
+    For low = 1 they are times λ.  The entries with s > 0 are spread in
+    one pass over all their rows, whatever their s, in chunks of entries
+    that ``_per_batch`` sizes, each class of s mod r raised by one
+    Frobenius call; for low = 1 each spread is then times λ^(p^s − 1),
+    one product per s in a chunk.  For
     low = 0, λ joins the stack as an entry with s = t, and its spread
     λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
     formed only when ``lam_inverse`` is read.
@@ -309,33 +310,29 @@ def _small_divisors(profile, ks, window, low=1):
             return powers[n, :window]
         return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
 
-    # every entry with s > 0 in one pass: row j of its u's inverse goes to
-    # row j·p^s, raised to p^(s mod r); for low = 1, times λ^(p^s − 1)
+    # every entry with s > 0 in one pass, in chunks of entries within the
+    # budget: row j of its u's inverse goes to row j·p^s, raised to
+    # p^(s mod r); for low = 1, times λ^(p^s − 1), one product per s
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
-    spread = (ss > 0).nonzero()[0]
-    if spread.size:
-        rows[spread] = 0
-        steps = p ** ss[spread]
+    spread, chunk = (ss > 0).nonzero()[0], _per_batch(8 * window * r)
+    powers_of_lam = {s: lam_power(p**s - 1) for s in set(ss[spread].tolist())} if low else {}
+    for c in range(0, spread.size, chunk):
+        part = spread[c : c + chunk]
+        steps, s_part = p ** ss[part], ss[part]
         reads = -(-window // steps)
         ends = reads.cumsum()
-        at = spread.repeat(reads)
+        at = np.arange(part.size).repeat(reads)
         j = np.arange(int(ends[-1])) - (ends - reads).repeat(reads)
-        frob = inverses[slot[at], j]
-        for c in set((ss[spread] % r).tolist()) - {0}:
-            pick = (ss[at] % r == c).nonzero()[0]
-            frob[pick] = field_.frobenius_rows(frob[pick], c)
-        rows[at, j * steps.repeat(reads)] = frob
-        if low:
-            top = sorted(set(ss[spread].tolist()))
-            lam_powers = np.zeros((len(top), window, r), dtype=np.int64)
-            for n, s in enumerate(top):
-                power = lam_power(p**s - 1)
-                lam_powers[n, : power.shape[0]] = power
-            which = np.searchsorted(top, ss[spread])
-            chunk = _per_batch(16 * window * r)  # a spread and its power of λ
-            for c in range(0, spread.size, chunk):
-                part = spread[c : c + chunk]
-                rows[part] = _convolve(field_, rows[part], lam_powers[which[c : c + chunk]], window)
+        frob = inverses[slot[part][at], j]
+        for k in set((s_part % r).tolist()) - {0}:
+            pick = (s_part[at] % r == k).nonzero()[0]
+            frob[pick] = field_.frobenius_rows(frob[pick], k)
+        block = np.zeros((part.size, window, r), dtype=np.int64)
+        block[at, j * steps.repeat(reads)] = frob
+        for s, power in powers_of_lam.items():
+            pick = (s_part == s).nonzero()[0]
+            block[pick] = _convolve(field_, block[pick], power, window)
+        rows[part] = block
     return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
 
 

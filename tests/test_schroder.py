@@ -1202,10 +1202,10 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
 
 @pytest.mark.parametrize("field, lit", [(F2, "1+T+T^3"), (F4, "b+T")])
 def test_divisor_table_spreads_in_chunks(monkeypatch, field, lit):
-    """The Frobenius spreads go in one pass, and for low = 1 their
-    products by λ^(p^s − 1) in chunks that ``_per_batch`` sizes; with one
-    entry per chunk, every entry of the low = 1 and low = 0 tables, and
-    λ^(-1), has the bytes of the table built whole."""
+    """The Frobenius spreads go in one pass over every s, in chunks of
+    entries that ``_per_batch`` sizes; with one entry per chunk, every
+    entry of the low = 1 and low = 0 tables, and λ^(-1), has the bytes of
+    the table built whole."""
     profile, W = mult_profile(parse_series(lit, field)), 16
     for low, ks in ((1, range(2, 130)), (0, range(2, 130, 2))):
         whole = _small_divisors(profile, ks, W, low)
