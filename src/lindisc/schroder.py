@@ -250,9 +250,9 @@ def _small_divisors(profile, ks, window, low=1):
     inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
     For low = 1 they are times λ.  The entries with s > 0 are spread in
     one pass over all their rows, whatever their s, in chunks of entries
-    that ``_per_batch`` sizes, each class of s mod r raised by one
-    Frobenius call; for low = 1 each spread is then times λ^(p^s − 1),
-    one product per s in a chunk.  For
+    (ordered by s) that ``_per_batch`` sizes, each class of s mod r
+    raised by one Frobenius call; for low = 1 each spread is then times
+    λ^(p^s − 1), one product per run of one s in a chunk.  For
     low = 0, λ joins the stack as an entry with s = t, and its spread
     λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
     formed only when ``lam_inverse`` is read.
@@ -311,14 +311,16 @@ def _small_divisors(profile, ks, window, low=1):
         return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
 
     # every entry with s > 0 in one pass, in chunks of entries within the
-    # budget: row j of its u's inverse goes to row j·p^s, raised to
-    # p^(s mod r); for low = 1, times λ^(p^s − 1), one product per s
+    # budget, ordered by s: row j of its u's inverse goes to row j·p^s,
+    # raised to p^(s mod r); for low = 1, times λ^(p^s − 1), one product
+    # per run of one s
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
     spread, chunk = (ss > 0).nonzero()[0], _per_batch(8 * window * r)
-    powers_of_lam = {s: lam_power(p**s - 1) for s in set(ss[spread].tolist())} if low else {}
+    spread = spread[ss[spread].argsort(kind="stable")]
     for c in range(0, spread.size, chunk):
         part = spread[c : c + chunk]
-        steps, s_part = p ** ss[part], ss[part]
+        s_part = ss[part]
+        steps = p**s_part
         reads = -(-window // steps)
         ends = reads.cumsum()
         at = np.arange(part.size).repeat(reads)
@@ -329,9 +331,10 @@ def _small_divisors(profile, ks, window, low=1):
             frob[pick] = field_.frobenius_rows(frob[pick], k)
         block = np.zeros((part.size, window, r), dtype=np.int64)
         block[at, j * steps.repeat(reads)] = frob
-        for s, power in powers_of_lam.items():
-            pick = (s_part == s).nonzero()[0]
-            block[pick] = _convolve(field_, block[pick], power, window)
+        cuts = [0, *((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist(), part.size]
+        for lo, hi in zip(cuts, cuts[1:]) if low else ():
+            power = lam_power(p ** int(s_part[lo]) - 1)
+            block[lo:hi] = _convolve(field_, block[lo:hi], power, window)
         rows[part] = block
     return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
 
