@@ -329,13 +329,12 @@ def _small_divisors(profile, ks, window, low=1):
         for k in set((s_part % r).tolist()) - {0}:
             pick = (s_part[at] % r == k).nonzero()[0]
             frob[pick] = field_.frobenius_rows(frob[pick], k)
-        block = np.zeros((part.size, window, r), dtype=np.int64)
-        block[at, j * steps.repeat(reads)] = frob
+        rows[part] = 0
+        rows[part[at], j * steps.repeat(reads)] = frob
         cuts = [0, *((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist(), part.size]
         for lo, hi in zip(cuts, cuts[1:]) if low else ():
-            power = lam_power(p ** int(s_part[lo]) - 1)
-            block[lo:hi] = _convolve(field_, block[lo:hi], power, window)
-        rows[part] = block
+            run, power = part[lo:hi], lam_power(p ** int(s_part[lo]) - 1)
+            rows[run] = _convolve(field_, rows[run], power, window)
     return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
 
 
