@@ -250,9 +250,9 @@ def _small_divisors(profile, ks, window, low=1):
     inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
     For low = 1 they are times λ.  The entries with s > 0 are spread in
     one pass over all their rows, whatever their s, in chunks of entries
-    (ordered by s) that ``_per_batch`` sizes, each class of s mod r
-    raised by one Frobenius call; for low = 1 each spread is then times
-    λ^(p^s − 1), one product per run of one s in a chunk.  For
+    that ``_per_batch`` sizes, each class of s mod r raised by one
+    Frobenius call; for low = 1, with the entries ordered by s, each run
+    of one s is then times λ^(p^s − 1) in one product.  For
     low = 0, λ joins the stack as an entry with s = t, and its spread
     λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
     formed only when ``lam_inverse`` is read.
@@ -311,12 +311,13 @@ def _small_divisors(profile, ks, window, low=1):
         return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
 
     # every entry with s > 0 in one pass, in chunks of entries within the
-    # budget, ordered by s: row j of its u's inverse goes to row j·p^s,
-    # raised to p^(s mod r); for low = 1, times λ^(p^s − 1), one product
-    # per run of one s
+    # budget: row j of its u's inverse goes to row j·p^s, raised to
+    # p^(s mod r); for low = 1, times λ^(p^s − 1), one product per run of
+    # one s
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
     spread, chunk = (ss > 0).nonzero()[0], _per_batch(8 * window * r)
-    spread = spread[ss[spread].argsort(kind="stable")]
+    if low:  # runs of one s, each multiplied by one power of λ
+        spread = spread[ss[spread].argsort(kind="stable")]
     for c in range(0, spread.size, chunk):
         part = spread[c : c + chunk]
         s_part = ss[part]
@@ -331,8 +332,10 @@ def _small_divisors(profile, ks, window, low=1):
             frob[pick] = field_.frobenius_rows(frob[pick], k)
         rows[part] = 0
         rows[part[at], j * steps.repeat(reads)] = frob
-        cuts = [0, *((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist(), part.size]
-        for lo, hi in zip(cuts, cuts[1:]) if low else ():
+        cuts = [0]  # the runs of one s, for low = 1
+        if low:
+            cuts += ((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist() + [part.size]
+        for lo, hi in zip(cuts, cuts[1:]):
             run, power = part[lo:hi], lam_power(p ** int(s_part[lo]) - 1)
             rows[run] = _convolve(field_, rows[run], power, window)
     return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
