@@ -127,16 +127,16 @@ def lemma_bound(profile, A, k, den):
     return (k - 1) * a.numerator - v.numerator * count_resonant(profile, k)
 
 
-def product_small_divisors(profile, N):
+def product_small_divisors(profile, Ns):
     """Σ_{i=1}^{p^{N-1}} v(1 - λ^{ip}) for m = 1 by the closed form
     v_1 · p^N · ((p-1)(N-1)/p + 1), checked against the sum of the terms'
-    closed forms: one integer in U-units.  N is an int, or a sequence of
-    them (a certificate's N = 1 .. Nmax), whose closed forms come back as
-    a list in its order: one ``p_split`` and one ``small_divisor_leads``
-    pass over every i <= p^(N−1) of the largest N, and each N's sum is a
-    prefix of their running sum.  A mismatch is a CertificateError naming
-    the first N, in that order, where it occurs."""
-    Ns = list(N) if np.ndim(N) else [N]
+    closed forms, for each N of the sequence ``Ns`` (a certificate's
+    N = 1 .. Nmax): a list of integers in U-units, in its order.  One
+    ``p_split`` and one ``small_divisor_leads`` pass over every
+    i <= p^(N−1) of the largest N, and each N's sum is a prefix of their
+    running sum.  A mismatch is a CertificateError naming the first N,
+    in that order, where it occurs."""
+    Ns = list(Ns)
     if profile.m != 1:
         raise HypothesisError("the product formula requires m = 1 (|1 - lambda| < 1)")
     if min(Ns) < 1:
@@ -152,7 +152,7 @@ def product_small_divisors(profile, N):
             raise CertificateError(
                 f"product formula mismatch at N={n}: terms {total} != closed {closed[-1]}"
             )
-    return closed if np.ndim(N) else closed[0]
+    return closed
 
 
 def disc_profile(profile, gauge):

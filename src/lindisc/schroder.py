@@ -313,9 +313,13 @@ def _small_divisors(profile, ks, window, low=1):
     # every entry with s > 0 in one pass, in chunks of entries within the
     # budget: row j of its u's inverse goes to row j·p^s, raised to
     # p^(s mod r); for low = 1, times λ^(p^s − 1), one product per run of
-    # one s
+    # one s.  An entry reads at most ⌈window/p⌉ rows, each with its r
+    # coordinates, about 7r more while its Frobenius powers are formed and
+    # about eight int64 indices; the product copies and replaces its
+    # window rows (its own temporaries take ``_convolve``'s batches)
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
-    spread, chunk = (ss > 0).nonzero()[0], _per_batch(8 * window * r)
+    spread = (ss > 0).nonzero()[0]
+    chunk = _per_batch(8 * (2 * r * window + 8 * (r + 1) * -(-window // p)))
     if low:  # runs of one s, each multiplied by one power of λ
         spread = spread[ss[spread].argsort(kind="stable")]
     for c in range(0, spread.size, chunk):
@@ -332,6 +336,7 @@ def _small_divisors(profile, ks, window, low=1):
             frob[pick] = field_.frobenius_rows(frob[pick], k)
         rows[part] = 0
         rows[part[at], j * steps.repeat(reads)] = frob
+        del at, j, frob
         cuts = [0]  # the runs of one s, for low = 1
         if low:
             cuts += ((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist() + [part.size]
@@ -637,12 +642,11 @@ def _binomial_terms(p, N, held):
     completion, its lower digits 0, so no level holds more prefixes than
     there are pairs (i, q) with a nonzero binomial.  Each binomial is
     g^e, e the sum over the digits of log h_t! − log q_t! −
-    log (h_t − q_t)! as in ``_lucas`` (every term is 1 at p = 2).  The
-    held i go in chunks of whole i with
-    at most ``_per_batch(96)`` candidates q <= Q_i between them, so a
+    log (h_t − q_t)! as in ``_lucas``.  The held i go in chunks of whole
+    i with at most ``_per_batch(96)`` candidates q <= Q_i between them, so a
     chunk holds at most that many prefixes: 96 bytes per candidate, the
     budget of the pass over every pair (i, q) this replaced, bounds the
-    table's whole tracemalloc peak with room (7 to 55 bytes per
+    table's whole tracemalloc peak with room (11 to 55 bytes per
     candidate at F_2 .. F_13, Jmax = 1024 .. 4096).  The entries are
     sorted by J once, stably, so each padding entry stays first in its
     row.
@@ -674,10 +678,9 @@ def _binomial_terms(p, N, held):
             digit = np.arange(int(ends[-1])) - (ends - ways).repeat(ways)
             at = at.repeat(ways)
             room = room.repeat(ways) - digit * place
-            if p > 2:  # at p = 2 every term of e is log 1 = 0
-                top = top.repeat(ways)
-                e = e.repeat(ways) + log_fact[top] - log_fact[digit] - log_fact[top - digit]
-        c = power[e % (p - 1)] if p > 2 else np.ones_like(at)
+            top = top.repeat(ways)
+            e = e.repeat(ways) + log_fact[top] - log_fact[digit] - log_fact[top - digit]
+        c = power[e % (p - 1)]
         found.append(np.stack((at, Q[at] - room, c)))
         lo = hi
     at, q, c = np.concatenate(found, axis=1)
@@ -824,8 +827,9 @@ def _solve_binomial(f, D, window, source):
     the gather forms every O_J of the block, whole J at a time, as many
     terms as ``_per_batch`` allows.  Before the loop, from the CSR table
     and the divisor leads alone: the blocks, each J's first term and its
-    offset in its block, each J's fall, and the chunks of every
-    gather past the budget.  So a block pays its gather (and for p | N
+    offset in its block, each J's fall (a p | N block holds one J, at
+    offset 0, that does not fall), and the chunks of every gather past
+    the budget.  So a block pays its gather (and for p | N
     its reductions), and a J its term i = J − 1 added at the top of its
     frame, the mod, the scan and one product B_J = S_J·(E_J − 1).
     Each held J's CSR row starts with one padding entry (Jmax + 1, 0), a
@@ -900,10 +904,13 @@ def _solve_binomial(f, D, window, source):
     n1 = n0[1:] + [len(solved)]
     J0 = [solved[n] for n in n0]
     ends = [offsets[J - 1] for J in solved] + [len(C)]  # each held J's first term
-    starts = np.array(ends[:-1], dtype=np.int64)
-    segments = starts - starts[::size].repeat(size)[: starts.size]
-    before, sizes = lead_T.cumsum() - lead_T, np.diff(ends)
-    fall = before - before[::size].repeat(size)[: before.size]
+    if alone:  # each J's terms start its block, and no J falls
+        segments = np.zeros(len(solved), dtype=np.int64)
+    else:
+        starts = np.array(ends[:-1], dtype=np.int64)
+        segments = starts - starts[::size].repeat(size)[: starts.size]
+        before, sizes = lead_T.cumsum() - lead_T, np.diff(ends)
+        fall = before - before[::size].repeat(size)[: before.size]
     step = _per_batch(8 * (r + 1) * W)
     chunks = {
         a: _chunks(ends, step, segments, a, b)

@@ -125,7 +125,7 @@ def test_criterion_3():
             pr = mult_profile(lam)
             p = field.p
             for N in range(1, Nmax + 1):
-                closed = product_small_divisors(pr, N)
+                (closed,) = product_small_divisors(pr, [N])
                 term_sum = sum(
                     closed_form(pr, i * p) for i in range(1, p ** (N - 1) + 1)
                 )

@@ -221,10 +221,10 @@ def test_closed_form_matches_direct_oracle():
 
 def test_product_formula_examples():
     pr2 = mult_profile(parse_series("1+T", F2))
-    assert product_small_divisors(pr2, 3) == 16
-    assert product_small_divisors(pr2, 1) == 2
+    assert product_small_divisors(pr2, [3]) == [16]
+    assert product_small_divisors(pr2, [1]) == [2]
     pr3 = mult_profile(parse_series("1+T", F3))
-    assert product_small_divisors(pr3, 2) == 15
+    assert product_small_divisors(pr3, [2]) == [15]
 
 
 def test_product_formula_matches_direct_series():
@@ -237,7 +237,7 @@ def test_product_formula_matches_direct_series():
                 small_divisor_direct(lam, i * p)
                 for i in range(1, p ** (N - 1) + 1)
             )
-            assert product_small_divisors(pr, N) == direct
+            assert product_small_divisors(pr, [N]) == [direct]
 
 
 def _term_off_at(n):
@@ -251,9 +251,9 @@ def test_product_formula_sums_the_closed_form_terms(monkeypatch):
     breaks its agreement with the closed form."""
     pr = mult_profile(parse_series("1+T", F3))
     monkeypatch.setattr(lindisc.multiplier, "small_divisor_leads", _term_off_at(6))
-    assert product_small_divisors(pr, 1) == 3
+    assert product_small_divisors(pr, [1]) == [3]
     with pytest.raises(CertificateError, match="N=2"):
-        product_small_divisors(pr, 2)
+        product_small_divisors(pr, [2])
 
 
 def test_product_formula_reports_the_N_it_was_asked_for(monkeypatch):
@@ -263,7 +263,7 @@ def test_product_formula_reports_the_N_it_was_asked_for(monkeypatch):
     monkeypatch.setattr(lindisc.multiplier, "small_divisor_leads", _term_off_at(3))
     for N in (1, 3):
         with pytest.raises(CertificateError, match=f"N={N}:"):
-            product_small_divisors(pr, N)
+            product_small_divisors(pr, [N])
 
 
 @pytest.mark.parametrize("p, N", [(2, 11), (3, 7), (5, 5), (7, 4)])
@@ -276,13 +276,13 @@ def test_product_formula_equals_the_per_term_sum(p, N, ram):
     for lam in (f"1+{U}", f"1+{U}^3+{U}^4"):
         pr = mult_profile(parse_series(lam, field, ram=ram))
         assert pr.m == 1
-        assert product_small_divisors(pr, N) == product_small_divisors_per_term(pr, N)
+        assert product_small_divisors(pr, [N]) == [product_small_divisors_per_term(pr, N)]
 
 
 def test_product_formula_requires_m_one():
     pr = mult_profile(parse_series("b+T", F4))
     with pytest.raises(HypothesisError):
-        product_small_divisors(pr, 2)
+        product_small_divisors(pr, [2])
 
 
 def test_count_resonant_against_brute_force():
