@@ -155,7 +155,7 @@ def _powers(x, n, width):
     (width + l - 1)·l coordinate products, l the rows of x^c; c is capped
     where that passes ``_SLICE_PRODUCTS``, and by ``laurent._per_batch``
     from the 2·width - 1 rows of each power's buffer: a short x in a wide
-    window adds a few powers per product, or one by the unbatched path.
+    window adds a few powers per product, or one.
     Row j of a product depends only on rows <= j of its factors, so every
     row is a row of the exact x^n.  Readers take rows through ``_rows``."""
     field_, r = x.field, x.field.r
@@ -177,10 +177,8 @@ def _powers(x, n, width):
     have = 2  # x^0 .. x^(have-1) are formed
     while have <= n:
         c = min(have - 1, n + 1 - have, most)
-        # one power takes the unbatched path, which skips zero coordinates
-        stack = table[have - 1] if c == 1 else table[have - c : have]
         table[have : have + c] = _convolve(
-            field_, stack, table[c, : min(width, c * degree + 1)], width
+            field_, table[have - c : have], table[c, : min(width, c * degree + 1)], width
         )
         have += c
     return table
@@ -255,7 +253,9 @@ def _small_divisors(profile, ks, window, low=1):
     of one s is then times λ^(p^s − 1) in one product.  For
     low = 0, λ joins the stack as an entry with s = t, and its spread
     λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
-    formed only when ``lam_inverse`` is read.
+    formed only when ``lam_inverse`` is read.  The powers of λ are let go
+    before the Newton run, once a low = 1 table has taken its
+    λ^(p^s − 1), and the unit stack once the run returns.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
@@ -296,19 +296,25 @@ def _small_divisors(profile, ks, window, low=1):
     units = stack[: distinct.size]
     np.negative(powers[distinct[:, None], at], out=units)
     units[..., 0] += at == 0
+    del units, at
     stack %= p
     head = lam.coeffs[:window]
+    # for low = 1, λ^(p^s − 1) to ``window`` rows for every s > 0, the
+    # spread's only read of the powers, which are then let go
+    lam_powers = {}
+    for n in {p**s - 1 for s in ss[ss > 0].tolist()} if low else ():
+        if n < powers.shape[0] and width >= window:
+            lam_powers[n] = powers[n, :window].copy()
+        else:
+            lam_powers[n] = (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
+    del powers
     if low:  # λ(1 − λ^u)
         stack = _convolve(field_, stack, head[:digits], digits)
     else:  # and λ, an entry with s = t
         stack[-1, : head.shape[0]] = head[:digits]
         ss, slot = np.append(ss, t), np.append(slot, distinct.size)
     inverses = _invert_unit(field_, stack, digits)
-
-    def lam_power(n):  # λ^n to ``window`` rows
-        if n < powers.shape[0] and width >= window:
-            return powers[n, :window]
-        return (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
+    del stack
 
     # every entry with s > 0 in one pass, in chunks of entries within the
     # budget: row j of its u's inverse goes to row j·p^s, raised to
@@ -341,8 +347,8 @@ def _small_divisors(profile, ks, window, low=1):
         if low:
             cuts += ((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist() + [part.size]
         for lo, hi in zip(cuts, cuts[1:]):
-            run, power = part[lo:hi], lam_power(p ** int(s_part[lo]) - 1)
-            rows[run] = _convolve(field_, rows[run], power, window)
+            run = part[lo:hi]
+            rows[run] = _convolve(field_, rows[run], lam_powers[p ** int(s_part[lo]) - 1], window)
     return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
 
 
@@ -950,11 +956,7 @@ def _solve_binomial(f, D, window, source):
             if nonzero.size:
                 S = S[int(nonzero[0]) :]
                 first = H - S.shape[0]
-                # at r > 1 the stacked path's matrix products beat a
-                # ``correlate`` per coordinate pair: 14.7 against 26 µs for
-                # 30 by 32 rows at r = 2 (Xeon, numpy 2.4)
-                S = S[None] if r > 1 else S
-                B[J : J + 1, : H - first] = _convolve(field_, S, G[n], H - first)
+                B[J, : H - first] = _convolve(field_, S, G[n], H - first)
             last, digits = first - lead_T[n], H - first
             H -= lead_T[n]
             out.append((last, H))

@@ -344,8 +344,9 @@ def test_valuation_comparisons():
 
 @pytest.mark.parametrize("field", [F3, F4, FieldParams(2, 4)], ids=["r1", "r2", "r4"])
 def test_batched_convolution_is_one_convolution_per_slice(field):
-    """Each slice of a batched product is the unbatched product: the zero
-    rows between slices keep them apart, at every length down to 1."""
+    """Each slice of a batched product is the product of that slice alone
+    in Python integers: the zero rows between slices keep them apart, at
+    every length down to 1."""
     rng = random.Random(field.q)
     for la, lb in [(1, 1), (1, 5), (6, 1), (7, 4), (3, 9)]:
         a = np.array(
@@ -356,14 +357,14 @@ def test_batched_convolution_is_one_convolution_per_slice(field):
         assert batched.shape == (2, 3, la + lb - 1, field.r)
         for i in range(2):
             for j in range(3):
-                assert (batched[i, j] == _convolve(field, a[i, j], b)).all()
+                assert (batched[i, j] == int_convolve(field, a[i, j], b)).all()
 
 
 @pytest.mark.parametrize("field", [F3, F4, FieldParams(2, 4)], ids=["r1", "r2", "r4"])
 def test_pairwise_convolution_is_one_convolution_per_pair(field):
     """When both operands carry the batch, slice (i, j) of the product is
-    the unbatched product of the two (i, j) slices, at every length down
-    to 1, and a batch of one is the unbatched product too."""
+    the product of the two (i, j) slices in Python integers, at every
+    length down to 1, and so is a batch of one."""
     rng = random.Random(field.q)
 
     def rows(*shape):
@@ -378,9 +379,9 @@ def test_pairwise_convolution_is_one_convolution_per_pair(field):
         assert paired.shape == (2, 3, la + lb - 1, field.r)
         for i in range(2):
             for j in range(3):
-                assert (paired[i, j] == _convolve(field, a[i, j], b[i, j])).all()
+                assert (paired[i, j] == int_convolve(field, a[i, j], b[i, j])).all()
         one = _convolve(field, a[:1, :1], b[:1, :1])
-        assert (one[0, 0] == _convolve(field, a[0, 0], b[0, 0])).all()
+        assert (one[0, 0] == int_convolve(field, a[0, 0], b[0, 0])).all()
 
 
 def int_convolve(field, a, b):
@@ -396,6 +397,78 @@ def int_convolve(field, a, b):
         for j in range(r + 1):
             raw[:, t - r + j] -= raw[:, t] * modulus[j]
     return raw[:, :r] % p
+
+
+@pytest.mark.parametrize(
+    "field", [F4, FieldParams(3, 3), FieldParams(2, 4)], ids=["r2", "r3", "r4"]
+)
+def test_pair_products_over_an_extension_are_the_integer_products(field):
+    """One pair of arrays over F_{p^r}, r > 1, a stack of one inside
+    ``_convolve``: La < Lb and La > Lb, one-row operands, and an operand
+    with one coordinate column all zero (each column in turn, in either
+    factor), cut by ``keep`` below, at and above La + Lb - 1, equal the
+    product in Python integers cut to ``keep`` rows."""
+    rng = random.Random(5 * field.q)
+
+    def rows(length, zero=None):
+        a = np.array(
+            [[rng.randrange(field.p) for _ in range(field.r)] for _ in range(length)],
+            dtype=np.int64,
+        )
+        if zero is not None:
+            a[:, zero] = 0
+        return a
+
+    for la, lb in [(3, 11), (11, 3), (1, 9), (9, 1), (1, 1), (8, 8)]:
+        full = la + lb - 1
+        for zero in (None, *range(field.r)):
+            a, b = rows(la, zero), rows(lb)
+            for x, y in ((a, b), (b, a)):
+                expected = int_convolve(field, x, y).astype(np.int64)
+                assert np.array_equal(_convolve(field, x, y), expected)
+                for keep in sorted({max(full - 3, 1), full, full + 2}):
+                    got = _convolve(field, x, y, keep)
+                    assert np.array_equal(got, expected[:keep]), (la, lb, zero, keep)
+
+
+@pytest.mark.parametrize(
+    "field", [F3, F4, FieldParams(3, 3), FieldParams(2, 4)], ids=["r1", "r2", "r3", "r4"]
+)
+def test_only_a_pair_over_a_prime_field_takes_correlate(monkeypatch, field):
+    """The product path goes by shape: one pair of arrays at r = 1 is one
+    ``correlate`` call, and no other product makes one, neither a pair at
+    r > 1 nor a stack, by one array or by a stack, at any r."""
+    rng = random.Random(11 * field.q)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return correlate(*args)
+
+    correlate = lindisc.laurent._correlate
+    monkeypatch.setattr(lindisc.laurent, "_correlate", counted)
+
+    def rows(*shape):
+        return np.array(
+            [rng.randrange(field.p) for _ in range(field.r * math.prod(shape))],
+            dtype=np.int64,
+        ).reshape(*shape, field.r)
+
+    for la, lb in [(1, 1), (5, 9), (9, 5)]:
+        a, b = rows(la), rows(lb)
+        for keep in (None, la + lb - 2 or 1):
+            del calls[:]
+            got = _convolve(field, a, b, keep)
+            assert len(calls) == (field.r == 1)
+            assert np.array_equal(got, int_convolve(field, a, b)[:keep])
+        stack = rows(3, la)
+        for by in (b, rows(3, lb)):
+            del calls[:]
+            got = _convolve(field, stack, by)
+            assert not calls
+            for s in range(3):
+                expected = int_convolve(field, stack[s], by if by.ndim == 2 else by[s])
+                assert np.array_equal(got[s], expected)
 
 
 @pytest.mark.parametrize(
