@@ -439,13 +439,12 @@ def test_only_a_pair_over_a_prime_field_takes_correlate(monkeypatch, field):
     ``correlate`` call, and no other product makes one, neither a pair at
     r > 1 nor a stack, by one array or by a stack, at any r."""
     rng = random.Random(11 * field.q)
-    calls = []
+    calls, correlate = [], lindisc.laurent._correlate
 
     def counted(*args):
         calls.append(args)
         return correlate(*args)
 
-    correlate = lindisc.laurent._correlate
     monkeypatch.setattr(lindisc.laurent, "_correlate", counted)
 
     def rows(*shape):
