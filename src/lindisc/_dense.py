@@ -1,51 +1,55 @@
 """Internal dense engine for polynomials in x with Laurent-series
-coefficients.  It serves the term-matching solver ``solve_sfe`` only;
-composition of coefficient tables is ``powerseries.table_compose``.
+coefficients, for the term-matching solver ``solve_sfe`` only
+(``powerseries.table_compose`` composes coefficient tables).
 
 A ``DensePoly`` holds, per x-degree d <= D, a window of W consecutive
-U-coefficients starting at ``base[d]`` together with the justified horizon
-``prec[d]``.  Both bulk operations convolve only the columns that hold
-data, in batched ``laurent._convolve`` calls that form only the W rows
-of each result window, shifted into place, so the per-degree Python
-cost is constant.
-``laurent._per_batch`` sizes each batch (grid rows or column pairs of
-``mul``, data columns of ``add_scaled``) from the bytes one item holds;
-products are exact and sums are taken mod p, so no batch changes a result:
+U-coefficients from ``base[d]`` and the justified horizon ``prec[d]``.
+The bulk operations convolve only the columns that hold data, in
+batched ``laurent._convolve`` calls that form the W rows of each result
+window in place, so the per-degree Python cost is constant; each batch
+(grid rows or column pairs of ``mul``, data columns of ``add_scaled``)
+is sized by ``laurent._per_batch``, and products are exact and sums mod
+p, so no batch changes a result:
 
-* ``mul``, the product of two exact-start powers (below), makes two
-  passes over the other's packed ``_factor``.  The base pass takes one
-  broadcast minimum of base[j] + base[i] over a grid of (live column i
-  of the other) × (x-degree) on the band the product can reach, and
-  writes the product's horizons from it.  The data pass convolves the
-  pairs of columns that both hold data, self's column j against the
-  other's column i trimmed to its nonzero rows, into the window at
-  x^(i+j).  A solve multiplies by f's columns, the stride f^p and the
-  gap powers u^g it keeps, so each factor is formed once; its
-  polynomial is read-only from then on, so no factor goes stale.
-  ``mul_by_map`` multiplies by a map's exact coefficients, installed as
-  columns by ``of_map`` once per chain of products: each product
-  carries ``map_columns = (f, columns)``, and f's factor with it, to
-  the next (installing them per product made the sweep workload 5%
-  slower), and the solve's f^1, being f's columns, is marked so that
+* ``mul``, the product of two exact-start powers (below), over the
+  other's packed ``_factor``.  Its bases come from f's min-plus table
+  (``_MinPlus``) below a cut when both are powers of one map f, else
+  from the minimum of base[j] + base[i] over a grid of (live column i
+  of the other) × (x-degree).  The data pass convolves the pairs of
+  columns that both hold data, self's column j against the other's
+  column i trimmed to its nonzero rows, into the window at x^(i+j).  A
+  solve multiplies by f's columns, the stride f^p and the gap powers
+  u^g it keeps, so each factor is formed once; its polynomial is
+  read-only from then on.  ``mul_by_map`` multiplies by a map's exact
+  coefficients, installed as columns by ``of_map`` once per chain: each
+  product carries ``map_columns = (f, columns)``, and f's factor, to
+  the next, and the solve's f^1, being f's columns, is marked so that
   its own products read it;
 * ``add_scaled``, the accumulation of a scalar multiple of any
   polynomial: one convolution of its data columns with the scalar into
-  the sum's windows, whose columns are realigned where their base moves.
+  the sum's windows, realigned where their base moves and masked where
+  they took data or their horizon fell;
+* ``column(d, by)``, b_k of the solve: one product, one series.
 
 An exact-start power has ``prec = base + W`` on every finite column and
 is an exact zero (base and horizon INF) elsewhere.  ``of_map``'s columns
-are one, and so is a product of two: for full-window columns the minimum
-rule's horizon at x^(i+j), min(prec[j] + base[i], base[j] + prec[i]), is
-base[j] + base[i] + W, and the data pass forms only W rows from each
-base.  ``mul`` checks both operands: a horizon below its window or a
-column zero only to precision raises ``CertificateError``.  Clamping a
-map coefficient to its first W digits loses nothing: a digit at
-``lead + W`` or beyond reaches x^(i+j) at or past base[j] + lead + W.
-Started from a map's exact coefficients, the bases of f^k are the k-th
-min-plus power of the leads of f and the digits below the horizon are
-the true digits of f^k; min-plus convolution is associative, so every
-honest route to f^k (f^{k-1}·f or f^{k-p}·f^p) gives the same bases,
-horizons and data.
+are one, and so is a product of two: for full-window columns the
+minimum rule's horizon at x^(i+j), min(prec[j] + base[i], base[j] +
+prec[i]), is base[j] + base[i] + W, and the data pass forms W rows from
+each base.  ``mul`` checks an operand that is not a power of a map: a
+horizon below its window or a column zero only to precision raises
+``CertificateError``.  Clamping a map coefficient to its first W digits
+loses nothing: a digit at ``lead + W`` or beyond reaches x^(i+j) at or
+past base[j] + lead + W.  From a map's exact coefficients, the bases of
+f^k are the k-th min-plus power of the leads of f and the digits below
+the horizon are the true digits of f^k; min-plus convolution is
+associative, so every honest route to f^k (f^{k-1}·f or f^{k-p}·f^p,
+the table or the grid) gives the same bases, horizons and data.  No
+other shortcut moves a byte: sums mod p do not depend on their order; a
+column of the sum that took no data keeps its digits below min(old
+horizon, new base + W), so it needs no mask unless its horizon fell
+below that; and zero rows padding the factors of a product of series
+change none of its lead, horizon and digits.
 
 The running sum is the one polynomial with general horizons.
 ``add_scaled`` keeps the pessimistic minimum rule of
@@ -75,17 +79,45 @@ def _clamp(values):
     return values
 
 
+class _MinPlus:
+    """``table[m]``, m <= D: the least sum of leads v(a_i) over multisets
+    of shifts i - 1 of f's nonlinear degrees that add up to m (INF for
+    none), one running minimum of table[r + js] - j·v(a_i) per shift s.
+    As v(λ) = 0, f^k has base table[d - k] at x^d while d - k < (k + 1)·
+    ``least``, the least shift: no more than k shifts fit."""
+
+    def __init__(self, f, D):
+        self.f = f
+        shifts = sorted((i - 1, a.lead) for i, a in f.coeffs.items() if 2 <= i <= D)
+        self.least = shifts[0][0] if shifts else D + 1
+        # padded to whole rows of every grid: a sum past D reaches no m <= D
+        table = np.empty(D + 1 + (shifts[-1][0] if shifts else 0), dtype=np.int64)
+        table.fill(INF)
+        table[0] = 0
+        for s, cost in shifts:
+            rows = -(-(D + 1) // s)
+            grid = table[: rows * s].reshape(rows, s)
+            ramp = np.arange(rows, dtype=np.int64)[:, None] * cost
+            grid -= ramp
+            np.minimum.accumulate(grid, axis=0, out=grid)
+            grid += ramp
+        self.table = _clamp(table[: D + 1])
+
+
 class DensePoly:
     def __init__(self, field, ram, D, W):
         self.field = field
         self.ram = ram
         self.D = D
         self.W = W
-        self.base, self.prec = np.full((2, D + 1), INF, dtype=np.int64)
+        self.base, self.prec = bounds = np.empty((2, D + 1), dtype=np.int64)
+        bounds.fill(INF)
         self.data = np.zeros((D + 1, W, field.r), dtype=np.int64)
         # (f, f's columns) when this polynomial is a product by the map f,
         # (f, None) when it is f's columns itself
         self.map_columns = None
+        # (f's ``_MinPlus``, k) while this polynomial is the power f^k
+        self.power = None
 
     @classmethod
     def of_map(cls, f, D, W):
@@ -95,12 +127,14 @@ class DensePoly:
         for i, a in f.coeffs.items():
             if i <= D:
                 poly.set_column(i, a)
+        poly.power = (_MinPlus(f, D), 1)
         return poly
 
     # -- column access ---------------------------------------------------------
 
     def set_column(self, d, series):
         """Install a series as the coefficient of x^d (window-clamped)."""
+        self.power = None
         self.data[d] = 0
         if series.is_zero_as_known:
             self.base[d] = INF
@@ -114,22 +148,32 @@ class DensePoly:
         self.data[d, : rows.shape[0]] = rows
         self.data[d][lead + np.arange(self.W) >= eff] = 0
 
-    def column(self, d):
-        """Coefficient of x^d as a LaurentSeries."""
-        if self.base[d] >= _INF_CUT:
-            if self.prec[d] >= _INF_CUT:
-                return LaurentSeries.zero(self.field, self.ram, 0, exact=True)
-            return LaurentSeries.zero(self.field, self.ram, int(self.prec[d]))
-        if self.prec[d] >= _INF_CUT:
-            raise PrecisionError("column with finite base must carry finite horizon")
-        # a copy: the polynomial's data stays writable
-        return LaurentSeries._of(
-            self.field, self.ram, int(self.base[d]), self.data[d].copy(), int(self.prec[d])
-        )
+    def column(self, d, by=None):
+        """Coefficient of x^d as a LaurentSeries, or its product by ``by``
+        = (lead, rows, prec), an inexact series whose first row is
+        nonzero, formed as ``LaurentSeries.__mul__`` forms it."""
+        base, prec = int(self.base[d]), int(self.prec[d])
+        if prec >= _INF_CUT:
+            if base < _INF_CUT:
+                raise PrecisionError("column with finite base must carry finite horizon")
+            return LaurentSeries.zero(self.field, self.ram, 0, exact=True)
+        lead, rows, horizon = by or (0, None, None)
+        nonzero = _any(self.data[d], axis=1)
+        first = int(nonzero.argmax())
+        if not nonzero[first]:  # zero as known: its lead is its horizon
+            return LaurentSeries.zero(self.field, self.ram, prec + lead)
+        if by is None:  # a copy: the polynomial's data stays writable
+            return LaurentSeries._of(self.field, self.ram, base, self.data[d].copy(), prec)
+        base += first
+        prec = min(prec + lead, horizon + base)
+        product = _convolve(self.field, self.data[d, first:], rows, prec - base - lead)
+        return LaurentSeries._of(self.field, self.ram, base + lead, product, prec)
 
     def _live(self):
         """Index of the first column that is not an exact zero (D + 1 if
-        there is none)."""
+        there is none): x^k for the power f^k, as v(λ) = 0."""
+        if self.power is not None:
+            return min(self.power[1], self.D + 1)
         live = self.prec < _INF_CUT
         first = int(live.argmax())
         return first if live[first] else self.D + 1
@@ -183,13 +227,14 @@ class DensePoly:
 
         The columns at x^j of self and x^i of other give the base at
         x^(i+j) base[j] + base[i] and, being full-window, the horizon
-        min(prec[j] + base[i], base[j] + prec[i]) = base[j] + base[i] + W:
-        the product's horizon is its base + W.  Every live column counts
-        in the base pass; only pairs that both hold data are convolved.
-        Self's columns below its first live one, lo, are exact zeros, so
-        only x^(lo + i) .. x^D are reached, i other's first live column.
+        min(prec[j] + base[i], base[j] + prec[i]) = base[j] + base[i] + W.
+        Every live column counts in the bases; only pairs that both hold
+        data are convolved.  Only x^(lo + i) .. x^D are reached, lo and i
+        the first live columns.  A power of a map is exact-start as
+        formed, so only another left operand is checked here.
         """
-        self._check_exact_start()
+        if self.power is None:
+            self._check_exact_start()
         D, W = self.D, self.W
         out = DensePoly(self.field, self.ram, D, W)
         lo = self._live()
@@ -197,26 +242,33 @@ class DensePoly:
         n = int(cols.searchsorted(D + 1 - lo))
         if not n:
             return out
-        cols, col_bases = cols[:n, None], col_bases[:n, None]
-        start = lo + int(cols[0, 0])
-        # base pass: row c of the grid is other's column cols[c] against
-        # self's column d - cols[c] >= lo (INF before) at x^d, d >= start; a
-        # row holds its indices and the bases it gathers, and a batch half
-        # the budget: the other half is for the powers a solve keeps
-        # (``schroder._GapPowers``)
-        pad = int(cols[-1, 0] - cols[0, 0])
-        bases = np.empty(pad + D + 1 - lo, dtype=np.int64)
-        bases[:pad], bases[pad:] = INF, self.base[lo:]
-        band = np.arange(start, D + 1) + (pad - lo)
-        out_base = out.base[start:]
-        step = _per_batch(2 * 8 * 2 * band.size)
-        for c in range(0, n, step):
-            sums = bases[band - cols[c : c + step]]
-            sums += col_bases[c : c + step]
-            np.minimum(out_base, np.minimum.reduce(sums), out=out_base)
-            del sums  # not held through the next batch
-        _clamp(out_base)
-        out.prec[start:] = np.minimum(out_base + W, INF)
+        start = lo + int(cols[0])
+        # bases: of f^k below the cut from f's table, then the grid
+        cut, mine, theirs = start, self.power, other.power
+        if mine is not None and theirs is not None and mine[0].f is theirs[0].f:
+            k = mine[1] + theirs[1]  # = start: f^j's first live column is x^j
+            out.power = mine[0], k
+            cut = min(D + 1, k + (k + 1) * mine[0].least)
+            out.base[start:cut] = mine[0].table[: cut - start]
+        if cut <= D:
+            # row c: other's column cols[c] against self's column d -
+            # cols[c] >= lo (INF before) at x^d, d >= cut; a row holds its
+            # indices and bases, a batch half the budget (the other half
+            # is for the powers a solve keeps, ``schroder._GapPowers``)
+            cols, col_bases = cols[:n, None], col_bases[:n, None]
+            pad = int(cols[-1, 0] - cols[0, 0])
+            bases = np.empty(pad + D + 1 - lo, dtype=np.int64)
+            bases[:pad], bases[pad:] = INF, self.base[lo:]
+            band = np.arange(cut, D + 1) + (pad - lo)
+            out_base = out.base[cut:]
+            step = _per_batch(2 * 8 * 2 * band.size)
+            for c in range(0, n, step):
+                sums = bases[band - cols[c : c + step]]
+                sums += col_bases[c : c + step]
+                np.minimum(out_base, np.minimum.reduce(sums), out=out_base)
+                del sums  # not held through the next batch
+            _clamp(out_base)
+        out.prec[start:] = np.minimum(out.base[start:] + W, INF)
         # data pass: self's data columns j against other's data columns i,
         # trimmed, for every pair with i + j <= D
         js = _any(self.data[lo:], axis=(1, 2)).nonzero()[0] + lo
@@ -237,7 +289,10 @@ class DensePoly:
             )
             np.add.at(out.data, at[batch], prod)
             del prod  # not held through the next batch
-        out.data[start:] %= self.field.p
+        took = np.zeros(D + 1, dtype=bool)  # the columns that took sums
+        took[at] = True
+        took = took.nonzero()[0]
+        out.data[took] %= self.field.p
         return out
 
     def add_scaled(self, series, other):
@@ -250,20 +305,29 @@ class DensePoly:
         lo = other._live()
         if series.is_exact_zero or lo > self.D:
             return
+        self.power = None
         base, prec = self.base[lo:], self.prec[lo:]
+        o_base, o_prec = other.base[lo:], other.prec[lo:]
         new_base, new_prec = base, prec
         nonzero = _any(other.data[lo:], axis=2)  # one pass for leads and data
         has = _any(nonzero, axis=1)
-        if not series.is_zero_as_known:
-            new_base = _clamp(np.minimum(base, other.base[lo:] + series.lead))
-            new_prec = np.minimum(prec, other.prec[lo:] + series.lead)
+        scaled = not series.is_zero_as_known
+        if scaled:
+            new_base = _clamp(np.minimum(base, o_base + series.lead))
+            new_prec = np.minimum(prec, o_prec + series.lead)
         if not series.exact:
             # the scalar's unknown tail also caps the result horizon, past
             # each column's lead (its horizon where it holds no data)
-            leads = np.where(has, other.base[lo:] + nonzero.argmax(axis=1), other.prec[lo:])
-            new_prec = np.minimum(new_prec, np.minimum(leads, INF) + series.prec)
-        if not series.is_zero_as_known:
-            p, r, W = self.field.p, self.field.r, self.W
+            leads = np.where(has, o_base + nonzero.argmax(axis=1), o_prec)
+            new_prec = np.minimum(new_prec, leads + series.prec)
+        p, r, W = self.field.p, self.field.r, self.W
+        new_prec = _clamp(new_prec)
+        # a column that took no data keeps digits below min(prec, new base
+        # + W): only one whose horizon fell below that needs a mask, and
+        # the data added is masked as it is added
+        lowered = new_prec < np.minimum(prec, new_base + W)
+        if scaled:
+            lowered &= ~has
             data = self.data[lo:]
             # a column whose base moves down by d keeps its rows, d later
             moved = ((new_base < base) & (base < _INF_CUT)).nonzero()[0]
@@ -273,26 +337,26 @@ class DensePoly:
                 kept[rows < 0] = 0
                 data[moved] = kept
             cols = has.nonzero()[0]
-            shifts = other.base[lo + cols] + series.lead - new_base[cols]
+            shifts = o_base[cols] + series.lead - new_base[cols]
             # a column holds its data, its shift, its product and its sum
             step = _per_batch(8 * (3 * W * r + 1))
+            ramp = np.arange(W)
             for c in range(0, cols.size, step):
                 at = cols[c : c + step]
                 prod = _convolve(
                     self.field, other.data[lo + at], series.coeffs, W, shifts[c : c + step]
                 )
-                data[at] = (data[at] + prod) % p
+                prod += data[at]
+                prod[new_base[at, None] + ramp >= new_prec[at, None]] = 0
+                prod %= p
+                data[at] = prod
                 del prod  # not held through the next batch
-            self.base[lo:] = new_base
-        self.prec[lo:] = _clamp(new_prec)
-        self._mask_all(lo)
+        self.base[lo:], self.prec[lo:] = new_base, new_prec
+        self._mask_all(lowered.nonzero()[0] + lo)
 
-    def _mask_all(self, lo):
-        """Zero the entries at or beyond each horizon in the columns lo ..
-        D, those a sum wrote.  Only a column whose horizon falls
-        inside its window can hold any."""
-        base, prec = self.base[lo:], self.prec[lo:]
-        rows = ((prec < base + self.W) & (base < _INF_CUT)).nonzero()[0] + lo
-        if rows.size:
-            beyond = self.base[rows, None] + np.arange(self.W) >= self.prec[rows, None]
-            self.data[rows] = np.where(beyond[:, :, None], 0, self.data[rows])
+    def _mask_all(self, cols):
+        """Zero the entries at or beyond each horizon in the columns
+        ``cols``."""
+        if cols.size:
+            beyond = self.base[cols, None] + np.arange(self.W) >= self.prec[cols, None]
+            self.data[cols] = np.where(beyond[:, :, None], 0, self.data[cols])

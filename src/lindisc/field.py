@@ -58,11 +58,10 @@ def p_split(n, p):
     if isinstance(n, np.ndarray):
         if (n < 1).any():
             raise HypothesisError(f"exponent must be >= 1, got {n.min()}")
-        s, n = np.zeros_like(n), n.copy()
-        while (divisible := n % p == 0).any():
-            s += divisible
-            n[divisible] //= p
-        return s, n
+        # p^s divides the largest int64 power of p: one gcd, one search
+        powers = _int64_powers(p)
+        part = np.gcd(n, powers[-1])
+        return powers.searchsorted(part), n // part
     if n < 1:
         raise HypothesisError(f"exponent must be >= 1, got {n}")
     s = 0
@@ -70,6 +69,15 @@ def p_split(n, p):
         n //= p
         s += 1
     return s, n
+
+
+@lru_cache(maxsize=None)
+def _int64_powers(p):
+    """p^0, p^1, … up to the largest power of p below 2^63, as int64."""
+    powers = np.cumprod(np.full(64, p, dtype=object))
+    powers = np.array([1, *powers[powers < 2**63]], dtype=np.int64)
+    powers.flags.writeable = False  # one array for every caller
+    return powers
 
 
 def _is_prime(n):

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._dense import _INF_CUT, DensePoly
+from ._dense import _INF_CUT, DensePoly, _MinPlus
 from .errors import CertificateError, HypothesisError, PrecisionError
 from .field import p_split
 from .laurent import LaurentSeries, _any, _convolve, _invert_unit, _per_batch
@@ -61,6 +61,23 @@ class ValuationTable:
     lead: np.ndarray
     prec: np.ndarray
     kind: np.ndarray
+
+
+def _valuations(ram, D, rows):
+    """The ``ValuationTable`` of rows (k, lead, prec, kind); b_1 = 1 exact
+    and every b_k, k >= 2, without a row an exact zero."""
+    lead, prec, kind = [0] * (D + 1), [0, 1] + [0] * (D - 1), [STRUCTURAL] * (D + 1)
+    kind[1] = NONZERO
+    for k, *row in rows:
+        lead[k], prec[k], kind[k] = row
+    return ValuationTable(ram, *(np.array(column, dtype=object) for column in (lead, prec, kind)))
+
+
+def _kind(s):
+    """How a coefficient s is known to vanish, or not."""
+    if s.is_zero_as_known:
+        return STRUCTURAL if s.exact else COMPUTED_ZERO
+    return NONZERO
 
 
 class _Coefficients(Mapping):
@@ -102,12 +119,9 @@ class Conjugacy:
             return
         if self.D < 1:
             raise HypothesisError(f"degree D must be >= 1, got {self.D}")
-        rows = [(0, 0, STRUCTURAL)]
-        for s in (self.coeffs[k] for k in range(1, self.D + 1)):
-            zero = STRUCTURAL if s.exact else COMPUTED_ZERO
-            rows.append((s.lead, s.prec, zero if s.is_zero_as_known else NONZERO))
-        columns = (np.array(column, dtype=object) for column in zip(*rows))
-        object.__setattr__(self, "valuations", ValuationTable(self.coeffs[1].ram, *columns))
+        coeffs = [(k, self.coeffs[k]) for k in range(1, self.D + 1)]
+        rows = ((k, s.lead, s.prec, _kind(s)) for k, s in coeffs)
+        object.__setattr__(self, "valuations", _valuations(coeffs[0][1].ram, self.D, rows))
 
     @property
     def zero_kind(self):
@@ -127,11 +141,16 @@ class Conjugacy:
         return Fraction(table.lead[k], table.ram) if table.kind[k] == NONZERO else None
 
     def csv(self):
+        """One row per degree: v(b_k) = lead/ram in lowest terms, or inf."""
         lines = ["k,v_num,v_den,zero_kind"]
-        for k in range(1, self.D + 1):
-            v = self.valuation(k)
-            num, den = ("inf", 1) if v is None else (v.numerator, v.denominator)
-            lines.append(f"{k},{num},{den},{self.zero_kind[k]}")
+        table = self.valuations
+        ram = table.ram
+        for k, lead, kind in zip(range(1, self.D + 1), table.lead[1:], table.kind[1:]):
+            if kind == NONZERO:
+                g = math.gcd(lead, ram)
+                lines.append(f"{k},{lead // g},{ram // g},{kind}")
+            else:
+                lines.append(f"{k},inf,1,{kind}")
         return "\n".join(lines) + "\n"
 
 
@@ -374,17 +393,10 @@ def _support(f, D):
       one part.  For t >= 2 the first 1 + p·⌊(t − 2)/p⌋ parts reach some
       l ∈ K, l >= p (each degree of f is), and the last 1 .. p parts, at
       most l, reach k.
-    S is formed by one pass per shift s: n ∈ S when n − s is, an OR
-    accumulated down each residue class mod s."""
-    member = np.zeros(D, dtype=bool)  # n = 0 .. D − 1: n ∈ S
-    member[0] = True
-    for s in sorted({i - 1 for i in f.nonlinear_degrees if i <= D}):
-        rows = -(-D // s)
-        grid = np.zeros(rows * s, dtype=bool)
-        grid[:D] = member
-        member = np.logical_or.accumulate(grid.reshape(rows, s), axis=0).reshape(-1)[:D]
+    S is where the min-plus table of f's leads (``_dense._MinPlus``) is
+    finite."""
     live = np.zeros(D + 1, dtype=bool)
-    live[1:] = member
+    live[1:] = _MinPlus(f, D).table[:D] < _INF_CUT
     support = live.copy()
     if f.divisible_degrees():
         support[1:] &= np.arange(1, D + 1) % f.field.p == 0
@@ -402,8 +414,8 @@ class _GapPowers:
     the largest kept u^h with h < g, which keeps every needed power it
     passes.  The kept powers, each a polynomial and its packed factor (at
     most twice its bytes), take at most half of ``laurent._STACK_BYTES``,
-    and a product's base pass the other half (``DensePoly.mul``); a gap
-    past that cap is taken as g products by u."""
+    and a product's grid of bases the other half (``DensePoly.mul``); a
+    gap past that cap is taken as g products by u."""
 
     def __init__(self, u, f, needed):
         self.u, self.f, self.needed, self.kept = u, f, needed, {}
@@ -468,24 +480,23 @@ def solve_sfe(f, D, window=32):
 def _solve_dense(f, D, window):
     """``solve_sfe`` on the dense engine, for D >= 1 and window >= 1.
 
-    The support (``_support``) comes from f's degrees before the loop:
-    b_k can be nonzero only when k − 1 is a sum of shifts i − 1 of f's
-    nonlinear degrees i <= D, and, when every nonlinear degree of f is
-    divisible by p, only when p | k as well.  The divisor table holds the
-    degrees of K only, and f^k is formed only for k ∈ K below D, as
-    f^{k'}·u^g: k' the previous degree of K, u = f, or the stride f^p
-    (p − 1 products by f) for p-divisible maps, and g = (k − k')/step
-    (``_GapPowers``).  Every honest route to f^k gives the same bases,
-    horizons and data (``_dense``), and the sum adds the same b_l·f^l in
+    The loop runs over the support K (``_support``) alone.  The divisor
+    table holds the degrees of K only, and f^k is formed only for k ∈ K
+    below D, as f^{k'}·u^g: k' the previous degree of K, u = f, or the
+    stride f^p (p − 1 products by f) for p-divisible maps, and g = (k −
+    k')/step (``_GapPowers``).  Every honest route to f^k gives the same
+    bases, horizons and data (``_dense``), and the sum adds the same b_l·f^l in
     the same order as the chain of every power (the b_l it skips are
     exact zeros, which add nothing), so every coefficient is the chain's
-    to the byte.
+    to the byte.  b_k is one product of the sum's column by the divisor's
+    rows (``DensePoly.column``).
 
-    The prediction is checked at every degree: the sum's column at x^k
-    must be live exactly where ``_support`` says, else CertificateError.
-    Off the support b_k is the exact zero, and the sum's column must hold
-    no data there: it is an exact zero, or for p ∤ k of a p-divisible map
-    a live column of proven zeros.
+    The prediction is checked at every degree, in order: the sum's column
+    at x^k must be live exactly where ``_support`` says, else
+    CertificateError, and off the support hold no data (an exact zero, or
+    for p ∤ k of a p-divisible map a live column of proven zeros).  No
+    sum writes below the degree it follows, so the columns are checked
+    once, after the loop or before any error it raises.
     """
     profile = mult_profile(f.multiplier)
     field_, ram = f.field, f.ram
@@ -500,9 +511,25 @@ def _solve_dense(f, D, window):
     # the gaps, in steps of u = f^step, between u and each f^k formed, k ∈ K below D
     formed = [step] + [k for k in ks if k < D]
     needed = {(k - prev) // step for prev, k in zip(formed, formed[1:])}
-    live, support = live.tolist(), support.tolist()
 
-    coeffs = {1: one}
+    def check(hi):
+        """Every degree 2 .. hi - 1, in order, once no sum writes there: the
+        sum's column is live exactly where ``_support`` says and, off the
+        support, holds no data (columns are reduced and zero past their
+        horizon, so it is zero as known): b_k is the exact zero."""
+        miss = (acc.prec[2:hi] < _INF_CUT) != live[2:hi]
+        held = _any(acc.data[2:hi].reshape(hi - 2, window * field_.r), axis=1)
+        bad = (miss | held & ~support[2:hi]).nonzero()[0]
+        if bad.size:
+            k = 2 + int(bad[0])
+            if miss[k - 2]:
+                raise _support_miss(f, k, live[k])
+            rows = _any(acc.data[k], axis=1).nonzero()[0]
+            raise CertificateError(
+                f"degree {k} should vanish off the support of f's degrees "
+                f"{f.nonlinear_degrees}, got {acc.column(k)}, nonzero rows {rows.tolist()}"
+            )
+
     acc = DensePoly(field_, ram, D, window)
     fpow = DensePoly.of_map(f, D, window)  # f^prev, prev the last degree of K formed
     fpow.map_columns = (f, None)  # f^1 is f's columns: installed once
@@ -511,28 +538,24 @@ def _solve_dense(f, D, window):
         for _ in range(p - 1):
             fpow = fpow.mul_by_map(f)
         fpow.map_columns = None
-    prev, gaps = step, _GapPowers(fpow, None if family else f, needed)
-    for k in range(2, D + 1):
-        if (acc.prec[k] < _INF_CUT) != live[k]:
-            raise _support_miss(f, k, live[k])
-        if support[k]:
-            b_k = acc.column(k) * divisor[k]
-        else:
-            # columns are reduced and zero past their horizon, so the sum
-            # is zero as known exactly when its column holds no data
-            rows = _any(acc.data[k], axis=1).nonzero()[0]
-            if rows.size:
-                raise CertificateError(
-                    f"degree {k} should vanish off the support of f's degrees "
-                    f"{f.nonlinear_degrees}, got {acc.column(k)}, nonzero rows {rows.tolist()}"
-                )
-            b_k = exact_zero
-        coeffs[k] = b_k
-        if k < D and support[k]:
-            fpow = gaps.times(fpow, (k - prev) // step)
-            prev = k
-            acc.add_scaled(b_k, fpow)
-    return Conjugacy(coeffs, profile, "term-matching", D)
+    prev, gaps, b = step, _GapPowers(fpow, None if family else f, needed), []
+    try:
+        for n, k in enumerate(ks):
+            # b_k: the sum's column times 1/(λ − λ^k), one product
+            shift = int(divisor.leads[n])
+            b.append(acc.column(k, (-shift, divisor.rows[n], window - shift)))
+            if k < D:
+                fpow = gaps.times(fpow, (k - prev) // step)
+                prev = k
+                acc.add_scaled(b[-1], fpow)
+    except (CertificateError, PrecisionError):
+        check(k + 1)  # a fault at a degree the loop passed comes first
+        raise
+    check(D + 1)
+    # b_0 an exact zero, b_1 = 1 exact, and every b_k off the support
+    coeffs = {1: one, **dict.fromkeys(range(2, D + 1), exact_zero), **dict(zip(ks, b))}
+    rows = ((k, s.lead, s.prec, _kind(s)) for k, s in zip(ks, b))
+    return Conjugacy(coeffs, profile, "term-matching", D, _valuations(ram, D, rows))
 
 
 def _multinomial_mod_p(l, alphas, p):
@@ -964,16 +987,11 @@ def _solve_binomial(f, D, window, source):
         if alone:
             bounds[J0] = last, H
 
-    # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a).  Python
-    # lists, copied into the table's object arrays once: b_0 an exact
-    # zero, b_1 = 1 exact
-    table = ValuationTable(ram, *(np.empty(D + 1, dtype=object) for _ in range(3)))
-    lead, prec, kind = [0] * (D + 1), [0, 1] + [0] * (D - 1), [STRUCTURAL] * (D + 1)
-    kind[1] = NONZERO
-    for J, (L, H) in zip(solved, out):
-        k, shift = 1 + s * J, a.lead * J
-        lead[k], prec[k], kind[k] = L + shift, H + shift, NONZERO if L < H else COMPUTED_ZERO
-    table.lead[:], table.prec[:], table.kind[:] = lead, prec, kind
+    # b_J = B_J·(a·λ^(−N))^J: lead and horizon shift by J·L(a)
+    table = _valuations(ram, D, (
+        (1 + s * J, L + a.lead * J, H + a.lead * J, NONZERO if L < H else COMPUTED_ZERO)
+        for J, (L, H) in zip(solved, out)
+    ))
     powers = []  # of a·λ^(−N)
     # λ^(−1) needs only λ's spread row, λ's head and t: a table of those
     # alone, so the result does not keep the divisor rows alive

@@ -255,6 +255,17 @@ def solve_sfe_chain(f, D, window=32):
     return Conjugacy(coeffs, profile, "term-matching", D)
 
 
+def conjugacy_csv_by_fractions(g):
+    """``Conjugacy.csv`` with one ``valuation`` (a Fraction, or None) per
+    degree: the rendering the package forms from integer gcds."""
+    lines = ["k,v_num,v_den,zero_kind"]
+    for k in range(1, g.D + 1):
+        v = g.valuation(k)
+        num, den = ("inf", 1) if v is None else (v.numerator, v.denominator)
+        lines.append(f"{k},{num},{den},{g.zero_kind[k]}")
+    return "\n".join(lines) + "\n"
+
+
 def table_compose_horner(outer, inner, D):
     """g(h(x)) for two coefficient tables, truncated at degree D, by
     Horner over x-polynomials with series coefficients: one table product
@@ -349,6 +360,30 @@ def _realigned_by_take(W, data, base, new_base):
     return np.where(valid[:, :, None], gathered, 0)
 
 
+def min_plus_product(a, b):
+    """The min-plus product of two base arrays over x^0 .. x^D: at x^d
+    the least a[j] + b[i] over i + j = d, INF where no pair is finite;
+    the bases of a product of exact-start powers, one column of b at a
+    time."""
+    out = np.full(a.shape[0], INF, dtype=np.int64)
+    for i in np.flatnonzero(b < _INF_CUT):
+        out[i:] = np.minimum(out[i:], a[: a.shape[0] - i] + b[i])
+    return _clamp(out)
+
+
+def min_plus_powers(f, D):
+    """[None, M_1, M_2, …, M_D]: M_k the bases of f^k over x^0 .. x^D,
+    the k-th min-plus power of the leads of f's coefficients."""
+    leads = np.full(D + 1, INF, dtype=np.int64)
+    for i, a in f.coeffs.items():
+        if i <= D:
+            leads[i] = a.lead
+    powers = [None, leads]
+    for _ in range(D - 1):
+        powers.append(min_plus_product(powers[-1], leads))
+    return powers
+
+
 def dense_mul_per_column(a, b):
     """a * b for two ``DensePoly``s, one live column of b at a time: its
     horizons against every live column of a, then its nonzero rows
@@ -379,7 +414,7 @@ def dense_mul_per_column(a, b):
         shifted = a.base[lo:n] + (b.base[i] + rows[0])
         acc[lo + i - start :] += _realigned_by_take(W, prod, shifted, out.base[lo + i :])
     out.data[start:] = acc % field.p
-    out._mask_all(0)
+    out._mask_all(np.arange(D + 1))
     return out
 
 
@@ -409,7 +444,7 @@ def dense_add_scaled_all_columns(acc, series, other):
         acc.data[lo:] = (data + prod) % acc.field.p
         acc.base[lo:] = new_base
     acc.prec[lo:] = _clamp(new_prec)
-    acc._mask_all(0)
+    acc._mask_all(np.arange(acc.D + 1))
 
 
 def product_small_divisors_per_term(profile, N):

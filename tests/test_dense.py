@@ -476,6 +476,28 @@ def test_a_solve_multiplies_exact_start_powers_only(monkeypatch, field, ram):
     assert seen["mul"] >= 20 and seen["add_scaled"] >= 20, seen
 
 
+def test_a_column_times_a_series_is_their_product():
+    """``column(d, by)`` is ``column(d) * by`` in lead, horizon, exactness
+    and rows: on columns of every kind (exact zeros, zeros to precision,
+    digits) and inexact factors whose horizon falls inside, at or past
+    the column's window."""
+    rng = random.Random(97)
+    for field in FIELDS:
+        for ram in (1, 2):
+            poly, _ = random_poly(field, ram, rng, 12, 8)
+            for d in range(13):
+                rows = random_rows(field, rng, rng.randrange(1, 12))
+                rows[0] = [rng.randrange(1, field.p)] + rows[0][1:]
+                lead = rng.randrange(-4, 4)
+                by = LaurentSeries(field, ram, lead, rows, lead + rng.randrange(1, 14))
+                got = poly.column(d, (by.lead, by.coeffs, by.prec))
+                expected = poly.column(d) * by
+                assert (got.lead, got.prec, got.exact) == (
+                    expected.lead, expected.prec, expected.exact
+                ), (field, d)
+                assert got.coeffs.tobytes() == expected.coeffs.tobytes(), (field, d)
+
+
 def test_a_column_read_is_not_changed_by_later_sums():
     """``column`` builds its series on a copy of the polynomial's data,
     so a series read from a polynomial keeps its coefficients when a
@@ -612,14 +634,14 @@ def test_product_memory_is_bounded_by_the_chunk(monkeypatch):
 
 
 def test_horizon_pass_memory_is_bounded_by_the_chunk(monkeypatch):
-    """The base pass, which writes a product's horizons, sizes a grid row
-    at two int64 arrays of the band, the row's indices and the bases it
-    gathers, and a batch at half the budget (the other half is for the
-    gap powers a solve keeps).  A product by 401 live columns, its right
-    factor packed beforehand, has a grid of 401 rows of 401 degrees; with
-    the budget set to one data array, its traced peak stays within the
-    budget plus its operands and its result.  The whole grid at once
-    would take about 25 data arrays."""
+    """The grid of a product's bases (all of them here: the operands are
+    no powers of one map) sizes a row at two int64 arrays of the band,
+    the row's indices and the bases it gathers, and a batch at half the
+    budget (the other half is for the gap powers a solve keeps).  A
+    product by 401 live columns, its right factor packed beforehand, has
+    a grid of 401 rows of 401 degrees; with the budget set to one data
+    array, its traced peak stays within the budget plus its operands and
+    its result.  The whole grid at once would take about 25 data arrays."""
     field, D, W = FieldParams(2, 2), 400, 16
     rng = random.Random(73)
     a = data_columns(field, rng, D, W, [0, 1])

@@ -11,6 +11,7 @@ import lindisc.field as field_module
 from lindisc.field import BUILTIN_MODULI
 from lindisc.errors import (
     FieldConstructionError,
+    HypothesisError,
     IncompatibleFieldError,
     ParseError,
     ZeroDivisionFieldError,
@@ -310,3 +311,24 @@ def test_a_prime_field_needs_no_modulus(p):
 def test_an_extension_without_a_built_in_modulus_needs_one(p, r):
     with pytest.raises(FieldConstructionError, match="no built-in modulus"):
         FieldParams(p, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_p_split_of_an_array_equals_the_scalar_split(p):
+    """The array split (one gcd with the largest int64 power of p) equals
+    the scalar split entry by entry: on 1 .. 999, on every power p^s
+    below 2^63 (the largest included), on u·p^s for units u and on
+    entries near 2^63; s and u are int64.  An entry below 1 raises the
+    scalar split's HypothesisError, naming the least entry."""
+    top = 2**63
+    powers = [p**s for s in range(64) if p**s < top]
+    units = [u for u in (1, 2, 3, p - 1, p + 1, 2 * p + 1) if u % p]
+    n = list(range(1, 1000)) + powers + [u * q for u in units for q in powers if u * q < top]
+    n += [top - 1 - i for i in range(8)]
+    s, u = field_module.p_split(np.array(n, dtype=np.int64), p)
+    assert s.dtype == u.dtype == np.int64
+    assert list(zip(s.tolist(), u.tolist())) == [field_module.p_split(x, p) for x in n]
+    assert s[999 + len(powers) - 1] == len(powers) - 1
+    for bad in ([3, 0, 5], [-4, 2]):
+        with pytest.raises(HypothesisError, match=f"exponent must be >= 1, got {min(bad)}"):
+            field_module.p_split(np.array(bad, dtype=np.int64), p)

@@ -86,3 +86,84 @@ def test_binomial_recurrence_equals_the_chain_of_every_power(case):
         (oracle.valuations.lead, oracle.valuations.prec, oracle.valuations.kind),
     ):
         assert got.tolist() == expected.tolist()
+
+
+@st.composite
+def dense_maps(draw):
+    """(f, D, W) for the dense engine over F_{p^r}((T)), U^e = T: p ∈
+    {2, 3, 5}, r <= 2, e <= 2, W ∈ {4, 8}, 8 <= D <= 64; λ a unit with a
+    nonzero tail and one to three nonlinear terms whose leads run from
+    −2e to 2e.  Half the maps are p-divisible, of degrees 2p .. 8p,
+    whose supports leave gaps of several strides f^p."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    field = FieldParams(p, draw(st.integers(1, 2)))
+    e = draw(st.integers(1, 2))
+    W = draw(st.sampled_from((4, 8)))
+    lam = _series(draw, field, e, 0, draw(st.integers(2, 3)), W, tail=True)
+    pool = [p * m for m in range(2, 9)] if draw(st.booleans()) else list(range(2, 13))
+    coeffs = {1: lam}
+    for d in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)):
+        lead = draw(st.integers(-2 * e, 2 * e))
+        coeffs[d] = _series(draw, field, e, lead, draw(st.integers(1, 3)), W)
+    return PowerSeriesMap(coeffs), draw(st.integers(8, 64)), W
+
+
+def powers_have_min_plus_bases(f, D, W):
+    """Run the dense solve of f and check every power it forms, f^k with
+    k its first live column: its bases are the k-th min-plus power of
+    f's leads and the min-plus product of its factors' bases, and its
+    horizons base + W.  Returns the gaps g of the kept powers u^g."""
+    import lindisc.schroder
+    from lindisc._dense import _INF_CUT, INF, DensePoly
+    from oracles import min_plus_powers, min_plus_product
+
+    powers, kept = min_plus_powers(f, D), set()
+    real_mul, real_times = DensePoly.mul, lindisc.schroder._GapPowers.times
+
+    def mul(self, other):
+        out = real_mul(self, other)
+        live = np.flatnonzero(out.base < _INF_CUT)
+        if live.size:
+            assert out.base.tolist() == powers[live[0]].tolist(), live[0]
+        assert out.base.tolist() == min_plus_product(self.base, other.base).tolist()
+        assert out.prec.tolist() == np.minimum(out.base + W, INF).tolist()
+        return out
+
+    def times(self, x, g):
+        out = real_times(self, x, g)
+        kept.update(self.kept)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DensePoly, "mul", mul)
+        patch.setattr(lindisc.schroder._GapPowers, "times", times)
+        lindisc.schroder._solve_dense(f, D, W)
+    return kept
+
+
+@hypothesis.settings(
+    derandomize=True, database=None, max_examples=100, deadline=None,
+    suppress_health_check=list(hypothesis.HealthCheck),
+)
+@hypothesis.given(dense_maps())
+def test_every_power_a_dense_solve_forms_has_the_min_plus_bases(case):
+    """Bases from f's min-plus table (below each power's cut) and from
+    the grid (past it) are the min-plus power of f's leads, on maps with
+    negative leads, over prime and extension fields, ramified or not."""
+    powers_have_min_plus_bases(*case)
+
+
+def test_a_kept_gap_power_has_the_min_plus_bases():
+    """F_2, λ = 1+T, degrees 6, 16, 20 (negative leads among them): the
+    solve keeps gap powers u^g with g >= 2, u = f^2, and every power it
+    forms, the kept ones too, has the min-plus bases."""
+    F2 = FieldParams(2)
+    rows = [[1], [1]]
+    f = PowerSeriesMap({
+        1: LaurentSeries(F2, 1, 0, rows, 2, exact=True),
+        6: LaurentSeries(F2, 1, -1, rows, 1, exact=True),
+        16: LaurentSeries(F2, 1, 2, rows, 4, exact=True),
+        20: LaurentSeries(F2, 1, -2, rows[:1], -1, exact=True),
+    })
+    kept = powers_have_min_plus_bases(f, 64, 8)
+    assert max(kept) >= 2, kept

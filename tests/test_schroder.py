@@ -1,6 +1,7 @@
 """Conjugacy solvers, structural lemmas on their coefficients,
 divergence certificates, and residual checks."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ import pytest
 import lindisc._dense
 import lindisc.discs
 import lindisc.laurent
+import lindisc.multiplier
 import lindisc.schroder
 from lindisc import (
     Conjugacy,
@@ -48,6 +50,7 @@ from lindisc.schroder import (
     COMPUTED_ZERO,
     NONZERO,
     STRUCTURAL,
+    ValuationTable,
     _binomial_terms,
     _powers,
     _rows,
@@ -55,6 +58,7 @@ from lindisc.schroder import (
 )
 from oracles import (
     binomial_digits,
+    conjugacy_csv_by_fractions,
     check_coefficient_bound_per_k,
     exact_powers,
     full_conjugacy_residual,
@@ -563,7 +567,7 @@ def test_dense_solve_memory_on_the_support_is_bounded(monkeypatch):
     """The dense solve of a two-degree map that keeps gap powers,
     λx + x^34 + x^36 over F_2 at D = 2048, W = 32 (gaps of up to 32 steps
     of f^2), peaks within the chain's peak plus ``laurent._STACK_BYTES``:
-    the kept powers and a product's base pass share that budget."""
+    the kept powers and a product's grid of bases share that budget."""
     f = PowerSeriesMap(
         {1: parse_series("1+T", F2), 34: parse_series("1", F2), 36: parse_series("1", F2)}
     )
@@ -1634,9 +1638,9 @@ def test_structural_zero_check_builds_no_series(monkeypatch):
     f = PowerSeriesMap({1: parse_series("1+T", F3), 3: parse_series("1+T", F3)})
     real, read = DensePoly.column, []
 
-    def column(self, d):
+    def column(self, d, *by):
         read.append(d)
-        return real(self, d)
+        return real(self, d, *by)
 
     monkeypatch.setattr(DensePoly, "column", column)
     lindisc.schroder._solve_dense(f, 30, 32)
@@ -1678,6 +1682,30 @@ def test_structural_zero_check_catches_a_planted_column(monkeypatch):
         series, rows = match[1], [int(x) for x in match[2].split(", ")]
         assert ("T^4" in series) == live and "p-divisible" not in text
         assert 1 in rows if live else rows == [1], text
+
+
+def test_a_fault_below_the_degree_solved_comes_before_a_later_error(monkeypatch):
+    """The support checks run once, after the loop or before an error the
+    loop raises, on the degrees it has passed: with a digit planted at
+    degree 5 of λx + x^2 over F_2 and a product failing at degree 8, the
+    error is degree 5's, the first in order, as when every degree was
+    checked on the way."""
+    f = PowerSeriesMap({1: parse_series("1+T", F2), 2: parse_series("1", F2)})
+    real_add, real_times = DensePoly.add_scaled, lindisc.schroder._GapPowers.times
+
+    def add_scaled(self, series, other):
+        real_add(self, series, other)
+        self.data[5, 1, 0] = 1
+
+    def times(self, x, g):
+        if x._live() >= 6:  # forming f^8
+            raise CertificateError("a later product fails")
+        return real_times(self, x, g)
+
+    monkeypatch.setattr(DensePoly, "add_scaled", add_scaled)
+    monkeypatch.setattr(lindisc.schroder._GapPowers, "times", times)
+    with pytest.raises(CertificateError, match="degree 5 should vanish"):
+        lindisc.schroder._solve_dense(f, 16, 32)
 
 
 def test_structural_zeros_not_applicable_outside_family():
@@ -1961,6 +1989,98 @@ def test_conjugacy_csv_format():
     one = LaurentSeries.constant(F2, 1)
     g = Conjugacy({1: one, 2: LaurentSeries.zero(F2, 1, 7)}, None, "table", 2)
     assert g.csv().splitlines()[1:] == ["1,0,1,nonzero", "2,inf,1,computed-zero"]
+
+
+def _exact(field, ram, lead, rows):
+    return LaurentSeries(field, ram, lead, rows, lead + len(rows), exact=True)
+
+
+# three dense maps and the SHA-256 of (k, lead, prec, exact, rows) of
+# every b_k their term matching gives, recorded before the dense engine
+# took its bases from one min-plus table per solve: a p-divisible map
+# over F_2, a map over F_4 with degrees prime to 2, and a p-divisible
+# map over F_3((T^(1/2))) with negative leads
+DENSE_DIGESTS = {
+    "family-F2": (
+        lambda: PowerSeriesMap({
+            1: parse_series("1+T+T^3", F2), 2: parse_series("1+T", F2),
+            4: parse_series("T", F2), 6: parse_series("T^-1+T^2", F2),
+        }),
+        64, 16, "37bbf678c3f878811f7b05429ee0ba3c646183d58965f26b8a767a81c24024d7",
+    ),
+    "generic-F4": (
+        lambda: PowerSeriesMap({
+            1: parse_series("b+T", F4), 2: parse_series("1+bT", F4),
+            3: parse_series("T^2", F4), 5: parse_series("b", F4),
+        }),
+        48, 12, "0e4b5b169e85826fc8aa9aa7e6c06f6937b4dc33df2ceb7ca25f33547a49e230",
+    ),
+    "p3-e2": (
+        lambda: PowerSeriesMap({
+            1: _exact(F3, 2, 0, [[1], [0], [1]]), 3: _exact(F3, 2, -1, [[2], [1]]),
+            6: _exact(F3, 2, 1, [[1]]), 9: _exact(F3, 2, -2, [[1], [0], [2]]),
+        }),
+        54, 12, "bddece5a5614b873d7ceb038702e2232a35940519a25dc6742f227957feea74d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DENSE_DIGESTS)
+def test_dense_coefficients_keep_their_bytes(name):
+    """Every b_k of three fixed dense solves hashes to the digest recorded
+    before the per-step bookkeeping changed: leads, horizons, exactness
+    and rows are byte for byte the same."""
+    make, D, W, expected = DENSE_DIGESTS[name]
+    g = solve_sfe(make(), D, window=W)
+    assert g.source == "term-matching"
+    digest = hashlib.sha256()
+    for k in range(1, D + 1):
+        s = g.coefficient(k)
+        digest.update(f"{k},{s.lead},{s.prec},{s.exact};".encode())
+        digest.update(s.coeffs.tobytes())
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", DENSE_DIGESTS)
+def test_a_dense_solve_forms_one_series_per_support_degree(monkeypatch, name):
+    """``_solve_dense`` builds at most one series through
+    ``LaurentSeries._of`` per degree of the support K, b_k itself, plus
+    a few before its loop that do not grow with D (the multiplier's
+    profile is formed afresh for every run)."""
+    real, made = LaurentSeries.__dict__["_of"].__func__, []
+
+    def of(cls, *args, **kwargs):
+        made.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentSeries, "_of", classmethod(of))
+    make, _, W, _ = DENSE_DIGESTS[name]
+    f = make()
+    for D in (24, 48, 96, 192):
+        monkeypatch.setattr(lindisc.multiplier, "_last_profile", None)
+        support = lindisc.schroder._support(f, D)[1]
+        made.clear()
+        lindisc.schroder._solve_dense(f, D, W)
+        assert len(made) <= int(support[2:].sum()) + 2, (D, len(made))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_conjugacy_csv_equals_the_fraction_rendering(e):
+    """``csv`` writes each v(b_k) = lead/e in lowest terms from integer
+    gcds; it equals the rendering through one Fraction per degree on
+    leads −3e .. 3e, negative ones among them, and on the three kinds:
+    a structural zero, a zero to precision and a nonzero b_k."""
+    leads = list(range(-3 * e, 3 * e + 1))
+    kinds = [STRUCTURAL, COMPUTED_ZERO] + [NONZERO] * len(leads)
+    D = len(kinds)
+    lead = [0, 0, 5] + leads  # b_0, then b_1 .. b_D
+    prec = [0, 0, 5] + [v + 4 for v in leads]
+    columns = (lead, prec, [STRUCTURAL] + kinds)
+    table = ValuationTable(e, *(np.array(column, dtype=object) for column in columns))
+    g = Conjugacy({}, None, "table", D, table)
+    text = g.csv()
+    assert text == conjugacy_csv_by_fractions(g)
+    assert text.splitlines()[1:3] == [f"1,inf,1,{STRUCTURAL}", f"2,inf,1,{COMPUTED_ZERO}"]
 
 
 def test_residuals_inside_discs():
