@@ -11,23 +11,29 @@ is its N = p + 1 case; term matching hands it the p-divisible binomial
 maps (p | N) and keeps every other map, the p+1 family included, on
 the dense engine, so the dense engine still checks the p+1 solver.
 All three divide through one table (``_small_divisors``), built once
-per solve, of 1/(1 − λ^n) to the working width.  In characteristic p,
-1 − λ^{p^s·u} is the s-th Frobenius image of 1 − λ^u, and so is its
-inverse: one batched Newton run inverts 1 − λ^u for the distinct p-free
-u only.  For p ∤ u, v(1 − λ^u) is 0 or v_m, so λ^u is read modulo
-U^(v_m·e + window) at most, from one array of powers formed by doubling
-(``_powers``).  The first two divide by λ − λ^k = λ(1 − λ^{k-1}); the
+per solve, of 1/(1 − λ^n) to the working width, with λ^(−1).  In
+characteristic p, 1 − λ^{p^s·u} is the s-th Frobenius image of
+1 − λ^u, and so is its inverse: one batched Newton run inverts 1 − λ^u
+for the distinct p-free u only, and λ as one more entry.  For p ∤ u,
+v(1 − λ^u) is 0 or v_m, so λ^u is read modulo U^(v_m·e + window) at
+most, from one array of powers formed by doubling (``_powers``).  Term
+matching and the multinomial recurrence divide by λ − λ^k =
+λ(1 − λ^{k-1}): term matching multiplies every row of the table by
+λ^(−1) in one batched product before its loop, and the multinomial
+recurrence multiplies each quotient by λ^(−1) as one series.  The
 binomial recurrence folds λ^{Ni}·a^{-i} into its coefficients, so its
-sums are F_p-linear combinations, formed in Lucas blocks of p, and reads
-1/(1 − λ^{(N-1)J}) as it is.  λ is an exact literal, so each divisor is known to any number of
-digits, and its reciprocal is expanded to the working width: the
-division keeps the justified horizon.
+sums are F_p-linear combinations, formed in Lucas blocks of p; it reads
+1/(1 − λ^{(N-1)J}) as it is, and λ^(−1) only when a coefficient is
+first read.  λ is an exact literal, so each divisor is known to any
+number of digits, and its reciprocal is expanded to the working width:
+the division keeps the justified horizon.
 """
 
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -214,33 +220,39 @@ def _rows(powers, rows):
 
 
 class _DivisorTable(Mapping):
-    """k -> 1/(λ^low − λ^k) to ``window`` digits, as ``_small_divisors``
-    tabulates it.  The n-th divisor has valuation ``leads[n]`` (U-units)
-    and ``rows[n]`` holds the ``window`` rows of its reciprocal past that
-    reciprocal's lead −leads[n].  For low = 0, ``head`` holds λ's first
-    ``window`` rows, and one more row, the last, holds the ``window``
-    rows of λ^(−p^t), t the least p-adic valuation of the table's
-    exponents; for low = 1, ``head`` is None."""
+    """n -> 1/(1 − λ^n) to ``window`` digits, as ``_small_divisors``
+    tabulates it.  The i-th divisor, of the exponent ``ns[i]`` (an int64
+    array), has valuation ``leads[i]`` (U-units) and ``rows[i]`` holds
+    the ``window`` rows of its reciprocal past that reciprocal's lead
+    −leads[i].  One more row, the last, holds the ``window`` rows of
+    λ^(−p^t), t the least p-adic valuation of the table's exponents, and
+    ``head`` λ's first ``window`` rows: the two give λ^(−1)
+    (``lam_inverse``), by which the callers that divide by
+    λ − λ^k = λ(1 − λ^(k−1)) multiply."""
 
-    def __init__(self, field_, ram, ks, leads, rows, window, t, head):
+    def __init__(self, field_, ram, ns, leads, rows, window, t, head):
         self.field, self.ram, self.window = field_, ram, window
-        self.index = {k: n for n, k in enumerate(ks)}
-        self.leads, self.rows, self.t, self.head = leads, rows, t, head
+        self.ns, self.leads, self.rows, self.t, self.head = ns, leads, rows, t, head
+
+    @cached_property
+    def index(self):
+        """n -> its row, built at the first read by n: the dense solve and
+        the binomial recurrence read rows by position and build none."""
+        return {n: i for i, n in enumerate(self.ns.tolist())}
 
     @property
     def lam_inverse(self):
-        """The ``window`` rows of λ^(−1) = λ^(p^t − 1)·λ^(−p^t) for low = 0,
-        else None; formed on each read, so a solve that reads no
-        coefficient forms no λ^(p^t − 1)."""
-        if self.head is not None:
-            power = LaurentSeries(self.field, self.ram, 0, self.head, self.window)
-            power = (power ** (self.field.p**self.t - 1)).coeffs
-            return _convolve(self.field, self.rows[-1], power, self.window)
+        """The ``window`` rows of λ^(−1) = λ^(p^t − 1)·λ^(−p^t), formed on
+        each read, so a solve that reads no coefficient forms no
+        λ^(p^t − 1)."""
+        power = LaurentSeries(self.field, self.ram, 0, self.head, self.window)
+        power = (power ** (self.field.p**self.t - 1)).coeffs
+        return _convolve(self.field, self.rows[-1], power, self.window)
 
-    def __getitem__(self, k):
-        n = self.index[k]
-        lead = int(self.leads[n])
-        return LaurentSeries._of(self.field, self.ram, -lead, self.rows[n], self.window - lead)
+    def __getitem__(self, n):
+        i = self.index[n]
+        lead = int(self.leads[i])
+        return LaurentSeries._of(self.field, self.ram, -lead, self.rows[i], self.window - lead)
 
     def __iter__(self):
         return iter(self.index)
@@ -249,36 +261,33 @@ class _DivisorTable(Mapping):
         return len(self.index)
 
 
-def _small_divisors(profile, ks, window, low=1):
-    """k -> 1/(λ^low − λ^k) to ``window`` digits for every k in ``ks``
-    (low = 0 for the binomial recurrence, 1 for the other solvers), equal
-    in lead, rows and horizon to the exact inverse truncated to ``window``
-    digits.
+def _small_divisors(profile, ns, window):
+    """n -> 1/(1 − λ^n) to ``window`` digits for every n >= 1 in ``ns``,
+    equal in lead, rows and horizon to the exact inverse truncated to
+    ``window`` digits, and λ^(−1) (``_DivisorTable.lam_inverse``).
 
-    With n = k − low = p^s·u, p ∤ u (one array ``p_split``),
+    With n = p^s·u, p ∤ u (one array ``p_split``),
     1/(1 − λ^n) = Frob^s(1/(1 − λ^u)): row j, coefficient c, goes to row
     j·p^s, coefficient c^(p^(s mod r)).  An entry reads ⌈window/p^s⌉ rows
     of 1/(1 − λ^u), so λ^u is read modulo U^(v_m·e + ⌈window/p^t⌉), t the
     least s, from one ``_powers`` array up to the largest u.  One array
     pass finds the lead of every 1 − λ^u and compares each
     p^s·e·v(1 − λ^u) with ``small_divisor_leads``; the first faulty entry
-    of ``ks`` raises PrecisionError (vanished to that width) or
+    of ``ns`` raises PrecisionError (vanished to that width) or
     CertificateError (off the closed form).  One batched Newton run
-    inverts the units of the distinct 1 − λ^u to ⌈window/p^t⌉ digits.
-    For low = 1 they are times λ.  The entries with s > 0 are spread in
-    one pass over all their rows, whatever their s, in chunks of entries
-    that ``_per_batch`` sizes, each class of s mod r raised by one
-    Frobenius call; for low = 1, with the entries ordered by s, each run
-    of one s is then times λ^(p^s − 1) in one product.  For
-    low = 0, λ joins the stack as an entry with s = t, and its spread
-    λ^(-p^t) is the table's last row: λ^(-1) = λ^(p^t − 1)·λ^(-p^t) is
-    formed only when ``lam_inverse`` is read.  The powers of λ are let go
-    before the Newton run, once a low = 1 table has taken its
-    λ^(p^s − 1), and the unit stack once the run returns.
+    inverts the units of the distinct 1 − λ^u, and λ as one more entry
+    with s = t, to ⌈window/p^t⌉ digits.  The entries with s > 0 are
+    spread in one pass over all their rows, whatever their s, in chunks
+    of entries that ``_per_batch`` sizes, each class of s mod r raised by
+    one Frobenius call.  λ's spread λ^(−p^t) is the table's last row:
+    λ^(−1) = λ^(p^t − 1)·λ^(−p^t) is formed only when ``lam_inverse`` is
+    read.  The powers of λ are let go before the Newton run, and the unit
+    stack once the run returns.
     """
     lam = profile.lam
     field_, ram, p, r = lam.field, lam.ram, lam.field.p, lam.field.r
-    ss, us = p_split(np.array(ks, dtype=np.int64) - low, p)
+    ns = np.array(ns, dtype=np.int64)
+    ss, us = p_split(ns, p)
     distinct = np.bincount(us).nonzero()[0]  # np.unique would import numpy.ma
     slot = distinct.searchsorted(us)
     t = int(ss.min()) if ss.size else 0
@@ -299,54 +308,39 @@ def _small_divisors(profile, ks, window, low=1):
     expected = small_divisor_leads(profile, ss, us)
     faulty = np.flatnonzero(vanished | (leads != expected))
     if faulty.size:
-        n = int(faulty[0])
-        if vanished[n]:
+        i = int(faulty[0])
+        if vanished[i]:
             raise PrecisionError(
-                f"divisor 1 - lambda^{ks[n] - low} vanished to O(U^{p ** int(ss[n]) * width}); "
+                f"divisor 1 - lambda^{ns[i]} vanished to O(U^{p ** int(ss[i]) * width}); "
                 "root of unity?"
             )
         raise CertificateError(
-            f"divisor valuation {Fraction(int(leads[n]), ram)} != closed form "
-            f"{Fraction(int(expected[n]), ram)} of lambda^{low} - lambda^{ks[n]}"
+            f"divisor valuation {Fraction(int(leads[i]), ram)} != closed form "
+            f"{Fraction(int(expected[i]), ram)} of 1 - lambda^{ns[i]}"
         )
 
-    stack = np.zeros((distinct.size + 1 - low, digits, r), dtype=np.int64)
+    # the units of 1 − λ^u, and λ, an entry with s = t
+    stack = np.zeros((distinct.size + 1, digits, r), dtype=np.int64)
     at = firsts[distinct, None] + np.arange(digits)
-    units = stack[: distinct.size]
+    units = stack[:-1]
     np.negative(powers[distinct[:, None], at], out=units)
     units[..., 0] += at == 0
-    del units, at
+    del units, at, powers
     stack %= p
     head = lam.coeffs[:window]
-    # for low = 1, λ^(p^s − 1) to ``window`` rows for every s > 0, the
-    # spread's only read of the powers, which are then let go
-    lam_powers = {}
-    for n in {p**s - 1 for s in ss[ss > 0].tolist()} if low else ():
-        if n < powers.shape[0] and width >= window:
-            lam_powers[n] = powers[n, :window].copy()
-        else:
-            lam_powers[n] = (LaurentSeries(field_, ram, 0, head, window) ** n).coeffs
-    del powers
-    if low:  # λ(1 − λ^u)
-        stack = _convolve(field_, stack, head[:digits], digits)
-    else:  # and λ, an entry with s = t
-        stack[-1, : head.shape[0]] = head[:digits]
-        ss, slot = np.append(ss, t), np.append(slot, distinct.size)
+    stack[-1, : head.shape[0]] = head[:digits]
+    ss, slot = np.append(ss, t), np.append(slot, distinct.size)
     inverses = _invert_unit(field_, stack, digits)
     del stack
 
     # every entry with s > 0 in one pass, in chunks of entries within the
     # budget: row j of its u's inverse goes to row j·p^s, raised to
-    # p^(s mod r); for low = 1, times λ^(p^s − 1), one product per run of
-    # one s.  An entry reads at most ⌈window/p⌉ rows, each with its r
-    # coordinates, about 7r more while its Frobenius powers are formed and
-    # about eight int64 indices; the product copies and replaces its
-    # window rows (its own temporaries take ``_convolve``'s batches)
+    # p^(s mod r).  An entry reads at most ⌈window/p⌉ rows, each with its
+    # r coordinates, about 7r more while its Frobenius powers are formed
+    # and about eight int64 indices
     rows = inverses[slot] if t == 0 else np.empty((ss.size, window, r), dtype=np.int64)
     spread = (ss > 0).nonzero()[0]
-    chunk = _per_batch(8 * (2 * r * window + 8 * (r + 1) * -(-window // p)))
-    if low:  # runs of one s, each multiplied by one power of λ
-        spread = spread[ss[spread].argsort(kind="stable")]
+    chunk = _per_batch(64 * (r + 1) * -(-window // p))
     for c in range(0, spread.size, chunk):
         part = spread[c : c + chunk]
         s_part = ss[part]
@@ -361,23 +355,17 @@ def _small_divisors(profile, ks, window, low=1):
             frob[pick] = field_.frobenius_rows(frob[pick], k)
         rows[part] = 0
         rows[part[at], j * steps.repeat(reads)] = frob
-        del at, j, frob
-        cuts = [0]  # the runs of one s, for low = 1
-        if low:
-            cuts += ((s_part[1:] != s_part[:-1]).nonzero()[0] + 1).tolist() + [part.size]
-        for lo, hi in zip(cuts, cuts[1:]):
-            run = part[lo:hi]
-            rows[run] = _convolve(field_, rows[run], lam_powers[p ** int(s_part[lo]) - 1], window)
-    return _DivisorTable(field_, ram, ks, leads, rows, window, t, None if low else head)
+    return _DivisorTable(field_, ram, ns, leads, rows, window, t, head)
 
 
-def _support(f, D):
+def _support(table):
     """(live, support): boolean arrays over the degrees 0 .. D, read off
-    f's degrees.  live[k] holds when k − 1 lies in the additive semigroup
-    S generated by the shifts i − 1 of f's nonlinear degrees i <= D: it
-    says where the running sum of ``solve_sfe`` has a live column.
-    support[k] says where b_k can be nonzero (the support K): at k = 1
-    and at every live k >= 2, for p-divisible maps only where p | k.
+    the min-plus table ``_dense._MinPlus(f, D)`` of a map f's leads.
+    live[k] holds when k − 1 lies in the additive semigroup S generated
+    by the shifts i − 1 of f's nonlinear degrees i <= D: it says where
+    the running sum of ``solve_sfe`` has a live column.  support[k] says
+    where b_k can be nonzero (the support K): at k = 1 and at every live
+    k >= 2, for p-divisible maps only where p | k.
 
     An exact-start power f^l has a live column at x^k exactly when k − l
     is a sum of at most l shifts: its bases are the min-plus power of f's
@@ -393,10 +381,10 @@ def _support(f, D):
       one part.  For t >= 2 the first 1 + p·⌊(t − 2)/p⌋ parts reach some
       l ∈ K, l >= p (each degree of f is), and the last 1 .. p parts, at
       most l, reach k.
-    S is where the min-plus table of f's leads (``_dense._MinPlus``) is
-    finite."""
+    S is where that table is finite."""
+    f, D = table.f, table.table.size - 1
     live = np.zeros(D + 1, dtype=bool)
-    live[1:] = _MinPlus(f, D).table[:D] < _INF_CUT
+    live[1:] = table.table[:D] < _INF_CUT
     support = live.copy()
     if f.divisible_degrees():
         support[1:] &= np.arange(1, D + 1) % f.field.p == 0
@@ -488,8 +476,11 @@ def _solve_dense(f, D, window):
     bases, horizons and data (``_dense``), and the sum adds the same b_l·f^l in
     the same order as the chain of every power (the b_l it skips are
     exact zeros, which add nothing), so every coefficient is the chain's
-    to the byte.  b_k is one product of the sum's column by the divisor's
-    rows (``DensePoly.column``).
+    to the byte.  b_k is one product of the sum's column by the rows of
+    1/(λ − λ^k) = λ^(−1)·1/(1 − λ^(k−1)) (``DensePoly.column``): the
+    divisor table's rows, all multiplied by ``lam_inverse`` in one batched
+    product before the loop, which writes over them.  f's min-plus table
+    is built once, by ``DensePoly.of_map``, and ``_support`` reads it.
 
     The prediction is checked at every degree, in order: the sum's column
     at x^k must be live exactly where ``_support`` says, else
@@ -505,9 +496,12 @@ def _solve_dense(f, D, window):
     p = field_.p
     family = f.divisible_degrees()
     step = p if family else 1
-    live, support = _support(f, D)
+    fpow = DensePoly.of_map(f, D, window)  # f^prev, prev the last degree of K formed
+    live, support = _support(fpow.power[0])
     ks = (support[2:].nonzero()[0] + 2).tolist()
-    divisor = _small_divisors(profile, ks, window)
+    divisor = _small_divisors(profile, [k - 1 for k in ks], window)
+    rows = divisor.rows[:-1]  # 1/(λ − λ^k), in place of 1/(1 − λ^(k−1))
+    rows[...] = _convolve(field_, rows, divisor.lam_inverse, window)
     # the gaps, in steps of u = f^step, between u and each f^k formed, k ∈ K below D
     formed = [step] + [k for k in ks if k < D]
     needed = {(k - prev) // step for prev, k in zip(formed, formed[1:])}
@@ -531,7 +525,6 @@ def _solve_dense(f, D, window):
             )
 
     acc = DensePoly(field_, ram, D, window)
-    fpow = DensePoly.of_map(f, D, window)  # f^prev, prev the last degree of K formed
     fpow.map_columns = (f, None)  # f^1 is f's columns: installed once
     acc.add_scaled(one, fpow)  # Σ so far = b_1 f^1
     if family and len(formed) > 1:  # u = f^p, multiplied only by ``mul``: free f's columns
@@ -543,7 +536,7 @@ def _solve_dense(f, D, window):
         for n, k in enumerate(ks):
             # b_k: the sum's column times 1/(λ − λ^k), one product
             shift = int(divisor.leads[n])
-            b.append(acc.column(k, (-shift, divisor.rows[n], window - shift)))
+            b.append(acc.column(k, (-shift, rows[n], window - shift)))
             if k < D:
                 fpow = gaps.times(fpow, (k - prev) // step)
                 prev = k
@@ -607,7 +600,8 @@ def solve_sfe_multinomial(f, D, window=32):
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     degrees = sorted(f.coeffs)
-    divisor = _small_divisors(profile, range(2, D + 1), window)
+    divisor = _small_divisors(profile, range(1, D), window)
+    lam_inverse = LaurentSeries(field_, ram, 0, divisor.lam_inverse, window)
 
     coeffs = {1: one}
     for k in range(2, D + 1):
@@ -631,7 +625,7 @@ def solve_sfe_multinomial(f, D, window=32):
         if total is None or total.is_exact_zero:
             coeffs[k] = exact_zero
         else:
-            coeffs[k] = total * divisor[k]
+            coeffs[k] = total * divisor[k - 1] * lam_inverse  # / λ(1 − λ^(k−1))
     return Conjugacy(coeffs, profile, "multinomial", D)
 
 
@@ -764,12 +758,12 @@ def _solve_binomial(f, D, window, source):
         b_J = S_J·a^J·T_J,    B_J = S_J·(E_J − 1),
 
     as λ^{NJ}·T_J = λ^{sJ}·E_J = E_J − 1, and no inverse of a is formed.
-    E_J comes from the divisor table (low = 0).  By B's definition
+    E_J is the divisor table's entry n = sJ.  By B's definition
     b_J = B_J·(a·λ^{−N})^J: B and its bounds are the recurrence's one
     state, and the valuation table and every b_J are read off it.  b_J
     is formed when first read, as one product by the ``_powers`` of
-    a·λ^{−N}, formed with λ^{−1} at the first read: a reader of the
-    valuation table alone forms neither.
+    a·λ^{−N}, formed with the table's λ^{−1} at the first read: a reader
+    of the valuation table alone forms neither.
 
     The support.  The held i are those with b_{l_i} not an exact zero, as
     ``_support`` predicts (every i for p ∤ N; 0 and i ≡ 1 (mod p) for
@@ -881,7 +875,7 @@ def _solve_binomial(f, D, window, source):
     one = LaurentSeries.constant(field_, 1, ram)
     exact_zero = LaurentSeries.zero(field_, ram, 0, exact=True)
     Jmax = (D - 1) // s
-    live, support = _support(f, D)
+    live, support = _support(_MinPlus(f, D))
     held = support[1::s]  # b_{1+is} is not an exact zero, i = 0 .. Jmax
     Js = np.arange(1, Jmax + 1)
     below = np.concatenate(([0], np.cumsum(held)))  # held i below each index
@@ -900,7 +894,7 @@ def _solve_binomial(f, D, window, source):
         )
 
     Ks = held[1:].nonzero()[0] + 1  # the J >= 1 solved
-    E = _small_divisors(profile, (s * Ks).tolist(), W, low=0)
+    E = _small_divisors(profile, s * Ks, W)
     # E_J has lead −lead_T[n], and U^0 sits at row lead_T[n]; G[n] is
     # E_J − 1, with the same lead, formed in place: nothing else reads E_J
     G, lead_T = E.rows, E.leads

@@ -123,6 +123,17 @@ def over_small_divisor(s, lam_power, profile, k, window, low=1):
     return s * div.inverse()
 
 
+def lam_minus_power_divisors(profile, ks, window):
+    """k -> 1/(λ − λ^k) = λ^(−1)·1/(1 − λ^(k−1)) to ``window`` digits for
+    every k >= 2 in ``ks``: each entry n = k − 1 of
+    ``schroder._small_divisors`` times the table's λ^(−1), one series
+    product per entry."""
+    table = _small_divisors(profile, [k - 1 for k in ks], window)
+    lam = profile.lam
+    lam_inverse = LaurentSeries(lam.field, lam.ram, 0, table.lam_inverse, window)
+    return {k: table[k - 1] * lam_inverse for k in ks}
+
+
 def solve_specialized_per_term(f, Jmax, window=32):
     """The p+1 recurrence of ``solve_specialized_p_plus_1`` with every
     term formed as ``LaurentSeries``: b_i·C(ip+1, j-i)·λ^e·a^n, each
@@ -175,7 +186,7 @@ def solve_specialized_windowed_terms(f, Jmax, window=32):
     # λ^e with e = ip + 1 − (j − i) <= (Jmax − 1)·p, and a^(j−i) with j − i <= Jmax
     lam_power = _powers(lam, (Jmax - 1) * p, window)
     a_power = _powers(a, Jmax, window)
-    divisor = _small_divisors(profile, [j * p + 1 for j in range(1, Jmax + 1)], window)
+    divisor = lam_minus_power_divisors(profile, [j * p + 1 for j in range(1, Jmax + 1)], window)
 
     b = {0: one}  # indexed by j: b[j] = b_{jp+1}
     for j in range(1, Jmax + 1):
@@ -220,7 +231,7 @@ def solve_sfe_chain(f, D, window=32):
     p = field_.p
     family = f.divisible_degrees()
     step = p if family else 1
-    divisor = _small_divisors(
+    divisor = lam_minus_power_divisors(
         profile, [k for k in range(2, D + 1) if not (family and k % p)], window
     )
 
@@ -455,37 +466,36 @@ def product_small_divisors_per_term(profile, N):
     return sum(small_divisor_valuation(profile, i * p) for i in range(1, p ** (N - 1) + 1))
 
 
-def small_divisor_leads_per_entry(profile, ks, window, low=1):
-    """The leads (U-units) of the divisors λ^low − λ^k of
+def small_divisor_leads_per_entry(profile, ns, window):
+    """The leads (U-units) of the divisors 1 − λ^n of
     ``schroder._small_divisors`` checked entry by entry in the order of
-    ``ks``: a p-adic split, the first nonzero row of 1 − λ^u and one
+    ``ns``: a p-adic split, the first nonzero row of 1 − λ^u and one
     ``small_divisor_valuation`` per entry.  The first faulty entry raises
     the table's PrecisionError (vanished) or CertificateError (off the
     closed form) with its text.  λ's powers come from ``schroder._powers``
     as the table reads them, so powers a test plants there reach both."""
     lam = profile.lam
     ram, p = lam.ram, lam.field.p
-    splits = [p_split(k - low, p) for k in ks]
+    splits = [p_split(n, p) for n in ns]
     least = min((s for s, _ in splits), default=0)  # λ^u is read to v_m·e + ⌈W/p^least⌉
     width = int(profile.v_m * ram) + -(-window // p**least)
     top = max([u for _, u in splits], default=0)
     powers = lindisc.schroder._powers(lam, top, width)
     leads = []
-    for k, (s, u) in zip(ks, splits):
+    for n, (s, u) in zip(ns, splits):
         difference = -powers[u] % p
         difference[0, 0] = (1 - powers[u, 0, 0]) % p
         nonzero = np.flatnonzero(difference.any(axis=1))
         if not nonzero.size:
             raise PrecisionError(
-                f"divisor 1 - lambda^{k-low} vanished to O(U^{p**s * width}); "
-                "root of unity?"
+                f"divisor 1 - lambda^{n} vanished to O(U^{p**s * width}); root of unity?"
             )
         lead = p**s * int(nonzero[0])
-        expected = small_divisor_valuation(profile, k - low)
+        expected = small_divisor_valuation(profile, n)
         if lead * expected.denominator != expected.numerator * ram:
             raise CertificateError(
                 f"divisor valuation {Fraction(lead, ram)} != closed form "
-                f"{expected} of lambda^{low} - lambda^{k}"
+                f"{expected} of 1 - lambda^{n}"
             )
         leads.append(lead)
     return leads

@@ -35,7 +35,7 @@ from lindisc import (
     solve_specialized_p_plus_1,
     table_compose,
 )
-from lindisc._dense import DensePoly
+from lindisc._dense import DensePoly, _MinPlus
 from lindisc.discs import check_bkprime_zero_extension
 from lindisc.errors import (
     CertificateError,
@@ -77,6 +77,7 @@ F2 = FieldParams(2)
 F3 = FieldParams(3)
 F4 = FieldParams(2, 2)
 F5 = FieldParams(5)
+F9 = FieldParams(3, 2)
 
 
 def conjugacies_agree(g1, g2, upto):
@@ -468,7 +469,7 @@ def test_support_is_where_the_chain_solves_no_exact_zero(p, r):
     exact zero."""
     for e in (1, 2, 3):
         for label, f, D in _support_cases(p, r, e):
-            _, support = lindisc.schroder._support(f, D)
+            _, support = lindisc.schroder._support(_MinPlus(f, D))
             h = solve_sfe_chain(f, D, window=8)
             nonzero = [k for k in range(1, D + 1) if not h.coefficient(k).is_exact_zero]
             assert support.nonzero()[0].tolist() == nonzero, (label, e)
@@ -529,8 +530,8 @@ def test_a_wrong_support_prediction_is_caught(monkeypatch, field, degree, plant,
     CertificateError, for p | k and p ∤ k alike."""
     real = lindisc.schroder._support
 
-    def planted(f, D):
-        live, support = real(f, D)
+    def planted(table):
+        live, support = real(table)
         action, k = plant
         live[k] = support[k] = action == "add"
         return live, support
@@ -1003,62 +1004,52 @@ def _field(p, r):
 @pytest.mark.parametrize("p, r, e, lam, W, exps", _divisor_cases())
 def test_divisor_table_equals_the_exact_quotient(p, r, e, lam, W, exps):
     """Each entry of the divisor table is the exact quotient's inverse of
-    λ − λ^k to W digits, formed from the exact chain λ^k: the same lead,
+    1 − λ^n to W digits, formed from the exact chain λ^n: the same lead,
     rows, horizon and exactness."""
     field = _field(p, r)
     lam = parse_series(lam, field, e)
     profile = mult_profile(lam)
     one = LaurentSeries.constant(field, 1, e)
-    ks = [n + 1 for n in exps]
-    table = _small_divisors(profile, ks, W)
-    assert sorted(table) == ks
+    table = _small_divisors(profile, exps, W)
+    assert sorted(table) == exps
     lam_power = exact_powers(lam)
-    for k in ks:
-        x, y = table[k], over_small_divisor(one, lam_power, profile, k, W)
-        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
-        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
+    for n in exps:
+        x, y = table[n], over_small_divisor(one, lam_power, profile, n, W, low=0)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), n
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), n
 
 
 @pytest.mark.parametrize("p, r, e, lam, W, exps", _divisor_cases())
 def test_divisor_table_of_frobenius_images_equals_the_exact_quotient(p, r, e, lam, W, exps):
-    """An entry 1/(λ^low − λ^k), n = k − low = p^s·u with s >= 1, is the
-    Frobenius image of the inverse of 1 − λ^u, which the table forms even
-    when no entry has n = u: with only such entries, low = 0 and 1, each
-    is the exact quotient's to W digits, and so are the W digits of
-    λ^(-1) of the low = 0 table, which Newton formed to ⌈W/p^s_min⌉
-    digits only.  The exact
-    λ^(p^s·u) comes from ``LaurentSeries.__pow__``, a Frobenius image, so
-    p = 65521 is in reach."""
+    """An entry 1/(1 − λ^n), n = p^s·u with s >= 1, is the Frobenius image
+    of the inverse of 1 − λ^u, which the table forms even when no entry
+    has n = u: with only such entries, each is the exact quotient's to W
+    digits, and so are the W digits of the table's λ^(-1), which Newton
+    formed to ⌈W/p^s_min⌉ digits only.  The exact λ^(p^s·u) comes from
+    ``LaurentSeries.__pow__``, a Frobenius image, so p = 65521 is in
+    reach."""
     field = _field(p, r)
     lam = parse_series(lam, field, e)
     profile = mult_profile(lam)
     one = LaurentSeries.constant(field, 1, e)
     m = profile.m
     ns = sorted({p**s * u for s in range(1, 5) for u in (1, m) if p**s * u <= max(p * m, 2500)})
-    def power(n):  # λ^n, n = p^s·u or p^s·u + 1
-        return lam**n if n % p == 0 else lam * lam ** (n - 1)
-
-    for low in (0, 1):
-        ks = [n + low for n in ns]
-        table = _small_divisors(profile, ks, W, low)
-        assert sorted(table) == ks
-        for k in ks:
-            x, y = table[k], over_small_divisor(one, power, profile, k, W, low)
-            assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), (low, k)
-            assert x.coeffs.tobytes() == y.coeffs.tobytes(), (low, k)
-        if low:
-            assert table.lam_inverse is None
-            continue
-        inverse = LaurentSeries(field, e, 0, lam.coeffs[:W], W).inverse().coeffs
-        expected = np.zeros((W, r), dtype=np.int64)
-        expected[: inverse.shape[0]] = inverse
-        assert np.array_equal(table.lam_inverse, expected)
+    table = _small_divisors(profile, ns, W)
+    assert sorted(table) == ns
+    for n in ns:
+        x, y = table[n], over_small_divisor(one, lam.__pow__, profile, n, W, low=0)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), n
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), n
+    inverse = LaurentSeries(field, e, 0, lam.coeffs[:W], W).inverse().coeffs
+    expected = np.zeros((W, r), dtype=np.int64)
+    expected[: inverse.shape[0]] = inverse
+    assert np.array_equal(table.lam_inverse, expected)
 
 
-def _p_free_parts(ks, low, p):
-    """The distinct u of the n = k − low = p^s·u, in increasing order, and
-    the least s."""
-    splits = [p_split(k - low, p) for k in ks]
+def _p_free_parts(ns, p):
+    """The distinct u of the n = p^s·u, in increasing order, and the least
+    s."""
+    splits = [p_split(n, p) for n in ns]
     return sorted({u for _, u in splits}), min((s for s, _ in splits), default=0)
 
 
@@ -1078,10 +1069,9 @@ def test_divisor_table_makes_one_newton_run_over_the_p_free_parts(
     monkeypatch, solve, lit, field, degrees, D
 ):
     """Each solve inverts once: one ``_invert_unit`` call, whose stack holds
-    the unit of λ^low·(1 − λ^u) for every distinct p-free part u of the
-    table's exponents n = k − low, in increasing order, to ⌈W/p^s_min⌉
-    digits, and for the binomial recurrence (low = 0), whose coefficients
-    read λ^(-1), λ as its last slice.  Every coefficient agrees with an
+    the unit of 1 − λ^u for every distinct p-free part u of the table's
+    exponents n, in increasing order, to ⌈W/p^s_min⌉ digits, and λ as
+    its last slice, from which every solver's λ^(-1) comes.  Every coefficient agrees with an
     oracle that forms no table, dividing by exact quotients: the per-term
     p+1 recurrence or the one-step dense chain."""
     W = 32
@@ -1090,9 +1080,9 @@ def test_divisor_table_makes_one_newton_run_over_the_p_free_parts(
     real_table, real_invert = lindisc.schroder._small_divisors, lindisc.schroder._invert_unit
     tables, runs = [], []
 
-    def small_divisors(profile, ks, window, low=1):
-        tables.append((list(ks), low))
-        return real_table(profile, ks, window, low)
+    def small_divisors(profile, ns, window):
+        tables.append(list(ns))
+        return real_table(profile, ns, window)
 
     def invert(params, units, digits):
         runs.append((units.copy(), digits))
@@ -1101,17 +1091,16 @@ def test_divisor_table_makes_one_newton_run_over_the_p_free_parts(
     monkeypatch.setattr(lindisc.schroder, "_small_divisors", small_divisors)
     monkeypatch.setattr(lindisc.schroder, "_invert_unit", invert)
     g = solve(f, D, W)
-    ((ks, low),), ((units, digits),) = tables, runs
-    us, s_min = _p_free_parts(ks, low, field.p)
+    (ns,), ((units, digits),) = tables, runs
+    us, s_min = _p_free_parts(ns, field.p)
     assert s_min == (1 if solve is solve_specialized_p_plus_1 else 0)
     assert digits == -(-W // field.p**s_min)
-    assert units.shape == (len(us) + 1 - low, digits, field.r)
+    assert units.shape == (len(us) + 1, digits, field.r)
     head = lam.coeffs[:digits]
-    if not low:
-        assert np.array_equal(units[-1, : head.shape[0]], head)
-        assert not units[-1, head.shape[0] :].any()
-    for u, unit in zip(us, units):  # the unit of λ^low·(1 − λ^u), to ``digits`` rows
-        div = lam**low * (LaurentSeries.constant(field, 1) - lam**u)
+    assert np.array_equal(units[-1, : head.shape[0]], head)
+    assert not units[-1, head.shape[0] :].any()
+    for u, unit in zip(us, units):  # the unit of 1 − λ^u, to ``digits`` rows
+        div = LaurentSeries.constant(field, 1) - lam**u
         assert np.array_equal(unit[: div.coeffs.shape[0]], div.coeffs[:digits]), u
     monkeypatch.undo()
     if solve is solve_specialized_p_plus_1:
@@ -1208,46 +1197,45 @@ def test_solve_sfe_reads_lambda_powers_only_to_their_window(monkeypatch):
 def test_divisor_table_spreads_in_chunks(monkeypatch, field, lit):
     """The Frobenius spreads go in one pass over every s, in chunks of
     entries that ``_per_batch`` sizes; with one entry per chunk, every
-    entry of the low = 1 and low = 0 tables, and λ^(-1), has the bytes of
-    the table built whole."""
+    entry of a table with s_min = 0 and of one with s_min = 1, and their
+    λ^(-1), has the bytes of the table built whole."""
     profile, W = mult_profile(parse_series(lit, field)), 16
-    for low, ks in ((1, range(2, 130)), (0, range(2, 130, 2))):
-        whole = _small_divisors(profile, ks, W, low)
+    for ns in (range(1, 129), range(2, 130, 2)):
+        whole = _small_divisors(profile, ns, W)
         monkeypatch.setattr(lindisc.schroder, "_per_batch", lambda item: 1)
-        chunked = _small_divisors(profile, ks, W, low)
+        chunked = _small_divisors(profile, ns, W)
         monkeypatch.undo()
-        assert chunked.rows.tobytes() == whole.rows.tobytes(), low
-        assert np.array_equal(chunked.leads, whole.leads), low
-        if not low:
-            assert chunked.lam_inverse.tobytes() == whole.lam_inverse.tobytes()
+        assert chunked.rows.tobytes() == whole.rows.tobytes(), ns
+        assert np.array_equal(chunked.leads, whole.leads), ns
+        assert chunked.lam_inverse.tobytes() == whole.lam_inverse.tobytes(), ns
 
 
 def test_no_divisor_table_keeps_the_powers_of_lambda():
     """Every solver holds its divisor table to the end of the solve, and
     no solver reads λ's powers after the table is built.  So a table
-    keeps its rows, leads, index and, for low = 0, the ``window`` rows of
-    λ^(-1), not the array of λ^0 .. λ^u it was read from nor the Newton
-    stack: over F_2 with λ = 1 + T, for the 512 degrees of a p-divisible
-    solve to D = 1024 (low = 1, every n = k − 1 odd) and for the 512
-    exponents 2j of a p+1 solve (low = 0, s_min = 1), the memory it holds
-    stays below its rows plus half that array, of the v_m·e + ⌈W/p^s_min⌉
-    rows the table reads."""
+    keeps its rows (λ's spread among them), leads, index and λ's head,
+    not the array of λ^0 .. λ^u it was read from nor the Newton stack:
+    over F_2 with λ = 1 + T, for the 512 exponents n = k − 1 of a
+    p-divisible solve to D = 1024 (every n odd) and for the 512
+    exponents 2j of a p+1 solve (s_min = 1), the memory it holds stays
+    below its rows plus half that array, of the v_m·e + ⌈W/p^s_min⌉ rows
+    the table reads."""
     profile, W = mult_profile(parse_series("1+T", F2)), 32
-    # (ks, low, the largest u, s_min)
-    for ks, low, top, least in (
-        (range(2, 1025, 2), 1, 1023, 0),
-        ([2 * j for j in range(1, 513)], 0, 511, 1),
+    # (ns, the largest u, s_min)
+    for ns, top, least in (
+        (range(1, 1024, 2), 1023, 0),
+        ([2 * j for j in range(1, 513)], 511, 1),
     ):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = _small_divisors(profile, ks, W, low)
+            table = _small_divisors(profile, ns, W)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         powers = (top + 1) * (1 + -(-W // 2**least)) * 8  # one coordinate, v_m·e = 1
-        assert held < table.rows.nbytes + powers // 2, (low, held, table.rows.nbytes, powers)
-        assert table.lam_inverse is None if low else table.lam_inverse.shape == (W, 1)
+        assert held < table.rows.nbytes + powers // 2, (least, held, table.rows.nbytes, powers)
+        assert table.lam_inverse.shape == (W, 1)
 
 
 def test_certify_divergence_forms_no_power_of_lambda_for_its_inverse(monkeypatch):
@@ -1472,52 +1460,51 @@ def _planted_valuation(monkeypatch, n0):
 @pytest.mark.parametrize(
     "vanish, wrong, error, match",
     [
-        (5, 9, PrecisionError, r"lambda\^5 vanished"),  # k = 6 comes before k = 10
-        (5, 3, CertificateError, r"of lambda\^1 - lambda\^4$"),  # k = 4 before k = 6
-        (None, 18, CertificateError, r"of lambda\^1 - lambda\^19$"),
+        (5, 9, PrecisionError, r"lambda\^5 vanished"),  # n = 5 comes before n = 9
+        (5, 3, CertificateError, r"of 1 - lambda\^3$"),  # n = 3 before n = 5
+        (None, 18, CertificateError, r"of 1 - lambda\^18$"),
         (9, None, PrecisionError, r"lambda\^9 vanished"),
     ],
 )
 def test_small_divisors_raise_at_the_first_faulty_entry(
     monkeypatch, vanish, wrong, error, match
 ):
-    """Entries are checked in the order of ``ks``, as one entry at a time
+    """Entries are checked in the order of ``ns``, as one entry at a time
     would: the first entry whose divisor vanishes to the window raises
     PrecisionError, the first whose valuation is off the closed form
-    raises CertificateError, whichever comes first.  Here k runs over
-    2 .. 20 with i = 1 (exponents 1 .. 19), so 1 − λ^u0 first appears
-    at k = u0 + 1."""
+    raises CertificateError, whichever comes first.  Here n runs over
+    1 .. 19, so 1 − λ^u0 first appears at n = u0."""
     profile = mult_profile(parse_series("1+T+T^2", F2))
     if vanish is not None:
         _planted_powers(monkeypatch, vanish)
     if wrong is not None:
         _planted_valuation(monkeypatch, wrong)
     with pytest.raises(error, match=match):
-        _small_divisors(profile, list(range(2, 21)), 16)
+        _small_divisors(profile, list(range(1, 20)), 16)
 
 
 def test_small_divisors_check_the_p_plus_1_entries_in_order(monkeypatch):
-    """With low = 0, as the p+1 recurrence reads it over F_2: k = 2j, the
-    exponent 2j = 2·u; a divisor vanishing at u = 3 raises at j = 3
-    (exponent 6), before a valuation planted wrong at j = 5 (exponent 10)."""
+    """As the p+1 recurrence reads the table over F_2: the exponents
+    n = 2j = 2·u; a divisor vanishing at u = 3 raises at j = 3 (exponent
+    6), before a valuation planted wrong at j = 5 (exponent 10)."""
     profile = mult_profile(parse_series("1+T", F2))
-    ks = [2 * j for j in range(1, 9)]
+    ns = [2 * j for j in range(1, 9)]
     _planted_powers(monkeypatch, 3)
     _planted_valuation(monkeypatch, 10)
     with pytest.raises(PrecisionError, match=r"lambda\^6 vanished"):
-        _small_divisors(profile, ks, 16, low=0)
+        _small_divisors(profile, ns, 16)
     monkeypatch.undo()
     _planted_valuation(monkeypatch, 10)
-    with pytest.raises(CertificateError, match=r"of lambda\^0 - lambda\^10$"):
-        _small_divisors(profile, ks, 16, low=0)
+    with pytest.raises(CertificateError, match=r"of 1 - lambda\^10$"):
+        _small_divisors(profile, ns, 16)
 
 
 def _random_divisor_tables(seed, count):
-    """(profile, ks, low, W) with m > 1: λ = c + (terms from U^j on),
-    c of order m > 1 over F_3, F_4, F_5, F_7 and F_9, e ∈ {1, 2, 3},
-    v_m·e = j ∈ {1, 2, 3}, and 40 random k below 300 with low = 1, or
-    for every third table, as the p+1 recurrence reads it, 40 random
-    k = p·j with low = 0."""
+    """(profile, ns, W) with m > 1: λ = c + (terms from U^j on), c of
+    order m > 1 over F_3, F_4, F_5, F_7 and F_9, e ∈ {1, 2, 3},
+    v_m·e = j ∈ {1, 2, 3}, and 40 random exponents n below 299, or for
+    every third table, as the p+1 recurrence reads it, 40 random
+    n = p·j."""
     rng = random.Random(seed)
     fields = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
     for n in range(count):
@@ -1529,10 +1516,10 @@ def _random_divisor_tables(seed, count):
         profile = mult_profile(lam)
         assert profile.m > 1 and profile.v_m * e == j
         if n % 3 == 2:
-            low, ks = 0, [p * j for j in rng.sample(range(1, 60), 40)]
+            ns = [p * j for j in rng.sample(range(1, 60), 40)]
         else:
-            low, ks = 1, rng.sample(range(2, 300), 40)
-        yield profile, ks, low, rng.choice([8, 16, 32])
+            ns = rng.sample(range(1, 299), 40)
+        yield profile, ns, rng.choice([8, 16, 32])
 
 
 def test_divisor_leads_equal_the_per_entry_closed_form():
@@ -1542,9 +1529,9 @@ def test_divisor_leads_equal_the_per_entry_closed_form():
     ``small_divisor_leads`` of a whole array of splits is e times the
     per-entry valuation, with m | n and s > 0 among the exponents."""
     splits_seen = set()
-    for profile, ks, low, W in _random_divisor_tables(151, 15):
-        table = _small_divisors(profile, ks, W, low)
-        assert table.leads.tolist() == small_divisor_leads_per_entry(profile, ks, W, low)
+    for profile, ns, W in _random_divisor_tables(151, 15):
+        table = _small_divisors(profile, ns, W)
+        assert table.leads.tolist() == small_divisor_leads_per_entry(profile, ns, W)
         ns = list(range(1, 400))
         s, u = np.array([p_split(n, profile.p) for n in ns]).T
         e = profile.lam.ram
@@ -1578,16 +1565,16 @@ def test_divisor_checks_raise_as_the_per_entry_checks(monkeypatch):
     pass raises at the entry, with the error and text, that checking
     entry by entry raises at."""
     raised = []
-    for profile, ks, low, W in _random_divisor_tables(157, 10):
+    for profile, ns, W in _random_divisor_tables(157, 10):
         off = int(profile.v_m * profile.lam.ram) + 1  # neither 0 nor v_m·e
-        us = [p_split(k - low, profile.p)[1] for k in ks]
+        us = [p_split(n, profile.p)[1] for n in ns]
         for planted in ({us[1]: off}, {us[-1]: off}, {us[3]: None, us[-2]: off}):
             with monkeypatch.context() as patch:
                 _planted_rows(patch, planted)
                 with pytest.raises((PrecisionError, CertificateError)) as want:
-                    small_divisor_leads_per_entry(profile, ks, W, low)
+                    small_divisor_leads_per_entry(profile, ns, W)
                 with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-                    _small_divisors(profile, ks, W, low)
+                    _small_divisors(profile, ns, W)
             raised.append(want.type)
     assert PrecisionError in raised and CertificateError in raised
 
@@ -1645,7 +1632,7 @@ def test_structural_zero_check_builds_no_series(monkeypatch):
     monkeypatch.setattr(DensePoly, "column", column)
     lindisc.schroder._solve_dense(f, 30, 32)
     assert read == [3, 9, 15, 21, 27]
-    support = lindisc.schroder._support(f, 30)[1]
+    support = lindisc.schroder._support(_MinPlus(f, 30))[1]
     assert read == (support[2:].nonzero()[0] + 2).tolist()
 
 
@@ -2025,6 +2012,16 @@ DENSE_DIGESTS = {
 }
 
 
+def _digest(g):
+    """SHA-256 of the lead, horizon, exactness and rows of every b_k."""
+    digest = hashlib.sha256()
+    for k in range(1, g.D + 1):
+        s = g.coefficient(k)
+        digest.update(f"{k},{s.lead},{s.prec},{s.exact};".encode())
+        digest.update(s.coeffs.tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", DENSE_DIGESTS)
 def test_dense_coefficients_keep_their_bytes(name):
     """Every b_k of three fixed dense solves hashes to the digest recorded
@@ -2033,12 +2030,46 @@ def test_dense_coefficients_keep_their_bytes(name):
     make, D, W, expected = DENSE_DIGESTS[name]
     g = solve_sfe(make(), D, window=W)
     assert g.source == "term-matching"
-    digest = hashlib.sha256()
-    for k in range(1, D + 1):
-        s = g.coefficient(k)
-        digest.update(f"{k},{s.lead},{s.prec},{s.exact};".encode())
-        digest.update(s.coeffs.tobytes())
-    assert digest.hexdigest() == expected
+    assert _digest(g) == expected
+
+
+# (map, its solve, the digest of every b_k) for the other two solvers:
+# a p+1 ladder map over F_3 (table exponents 3J, t = 1), a map shaped
+# like the ``f4-conj`` ladder (m = 3), a p | N ``disc`` map over F_9
+# (exponents 8J, t = 0) and a multinomial solve at D = 12
+BINOMIAL_DIGESTS = {
+    "p+1-F3": (
+        lambda: PowerSeriesMap({1: parse_series("1+T+2T^2", F3), 4: parse_series("2+T", F3)}),
+        lambda f: solve_specialized_p_plus_1(f, 27, 32),
+        "8302f5290c5c954bbdc152bb743b1fb0824900478183714661e4f77b2041569b",
+    ),
+    "f4-conj": (
+        lambda: PowerSeriesMap({1: parse_series("b+bT", F4), 3: parse_series("b+1", F4)}),
+        lambda f: solve_specialized_p_plus_1(f, 64, 32),
+        "cd34c0e737d50d0f2138dc74f45384c9dc5c5bf4448c473d50ffa6ee950109bb",
+    ),
+    "disc-F9": (
+        lambda: PowerSeriesMap({1: parse_series("b+T", F9), 9: parse_series("b+1", F9)}),
+        lambda f: solve_sfe(f, 145, 32),
+        "01c0193da6ab211b931fec533eeeeaa90c088db9840384c58267c55e6ee3d140",
+    ),
+    "multinomial-D12": (
+        lambda: PowerSeriesMap({
+            1: parse_series("b+T", F4), 2: parse_series("1+bT", F4), 3: parse_series("T^-1", F4),
+        }),
+        lambda f: solve_sfe_multinomial(f, 12, 16),
+        "832869cfde7f0af17fccf46e18679d15616e0b03f485b8e19452b272bb3373d3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BINOMIAL_DIGESTS)
+def test_binomial_and_multinomial_coefficients_keep_their_bytes(name):
+    """Every b_k of the binomial recurrence (N = p + 1 and p | N) and of
+    the multinomial solve hashes to the digest recorded before the
+    divisor table took its one form, 1/(1 − λ^n)."""
+    make, solve, expected = BINOMIAL_DIGESTS[name]
+    assert _digest(solve(make())) == expected
 
 
 @pytest.mark.parametrize("name", DENSE_DIGESTS)
@@ -2058,10 +2089,68 @@ def test_a_dense_solve_forms_one_series_per_support_degree(monkeypatch, name):
     f = make()
     for D in (24, 48, 96, 192):
         monkeypatch.setattr(lindisc.multiplier, "_last_profile", None)
-        support = lindisc.schroder._support(f, D)[1]
+        support = lindisc.schroder._support(_MinPlus(f, D))[1]
         made.clear()
         lindisc.schroder._solve_dense(f, D, W)
         assert len(made) <= int(support[2:].sum()) + 2, (D, len(made))
+
+
+@pytest.mark.parametrize("name", DENSE_DIGESTS)
+def test_a_dense_solve_builds_one_min_plus_table(monkeypatch, name):
+    """``_support`` reads the min-plus table of f's leads that
+    ``DensePoly.of_map`` builds: one ``_MinPlus`` per dense solve."""
+    real, built = _MinPlus.__init__, []
+
+    def init(self, f, D):
+        built.append(D)
+        real(self, f, D)
+
+    monkeypatch.setattr(_MinPlus, "__init__", init)
+    make, D, W, _ = DENSE_DIGESTS[name]
+    solve_sfe(make(), D, window=W)
+    assert built == [D]
+
+
+@pytest.mark.parametrize(
+    "p, r, e", [(p, r, e) for p in (2, 3, 65521) for r in (1, 2) for e in (1, 2)]
+)
+def test_dense_divisors_are_the_exact_quotients_by_lambda_minus_lambda_k(monkeypatch, p, r, e):
+    """The dense solve divides by λ − λ^k = λ(1 − λ^(k−1)): every row of
+    the table, times the table's λ^(−1).  At each degree whose exponent
+    k − 1 = p^s·u has s > 0, a Frobenius image in the table, the
+    divisor it passes to ``DensePoly.column`` is the exact quotient
+    1/(λ − λ^k) to W digits (``over_small_divisor``, low = 1), for m = 1
+    and m > 1.  For p = 65521 the map λx + x^(p+1) solves the one such
+    degree, p + 1."""
+    field, var = _field(p, r), "T" if e == 1 else "U"
+    high_order = (r + e) % 2 == 1 and not (p == 2 and r == 1)
+    residue = RESIDUE_OF_ORDER_ABOVE_1[p] if high_order else "1"
+    lam = parse_series(f"{residue}+{var}+{var}^2", field, e)
+    W = 16
+    degrees, D = ({p + 1: "1"}, p + 1) if p == 65521 else ({2: "1", 3: var}, 40)
+    f = PowerSeriesMap({1: lam, **{d: parse_series(c, field, e) for d, c in degrees.items()}})
+    real, divisors = DensePoly.column, {}
+
+    def column(self, d, *by):
+        if by:
+            divisors[d] = by[0]
+        return real(self, d, *by)
+
+    monkeypatch.setattr(DensePoly, "column", column)
+    solve_sfe(f, D, W)
+    monkeypatch.undo()
+    profile, one = mult_profile(lam), LaurentSeries.constant(field, 1, e)
+    spread = [k for k in divisors if p_split(k - 1, p)[0] > 0]
+    assert spread and (profile.m > 1) == high_order
+
+    def power(k):  # λ^k, k = 1 or p^s·u + 1: times a Frobenius image
+        return lam * lam ** (k - 1)
+
+    for k in spread:
+        x = LaurentSeries(field, e, *divisors[k])
+        y = over_small_divisor(one, power, profile, k, W)
+        assert (x.lead, x.prec, x.exact) == (y.lead, y.prec, y.exact), k
+        assert x.coeffs.tobytes() == y.coeffs.tobytes(), k
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
