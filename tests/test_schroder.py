@@ -1461,7 +1461,11 @@ def _planted_valuation(monkeypatch, n0):
     "vanish, wrong, error, match",
     [
         (5, 9, PrecisionError, r"lambda\^5 vanished"),  # n = 5 comes before n = 9
-        (5, 3, CertificateError, r"of 1 - lambda\^3$"),  # n = 3 before n = 5
+        # n = 3 before n = 5; the id writes 1 - λ^3 as λ^0 - λ^3
+        pytest.param(
+            5, 3, CertificateError, r"of 1 - lambda\^3$",
+            id="5-3-CertificateError-of lambda^0 - lambda^3",
+        ),
         (None, 18, CertificateError, r"of 1 - lambda\^18$"),
         (9, None, PrecisionError, r"lambda\^9 vanished"),
     ],
